@@ -1,6 +1,4 @@
 """Temporally-aware name-gender inference over SSA yearly name data."""
 
-from ._backend import BACKEND as parse_backend
-
 __version__ = "0.1.0"
-__all__ = ["parse_backend", "__version__"]
+__all__ = ["__version__"]

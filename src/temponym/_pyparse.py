@@ -1,8 +1,4 @@
-"""Pure-Python row parser; fallback when the compiled kernel is unavailable.
-
-Semantics must stay bit-identical to ``_fastparse.pyx``: same merge rules,
-same validation order, same exceptions.
-"""
+"""The SSA row parser: validates ``Name,Sex,Count`` rows and merges F/M rows."""
 from __future__ import annotations
 
 from . import errors

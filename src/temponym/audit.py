@@ -131,7 +131,7 @@ def infer_birth_distribution(
             for d in range(-h, h + 1)
         ]
     if dataset is not None:
-        pairs = [(year, w) for year, w in pairs if year in dataset.tables]
+        pairs = [(year, w) for year, w in pairs if dataset.has_year(year)]
     total = sum(w for _, w in pairs)
     if total == 0:
         raise errors.EmptySupport(
@@ -154,8 +154,8 @@ def temporal_p_female(
     terms = []
     female_sum = male_sum = 0
     for year, weight in birth_distribution:
-        counts = dataset.lookup(name, year) if year in dataset.tables else None
-        if not counts or sum(counts) == 0:
+        counts = dataset.lookup(name, year) if dataset.has_year(year) else None
+        if not counts:
             continue
         female, male = counts
         support = female + male

@@ -101,11 +101,11 @@ def ingest(data_dir, years, strict, out_path):
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA_ERROR)
     dataset_mod.save_index(data, out_path)
-    summary = dataset_mod.dataset_summary(data)
-    skipped = sum(t.skipped for t in data.tables.values())
+    births = sum(data.female) + sum(data.male)
+    skipped = sum(data.skipped)
     click.echo(
         f"indexed {len(data.years_loaded)} years, "
-        f"{summary['grand_total']} births, {summary['distinct_names']} names"
+        f"{births} births, {len(data.names)} names"
         + (f", {skipped} rows skipped" if skipped else "")
     )
 

@@ -2,34 +2,82 @@
 
 File format is the SSA national distribution: one ``Name,Sex,Count`` record
 per line, no header, one file per year of birth (``yob1925.txt``).
+
+In memory a :class:`Dataset` is columnar and name-major: one sorted name
+table and two ``array('I')`` columns of female and male counts. Each name
+owns one contiguous span of positions in ``years_loaded`` and its cells sit
+next to each other in the columns; a year inside a span in which the name
+has no data holds zeros. Positions rather than calendar years keep sparse
+year sets compact, a single-year lookup is one index into each column, and
+a windowed or pooled lookup sums one slice of each.
 """
 from __future__ import annotations
 
-import datetime
-import gzip
 import hashlib
 import json
 import re
+import sys
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
+import zlib
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from operator import add, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import errors
-from ._backend import merge_rows
+from ._pyparse import merge_rows
 
 MIN_YEAR = 1880
+# Latest accepted year of birth. A fixed bound, not today's date, so that
+# whether a file parses never depends on the clock: the SSA archive starts
+# in 1880 and publishes one year at a time, and 2100 still rejects a
+# mistyped year such as yob9125.txt.
+MAX_YEAR = 2100
 
 _YOB_RE = re.compile(r"yob(\d{4})\.txt$")
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+
+_NO_DATA = (0, 0)
 
 
-def _max_year() -> int:
-    return datetime.date.today().year
+def strip_diacritics(text: str) -> str:
+    if text.isascii():  # NFKD leaves ASCII unchanged and adds no combining marks
+        return text
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+class _Folds:
+    """Case- and diacritic-insensitive resolution of a name to table indices.
+
+    Both maps are built once per distinct name and map a folded key to the
+    indices (ascending) of every stored name that folds to it.
+    """
+
+    def __init__(self, names: Sequence[str]):
+        self.casefold: dict[str, list[int]] = {}
+        self.stripped: dict[str, list[int]] = {}
+        for i, name in enumerate(names):
+            key = name.casefold()
+            self.casefold.setdefault(key, []).append(i)
+            self.stripped.setdefault(strip_diacritics(key), []).append(i)
+
+    def candidates(self, exact: Optional[int], name: str, fold_diacritics: bool) -> list[int]:
+        """Indices to try in order: the exact name, casefold, then stripped."""
+        key = name.casefold()
+        ids = self.casefold.get(key, [])
+        if fold_diacritics:
+            ids = ids + self.stripped.get(strip_diacritics(key), [])
+        if exact is not None:
+            ids = [exact, *ids]
+        return list(dict.fromkeys(ids)) if len(ids) > 1 else ids
 
 
 @dataclass(frozen=True)
@@ -40,7 +88,6 @@ class YearTable:
     entries: Mapping[str, tuple[int, int]]
     total_births: int
     skipped: int = 0
-    _folded: Mapping[str, str] = field(repr=False, compare=False, default_factory=dict)
 
     def to_rows(self) -> str:
         """Serialize back to SSA row format (F rows first per name)."""
@@ -54,54 +101,142 @@ class YearTable:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def lookup(self, name: str, fold_diacritics: bool = False) -> Optional[tuple[int, int]]:
-        """Case-insensitive lookup; diacritic folding is opt-in."""
+        """Exact, then case-insensitive lookup; diacritic folding is opt-in."""
         hit = self.entries.get(name)
         if hit is not None:
             return hit
-        key = name.casefold()
-        if fold_diacritics:
-            key = strip_diacritics(key)
-        canonical = self._folded.get(key)
-        if canonical is None:
-            return None
-        return self.entries[canonical]
+        names, folds = self._folds
+        for i in folds.candidates(None, name, fold_diacritics):
+            return self.entries[names[i]]
+        return None
+
+    @cached_property
+    def _folds(self) -> tuple[list[str], _Folds]:
+        """The stored names and their fold maps, built on the first folded lookup."""
+        names = list(self.entries)
+        return names, _Folds(names)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable year -> YearTable index; safe for concurrent readers."""
+    """Immutable name-major count columns over ``years_loaded``.
 
-    tables: Mapping[int, YearTable]
+    Name ``names[i]`` has ``lengths[i]`` cells, for the positions
+    ``starts[i]`` onwards in ``years_loaded``; its cells follow those of
+    ``names[i - 1]`` in ``female`` and ``male``. The four columns are given
+    as ``array('I')`` and kept as read-only memoryviews over them, so the
+    dataset can be shared by concurrent readers.
+    """
+
     years_loaded: tuple[int, ...]
+    names: tuple[str, ...]
+    starts: memoryview = field(repr=False)
+    lengths: memoryview = field(repr=False)
+    female: memoryview = field(repr=False)
+    male: memoryview = field(repr=False)
+    skipped: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    # Per name (start, stop, base): its positions are start <= pos < stop and
+    # the cell for pos is at base + pos in the columns.
+    _spans: list = field(init=False, compare=False, repr=False)
+    _positions: dict = field(init=False, compare=False, repr=False)
+    _ids: dict = field(init=False, compare=False, repr=False)
+    _folds: _Folds = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for key in _U32_SECTIONS:
+            object.__setattr__(self, key, memoryview(getattr(self, key)).toreadonly())
+        offsets = accumulate(self.lengths, initial=0)
+        derived = {
+            "_spans": [(start, start + length, offset - start)
+                       for start, length, offset in zip(self.starts, self.lengths, offsets)],
+            "_positions": {year: pos for pos, year in enumerate(self.years_loaded)},
+            "_ids": {name: i for i, name in enumerate(self.names)},
+            "_folds": _Folds(self.names),
+        }
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
+
+    def has_year(self, year: int) -> bool:
+        return year in self._positions
+
+    def _position(self, year: int) -> int:
+        pos = self._positions.get(year)
+        if pos is None:
+            raise errors.YearNotLoaded(year)
+        return pos
+
+    def _first_cell(self, ids: Sequence[int], pos: int) -> Optional[tuple[int, int]]:
+        """Counts of the first name in ``ids`` with data at ``pos``."""
+        for i in ids:
+            start, stop, base = self._spans[i]
+            if start <= pos < stop:
+                female, male = self.female[base + pos], self.male[base + pos]
+                if female or male:
+                    return female, male
+        return None
+
+    def lookup(
+        self, name: str, year: int, fold_diacritics: bool = False
+    ) -> Optional[tuple[int, int]]:
+        """(female, male) for a name in one year, or None without data.
+
+        The exact name is tried first, then names equal under casefolding,
+        then (only with ``fold_diacritics``) names equal once diacritics are
+        stripped; of several stored names sharing a key, the first with
+        data in that year answers.
+        """
+        pos = self._position(year)
+        exact = self._ids.get(name)
+        if exact is not None:
+            cell = self._first_cell((exact,), pos)
+            if cell is not None:
+                return cell
+        return self._first_cell(self._folds.candidates(exact, name, fold_diacritics), pos)
+
+    def totals(
+        self, name: str, first_year: int, last_year: int, fold_diacritics: bool = False
+    ) -> tuple[int, int]:
+        """(female, male) summed over the loaded years in [first_year, last_year]."""
+        lo = bisect_left(self.years_loaded, first_year)
+        hi = bisect_right(self.years_loaded, last_year)
+        ids = self._folds.candidates(self._ids.get(name), name, fold_diacritics)
+        if not ids:
+            return _NO_DATA
+        if len(ids) == 1:  # one stored name answers every year: sum its slices
+            start, stop, base = self._spans[ids[0]]
+            lo, hi = base + max(lo, start), base + min(hi, stop)
+            if lo >= hi:
+                return _NO_DATA
+            return sum(self.female[lo:hi]), sum(self.male[lo:hi])
+        female = male = 0
+        for pos in range(lo, hi):
+            cell = self._first_cell(ids, pos)
+            if cell:
+                female += cell[0]
+                male += cell[1]
+        return female, male
+
+    def year_cells(self, year: int) -> dict[str, tuple[int, int]]:
+        """Every name with data in one year, in name order, with its counts."""
+        pos = self._position(year)
+        female, male = self.female, self.male
+        cells = {}
+        for name, (start, stop, base) in zip(self.names, self._spans):
+            if start <= pos < stop:
+                f, m = female[base + pos], male[base + pos]
+                if f or m:
+                    cells[name] = (f, m)
+        return cells
 
     def table(self, year: int) -> YearTable:
-        try:
-            return self.tables[year]
-        except KeyError:
-            raise errors.YearNotLoaded(year) from None
-
-    def lookup(self, name: str, year: int, fold_diacritics: bool = False):
-        return self.table(year).lookup(name, fold_diacritics=fold_diacritics)
-
-
-def strip_diacritics(text: str) -> str:
-    decomposed = unicodedata.normalize("NFKD", text)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-
-
-def _build_table(year: int, entries: dict[str, tuple[int, int]], skipped: int) -> YearTable:
-    folded = {}
-    for name in entries:
-        folded[name.casefold()] = name
-        folded[strip_diacritics(name.casefold())] = name
-    total = sum(f + m for f, m in entries.values())
-    return YearTable(
-        year=year,
-        entries=MappingProxyType(dict(entries)),
-        total_births=total,
-        skipped=skipped,
-        _folded=MappingProxyType(folded),
-    )
+        """A read-only per-year view, built on demand."""
+        cells = self.year_cells(year)
+        return YearTable(
+            year=year,
+            entries=MappingProxyType(cells),
+            total_births=sum(map(sum, cells.values())),
+            skipped=self.skipped[self._positions[year]] if self.skipped else 0,
+        )
 
 
 def parse_year_file(content: str, year: int, strict: bool = True) -> YearTable:
@@ -110,46 +245,76 @@ def parse_year_file(content: str, year: int, strict: bool = True) -> YearTable:
     Strict mode aborts on any invalid row; lenient mode skips invalid rows
     and records how many were dropped.
     """
-    if not MIN_YEAR <= year <= _max_year():
-        raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {_max_year()}]")
+    if not MIN_YEAR <= year <= MAX_YEAR:
+        raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]")
     entries, skipped = merge_rows(content, strict)
-    return _build_table(year, entries, skipped)
+    return YearTable(
+        year=year,
+        entries=MappingProxyType(entries),
+        total_births=sum(map(sum, entries.values())),
+        skipped=skipped,
+    )
 
 
-def load_dataset(
-    sources: Iterable[tuple[int, str]],
-    strict: bool = True,
-    max_workers: Optional[int] = None,
-) -> Dataset:
-    """Build a Dataset from (year, content) pairs; parse fans out per file.
+def _from_tables(tables: Sequence[YearTable]) -> Dataset:
+    """Columns from per-year tables sorted by year."""
+    entries = [table.entries for table in tables]
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    for pos in reversed(range(len(entries))):
+        first.update(dict.fromkeys(entries[pos], pos))
+    for pos, year_entries in enumerate(entries):
+        last.update(dict.fromkeys(year_entries, pos))
+    names = sorted(first)
+    starts = array("I", map(first.__getitem__, names))
+    lengths = array("I", [last[name] - first[name] + 1 for name in names])
+    base = {}  # name -> column index of its cell for position 0
+    cells = 0
+    for name, start, length in zip(names, starts, lengths):
+        base[name] = cells - start
+        cells += length
+    female, male = array("I", bytes(4 * cells)), array("I", bytes(4 * cells))
+    # Scattered year by year: each year's dict is read in its own order and
+    # only ``base`` is probed at random, several times faster than gathering
+    # each name's cells from 141 dicts.
+    for pos, year_entries in enumerate(entries):
+        try:
+            for name, (f, m) in year_entries.items():
+                k = base[name] + pos
+                female[k] = f
+                male[k] = m
+        except OverflowError:
+            raise errors.TemponymError(
+                f"year {tables[pos].year}: {name} has a count above {2**32 - 1}, "
+                "the largest the index stores"
+            ) from None
+    return Dataset(
+        years_loaded=tuple(table.year for table in tables),
+        names=tuple(names),
+        starts=starts,
+        lengths=lengths,
+        female=female,
+        male=male,
+        skipped=tuple(table.skipped for table in tables),
+    )
+
+
+def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dataset:
+    """Build a Dataset from (year, content) pairs.
 
     The result is order-independent: sources may arrive in any order.
     """
-    pairs = list(sources)
-    seen: set[int] = set()
-    for year, _ in pairs:
-        if year in seen:
+    pairs = sorted(sources, key=itemgetter(0))
+    for (year, _), (previous, _) in zip(pairs[1:], pairs):
+        if year == previous:
             raise errors.DuplicateYear(year)
-        seen.add(year)
-
-    def parse_one(pair: tuple[int, str]) -> YearTable:
-        year, content = pair
+    tables = []
+    for year, content in pairs:
         try:
-            return parse_year_file(content, year, strict=strict)
+            tables.append(parse_year_file(content, year, strict=strict))
         except errors.TemponymError as exc:
             raise errors.TemponymError(f"year {year}: {exc}") from exc
-
-    if len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            tables = list(pool.map(parse_one, pairs))
-    else:
-        tables = [parse_one(pair) for pair in pairs]
-
-    by_year = {table.year: table for table in tables}
-    return Dataset(
-        tables=MappingProxyType(by_year),
-        years_loaded=tuple(sorted(by_year)),
-    )
+    return _from_tables(tables)
 
 
 def load_directory(
@@ -174,21 +339,21 @@ def load_directory(
 
 def dataset_summary(dataset: Dataset) -> dict:
     """Per-year totals, distinct name counts, and the grand total."""
-    per_year = {}
-    grand_total = 0
-    all_names: set[str] = set()
-    for year in dataset.years_loaded:
-        table = dataset.tables[year]
-        per_year[year] = {
-            "total_births": table.total_births,
-            "distinct_names": len(table.entries),
-        }
-        grand_total += table.total_births
-        all_names.update(table.entries)
+    n_years = len(dataset.years_loaded)
+    births, named = [0] * n_years, [0] * n_years
+    for start, stop, base in dataset._spans:
+        cells = list(map(add, dataset.female[base + start:base + stop],
+                         dataset.male[base + start:base + stop]))
+        births[start:stop] = map(add, births[start:stop], cells)
+        named[start:stop] = map(add, named[start:stop], map(bool, cells))
+    per_year = {
+        year: {"total_births": births[pos], "distinct_names": named[pos]}
+        for pos, year in enumerate(dataset.years_loaded)
+    }
     return {
         "per_year": per_year,
-        "grand_total": grand_total,
-        "distinct_names": len(all_names),
+        "grand_total": sum(births),
+        "distinct_names": len(dataset.names),
     }
 
 
@@ -199,50 +364,128 @@ def bundled_sample_dir() -> Path:
 
 # --- persisted index -------------------------------------------------------
 #
-# Layout: magic line, JSON header line (version + sha256 of the uncompressed
-# payload + years), then a gzip-compressed payload of "year,name,f,m" lines.
+# Layout: magic line, one JSON header line, then a zlib-compressed payload.
+# The header holds the format version, the SHA-256 of the uncompressed
+# payload, the years and the byte length of each payload section, in order:
+#
+#   names    the name table, UTF-8, joined by "\n"
+#   starts   per name, the position in ``years`` of its first cell
+#   lengths  per name, the number of cells in its span
+#   female   the female count column, name-major
+#   male     the male count column
+#
+# Every section after ``names`` is unsigned 32-bit little-endian, stored
+# byte-plane shuffled (all first bytes, then all second bytes, ...), which
+# puts the mostly-zero high bytes of counts next to each other for zlib.
+# Loading is decompress, checksum, unshuffle and ``frombytes``: no row parsing.
+
+_SECTIONS = ("names", "starts", "lengths", "female", "male")
+_U32_SECTIONS = _SECTIONS[1:]
+
+
+def _shuffle(column: memoryview) -> bytes:
+    if sys.byteorder == "big":
+        column = array("I", column)
+        column.byteswap()
+    raw = column.tobytes()
+    return b"".join(raw[plane::4] for plane in range(4))
+
+
+def _unshuffle(data: memoryview) -> array:
+    n = len(data) // 4
+    raw = bytearray(len(data))
+    for plane in range(4):
+        raw[plane::4] = data[plane * n:(plane + 1) * n]
+    column = array("I")
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
 
 def save_index(dataset: Dataset, path: Path | str) -> None:
-    lines = []
-    for year in dataset.years_loaded:
-        table = dataset.tables[year]
-        for name in sorted(table.entries):
-            female, male = table.entries[name]
-            lines.append(f"{year},{name},{female},{male}")
-    payload = "\n".join(lines).encode()
+    sections = [
+        "\n".join(dataset.names).encode(),
+        *(_shuffle(getattr(dataset, key)) for key in _U32_SECTIONS),
+    ]
+    payload = b"".join(sections)
     header = {
         "format": "temponym-index",
         "version": INDEX_VERSION,
         "sha256": hashlib.sha256(payload).hexdigest(),
         "years": list(dataset.years_loaded),
+        "sections": {key: len(data) for key, data in zip(_SECTIONS, sections)},
     }
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
         fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(gzip.compress(payload))
+        fh.write(zlib.compress(payload, 6))
+
+
+def _read_header(path, line: bytes) -> dict:
+    def bad(reason: str):
+        return errors.IndexFormatError(f"{path}: {reason}")
+
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        raise bad(f"header is not JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise bad("header is not a JSON object")
+    version = header.get("version")
+    if version == 1:
+        raise bad("index format version 1 is no longer read; re-run `temponym ingest`")
+    if version != INDEX_VERSION:
+        raise bad(f"unsupported index version {version!r}")
+    sha, years, sections = header.get("sha256"), header.get("years"), header.get("sections")
+    if not isinstance(sha, str):
+        raise bad("header has no sha256")
+    if not (isinstance(years, list) and all(type(y) is int for y in years)
+            and all(a < b for a, b in zip(years, years[1:]))):
+        raise bad("header years are not increasing integers")
+    if not (isinstance(sections, dict) and list(sections) == list(_SECTIONS)
+            and all(type(n) is int and n >= 0 for n in sections.values())):
+        raise bad(f"header sections must be byte lengths of {', '.join(_SECTIONS)}")
+    return header
 
 
 def load_index(path: Path | str) -> Dataset:
     with open(path, "rb") as fh:
-        magic = fh.read(len(INDEX_MAGIC))
-        if magic != INDEX_MAGIC:
+        if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
             raise errors.IndexFormatError(f"{path}: not a temponym index")
-        header = json.loads(fh.readline())
-        if header.get("version") != INDEX_VERSION:
-            raise errors.IndexFormatError(
-                f"{path}: unsupported index version {header.get('version')}"
-            )
-        try:
-            payload = gzip.decompress(fh.read())
-        except (OSError, EOFError) as exc:
-            raise errors.IndexFormatError(f"{path}: corrupt payload ({exc})") from exc
+        header = _read_header(path, fh.readline())
+        compressed = fh.read()
+    try:
+        payload = zlib.decompress(compressed)
+    except zlib.error as exc:
+        raise errors.IndexFormatError(f"{path}: corrupt payload ({exc})") from None
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise errors.IndexFormatError(f"{path}: checksum mismatch")
 
-    per_year: dict[int, dict[str, tuple[int, int]]] = {}
-    if payload:
-        for line in payload.decode().split("\n"):
-            year_text, name, female, male = line.split(",")
-            per_year.setdefault(int(year_text), {})[name] = (int(female), int(male))
-    tables = {year: _build_table(year, entries, 0) for year, entries in per_year.items()}
-    return Dataset(tables=MappingProxyType(tables), years_loaded=tuple(sorted(tables)))
+    sizes = header["sections"]
+    if sum(sizes.values()) != len(payload):
+        raise errors.IndexFormatError(
+            f"{path}: section lengths add up to {sum(sizes.values())} bytes, "
+            f"the payload has {len(payload)}"
+        )
+    if any(sizes[key] % 4 for key in _U32_SECTIONS):
+        raise errors.IndexFormatError(f"{path}: a column section is not whole 32-bit words")
+    view = memoryview(payload)
+    parts = {}
+    for key, end in zip(_SECTIONS, accumulate(sizes[key] for key in _SECTIONS)):
+        parts[key] = view[end - sizes[key]:end]
+    try:
+        text = str(parts.pop("names"), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise errors.IndexFormatError(f"{path}: name table is not UTF-8 ({exc})") from None
+    names = tuple(text.split("\n")) if text else ()
+    if not all(a < b for a, b in zip(names, names[1:])):
+        raise errors.IndexFormatError(f"{path}: name table is not sorted and unique")
+    columns = {key: _unshuffle(data) for key, data in parts.items()}
+    starts, lengths = columns["starts"], columns["lengths"]
+    n_years = len(header["years"])
+    if not (len(starts) == len(lengths) == len(names)
+            and len(columns["female"]) == len(columns["male"]) == sum(lengths)
+            and all(start + length <= n_years for start, length in zip(starts, lengths))):
+        raise errors.IndexFormatError(f"{path}: name spans point outside the columns")
+    return Dataset(years_loaded=tuple(header["years"]), names=names, **columns)

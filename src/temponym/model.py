@@ -86,9 +86,16 @@ def p_female(
     if counts is None or sum(counts) == 0:
         raise errors.NoData(name, str(year))
     female, male = counts
+    return from_counts(name, str(year), female, male, pseudocount)
+
+
+def from_counts(
+    name: str, context: str, female: int, male: int, pseudocount: float = 0.0
+) -> GenderProbability:
+    """The probability for counts already looked up; support must be > 0."""
     return GenderProbability(
         name=name,
-        context=str(year),
+        context=context,
         p_female=_ratio(female, male, pseudocount),
         female_count=female,
         male_count=male,
@@ -106,7 +113,7 @@ def p_female_windowed(
     """p(F) over [center-h, center+h]; counts summed before dividing."""
     lo, hi = center_year - half_width, center_year + half_width
     return _accumulate(
-        dataset, name, range(lo, hi + 1),
+        dataset, name, lo, hi,
         context=f"{lo}..{hi} (window around {center_year})",
         fold_diacritics=fold_diacritics, pseudocount=pseudocount,
     )
@@ -119,34 +126,28 @@ def p_female_pooled(
     fold_diacritics: bool = False,
     pseudocount: float = 0.0,
 ) -> GenderProbability:
-    """p(F) pooled over every loaded year in the range (atemporal snapshot)."""
-    if isinstance(year_range, tuple):
-        year_range = range(year_range[0], year_range[1] + 1)
+    """p(F) pooled over every loaded year in the range (atemporal snapshot).
+
+    ``year_range`` is a ``(first, last)`` pair of years or a ``range`` with
+    step 1; both are inclusive spans and must hold at least one year.
+    """
+    if isinstance(year_range, range) and year_range.step != 1:
+        raise errors.TemponymError(f"pooled years must have step 1, not {year_range.step}")
+    if not year_range or year_range[0] > year_range[-1]:
+        raise errors.TemponymError(f"pooled years {year_range!r} hold no year")
+    first, last = year_range[0], year_range[-1]
     return _accumulate(
-        dataset, name, year_range,
-        context=f"pooled {year_range[0]}..{year_range[-1]}",
+        dataset, name, first, last,
+        context=f"pooled {first}..{last}",
         fold_diacritics=fold_diacritics, pseudocount=pseudocount,
     )
 
 
-def _accumulate(dataset, name, years, context, fold_diacritics, pseudocount):
-    female = male = 0
-    for year in years:
-        if year not in dataset.tables:
-            continue
-        counts = dataset.lookup(name, year, fold_diacritics=fold_diacritics)
-        if counts:
-            female += counts[0]
-            male += counts[1]
+def _accumulate(dataset, name, first, last, context, fold_diacritics, pseudocount):
+    female, male = dataset.totals(name, first, last, fold_diacritics=fold_diacritics)
     if female + male == 0:
         raise errors.NoData(name, context)
-    return GenderProbability(
-        name=name,
-        context=context,
-        p_female=_ratio(female, male, pseudocount),
-        female_count=female,
-        male_count=male,
-    )
+    return from_counts(name, context, female, male, pseudocount)
 
 
 def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -> GenderLabel:
@@ -174,12 +175,9 @@ def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -
 
 def ambiguous_name_share(dataset: Dataset, year: int) -> float:
     """Share of children (not names) given a name used for both sexes."""
-    table = dataset.table(year)
-    if table.total_births == 0:
+    cells = dataset.year_cells(year).values()
+    total = sum(map(sum, cells))
+    if total == 0:
         return 0.0
-    ambiguous = sum(
-        female + male
-        for female, male in table.entries.values()
-        if female > 0 and male > 0
-    )
-    return ambiguous / table.total_births
+    ambiguous = sum(female + male for female, male in cells if female and male)
+    return ambiguous / total

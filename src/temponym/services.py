@@ -244,7 +244,8 @@ def comparison_table(
     Per-cell failures are recorded in the row, never fatal.
     """
     configs = list(configs)
-    dataset.table(ssa_year)  # surface YearNotLoaded before any fetch
+    if not dataset.has_year(ssa_year):  # before any fetch
+        raise errors.YearNotLoaded(ssa_year)
     rows = []
     for name in names:
         cell_errors: dict[str, str] = {}

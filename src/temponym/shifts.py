@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 from . import errors
 from .dataset import Dataset
-from .model import p_female
+from .model import from_counts, p_female
 
 DEFAULT_MIN_SUPPORT = 50
 DEFAULT_MIN_ABS_DELTA = 20.0
@@ -85,14 +85,15 @@ def _entry(name, y1, y2, prob1, prob2, weight_fn) -> ShiftEntry:
 
 
 def _candidates(dataset: Dataset, y1: int, y2: int, min_support: int, weighting: str):
-    table1 = dataset.table(y1)
-    table2 = dataset.table(y2)
+    cells1 = dataset.year_cells(y1)
+    cells2 = dataset.year_cells(y2)
     weight_fn = WEIGHTINGS[weighting]
-    for name in table1.entries.keys() & table2.entries.keys():
-        prob1 = p_female(dataset, name, y1)
-        prob2 = p_female(dataset, name, y2)
-        if prob1.support < min_support or prob2.support < min_support:
+    for name, (f1, m1) in cells1.items():
+        counts2 = cells2.get(name)
+        if counts2 is None or f1 + m1 < min_support or sum(counts2) < min_support:
             continue
+        prob1 = from_counts(name, str(y1), f1, m1)
+        prob2 = from_counts(name, str(y2), *counts2)
         yield _entry(name, y1, y2, prob1, prob2, weight_fn)
 
 

@@ -1,3 +1,8 @@
+import gzip
+import hashlib
+import json
+from array import array
+
 import pytest
 
 from temponym import dataset as dataset_mod
@@ -24,3 +29,70 @@ def quarter_dataset():
     return dataset_mod.load_directory(
         dataset_mod.bundled_sample_dir(), years=QUARTER_YEARS
     )
+
+
+# --- damaged index files ----------------------------------------------------
+
+def _index_parts(path):
+    """(header dict, compressed payload) of an index file."""
+    raw = path.read_bytes()
+    header_line, payload = raw[len(dataset_mod.INDEX_MAGIC):].split(b"\n", 1)
+    return json.loads(header_line), payload
+
+
+def _write_index(path, header, payload):
+    header_line = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(dataset_mod.INDEX_MAGIC + header_line + b"\n" + payload)
+
+
+def _drop_sha256(path):
+    header, payload = _index_parts(path)
+    del header["sha256"]
+    _write_index(path, header, payload)
+
+
+def _header_not_json(path):
+    _, payload = _index_parts(path)
+    _write_index(path, b"{version: 2", payload)
+
+
+def _version_1(path):
+    payload = b"1990,Pat,10,0"
+    _write_index(path, {"format": "temponym-index", "version": 1,
+                        "sha256": hashlib.sha256(payload).hexdigest(),
+                        "years": [1990]}, gzip.compress(payload))
+
+
+def _sections_do_not_add_up(path):
+    header, payload = _index_parts(path)
+    header["sections"]["names"] += 4
+    _write_index(path, header, payload)
+
+
+def _spans_outside_columns(path):
+    bad = dataset_mod.Dataset(
+        years_loaded=(1990, 1991), names=("Ann", "Pat"),
+        starts=array("I", [0, 1]), lengths=array("I", [2, 2]),
+        female=array("I", [5, 6, 7, 8]), male=array("I", [0, 0, 0, 0]),
+    )
+    dataset_mod.save_index(bad, path)
+
+
+# Each damage, and a fragment of the error it must be reported with.
+BAD_INDEXES = [
+    (_drop_sha256, "no sha256"),
+    (_header_not_json, "not JSON"),
+    (_version_1, "re-run `temponym ingest`"),
+    (_sections_do_not_add_up, "section lengths"),
+    (_spans_outside_columns, "spans point outside"),
+]
+
+
+@pytest.fixture(params=BAD_INDEXES, ids=lambda case: case[0].__name__.strip("_"))
+def bad_index(request, tmp_path):
+    """(path of a damaged index, fragment of the expected error message)."""
+    damage, message = request.param
+    path = tmp_path / "bad.idx"
+    dataset_mod.save_index(dataset_mod.load_dataset([(1990, "Pat,F,10\nSam,M,9")]), path)
+    damage(path)
+    return path, message

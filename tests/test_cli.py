@@ -98,6 +98,14 @@ def test_ingest_then_query_via_index(runner, tmp_path):
     assert json.loads(result.output)["p_female"] == pytest.approx(0.0839, abs=0.0001)
 
 
+def test_bad_index_is_data_error(runner, bad_index):
+    path, message = bad_index
+    result = runner.invoke(main, ["query", "--index", str(path),
+                                  "--name", "Pat", "--year", "1990"])
+    assert result.exit_code == 3
+    assert message in result.output
+
+
 def test_ingest_bad_dir_is_data_error(runner, tmp_path):
     (tmp_path / "yob1925.txt").write_text("garbage\n")
     result = runner.invoke(main, [

@@ -1,14 +1,9 @@
-import random
+import datetime
 
 import pytest
 
-from temponym import _pyparse, errors
+from temponym import errors
 from temponym import dataset as ds
-
-try:
-    from temponym import _fastparse
-except ImportError:
-    _fastparse = None
 
 
 def test_merges_f_and_m_rows():
@@ -109,7 +104,7 @@ def test_summary_empty_dataset():
 
 
 def test_1917_includes_boys_named_sue(sample_dataset):
-    assert sample_dataset.tables[1917].entries["Sue"] == (1200, 7)
+    assert sample_dataset.table(1917).entries["Sue"] == (1200, 7)
 
 
 def test_lookup_is_case_insensitive(sample_dataset):
@@ -125,7 +120,22 @@ def test_diacritic_folding_is_opt_in():
 
 def test_tables_are_immutable(sample_dataset):
     with pytest.raises(TypeError):
-        sample_dataset.tables[1925].entries["Leslie"] = (0, 0)
+        sample_dataset.table(1925).entries["Leslie"] = (0, 0)
+
+
+@pytest.mark.parametrize("column", ["starts", "lengths", "female", "male"])
+def test_dataset_columns_are_read_only(sample_dataset, column):
+    with pytest.raises(TypeError):
+        getattr(sample_dataset, column)[0] = 0
+
+
+def test_year_table_fold_maps_are_built_once():
+    table = ds.parse_year_file("Renée,F,100\nJean,M,9", 1990)
+    assert table.lookup("renée") == (100, 0)
+    folds = table._folds
+    assert table.lookup("JEAN") == (0, 9)
+    assert table.lookup("Renee", fold_diacritics=True) == (100, 0)
+    assert table._folds is folds
 
 
 def test_index_round_trip(tmp_path, quarter_dataset):
@@ -134,8 +144,8 @@ def test_index_round_trip(tmp_path, quarter_dataset):
     loaded = ds.load_index(path)
     assert loaded.years_loaded == quarter_dataset.years_loaded
     for year in loaded.years_loaded:
-        assert dict(loaded.tables[year].entries) == dict(
-            quarter_dataset.tables[year].entries
+        assert dict(loaded.table(year).entries) == dict(
+            quarter_dataset.table(year).entries
         )
 
 
@@ -156,32 +166,66 @@ def test_index_rejects_foreign_file(tmp_path):
         ds.load_index(path)
 
 
-@pytest.mark.skipif(_fastparse is None, reason="compiled parser not built")
-def test_backends_agree_on_valid_input():
-    rng = random.Random(7)
-    lines = []
-    for i in range(500):
-        name = "Name" + str(i)
-        if rng.random() < 0.7:
-            lines.append(f"{name},F,{rng.randint(5, 9000)}")
-        if rng.random() < 0.7:
-            lines.append(f"{name},M,{rng.randint(5, 9000)}")
-    content = "\n".join(lines) + "\n"
-    assert _fastparse.merge_rows(content, True) == _pyparse.merge_rows(content, True)
+def test_plain_lookup_does_not_fold_diacritics():
+    table = ds.parse_year_file("Renée,F,100", 1990)
+    assert table.lookup("Renee") is None
+    assert table.lookup("RENÉE") == (100, 0)
+    assert table.lookup("Renee", fold_diacritics=True) == (100, 0)
+    data = ds.load_dataset([(1990, "Renée,F,100")])
+    assert data.lookup("Renee", 1990) is None
+    assert data.lookup("Renee", 1990, fold_diacritics=True) == (100, 0)
 
 
-@pytest.mark.skipif(_fastparse is None, reason="compiled parser not built")
-def test_backends_agree_on_messy_input():
-    content = "Pat,F,10\njunk\nPat,Q,9\nPat,F,11\nSam,M,notanum\nOk,M,8\n"
-    assert _fastparse.merge_rows(content, False) == _pyparse.merge_rows(content, False)
-    for bad in ("Pat,F", "Pat,Q,12", "Pat,F,4", "Pat,F,10\nPat,F,11", "X,F,10"):
-        fast_exc = pure_exc = None
-        try:
-            _fastparse.merge_rows(bad, True)
-        except errors.TemponymError as exc:
-            fast_exc = type(exc)
-        try:
-            _pyparse.merge_rows(bad, True)
-        except errors.TemponymError as exc:
-            pure_exc = type(exc)
-        assert fast_exc is pure_exc is not None
+def test_shared_folded_key_answers_from_the_name_with_data():
+    data = ds.load_dataset([(1990, "Lee,F,10"), (1991, "LEE,M,20")])
+    assert data.lookup("lee", 1990) == (10, 0)
+    assert data.lookup("lee", 1991) == (0, 20)
+    assert data.lookup("Lee", 1991) == (0, 20)
+    assert data.totals("lee", 1990, 1991) == (10, 20)
+
+
+def test_year_bound_does_not_follow_the_clock(monkeypatch):
+    class Frozen(datetime.date):
+        @classmethod
+        def today(cls):
+            return cls(1950, 1, 1)
+
+    monkeypatch.setattr(datetime, "date", Frozen)
+    assert ds.parse_year_file("Pat,F,10", 2000).entries == {"Pat": (10, 0)}
+    assert ds.parse_year_file("Pat,F,10", ds.MAX_YEAR).year == ds.MAX_YEAR
+    with pytest.raises(errors.TemponymError):
+        ds.parse_year_file("Pat,F,10", ds.MAX_YEAR + 1)
+
+
+def test_count_above_32_bits_is_a_data_error():
+    with pytest.raises(errors.TemponymError, match="1990"):
+        ds.load_dataset([(1990, f"Pat,F,{2**32}")])
+
+
+def test_index_keeps_years_without_rows(tmp_path):
+    data = ds.load_dataset([(1900, "Pat,F,10"), (1901, "")])
+    path = tmp_path / "gap.idx"
+    ds.save_index(data, path)
+    assert ds.load_index(path).years_loaded == (1900, 1901)
+
+
+def test_index_round_trip_whole_sample(tmp_path, sample_dataset):
+    path = tmp_path / "sample.idx"
+    ds.save_index(sample_dataset, path)
+    assert ds.load_index(path) == sample_dataset
+
+
+def test_index_round_trip_keeps_diacritic_folding(tmp_path):
+    path = tmp_path / "accents.idx"
+    ds.save_index(ds.load_dataset([(1990, "Renée,F,100\nZoë,F,7")]), path)
+    loaded = ds.load_index(path)
+    assert loaded.lookup("Renee", 1990) is None
+    assert loaded.lookup("Renee", 1990, fold_diacritics=True) == (100, 0)
+    assert loaded.lookup("ZOE", 1990, fold_diacritics=True) == (7, 0)
+
+
+def test_index_format_errors(bad_index):
+    path, message = bad_index
+    with pytest.raises(errors.IndexFormatError) as caught:
+        ds.load_index(path)
+    assert message in str(caught.value)

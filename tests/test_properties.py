@@ -1,4 +1,4 @@
-"""Property suites over randomized inputs (1,000 cases per property)."""
+"""Property suites over randomized inputs (1,000 cases per property unless noted)."""
 import math
 import random
 
@@ -52,15 +52,16 @@ def test_pooling_equals_count_weighted_mean(yearly):
 def test_pooling_consistency_on_sample_names(sample_dataset):
     """Brute-force oracle over >=100 random real names from the archive."""
     rng = random.Random(42)
+    tables = {year: sample_dataset.table(year) for year in sample_dataset.years_loaded}
     all_names = sorted(
-        set().union(*(t.entries.keys() for t in sample_dataset.tables.values()))
+        set().union(*(t.entries.keys() for t in tables.values()))
     )
     names = rng.sample(all_names, 120)
     lo, hi = 1880, 2020
     for name in names:
         female = male = 0
         for year in range(lo, hi + 1):
-            hit = sample_dataset.tables[year].entries.get(name) if year in sample_dataset.tables else None
+            hit = tables[year].entries.get(name) if year in tables else None
             if hit:
                 female += hit[0]
                 male += hit[1]
@@ -149,3 +150,37 @@ def test_mixture_bounds(rows):
     per_year = [f / (f + m) for f, m, _ in rows if f + m > 0]
     assert min(per_year) - 1e-12 <= mixed.p_female <= max(per_year) + 1e-12
     assert 0.0 <= mixed.p_female <= 1.0
+
+
+# Names distinct under casefolding and diacritic stripping, so every lookup
+# resolves to exactly the name asked for.
+POOL = ("Ann", "Bo", "Cy", "Dee", "Émile", "Zoë")
+year_rows = st.dictionaries(
+    st.sampled_from(POOL), st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    max_size=len(POOL),
+)
+
+
+# 250 cases: generating nested dictionaries costs Hypothesis ~6 ms a case.
+@settings(max_examples=250, deadline=None)
+@given(st.dictionaries(st.integers(1880, 1900), year_rows, max_size=8),
+       st.integers(1875, 1905), st.integers(0, 30))
+def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width):
+    """Lookups on the columns equal the per-year dicts they were built from."""
+    sources = [
+        (year, "".join(f"{n},F,{f}\n{n},M,{m}\n" for n, (f, m) in rows.items()))
+        for year, rows in per_year.items()
+    ]
+    data = ds.load_dataset(sources, strict=False)
+    path = tmp_path_factory.getbasetemp() / "columns.idx"
+    ds.save_index(data, path)
+    assert ds.load_index(path) == data
+    assert data.years_loaded == tuple(sorted(per_year))
+    for name in POOL:
+        for year, rows in per_year.items():
+            expected = rows.get(name, (0, 0))
+            assert (data.lookup(name, year) or (0, 0)) == expected
+        in_range = [rows.get(name, (0, 0)) for year, rows in per_year.items()
+                    if lo <= year <= lo + width]
+        assert data.totals(name, lo, lo + width) == (
+            sum(f for f, _ in in_range), sum(m for _, m in in_range))

@@ -102,8 +102,8 @@ def test_qualifying_no_thresholds_gives_all_common_names(sample_dataset):
     names = shifts.qualifying_names(
         sample_dataset, 1925, 2000, min_support=1, min_abs_delta=0
     )
-    table_1925 = sample_dataset.tables[1925].entries.keys()
-    table_2000 = sample_dataset.tables[2000].entries.keys()
+    table_1925 = sample_dataset.table(1925).entries.keys()
+    table_2000 = sample_dataset.table(2000).entries.keys()
     assert names == set(table_1925 & table_2000)
 
 
