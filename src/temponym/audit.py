@@ -52,10 +52,15 @@ class CohortModel:
         parts = text.split(":")
         kinds = {"fixed": "fixed-offset", "uniform": "uniform-window",
                  "triangular": "triangular-window"}
-        if parts[0] not in kinds:
+        if parts[0] not in kinds or len(parts) > 3:
             raise errors.ConfigError(f"unknown cohort spec {text!r}")
-        offset = int(parts[1]) if len(parts) > 1 else DEFAULT_COHORT_OFFSET
-        half = int(parts[2]) if len(parts) > 2 else 0
+        try:
+            offset = int(parts[1]) if len(parts) > 1 else DEFAULT_COHORT_OFFSET
+            half = int(parts[2]) if len(parts) > 2 else 0
+        except ValueError:
+            raise errors.ConfigError(
+                f"cohort spec {text!r}: offset and half-width must be integers"
+            ) from None
         return cls(kind=kinds[parts[0]], offset_years=offset, half_width=half)
 
 
@@ -281,21 +286,39 @@ def evaluate_known(
     }
 
 
+CORPUS_COLUMNS = ("record_id", "given_name", "activity_year")
+
+
 def load_corpus_csv(path: Path | str) -> list[CorpusRecord]:
-    """Read a corpus CSV: record_id,given_name,activity_year,known_gender."""
+    """Read a corpus CSV: record_id,given_name,activity_year[,known_gender]."""
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in CORPUS_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise errors.ConfigError(f"{path}: corpus CSV has no {', '.join(missing)} column")
+        for row in reader:
+            if any(row[column] is None for column in CORPUS_COLUMNS):
+                raise errors.ConfigError(
+                    f"{path}: line {reader.line_num} has fewer than {len(CORPUS_COLUMNS)} fields"
+                )
+            record_id = row["record_id"]
             gender = (row.get("known_gender") or "").strip() or None
             if gender is not None and gender not in KNOWN_P_FEMALE:
                 raise errors.ConfigError(
-                    f"record {row['record_id']}: known_gender must be F, M, U or empty"
+                    f"record {record_id}: known_gender must be F, M, U or empty"
                 )
+            try:
+                activity_year = int(row["activity_year"])
+            except ValueError:
+                raise errors.ConfigError(
+                    f"record {record_id}: activity_year {row['activity_year']!r} is not a year"
+                ) from None
             records.append(
                 CorpusRecord(
-                    record_id=row["record_id"],
+                    record_id=record_id,
                     given_name=row["given_name"],
-                    activity_year=int(row["activity_year"]),
+                    activity_year=activity_year,
                     known_gender=gender,
                 )
             )

@@ -79,7 +79,13 @@ def main(ctx, config_path):
     """Temporally-aware name-gender analysis over SSA yearly name data."""
     if config_path:
         with open(config_path) as fh:
-            ctx.default_map = json.load(fh)
+            try:
+                defaults = json.load(fh)
+            except ValueError as exc:
+                raise click.BadParameter(f"not JSON ({exc})", param_hint="'--config'")
+        if not isinstance(defaults, dict):
+            raise click.BadParameter("must hold a JSON object", param_hint="'--config'")
+        ctx.default_map = defaults
 
 
 @main.command()
@@ -237,13 +243,16 @@ def ambiguity(index_path, data_dir, year, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
     """Temporal vs atemporal expected-female audit of a corpus."""
+    try:
+        model = audit_mod.CohortModel.parse(cohort)
+    except errors.ConfigError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--cohort'")
     data = _load_data(index_path, data_dir)
     try:
         records = (
             audit_mod.load_corpus_csv(corpus_path)
             if corpus_path else audit_mod.load_leslie_fixture()
         )
-        model = audit_mod.CohortModel.parse(cohort)
         result = audit_mod.audit_corpus(
             records, data, cohort_model=model,
             atemporal_range=parse_year_range(atemporal),

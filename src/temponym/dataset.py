@@ -1,15 +1,18 @@
 """Parse SSA yearly name files into an immutable, queryable dataset.
 
 File format is the SSA national distribution: one ``Name,Sex,Count`` record
-per line, no header, one file per year of birth (``yob1925.txt``).
+per line, no header, one file per year of birth (``yob1925.txt``); the exact
+row grammar is in ``_pyparse``.
 
 In memory a :class:`Dataset` is columnar and name-major: one sorted name
 table and two ``array('I')`` columns of female and male counts. Each name
 owns one contiguous span of positions in ``years_loaded`` and its cells sit
 next to each other in the columns; a year inside a span in which the name
-has no data holds zeros. Positions rather than calendar years keep sparse
-year sets compact, a single-year lookup is one index into each column, and
-a windowed or pooled lookup sums one slice of each.
+has no data holds zeros. A zero count (lenient mode keeps rows below the
+publication floor) is no data: a span starts and ends at non-zero cells.
+Positions rather than calendar years keep sparse year sets compact, a
+single-year lookup is one index into each column, and a windowed or pooled
+lookup sums one slice of each.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
-from operator import add, itemgetter
+from itertools import accumulate, count, repeat
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -239,82 +242,98 @@ class Dataset:
         )
 
 
+def _check_year(year: int) -> None:
+    if not MIN_YEAR <= year <= MAX_YEAR:
+        raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]")
+
+
 def parse_year_file(content: str, year: int, strict: bool = True) -> YearTable:
     """Parse one SSA yearly file into a merged YearTable.
 
     Strict mode aborts on any invalid row; lenient mode skips invalid rows
-    and records how many were dropped.
+    and records how many were dropped. ``entries`` is in name order.
     """
-    if not MIN_YEAR <= year <= MAX_YEAR:
-        raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]")
-    entries, skipped = merge_rows(content, strict)
+    _check_year(year)
+    (female, male), skipped = merge_rows(content, strict)
+    entries = {name: (female.get(name, 0), male.get(name, 0))
+               for name in sorted(female.keys() | male.keys())}
     return YearTable(
         year=year,
         entries=MappingProxyType(entries),
-        total_births=sum(map(sum, entries.values())),
+        total_births=sum(female.values()) + sum(male.values()),
         skipped=skipped,
     )
 
 
-def _from_tables(tables: Sequence[YearTable]) -> Dataset:
-    """Columns from per-year tables sorted by year."""
-    entries = [table.entries for table in tables]
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    for pos in reversed(range(len(entries))):
-        first.update(dict.fromkeys(entries[pos], pos))
-    for pos, year_entries in enumerate(entries):
-        last.update(dict.fromkeys(year_entries, pos))
-    names = sorted(first)
-    starts = array("I", map(first.__getitem__, names))
-    lengths = array("I", [last[name] - first[name] + 1 for name in names])
-    base = {}  # name -> column index of its cell for position 0
-    cells = 0
-    for name, start, length in zip(names, starts, lengths):
-        base[name] = cells - start
-        cells += length
-    female, male = array("I", bytes(4 * cells)), array("I", bytes(4 * cells))
-    # Scattered year by year: each year's dict is read in its own order and
-    # only ``base`` is probed at random, several times faster than gathering
-    # each name's cells from 141 dicts.
-    for pos, year_entries in enumerate(entries):
-        try:
-            for name, (f, m) in year_entries.items():
-                k = base[name] + pos
-                female[k] = f
-                male[k] = m
-        except OverflowError:
-            raise errors.TemponymError(
-                f"year {tables[pos].year}: {name} has a count above {2**32 - 1}, "
-                "the largest the index stores"
-            ) from None
+def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> Dataset:
+    """Name-major columns from per-year rows gathered as the years were parsed.
+
+    ``rows`` maps each year to its female counts, its male counts and its
+    skipped-row count; the counts follow the order of ``seen`` and stop at
+    the names seen so far when the year was parsed. Padded with zeros and
+    stacked in year order they form a year-major grid, in which each name's
+    cells are one strided slice. A name's span runs from the first to the
+    last year in which either count is non-zero.
+    """
+    years = sorted(rows)
+    width = len(seen)
+    grid_f, grid_m = array("I"), array("I")
+    skipped = []
+    for year in years:
+        row_f, row_m, lost = rows.pop(year)  # popped, so each row is freed once copied
+        pad = bytes(4 * (width - len(row_f)))
+        grid_f += row_f
+        grid_f.frombytes(pad)
+        grid_m += row_m
+        grid_m.frombytes(pad)
+        skipped.append(lost)
+    names, starts, lengths = [], array("I"), array("I")
+    female, male = array("I"), array("I")
+    for name, i in sorted(zip(seen, count())):
+        cells_f, cells_m = grid_f[i::width], grid_m[i::width]
+        raw_f, raw_m = cells_f.tobytes(), cells_m.tobytes()
+        zero_head = min(len(raw_f) - len(raw_f.lstrip(b"\0")),
+                        len(raw_m) - len(raw_m.lstrip(b"\0")))
+        data_end = max(len(raw_f.rstrip(b"\0")), len(raw_m.rstrip(b"\0")))
+        start, stop = zero_head // 4, (data_end + 3) // 4  # bytes to cells
+        if start < stop:
+            names.append(name)
+            starts.append(start)
+            lengths.append(stop - start)
+            female += cells_f[start:stop]
+            male += cells_m[start:stop]
     return Dataset(
-        years_loaded=tuple(table.year for table in tables),
+        years_loaded=tuple(years),
         names=tuple(names),
         starts=starts,
         lengths=lengths,
         female=female,
         male=male,
-        skipped=tuple(table.skipped for table in tables),
+        skipped=tuple(skipped),
     )
 
 
 def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dataset:
     """Build a Dataset from (year, content) pairs.
 
-    The result is order-independent: sources may arrive in any order.
+    The result is order-independent: sources may arrive in any order. Each
+    content is parsed as it arrives and only its counts are kept, so an
+    iterator that reads files lazily holds one file's text at a time.
     """
-    pairs = sorted(sources, key=itemgetter(0))
-    for (year, _), (previous, _) in zip(pairs[1:], pairs):
-        if year == previous:
+    canon: dict[str, str] = {}  # one string per distinct name, in order of first sight
+    rows: dict[int, tuple[array, array, int]] = {}
+    zeros = repeat(0)
+    for year, content in sources:
+        if year in rows:
             raise errors.DuplicateYear(year)
-    tables = []
-    for year, content in pairs:
         try:
-            tables.append(parse_year_file(content, year, strict=strict))
+            _check_year(year)
+            (female, male), skipped = merge_rows(content, strict, canon)
         except errors.TemponymError as exc:
             raise errors.TemponymError(f"year {year}: {exc}") from exc
-    return _from_tables(tables)
+        rows[year] = (array("I", map(female.get, canon, zeros)),
+                      array("I", map(male.get, canon, zeros)), skipped)
+    return _columns(list(canon), rows)
 
 
 def load_directory(
@@ -322,19 +341,22 @@ def load_directory(
     years: Optional[Sequence[int]] = None,
     strict: bool = True,
 ) -> Dataset:
-    """Load every yobYYYY.txt file in a directory, optionally filtered."""
+    """Load every yobYYYY.txt file in a directory, optionally filtered.
+
+    Files are read one at a time, in year order, as they are parsed.
+    """
     directory = Path(directory)
     wanted = set(years) if years is not None else None
-    sources = []
-    for path in sorted(directory.iterdir()):
+    found = []
+    for path in directory.iterdir():
         match = _YOB_RE.search(path.name)
         if not match:
             continue
         year = int(match.group(1))
-        if wanted is not None and year not in wanted:
-            continue
-        sources.append((year, path.read_text()))
-    return load_dataset(sources, strict=strict)
+        if wanted is None or year in wanted:
+            found.append((year, path))
+    found.sort()
+    return load_dataset(((year, path.read_text()) for year, path in found), strict=strict)
 
 
 def dataset_summary(dataset: Dataset) -> dict:

@@ -70,8 +70,7 @@ def _ratio(female: int, male: int, pseudocount: float = 0.0) -> float:
     support = female + male
     if pseudocount:
         return (female + pseudocount) / (support + 2 * pseudocount)
-    # exact ratio; Fraction keeps p * support == female to the ulp
-    return float(Fraction(female, support))
+    return female / support  # int / int is correctly rounded, at any size
 
 
 def p_female(

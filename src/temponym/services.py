@@ -24,7 +24,7 @@ from . import errors
 from .dataset import Dataset
 from .model import p_female
 
-CACHE_VERSION = "v1"
+CACHE_VERSION = "v2"
 FixtureTable = dict[str, dict[str, "ExternalPrediction"]]
 
 
@@ -92,7 +92,10 @@ class PredictionCache:
         self.root = Path(directory) / CACHE_VERSION
 
     def _path(self, service_id: str, name: str, date: str) -> Path:
-        return self.root / service_id / f"{name.casefold()}_{date}.json"
+        # The casefolded name as UTF-8 hex: a file name of 0-9a-f only, so
+        # no name can reach outside the cache directory.
+        key = name.casefold().encode("utf-8", "surrogatepass").hex()
+        return self.root / service_id / f"{key}_{date}.json"
 
     def get(self, service_id: str, name: str, date: str) -> Optional[ExternalPrediction]:
         path = self._path(service_id, name, date)

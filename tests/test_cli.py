@@ -184,3 +184,34 @@ def test_config_file_supplies_defaults(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(config), "query"])
     assert result.exit_code == 0
     assert json.loads(result.output)["name"] == "Leslie"
+
+
+def test_audit_bad_cohort_is_usage_error(runner):
+    result = runner.invoke(main, ["audit", "--cohort", "fixed:abc"])
+    assert result.exit_code == 2
+    assert "fixed:abc" in result.output
+
+
+def test_corpus_bad_activity_year_is_data_error(runner, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("record_id,given_name,activity_year,known_gender\n"
+                      "a,Leslie,1980,M\nb,Jean,19x0,F\n")
+    result = runner.invoke(main, ["audit", "--corpus", str(corpus)])
+    assert result.exit_code == 3
+    assert "record b" in result.output and "19x0" in result.output
+
+
+def test_corpus_missing_column_is_data_error(runner, tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("record_id,given_name,known_gender\na,Leslie,M\n")
+    result = runner.invoke(main, ["audit", "--corpus", str(corpus)])
+    assert result.exit_code == 3
+    assert "activity_year" in result.output
+
+
+def test_config_that_is_not_json_is_usage_error(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("{query: {name: Leslie}")
+    result = runner.invoke(main, ["--config", str(config), "query"])
+    assert result.exit_code == 2
+    assert "--config" in result.output

@@ -200,6 +200,17 @@ def test_year_bound_does_not_follow_the_clock(monkeypatch):
 def test_count_above_32_bits_is_a_data_error():
     with pytest.raises(errors.TemponymError, match="1990"):
         ds.load_dataset([(1990, f"Pat,F,{2**32}")])
+    for strict in (True, False):
+        with pytest.raises(errors.TemponymError, match="line 2: Sam"):
+            ds.parse_year_file(f"Pat,F,10\nSam,M,{2**32}", 1990, strict=strict)
+    assert ds.parse_year_file(f"Sam,M,{2**32 - 1}", 1990).entries == {"Sam": (0, 2**32 - 1)}
+
+
+def test_zero_counts_are_no_data():
+    data = ds.load_dataset([(1900, "Pat,F,0\nSam,M,0"), (1901, "Sam,M,7"), (1902, "Sam,F,0")],
+                           strict=False)
+    assert data.names == ("Sam",)
+    assert (data.starts[0], data.lengths[0]) == (1, 1)
 
 
 def test_index_keeps_years_without_rows(tmp_path):

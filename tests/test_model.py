@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temponym import errors
 from temponym import dataset as ds
@@ -148,3 +152,12 @@ def test_ambiguous_share_line_order_invariant():
     a = ds.load_dataset([(1950, "\n".join(lines))])
     b = ds.load_dataset([(1950, "\n".join(reversed(lines)))])
     assert model.ambiguous_name_share(a, 1950) == model.ambiguous_name_share(b, 1950)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2**53 + 1, 2**90), st.integers(0, 2**90))
+def test_ratio_is_correctly_rounded_above_53_bits(female, male):
+    prob = model.from_counts("Pat", "test", female, male)
+    assert prob.p_female == float(Fraction(female, female + male))
+    swapped = model.from_counts("Pat", "test", male, female)
+    assert swapped.p_female == float(Fraction(male, female + male))

@@ -1,12 +1,14 @@
 """Property suites over randomized inputs (1,000 cases per property unless noted)."""
+import json
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temponym import audit, model, shifts
+from temponym import _pyparse, audit, errors, model, shifts
 from temponym import dataset as ds
 
 THOROUGH = settings(max_examples=1000, deadline=None)
@@ -184,3 +186,145 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
                     if lo <= year <= lo + width]
         assert data.totals(name, lo, lo + width) == (
             sum(f for f, _ in in_range), sum(m for _, m in in_range))
+
+
+# --- the SSA row parser -----------------------------------------------------
+
+# Any character but "," and "\n" may be part of a name; lone surrogates are
+# left out because an index stores names as UTF-8.
+NAME_CHARS = st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",))
+row_names = st.text(NAME_CHARS, min_size=2, max_size=15)
+
+
+def render(rows, crlf, blanks, trailing):
+    """A year file of ``(name, sex, count)`` rows, blank lines at ``blanks``."""
+    lines = [f"{name},{sex},{count}" for name, sex, count in rows]
+    for pos in sorted(blanks, reverse=True):
+        lines.insert(pos, "")
+    eol = "\r\n" if crlf else "\n"
+    return eol.join(lines) + (eol if trailing else "")
+
+
+@st.composite
+def year_files(draw, floor, names=row_names):
+    """(name -> (female or None, male or None), file text); None is no row."""
+    count = st.none() | st.integers(floor, 2**32 - 1)
+    cells = draw(st.dictionaries(
+        names, st.tuples(count, count).filter(lambda fm: fm != (None, None)), max_size=6))
+    rows = [(name, sex, c) for name, fm in cells.items()
+            for sex, c in zip("FM", fm) if c is not None]
+    rows = draw(st.permutations(rows))
+    blanks = draw(st.lists(st.integers(0, len(rows)), max_size=3))
+    return cells, render(rows, draw(st.booleans()), blanks, draw(st.booleans()))
+
+
+def dataset_of(per_year):
+    """The Dataset the counts imply, built without the parser."""
+    years = sorted(per_year)
+    cells = {}
+    for pos, year in enumerate(years):
+        for name, fm in per_year[year].items():
+            cells.setdefault(name, [(0, 0)] * len(years))[pos] = tuple(c or 0 for c in fm)
+    names, starts, lengths, female, male = [], [], [], [], []
+    for name in sorted(cells):
+        data = [pos for pos, fm in enumerate(cells[name]) if any(fm)]
+        if not data:  # only zero counts: no data
+            continue
+        span = cells[name][data[0]:data[-1] + 1]
+        names.append(name)
+        starts.append(data[0])
+        lengths.append(len(span))
+        female += [f for f, _ in span]
+        male += [m for _, m in span]
+    return ds.Dataset(
+        years_loaded=tuple(years), names=tuple(names), starts=array("I", starts),
+        lengths=array("I", lengths), female=array("I", female), male=array("I", male),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.data())
+def test_valid_files_give_the_dataset_of_their_counts(strict, data):
+    """Any row order, CRLF, blank lines, no final newline, zero counts (lenient)."""
+    files = data.draw(st.dictionaries(
+        st.integers(1880, 1890), year_files(5 if strict else 0), max_size=4))
+    sources = data.draw(st.permutations([(year, text) for year, (_, text) in files.items()]))
+    loaded = ds.load_dataset(sources, strict=strict)
+    assert loaded == dataset_of({year: cells for year, (cells, _) in files.items()})
+    assert loaded.skipped == (0,) * len(files)
+
+
+# Text near the grammar: pieces of rows, signs, spaces, separators, a
+# non-ASCII digit, and lines of arbitrary text.
+near_rows = st.text(st.sampled_from("PatZé,,FMQ0123456789-+_ \r\n\u0663"), max_size=24)
+
+
+def parsed_or_error(parse, *args):
+    try:
+        return parse(*args)
+    except errors.TemponymError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(near_rows | st.text(max_size=20), max_size=8).map("\n".join), st.booleans())
+def test_any_text_parses_or_raises_a_temponym_error(text, strict):
+    """Never another exception; the bulk path agrees with the line loop."""
+    bulk = parsed_or_error(_pyparse.merge_rows, text, strict)
+    assert bulk == parsed_or_error(_pyparse._merge_lines, text, strict, {})
+    parsed_or_error(ds.load_dataset, [(1990, text)], strict)
+
+
+# One bad line per rejection reason, with the error strict mode reports.
+REJECTIONS = [
+    ("Pat,F", errors.MalformedLine),  # expected 3 fields
+    ("Pat,F,10,1", errors.MalformedLine),
+    ("Pat,Q,10", errors.InvalidSex),
+    ("Pat,F,ten", errors.MalformedLine),  # not an integer
+    ("Pat,F,-5", errors.MalformedLine),  # negative
+    ("X,F,10", errors.MalformedLine),  # name length
+    ("Patricianna-Lee-Jo,F,10", errors.MalformedLine),
+    ("Pat,F,4", errors.FloorViolation),
+    ("Dup,F,11", errors.DuplicateRow),  # line 1 is Dup,F,10
+    # Counts int() takes but the grammar does not.
+    ("Pat,F,+7", errors.MalformedLine),
+    ("Pat,F, 7", errors.MalformedLine),
+    ("Pat,F,1_000", errors.MalformedLine),
+    ("Pat,F,\u0663\u0663", errors.MalformedLine),
+]
+other_names = row_names.filter(lambda name: name not in ("Dup", "Pat"))
+
+
+@pytest.mark.parametrize("bad,error", REJECTIONS, ids=[bad for bad, _ in REJECTIONS])
+@settings(max_examples=25, deadline=None)
+@given(year_files(5, other_names), st.data())
+def test_each_rejection_names_its_line(bad, error, year_file, data):
+    _, text = year_file
+    lines = ["Dup,F,10", *text.split("\n")]
+    at = data.draw(st.integers(1, len(lines)))
+    lines.insert(at, bad)
+    with pytest.raises(error) as caught:
+        _pyparse.merge_rows("\n".join(lines), strict=True)
+    assert caught.value.lineno == at + 1
+    assert str(caught.value).startswith(f"line {at + 1}: ")
+    # Lenient mode drops the line, but keeps a count below the floor.
+    kept = _pyparse.merge_rows("\n".join(lines), strict=False)
+    del lines[at]
+    (female, male), _ = _pyparse.merge_rows("\n".join(lines), strict=True)
+    if error is errors.FloorViolation:
+        assert kept == (({**female, "Pat": 4}, male), 0)
+    else:
+        assert kept == ((female, male), 1)
+
+
+# SHA-256 of the index payload (names, spans, counts) of the bundled sample,
+# unchanged since the columnar index was introduced. The payload is hashed
+# before compression, so the pin does not depend on the zlib build.
+SAMPLE_PAYLOAD_SHA256 = "7a0eaa025eeda934f513797abf5701b62cc1d6ec52a87a93e19deed826d63741"
+
+
+def test_sample_index_payload_is_pinned(tmp_path, sample_dataset):
+    path = tmp_path / "sample.idx"
+    ds.save_index(sample_dataset, path)
+    header = json.loads(path.read_bytes().split(b"\n")[1])
+    assert header["sha256"] == SAMPLE_PAYLOAD_SHA256

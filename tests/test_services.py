@@ -154,3 +154,19 @@ def test_api_key_comes_from_environment(monkeypatch):
     assert config.api_key is None
     monkeypatch.setenv("TEMPONYM_GENDER_API_KEY", "sekrit")
     assert config.api_key == "sekrit"
+
+
+def test_cache_files_stay_in_the_cache_directory(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    cache = services.PredictionCache(cache_dir)
+    monkeypatch.setattr(services, "_fetch_live", lambda config, name, today: (
+        services.ExternalPrediction(config.service_id, name, "F", 0.9, 100, "live", today)))
+    config = services.ServiceConfig(
+        service_id="genderize", mode="live", endpoint_url="http://example.invalid"
+    )
+    for name in ("../../../x", "/etc/passwd", "..", "Zoë"):
+        path = cache._path("genderize", name, "2024-01-01").resolve()
+        assert path.is_relative_to(cache_dir.resolve())
+        services.fetch_prediction(config, name, cache=cache)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+    assert len(list(cache_dir.rglob("*.json"))) == 4
