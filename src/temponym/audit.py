@@ -156,10 +156,11 @@ def temporal_p_female(
     name was common, so within the cohort window the mixture weights are
     proportional to the name's total count that year.
     """
+    loaded = [(year, weight) for year, weight in birth_distribution if dataset.has_year(year)]
+    cells = dataset.lookup_years(name, [year for year, _ in loaded])
     terms = []
     female_sum = male_sum = 0
-    for year, weight in birth_distribution:
-        counts = dataset.lookup(name, year) if dataset.has_year(year) else None
+    for (_, weight), counts in zip(loaded, cells):
         if not counts:
             continue
         female, male = counts
@@ -181,15 +182,37 @@ def temporal_p_female(
     )
 
 
-def _predict_pair(dataset, record, cohort_model, atemporal_range):
-    """(temporal, atemporal) probabilities, or None if either lacks data."""
-    try:
-        dist = infer_birth_distribution(record.activity_year, cohort_model, dataset)
-        temporal = temporal_p_female(dataset, record.given_name, dist)
-        atemporal = p_female_pooled(dataset, record.given_name, atemporal_range)
-    except (errors.NoData, errors.EmptySupport):
-        return None
-    return temporal, atemporal
+def _predictor(dataset, cohort_model, atemporal_range):
+    """A (temporal, atemporal) predictor for one audit; None if either lacks data.
+
+    The records of a corpus share few activity years and repeat names, so
+    the birth distribution is kept per activity year and the atemporal
+    prediction per name, each as None where it has no data.
+    """
+    births: dict[int, Optional[list]] = {}
+    pooled: dict[str, Optional[GenderProbability]] = {}
+
+    def predict(record):
+        year, name = record.activity_year, record.given_name
+        if year not in births:
+            try:
+                births[year] = infer_birth_distribution(year, cohort_model, dataset)
+            except errors.EmptySupport:
+                births[year] = None
+        if births[year] is None:
+            return None
+        try:
+            temporal = temporal_p_female(dataset, name, births[year])
+        except errors.NoData:
+            return None
+        if name not in pooled:
+            try:
+                pooled[name] = p_female_pooled(dataset, name, atemporal_range)
+            except errors.NoData:
+                pooled[name] = None
+        return None if pooled[name] is None else (temporal, pooled[name])
+
+    return predict
 
 
 def audit_corpus(
@@ -208,12 +231,13 @@ def audit_corpus(
         decade = record.activity_year // 10 * 10
         buckets.setdefault(decade, []).append(record)
 
+    predict = _predictor(dataset, cohort_model, atemporal_range)
     rows = []
     for decade in sorted(buckets):
         n_data = unresolved = 0
         exp_temporal = exp_atemporal = 0.0
         for record in buckets[decade]:
-            pair = _predict_pair(dataset, record, cohort_model, atemporal_range)
+            pair = predict(record)
             if pair is None:
                 unresolved += 1
                 continue
@@ -260,11 +284,12 @@ def evaluate_known(
     }
     years_by_gender: dict[str, list[int]] = {}
     authors_by_gender: dict[str, set] = {}
+    predict = _predictor(dataset, cohort_model, atemporal_range)
     for record in labeled:
         years_by_gender.setdefault(record.known_gender, []).append(record.activity_year)
         authors_by_gender.setdefault(record.known_gender, set()).add(record.author_id)
 
-        pair = _predict_pair(dataset, record, cohort_model, atemporal_range)
+        pair = predict(record)
         if pair is None:
             predicted = {"temporal": GenderLabel.UNKNOWN, "atemporal": GenderLabel.UNKNOWN}
         else:

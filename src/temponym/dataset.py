@@ -196,6 +196,42 @@ class Dataset:
                 return cell
         return self._first_cell(self._folds.candidates(exact, name, fold_diacritics), pos)
 
+    def lookup_years(
+        self, name: str, years: Sequence[int], fold_diacritics: bool = False
+    ) -> list[Optional[tuple[int, int]]]:
+        """``[lookup(name, year, fold_diacritics) for year in years]``, resolving the name once."""
+        positions = list(map(self._positions.get, years))
+        if None in positions:
+            raise errors.YearNotLoaded(years[positions.index(None)])
+        ids = self._folds.candidates(self._ids.get(name), name, fold_diacritics)
+        if len(ids) != 1:
+            return [self._first_cell(ids, pos) for pos in positions]
+        start, stop, base = self._spans[ids[0]]
+        female, male = self.female, self.male
+        cells = []
+        for pos in positions:
+            cell = None
+            if start <= pos < stop:
+                f, m = female[base + pos], male[base + pos]
+                if f or m:
+                    cell = (f, m)
+            cells.append(cell)
+        return cells
+
+    def year_pair_cells(self, y1: int, y2: int) -> list[tuple[str, int, int, int, int]]:
+        """``(name, f1, m1, f2, m2)`` for every name with data in both years, in name order."""
+        p1, p2 = self._position(y1), self._position(y2)
+        lo, hi = min(p1, p2), max(p1, p2)
+        female, male = self.female, self.male
+        rows = []
+        for name, (start, stop, base) in zip(self.names, self._spans):
+            if start <= lo and hi < stop:
+                f1, m1 = female[base + p1], male[base + p1]
+                f2, m2 = female[base + p2], male[base + p2]
+                if (f1 or m1) and (f2 or m2):
+                    rows.append((name, f1, m1, f2, m2))
+        return rows
+
     def totals(
         self, name: str, first_year: int, last_year: int, fold_diacritics: bool = False
     ) -> tuple[int, int]:
@@ -343,7 +379,7 @@ def load_directory(
 ) -> Dataset:
     """Load every yobYYYY.txt file in a directory, optionally filtered.
 
-    Files are read one at a time, in year order, as they are parsed.
+    Files are read as UTF-8, one at a time, in year order, as they are parsed.
     """
     directory = Path(directory)
     wanted = set(years) if years is not None else None
@@ -356,7 +392,14 @@ def load_directory(
         if wanted is None or year in wanted:
             found.append((year, path))
     found.sort()
-    return load_dataset(((year, path.read_text()) for year, path in found), strict=strict)
+    return load_dataset(((year, _read_text(path)) for year, path in found), strict=strict)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise errors.TemponymError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def dataset_summary(dataset: Dataset) -> dict:

@@ -190,14 +190,18 @@ def _fetch_live(config: ServiceConfig, name: str, today: str) -> ExternalPredict
     if response.status_code == 401:
         raise errors.AuthError(f"{config.service_id}: authentication failed")
     if response.status_code == 429:
-        retry = float(response.headers.get("Retry-After", "1"))
-        raise errors.RateLimited(retry)
+        raise errors.RateLimited(_retry_after(response.headers.get("Retry-After")))
     if response.status_code != 200:
         raise errors.NetworkError(
             f"{config.service_id}: HTTP {response.status_code}"
         )
 
-    body = response.json()
+    try:
+        body = response.json()
+    except ValueError as exc:
+        raise errors.NetworkError(f"{config.service_id}: response is not JSON ({exc})") from None
+    if not isinstance(body, dict):
+        raise errors.NetworkError(f"{config.service_id}: response is not a JSON object")
     gender = body.get("gender")
     probability = body.get("probability")
     if gender not in ("female", "male"):
@@ -219,6 +223,28 @@ def _fetch_live(config: ServiceConfig, name: str, today: str) -> ExternalPredict
         source="live",
         fetched_at=today,
     )
+
+
+def _retry_after(header: Optional[str]) -> float:
+    """Seconds to wait from a Retry-After header: delay-seconds or an HTTP-date.
+
+    A missing or unreadable header means one second.
+    """
+    if header is None:
+        return 1.0
+    header = header.strip()
+    if header.isascii() and header.isdigit():
+        return float(header)
+    import email.utils  # here, not at the top: every command imports this module
+
+    try:
+        when = email.utils.parsedate_to_datetime(header)
+    except (TypeError, ValueError):
+        return 1.0
+    if when.tzinfo is None:  # "-0000": UTC with no zone information
+        when = when.replace(tzinfo=datetime.timezone.utc)
+    now = datetime.datetime.now(datetime.timezone.utc)
+    return max((when - now).total_seconds(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -244,11 +270,14 @@ def comparison_table(
 ) -> list[ComparisonRow]:
     """One row per name: every service's prediction vs the SSA ground truth.
 
-    Per-cell failures are recorded in the row, never fatal.
+    Per-cell failures are recorded in the row, never fatal. Calls to each
+    live service are spaced by its ``rate_limit``; fixture lookups and
+    cache hits never wait.
     """
     configs = list(configs)
     if not dataset.has_year(ssa_year):  # before any fetch
         raise errors.YearNotLoaded(ssa_year)
+    limiters = [RateLimiter(c.rate_limit) if c.mode == "live" else None for c in configs]
     rows = []
     for name in names:
         cell_errors: dict[str, str] = {}
@@ -258,9 +287,10 @@ def comparison_table(
             ssa = None
             cell_errors["ssa"] = str(exc)
         predictions = {}
-        for config in configs:
+        for config, limiter in zip(configs, limiters):
             try:
-                predictions[config.service_id] = fetch_prediction(config, name, cache=cache)
+                predictions[config.service_id] = fetch_prediction(
+                    config, name, cache=cache, limiter=limiter)
             except errors.TemponymError as exc:
                 cell_errors[config.service_id] = str(exc)
         rows.append(

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 from . import errors
 from .dataset import Dataset
-from .model import from_counts, p_female
+from .model import p_female
 
 DEFAULT_MIN_SUPPORT = 50
 DEFAULT_MIN_ABS_DELTA = 20.0
@@ -64,37 +64,41 @@ def gender_shift(
     """Shift entry for one name; requires data at both endpoint years."""
     prob1 = p_female(dataset, name, y1)
     prob2 = p_female(dataset, name, y2)
-    return _entry(name, y1, y2, prob1, prob2, WEIGHTINGS[weighting])
+    row = _row(name, prob1.female_count, prob1.male_count,
+               prob2.female_count, prob2.male_count)
+    return _entry(row, y1, y2, WEIGHTINGS[weighting])
 
 
-def _entry(name, y1, y2, prob1, prob2, weight_fn) -> ShiftEntry:
-    delta = (prob2.p_female - prob1.p_female) * 100
-    weight = weight_fn(prob1.support, prob2.support)
+def _row(name, f1, m1, f2, m2):
+    """``(name, support_y1, support_y2, p1, p2, delta_scaled)`` from endpoint counts."""
+    s1, s2 = f1 + m1, f2 + m2
+    p1, p2 = f1 / s1, f2 / s2  # the ratio model.p_female computes
+    return name, s1, s2, p1, p2, (p2 - p1) * 100
+
+
+def _entry(row, y1, y2, weight_fn) -> ShiftEntry:
+    name, s1, s2, p1, p2, delta = row
+    weight = weight_fn(s1, s2)
     return ShiftEntry(
         name=name,
         y1=y1,
         y2=y2,
-        p1=prob1.p_female,
-        p2=prob2.p_female,
+        p1=p1,
+        p2=p2,
         delta_scaled=delta,
-        support_y1=prob1.support,
-        support_y2=prob2.support,
+        support_y1=s1,
+        support_y2=s2,
         weight=weight,
         weighted_shift=delta * weight,
     )
 
 
-def _candidates(dataset: Dataset, y1: int, y2: int, min_support: int, weighting: str):
-    cells1 = dataset.year_cells(y1)
-    cells2 = dataset.year_cells(y2)
-    weight_fn = WEIGHTINGS[weighting]
-    for name, (f1, m1) in cells1.items():
-        counts2 = cells2.get(name)
-        if counts2 is None or f1 + m1 < min_support or sum(counts2) < min_support:
-            continue
-        prob1 = from_counts(name, str(y1), f1, m1)
-        prob2 = from_counts(name, str(y2), *counts2)
-        yield _entry(name, y1, y2, prob1, prob2, weight_fn)
+def _rows(dataset: Dataset, y1: int, y2: int, min_support: int) -> list[tuple]:
+    """A ``_row`` per name with at least ``min_support`` births in each year."""
+    return [
+        _row(*cells) for cells in dataset.year_pair_cells(y1, y2)
+        if cells[1] + cells[2] >= min_support and cells[3] + cells[4] >= min_support
+    ]
 
 
 def rank_shifts(
@@ -111,14 +115,14 @@ def rank_shifts(
     Sorted descending by |shift| (or |weighted shift|); ties broken by
     larger combined support, then by name.
     """
-    entries = list(_candidates(dataset, y1, y2, min_support_each_year, weighting))
+    weight_fn = WEIGHTINGS[weighting]
+    rows = _rows(dataset, y1, y2, min_support_each_year)
+    # |weighted_shift| or |delta_scaled| of the entry _entry would build
     magnitude = (
-        (lambda e: abs(e.weighted_shift)) if weighted else (lambda e: abs(e.delta_scaled))
+        (lambda r: abs(r[5] * weight_fn(r[1], r[2]))) if weighted else (lambda r: abs(r[5]))
     )
-    entries.sort(
-        key=lambda e: (-magnitude(e), -(e.support_y1 + e.support_y2), e.name)
-    )
-    return entries[: max(top_k, 0)]
+    rows.sort(key=lambda r: (-magnitude(r), -(r[1] + r[2]), r[0]))
+    return [_entry(row, y1, y2, weight_fn) for row in rows[: max(top_k, 0)]]
 
 
 def shift_statistics(
@@ -164,7 +168,6 @@ def qualifying_names(
     if math.isinf(min_support):
         return set()
     return {
-        entry.name
-        for entry in _candidates(dataset, y1, y2, int(min_support), "mean")
-        if abs(entry.delta_scaled) >= min_abs_delta
+        row[0] for row in _rows(dataset, y1, y2, int(min_support))
+        if abs(row[5]) >= min_abs_delta
     }

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from temponym import audit, errors, model
@@ -193,3 +195,104 @@ def test_corpus_csv_rejects_bad_gender(tmp_path):
     path.write_text("record_id,given_name,activity_year,known_gender\na,Leslie,1980,X\n")
     with pytest.raises(errors.ConfigError):
         audit.load_corpus_csv(path)
+
+
+# --- audit_corpus and evaluate_known against the per-record loop ------------
+
+def _audit_case():
+    """A dataset with gaps and case-variant names, and a corpus that repeats
+    names and years, varies case, names unknown names and has activity
+    years whose cohort window holds no loaded year."""
+    rng = random.Random(5)
+    stems = ["Lee", "Pat", "Sam", "Jo", "Kim", "Ari", "Dale", "Robin"]
+    years = [y for y in range(1900, 1961) if y % 3] + [1975]
+    sources = []
+    for year in years:
+        rows = []
+        for stem in stems + ["lee", "PAT"]:
+            for sex in "FM":
+                if rng.random() < 0.8:
+                    rows.append(f"{stem},{sex},{rng.randrange(5, 400)}")
+        sources.append((year, "\n".join(rows)))
+    data = ds.load_dataset(sources)
+    spellings = [str.lower, str.upper, str.title, lambda s: s]
+    records = []
+    for i in range(400):
+        name = rng.choice(spellings)(rng.choice(stems + ["Zzyzx", "Renée"]))
+        year = rng.choice([1925, 1940, 1948, 1960, 1971, 1985, 1995, 2010, 2090])
+        gender = rng.choice(["F", "M", "U", None])
+        records.append(audit.CorpusRecord(f"a{i % 37}:{i}", name, year, gender))
+    return data, records
+
+
+def _reference_pair(data, record, cohort, atemporal_range):
+    """The per-record prediction, with the temporal mixture from per-year lookups."""
+    try:
+        dist = audit.infer_birth_distribution(record.activity_year, cohort, data)
+    except errors.EmptySupport:
+        return None
+    terms, female_sum, male_sum = [], 0, 0
+    for year, weight in dist:
+        counts = data.lookup(record.given_name, year)
+        if counts:
+            terms.append((weight * sum(counts), counts[0] / sum(counts)))
+            female_sum += counts[0]
+            male_sum += counts[1]
+    if not terms:
+        return None
+    temporal = model.GenderProbability(
+        record.given_name, f"cohort mixture over {len(terms)} birth years",
+        sum(w * p for w, p in terms) / sum(w for w, _ in terms), female_sum, male_sum)
+    assert audit.temporal_p_female(data, record.given_name, dist) == temporal
+    try:
+        atemporal = model.p_female_pooled(data, record.given_name, atemporal_range)
+    except errors.NoData:
+        return None
+    return temporal, atemporal
+
+
+AUDIT_SETTINGS = [
+    (audit.CohortModel("fixed-offset", 35), (1880, 2020)),
+    (audit.CohortModel("uniform-window", 35, 4), (1930, 1940)),
+    (audit.CohortModel("triangular-window", 35, 10), (1880, 2020)),
+    (audit.CohortModel("triangular-window", 60, 3), (1950, 1975)),
+]
+
+
+@pytest.mark.parametrize("cohort, atemporal_range", AUDIT_SETTINGS)
+def test_audit_corpus_equals_per_record_loop(cohort, atemporal_range):
+    data, records = _audit_case()
+    buckets = {}
+    for record in records:
+        buckets.setdefault(record.activity_year // 10 * 10, []).append(record)
+    expected = []
+    for decade in sorted(buckets):
+        pairs = [_reference_pair(data, r, cohort, atemporal_range) for r in buckets[decade]]
+        resolved = [pair for pair in pairs if pair is not None]
+        temporal = atemporal = 0.0
+        for t, a in resolved:
+            temporal += t.p_female
+            atemporal += a.p_female
+        expected.append(audit.DecadeRow(decade, len(resolved), len(pairs) - len(resolved),
+                                        temporal, atemporal))
+    report = audit.audit_corpus(records, data, cohort, atemporal_range)
+    assert report.rows == tuple(expected)
+    assert report.total_unresolved > 0 and report.total_records > 0
+
+
+@pytest.mark.parametrize("policy", [model.MAJORITY, model.T95])
+@pytest.mark.parametrize("cohort, atemporal_range", AUDIT_SETTINGS)
+def test_evaluate_known_equals_per_record_loop(cohort, atemporal_range, policy):
+    data, records = _audit_case()
+    labeled = [r for r in records if r.known_gender is not None]
+    confusion = {"temporal": {}, "atemporal": {}}
+    for record in labeled:
+        pair = _reference_pair(data, record, cohort, atemporal_range)
+        for which, prob in zip(confusion, pair or (None, None)):
+            label = model.classify(prob, policy).value if prob else "U"
+            key = (record.known_gender, label)
+            confusion[which][key] = confusion[which].get(key, 0) + 1
+    result = audit.evaluate_known(records, data, cohort, atemporal_range, policy)
+    assert result["confusion"] == confusion
+    assert result["record_counts"] == {
+        g: sum(r.known_gender == g for r in labeled) for g in ("F", "M", "U")}

@@ -114,6 +114,16 @@ def test_ingest_bad_dir_is_data_error(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_ingest_undecodable_file_is_data_error(runner, tmp_path):
+    (tmp_path / "yob1990.txt").write_bytes(b"Ren\xe9e,F,10\n")
+    result = runner.invoke(main, [
+        "ingest", "--dir", str(tmp_path), "--out", str(tmp_path / "x.idx"),
+    ])
+    assert result.exit_code == 3
+    assert "yob1990.txt" in result.output and "not UTF-8" in result.output
+    assert not (tmp_path / "x.idx").exists()
+
+
 def test_audit_default_fixture(runner):
     result = runner.invoke(main, ["audit", "--format", "json"])
     assert result.exit_code == 0, result.output

@@ -184,6 +184,41 @@ def test_shared_folded_key_answers_from_the_name_with_data():
     assert data.totals("lee", 1990, 1991) == (10, 20)
 
 
+def test_lookup_years_equals_lookup_per_year():
+    data = ds.load_dataset([
+        (1990, "Lee,F,10\nRenée,F,100\nAnn,F,7"),
+        (1991, "LEE,M,20\nRenee,M,30\nlee,F,5"),
+        (1993, "lee,M,6\nAnn,M,8"),
+    ])
+    years = [1993, 1990, 1991, 1990]
+    for name in ("Lee", "lee", "LEE", "lEe", "Renee", "renée", "RENEE", "Ann", "Zzz"):
+        for fold in (False, True):
+            expected = [data.lookup(name, year, fold_diacritics=fold) for year in years]
+            assert data.lookup_years(name, years, fold_diacritics=fold) == expected
+    assert data.lookup_years("Ann", []) == []
+    with pytest.raises(errors.YearNotLoaded):
+        data.lookup_years("Ann", [1990, 1992])
+
+
+def test_year_pair_cells_equal_the_two_year_views(sample_dataset):
+    data = ds.load_dataset([
+        (1990, "Ann,F,7\nBo,M,9\nCy,F,5\nCy,M,5"),
+        (1991, "Dee,F,6"),
+        (1992, "Ann,M,8\nCy,F,11\nDee,M,12"),
+    ])
+    for source in (data, sample_dataset):
+        for y1 in source.years_loaded[:4]:
+            for y2 in source.years_loaded[-2:] + source.years_loaded[:2]:
+                cells1, cells2 = source.year_cells(y1), source.year_cells(y2)
+                assert source.year_pair_cells(y1, y2) == [
+                    (name, *cells1[name], *cells2[name]) for name in cells1 if name in cells2
+                ]
+    with pytest.raises(errors.YearNotLoaded):
+        data.year_pair_cells(1990, 1993)
+    with pytest.raises(errors.YearNotLoaded):
+        data.year_pair_cells(1989, 1990)
+
+
 def test_year_bound_does_not_follow_the_clock(monkeypatch):
     class Frozen(datetime.date):
         @classmethod

@@ -186,6 +186,13 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
                     if lo <= year <= lo + width]
         assert data.totals(name, lo, lo + width) == (
             sum(f for f, _ in in_range), sum(m for _, m in in_range))
+        assert data.lookup_years(name, list(per_year)) == [
+            rows[name] if any(rows.get(name, ())) else None for rows in per_year.values()]
+    for y1, rows1 in per_year.items():
+        for y2, rows2 in per_year.items():
+            assert data.year_pair_cells(y1, y2) == [
+                (name, *rows1[name], *rows2[name]) for name in sorted(POOL)
+                if any(rows1.get(name, ())) and any(rows2.get(name, ()))]
 
 
 # --- the SSA row parser -----------------------------------------------------

@@ -1,3 +1,6 @@
+import datetime
+import email.utils
+
 import pytest
 
 from temponym import errors, services
@@ -170,3 +173,111 @@ def test_cache_files_stay_in_the_cache_directory(tmp_path, monkeypatch):
         services.fetch_prediction(config, name, cache=cache)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
     assert len(list(cache_dir.rglob("*.json"))) == 4
+
+
+# --- live responses, with requests.get stubbed -------------------------------
+
+LIVE = services.ServiceConfig(
+    service_id="genderize", mode="live", endpoint_url="http://example.invalid"
+)
+
+
+def _stub_response(monkeypatch, status, body, headers=None):
+    import requests
+
+    response = requests.Response()
+    response.status_code = status
+    response._content = body
+    response.headers.update(headers or {})
+    monkeypatch.setattr(requests, "get", lambda url, params, timeout: response)
+
+
+@pytest.mark.parametrize("body", [b"<html>busy</html>", b"", b'["female", 0.9]'])
+def test_live_body_that_is_not_a_json_object_is_network_error(monkeypatch, body):
+    _stub_response(monkeypatch, 200, body)
+    with pytest.raises(errors.NetworkError, match="genderize: response is not"):
+        services.fetch_prediction(LIVE, "Leslie")
+
+
+def test_live_json_body_is_parsed(monkeypatch):
+    _stub_response(monkeypatch, 200, b'{"gender": "male", "probability": 0.75, "count": 12}')
+    prediction = services.fetch_prediction(LIVE, "Leslie")
+    assert (prediction.predicted_label, prediction.p_female, prediction.sample_count) == (
+        "M", 0.25, 12)
+
+
+def test_retry_after_as_http_date(monkeypatch):
+    soon = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(seconds=120)
+    header = email.utils.format_datetime(soon, usegmt=True)
+    _stub_response(monkeypatch, 429, b"", {"Retry-After": header})
+    with pytest.raises(errors.RateLimited) as exc_info:
+        services.fetch_prediction(LIVE, "Leslie")
+    assert 100 < exc_info.value.retry_after <= 120
+
+
+@pytest.mark.parametrize("header, seconds", [
+    ("7", 7.0),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # in the past
+    ("Wed, 21 Oct 2015 07:28:00 -0000", 0.0),
+    ("soon", 1.0),
+    ("²", 1.0),
+    (None, 1.0),
+])
+def test_retry_after_forms(monkeypatch, header, seconds):
+    _stub_response(monkeypatch, 429, b"", {"Retry-After": header} if header else {})
+    with pytest.raises(errors.RateLimited) as exc_info:
+        services.fetch_prediction(LIVE, "Leslie")
+    assert exc_info.value.retry_after == seconds
+
+
+# --- rate limiting in comparison_table ----------------------------------------
+
+def test_comparison_table_rate_limits_each_live_service(
+    tmp_path, monkeypatch, sample_dataset, fixture_configs
+):
+    clock = {"now": 0.0}
+    sleeps, calls, rates = [], [], []
+
+    def fake_sleep(duration):
+        sleeps.append(duration)
+        clock["now"] += duration
+
+    def limiter(rate):
+        rates.append(rate)
+        return real_limiter(rate, clock=lambda: clock["now"], sleep=fake_sleep)
+
+    def fake_fetch(config, name, today):
+        calls.append((config.service_id, name, clock["now"]))
+        return services.ExternalPrediction(config.service_id, name, "F", 0.9, 1, "live", today)
+
+    real_limiter = services.RateLimiter
+    monkeypatch.setattr(services, "RateLimiter", limiter)
+    monkeypatch.setattr(services, "_fetch_live", fake_fetch)
+    live = [
+        services.ServiceConfig(service_id="slow", mode="live",
+                               endpoint_url="http://example.invalid", rate_limit=2.0),
+        services.ServiceConfig(service_id="fast", mode="live",
+                               endpoint_url="http://example.invalid", rate_limit=100.0),
+    ]
+    names = ["Sydney", "Jean", "Leslie", "Shelby"]
+    cache = services.PredictionCache(tmp_path)
+    rows = services.comparison_table(names, sample_dataset, 1925, fixture_configs + live, cache)
+    assert rates == [2.0, 100.0]  # one limiter per live service, none for fixtures
+    assert all(not row.cell_errors for row in rows)
+    slow = [t for service, _, t in calls if service == "slow"]
+    assert len(slow) == len(names) and len(calls) == 2 * len(names)
+    assert all(b - a >= 0.5 for a, b in zip(slow, slow[1:]))
+    assert sleeps and sum(sleeps) <= (len(names) - 1) * 0.5
+
+    sleeps.clear()
+    calls.clear()
+    services.comparison_table(names, sample_dataset, 1925, fixture_configs + live, cache)
+    assert calls == [] and sleeps == []  # cache hits and fixture lookups never wait
+
+
+def test_comparison_table_rejects_a_bad_rate_before_any_fetch(sample_dataset, monkeypatch):
+    monkeypatch.setattr(services, "_fetch_live", lambda *args: pytest.fail("fetched"))
+    config = services.ServiceConfig(service_id="x", mode="live",
+                                    endpoint_url="http://example.invalid", rate_limit=0)
+    with pytest.raises(errors.ConfigError):
+        services.comparison_table(["Jean"], sample_dataset, 1925, [config])

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from temponym import errors, shifts
+from temponym import errors, model, shifts
 from temponym import dataset as ds
 
 
@@ -145,3 +147,84 @@ def test_swapping_years_reverses_sign_census(sample_dataset):
 def test_year_not_loaded(quarter_dataset):
     with pytest.raises(errors.YearNotLoaded):
         shifts.rank_shifts(quarter_dataset, 1925, 1999)
+
+
+# --- the ranking against a brute-force reference ----------------------------
+
+def _shift_dataset():
+    """Three years of names drawn from a small palette of counts.
+
+    The palette puts many supports exactly at 50, makes whole groups of
+    names tie on shift and support, and leaves names out of one year.
+    """
+    rng = random.Random(4)
+    palette = (0, 0, 5, 10, 20, 25, 30, 45, 50)
+    years = {1925: [], 1950: [], 2000: []}
+    for i in range(300):
+        name = f"N{rng.randrange(10**6):06d}"
+        for rows in years.values():
+            for sex in "FM":
+                count = rng.choice(palette)
+                if count:
+                    rows.append(f"{name},{sex},{count}")
+    return ds.load_dataset([(year, "\n".join(rows)) for year, rows in years.items()])
+
+
+def _reference_entries(data, y1, y2, min_support, weighting="mean"):
+    """gender_shift for every stored name with data and support in both years."""
+    entries = []
+    for name in data.names:
+        try:
+            entry = shifts.gender_shift(data, name, y1, y2, weighting)
+        except errors.NoData:
+            continue
+        p1 = model.p_female(data, name, y1).p_female
+        p2 = model.p_female(data, name, y2).p_female
+        assert (entry.p1, entry.p2, entry.delta_scaled) == (p1, p2, (p2 - p1) * 100)
+        if entry.support_y1 >= min_support and entry.support_y2 >= min_support:
+            entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("weighting", sorted(shifts.WEIGHTINGS))
+@pytest.mark.parametrize("weighted", [False, True])
+def test_rank_shifts_equals_reference(weighting, weighted):
+    data = _shift_dataset()
+    for y1, y2 in [(1925, 2000), (2000, 1925), (1950, 2000), (1925, 1925)]:
+        for min_support in (1, 50, 51):
+            entries = _reference_entries(data, y1, y2, min_support, weighting)
+            entries.sort(key=lambda e: (
+                -abs(e.weighted_shift if weighted else e.delta_scaled),
+                -(e.support_y1 + e.support_y2), e.name))
+            for top_k in (0, 1, 7, 10_000):
+                ranked = shifts.rank_shifts(data, y1, y2, min_support, top_k,
+                                            weighted, weighting)
+                assert ranked == entries[:top_k]
+
+
+def test_reference_cases_are_present():
+    """The shift data holds the edge cases the reference comparison relies on."""
+    data = _shift_dataset()
+    entries = _reference_entries(data, 1925, 2000, 1)
+    supports = {e.support_y1 for e in entries} | {e.support_y2 for e in entries}
+    assert {45, 50, 55} <= supports  # either side of min_support=50 and 51
+    keys = [(abs(e.delta_scaled), e.support_y1 + e.support_y2) for e in entries]
+    assert len(set(keys)) < len(keys)  # ties broken by name
+    assert len({k[0] for k in keys}) < len(set(keys))  # ties broken by support
+    only_one_year = set(data.year_cells(1925)) ^ set(data.year_cells(2000))
+    assert only_one_year
+
+
+def test_qualifying_names_equals_reference():
+    data = _shift_dataset()
+    for y1, y2 in [(1925, 2000), (2000, 1950)]:
+        for min_support in (1, 50, 51, 100):
+            entries = _reference_entries(data, y1, y2, min_support)
+            for min_abs_delta in (0, 20.0, 37.5):
+                assert shifts.qualifying_names(data, y1, y2, min_support, min_abs_delta) == {
+                    e.name for e in entries if abs(e.delta_scaled) >= min_abs_delta}
+
+
+def test_qualifying_year_not_loaded(quarter_dataset):
+    with pytest.raises(errors.YearNotLoaded):
+        shifts.qualifying_names(quarter_dataset, 1999, 2000)
