@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import csv
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import compress
+from operator import add, mul, truediv
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -125,24 +128,22 @@ def infer_birth_distribution(
     years and renormalized.
     """
     center = activity_year - cohort_model.offset_years
-    h = cohort_model.half_width
-    if cohort_model.kind == "fixed-offset" or h == 0:
-        pairs = [(center, 1.0)]
-    elif cohort_model.kind == "uniform-window":
-        pairs = [(year, 1.0) for year in range(center - h, center + h + 1)]
-    else:  # triangular-window
-        pairs = [
-            (center + d, float(h + 1 - abs(d)))
-            for d in range(-h, h + 1)
-        ]
-    if dataset is not None:
-        pairs = [(year, w) for year, w in pairs if dataset.has_year(year)]
-    total = sum(w for _, w in pairs)
+    h = 0 if cohort_model.kind == "fixed-offset" else cohort_model.half_width
+    if dataset is None:
+        years = range(center - h, center + h + 1)
+    else:
+        loaded = dataset.years_loaded
+        years = loaded[bisect_left(loaded, center - h):bisect_right(loaded, center + h)]
+    if cohort_model.kind == "triangular-window":
+        weights = [float(h + 1 - abs(year - center)) for year in years]
+    else:
+        weights = [1.0] * len(years)
+    total = sum(weights)
     if total == 0:
         raise errors.EmptySupport(
             f"no loaded year receives cohort weight for activity year {activity_year}"
         )
-    return [(year, w / total) for year, w in pairs]
+    return [(year, w / total) for year, w in zip(years, weights)]
 
 
 def temporal_p_female(
@@ -154,31 +155,24 @@ def temporal_p_female(
 
     A person active in a given year is more likely born in a year when the
     name was common, so within the cohort window the mixture weights are
-    proportional to the name's total count that year.
+    proportional to the name's total count that year. A birth year without
+    data, loaded or not, takes no part.
     """
-    loaded = [(year, weight) for year, weight in birth_distribution if dataset.has_year(year)]
-    cells = dataset.lookup_years(name, [year for year, _ in loaded])
-    terms = []
-    female_sum = male_sum = 0
-    for (_, weight), counts in zip(loaded, cells):
-        if not counts:
-            continue
-        female, male = counts
-        support = female + male
-        terms.append((weight * support, female / support))
-        female_sum += female
-        male_sum += male
-    if not terms:
+    years, weights = zip(*birth_distribution)
+    female, male = dataset.name_counts(name, years)
+    supports = list(map(add, female, male))
+    masses = list(map(mul, compress(weights, supports), compress(supports, supports)))
+    if not masses:
         span = f"{birth_distribution[0][0]}..{birth_distribution[-1][0]}"
         raise errors.NoData(name, f"birth years {span}")
-    norm = sum(w for w, _ in terms)
-    mixture = sum(w * p for w, p in terms) / norm
+    ratios = map(truediv, compress(female, supports), compress(supports, supports))
+    mixture = sum(map(mul, masses, ratios)) / sum(masses)
     return GenderProbability(
         name=name,
-        context=f"cohort mixture over {len(terms)} birth years",
+        context=f"cohort mixture over {len(masses)} birth years",
         p_female=mixture,
-        female_count=female_sum,
-        male_count=male_sum,
+        female_count=sum(female),
+        male_count=sum(male),
     )
 
 

@@ -196,27 +196,37 @@ class Dataset:
                 return cell
         return self._first_cell(self._folds.candidates(exact, name, fold_diacritics), pos)
 
-    def lookup_years(
+    def name_counts(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
-    ) -> list[Optional[tuple[int, int]]]:
-        """``[lookup(name, year, fold_diacritics) for year in years]``, resolving the name once."""
-        positions = list(map(self._positions.get, years))
-        if None in positions:
-            raise errors.YearNotLoaded(years[positions.index(None)])
+    ) -> tuple[list[int], list[int]]:
+        """A name's female and male counts in each of ``years``, resolving the name once.
+
+        Position k holds ``lookup(name, years[k], fold_diacritics)``, with 0
+        for a year without data and for a year that is not loaded. When one
+        stored name answers and the years are consecutive loaded years, the
+        counts are one slice of each column, padded with zeros where the
+        name's span starts or ends inside them.
+        """
+        n = len(years)
         ids = self._folds.candidates(self._ids.get(name), name, fold_diacritics)
-        if len(ids) != 1:
-            return [self._first_cell(ids, pos) for pos in positions]
-        start, stop, base = self._spans[ids[0]]
-        female, male = self.female, self.male
-        cells = []
-        for pos in positions:
-            cell = None
-            if start <= pos < stop:
-                f, m = female[base + pos], male[base + pos]
-                if f or m:
-                    cell = (f, m)
-            cells.append(cell)
-        return cells
+        first = self._positions.get(years[0]) if n else None
+        if len(ids) == 1 and first is not None and (
+                self.years_loaded[first:first + n] == tuple(years)):
+            start, stop, base = self._spans[ids[0]]
+            lo, hi = max(first, start), min(first + n, stop)
+            if lo >= hi:
+                return [0] * n, [0] * n
+            head, tail = [0] * (lo - first), [0] * (first + n - hi)
+            return (head + self.female[base + lo:base + hi].tolist() + tail,
+                    head + self.male[base + lo:base + hi].tolist() + tail)
+        female, male = [], []
+        for year in years:
+            pos = self._positions.get(year)
+            cell = self._first_cell(ids, pos) if pos is not None else None
+            f, m = cell or _NO_DATA
+            female.append(f)
+            male.append(m)
+        return female, male
 
     def year_pair_cells(self, y1: int, y2: int) -> list[tuple[str, int, int, int, int]]:
         """``(name, f1, m1, f2, m2)`` for every name with data in both years, in name order."""
@@ -400,6 +410,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise errors.TemponymError(f"{path}: not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise errors.TemponymError(f"{path}: cannot be read ({exc.strerror or exc})") from None
 
 
 def dataset_summary(dataset: Dataset) -> dict:

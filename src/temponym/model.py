@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import errors
 from .dataset import Dataset
@@ -151,23 +150,17 @@ def _accumulate(dataset, name, first, last, context, fold_diacritics, pseudocoun
 
 def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -> GenderLabel:
     """Label a probability under a policy; Unknown when conditions unmet."""
-    if prob.support < policy.min_support:
+    female, support = prob.female_count, prob.support
+    if support < policy.min_support:
         return GenderLabel.UNKNOWN
-    # Exact rational comparison so that swapping the counts mirrors the
-    # label exactly, even at threshold boundaries.
-    p = Fraction(prob.female_count, prob.support)
-    if float(p) != prob.p_female:  # smoothed probability; fall back to it
-        p = Fraction(prob.p_female)
-    if policy.kind == "majority":
-        if p > Fraction(1, 2):
-            return GenderLabel.FEMALE
-        if p < Fraction(1, 2):
-            return GenderLabel.MALE
-        return GenderLabel.UNKNOWN
-    threshold = Fraction(policy.threshold)
-    if p > threshold:
+    # Exact rational comparison, in integers, so that swapping the counts
+    # mirrors the label exactly, even at threshold boundaries.
+    if female / support != prob.p_female:  # smoothed probability; compare it instead
+        female, support = prob.p_female.as_integer_ratio()
+    num, den = (1, 2) if policy.kind == "majority" else policy.threshold.as_integer_ratio()
+    if female * den > num * support:  # p > threshold
         return GenderLabel.FEMALE
-    if p < 1 - threshold:
+    if female * den < (den - num) * support:  # p < 1 - threshold
         return GenderLabel.MALE
     return GenderLabel.UNKNOWN
 

@@ -206,14 +206,13 @@ def _fetch_live(config: ServiceConfig, name: str, today: str) -> ExternalPredict
     probability = body.get("probability")
     if gender not in ("female", "male"):
         raise errors.ServiceUnknownName(config.service_id, name)
-    if probability is None:
-        label_p = None
-    else:
-        label_p = float(probability)
-    if label_p is None:
-        p = None
-    else:
-        p = label_p if gender == "female" else 1.0 - label_p
+    p = None
+    if probability is not None:
+        # a JSON number, not a bool; NaN fails the range test
+        if type(probability) not in (int, float) or not 0 <= probability <= 1:
+            raise errors.NetworkError(
+                f"{config.service_id}: probability {probability!r} is not a number in [0, 1]")
+        p = float(probability) if gender == "female" else 1.0 - probability
     return ExternalPrediction(
         service_id=config.service_id,
         name=name,

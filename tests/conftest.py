@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import random
 from array import array
 
 import pytest
@@ -29,6 +30,31 @@ def quarter_dataset():
     return dataset_mod.load_directory(
         dataset_mod.bundled_sample_dir(), years=QUARTER_YEARS
     )
+
+
+# Per name, the first and last year in which it may have rows.
+SPARSE_SPANS = {
+    "Ann": (1900, 1960), "Bo": (1910, 1925), "Cy": (1930, 1960), "Dee": (1900, 1912),
+    "Lee": (1900, 1930), "LEE": (1920, 1950), "lee": (1905, 1960),
+    "Renée": (1900, 1935), "Renee": (1925, 1960), "Zoë": (1915, 1951),
+}
+
+
+@pytest.fixture(scope="session")
+def sparse_dataset():
+    """Years with gaps (1901, 1905, ..., 1941-1949, 1952-1959 not loaded),
+    names whose spans start and end inside any window, names sharing a
+    folded key (Lee, LEE, lee; Renée, Renee) and years inside a span
+    without data for the name."""
+    rng = random.Random(11)
+    years = [year for year in range(1900, 1941) if year % 4 != 1] + [1950, 1951, 1960]
+    sources = []
+    for year in years:
+        rows = [f"{name},{sex},{rng.randrange(5, 500)}"
+                for name, (first, last) in SPARSE_SPANS.items() if first <= year <= last
+                for sex in "FM" if rng.random() < 0.7]
+        sources.append((year, "\n".join(rows)))
+    return dataset_mod.load_dataset(sources)
 
 
 # --- damaged index files ----------------------------------------------------

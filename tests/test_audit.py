@@ -231,18 +231,9 @@ def _reference_pair(data, record, cohort, atemporal_range):
         dist = audit.infer_birth_distribution(record.activity_year, cohort, data)
     except errors.EmptySupport:
         return None
-    terms, female_sum, male_sum = [], 0, 0
-    for year, weight in dist:
-        counts = data.lookup(record.given_name, year)
-        if counts:
-            terms.append((weight * sum(counts), counts[0] / sum(counts)))
-            female_sum += counts[0]
-            male_sum += counts[1]
-    if not terms:
+    temporal = _reference_temporal(data, record.given_name, dist)
+    if temporal is None:
         return None
-    temporal = model.GenderProbability(
-        record.given_name, f"cohort mixture over {len(terms)} birth years",
-        sum(w * p for w, p in terms) / sum(w for w, _ in terms), female_sum, male_sum)
     assert audit.temporal_p_female(data, record.given_name, dist) == temporal
     try:
         atemporal = model.p_female_pooled(data, record.given_name, atemporal_range)
@@ -296,3 +287,89 @@ def test_evaluate_known_equals_per_record_loop(cohort, atemporal_range, policy):
     assert result["confusion"] == confusion
     assert result["record_counts"] == {
         g: sum(r.known_gender == g for r in labeled) for g in ("F", "M", "U")}
+
+
+# --- the birth distribution and the mixture against per-year references ------
+
+def _reference_distribution(activity_year, cohort, dataset):
+    """Every year of the window, then the loaded ones kept and renormalized."""
+    center, h = activity_year - cohort.offset_years, cohort.half_width
+    if cohort.kind == "fixed-offset" or h == 0:
+        pairs = [(center, 1.0)]
+    elif cohort.kind == "uniform-window":
+        pairs = [(year, 1.0) for year in range(center - h, center + h + 1)]
+    else:
+        pairs = [(center + d, float(h + 1 - abs(d))) for d in range(-h, h + 1)]
+    if dataset is not None:
+        pairs = [(year, w) for year, w in pairs if dataset.has_year(year)]
+    total = sum(w for _, w in pairs)
+    if total == 0:
+        raise errors.EmptySupport(activity_year)
+    return [(year, w / total) for year, w in pairs]
+
+
+def _reference_temporal(data, name, dist):
+    """The mixture from per-year ``lookup`` over the loaded years of ``dist``."""
+    terms, female_sum, male_sum = [], 0, 0
+    for year, weight in dist:
+        counts = data.lookup(name, year) if data.has_year(year) else None
+        if counts:
+            terms.append((weight * sum(counts), counts[0] / sum(counts)))
+            female_sum += counts[0]
+            male_sum += counts[1]
+    if not terms:
+        return None
+    return model.GenderProbability(
+        name, f"cohort mixture over {len(terms)} birth years",
+        sum(w * p for w, p in terms) / sum(w for w, _ in terms), female_sum, male_sum)
+
+
+COHORTS = [
+    audit.CohortModel("fixed-offset", 35), audit.CohortModel("fixed-offset", 30, 6),
+    audit.CohortModel("uniform-window", 35, 0), audit.CohortModel("uniform-window", 35, 4),
+    audit.CohortModel("triangular-window", 35, 0), audit.CohortModel("triangular-window", 35, 10),
+    audit.CohortModel("triangular-window", 20, 3),
+]
+
+
+def cohort_id(cohort):
+    return f"{cohort.kind}:{cohort.offset_years}:{cohort.half_width}"
+
+
+@pytest.mark.parametrize("cohort", COHORTS, ids=cohort_id)
+def test_birth_distribution_equals_filter_then_normalise(sparse_dataset, cohort):
+    empty = 0
+    for activity_year in range(1890, 2011):
+        for data in (sparse_dataset, None):
+            try:
+                expected = _reference_distribution(activity_year, cohort, data)
+            except errors.EmptySupport:
+                empty += 1
+                with pytest.raises(errors.EmptySupport):
+                    audit.infer_birth_distribution(activity_year, cohort, data)
+                continue
+            assert audit.infer_birth_distribution(activity_year, cohort, data) == expected
+    assert empty > 0  # windows that hold no loaded year
+
+
+@pytest.mark.parametrize("cohort", COHORTS, ids=cohort_id)
+def test_temporal_p_female_equals_per_year_reference(sparse_dataset, cohort):
+    names = ("Ann", "bo", "Cy", "Dee", "Lee", "lee", "LEE", "lEe", "Renee", "Zoë", "Zzyzx")
+    resolved = 0
+    for activity_year in range(1930, 2000):
+        # restricted to loaded years (as the audit does), and over every year
+        dists = [_reference_distribution(activity_year, cohort, None)]
+        try:
+            dists.append(audit.infer_birth_distribution(activity_year, cohort, sparse_dataset))
+        except errors.EmptySupport:
+            pass
+        for dist in dists:
+            for name in names:
+                expected = _reference_temporal(sparse_dataset, name, dist)
+                if expected is None:
+                    with pytest.raises(errors.NoData):
+                        audit.temporal_p_female(sparse_dataset, name, dist)
+                    continue
+                resolved += 1
+                assert audit.temporal_p_female(sparse_dataset, name, dist) == expected
+    assert resolved > 0

@@ -124,6 +124,17 @@ def test_ingest_undecodable_file_is_data_error(runner, tmp_path):
     assert not (tmp_path / "x.idx").exists()
 
 
+def test_ingest_unreadable_entry_is_data_error(runner, tmp_path):
+    (tmp_path / "yob1989.txt").write_text("Pat,F,10\n")
+    (tmp_path / "yob1990.txt").mkdir()
+    result = runner.invoke(main, [
+        "ingest", "--dir", str(tmp_path), "--out", str(tmp_path / "x.idx"),
+    ])
+    assert result.exit_code == 3
+    assert "yob1990.txt" in result.output and "cannot be read" in result.output
+    assert not (tmp_path / "x.idx").exists()
+
+
 def test_audit_default_fixture(runner):
     result = runner.invoke(main, ["audit", "--format", "json"])
     assert result.exit_code == 0, result.output
@@ -150,6 +161,22 @@ def test_compare_fixtures(runner):
     payload = json.loads(result.output)
     jean = next(row for row in payload["rows"] if row["name"] == "Jean")
     assert jean["services"]["genderize"]["divergence"] == pytest.approx(0.9245, abs=0.0005)
+
+
+def test_compare_live_probability_not_a_number_is_partial(runner, monkeypatch):
+    import requests
+
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b'{"gender": "female", "probability": "high"}'
+    monkeypatch.setattr(requests, "get", lambda url, params, timeout: response)
+    result = runner.invoke(main, [
+        "compare", "--names", "Leslie", "--services", "genderize-live:http://example.invalid",
+        "--format", "json",
+    ])
+    assert result.exit_code == 4, result.output
+    [row] = json.loads(result.output)["rows"]
+    assert "is not a number in [0, 1]" in row["errors"]["genderize"]
 
 
 def test_compare_requires_names(runner):

@@ -184,20 +184,49 @@ def test_shared_folded_key_answers_from_the_name_with_data():
     assert data.totals("lee", 1990, 1991) == (10, 20)
 
 
-def test_lookup_years_equals_lookup_per_year():
+def _counts_by_lookup(data, name, years, fold):
+    """Per-year ``lookup``, with (0, 0) for no data and for a year not loaded."""
+    cells = [(data.has_year(year) and data.lookup(name, year, fold_diacritics=fold)) or (0, 0)
+             for year in years]
+    return [f for f, _ in cells], [m for _, m in cells]
+
+
+NAME_QUERIES = ("Ann", "ann", "Bo", "BO", "Cy", "Dee", "Lee", "lee", "LEE", "lEe",
+                "Renee", "renée", "RENEE", "Zoe", "ZOË", "Zzyzx")
+
+
+def test_name_counts_equal_lookup_per_year(sparse_dataset):
+    data = sparse_dataset
+    loaded = data.years_loaded
+    assert 1905 not in loaded and 1941 not in loaded
+    windows = [list(loaded[lo:lo + n]) for n in (1, 2, 5, 11, 21) for lo in range(len(loaded))]
+    windows += [
+        [], [1899], [1905], [2000, 1900], [1930, 1910, 1920, 1910],  # not loaded, unordered
+        list(range(1900, 1961)),  # every year, loaded or not
+        list(range(1930, 1951)),  # a cohort window across the 1941-1949 gap
+        [1900, 1902, 1903, 1904, 1906],  # consecutive positions around unloaded years
+        [1902, 1903, 1900], [1900, 1904, 1903], [1902, 1902, 1904],  # not consecutive
+    ]
+    for name in NAME_QUERIES:
+        for fold in (False, True):
+            for years in windows:
+                expected = _counts_by_lookup(data, name, years, fold)
+                assert data.name_counts(name, years, fold_diacritics=fold) == expected
+                assert data.name_counts(name, tuple(years), fold_diacritics=fold) == expected
+
+
+def test_name_counts_of_shared_keys_and_diacritics():
     data = ds.load_dataset([
         (1990, "Lee,F,10\nRenée,F,100\nAnn,F,7"),
         (1991, "LEE,M,20\nRenee,M,30\nlee,F,5"),
         (1993, "lee,M,6\nAnn,M,8"),
     ])
-    years = [1993, 1990, 1991, 1990]
-    for name in ("Lee", "lee", "LEE", "lEe", "Renee", "renée", "RENEE", "Ann", "Zzz"):
-        for fold in (False, True):
-            expected = [data.lookup(name, year, fold_diacritics=fold) for year in years]
-            assert data.lookup_years(name, years, fold_diacritics=fold) == expected
-    assert data.lookup_years("Ann", []) == []
-    with pytest.raises(errors.YearNotLoaded):
-        data.lookup_years("Ann", [1990, 1992])
+    assert data.name_counts("lee", [1990, 1991, 1992, 1993]) == ([10, 5, 0, 0], [0, 0, 0, 6])
+    assert data.name_counts("LeE", [1990, 1991, 1993]) == ([10, 0, 0], [0, 20, 6])
+    assert data.name_counts("Renee", [1990, 1991]) == ([0, 0], [0, 30])
+    assert data.name_counts("Renee", [1990, 1991], fold_diacritics=True) == ([100, 0], [0, 30])
+    assert data.name_counts("Ann", [1990, 1991, 1993]) == ([7, 0, 0], [0, 0, 8])
+    assert data.name_counts("Ann", []) == ([], [])
 
 
 def test_year_pair_cells_equal_the_two_year_views(sample_dataset):

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temponym import errors
+from temponym import audit, errors, model
 from temponym import dataset as ds
-from temponym import model
 
 
 def test_abigail_2000(sample_dataset):
@@ -117,6 +116,90 @@ def test_classify_min_support():
     prob = model.GenderProbability("Pat", "1950", 1.0, 10, 0)
     policy = model.ClassificationPolicy(kind="majority", min_support=20)
     assert model.classify(prob, policy) is model.GenderLabel.UNKNOWN
+
+
+def reference_classify(prob, policy):
+    """``classify`` as rational arithmetic on ``Fraction``s."""
+    if prob.support < policy.min_support:
+        return model.GenderLabel.UNKNOWN
+    p = Fraction(prob.female_count, prob.support)
+    if float(p) != prob.p_female:  # smoothed probability; fall back to it
+        p = Fraction(prob.p_female)
+    if policy.kind == "majority":
+        threshold = Fraction(1, 2)
+    else:
+        threshold = Fraction(policy.threshold)
+    if p > threshold:
+        return model.GenderLabel.FEMALE
+    if p < 1 - threshold:
+        return model.GenderLabel.MALE
+    return model.GenderLabel.UNKNOWN
+
+
+def threshold_policy(threshold):
+    return model.ClassificationPolicy("symmetric-threshold", threshold, 1)
+
+
+BOUNDARY_POLICIES = [model.MAJORITY, model.T95, threshold_policy(0.75),
+                     threshold_policy(1.0), threshold_policy(float.fromhex("0x1.0000000000001p-1"))]
+
+
+@pytest.mark.parametrize("female, male, pseudocount, label", [
+    (1, 1, 0.0, "U"), (50, 50, 0.0, "U"), (50, 50, 1.0, "U"),
+    (19, 1, 0.0, "F"), (1, 19, 0.0, "M"),  # 19/20 lies above the float 0.95
+    (18, 0, 1.0, "U"), (0, 18, 1.0, "M"),  # smoothed to the floats 0.95 and 0.05
+    (3, 1, 0.0, "U"), (1, 3, 0.0, "U"), (19, 1, 0.5, "U"), (1000, 0, 1.0, "F"),
+    (0, 1000, 1.0, "M"),
+])
+def test_classify_boundaries_equal_reference(female, male, pseudocount, label):
+    prob = model.from_counts("Pat", "test", female, male, pseudocount)
+    assert model.classify(prob, model.T95).value == label
+    for policy in BOUNDARY_POLICIES:
+        for min_support in (1, female + male, female + male + 1):
+            bounded = model.ClassificationPolicy(policy.kind, policy.threshold, min_support)
+            assert model.classify(prob, bounded) is reference_classify(prob, bounded)
+
+
+probabilities = st.one_of(
+    st.builds(model.from_counts, st.just("Pat"), st.just("test"),
+              st.integers(0, 10**6), st.integers(1, 10**6),
+              st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.001, 100)),
+    st.builds(model.from_counts, st.just("Pat"), st.just("test"),
+              st.integers(2**53, 2**90), st.integers(2**53, 2**90)),
+    # a mixture: any probability beside counts it is not the ratio of
+    st.builds(model.GenderProbability, st.just("Pat"), st.just("test"),
+              st.floats(0.0, 1.0), st.integers(0, 10**6), st.integers(1, 10**6)),
+)
+policies = st.one_of(
+    st.builds(model.ClassificationPolicy, st.just("majority"), st.just(0.95),
+              st.integers(1, 50)),
+    st.builds(model.ClassificationPolicy, st.just("symmetric-threshold"),
+              st.floats(0.5, 1.0, exclude_min=True) | st.sampled_from([0.95, 0.75, 1.0]),
+              st.integers(1, 50)),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(probabilities, policies)
+def test_classify_equals_fraction_reference(prob, policy):
+    assert model.classify(prob, policy) is reference_classify(prob, policy)
+
+
+def test_classify_mixtures_equal_reference(sparse_dataset):
+    cohort = audit.CohortModel("triangular-window", 35, 10)
+    policies = [model.MAJORITY, model.T95, threshold_policy(0.6), threshold_policy(0.8)]
+    mixtures = 0
+    for activity_year in range(1935, 1996):
+        dist = audit.infer_birth_distribution(activity_year, cohort, sparse_dataset)
+        for name in ("Ann", "Bo", "Cy", "Dee", "Lee", "LEE", "Renee", "Zoë"):
+            try:
+                prob = audit.temporal_p_female(sparse_dataset, name, dist)
+            except errors.NoData:
+                continue
+            mixtures += prob.p_female != prob.female_count / prob.support
+            for policy in policies:
+                assert model.classify(prob, policy) is reference_classify(prob, policy)
+    assert mixtures > 100
 
 
 def test_policy_validation():

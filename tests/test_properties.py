@@ -186,8 +186,10 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
                     if lo <= year <= lo + width]
         assert data.totals(name, lo, lo + width) == (
             sum(f for f, _ in in_range), sum(m for _, m in in_range))
-        assert data.lookup_years(name, list(per_year)) == [
-            rows[name] if any(rows.get(name, ())) else None for rows in per_year.values()]
+        window = [year for year in data.years_loaded if lo <= year <= lo + width]
+        for years in (list(per_year), window, list(range(lo, lo + width + 1))):
+            cells = [per_year.get(year, {}).get(name, (0, 0)) for year in years]
+            assert data.name_counts(name, years) == ([f for f, _ in cells], [m for _, m in cells])
     for y1, rows1 in per_year.items():
         for y2, rows2 in per_year.items():
             assert data.year_pair_cells(y1, y2) == [

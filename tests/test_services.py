@@ -206,6 +206,21 @@ def test_live_json_body_is_parsed(monkeypatch):
         "M", 0.25, 12)
 
 
+@pytest.mark.parametrize("probability", [b'"high"', b"true", b"[0.5]", b"1.7", b"NaN", b"-0.1"])
+def test_live_probability_that_is_not_a_number_in_range_is_network_error(
+    monkeypatch, probability
+):
+    _stub_response(monkeypatch, 200, b'{"gender": "female", "probability": %s}' % probability)
+    with pytest.raises(errors.NetworkError, match="genderize: probability .* is not a number"):
+        services.fetch_prediction(LIVE, "Leslie")
+
+
+@pytest.mark.parametrize("probability, p_female", [(b"0", 1.0), (b"1", 0.0), (b"null", None)])
+def test_live_probability_bounds_and_null(monkeypatch, probability, p_female):
+    _stub_response(monkeypatch, 200, b'{"gender": "male", "probability": %s}' % probability)
+    assert services.fetch_prediction(LIVE, "Leslie").p_female == p_female
+
+
 def test_retry_after_as_http_date(monkeypatch):
     soon = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(seconds=120)
     header = email.utils.format_datetime(soon, usegmt=True)
