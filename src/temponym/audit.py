@@ -8,7 +8,6 @@ is the historical over-count introduced by the atemporal shortcut.
 """
 from __future__ import annotations
 
-import csv
 import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import errors
-from .dataset import Dataset
+from .dataset import Dataset, read_csv
 from .model import (
     ClassificationPolicy,
     GenderLabel,
@@ -308,39 +307,35 @@ def evaluate_known(
 CORPUS_COLUMNS = ("record_id", "given_name", "activity_year")
 
 
-def load_corpus_csv(path: Path | str) -> list[CorpusRecord]:
-    """Read a corpus CSV: record_id,given_name,activity_year[,known_gender]."""
+def load_corpus_csv(path: Optional[Path | str] = None) -> list[CorpusRecord]:
+    """Read a corpus CSV: record_id,given_name,activity_year[,known_gender].
+
+    Defaults to the bundled Leslie corpus.
+    """
+    if path is None:
+        return load_leslie_fixture()
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in CORPUS_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise errors.ConfigError(f"{path}: corpus CSV has no {', '.join(missing)} column")
-        for row in reader:
-            if any(row[column] is None for column in CORPUS_COLUMNS):
-                raise errors.ConfigError(
-                    f"{path}: line {reader.line_num} has fewer than {len(CORPUS_COLUMNS)} fields"
-                )
-            record_id = row["record_id"]
-            gender = (row.get("known_gender") or "").strip() or None
-            if gender is not None and gender not in KNOWN_P_FEMALE:
-                raise errors.ConfigError(
-                    f"record {record_id}: known_gender must be F, M, U or empty"
-                )
-            try:
-                activity_year = int(row["activity_year"])
-            except ValueError:
-                raise errors.ConfigError(
-                    f"record {record_id}: activity_year {row['activity_year']!r} is not a year"
-                ) from None
-            records.append(
-                CorpusRecord(
-                    record_id=record_id,
-                    given_name=row["given_name"],
-                    activity_year=activity_year,
-                    known_gender=gender,
-                )
+    for _, row in read_csv(path, CORPUS_COLUMNS, "corpus"):
+        record_id = row["record_id"]
+        gender = (row.get("known_gender") or "").strip() or None
+        if gender is not None and gender not in KNOWN_P_FEMALE:
+            raise errors.ConfigError(
+                f"record {record_id}: known_gender must be F, M, U or empty"
             )
+        try:
+            activity_year = int(row["activity_year"])
+        except ValueError:
+            raise errors.ConfigError(
+                f"record {record_id}: activity_year {row['activity_year']!r} is not a year"
+            ) from None
+        records.append(
+            CorpusRecord(
+                record_id=record_id,
+                given_name=row["given_name"],
+                activity_year=activity_year,
+                known_gender=gender,
+            )
+        )
     return records
 
 

@@ -34,14 +34,10 @@ def parse_year_range(text: str) -> tuple[int, int]:
 def _load_data(index_path, data_dir):
     if index_path and data_dir:
         raise click.UsageError("--index and --dir are mutually exclusive")
-    try:
-        if index_path:
-            return dataset_mod.load_index(index_path)
-        directory = Path(data_dir) if data_dir else dataset_mod.bundled_sample_dir()
-        return dataset_mod.load_directory(directory)
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+    if index_path:
+        return dataset_mod.load_index(index_path)
+    directory = Path(data_dir) if data_dir else dataset_mod.bundled_sample_dir()
+    return dataset_mod.load_directory(directory)
 
 
 def _emit(payload, fmt: str, csv_rows=None, csv_header=None) -> None:
@@ -71,20 +67,48 @@ def with_data_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The top-level group: a data error from any command exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except errors.TemponymError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_DATA_ERROR)
+
+
+def _check_config(defaults, group: click.Group, prefix: str = "") -> None:
+    """Each section a command reads from ``--config`` must be a JSON object."""
+    for name, command in group.commands.items():
+        section = defaults.get(name)
+        if section is None:
+            continue
+        if not isinstance(section, dict):
+            raise click.BadParameter(f"section '{prefix}{name}' must hold a JSON object",
+                                     param_hint="'--config'")
+        if isinstance(command, click.Group):
+            _check_config(section, command, f"{prefix}{name}.")
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON file of default option values, keyed by subcommand.")
 @click.pass_context
 def main(ctx, config_path):
     """Temporally-aware name-gender analysis over SSA yearly name data."""
     if config_path:
-        with open(config_path) as fh:
-            try:
+        try:
+            with open(config_path) as fh:
                 defaults = json.load(fh)
-            except ValueError as exc:
-                raise click.BadParameter(f"not JSON ({exc})", param_hint="'--config'")
+        except ValueError as exc:
+            raise click.BadParameter(f"not JSON ({exc})", param_hint="'--config'")
+        except OSError as exc:
+            raise click.BadParameter(f"cannot be read ({exc.strerror or exc})",
+                                     param_hint="'--config'")
         if not isinstance(defaults, dict):
             raise click.BadParameter("must hold a JSON object", param_hint="'--config'")
+        _check_config(defaults, main)
         ctx.default_map = defaults
 
 
@@ -101,11 +125,7 @@ def ingest(data_dir, years, strict, out_path):
     if years:
         lo, hi = parse_year_range(years)
         wanted = range(lo, hi + 1)
-    try:
-        data = dataset_mod.load_directory(data_dir, years=wanted, strict=strict)
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+    data = dataset_mod.load_directory(data_dir, years=wanted, strict=strict)
     dataset_mod.save_index(data, out_path)
     births = sum(data.female) + sum(data.male)
     skipped = sum(data.skipped)
@@ -120,7 +140,8 @@ def ingest(data_dir, years, strict, out_path):
 @with_data_options
 @click.option("--name", required=True)
 @click.option("--year", type=int, default=None)
-@click.option("--window", type=int, default=None, help="Half-width around --year.")
+@click.option("--window", type=click.IntRange(min=0), default=None,
+              help="Half-width around --year.")
 @click.option("--pooled", default=None, help="Pooled range, e.g. 1880..2020.")
 @click.option("--policy", type=click.Choice(["majority", "t95"]), default="majority")
 @click.option("--fold-diacritics", is_flag=True, default=False)
@@ -131,20 +152,16 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
         raise click.UsageError("provide --year or --pooled")
     data = _load_data(index_path, data_dir)
     chosen_policy = model_mod.MAJORITY if policy == "majority" else model_mod.T95
-    try:
-        if pooled is not None:
-            prob = model_mod.p_female_pooled(
-                data, name, parse_year_range(pooled), fold_diacritics=fold_diacritics
-            )
-        elif window:
-            prob = model_mod.p_female_windowed(
-                data, name, year, window, fold_diacritics=fold_diacritics
-            )
-        else:
-            prob = model_mod.p_female(data, name, year, fold_diacritics=fold_diacritics)
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+    if pooled is not None:
+        prob = model_mod.p_female_pooled(
+            data, name, parse_year_range(pooled), fold_diacritics=fold_diacritics
+        )
+    elif window:
+        prob = model_mod.p_female_windowed(
+            data, name, year, window, fold_diacritics=fold_diacritics
+        )
+    else:
+        prob = model_mod.p_female(data, name, year, fold_diacritics=fold_diacritics)
     label = model_mod.classify(prob, chosen_policy)
     payload = {
         "name": prob.name,
@@ -177,16 +194,12 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
 def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, fmt):
     """Rank gender shifts between two years; reports summary statistics."""
     data = _load_data(index_path, data_dir)
-    try:
-        entries = shifts_mod.rank_shifts(
-            data, y1, y2, min_support_each_year=min_support, top_k=top, weighted=weighted
-        )
-        qualifying = shifts_mod.qualifying_names(
-            data, y1, y2, min_support=min_support, min_abs_delta=min_delta
-        )
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+    entries = shifts_mod.rank_shifts(
+        data, y1, y2, min_support_each_year=min_support, top_k=top, weighted=weighted
+    )
+    qualifying = shifts_mod.qualifying_names(
+        data, y1, y2, min_support=min_support, min_abs_delta=min_delta
+    )
     stats = (
         shifts_mod.shift_statistics(entries, use_weighted=weighted) if entries else None
     )
@@ -195,23 +208,18 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
         "min_support": min_support, "min_abs_delta": min_delta,
         "qualifying_count": len(qualifying),
     }
-    if fmt == "json":
-        payload = {
-            "meta": meta,
-            "statistics": stats.__dict__ if stats else None,
-            "entries": [entry.__dict__ for entry in entries],
-        }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = [
-            [rank, e.name, f"{e.p1:.4f}", f"{e.p2:.4f}", f"{e.delta_scaled:.4f}",
-             e.support_y1, e.support_y2, f"{e.weight:.1f}", f"{e.weighted_shift:.1f}"]
-            for rank, e in enumerate(entries, start=1)
-        ]
-        _emit(None, "csv",
-              csv_header=["rank", "name", "p1", "p2", "delta_scaled",
-                          "support_y1", "support_y2", "weight", "weighted_shift"],
-              csv_rows=rows)
+    payload = {
+        "meta": meta,
+        "statistics": stats.__dict__ if stats else None,
+        "entries": [entry.__dict__ for entry in entries],
+    }
+    _emit(payload, fmt,
+          csv_header=["rank", "name", "p1", "p2", "delta_scaled",
+                      "support_y1", "support_y2", "weight", "weighted_shift"],
+          csv_rows=[[rank, e.name, f"{e.p1:.4f}", f"{e.p2:.4f}", f"{e.delta_scaled:.4f}",
+                     e.support_y1, e.support_y2, f"{e.weight:.1f}", f"{e.weighted_shift:.1f}"]
+                    for rank, e in enumerate(entries, start=1)])
+    if fmt == "csv":
         click.echo(f"# qualifying names at |delta|>={min_delta}: {len(qualifying)}",
                    err=True)
 
@@ -223,11 +231,7 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
 def ambiguity(index_path, data_dir, year, fmt):
     """Share of children given a name used for both sexes that year."""
     data = _load_data(index_path, data_dir)
-    try:
-        share = model_mod.ambiguous_name_share(data, year)
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+    share = model_mod.ambiguous_name_share(data, year)
     _emit({"year": year, "ambiguous_share": share}, fmt,
           csv_header=["year", "ambiguous_share"],
           csv_rows=[[year, f"{share:.4f}"]])
@@ -248,18 +252,11 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
     except errors.ConfigError as exc:
         raise click.BadParameter(str(exc), param_hint="'--cohort'")
     data = _load_data(index_path, data_dir)
-    try:
-        records = (
-            audit_mod.load_corpus_csv(corpus_path)
-            if corpus_path else audit_mod.load_leslie_fixture()
-        )
-        result = audit_mod.audit_corpus(
-            records, data, cohort_model=model,
-            atemporal_range=parse_year_range(atemporal),
-        )
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+    records = audit_mod.load_corpus_csv(corpus_path)
+    result = audit_mod.audit_corpus(
+        records, data, cohort_model=model,
+        atemporal_range=parse_year_range(atemporal),
+    )
     payload = {
         "config": result.config,
         "rows": [
@@ -301,76 +298,69 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
         name_list = [n.strip() for n in names.split(",") if n.strip()]
     elif names_file:
         name_list = [
-            line.strip() for line in Path(names_file).read_text().splitlines()
+            line.strip() for line in dataset_mod.read_text(names_file).splitlines()
             if line.strip()
         ]
     else:
         raise click.UsageError("provide --names or --names-file")
 
     data = _load_data(index_path, data_dir)
-    try:
-        if services_spec == "fixtures":
-            configs = services.fixture_configs(fixture_file)
-        elif services_spec.startswith("genderize-live:"):
-            configs = [services.ServiceConfig(
-                service_id="genderize", mode="live",
-                endpoint_url=services_spec.split(":", 1)[1],
-            )]
-        else:
-            raise errors.ConfigError(f"unknown services spec {services_spec!r}")
-        cache = services.PredictionCache(cache_dir) if cache_dir else None
-        rows = services.comparison_table(name_list, data, ssa_year, configs, cache=cache)
-        metrics = services.divergence_metrics(rows) if rows else None
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
-
-    service_ids = sorted({sid for row in rows for sid in row.predictions})
-    if fmt == "json":
-        payload = {
-            "ssa_year": ssa_year,
-            "rows": [
-                {
-                    "name": row.name,
-                    "ssa_p_female": row.ssa_p_female,
-                    "services": {
-                        sid: {
-                            "label": p.predicted_label,
-                            "p_female": p.p_female,
-                            "divergence": row.divergence(sid),
-                        }
-                        for sid, p in row.predictions.items()
-                    },
-                    "errors": row.cell_errors,
-                }
-                for row in rows
-            ],
-            "metrics": {
-                "per_service": metrics["per_service"],
-                "label_disagreement": {
-                    f"{a}/{b}": n for (a, b), n in metrics["label_disagreement"].items()
-                },
-            } if metrics else None,
-        }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    if services_spec == "fixtures":
+        configs = services.fixture_configs(fixture_file)
+    elif services_spec.startswith("genderize-live:"):
+        configs = [services.ServiceConfig(
+            service_id="genderize", mode="live",
+            endpoint_url=services_spec.split(":", 1)[1],
+        )]
     else:
-        header = ["name", "ssa_p_female"]
+        raise errors.ConfigError(f"unknown services spec {services_spec!r}")
+    cache = services.PredictionCache(cache_dir) if cache_dir else None
+    rows = services.comparison_table(name_list, data, ssa_year, configs, cache=cache)
+    metrics = services.divergence_metrics(rows) if rows else None
+
+    payload = {
+        "ssa_year": ssa_year,
+        "rows": [
+            {
+                "name": row.name,
+                "ssa_p_female": row.ssa_p_female,
+                "services": {
+                    sid: {
+                        "label": p.predicted_label,
+                        "p_female": p.p_female,
+                        "divergence": row.divergence(sid),
+                    }
+                    for sid, p in row.predictions.items()
+                },
+                "errors": row.cell_errors,
+            }
+            for row in rows
+        ],
+        "metrics": {
+            "per_service": metrics["per_service"],
+            "label_disagreement": {
+                f"{a}/{b}": n for (a, b), n in metrics["label_disagreement"].items()
+            },
+        } if metrics else None,
+    }
+    service_ids = sorted({sid for row in rows for sid in row.predictions})
+    header = ["name", "ssa_p_female"]
+    for sid in service_ids:
+        header += [f"{sid}_label", f"{sid}_p_female", f"{sid}_divergence"]
+    csv_rows = []
+    for row in rows:
+        out = [row.name,
+               f"{row.ssa_p_female:.4f}" if row.ssa_p_female is not None else ""]
         for sid in service_ids:
-            header += [f"{sid}_label", f"{sid}_p_female", f"{sid}_divergence"]
-        csv_rows = []
-        for row in rows:
-            out = [row.name,
-                   f"{row.ssa_p_female:.4f}" if row.ssa_p_female is not None else ""]
-            for sid in service_ids:
-                p = row.predictions.get(sid)
-                d = row.divergence(sid)
-                out += [
-                    p.predicted_label if p else "",
-                    f"{p.p_female:.4f}" if p and p.p_female is not None else "",
-                    f"{d:.4f}" if d is not None else "",
-                ]
-            csv_rows.append(out)
-        _emit(None, "csv", csv_header=header, csv_rows=csv_rows)
+            p = row.predictions.get(sid)
+            d = row.divergence(sid)
+            out += [
+                p.predicted_label if p else "",
+                f"{p.p_female:.4f}" if p and p.p_female is not None else "",
+                f"{d:.4f}" if d is not None else "",
+            ]
+        csv_rows.append(out)
+    _emit(payload, fmt, csv_header=header, csv_rows=csv_rows)
     if any(row.cell_errors for row in rows):
         sys.exit(EXIT_PARTIAL)
 
@@ -397,19 +387,20 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
         lo, hi = parse_year_range(years)
         year_list = list(range(lo, hi + 1))
     else:
-        year_list = [int(y) for y in years.split(",")]
-    try:
-        if top_shifts is not None:
-            entries = shifts_mod.rank_shifts(data, y1, y2, top_k=top_shifts, weighted=True)
-            name_list = [e.name for e in entries]
-        elif names:
-            name_list = [n.strip() for n in names.split(",") if n.strip()]
-        else:
-            raise click.UsageError("provide --names or --top-shifts")
-        series = report.emit_trajectories(data, name_list, year_list)
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+        try:
+            year_list = [int(y) for y in years.split(",")]
+        except ValueError:
+            raise click.BadParameter(
+                f"expected comma-separated years or START..END, got {years!r}",
+                param_hint="'--years'")
+    if top_shifts is not None:
+        entries = shifts_mod.rank_shifts(data, y1, y2, top_k=top_shifts, weighted=True)
+        name_list = [e.name for e in entries]
+    elif names:
+        name_list = [n.strip() for n in names.split(",") if n.strip()]
+    else:
+        raise click.UsageError("provide --names or --top-shifts")
+    series = report.emit_trajectories(data, name_list, year_list)
     _emit_series(series, fmt)
 
 
@@ -421,15 +412,8 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def bubbles(corpus_path, reference, fmt):
     """Year-by-year publication bubbles per known-gender stratum."""
-    try:
-        records = (
-            audit_mod.load_corpus_csv(corpus_path)
-            if corpus_path else audit_mod.load_leslie_fixture()
-        )
-        series = report.emit_bubble_series(records, reference_value=reference)
-    except errors.TemponymError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+    records = audit_mod.load_corpus_csv(corpus_path)
+    series = report.emit_bubble_series(records, reference_value=reference)
     _emit_series(series, fmt)
 
 

@@ -16,7 +16,9 @@ lookup sums one slice of each.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import re
 import sys
@@ -25,12 +27,9 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, count, repeat
-from operator import add
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import errors
 from ._pyparse import merge_rows
@@ -81,43 +80,6 @@ class _Folds:
         if exact is not None:
             ids = [exact, *ids]
         return list(dict.fromkeys(ids)) if len(ids) > 1 else ids
-
-
-@dataclass(frozen=True)
-class YearTable:
-    """All name counts for one year of birth, F and M rows merged."""
-
-    year: int
-    entries: Mapping[str, tuple[int, int]]
-    total_births: int
-    skipped: int = 0
-
-    def to_rows(self) -> str:
-        """Serialize back to SSA row format (F rows first per name)."""
-        lines = []
-        for name in sorted(self.entries):
-            female, male = self.entries[name]
-            if female:
-                lines.append(f"{name},F,{female}")
-            if male:
-                lines.append(f"{name},M,{male}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def lookup(self, name: str, fold_diacritics: bool = False) -> Optional[tuple[int, int]]:
-        """Exact, then case-insensitive lookup; diacritic folding is opt-in."""
-        hit = self.entries.get(name)
-        if hit is not None:
-            return hit
-        names, folds = self._folds
-        for i in folds.candidates(None, name, fold_diacritics):
-            return self.entries[names[i]]
-        return None
-
-    @cached_property
-    def _folds(self) -> tuple[list[str], _Folds]:
-        """The stored names and their fold maps, built on the first folded lookup."""
-        names = list(self.entries)
-        return names, _Folds(names)
 
 
 @dataclass(frozen=True)
@@ -277,38 +239,10 @@ class Dataset:
                     cells[name] = (f, m)
         return cells
 
-    def table(self, year: int) -> YearTable:
-        """A read-only per-year view, built on demand."""
-        cells = self.year_cells(year)
-        return YearTable(
-            year=year,
-            entries=MappingProxyType(cells),
-            total_births=sum(map(sum, cells.values())),
-            skipped=self.skipped[self._positions[year]] if self.skipped else 0,
-        )
 
-
-def _check_year(year: int) -> None:
-    if not MIN_YEAR <= year <= MAX_YEAR:
-        raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]")
-
-
-def parse_year_file(content: str, year: int, strict: bool = True) -> YearTable:
-    """Parse one SSA yearly file into a merged YearTable.
-
-    Strict mode aborts on any invalid row; lenient mode skips invalid rows
-    and records how many were dropped. ``entries`` is in name order.
-    """
-    _check_year(year)
-    (female, male), skipped = merge_rows(content, strict)
-    entries = {name: (female.get(name, 0), male.get(name, 0))
-               for name in sorted(female.keys() | male.keys())}
-    return YearTable(
-        year=year,
-        entries=MappingProxyType(entries),
-        total_births=sum(female.values()) + sum(male.values()),
-        skipped=skipped,
-    )
+def parse_year_file(content: str, year: int, strict: bool = True) -> Dataset:
+    """Parse one SSA yearly file into a one-year Dataset (see ``load_dataset``)."""
+    return load_dataset([(year, content)], strict)
 
 
 def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> Dataset:
@@ -364,7 +298,9 @@ def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dat
 
     The result is order-independent: sources may arrive in any order. Each
     content is parsed as it arrives and only its counts are kept, so an
-    iterator that reads files lazily holds one file's text at a time.
+    iterator that reads files lazily holds one file's text at a time. A
+    parse error keeps its type (``InvalidSex``, ``FloorViolation``, ...)
+    and its ``lineno``; its message gains the year: ``year Y: line N: ...``.
     """
     canon: dict[str, str] = {}  # one string per distinct name, in order of first sight
     rows: dict[int, tuple[array, array, int]] = {}
@@ -373,10 +309,12 @@ def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dat
         if year in rows:
             raise errors.DuplicateYear(year)
         try:
-            _check_year(year)
+            if not MIN_YEAR <= year <= MAX_YEAR:
+                raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]")
             (female, male), skipped = merge_rows(content, strict, canon)
         except errors.TemponymError as exc:
-            raise errors.TemponymError(f"year {year}: {exc}") from exc
+            exc.args = (f"year {year}: {exc}",)
+            raise
         rows[year] = (array("I", map(female.get, canon, zeros)),
                       array("I", map(male.get, canon, zeros)), skipped)
     return _columns(list(canon), rows)
@@ -402,36 +340,39 @@ def load_directory(
         if wanted is None or year in wanted:
             found.append((year, path))
     found.sort()
-    return load_dataset(((year, _read_text(path)) for year, path in found), strict=strict)
+    return load_dataset(((year, read_text(path)) for year, path in found), strict=strict)
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: Path | str, newline: Optional[str] = None) -> str:
+    """A file's text, decoded as UTF-8; ``newline`` is as for ``open``.
+
+    A file that cannot be read or decoded is a data error naming it.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise errors.TemponymError(f"{path}: not UTF-8 text ({exc})") from None
     except OSError as exc:
         raise errors.TemponymError(f"{path}: cannot be read ({exc.strerror or exc})") from None
 
 
-def dataset_summary(dataset: Dataset) -> dict:
-    """Per-year totals, distinct name counts, and the grand total."""
-    n_years = len(dataset.years_loaded)
-    births, named = [0] * n_years, [0] * n_years
-    for start, stop, base in dataset._spans:
-        cells = list(map(add, dataset.female[base + start:base + stop],
-                         dataset.male[base + start:base + stop]))
-        births[start:stop] = map(add, births[start:stop], cells)
-        named[start:stop] = map(add, named[start:stop], map(bool, cells))
-    per_year = {
-        year: {"total_births": births[pos], "distinct_names": named[pos]}
-        for pos, year in enumerate(dataset.years_loaded)
-    }
-    return {
-        "per_year": per_year,
-        "grand_total": sum(births),
-        "distinct_names": len(dataset.names),
-    }
+def read_csv(path: Path | str, columns: Sequence[str], what: str) -> Iterator[tuple[int, dict]]:
+    """``(line number, row)`` for each record of a UTF-8 CSV file with a header.
+
+    A header without one of ``columns``, or a record that stops before one
+    of them, is a ``ConfigError`` naming the file as a ``what`` CSV.
+    """
+    reader = csv.DictReader(io.StringIO(read_text(path, newline=""), newline=""))
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise errors.ConfigError(f"{path}: {what} CSV has no {', '.join(missing)} column")
+    for row in reader:
+        if any(row[column] is None for column in columns):
+            raise errors.ConfigError(
+                f"{path}: line {reader.line_num} has fewer than {len(columns)} fields"
+            )
+        yield reader.line_num, row
 
 
 def bundled_sample_dir() -> Path:
@@ -527,7 +468,11 @@ def _read_header(path, line: bytes) -> dict:
 
 
 def load_index(path: Path | str) -> Dataset:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise errors.TemponymError(f"{path}: cannot be read ({exc.strerror or exc})") from None
+    with fh:
         if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
             raise errors.IndexFormatError(f"{path}: not a temponym index")
         header = _read_header(path, fh.readline())

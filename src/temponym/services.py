@@ -9,7 +9,6 @@ but never treated as ground truth.
 """
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import os
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from . import errors
-from .dataset import Dataset
+from .dataset import Dataset, read_csv
 from .model import p_female
 
 CACHE_VERSION = "v2"
@@ -111,6 +110,9 @@ class PredictionCache:
         tmp.replace(path)  # atomic: concurrent readers never see partial writes
 
 
+FIXTURE_COLUMNS = ("service_id", "name", "label")
+
+
 def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
     """Fixture CSV -> {service_id: {casefolded name: prediction}}.
 
@@ -121,20 +123,25 @@ def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
         with resources.as_file(source) as bundled:
             return load_fixture_table(bundled)
     table: FixtureTable = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            p_text = (row.get("p_female") or "").strip()
-            count_text = (row.get("sample_count") or "").strip()
-            prediction = ExternalPrediction(
-                service_id=row["service_id"],
-                name=row["name"],
-                predicted_label=row["label"],
-                p_female=float(p_text) if p_text else None,
-                sample_count=int(count_text) if count_text else None,
-                source="fixture",
-                fetched_at="",
-            )
-            table.setdefault(row["service_id"], {})[row["name"].casefold()] = prediction
+    for line, row in read_csv(path, FIXTURE_COLUMNS, "fixture"):
+        numbers = {}
+        for column, kind in (("p_female", float), ("sample_count", int)):
+            text = (row.get(column) or "").strip()
+            try:
+                numbers[column] = kind(text) if text else None
+            except ValueError:
+                raise errors.ConfigError(
+                    f"{path}: line {line}: {column} {text!r} is not a number"
+                ) from None
+        prediction = ExternalPrediction(
+            service_id=row["service_id"],
+            name=row["name"],
+            predicted_label=row["label"],
+            **numbers,
+            source="fixture",
+            fetched_at="",
+        )
+        table.setdefault(row["service_id"], {})[row["name"].casefold()] = prediction
     return table
 
 

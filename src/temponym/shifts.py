@@ -162,8 +162,10 @@ def qualifying_names(
 ) -> set[str]:
     """Names whose shift magnitude and support clear the thresholds.
 
-    With the defaults the population lands near the ~300 names that show
-    a measurable shift between 1925 and 2000.
+    The paper counts ~300 names with a measurable shift between 1925 and
+    1975. The bundled sample is calibrated at ``DEFAULT_YEAR_PAIR``
+    (1925-2000) instead: there the defaults give 300 names, and at
+    1925-1975 they give 1.
     """
     if math.isinf(min_support):
         return set()

@@ -252,3 +252,66 @@ def test_config_that_is_not_json_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(config), "query"])
     assert result.exit_code == 2
     assert "--config" in result.output
+
+
+CORPUS_HEADER = b"record_id,given_name,activity_year,known_gender\n"
+FIXTURE_HEADER = b"service_id,name,label,p_female,sample_count\n"
+
+# (id, arguments with {tmp} for a scratch directory, files written into it, exit code).
+# Each input that once ended in a traceback, then one data error per command.
+CLI_ERRORS = [
+    ("audit-corpus-not-utf8", ["audit", "--corpus", "{tmp}/c.csv"],
+     {"c.csv": CORPUS_HEADER + b"a,Ren\xe9e,1980,F\n"}, 3),
+    ("bubbles-corpus-not-utf8", ["plot", "bubbles", "--corpus", "{tmp}/c.csv"],
+     {"c.csv": CORPUS_HEADER + b"a,Ren\xe9e,1980,F\n"}, 3),
+    ("names-file-not-utf8", ["compare", "--names-file", "{tmp}/n.txt"],
+     {"n.txt": b"Ren\xe9e\nLeslie\n"}, 3),
+    ("fixture-p-female-not-a-number",
+     ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,high,\n"}, 3),
+    ("fixture-sample-count-not-a-number",
+     ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,0.5,many\n"}, 3),
+    ("fixture-without-label", ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": b"service_id,name,p_female\ngenderize,Jean,0.5\n"}, 3),
+    ("fixture-short-row", ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean\n"}, 3),
+    ("trajectories-years-not-years",
+     ["plot", "trajectories", "--names", "Leslie", "--years", "abc"], {}, 2),
+    ("config-section-not-an-object", ["--config", "{tmp}/c.json", "query"],
+     {"c.json": b'{"query": 5}'}, 2),
+    ("config-subsection-not-an-object", ["--config", "{tmp}/c.json", "plot", "bubbles"],
+     {"c.json": b'{"plot": {"bubbles": [1]}}'}, 2),
+    ("query-negative-window",
+     ["query", "--name", "Leslie", "--year", "1925", "--window", "-3"], {}, 2),
+    ("index-is-a-directory", ["query", "--index", "{tmp}", "--name", "Pat", "--year", "1990"],
+     {}, 3),
+    ("config-is-a-directory", ["--config", "{tmp}", "query"], {}, 2),
+    ("corpus-is-a-directory", ["audit", "--corpus", "{tmp}"], {}, 3),
+    ("ingest-bad-row", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
+     {"yob1925.txt": b"Pat,Q,10\n"}, 3),
+    ("query-no-data", ["query", "--name", "Zzyzx", "--year", "1925"], {}, 3),
+    ("shift-year-not-loaded", ["shift", "--y1", "1776"], {}, 3),
+    ("ambiguity-year-not-loaded", ["ambiguity", "--year", "1776"], {}, 3),
+    ("audit-partial", ["audit", "--corpus", "{tmp}/c.csv"],
+     {"c.csv": CORPUS_HEADER + b"a,Leslie,1980,M\nb,Zzyzx,1980,\n"}, 4),
+    ("compare-year-not-loaded", ["compare", "--names", "Jean", "--ssa-year", "1776"], {}, 3),
+    ("compare-unknown-services", ["compare", "--names", "Jean", "--services", "bogus"], {}, 3),
+    ("trajectories-year-not-loaded",
+     ["plot", "trajectories", "--top-shifts", "3", "--y1", "1776"], {}, 3),
+    ("bubbles-corpus-without-activity-year", ["plot", "bubbles", "--corpus", "{tmp}/c.csv"],
+     {"c.csv": b"record_id,given_name\na,Leslie\n"}, 3),
+]
+
+
+@pytest.mark.parametrize("args,files,code", [case[1:] for case in CLI_ERRORS],
+                         ids=[case[0] for case in CLI_ERRORS])
+def test_bad_input_ends_in_a_documented_exit(runner, tmp_path, args, files, code):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    result = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    if code != 4:
+        assert any(line.startswith(("error:", "Error:")) for line in result.output.splitlines())
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)

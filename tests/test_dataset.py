@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 
 import pytest
@@ -7,15 +8,16 @@ from temponym import dataset as ds
 
 
 def test_merges_f_and_m_rows():
-    table = ds.parse_year_file("Abigail,F,13088\nAbigail,M,16", 2000)
-    assert table.entries["Abigail"] == (13088, 16)
-    assert table.total_births == 13104
+    data = ds.parse_year_file("Abigail,F,13088\nAbigail,M,16", 2000)
+    assert data.lookup("Abigail", 2000) == (13088, 16)
+    assert sum(data.female) + sum(data.male) == 13104
 
 
 def test_empty_input_gives_empty_table():
-    table = ds.parse_year_file("", 2000)
-    assert dict(table.entries) == {}
-    assert table.total_births == 0
+    data = ds.parse_year_file("", 2000)
+    assert data.years_loaded == (2000,)
+    assert data.year_cells(2000) == {}
+    assert sum(data.female) + sum(data.male) == 0
 
 
 def test_invalid_sex_rejected_in_strict_mode():
@@ -44,9 +46,9 @@ def test_malformed_line_rejected():
 
 def test_lenient_mode_skips_and_tallies():
     content = "Pat,F,10\nbroken line\nPat,Q,9\nSam,M,8\nTiny,F,2\n"
-    table = ds.parse_year_file(content, 1950, strict=False)
-    assert table.entries == {"Pat": (10, 0), "Sam": (0, 8), "Tiny": (2, 0)}
-    assert table.skipped == 2  # the floor applies only in strict mode
+    data = ds.parse_year_file(content, 1950, strict=False)
+    assert data.year_cells(1950) == {"Pat": (10, 0), "Sam": (0, 8), "Tiny": (2, 0)}
+    assert data.skipped == (2,)  # the floor applies only in strict mode
 
 
 def test_year_bounds_checked():
@@ -71,7 +73,7 @@ def test_duplicate_year_rejected():
 
 
 def test_parse_error_identifies_year():
-    with pytest.raises(errors.TemponymError, match="1925"):
+    with pytest.raises(errors.MalformedLine, match="^year 1925: line 1: "):
         ds.load_dataset([(1925, "garbage"), (1950, "Pat,F,10")])
 
 
@@ -82,29 +84,8 @@ def test_load_order_independence():
     assert forward == backward
 
 
-def test_round_trip_serialization():
-    content = "Ann,F,40\nPat,F,10\nPat,M,7\nSam,M,20\n"
-    table = ds.parse_year_file(content, 1950)
-    again = ds.parse_year_file(table.to_rows(), 1950)
-    assert dict(again.entries) == dict(table.entries)
-    assert table.to_rows() == content
-
-
-def test_summary_additivity(quarter_dataset):
-    summary = ds.dataset_summary(quarter_dataset)
-    assert summary["grand_total"] == sum(
-        row["total_births"] for row in summary["per_year"].values()
-    )
-
-
-def test_summary_empty_dataset():
-    summary = ds.dataset_summary(ds.load_dataset([]))
-    assert summary["grand_total"] == 0
-    assert summary["per_year"] == {}
-
-
 def test_1917_includes_boys_named_sue(sample_dataset):
-    assert sample_dataset.table(1917).entries["Sue"] == (1200, 7)
+    assert sample_dataset.year_cells(1917)["Sue"] == (1200, 7)
 
 
 def test_lookup_is_case_insensitive(sample_dataset):
@@ -113,14 +94,18 @@ def test_lookup_is_case_insensitive(sample_dataset):
 
 
 def test_diacritic_folding_is_opt_in():
-    table = ds.parse_year_file("Renee,F,100", 1990)
-    assert table.lookup("Renée") is None
-    assert table.lookup("Renée", fold_diacritics=True) == (100, 0)
+    data = ds.parse_year_file("Renee,F,100", 1990)
+    assert data.lookup("Renée", 1990) is None
+    assert data.lookup("Renée", 1990, fold_diacritics=True) == (100, 0)
 
 
 def test_tables_are_immutable(sample_dataset):
-    with pytest.raises(TypeError):
-        sample_dataset.table(1925).entries["Leslie"] = (0, 0)
+    cells = sample_dataset.year_cells(1925)
+    cells["Leslie"] = (0, 0)
+    assert sample_dataset.lookup("Leslie", 1925) == (839, 9161)
+    assert sample_dataset.year_cells(1925)["Leslie"] == (839, 9161)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample_dataset.names = ()
 
 
 @pytest.mark.parametrize("column", ["starts", "lengths", "female", "male"])
@@ -129,13 +114,11 @@ def test_dataset_columns_are_read_only(sample_dataset, column):
         getattr(sample_dataset, column)[0] = 0
 
 
-def test_year_table_fold_maps_are_built_once():
-    table = ds.parse_year_file("Renée,F,100\nJean,M,9", 1990)
-    assert table.lookup("renée") == (100, 0)
-    folds = table._folds
-    assert table.lookup("JEAN") == (0, 9)
-    assert table.lookup("Renee", fold_diacritics=True) == (100, 0)
-    assert table._folds is folds
+def test_folded_lookups_in_a_parsed_year():
+    data = ds.parse_year_file("Renée,F,100\nJean,M,9", 1990)
+    assert data.lookup("renée", 1990) == (100, 0)
+    assert data.lookup("JEAN", 1990) == (0, 9)
+    assert data.lookup("Renee", 1990, fold_diacritics=True) == (100, 0)
 
 
 def test_index_round_trip(tmp_path, quarter_dataset):
@@ -144,9 +127,7 @@ def test_index_round_trip(tmp_path, quarter_dataset):
     loaded = ds.load_index(path)
     assert loaded.years_loaded == quarter_dataset.years_loaded
     for year in loaded.years_loaded:
-        assert dict(loaded.table(year).entries) == dict(
-            quarter_dataset.table(year).entries
-        )
+        assert loaded.year_cells(year) == quarter_dataset.year_cells(year)
 
 
 def test_index_rejects_corruption(tmp_path, quarter_dataset):
@@ -167,12 +148,9 @@ def test_index_rejects_foreign_file(tmp_path):
 
 
 def test_plain_lookup_does_not_fold_diacritics():
-    table = ds.parse_year_file("Renée,F,100", 1990)
-    assert table.lookup("Renee") is None
-    assert table.lookup("RENÉE") == (100, 0)
-    assert table.lookup("Renee", fold_diacritics=True) == (100, 0)
     data = ds.load_dataset([(1990, "Renée,F,100")])
     assert data.lookup("Renee", 1990) is None
+    assert data.lookup("RENÉE", 1990) == (100, 0)
     assert data.lookup("Renee", 1990, fold_diacritics=True) == (100, 0)
 
 
@@ -255,8 +233,8 @@ def test_year_bound_does_not_follow_the_clock(monkeypatch):
             return cls(1950, 1, 1)
 
     monkeypatch.setattr(datetime, "date", Frozen)
-    assert ds.parse_year_file("Pat,F,10", 2000).entries == {"Pat": (10, 0)}
-    assert ds.parse_year_file("Pat,F,10", ds.MAX_YEAR).year == ds.MAX_YEAR
+    assert ds.parse_year_file("Pat,F,10", 2000).year_cells(2000) == {"Pat": (10, 0)}
+    assert ds.parse_year_file("Pat,F,10", ds.MAX_YEAR).years_loaded == (ds.MAX_YEAR,)
     with pytest.raises(errors.TemponymError):
         ds.parse_year_file("Pat,F,10", ds.MAX_YEAR + 1)
 
@@ -267,7 +245,8 @@ def test_count_above_32_bits_is_a_data_error():
     for strict in (True, False):
         with pytest.raises(errors.TemponymError, match="line 2: Sam"):
             ds.parse_year_file(f"Pat,F,10\nSam,M,{2**32}", 1990, strict=strict)
-    assert ds.parse_year_file(f"Sam,M,{2**32 - 1}", 1990).entries == {"Sam": (0, 2**32 - 1)}
+    assert ds.parse_year_file(f"Sam,M,{2**32 - 1}", 1990).year_cells(1990) == {
+        "Sam": (0, 2**32 - 1)}
 
 
 def test_zero_counts_are_no_data():

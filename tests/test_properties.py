@@ -54,16 +54,14 @@ def test_pooling_equals_count_weighted_mean(yearly):
 def test_pooling_consistency_on_sample_names(sample_dataset):
     """Brute-force oracle over >=100 random real names from the archive."""
     rng = random.Random(42)
-    tables = {year: sample_dataset.table(year) for year in sample_dataset.years_loaded}
-    all_names = sorted(
-        set().union(*(t.entries.keys() for t in tables.values()))
-    )
+    tables = {year: sample_dataset.year_cells(year) for year in sample_dataset.years_loaded}
+    all_names = sorted(set().union(*tables.values()))
     names = rng.sample(all_names, 120)
     lo, hi = 1880, 2020
     for name in names:
         female = male = 0
         for year in range(lo, hi + 1):
-            hit = tables[year].entries.get(name) if year in tables else None
+            hit = tables[year].get(name) if year in tables else None
             if hit:
                 female += hit[0]
                 male += hit[1]
@@ -316,6 +314,11 @@ def test_each_rejection_names_its_line(bad, error, year_file, data):
         _pyparse.merge_rows("\n".join(lines), strict=True)
     assert caught.value.lineno == at + 1
     assert str(caught.value).startswith(f"line {at + 1}: ")
+    # load_dataset keeps the type and the line, and names the year.
+    with pytest.raises(error) as caught:
+        ds.load_dataset([(1990, "\n".join(lines))])
+    assert caught.value.lineno == at + 1
+    assert str(caught.value).startswith(f"year 1990: line {at + 1}: ")
     # Lenient mode drops the line, but keeps a count below the floor.
     kept = _pyparse.merge_rows("\n".join(lines), strict=False)
     del lines[at]

@@ -104,9 +104,9 @@ def test_qualifying_no_thresholds_gives_all_common_names(sample_dataset):
     names = shifts.qualifying_names(
         sample_dataset, 1925, 2000, min_support=1, min_abs_delta=0
     )
-    table_1925 = sample_dataset.table(1925).entries.keys()
-    table_2000 = sample_dataset.table(2000).entries.keys()
-    assert names == set(table_1925 & table_2000)
+    cells_1925 = sample_dataset.year_cells(1925).keys()
+    cells_2000 = sample_dataset.year_cells(2000).keys()
+    assert names == set(cells_1925 & cells_2000)
 
 
 def test_qualifying_defaults_contain_benchmark_names(sample_dataset):
