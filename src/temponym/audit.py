@@ -8,7 +8,6 @@ is the historical over-count introduced by the atemporal shortcut.
 """
 from __future__ import annotations
 
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
@@ -166,13 +165,8 @@ def temporal_p_female(
         raise errors.NoData(name, f"birth years {span}")
     ratios = map(truediv, compress(female, supports), compress(supports, supports))
     mixture = sum(map(mul, masses, ratios)) / sum(masses)
-    return GenderProbability(
-        name=name,
-        context=f"cohort mixture over {len(masses)} birth years",
-        p_female=mixture,
-        female_count=sum(female),
-        male_count=sum(male),
-    )
+    return GenderProbability(name, f"cohort mixture over {len(masses)} birth years",
+                             mixture, sum(female), sum(male))
 
 
 def _predictor(dataset, cohort_model, atemporal_range):
@@ -267,6 +261,8 @@ def evaluate_known(
     Returns per-predictor confusion matrices plus per-gender paper counts,
     author counts, and median activity years.
     """
+    import statistics  # here, not at the top: only evaluate_known needs it
+
     labeled = [r for r in records if r.known_gender is not None]
     if not labeled:
         raise errors.EmptyInput("no labeled records")

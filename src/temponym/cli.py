@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 partial results
 (some records could not be resolved).
+
+Each command is a fresh process, so this module imports at the top only
+what the option declarations need; a command imports the rest of the
+package itself. Commands call through the module objects
+(``dataset_mod.load_index``), never through names bound at import.
 """
 from __future__ import annotations
 
@@ -13,11 +18,9 @@ from pathlib import Path
 
 import click
 
-from . import audit as audit_mod
-from . import dataset as dataset_mod
-from . import errors, report, services
-from . import model as model_mod
+from . import errors
 from . import shifts as shifts_mod
+from .model import NAMSOR_LESLIE_REFERENCE
 
 EXIT_DATA_ERROR = 3
 EXIT_PARTIAL = 4
@@ -32,6 +35,8 @@ def parse_year_range(text: str) -> tuple[int, int]:
 
 
 def _load_data(index_path, data_dir):
+    from . import dataset as dataset_mod
+
     if index_path and data_dir:
         raise click.UsageError("--index and --dir are mutually exclusive")
     if index_path:
@@ -121,10 +126,15 @@ def main(ctx, config_path):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def ingest(data_dir, years, strict, out_path):
     """Parse SSA yearly files and persist a checksummed index."""
+    from . import dataset as dataset_mod
+
     wanted = None
     if years:
         lo, hi = parse_year_range(years)
         wanted = range(lo, hi + 1)
+    out_dir = Path(out_path).parent
+    if not out_dir.is_dir():  # checked before the archive is parsed
+        raise errors.TemponymError(f"{out_path}: {out_dir} is not an existing directory")
     data = dataset_mod.load_directory(data_dir, years=wanted, strict=strict)
     dataset_mod.save_index(data, out_path)
     births = sum(data.female) + sum(data.male)
@@ -150,6 +160,8 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
     """Female-gender probability for a name in a temporal context."""
     if year is None and pooled is None:
         raise click.UsageError("provide --year or --pooled")
+    from . import model as model_mod
+
     data = _load_data(index_path, data_dir)
     chosen_policy = model_mod.MAJORITY if policy == "majority" else model_mod.T95
     if pooled is not None:
@@ -185,7 +197,7 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
 @click.option("--y1", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[0], show_default=True)
 @click.option("--y2", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[1], show_default=True)
 @click.option("--weighted", is_flag=True, default=False)
-@click.option("--top", type=int, default=50, show_default=True)
+@click.option("--top", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--min-support", type=int, default=shifts_mod.DEFAULT_MIN_SUPPORT,
               show_default=True)
 @click.option("--min-delta", type=float, default=shifts_mod.DEFAULT_MIN_ABS_DELTA,
@@ -230,6 +242,8 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def ambiguity(index_path, data_dir, year, fmt):
     """Share of children given a name used for both sexes that year."""
+    from . import model as model_mod
+
     data = _load_data(index_path, data_dir)
     share = model_mod.ambiguous_name_share(data, year)
     _emit({"year": year, "ambiguous_share": share}, fmt,
@@ -247,6 +261,8 @@ def ambiguity(index_path, data_dir, year, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
     """Temporal vs atemporal expected-female audit of a corpus."""
+    from . import audit as audit_mod
+
     try:
         model = audit_mod.CohortModel.parse(cohort)
     except errors.ConfigError as exc:
@@ -294,6 +310,9 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
 def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
             fixture_file, cache_dir, fmt):
     """Compare third-party gender predictions against SSA ground truth."""
+    from . import dataset as dataset_mod
+    from . import services
+
     if names:
         name_list = [n.strip() for n in names.split(",") if n.strip()]
     elif names_file:
@@ -373,7 +392,7 @@ def plot():
 @plot.command()
 @with_data_options
 @click.option("--names", default=None, help="Comma-separated names.")
-@click.option("--top-shifts", type=int, default=None,
+@click.option("--top-shifts", type=click.IntRange(min=0), default=None,
               help="Instead of --names, use the top-N weighted shifting names.")
 @click.option("--years", default="1925,1950,1975,2000", show_default=True,
               help="Comma-separated years or a range like 1925..2000.")
@@ -382,6 +401,8 @@ def plot():
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
     """p(F) trajectories for named or top-shifting names."""
+    from . import report
+
     data = _load_data(index_path, data_dir)
     if ".." in years:
         lo, hi = parse_year_range(years)
@@ -408,10 +429,13 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), default=None,
               help="Labeled corpus CSV (default: the bundled Leslie fixture).")
 @click.option("--reference", type=float, default=None,
-              help=f"Constant reference p(F) line (e.g. {report.NAMSOR_LESLIE_REFERENCE}).")
+              help=f"Constant reference p(F) line (e.g. {NAMSOR_LESLIE_REFERENCE}).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def bubbles(corpus_path, reference, fmt):
     """Year-by-year publication bubbles per known-gender stratum."""
+    from . import audit as audit_mod
+    from . import report
+
     records = audit_mod.load_corpus_csv(corpus_path)
     series = report.emit_bubble_series(records, reference_value=reference)
     _emit_series(series, fmt)

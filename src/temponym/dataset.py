@@ -44,7 +44,7 @@ MAX_YEAR = 2100
 _YOB_RE = re.compile(r"yob(\d{4})\.txt$")
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 _NO_DATA = (0, 0)
 
@@ -60,7 +60,9 @@ class _Folds:
     """Case- and diacritic-insensitive resolution of a name to table indices.
 
     Both maps are built once per distinct name and map a folded key to the
-    indices (ascending) of every stored name that folds to it.
+    indices (ascending) of every stored name that folds to it. A ``Dataset``
+    builds them on the first lookup that needs them: a name not in the table,
+    or any name when two stored names share a folded key.
     """
 
     def __init__(self, names: Sequence[str]):
@@ -80,6 +82,20 @@ class _Folds:
         if exact is not None:
             ids = [exact, *ids]
         return list(dict.fromkeys(ids)) if len(ids) > 1 else ids
+
+
+def _keys_are_distinct(names: Sequence[str]) -> bool:
+    """Whether no two names share a casefold or a diacritic-stripped key.
+
+    Then every stored name folds only to itself. The names hold no ``\n``,
+    so one casefold of the joined table gives every key; only non-ASCII
+    keys can lose diacritics.
+    """
+    folded = "\n".join(names).casefold()
+    keys = folded.split("\n")
+    if not folded.isascii():
+        keys = [key if key.isascii() else strip_diacritics(key) for key in keys]
+    return len(set(keys)) == len(keys)
 
 
 @dataclass(frozen=True)
@@ -105,7 +121,10 @@ class Dataset:
     _spans: list = field(init=False, compare=False, repr=False)
     _positions: dict = field(init=False, compare=False, repr=False)
     _ids: dict = field(init=False, compare=False, repr=False)
-    _folds: _Folds = field(init=False, compare=False, repr=False)
+    # True when every stored name folds only to itself, so an exact name
+    # needs no fold maps; _folds is built by _fold_maps on first need.
+    _distinct: bool = field(init=False, compare=False, repr=False)
+    _folds: Optional[_Folds] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for key in _U32_SECTIONS:
@@ -116,10 +135,27 @@ class Dataset:
                        for start, length, offset in zip(self.starts, self.lengths, offsets)],
             "_positions": {year: pos for pos, year in enumerate(self.years_loaded)},
             "_ids": {name: i for i, name in enumerate(self.names)},
-            "_folds": _Folds(self.names),
+            "_distinct": _keys_are_distinct(self.names),
+            "_folds": None,
         }
         for key, value in derived.items():
             object.__setattr__(self, key, value)
+
+    def _fold_maps(self) -> _Folds:
+        # Two threads may both build the maps; each gets a complete one, and
+        # both are equal, so whichever is kept gives the same answers.
+        folds = self._folds
+        if folds is None:
+            folds = _Folds(self.names)
+            object.__setattr__(self, "_folds", folds)
+        return folds
+
+    def _candidates(self, name: str, fold_diacritics: bool) -> Sequence[int]:
+        """Indices of the stored names that may answer for ``name``, in order."""
+        exact = self._ids.get(name)
+        if exact is not None and self._distinct:
+            return (exact,)
+        return self._fold_maps().candidates(exact, name, fold_diacritics)
 
     def has_year(self, year: int) -> bool:
         return year in self._positions
@@ -154,9 +190,9 @@ class Dataset:
         exact = self._ids.get(name)
         if exact is not None:
             cell = self._first_cell((exact,), pos)
-            if cell is not None:
+            if cell is not None or self._distinct:
                 return cell
-        return self._first_cell(self._folds.candidates(exact, name, fold_diacritics), pos)
+        return self._first_cell(self._fold_maps().candidates(exact, name, fold_diacritics), pos)
 
     def name_counts(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
@@ -170,7 +206,7 @@ class Dataset:
         name's span starts or ends inside them.
         """
         n = len(years)
-        ids = self._folds.candidates(self._ids.get(name), name, fold_diacritics)
+        ids = self._candidates(name, fold_diacritics)
         first = self._positions.get(years[0]) if n else None
         if len(ids) == 1 and first is not None and (
                 self.years_loaded[first:first + n] == tuple(years)):
@@ -210,7 +246,7 @@ class Dataset:
         """(female, male) summed over the loaded years in [first_year, last_year]."""
         lo = bisect_left(self.years_loaded, first_year)
         hi = bisect_right(self.years_loaded, last_year)
-        ids = self._folds.candidates(self._ids.get(name), name, fold_diacritics)
+        ids = self._candidates(name, fold_diacritics)
         if not ids:
             return _NO_DATA
         if len(ids) == 1:  # one stored name answers every year: sum its slices
@@ -384,7 +420,7 @@ def bundled_sample_dir() -> Path:
 #
 # Layout: magic line, one JSON header line, then a zlib-compressed payload.
 # The header holds the format version, the SHA-256 of the uncompressed
-# payload, the years and the byte length of each payload section, in order:
+# payload, the years, the byte length of each payload section, in order:
 #
 #   names    the name table, UTF-8, joined by "\n"
 #   starts   per name, the position in ``years`` of its first cell
@@ -392,27 +428,35 @@ def bundled_sample_dir() -> Path:
 #   female   the female count column, name-major
 #   male     the male count column
 #
-# Every section after ``names`` is unsigned 32-bit little-endian, stored
-# byte-plane shuffled (all first bytes, then all second bytes, ...), which
-# puts the mostly-zero high bytes of counts next to each other for zlib.
-# Loading is decompress, checksum, unshuffle and ``frombytes``: no row parsing.
+# and the width, 1 to 4 bytes, of each section after ``names``. Those
+# sections are unsigned 32-bit little-endian columns, stored byte-plane
+# shuffled (all first bytes, then all second bytes, ...) and cut after the
+# highest plane that holds a non-zero byte: counts below 2^16 keep two
+# planes, so their section holds two bytes per value. Loading is decompress,
+# checksum, unshuffle into zeroed 32-bit words and ``frombytes``: no row
+# parsing.
 
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
 
 
-def _shuffle(column: memoryview) -> bytes:
+def _shuffle(column: memoryview) -> tuple[bytes, int]:
+    """The column's byte planes up to its highest non-zero one, and their count."""
     if sys.byteorder == "big":
         column = array("I", column)
         column.byteswap()
     raw = column.tobytes()
-    return b"".join(raw[plane::4] for plane in range(4))
+    planes = [raw[plane::4] for plane in range(4)]
+    width = 4
+    while width > 1 and planes[width - 1].count(0) == len(planes[width - 1]):
+        width -= 1
+    return b"".join(planes[:width]), width
 
 
-def _unshuffle(data: memoryview) -> array:
-    n = len(data) // 4
-    raw = bytearray(len(data))
-    for plane in range(4):
+def _unshuffle(data: memoryview, width: int) -> array:
+    n = len(data) // width
+    raw = bytearray(4 * n)
+    for plane in range(width):
         raw[plane::4] = data[plane * n:(plane + 1) * n]
     column = array("I")
     column.frombytes(raw)
@@ -422,10 +466,9 @@ def _unshuffle(data: memoryview) -> array:
 
 
 def save_index(dataset: Dataset, path: Path | str) -> None:
-    sections = [
-        "\n".join(dataset.names).encode(),
-        *(_shuffle(getattr(dataset, key)) for key in _U32_SECTIONS),
-    ]
+    """Write ``dataset`` to ``path``; a file that cannot be written is a data error."""
+    columns = {key: _shuffle(getattr(dataset, key)) for key in _U32_SECTIONS}
+    sections = ["\n".join(dataset.names).encode(), *(data for data, _ in columns.values())]
     payload = b"".join(sections)
     header = {
         "format": "temponym-index",
@@ -433,11 +476,15 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
         "sha256": hashlib.sha256(payload).hexdigest(),
         "years": list(dataset.years_loaded),
         "sections": {key: len(data) for key, data in zip(_SECTIONS, sections)},
+        "widths": {key: width for key, (_, width) in columns.items()},
     }
-    with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(zlib.compress(payload, 6))
+    try:
+        with open(path, "wb") as fh:
+            fh.write(INDEX_MAGIC)
+            fh.write(json.dumps(header).encode() + b"\n")
+            fh.write(zlib.compress(payload, 6))
+    except OSError as exc:
+        raise errors.TemponymError(f"{path}: cannot be written ({exc.strerror or exc})") from None
 
 
 def _read_header(path, line: bytes) -> dict:
@@ -451,8 +498,8 @@ def _read_header(path, line: bytes) -> dict:
     if not isinstance(header, dict):
         raise bad("header is not a JSON object")
     version = header.get("version")
-    if version == 1:
-        raise bad("index format version 1 is no longer read; re-run `temponym ingest`")
+    if version in (1, 2):
+        raise bad(f"index format version {version} is no longer read; re-run `temponym ingest`")
     if version != INDEX_VERSION:
         raise bad(f"unsupported index version {version!r}")
     sha, years, sections = header.get("sha256"), header.get("years"), header.get("sections")
@@ -464,6 +511,12 @@ def _read_header(path, line: bytes) -> dict:
     if not (isinstance(sections, dict) and list(sections) == list(_SECTIONS)
             and all(type(n) is int and n >= 0 for n in sections.values())):
         raise bad(f"header sections must be byte lengths of {', '.join(_SECTIONS)}")
+    widths = header.get("widths")
+    if not (isinstance(widths, dict) and list(widths) == list(_U32_SECTIONS)
+            and all(type(w) is int and 1 <= w <= 4 for w in widths.values())):
+        raise bad(f"header widths must be byte widths 1 to 4 of {', '.join(_U32_SECTIONS)}")
+    if any(sections[key] % widths[key] for key in _U32_SECTIONS):
+        raise bad("a column section is not a whole number of values of its width")
     return header
 
 
@@ -490,8 +543,6 @@ def load_index(path: Path | str) -> Dataset:
             f"{path}: section lengths add up to {sum(sizes.values())} bytes, "
             f"the payload has {len(payload)}"
         )
-    if any(sizes[key] % 4 for key in _U32_SECTIONS):
-        raise errors.IndexFormatError(f"{path}: a column section is not whole 32-bit words")
     view = memoryview(payload)
     parts = {}
     for key, end in zip(_SECTIONS, accumulate(sizes[key] for key in _SECTIONS)):
@@ -503,7 +554,8 @@ def load_index(path: Path | str) -> Dataset:
     names = tuple(text.split("\n")) if text else ()
     if not all(a < b for a, b in zip(names, names[1:])):
         raise errors.IndexFormatError(f"{path}: name table is not sorted and unique")
-    columns = {key: _unshuffle(data) for key, data in parts.items()}
+    widths = header["widths"]
+    columns = {key: _unshuffle(data, widths[key]) for key, data in parts.items()}
     starts, lengths = columns["starts"], columns["lengths"]
     n_years = len(header["years"])
     if not (len(starts) == len(lengths) == len(names)

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import errors
 from .dataset import Dataset
 
 DEFAULT_MIN_SUPPORT = 20
+
+# Constant p(F) a major vendor assigns the name Leslie, useful as a
+# reference line against the temporal trajectories.
+NAMSOR_LESLIE_REFERENCE = 0.874
 
 
 class GenderLabel(Enum):
@@ -22,8 +27,13 @@ class GenderLabel(Enum):
     UNKNOWN = "U"
 
 
-@dataclass(frozen=True)
-class GenderProbability:
+class GenderProbability(NamedTuple):
+    """An immutable p(F) with the counts it was computed from.
+
+    A named tuple rather than a frozen dataclass: every lookup builds one,
+    and a tuple is built about three times as fast.
+    """
+
     name: str
     context: str
     p_female: float
@@ -91,13 +101,7 @@ def from_counts(
     name: str, context: str, female: int, male: int, pseudocount: float = 0.0
 ) -> GenderProbability:
     """The probability for counts already looked up; support must be > 0."""
-    return GenderProbability(
-        name=name,
-        context=context,
-        p_female=_ratio(female, male, pseudocount),
-        female_count=female,
-        male_count=male,
-    )
+    return GenderProbability(name, context, _ratio(female, male, pseudocount), female, male)
 
 
 def p_female_windowed(

@@ -11,11 +11,8 @@ from typing import Iterable, Optional, Sequence
 from . import errors
 from .audit import KNOWN_P_FEMALE, CorpusRecord
 from .dataset import Dataset
+from .model import NAMSOR_LESLIE_REFERENCE  # noqa: F401 - re-exported
 from .model import p_female
-
-# Constant p(F) a major vendor assigns the name Leslie, useful as a
-# reference line against the temporal trajectories.
-NAMSOR_LESLIE_REFERENCE = 0.874
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ alone) or weighted by how heavily the name was used in the two years.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -130,6 +129,8 @@ def shift_statistics(
     use_weighted: bool = False,
 ) -> ShiftStatistics:
     """Counts, median, and mean over a shift population."""
+    import statistics  # here, not at the top: only `shift` needs it
+
     values = [
         entry.weighted_shift if use_weighted else entry.delta_scaled
         for entry in entries

@@ -89,6 +89,35 @@ def _version_1(path):
                         "years": [1990]}, gzip.compress(payload))
 
 
+def _version_2(path):
+    header, payload = _index_parts(path)
+    header["version"] = 2
+    del header["widths"]
+    _write_index(path, header, payload)
+
+
+def _set_female_width(path, width):
+    header, payload = _index_parts(path)
+    header["widths"]["female"] = width
+    _write_index(path, header, payload)
+
+
+def _width_0(path):
+    _set_female_width(path, 0)
+
+
+def _width_5(path):
+    _set_female_width(path, 5)
+
+
+def _width_not_an_integer(path):
+    _set_female_width(path, 1.0)
+
+
+def _length_not_a_multiple_of_width(path):
+    _set_female_width(path, 4)  # the female section holds two 1-byte values
+
+
 def _sections_do_not_add_up(path):
     header, payload = _index_parts(path)
     header["sections"]["names"] += 4
@@ -109,6 +138,11 @@ BAD_INDEXES = [
     (_drop_sha256, "no sha256"),
     (_header_not_json, "not JSON"),
     (_version_1, "re-run `temponym ingest`"),
+    (_version_2, "version 2 is no longer read; re-run `temponym ingest`"),
+    (_width_0, "header widths"),
+    (_width_5, "header widths"),
+    (_width_not_an_integer, "header widths"),
+    (_length_not_a_multiple_of_width, "not a whole number of values of its width"),
     (_sections_do_not_add_up, "section lengths"),
     (_spans_outside_columns, "spans point outside"),
 ]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import temponym
 from temponym import dataset as ds
 from temponym.cli import main
 
@@ -290,6 +295,12 @@ CLI_ERRORS = [
     ("corpus-is-a-directory", ["audit", "--corpus", "{tmp}"], {}, 3),
     ("ingest-bad-row", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
      {"yob1925.txt": b"Pat,Q,10\n"}, 3),
+    ("ingest-out-directory-missing", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/no/x.idx"],
+     {"yob1925.txt": b"Pat,F,10\n"}, 3),
+    ("ingest-out-is-a-directory", ["ingest", "--dir", "{tmp}", "--out", "{tmp}"],
+     {"yob1925.txt": b"Pat,F,10\n"}, 3),
+    ("shift-negative-top", ["shift", "--top", "-3"], {}, 2),
+    ("trajectories-negative-top-shifts", ["plot", "trajectories", "--top-shifts", "-1"], {}, 2),
     ("query-no-data", ["query", "--name", "Zzyzx", "--year", "1925"], {}, 3),
     ("shift-year-not-loaded", ["shift", "--y1", "1776"], {}, 3),
     ("ambiguity-year-not-loaded", ["ambiguity", "--year", "1776"], {}, 3),
@@ -315,3 +326,35 @@ def test_bad_input_ends_in_a_documented_exit(runner, tmp_path, args, files, code
     if code != 4:
         assert any(line.startswith(("error:", "Error:")) for line in result.output.splitlines())
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+# Each command imports the modules it uses and no others: these are all the
+# temponym modules a command may load, and whether it loads ``statistics``.
+COMMON_MODULES = ["temponym", "temponym._pyparse", "temponym.cli", "temponym.dataset",
+                  "temponym.errors", "temponym.model", "temponym.shifts"]
+COMMAND_MODULES = [
+    (["query", "--name", "Leslie", "--year", "1925"], COMMON_MODULES, False),
+    (["shift", "--top", "3"], COMMON_MODULES, True),
+    (["audit"], sorted(COMMON_MODULES + ["temponym.audit"]), False),
+]
+LOADED_MODULES = """
+import json, sys
+from temponym.cli import main
+try:
+    main(sys.argv[1:], prog_name="temponym")
+finally:
+    temponym = sorted(m for m in sys.modules if m.split(".")[0] == "temponym")
+    print(json.dumps([temponym, "statistics" in sys.modules]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args,modules,statistics", COMMAND_MODULES,
+                         ids=[case[0][0] for case in COMMAND_MODULES])
+def test_a_command_imports_only_what_it_uses(args, modules, statistics):
+    src = str(Path(temponym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == [modules, statistics]

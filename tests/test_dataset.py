@@ -1,5 +1,9 @@
 import dataclasses
 import datetime
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -283,3 +287,78 @@ def test_index_format_errors(bad_index):
     with pytest.raises(errors.IndexFormatError) as caught:
         ds.load_index(path)
     assert message in str(caught.value)
+
+
+def test_exact_names_resolve_without_fold_maps_until_a_miss(tmp_path):
+    ds.save_index(ds.load_dataset([(1990, "Ann,F,10\nRenée,F,7"), (1991, "Bo,M,9")]),
+                  tmp_path / "distinct.idx")
+    data = ds.load_index(tmp_path / "distinct.idx")
+    assert data.lookup("Ann", 1990) == (10, 0)
+    assert data.lookup("Ann", 1991) is None
+    assert data.lookup("Renée", 1990, fold_diacritics=True) == (7, 0)
+    assert data.name_counts("Renée", [1990, 1991]) == ([7, 0], [0, 0])
+    assert data.totals("Bo", 1990, 1991) == (0, 9)
+    assert data._folds is None
+    assert data.lookup("Zzyzx", 1990) is None  # a miss builds the maps
+    assert data._folds is not None
+    assert data.lookup("renee", 1990, fold_diacritics=True) == (7, 0)
+
+
+def test_a_variant_spelling_builds_the_fold_maps():
+    data = ds.load_dataset([(1990, "Ann,F,10")])
+    assert data.lookup("ANN", 1990) == (10, 0)
+    assert data._folds is not None
+
+
+def test_shared_keys_resolve_exact_names_through_the_fold_maps():
+    data = ds.load_dataset([(1990, "Lee,F,10"), (1991, "LEE,M,20")])
+    assert data.lookup("Lee", 1991) == (0, 20)
+    assert data._folds is not None
+
+
+def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch):
+    calls = []
+    strip = ds.strip_diacritics
+    monkeypatch.setattr(ds, "strip_diacritics", lambda text: calls.append(text) or strip(text))
+    data = ds.load_dataset([(1990, "Ann,F,10\nLee,M,9\nBo,F,8")])
+    assert data.lookup("Lee", 1990) == (0, 9)
+    assert calls == []
+    ds.load_dataset([(1990, "Ann,F,10\nRenée,F,7")])
+    assert calls == ["renée"]
+
+
+FOLD_QUERIES = [("lee", 1990, False), ("LEE", 1991, False), ("renee", 1990, True),
+                ("RENEE", 1991, False), ("Zzyzx", 1990, True), ("ANN", 1990, False)]
+
+
+def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch):
+    sources = [(1990, "Lee,F,10\nLEE,M,40\nRenée,F,100\nAnn,F,7"), (1991, "lee,M,20\nRenee,M,30")]
+
+    def answers(data):
+        return [(data.lookup(name, year, fold), data.name_counts(name, [1990, 1991], fold),
+                 data.totals(name, 1990, 1991, fold)) for name, year, fold in FOLD_QUERIES]
+
+    expected = answers(ds.load_dataset(sources))
+    data = ds.load_dataset(sources)
+    racers = 8  # more threads than cores
+    start = threading.Barrier(racers, timeout=30)
+
+    class SlowFolds(ds._Folds):
+        def __init__(self, names):
+            time.sleep(0.05)  # every racer arrives while the first build is running
+            super().__init__(names)
+
+    monkeypatch.setattr(ds, "_Folds", SlowFolds)
+
+    def race(_):
+        start.wait()
+        return answers(data)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(racers) as pool:
+            results = list(pool.map(race, range(racers), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * racers
