@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import compress
 from operator import add, mul, truediv
 from pathlib import Path
@@ -53,7 +52,7 @@ class CohortModel:
         parts = text.split(":")
         kinds = {"fixed": "fixed-offset", "uniform": "uniform-window",
                  "triangular": "triangular-window"}
-        if parts[0] not in kinds or len(parts) > 3:
+        if parts[0] not in kinds or len(parts) > (2 if parts[0] == "fixed" else 3):
             raise errors.ConfigError(f"unknown cohort spec {text!r}")
         try:
             offset = int(parts[1]) if len(parts) > 1 else DEFAULT_COHORT_OFFSET
@@ -306,10 +305,10 @@ CORPUS_COLUMNS = ("record_id", "given_name", "activity_year")
 def load_corpus_csv(path: Optional[Path | str] = None) -> list[CorpusRecord]:
     """Read a corpus CSV: record_id,given_name,activity_year[,known_gender].
 
-    Defaults to the bundled Leslie corpus.
+    Defaults to the bundled 478-paper Leslie publication corpus (1970-2020).
     """
     if path is None:
-        return load_leslie_fixture()
+        path = Path(__file__).resolve().parent / "data" / "fixtures" / "leslie_corpus.csv"
     records = []
     for _, row in read_csv(path, CORPUS_COLUMNS, "corpus"):
         record_id = row["record_id"]
@@ -334,9 +333,3 @@ def load_corpus_csv(path: Optional[Path | str] = None) -> list[CorpusRecord]:
         )
     return records
 
-
-def load_leslie_fixture() -> list[CorpusRecord]:
-    """The bundled 478-paper Leslie publication corpus (1970-2020)."""
-    source = resources.files("temponym").joinpath("data/fixtures/leslie_corpus.csv")
-    with resources.as_file(source) as path:
-        return load_corpus_csv(path)

@@ -27,11 +27,15 @@ EXIT_PARTIAL = 4
 
 
 def parse_year_range(text: str) -> tuple[int, int]:
+    """``(START, END)`` of a ``START..END`` year range; END may not precede START."""
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise click.BadParameter(f"expected START..END, got {text!r}")
+    if lo > hi:
+        raise click.BadParameter(f"{text!r} ends before it starts")
+    return lo, hi
 
 
 def _load_data(index_path, data_dir):
@@ -162,11 +166,12 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
         raise click.UsageError("provide --year or --pooled")
     from . import model as model_mod
 
+    pooled_range = parse_year_range(pooled) if pooled is not None else None
     data = _load_data(index_path, data_dir)
     chosen_policy = model_mod.MAJORITY if policy == "majority" else model_mod.T95
-    if pooled is not None:
+    if pooled_range is not None:
         prob = model_mod.p_female_pooled(
-            data, name, parse_year_range(pooled), fold_diacritics=fold_diacritics
+            data, name, pooled_range, fold_diacritics=fold_diacritics
         )
     elif window:
         prob = model_mod.p_female_windowed(
@@ -267,11 +272,11 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
         model = audit_mod.CohortModel.parse(cohort)
     except errors.ConfigError as exc:
         raise click.BadParameter(str(exc), param_hint="'--cohort'")
+    atemporal_range = parse_year_range(atemporal)
     data = _load_data(index_path, data_dir)
     records = audit_mod.load_corpus_csv(corpus_path)
     result = audit_mod.audit_corpus(
-        records, data, cohort_model=model,
-        atemporal_range=parse_year_range(atemporal),
+        records, data, cohort_model=model, atemporal_range=atemporal_range
     )
     payload = {
         "config": result.config,
@@ -403,7 +408,6 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
     """p(F) trajectories for named or top-shifting names."""
     from . import report
 
-    data = _load_data(index_path, data_dir)
     if ".." in years:
         lo, hi = parse_year_range(years)
         year_list = list(range(lo, hi + 1))
@@ -414,6 +418,7 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
             raise click.BadParameter(
                 f"expected comma-separated years or START..END, got {years!r}",
                 param_hint="'--years'")
+    data = _load_data(index_path, data_dir)
     if top_shifts is not None:
         entries = shifts_mod.rank_shifts(data, y1, y2, top_k=top_shifts, weighted=True)
         name_list = [e.name for e in entries]

@@ -105,8 +105,9 @@ class Dataset:
     Name ``names[i]`` has ``lengths[i]`` cells, for the positions
     ``starts[i]`` onwards in ``years_loaded``; its cells follow those of
     ``names[i - 1]`` in ``female`` and ``male``. The four columns are given
-    as ``array('I')`` and kept as read-only memoryviews over them, so the
-    dataset can be shared by concurrent readers.
+    as ``array('I')`` or ``'I'`` memoryviews and kept as read-only
+    memoryviews over them, so the dataset can be shared by concurrent
+    readers.
     """
 
     years_loaded: tuple[int, ...]
@@ -176,6 +177,11 @@ class Dataset:
                     return female, male
         return None
 
+    def _first_cells(self, ids: Sequence[int], positions: Iterable[int]) -> tuple[list, list]:
+        """Female and male counts of ``_first_cell`` at each position; 0 for no data."""
+        cells = [self._first_cell(ids, pos) or _NO_DATA for pos in positions]
+        return [f for f, _ in cells], [m for _, m in cells]
+
     def lookup(
         self, name: str, year: int, fold_diacritics: bool = False
     ) -> Optional[tuple[int, int]]:
@@ -217,14 +223,8 @@ class Dataset:
             head, tail = [0] * (lo - first), [0] * (first + n - hi)
             return (head + self.female[base + lo:base + hi].tolist() + tail,
                     head + self.male[base + lo:base + hi].tolist() + tail)
-        female, male = [], []
-        for year in years:
-            pos = self._positions.get(year)
-            cell = self._first_cell(ids, pos) if pos is not None else None
-            f, m = cell or _NO_DATA
-            female.append(f)
-            male.append(m)
-        return female, male
+        # -1, the position of a year not loaded, is in no name's span
+        return self._first_cells(ids, [self._positions.get(year, -1) for year in years])
 
     def year_pair_cells(self, y1: int, y2: int) -> list[tuple[str, int, int, int, int]]:
         """``(name, f1, m1, f2, m2)`` for every name with data in both years, in name order."""
@@ -255,25 +255,12 @@ class Dataset:
             if lo >= hi:
                 return _NO_DATA
             return sum(self.female[lo:hi]), sum(self.male[lo:hi])
-        female = male = 0
-        for pos in range(lo, hi):
-            cell = self._first_cell(ids, pos)
-            if cell:
-                female += cell[0]
-                male += cell[1]
-        return female, male
+        female, male = self._first_cells(ids, range(lo, hi))
+        return sum(female), sum(male)
 
     def year_cells(self, year: int) -> dict[str, tuple[int, int]]:
         """Every name with data in one year, in name order, with its counts."""
-        pos = self._position(year)
-        female, male = self.female, self.male
-        cells = {}
-        for name, (start, stop, base) in zip(self.names, self._spans):
-            if start <= pos < stop:
-                f, m = female[base + pos], male[base + pos]
-                if f or m:
-                    cells[name] = (f, m)
-        return cells
+        return {name: (f, m) for name, f, m, _, _ in self.year_pair_cells(year, year)}
 
 
 def parse_year_file(content: str, year: int, strict: bool = True) -> Dataset:
@@ -364,6 +351,7 @@ def load_directory(
     """Load every yobYYYY.txt file in a directory, optionally filtered.
 
     Files are read as UTF-8, one at a time, in year order, as they are parsed.
+    A directory with no such file (of the wanted years) is a data error.
     """
     directory = Path(directory)
     wanted = set(years) if years is not None else None
@@ -375,6 +363,10 @@ def load_directory(
         year = int(match.group(1))
         if wanted is None or year in wanted:
             found.append((year, path))
+    if not found:
+        where = "" if wanted is None else (
+            f" for years {min(wanted)}..{max(wanted)}" if wanted else " for no year")
+        raise errors.TemponymError(f"{directory}: no yobYYYY.txt file{where}")
     found.sort()
     return load_dataset(((year, read_text(path)) for year, path in found), strict=strict)
 
@@ -433,36 +425,35 @@ def bundled_sample_dir() -> Path:
 # shuffled (all first bytes, then all second bytes, ...) and cut after the
 # highest plane that holds a non-zero byte: counts below 2^16 keep two
 # planes, so their section holds two bytes per value. Loading is decompress,
-# checksum, unshuffle into zeroed 32-bit words and ``frombytes``: no row
-# parsing.
+# checksum and unshuffle into zeroed 32-bit words, which the Dataset reads in
+# place: no row parsing.
 
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
 
 
+# The byte offset, in a native 32-bit word, of each byte plane, least
+# significant first.
+_PLANE_OFFSETS = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
+
+
 def _shuffle(column: memoryview) -> tuple[bytes, int]:
     """The column's byte planes up to its highest non-zero one, and their count."""
-    if sys.byteorder == "big":
-        column = array("I", column)
-        column.byteswap()
     raw = column.tobytes()
-    planes = [raw[plane::4] for plane in range(4)]
+    planes = [raw[offset::4] for offset in _PLANE_OFFSETS]
     width = 4
     while width > 1 and planes[width - 1].count(0) == len(planes[width - 1]):
         width -= 1
     return b"".join(planes[:width]), width
 
 
-def _unshuffle(data: memoryview, width: int) -> array:
+def _unshuffle(data: memoryview, width: int) -> memoryview:
+    """The 32-bit column whose first ``width`` byte planes are ``data``."""
     n = len(data) // width
     raw = bytearray(4 * n)
     for plane in range(width):
-        raw[plane::4] = data[plane * n:(plane + 1) * n]
-    column = array("I")
-    column.frombytes(raw)
-    if sys.byteorder == "big":
-        column.byteswap()
-    return column
+        raw[_PLANE_OFFSETS[plane]::4] = data[plane * n:(plane + 1) * n]
+    return memoryview(raw).cast("I")
 
 
 def save_index(dataset: Dataset, path: Path | str) -> None:

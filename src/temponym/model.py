@@ -1,7 +1,9 @@
 """Female-gender probabilities for names, conditioned on time.
 
 A probability is always an exact count ratio over an explicit temporal
-context: a single year, a window around a year, or a pooled year range.
+context: a single year, a window around a year, or a pooled year range;
+no smoothing is applied, so a name without births in the context has no
+probability (``NoData``).
 The pooled form mimics the "present-day snapshot" behaviour of commercial
 gender APIs and serves as the atemporal baseline in bias audits.
 """
@@ -44,64 +46,46 @@ class GenderProbability(NamedTuple):
     def support(self) -> int:
         return self.female_count + self.male_count
 
-    @property
-    def p_male(self) -> float:
-        return 1.0 - self.p_female
-
 
 @dataclass(frozen=True)
 class ClassificationPolicy:
     """How a probability becomes a Female/Male/Unknown label.
 
-    ``majority`` labels by which side of 0.5 the probability falls on;
-    ``symmetric-threshold`` only labels when the probability clears the
-    threshold toward either gender (e.g. the common >0.95 rule).
+    A probability is labelled Female above ``threshold`` and Male below
+    ``1 - threshold``, and Unknown otherwise or when fewer than
+    ``min_support`` births back it. A threshold of 0.5 is the majority
+    rule; 0.95 is the common >0.95 rule.
     """
 
-    kind: str = "majority"
-    threshold: float = 0.95
-    min_support: int = DEFAULT_MIN_SUPPORT
+    threshold: float
+    min_support: int
 
     def __post_init__(self):
-        if self.kind not in ("majority", "symmetric-threshold"):
-            raise errors.ConfigError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "symmetric-threshold" and not 0.5 < self.threshold <= 1.0:
-            raise errors.ConfigError("threshold must be in (0.5, 1]")
+        if not 0.5 <= self.threshold <= 1.0:
+            raise errors.ConfigError("threshold must be in [0.5, 1]")
         if self.min_support < 1:
             raise errors.ConfigError("min_support must be >= 1")
 
 
-MAJORITY = ClassificationPolicy(kind="majority")
-T95 = ClassificationPolicy(kind="symmetric-threshold", threshold=0.95, min_support=1)
-
-
-def _ratio(female: int, male: int, pseudocount: float = 0.0) -> float:
-    support = female + male
-    if pseudocount:
-        return (female + pseudocount) / (support + 2 * pseudocount)
-    return female / support  # int / int is correctly rounded, at any size
+MAJORITY = ClassificationPolicy(0.5, DEFAULT_MIN_SUPPORT)
+T95 = ClassificationPolicy(0.95, 1)
 
 
 def p_female(
-    dataset: Dataset,
-    name: str,
-    year: int,
-    fold_diacritics: bool = False,
-    pseudocount: float = 0.0,
+    dataset: Dataset, name: str, year: int, fold_diacritics: bool = False
 ) -> GenderProbability:
     """p(F) for a single year of birth: female count over total count."""
     counts = dataset.lookup(name, year, fold_diacritics=fold_diacritics)
     if counts is None or sum(counts) == 0:
         raise errors.NoData(name, str(year))
     female, male = counts
-    return from_counts(name, str(year), female, male, pseudocount)
+    return from_counts(name, str(year), female, male)
 
 
-def from_counts(
-    name: str, context: str, female: int, male: int, pseudocount: float = 0.0
-) -> GenderProbability:
+def from_counts(name: str, context: str, female: int, male: int) -> GenderProbability:
     """The probability for counts already looked up; support must be > 0."""
-    return GenderProbability(name, context, _ratio(female, male, pseudocount), female, male)
+    # int / int is correctly rounded, at any size
+    return GenderProbability(name, context, female / (female + male), female, male)
 
 
 def p_female_windowed(
@@ -110,15 +94,11 @@ def p_female_windowed(
     center_year: int,
     half_width: int,
     fold_diacritics: bool = False,
-    pseudocount: float = 0.0,
 ) -> GenderProbability:
     """p(F) over [center-h, center+h]; counts summed before dividing."""
     lo, hi = center_year - half_width, center_year + half_width
-    return _accumulate(
-        dataset, name, lo, hi,
-        context=f"{lo}..{hi} (window around {center_year})",
-        fold_diacritics=fold_diacritics, pseudocount=pseudocount,
-    )
+    return _accumulate(dataset, name, lo, hi,
+                       f"{lo}..{hi} (window around {center_year})", fold_diacritics)
 
 
 def p_female_pooled(
@@ -126,7 +106,6 @@ def p_female_pooled(
     name: str,
     year_range: range | tuple[int, int],
     fold_diacritics: bool = False,
-    pseudocount: float = 0.0,
 ) -> GenderProbability:
     """p(F) pooled over every loaded year in the range (atemporal snapshot).
 
@@ -138,18 +117,14 @@ def p_female_pooled(
     if not year_range or year_range[0] > year_range[-1]:
         raise errors.TemponymError(f"pooled years {year_range!r} hold no year")
     first, last = year_range[0], year_range[-1]
-    return _accumulate(
-        dataset, name, first, last,
-        context=f"pooled {first}..{last}",
-        fold_diacritics=fold_diacritics, pseudocount=pseudocount,
-    )
+    return _accumulate(dataset, name, first, last, f"pooled {first}..{last}", fold_diacritics)
 
 
-def _accumulate(dataset, name, first, last, context, fold_diacritics, pseudocount):
+def _accumulate(dataset, name, first, last, context, fold_diacritics):
     female, male = dataset.totals(name, first, last, fold_diacritics=fold_diacritics)
     if female + male == 0:
         raise errors.NoData(name, context)
-    return from_counts(name, context, female, male, pseudocount)
+    return from_counts(name, context, female, male)
 
 
 def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -> GenderLabel:
@@ -159,9 +134,9 @@ def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -
         return GenderLabel.UNKNOWN
     # Exact rational comparison, in integers, so that swapping the counts
     # mirrors the label exactly, even at threshold boundaries.
-    if female / support != prob.p_female:  # smoothed probability; compare it instead
+    if female / support != prob.p_female:  # a mixture, not the counts' ratio; compare it
         female, support = prob.p_female.as_integer_ratio()
-    num, den = (1, 2) if policy.kind == "majority" else policy.threshold.as_integer_ratio()
+    num, den = policy.threshold.as_integer_ratio()
     if female * den > num * support:  # p > threshold
         return GenderLabel.FEMALE
     if female * den < (den - num) * support:  # p < 1 - threshold

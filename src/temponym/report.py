@@ -11,7 +11,6 @@ from typing import Iterable, Optional, Sequence
 from . import errors
 from .audit import KNOWN_P_FEMALE, CorpusRecord
 from .dataset import Dataset
-from .model import NAMSOR_LESLIE_REFERENCE  # noqa: F401 - re-exported
 from .model import p_female
 
 

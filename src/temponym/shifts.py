@@ -3,13 +3,13 @@
 The shift for a name is (p(F) in the later year minus p(F) in the earlier
 year) scaled by 100: positive means the name moved toward female use,
 negative toward male use. Rankings come unweighted (by shift magnitude
-alone) or weighted by how heavily the name was used in the two years.
+alone) or weighted by how heavily the name was used in the two years: the
+weight is the mean of the two years' supports.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from . import errors
 from .dataset import Dataset
@@ -18,15 +18,6 @@ from .model import p_female
 DEFAULT_MIN_SUPPORT = 50
 DEFAULT_MIN_ABS_DELTA = 20.0
 DEFAULT_YEAR_PAIR = (1925, 2000)
-
-# How two endpoint supports become a ranking weight. The mean is the
-# default; the choice is configurable because no single convention exists.
-WEIGHTINGS: dict[str, Callable[[int, int], float]] = {
-    "mean": lambda s1, s2: (s1 + s2) / 2,
-    "sum": lambda s1, s2: float(s1 + s2),
-    "max": lambda s1, s2: float(max(s1, s2)),
-    "log-sum": lambda s1, s2: math.log1p(s1 + s2),
-}
 
 
 @dataclass(frozen=True)
@@ -53,19 +44,13 @@ class ShiftStatistics:
     net_direction: str  # female | male | neutral
 
 
-def gender_shift(
-    dataset: Dataset,
-    name: str,
-    y1: int,
-    y2: int,
-    weighting: str = "mean",
-) -> ShiftEntry:
+def gender_shift(dataset: Dataset, name: str, y1: int, y2: int) -> ShiftEntry:
     """Shift entry for one name; requires data at both endpoint years."""
     prob1 = p_female(dataset, name, y1)
     prob2 = p_female(dataset, name, y2)
     row = _row(name, prob1.female_count, prob1.male_count,
                prob2.female_count, prob2.male_count)
-    return _entry(row, y1, y2, WEIGHTINGS[weighting])
+    return _entry(row, y1, y2)
 
 
 def _row(name, f1, m1, f2, m2):
@@ -75,9 +60,9 @@ def _row(name, f1, m1, f2, m2):
     return name, s1, s2, p1, p2, (p2 - p1) * 100
 
 
-def _entry(row, y1, y2, weight_fn) -> ShiftEntry:
+def _entry(row, y1, y2) -> ShiftEntry:
     name, s1, s2, p1, p2, delta = row
-    weight = weight_fn(s1, s2)
+    weight = (s1 + s2) / 2
     return ShiftEntry(
         name=name,
         y1=y1,
@@ -107,21 +92,19 @@ def rank_shifts(
     min_support_each_year: int = DEFAULT_MIN_SUPPORT,
     top_k: int = 50,
     weighted: bool = False,
-    weighting: str = "mean",
 ) -> list[ShiftEntry]:
     """Top-k shifts, deterministically ordered.
 
     Sorted descending by |shift| (or |weighted shift|); ties broken by
     larger combined support, then by name.
     """
-    weight_fn = WEIGHTINGS[weighting]
     rows = _rows(dataset, y1, y2, min_support_each_year)
     # |weighted_shift| or |delta_scaled| of the entry _entry would build
     magnitude = (
-        (lambda r: abs(r[5] * weight_fn(r[1], r[2]))) if weighted else (lambda r: abs(r[5]))
+        (lambda r: abs(r[5] * ((r[1] + r[2]) / 2))) if weighted else (lambda r: abs(r[5]))
     )
     rows.sort(key=lambda r: (-magnitude(r), -(r[1] + r[2]), r[0]))
-    return [_entry(row, y1, y2, weight_fn) for row in rows[: max(top_k, 0)]]
+    return [_entry(row, y1, y2) for row in rows[: max(top_k, 0)]]
 
 
 def shift_statistics(
@@ -168,9 +151,7 @@ def qualifying_names(
     (1925-2000) instead: there the defaults give 300 names, and at
     1925-1975 they give 1.
     """
-    if math.isinf(min_support):
-        return set()
     return {
-        row[0] for row in _rows(dataset, y1, y2, int(min_support))
+        row[0] for row in _rows(dataset, y1, y2, min_support)
         if abs(row[5]) >= min_abs_delta
     }

@@ -108,14 +108,14 @@ def test_criterion_07_leslie_audit(sample_dataset):
         temporal = audit.temporal_p_female(sample_dataset, "Leslie", dist)
         assert temporal.p_female < 0.5, activity_year
 
-    report = audit.audit_corpus(audit.load_leslie_fixture(), sample_dataset, cohort)
+    report = audit.audit_corpus(audit.load_corpus_csv(), sample_dataset, cohort)
     overcount = {row.period: row.overcount for row in report.rows}
     for decade in (1970, 1980, 1990):
         assert overcount[decade] > 0, decade
 
 
 def test_criterion_08_leslie_fixture_integrity(sample_dataset):
-    records = audit.load_leslie_fixture()
+    records = audit.load_corpus_csv()
     assert len(records) == 478
     result = audit.evaluate_known(records, sample_dataset)
     assert result["record_counts"] == {"M": 242, "F": 220, "U": 16}

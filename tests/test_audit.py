@@ -109,7 +109,7 @@ def test_audit_single_record_overcount_is_two_call_arithmetic(sample_dataset):
 
 
 def test_audit_conservation(sample_dataset):
-    records = audit.load_leslie_fixture()
+    records = audit.load_corpus_csv()
     report = audit.audit_corpus(records, sample_dataset)
     for row in report.rows:
         # expected female + expected male mass adds back to the record count
@@ -129,7 +129,7 @@ def test_audit_unresolved_records_are_tallied(sample_dataset):
 
 
 def test_leslie_fixture_integrity():
-    records = audit.load_leslie_fixture()
+    records = audit.load_corpus_csv()
     assert len(records) == 478
     by_gender = {}
     for record in records:
@@ -148,7 +148,7 @@ def test_leslie_fixture_integrity():
 
 
 def test_evaluate_known_on_fixture(sample_dataset):
-    result = audit.evaluate_known(audit.load_leslie_fixture(), sample_dataset)
+    result = audit.evaluate_known(audit.load_corpus_csv(), sample_dataset)
     assert result["record_counts"] == {"M": 242, "F": 220, "U": 16}
     assert result["author_counts"] == {"M": 37, "F": 83, "U": 13}
     assert result["median_activity_year"]["M"] == 1995

@@ -299,6 +299,18 @@ CLI_ERRORS = [
      {"yob1925.txt": b"Pat,F,10\n"}, 3),
     ("ingest-out-is-a-directory", ["ingest", "--dir", "{tmp}", "--out", "{tmp}"],
      {"yob1925.txt": b"Pat,F,10\n"}, 3),
+    ("ingest-no-files", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"], {}, 3),
+    ("ingest-no-files-in-years",
+     ["ingest", "--dir", "{tmp}", "--years", "1880..1890", "--out", "{tmp}/x.idx"],
+     {"yob1925.txt": b"Pat,F,10\n"}, 3),
+    ("ingest-reversed-years",
+     ["ingest", "--dir", "{tmp}", "--years", "2020..1880", "--out", "{tmp}/x.idx"],
+     {"yob1925.txt": b"Pat,F,10\n"}, 2),
+    ("query-reversed-pooled", ["query", "--name", "Leslie", "--pooled", "2020..1880"], {}, 2),
+    ("audit-reversed-atemporal", ["audit", "--atemporal", "2020..1880"], {}, 2),
+    ("trajectories-reversed-years",
+     ["plot", "trajectories", "--names", "Leslie", "--years", "2000..1990"], {}, 2),
+    ("audit-fixed-cohort-with-half-width", ["audit", "--cohort", "fixed:35:10"], {}, 2),
     ("shift-negative-top", ["shift", "--top", "-3"], {}, 2),
     ("trajectories-negative-top-shifts", ["plot", "trajectories", "--top-shifts", "-1"], {}, 2),
     ("query-no-data", ["query", "--name", "Zzyzx", "--year", "1925"], {}, 3),

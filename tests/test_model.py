@@ -114,7 +114,7 @@ def test_classify_exact_tie_is_unknown():
 
 def test_classify_min_support():
     prob = model.GenderProbability("Pat", "1950", 1.0, 10, 0)
-    policy = model.ClassificationPolicy(kind="majority", min_support=20)
+    policy = model.ClassificationPolicy(0.5, 20)
     assert model.classify(prob, policy) is model.GenderLabel.UNKNOWN
 
 
@@ -123,12 +123,9 @@ def reference_classify(prob, policy):
     if prob.support < policy.min_support:
         return model.GenderLabel.UNKNOWN
     p = Fraction(prob.female_count, prob.support)
-    if float(p) != prob.p_female:  # smoothed probability; fall back to it
+    if float(p) != prob.p_female:  # a smoothed probability or a mixture; fall back to it
         p = Fraction(prob.p_female)
-    if policy.kind == "majority":
-        threshold = Fraction(1, 2)
-    else:
-        threshold = Fraction(policy.threshold)
+    threshold = Fraction(policy.threshold)
     if p > threshold:
         return model.GenderLabel.FEMALE
     if p < 1 - threshold:
@@ -137,7 +134,13 @@ def reference_classify(prob, policy):
 
 
 def threshold_policy(threshold):
-    return model.ClassificationPolicy("symmetric-threshold", threshold, 1)
+    return model.ClassificationPolicy(threshold, 1)
+
+
+def smoothed(female, male, pseudocount):
+    """A probability smoothed by ``pseudocount`` beside the counts it smooths."""
+    p = (female + pseudocount) / (female + male + 2 * pseudocount)
+    return model.GenderProbability("Pat", "test", p, female, male)
 
 
 BOUNDARY_POLICIES = [model.MAJORITY, model.T95, threshold_policy(0.75),
@@ -152,17 +155,16 @@ BOUNDARY_POLICIES = [model.MAJORITY, model.T95, threshold_policy(0.75),
     (0, 1000, 1.0, "M"),
 ])
 def test_classify_boundaries_equal_reference(female, male, pseudocount, label):
-    prob = model.from_counts("Pat", "test", female, male, pseudocount)
+    prob = smoothed(female, male, pseudocount)
     assert model.classify(prob, model.T95).value == label
     for policy in BOUNDARY_POLICIES:
         for min_support in (1, female + male, female + male + 1):
-            bounded = model.ClassificationPolicy(policy.kind, policy.threshold, min_support)
+            bounded = model.ClassificationPolicy(policy.threshold, min_support)
             assert model.classify(prob, bounded) is reference_classify(prob, bounded)
 
 
 probabilities = st.one_of(
-    st.builds(model.from_counts, st.just("Pat"), st.just("test"),
-              st.integers(0, 10**6), st.integers(1, 10**6),
+    st.builds(smoothed, st.integers(0, 10**6), st.integers(1, 10**6),
               st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.001, 100)),
     st.builds(model.from_counts, st.just("Pat"), st.just("test"),
               st.integers(2**53, 2**90), st.integers(2**53, 2**90)),
@@ -170,12 +172,10 @@ probabilities = st.one_of(
     st.builds(model.GenderProbability, st.just("Pat"), st.just("test"),
               st.floats(0.0, 1.0), st.integers(0, 10**6), st.integers(1, 10**6)),
 )
-policies = st.one_of(
-    st.builds(model.ClassificationPolicy, st.just("majority"), st.just(0.95),
-              st.integers(1, 50)),
-    st.builds(model.ClassificationPolicy, st.just("symmetric-threshold"),
-              st.floats(0.5, 1.0, exclude_min=True) | st.sampled_from([0.95, 0.75, 1.0]),
-              st.integers(1, 50)),
+policies = st.builds(
+    model.ClassificationPolicy,
+    st.floats(0.5, 1.0) | st.sampled_from([0.5, 0.95, 0.75, 1.0]),
+    st.integers(1, 50),
 )
 
 
@@ -203,19 +203,13 @@ def test_classify_mixtures_equal_reference(sparse_dataset):
 
 
 def test_policy_validation():
+    for threshold in (0.5, 1.0):
+        assert model.ClassificationPolicy(threshold, 1).threshold == threshold
+    for threshold in (0.4, 0.49, 1.01):
+        with pytest.raises(errors.ConfigError):
+            model.ClassificationPolicy(threshold, 1)
     with pytest.raises(errors.ConfigError):
-        model.ClassificationPolicy(kind="symmetric-threshold", threshold=0.4)
-    with pytest.raises(errors.ConfigError):
-        model.ClassificationPolicy(kind="plurality")
-    with pytest.raises(errors.ConfigError):
-        model.ClassificationPolicy(min_support=0)
-
-
-def test_pseudocount_smoothing(sample_dataset):
-    raw = model.p_female(sample_dataset, "Abigail", 2000)
-    smoothed = model.p_female(sample_dataset, "Abigail", 2000, pseudocount=1.0)
-    assert smoothed.p_female < raw.p_female
-    assert smoothed.female_count == raw.female_count
+        model.ClassificationPolicy(0.5, 0)
 
 
 def test_ambiguous_share_quarter_years(quarter_dataset):

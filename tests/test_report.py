@@ -1,6 +1,6 @@
 import pytest
 
-from temponym import audit, errors, report
+from temponym import audit, errors, model, report
 
 
 def test_trajectories_quarter_years(sample_dataset):
@@ -27,7 +27,7 @@ def test_trajectories_single_point(sample_dataset):
 
 
 def test_bubble_series_totals():
-    series = report.emit_bubble_series(audit.load_leslie_fixture())
+    series = report.emit_bubble_series(audit.load_corpus_csv())
     by_id = {s.series_id: s for s in series}
     assert sum(size for _, _, size in by_id["male"].points) == 242
     assert sum(size for _, _, size in by_id["female"].points) == 220
@@ -46,7 +46,7 @@ def test_bubble_single_unlabeled_stratum():
 
 def test_bubble_reference_series():
     series = report.emit_bubble_series(
-        audit.load_leslie_fixture(), reference_value=report.NAMSOR_LESLIE_REFERENCE
+        audit.load_corpus_csv(), reference_value=model.NAMSOR_LESLIE_REFERENCE
     )
     reference = next(s for s in series if s.series_id == "reference")
     assert all(y == 0.874 for _, y, _ in reference.points)
