@@ -23,7 +23,11 @@ from typing import Optional
 
 from . import errors
 
-ROW = r"[^,\n]{2,15},[FM],[0-9]+"
+# The fields of a row. ``_rejection`` checks a bad line's sex and count with these.
+NAME = r"[^,\n]{2,15}"
+SEX = re.compile("[FM]")
+COUNT = re.compile("[0-9]+")
+ROW = rf"{NAME},{SEX.pattern},{COUNT.pattern}"
 LINE = rf"(?:{ROW})?\r?"
 # Matches a whole file, and so also any one line of it.
 GRAMMAR = re.compile(rf"(?:{LINE}\n)*{LINE}")
@@ -118,21 +122,17 @@ def _merge_lines(content: str, strict: bool, canon: dict[str, str]) -> tuple[Sex
     return (female, male), skipped
 
 
-def _is_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 def _rejection(lineno: int, line: str) -> errors.TemponymError:
     """Why a non-empty line is not a row, checked in a fixed order."""
     fields = line.split(",")
     if len(fields) != 3:
         return errors.MalformedLine(lineno, line, "expected 3 fields")
     name, sex, count_text = fields
-    if sex not in ("F", "M"):
+    if not SEX.fullmatch(sex):
         return errors.InvalidSex(lineno, sex)
     digits = count_text.removesuffix("\r")
-    if not _is_digits(digits):
-        negative = digits.startswith("-") and _is_digits(digits[1:])
+    if not COUNT.fullmatch(digits):
+        negative = digits.startswith("-") and COUNT.fullmatch(digits[1:])
         reason = "negative count" if negative else "count is not ASCII digits"
         return errors.MalformedLine(lineno, line, reason)
     # Fields, sex and count are valid, so the name length is what fails.

@@ -45,6 +45,8 @@ class CohortModel:
             raise errors.ConfigError(f"unknown cohort model kind {self.kind!r}")
         if self.half_width < 0:
             raise errors.ConfigError("half_width must be >= 0")
+        if self.kind == "fixed-offset" and self.half_width:
+            raise errors.ConfigError("a fixed-offset cohort takes no half-width")
 
     @classmethod
     def parse(cls, text: str) -> "CohortModel":
@@ -52,16 +54,15 @@ class CohortModel:
         parts = text.split(":")
         kinds = {"fixed": "fixed-offset", "uniform": "uniform-window",
                  "triangular": "triangular-window"}
-        if parts[0] not in kinds or len(parts) > (2 if parts[0] == "fixed" else 3):
+        if parts[0] not in kinds or len(parts) > 3:
             raise errors.ConfigError(f"unknown cohort spec {text!r}")
         try:
-            offset = int(parts[1]) if len(parts) > 1 else DEFAULT_COHORT_OFFSET
-            half = int(parts[2]) if len(parts) > 2 else 0
+            numbers = [int(part) for part in parts[1:]]  # the fields' defaults fill the rest
         except ValueError:
             raise errors.ConfigError(
                 f"cohort spec {text!r}: offset and half-width must be integers"
             ) from None
-        return cls(kind=kinds[parts[0]], offset_years=offset, half_width=half)
+        return cls(kinds[parts[0]], *numbers)
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def infer_birth_distribution(
     years and renormalized.
     """
     center = activity_year - cohort_model.offset_years
-    h = 0 if cohort_model.kind == "fixed-offset" else cohort_model.half_width
+    h = cohort_model.half_width
     if dataset is None:
         years = range(center - h, center + h + 1)
     else:

@@ -26,8 +26,11 @@ EXIT_DATA_ERROR = 3
 EXIT_PARTIAL = 4
 
 
-def parse_year_range(text: str) -> tuple[int, int]:
+# Option callbacks: a BadParameter raised in one becomes a usage error naming the option.
+def parse_year_range(ctx, param, text: str | None) -> tuple[int, int] | None:
     """``(START, END)`` of a ``START..END`` year range; END may not precede START."""
+    if text is None:
+        return None
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
@@ -36,6 +39,41 @@ def parse_year_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise click.BadParameter(f"{text!r} ends before it starts")
     return lo, hi
+
+
+def _year_list(ctx, param, text: str) -> list[int]:
+    """The years of a comma-separated list or of a ``START..END`` range."""
+    if ".." in text:
+        lo, hi = parse_year_range(ctx, param, text)
+        return list(range(lo, hi + 1))
+    try:
+        return [int(year) for year in text.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated years or START..END, got {text!r}")
+
+
+def _name_list(ctx, param, text: str | None) -> list[str] | None:
+    """The names of a comma-separated list; None when it names none."""
+    return [name.strip() for name in (text or "").split(",") if name.strip()] or None
+
+
+def _names_file(ctx, param, path: str | None) -> list[str] | None:
+    """The names in a file, one per line."""
+    if path is None:
+        return None
+    from . import dataset as dataset_mod
+
+    return [line.strip() for line in dataset_mod.read_text(path).splitlines() if line.strip()]
+
+
+def _cohort(ctx, param, text: str):
+    """The ``audit.CohortModel`` of a ``--cohort`` spec."""
+    from . import audit as audit_mod
+
+    try:
+        return audit_mod.CohortModel.parse(text)
+    except errors.ConfigError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _load_data(index_path, data_dir):
@@ -61,19 +99,13 @@ def _emit(payload, fmt: str, csv_rows=None, csv_header=None) -> None:
         click.echo(out.getvalue().rstrip("\n"))
 
 
-data_options = [
-    click.option("--index", "index_path", type=click.Path(exists=True), default=None,
-                 help="Persisted index file produced by `temponym ingest`."),
-    click.option("--dir", "data_dir", type=click.Path(exists=True, file_okay=False),
-                 default=None,
-                 help="Directory of yobYYYY.txt files (default: bundled sample)."),
-]
-
-
 def with_data_options(fn):
-    for option in reversed(data_options):
-        fn = option(fn)
-    return fn
+    """Adds ``--index`` and ``--dir``, the two places a command reads data from."""
+    fn = click.option("--dir", "data_dir", type=click.Path(exists=True, file_okay=False),
+                      default=None,
+                      help="Directory of yobYYYY.txt files (default: bundled sample).")(fn)
+    return click.option("--index", "index_path", type=click.Path(exists=True), default=None,
+                        help="Persisted index file produced by `temponym ingest`.")(fn)
 
 
 class _Main(click.Group):
@@ -94,37 +126,38 @@ def _check_config(defaults, group: click.Group, prefix: str = "") -> None:
         if section is None:
             continue
         if not isinstance(section, dict):
-            raise click.BadParameter(f"section '{prefix}{name}' must hold a JSON object",
-                                     param_hint="'--config'")
+            raise click.BadParameter(f"section '{prefix}{name}' must hold a JSON object")
         if isinstance(command, click.Group):
             _check_config(section, command, f"{prefix}{name}.")
 
 
+def _read_config(ctx, param, fh) -> None:
+    """Makes the JSON object of ``--config`` the default values of every command."""
+    if fh is None:
+        return
+    try:
+        defaults = json.load(fh)
+    except ValueError as exc:
+        raise click.BadParameter(f"not JSON ({exc})")
+    if not isinstance(defaults, dict):
+        raise click.BadParameter("must hold a JSON object")
+    _check_config(defaults, ctx.command)
+    ctx.default_map = defaults
+
+
 @click.group(cls=_Main)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+@click.option("--config", type=click.File(encoding="utf-8"), metavar="PATH",
+              callback=_read_config, expose_value=False,
               help="JSON file of default option values, keyed by subcommand.")
-@click.pass_context
-def main(ctx, config_path):
+def main():
     """Temporally-aware name-gender analysis over SSA yearly name data."""
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                defaults = json.load(fh)
-        except ValueError as exc:
-            raise click.BadParameter(f"not JSON ({exc})", param_hint="'--config'")
-        except OSError as exc:
-            raise click.BadParameter(f"cannot be read ({exc.strerror or exc})",
-                                     param_hint="'--config'")
-        if not isinstance(defaults, dict):
-            raise click.BadParameter("must hold a JSON object", param_hint="'--config'")
-        _check_config(defaults, main)
-        ctx.default_map = defaults
 
 
 @main.command()
 @click.option("--dir", "data_dir", type=click.Path(exists=True, file_okay=False),
               required=True)
-@click.option("--years", default=None, help="Restrict to a range, e.g. 1880..2023.")
+@click.option("--years", default=None, callback=parse_year_range,
+              help="Restrict to a range, e.g. 1880..2023.")
 @click.option("--strict/--lenient", default=True,
               help="Abort on invalid rows (default) or skip them with a tally.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
@@ -132,10 +165,7 @@ def ingest(data_dir, years, strict, out_path):
     """Parse SSA yearly files and persist a checksummed index."""
     from . import dataset as dataset_mod
 
-    wanted = None
-    if years:
-        lo, hi = parse_year_range(years)
-        wanted = range(lo, hi + 1)
+    wanted = range(years[0], years[1] + 1) if years else None
     out_dir = Path(out_path).parent
     if not out_dir.is_dir():  # checked before the archive is parsed
         raise errors.TemponymError(f"{out_path}: {out_dir} is not an existing directory")
@@ -156,7 +186,8 @@ def ingest(data_dir, years, strict, out_path):
 @click.option("--year", type=int, default=None)
 @click.option("--window", type=click.IntRange(min=0), default=None,
               help="Half-width around --year.")
-@click.option("--pooled", default=None, help="Pooled range, e.g. 1880..2020.")
+@click.option("--pooled", default=None, callback=parse_year_range,
+              help="Pooled range, e.g. 1880..2020.")
 @click.option("--policy", type=click.Choice(["majority", "t95"]), default="majority")
 @click.option("--fold-diacritics", is_flag=True, default=False)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -166,12 +197,11 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
         raise click.UsageError("provide --year or --pooled")
     from . import model as model_mod
 
-    pooled_range = parse_year_range(pooled) if pooled is not None else None
     data = _load_data(index_path, data_dir)
     chosen_policy = model_mod.MAJORITY if policy == "majority" else model_mod.T95
-    if pooled_range is not None:
+    if pooled is not None:
         prob = model_mod.p_female_pooled(
-            data, name, pooled_range, fold_diacritics=fold_diacritics
+            data, name, pooled, fold_diacritics=fold_diacritics
         )
     elif window:
         prob = model_mod.p_female_windowed(
@@ -260,23 +290,19 @@ def ambiguity(index_path, data_dir, year, fmt):
 @with_data_options
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), default=None,
               help="Corpus CSV (default: the bundled Leslie fixture).")
-@click.option("--cohort", default="fixed:35", show_default=True,
+@click.option("--cohort", default="fixed:35", show_default=True, callback=_cohort,
               help="fixed:OFFSET, uniform:OFFSET:HALF or triangular:OFFSET:HALF.")
-@click.option("--atemporal", default="1880..2020", show_default=True)
+@click.option("--atemporal", default="1880..2020", show_default=True,
+              callback=parse_year_range)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
     """Temporal vs atemporal expected-female audit of a corpus."""
     from . import audit as audit_mod
 
-    try:
-        model = audit_mod.CohortModel.parse(cohort)
-    except errors.ConfigError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--cohort'")
-    atemporal_range = parse_year_range(atemporal)
     data = _load_data(index_path, data_dir)
     records = audit_mod.load_corpus_csv(corpus_path)
     result = audit_mod.audit_corpus(
-        records, data, cohort_model=model, atemporal_range=atemporal_range
+        records, data, cohort_model=cohort, atemporal_range=atemporal
     )
     payload = {
         "config": result.config,
@@ -303,9 +329,9 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
 
 @main.command()
 @with_data_options
-@click.option("--names", default=None, help="Comma-separated names.")
+@click.option("--names", default=None, callback=_name_list, help="Comma-separated names.")
 @click.option("--names-file", type=click.Path(exists=True), default=None,
-              help="File with one name per line.")
+              callback=_names_file, help="File with one name per line.")
 @click.option("--ssa-year", type=int, default=1925, show_default=True)
 @click.option("--services", "services_spec", default="fixtures", show_default=True,
               help='"fixtures" or "genderize-live:URL".')
@@ -315,27 +341,17 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
 def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
             fixture_file, cache_dir, fmt):
     """Compare third-party gender predictions against SSA ground truth."""
-    from . import dataset as dataset_mod
     from . import services
 
-    if names:
-        name_list = [n.strip() for n in names.split(",") if n.strip()]
-    elif names_file:
-        name_list = [
-            line.strip() for line in dataset_mod.read_text(names_file).splitlines()
-            if line.strip()
-        ]
-    else:
+    name_list = names or names_file
+    if name_list is None:
         raise click.UsageError("provide --names or --names-file")
 
     data = _load_data(index_path, data_dir)
     if services_spec == "fixtures":
         configs = services.fixture_configs(fixture_file)
     elif services_spec.startswith("genderize-live:"):
-        configs = [services.ServiceConfig(
-            service_id="genderize", mode="live",
-            endpoint_url=services_spec.split(":", 1)[1],
-        )]
+        configs = [services.ServiceConfig("genderize", services_spec.split(":", 1)[1])]
     else:
         raise errors.ConfigError(f"unknown services spec {services_spec!r}")
     cache = services.PredictionCache(cache_dir) if cache_dir else None
@@ -396,11 +412,11 @@ def plot():
 
 @plot.command()
 @with_data_options
-@click.option("--names", default=None, help="Comma-separated names.")
+@click.option("--names", default=None, callback=_name_list, help="Comma-separated names.")
 @click.option("--top-shifts", type=click.IntRange(min=0), default=None,
               help="Instead of --names, use the top-N weighted shifting names.")
 @click.option("--years", default="1925,1950,1975,2000", show_default=True,
-              help="Comma-separated years or a range like 1925..2000.")
+              callback=_year_list, help="Comma-separated years or a range like 1925..2000.")
 @click.option("--y1", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[0], show_default=True)
 @click.option("--y2", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[1], show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -408,25 +424,13 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
     """p(F) trajectories for named or top-shifting names."""
     from . import report
 
-    if ".." in years:
-        lo, hi = parse_year_range(years)
-        year_list = list(range(lo, hi + 1))
-    else:
-        try:
-            year_list = [int(y) for y in years.split(",")]
-        except ValueError:
-            raise click.BadParameter(
-                f"expected comma-separated years or START..END, got {years!r}",
-                param_hint="'--years'")
     data = _load_data(index_path, data_dir)
     if top_shifts is not None:
         entries = shifts_mod.rank_shifts(data, y1, y2, top_k=top_shifts, weighted=True)
-        name_list = [e.name for e in entries]
-    elif names:
-        name_list = [n.strip() for n in names.split(",") if n.strip()]
-    else:
+        names = [e.name for e in entries]
+    elif names is None:
         raise click.UsageError("provide --names or --top-shifts")
-    series = report.emit_trajectories(data, name_list, year_list)
+    series = report.emit_trajectories(data, names, years)
     _emit_series(series, fmt)
 
 

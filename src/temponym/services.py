@@ -2,9 +2,9 @@
 
 The bundled fixture table carries a dated snapshot of what Gender-API,
 NamSor, and Genderize.io returned for the ten 1925 benchmark names, so
-divergence reports are reproducible without network access. Live mode
-talks to a genderize.io-style endpoint, rate limited and disk cached;
-live results drift as vendors update their databases and are reported
+divergence reports are reproducible without network access. A live
+service is a genderize.io-style endpoint, rate limited and disk cached;
+its results drift as vendors update their databases and are reported
 but never treated as ground truth.
 """
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -40,19 +39,17 @@ class ExternalPrediction:
 
 @dataclass(frozen=True)
 class ServiceConfig:
+    """A fixture service (with ``fixture_table``) or a live one (with ``endpoint_url``)."""
+
     service_id: str
-    mode: str = "fixture"  # fixture | live
     endpoint_url: Optional[str] = None
-    rate_limit: float = 1.0  # requests per second
+    rate_limit: float = 1.0  # requests per second, live services only
     fixture_table: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.mode not in ("fixture", "live"):
-            raise errors.ConfigError(f"unknown service mode {self.mode!r}")
-        if self.mode == "fixture" and self.fixture_table is None:
+        if (self.fixture_table is None) == (not self.endpoint_url):
             raise errors.ConfigError(
-                f"{self.service_id}: fixture mode requires a fixture table"
-            )
+                f"{self.service_id}: needs exactly one of a fixture table and an endpoint URL")
 
     @property
     def api_key(self) -> Optional[str]:
@@ -97,10 +94,12 @@ class PredictionCache:
         return self.root / service_id / f"{key}_{date}.json"
 
     def get(self, service_id: str, name: str, date: str) -> Optional[ExternalPrediction]:
-        path = self._path(service_id, name, date)
-        if not path.exists():
+        """The cached prediction; None if the entry is missing or unreadable."""
+        try:
+            text = self._path(service_id, name, date).read_text(encoding="utf-8")
+            return ExternalPrediction(**json.loads(text))
+        except (OSError, ValueError, TypeError):  # refetched, and ``put`` overwrites it
             return None
-        return ExternalPrediction(**json.loads(path.read_text()))
 
     def put(self, prediction: ExternalPrediction, date: str) -> None:
         path = self._path(prediction.service_id, prediction.name, date)
@@ -119,9 +118,7 @@ def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
     Defaults to the bundled benchmark snapshot.
     """
     if path is None:
-        source = resources.files("temponym").joinpath("data/fixtures/table1_services.csv")
-        with resources.as_file(source) as bundled:
-            return load_fixture_table(bundled)
+        path = Path(__file__).resolve().parent / "data" / "fixtures" / "table1_services.csv"
     table: FixtureTable = {}
     for line, row in read_csv(path, FIXTURE_COLUMNS, "fixture"):
         numbers = {}
@@ -146,10 +143,10 @@ def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
 
 
 def fixture_configs(path: Optional[Path | str] = None) -> list[ServiceConfig]:
-    """One fixture-mode config per service present in the fixture file."""
+    """One fixture service config per service present in the fixture file."""
     table = load_fixture_table(path)
     return [
-        ServiceConfig(service_id=service_id, mode="fixture", fixture_table=table[service_id])
+        ServiceConfig(service_id=service_id, fixture_table=table[service_id])
         for service_id in sorted(table)
     ]
 
@@ -161,14 +158,11 @@ def fetch_prediction(
     limiter: Optional[RateLimiter] = None,
 ) -> ExternalPrediction:
     """One normalized prediction, from the fixture table or a live call."""
-    if config.mode == "fixture":
+    if config.fixture_table is not None:
         hit = config.fixture_table.get(name.casefold())
         if hit is None:
             raise errors.ServiceUnknownName(config.service_id, name)
         return hit
-
-    if not config.endpoint_url:
-        raise errors.ConfigError(f"{config.service_id}: live mode requires endpoint_url")
 
     today = datetime.date.today().isoformat()
     if cache is not None:
@@ -283,7 +277,7 @@ def comparison_table(
     configs = list(configs)
     if not dataset.has_year(ssa_year):  # before any fetch
         raise errors.YearNotLoaded(ssa_year)
-    limiters = [RateLimiter(c.rate_limit) if c.mode == "live" else None for c in configs]
+    limiters = [RateLimiter(c.rate_limit) if c.endpoint_url else None for c in configs]
     rows = []
     for name in names:
         cell_errors: dict[str, str] = {}

@@ -50,6 +50,12 @@ def test_cohort_model_parse():
         audit.CohortModel.parse("gamma:2")
 
 
+def test_fixed_offset_cohort_takes_no_half_width():
+    with pytest.raises(errors.ConfigError):
+        audit.CohortModel("fixed-offset", 35, 10)
+    assert audit.CohortModel.parse("fixed:35:0") == audit.CohortModel.parse("fixed:35")
+
+
 def test_temporal_point_mass_reduces_to_single_year(sample_dataset):
     prob = audit.temporal_p_female(sample_dataset, "Leslie", [(1925, 1.0)])
     assert prob.p_female == model.p_female(sample_dataset, "Leslie", 1925).p_female
@@ -325,7 +331,7 @@ def _reference_temporal(data, name, dist):
 
 
 COHORTS = [
-    audit.CohortModel("fixed-offset", 35), audit.CohortModel("fixed-offset", 30, 6),
+    audit.CohortModel("fixed-offset", 35),
     audit.CohortModel("uniform-window", 35, 0), audit.CohortModel("uniform-window", 35, 4),
     audit.CohortModel("triangular-window", 35, 0), audit.CohortModel("triangular-window", 35, 10),
     audit.CohortModel("triangular-window", 20, 3),

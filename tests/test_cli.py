@@ -1,3 +1,4 @@
+import datetime
 import json
 import os
 import subprocess
@@ -184,6 +185,30 @@ def test_compare_live_probability_not_a_number_is_partial(runner, monkeypatch):
     assert "is not a number in [0, 1]" in row["errors"]["genderize"]
 
 
+@pytest.mark.parametrize("entry", [b"{not json", b'{"a": 1}', b"[1]"])
+def test_compare_refetches_an_unreadable_cache_entry(runner, monkeypatch, tmp_path, entry):
+    import requests
+
+    from temponym import services
+
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b'{"gender": "female", "probability": 0.75}'
+    monkeypatch.setattr(requests, "get", lambda url, params, timeout: response)
+    today = datetime.date.today().isoformat()
+    path = services.PredictionCache(tmp_path)._path("genderize", "Leslie", today)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(entry)
+    result = runner.invoke(main, [
+        "compare", "--names", "Leslie", "--services", "genderize-live:http://example.invalid",
+        "--cache-dir", str(tmp_path), "--format", "json",
+    ])
+    assert result.exit_code == 0, result.output
+    [row] = json.loads(result.output)["rows"]
+    assert row["services"]["genderize"]["p_female"] == 0.75
+    assert json.loads(path.read_text())["p_female"] == 0.75
+
+
 def test_compare_requires_names(runner):
     result = runner.invoke(main, ["compare"])
     assert result.exit_code == 2
@@ -226,6 +251,26 @@ def test_config_file_supplies_defaults(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(config), "query"])
     assert result.exit_code == 0
     assert json.loads(result.output)["name"] == "Leslie"
+
+
+# (id, arguments with {tmp} for a scratch directory, the option with the bad value).
+BAD_OPTION_VALUES = [
+    ("ingest-years", ["ingest", "--dir", "{tmp}", "--years", "1..x", "--out", "{tmp}/x.idx"],
+     "--years"),
+    ("query-pooled", ["query", "--name", "Leslie", "--pooled", "2020..1880"], "--pooled"),
+    ("audit-atemporal", ["audit", "--atemporal", "x"], "--atemporal"),
+    ("trajectories-years", ["plot", "trajectories", "--names", "Leslie", "--years", "abc"],
+     "--years"),
+    ("audit-cohort", ["audit", "--cohort", "fixed:abc"], "--cohort"),
+]
+
+
+@pytest.mark.parametrize("args,option", [case[1:] for case in BAD_OPTION_VALUES],
+                         ids=[case[0] for case in BAD_OPTION_VALUES])
+def test_bad_option_value_names_its_option(runner, tmp_path, args, option):
+    result = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert f"'{option}'" in result.output
 
 
 def test_audit_bad_cohort_is_usage_error(runner):
@@ -320,6 +365,8 @@ CLI_ERRORS = [
      {"c.csv": CORPUS_HEADER + b"a,Leslie,1980,M\nb,Zzyzx,1980,\n"}, 4),
     ("compare-year-not-loaded", ["compare", "--names", "Jean", "--ssa-year", "1776"], {}, 3),
     ("compare-unknown-services", ["compare", "--names", "Jean", "--services", "bogus"], {}, 3),
+    ("compare-live-without-url",
+     ["compare", "--names", "Jean", "--services", "genderize-live:"], {}, 3),
     ("trajectories-year-not-loaded",
      ["plot", "trajectories", "--top-shifts", "3", "--y1", "1776"], {}, 3),
     ("bubbles-corpus-without-activity-year", ["plot", "bubbles", "--corpus", "{tmp}/c.csv"],

@@ -122,7 +122,7 @@ def test_label_complement_symmetry(fm, threshold):
     st.integers(0, 15),
 )
 def test_cohort_weight_normalization(activity_year, kind, offset, half_width):
-    cohort = audit.CohortModel(kind, offset, half_width)
+    cohort = audit.CohortModel(kind, offset, 0 if kind == "fixed-offset" else half_width)
     dist = audit.infer_birth_distribution(activity_year, cohort)
     weights = [w for _, w in dist]
     assert all(w >= 0 for w in weights)
@@ -281,28 +281,28 @@ def test_any_text_parses_or_raises_a_temponym_error(text, strict):
 
 # One bad line per rejection reason, with the error strict mode reports.
 REJECTIONS = [
-    ("Pat,F", errors.MalformedLine),  # expected 3 fields
-    ("Pat,F,10,1", errors.MalformedLine),
-    ("Pat,Q,10", errors.InvalidSex),
-    ("Pat,F,ten", errors.MalformedLine),  # not an integer
-    ("Pat,F,-5", errors.MalformedLine),  # negative
-    ("X,F,10", errors.MalformedLine),  # name length
-    ("Patricianna-Lee-Jo,F,10", errors.MalformedLine),
-    ("Pat,F,4", errors.FloorViolation),
-    ("Dup,F,11", errors.DuplicateRow),  # line 1 is Dup,F,10
+    ("Pat,F", errors.MalformedLine, "expected 3 fields"),
+    ("Pat,F,10,1", errors.MalformedLine, "expected 3 fields"),
+    ("Pat,Q,10", errors.InvalidSex, "sex code 'Q' is not F or M"),
+    ("Pat,F,ten", errors.MalformedLine, "count is not ASCII digits"),
+    ("Pat,F,-5", errors.MalformedLine, "negative count"),
+    ("X,F,10", errors.MalformedLine, "name length outside 2..15"),
+    ("Patricianna-Lee-Jo,F,10", errors.MalformedLine, "name length outside 2..15"),
+    ("Pat,F,4", errors.FloorViolation, "count 4 below the publication floor of 5"),
+    ("Dup,F,11", errors.DuplicateRow, "duplicate row for Dup,F"),  # line 1 is Dup,F,10
     # Counts int() takes but the grammar does not.
-    ("Pat,F,+7", errors.MalformedLine),
-    ("Pat,F, 7", errors.MalformedLine),
-    ("Pat,F,1_000", errors.MalformedLine),
-    ("Pat,F,\u0663\u0663", errors.MalformedLine),
+    ("Pat,F,+7", errors.MalformedLine, "count is not ASCII digits"),
+    ("Pat,F, 7", errors.MalformedLine, "count is not ASCII digits"),
+    ("Pat,F,1_000", errors.MalformedLine, "count is not ASCII digits"),
+    ("Pat,F,\u0663\u0663", errors.MalformedLine, "count is not ASCII digits"),
 ]
 other_names = row_names.filter(lambda name: name not in ("Dup", "Pat"))
 
 
-@pytest.mark.parametrize("bad,error", REJECTIONS, ids=[bad for bad, _ in REJECTIONS])
+@pytest.mark.parametrize("bad,error,reason", REJECTIONS, ids=[case[0] for case in REJECTIONS])
 @settings(max_examples=25, deadline=None)
 @given(year_files(5, other_names), st.data())
-def test_each_rejection_names_its_line(bad, error, year_file, data):
+def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
     _, text = year_file
     lines = ["Dup,F,10", *text.split("\n")]
     at = data.draw(st.integers(1, len(lines)))
@@ -311,6 +311,7 @@ def test_each_rejection_names_its_line(bad, error, year_file, data):
         _pyparse.merge_rows("\n".join(lines), strict=True)
     assert caught.value.lineno == at + 1
     assert str(caught.value).startswith(f"line {at + 1}: ")
+    assert reason in str(caught.value)
     # load_dataset keeps the type and the line, and names the year.
     with pytest.raises(error) as caught:
         ds.load_dataset([(1990, "\n".join(lines))])

@@ -36,15 +36,17 @@ def test_fixture_unknown_name(by_id):
         services.fetch_prediction(by_id["genderize"], "Zzyzx")
 
 
-def test_live_mode_without_endpoint_fails_before_io():
-    config = services.ServiceConfig(service_id="genderize", mode="live")
+def test_config_without_table_or_endpoint_is_refused():
     with pytest.raises(errors.ConfigError):
-        services.fetch_prediction(config, "Leslie")
+        services.ServiceConfig(service_id="genderize")
+    with pytest.raises(errors.ConfigError):
+        services.ServiceConfig(service_id="genderize", endpoint_url="")
 
 
-def test_fixture_mode_requires_table():
+def test_config_with_table_and_endpoint_is_refused(by_id):
     with pytest.raises(errors.ConfigError):
-        services.ServiceConfig(service_id="x", mode="fixture")
+        services.ServiceConfig(service_id="genderize", endpoint_url="http://example.invalid",
+                               fixture_table=by_id["genderize"].fixture_table)
 
 
 def test_comparison_table_matches_ground_truth(sample_dataset, fixture_configs):
@@ -142,7 +144,7 @@ def test_cache_round_trip_and_idempotence(tmp_path, monkeypatch):
 
     monkeypatch.setattr(services, "_fetch_live", fake_fetch)
     config = services.ServiceConfig(
-        service_id="genderize", mode="live", endpoint_url="http://example.invalid"
+        service_id="genderize", endpoint_url="http://example.invalid"
     )
     first = services.fetch_prediction(config, "Leslie", cache=cache)
     second = services.fetch_prediction(config, "Leslie", cache=cache)
@@ -152,7 +154,7 @@ def test_cache_round_trip_and_idempotence(tmp_path, monkeypatch):
 
 def test_api_key_comes_from_environment(monkeypatch):
     config = services.ServiceConfig(
-        service_id="gender-api", mode="live", endpoint_url="http://example.invalid"
+        service_id="gender-api", endpoint_url="http://example.invalid"
     )
     assert config.api_key is None
     monkeypatch.setenv("TEMPONYM_GENDER_API_KEY", "sekrit")
@@ -165,7 +167,7 @@ def test_cache_files_stay_in_the_cache_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(services, "_fetch_live", lambda config, name, today: (
         services.ExternalPrediction(config.service_id, name, "F", 0.9, 100, "live", today)))
     config = services.ServiceConfig(
-        service_id="genderize", mode="live", endpoint_url="http://example.invalid"
+        service_id="genderize", endpoint_url="http://example.invalid"
     )
     for name in ("../../../x", "/etc/passwd", "..", "Zoë"):
         path = cache._path("genderize", name, "2024-01-01").resolve()
@@ -178,7 +180,7 @@ def test_cache_files_stay_in_the_cache_directory(tmp_path, monkeypatch):
 # --- live responses, with requests.get stubbed -------------------------------
 
 LIVE = services.ServiceConfig(
-    service_id="genderize", mode="live", endpoint_url="http://example.invalid"
+    service_id="genderize", endpoint_url="http://example.invalid"
 )
 
 
@@ -269,10 +271,10 @@ def test_comparison_table_rate_limits_each_live_service(
     monkeypatch.setattr(services, "RateLimiter", limiter)
     monkeypatch.setattr(services, "_fetch_live", fake_fetch)
     live = [
-        services.ServiceConfig(service_id="slow", mode="live",
-                               endpoint_url="http://example.invalid", rate_limit=2.0),
-        services.ServiceConfig(service_id="fast", mode="live",
-                               endpoint_url="http://example.invalid", rate_limit=100.0),
+        services.ServiceConfig(service_id="slow", endpoint_url="http://example.invalid",
+                               rate_limit=2.0),
+        services.ServiceConfig(service_id="fast", endpoint_url="http://example.invalid",
+                               rate_limit=100.0),
     ]
     names = ["Sydney", "Jean", "Leslie", "Shelby"]
     cache = services.PredictionCache(tmp_path)
@@ -292,7 +294,7 @@ def test_comparison_table_rate_limits_each_live_service(
 
 def test_comparison_table_rejects_a_bad_rate_before_any_fetch(sample_dataset, monkeypatch):
     monkeypatch.setattr(services, "_fetch_live", lambda *args: pytest.fail("fetched"))
-    config = services.ServiceConfig(service_id="x", mode="live",
-                                    endpoint_url="http://example.invalid", rate_limit=0)
+    config = services.ServiceConfig(service_id="x", endpoint_url="http://example.invalid",
+                                    rate_limit=0)
     with pytest.raises(errors.ConfigError):
         services.comparison_table(["Jean"], sample_dataset, 1925, [config])
