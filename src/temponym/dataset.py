@@ -56,46 +56,17 @@ def strip_diacritics(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-class _Folds:
-    """Case- and diacritic-insensitive resolution of a name to table indices.
+def _folded_keys(names: Sequence[str]) -> list[str]:
+    """The folded key of each name: its casefold, stripped of diacritics.
 
-    Both maps are built once per distinct name and map a folded key to the
-    indices (ascending) of every stored name that folds to it. A ``Dataset``
-    builds them on the first lookup that needs them: a name not in the table,
-    or any name when two stored names share a folded key.
-    """
-
-    def __init__(self, names: Sequence[str]):
-        self.casefold: dict[str, list[int]] = {}
-        self.stripped: dict[str, list[int]] = {}
-        for i, name in enumerate(names):
-            key = name.casefold()
-            self.casefold.setdefault(key, []).append(i)
-            self.stripped.setdefault(strip_diacritics(key), []).append(i)
-
-    def candidates(self, exact: Optional[int], name: str, fold_diacritics: bool) -> list[int]:
-        """Indices to try in order: the exact name, casefold, then stripped."""
-        key = name.casefold()
-        ids = self.casefold.get(key, [])
-        if fold_diacritics:
-            ids = ids + self.stripped.get(strip_diacritics(key), [])
-        if exact is not None:
-            ids = [exact, *ids]
-        return list(dict.fromkeys(ids)) if len(ids) > 1 else ids
-
-
-def _keys_are_distinct(names: Sequence[str]) -> bool:
-    """Whether no two names share a casefold or a diacritic-stripped key.
-
-    Then every stored name folds only to itself. The names hold no ``\n``,
-    so one casefold of the joined table gives every key; only non-ASCII
-    keys can lose diacritics.
+    Stored names hold no ``\n``, so one casefold of the joined table gives
+    every key; only non-ASCII keys can lose diacritics.
     """
     folded = "\n".join(names).casefold()
-    keys = folded.split("\n")
-    if not folded.isascii():
-        keys = [key if key.isascii() else strip_diacritics(key) for key in keys]
-    return len(set(keys)) == len(keys)
+    keys = folded.split("\n") if names else []
+    if folded.isascii():
+        return keys
+    return [key if key.isascii() else strip_diacritics(key) for key in keys]
 
 
 @dataclass(frozen=True)
@@ -123,9 +94,9 @@ class Dataset:
     _positions: dict = field(init=False, compare=False, repr=False)
     _ids: dict = field(init=False, compare=False, repr=False)
     # True when every stored name folds only to itself, so an exact name
-    # needs no fold maps; _folds is built by _fold_maps on first need.
+    # needs no fold map; _groups is built by _fold_groups on first need.
     _distinct: bool = field(init=False, compare=False, repr=False)
-    _folds: Optional[_Folds] = field(init=False, compare=False, repr=False)
+    _groups: Optional[dict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for key in _U32_SECTIONS:
@@ -136,27 +107,44 @@ class Dataset:
                        for start, length, offset in zip(self.starts, self.lengths, offsets)],
             "_positions": {year: pos for pos, year in enumerate(self.years_loaded)},
             "_ids": {name: i for i, name in enumerate(self.names)},
-            "_distinct": _keys_are_distinct(self.names),
-            "_folds": None,
+            "_groups": None,
         }
         for key, value in derived.items():
             object.__setattr__(self, key, value)
+        keys = _folded_keys(self.names)  # after the spans: before them, ingest peaked ~3 MB higher
+        object.__setattr__(self, "_distinct", len(set(keys)) == len(keys))
 
-    def _fold_maps(self) -> _Folds:
-        # Two threads may both build the maps; each gets a complete one, and
-        # both are equal, so whichever is kept gives the same answers.
-        folds = self._folds
-        if folds is None:
-            folds = _Folds(self.names)
-            object.__setattr__(self, "_folds", folds)
-        return folds
+    def _fold_groups(self) -> dict[str, list[int]]:
+        """Folded key -> the ascending indices of the stored names that share it."""
+        # Two threads may both build it; each gets a complete, equal map, so
+        # whichever is kept gives the same answers.
+        groups = self._groups
+        if groups is None:
+            groups = {}
+            for i, key in enumerate(_folded_keys(self.names)):
+                groups.setdefault(key, []).append(i)
+            object.__setattr__(self, "_groups", groups)
+        return groups
 
     def _candidates(self, name: str, fold_diacritics: bool) -> Sequence[int]:
-        """Indices of the stored names that may answer for ``name``, in order."""
+        """Indices of the stored names that may answer for ``name``, in order.
+
+        The exact name, then the names equal to it under casefolding, then
+        (only with ``fold_diacritics``) the rest of its folded-key group.
+        """
         exact = self._ids.get(name)
         if exact is not None and self._distinct:
             return (exact,)
-        return self._fold_maps().candidates(exact, name, fold_diacritics)
+        # A query holding "\n" gets a key holding "\n", which no group has.
+        group = self._fold_groups().get("\n".join(_folded_keys((name,))))
+        if group is None:
+            return ()
+        key = name.casefold()
+        ids = [] if exact is None else [exact]
+        ids += [i for i in group if self.names[i].casefold() == key]
+        if fold_diacritics:
+            ids += group
+        return list(dict.fromkeys(ids)) if len(ids) > 1 else ids
 
     def has_year(self, year: int) -> bool:
         return year in self._positions
@@ -187,18 +175,10 @@ class Dataset:
     ) -> Optional[tuple[int, int]]:
         """(female, male) for a name in one year, or None without data.
 
-        The exact name is tried first, then names equal under casefolding,
-        then (only with ``fold_diacritics``) names equal once diacritics are
-        stripped; of several stored names sharing a key, the first with
-        data in that year answers.
+        The first of the name's ``_candidates`` with data in that year answers.
         """
         pos = self._position(year)
-        exact = self._ids.get(name)
-        if exact is not None:
-            cell = self._first_cell((exact,), pos)
-            if cell is not None or self._distinct:
-                return cell
-        return self._first_cell(self._fold_maps().candidates(exact, name, fold_diacritics), pos)
+        return self._first_cell(self._candidates(name, fold_diacritics), pos)
 
     def name_counts(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False

@@ -76,7 +76,7 @@ def p_female(
 ) -> GenderProbability:
     """p(F) for a single year of birth: female count over total count."""
     counts = dataset.lookup(name, year, fold_diacritics=fold_diacritics)
-    if counts is None or sum(counts) == 0:
+    if counts is None:
         raise errors.NoData(name, str(year))
     female, male = counts
     return from_counts(name, str(year), female, male)
@@ -104,19 +104,17 @@ def p_female_windowed(
 def p_female_pooled(
     dataset: Dataset,
     name: str,
-    year_range: range | tuple[int, int],
+    year_range: tuple[int, int],
     fold_diacritics: bool = False,
 ) -> GenderProbability:
     """p(F) pooled over every loaded year in the range (atemporal snapshot).
 
-    ``year_range`` is a ``(first, last)`` pair of years or a ``range`` with
-    step 1; both are inclusive spans and must hold at least one year.
+    ``year_range`` is an inclusive ``(first, last)`` pair of years and must
+    hold at least one year.
     """
-    if isinstance(year_range, range) and year_range.step != 1:
-        raise errors.TemponymError(f"pooled years must have step 1, not {year_range.step}")
-    if not year_range or year_range[0] > year_range[-1]:
+    first, last = year_range
+    if first > last:
         raise errors.TemponymError(f"pooled years {year_range!r} hold no year")
-    first, last = year_range[0], year_range[-1]
     return _accumulate(dataset, name, first, last, f"pooled {first}..{last}", fold_diacritics)
 
 

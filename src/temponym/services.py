@@ -37,6 +37,15 @@ class ExternalPrediction:
     fetched_at: str
 
 
+def _is_probability(value) -> bool:
+    """Null, or a number in [0, 1] that is not a bool; NaN fails the range test."""
+    return value is None or (type(value) in (int, float) and 0 <= value <= 1)
+
+
+def _is_count(value) -> bool:
+    return value is None or type(value) is int  # not a bool
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """A fixture service (with ``fixture_table``) or a live one (with ``endpoint_url``)."""
@@ -94,19 +103,27 @@ class PredictionCache:
         return self.root / service_id / f"{key}_{date}.json"
 
     def get(self, service_id: str, name: str, date: str) -> Optional[ExternalPrediction]:
-        """The cached prediction; None if the entry is missing or unreadable."""
+        """The cached prediction; None if the entry is missing or not a valid prediction."""
         try:
             text = self._path(service_id, name, date).read_text(encoding="utf-8")
-            return ExternalPrediction(**json.loads(text))
+            hit = ExternalPrediction(**json.loads(text))
         except (OSError, ValueError, TypeError):  # refetched, and ``put`` overwrites it
             return None
+        valid = (hit.predicted_label in ("F", "M", "U") and _is_probability(hit.p_female)
+                 and _is_count(hit.sample_count))
+        return hit if valid else None
 
     def put(self, prediction: ExternalPrediction, date: str) -> None:
+        """Store ``prediction``; an entry that cannot be written is a data error."""
         path = self._path(prediction.service_id, prediction.name, date)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(prediction.__dict__))
-        tmp.replace(path)  # atomic: concurrent readers never see partial writes
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_suffix(".tmp")
+            tmp.write_text(json.dumps(prediction.__dict__))
+            tmp.replace(path)  # atomic: concurrent readers never see partial writes
+        except OSError as exc:
+            raise errors.TemponymError(
+                f"{path}: cannot be written ({exc.strerror or exc})") from None
 
 
 FIXTURE_COLUMNS = ("service_id", "name", "label")
@@ -205,21 +222,23 @@ def _fetch_live(config: ServiceConfig, name: str, today: str) -> ExternalPredict
         raise errors.NetworkError(f"{config.service_id}: response is not a JSON object")
     gender = body.get("gender")
     probability = body.get("probability")
+    count = body.get("count")
     if gender not in ("female", "male"):
         raise errors.ServiceUnknownName(config.service_id, name)
+    if not _is_probability(probability):
+        raise errors.NetworkError(
+            f"{config.service_id}: probability {probability!r} is not a number in [0, 1]")
+    if not _is_count(count):
+        raise errors.NetworkError(f"{config.service_id}: count {count!r} is not an integer")
     p = None
     if probability is not None:
-        # a JSON number, not a bool; NaN fails the range test
-        if type(probability) not in (int, float) or not 0 <= probability <= 1:
-            raise errors.NetworkError(
-                f"{config.service_id}: probability {probability!r} is not a number in [0, 1]")
         p = float(probability) if gender == "female" else 1.0 - probability
     return ExternalPrediction(
         service_id=config.service_id,
         name=name,
         predicted_label="F" if gender == "female" else "M",
         p_female=p,
-        sample_count=body.get("count"),
+        sample_count=count,
         source="live",
         fetched_at=today,
     )

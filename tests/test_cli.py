@@ -185,8 +185,18 @@ def test_compare_live_probability_not_a_number_is_partial(runner, monkeypatch):
     assert "is not a number in [0, 1]" in row["errors"]["genderize"]
 
 
-@pytest.mark.parametrize("entry", [b"{not json", b'{"a": 1}', b"[1]"])
-def test_compare_refetches_an_unreadable_cache_entry(runner, monkeypatch, tmp_path, entry):
+CACHED = {"service_id": "genderize", "name": "Leslie", "predicted_label": "F",
+          "p_female": 0.5, "sample_count": 3, "source": "live", "fetched_at": "2024-01-01"}
+
+
+def _cached(**changes):
+    """A cache entry with some fields of ``CACHED`` changed; a None value drops the field."""
+    entry = {**CACHED, **changes}
+    return json.dumps({key: value for key, value in entry.items() if value is not None}).encode()
+
+
+def _stub_live_compare(monkeypatch, tmp_path):
+    """Stub genderize to answer p(F) 0.75; return the path of Leslie's cache entry."""
     import requests
 
     from temponym import services
@@ -196,17 +206,37 @@ def test_compare_refetches_an_unreadable_cache_entry(runner, monkeypatch, tmp_pa
     response._content = b'{"gender": "female", "probability": 0.75}'
     monkeypatch.setattr(requests, "get", lambda url, params, timeout: response)
     today = datetime.date.today().isoformat()
-    path = services.PredictionCache(tmp_path)._path("genderize", "Leslie", today)
+    return services.PredictionCache(tmp_path)._path("genderize", "Leslie", today)
+
+
+LIVE_COMPARE = ["compare", "--names", "Leslie", "--services",
+                "genderize-live:http://example.invalid", "--format", "json", "--cache-dir"]
+
+
+@pytest.mark.parametrize("entry", [
+    b"{not json", b'{"a": 1}', b"[1]",
+    _cached(p_female="x"), _cached(p_female=1.5), _cached(p_female=True),
+    _cached(predicted_label="Q"), _cached(sample_count=2.5), _cached(sample_count=True),
+    _cached(sample_count="3"), _cached(source=None), _cached(extra="field"),
+])
+def test_compare_refetches_an_unreadable_cache_entry(runner, monkeypatch, tmp_path, entry):
+    path = _stub_live_compare(monkeypatch, tmp_path)
     path.parent.mkdir(parents=True)
     path.write_bytes(entry)
-    result = runner.invoke(main, [
-        "compare", "--names", "Leslie", "--services", "genderize-live:http://example.invalid",
-        "--cache-dir", str(tmp_path), "--format", "json",
-    ])
+    result = runner.invoke(main, [*LIVE_COMPARE, str(tmp_path)])
     assert result.exit_code == 0, result.output
     [row] = json.loads(result.output)["rows"]
     assert row["services"]["genderize"]["p_female"] == 0.75
     assert json.loads(path.read_text())["p_female"] == 0.75
+
+
+def test_compare_reports_a_cache_entry_that_cannot_be_written(runner, monkeypatch, tmp_path):
+    path = _stub_live_compare(monkeypatch, tmp_path)
+    path.mkdir(parents=True)  # the entry's path is taken by a directory
+    result = runner.invoke(main, [*LIVE_COMPARE, str(tmp_path)])
+    assert result.exit_code == 4, result.output
+    [row] = json.loads(result.output)["rows"]
+    assert row["errors"]["genderize"].startswith(f"{path}: cannot be written")
 
 
 def test_compare_requires_names(runner):

@@ -22,6 +22,9 @@ def test_empty_input_gives_empty_table():
     assert data.years_loaded == (2000,)
     assert data.year_cells(2000) == {}
     assert sum(data.female) + sum(data.male) == 0
+    for name in ("", "Ann"):  # no name to resolve to, not even the empty one
+        assert data.lookup(name, 2000, fold_diacritics=True) is None
+        assert data.totals(name, 2000, 2000) == (0, 0)
 
 
 def test_invalid_sex_rejected_in_strict_mode():
@@ -298,22 +301,22 @@ def test_exact_names_resolve_without_fold_maps_until_a_miss(tmp_path):
     assert data.lookup("Renée", 1990, fold_diacritics=True) == (7, 0)
     assert data.name_counts("Renée", [1990, 1991]) == ([7, 0], [0, 0])
     assert data.totals("Bo", 1990, 1991) == (0, 9)
-    assert data._folds is None
-    assert data.lookup("Zzyzx", 1990) is None  # a miss builds the maps
-    assert data._folds is not None
+    assert data._groups is None
+    assert data.lookup("Zzyzx", 1990) is None  # a miss builds the groups
+    assert data._groups is not None
     assert data.lookup("renee", 1990, fold_diacritics=True) == (7, 0)
 
 
 def test_a_variant_spelling_builds_the_fold_maps():
     data = ds.load_dataset([(1990, "Ann,F,10")])
     assert data.lookup("ANN", 1990) == (10, 0)
-    assert data._folds is not None
+    assert data._groups is not None
 
 
 def test_shared_keys_resolve_exact_names_through_the_fold_maps():
     data = ds.load_dataset([(1990, "Lee,F,10"), (1991, "LEE,M,20")])
     assert data.lookup("Lee", 1991) == (0, 20)
-    assert data._folds is not None
+    assert data._groups is not None
 
 
 def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch):
@@ -343,12 +346,14 @@ def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch):
     racers = 8  # more threads than cores
     start = threading.Barrier(racers, timeout=30)
 
-    class SlowFolds(ds._Folds):
-        def __init__(self, names):
-            time.sleep(0.05)  # every racer arrives while the first build is running
-            super().__init__(names)
+    folded_keys = ds._folded_keys
 
-    monkeypatch.setattr(ds, "_Folds", SlowFolds)
+    def slow_folded_keys(names):
+        if names is data.names:  # the group build, not a query's key
+            time.sleep(0.05)  # every racer arrives while the first build is running
+        return folded_keys(names)
+
+    monkeypatch.setattr(ds, "_folded_keys", slow_folded_keys)
 
     def race(_):
         start.wait()

@@ -217,6 +217,13 @@ def test_live_probability_that_is_not_a_number_in_range_is_network_error(
         services.fetch_prediction(LIVE, "Leslie")
 
 
+@pytest.mark.parametrize("count", [b'"12"', b"true", b"12.0", b"[12]"])
+def test_live_count_that_is_not_an_integer_is_network_error(monkeypatch, count):
+    _stub_response(monkeypatch, 200, b'{"gender": "female", "count": %s}' % count)
+    with pytest.raises(errors.NetworkError, match="genderize: count .* is not an integer"):
+        services.fetch_prediction(LIVE, "Leslie")
+
+
 @pytest.mark.parametrize("probability, p_female", [(b"0", 1.0), (b"1", 0.0), (b"null", None)])
 def test_live_probability_bounds_and_null(monkeypatch, probability, p_female):
     _stub_response(monkeypatch, 200, b'{"gender": "male", "probability": %s}' % probability)
