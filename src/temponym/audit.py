@@ -43,6 +43,8 @@ class CohortModel:
     def __post_init__(self):
         if self.kind not in ("fixed-offset", "uniform-window", "triangular-window"):
             raise errors.ConfigError(f"unknown cohort model kind {self.kind!r}")
+        if self.offset_years < 0:
+            raise errors.ConfigError("offset_years must be >= 0")
         if self.half_width < 0:
             raise errors.ConfigError("half_width must be >= 0")
         if self.kind == "fixed-offset" and self.half_width:

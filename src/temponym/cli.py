@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,14 +43,33 @@ def parse_year_range(ctx, param, text: str | None) -> tuple[int, int] | None:
 
 
 def _year_list(ctx, param, text: str) -> list[int]:
-    """The years of a comma-separated list or of a ``START..END`` range."""
+    """The years of a comma-separated list or of a ``START..END`` range.
+
+    Every year must lie in [MIN_YEAR, MAX_YEAR]; a range is checked before
+    its list is built.
+    """
+    from .dataset import MAX_YEAR, MIN_YEAR
+
     if ".." in text:
         lo, hi = parse_year_range(ctx, param, text)
-        return list(range(lo, hi + 1))
-    try:
-        return [int(year) for year in text.split(",")]
-    except ValueError:
-        raise click.BadParameter(f"expected comma-separated years or START..END, got {text!r}")
+        years = range(lo, hi + 1)
+    else:
+        try:
+            years = [int(year) for year in text.split(",")]
+        except ValueError:
+            raise click.BadParameter(
+                f"expected comma-separated years or START..END, got {text!r}")
+        lo, hi = min(years), max(years)
+    if lo < MIN_YEAR or hi > MAX_YEAR:
+        raise click.BadParameter(f"years must lie in {MIN_YEAR}..{MAX_YEAR}, got {text!r}")
+    return list(years)
+
+
+def _finite_non_negative(ctx, param, value: float) -> float:
+    """A finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    return value
 
 
 def _name_list(ctx, param, text: str | None) -> list[str] | None:
@@ -233,10 +253,11 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
 @click.option("--y2", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[1], show_default=True)
 @click.option("--weighted", is_flag=True, default=False)
 @click.option("--top", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--min-support", type=int, default=shifts_mod.DEFAULT_MIN_SUPPORT,
-              show_default=True)
+@click.option("--min-support", type=click.IntRange(min=0),
+              default=shifts_mod.DEFAULT_MIN_SUPPORT, show_default=True)
 @click.option("--min-delta", type=float, default=shifts_mod.DEFAULT_MIN_ABS_DELTA,
-              show_default=True, help="Qualifying |shift| threshold (x100 scale).")
+              callback=_finite_non_negative, show_default=True,
+              help="Qualifying |shift| threshold (x100 scale).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, fmt):
     """Rank gender shifts between two years; reports summary statistics."""

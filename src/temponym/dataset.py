@@ -7,12 +7,13 @@ row grammar is in ``_pyparse``.
 In memory a :class:`Dataset` is columnar and name-major: one sorted name
 table and two ``array('I')`` columns of female and male counts. Each name
 owns one contiguous span of positions in ``years_loaded`` and its cells sit
-next to each other in the columns; a year inside a span in which the name
-has no data holds zeros. A zero count (lenient mode keeps rows below the
-publication floor) is no data: a span starts and ends at non-zero cells.
-Positions rather than calendar years keep sparse year sets compact, a
-single-year lookup is one index into each column, and a windowed or pooled
-lookup sums one slice of each.
+next to each other in the columns, from its offset on; a year inside a span
+in which the name has no data holds zeros. A zero count (lenient mode keeps
+rows below the publication floor) is no data: a span starts and ends at
+non-zero cells. Positions rather than calendar years keep sparse year sets
+compact, a single-year lookup is one index into each column, and a windowed
+or pooled lookup sums one slice of each. Building a Dataset, from raw files
+or from an index, does no per-name work in Python code.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, count, repeat
+from operator import add, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -74,11 +76,11 @@ class Dataset:
     """Immutable name-major count columns over ``years_loaded``.
 
     Name ``names[i]`` has ``lengths[i]`` cells, for the positions
-    ``starts[i]`` onwards in ``years_loaded``; its cells follow those of
-    ``names[i - 1]`` in ``female`` and ``male``. The four columns are given
-    as ``array('I')`` or ``'I'`` memoryviews and kept as read-only
-    memoryviews over them, so the dataset can be shared by concurrent
-    readers.
+    ``starts[i]`` onwards in ``years_loaded``; they are the cells from
+    ``_offsets[i]`` on in ``female`` and ``male``, right after those of
+    ``names[i - 1]``. The four columns are given as ``array('I')`` or
+    ``'I'`` memoryviews and kept as read-only memoryviews over them, so the
+    dataset can be shared by concurrent readers.
     """
 
     years_loaded: tuple[int, ...]
@@ -88,31 +90,29 @@ class Dataset:
     female: memoryview = field(repr=False)
     male: memoryview = field(repr=False)
     skipped: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    # Per name (start, stop, base): its positions are start <= pos < stop and
-    # the cell for pos is at base + pos in the columns.
-    _spans: list = field(init=False, compare=False, repr=False)
+    # Per name, the index in the count columns of its first cell, plus the
+    # total cell count at the end: the running sum of ``lengths``.
+    _offsets: array = field(init=False, compare=False, repr=False)
     _positions: dict = field(init=False, compare=False, repr=False)
     _ids: dict = field(init=False, compare=False, repr=False)
-    # True when every stored name folds only to itself, so an exact name
-    # needs no fold map; _groups is built by _fold_groups on first need.
-    _distinct: bool = field(init=False, compare=False, repr=False)
+    # Whether every stored name folds only to itself, so an exact name needs
+    # no fold map; None until the first exact hit in _candidates computes it.
+    # _groups is built by _fold_groups on first need.
+    _distinct: Optional[bool] = field(init=False, compare=False, repr=False)
     _groups: Optional[dict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for key in _U32_SECTIONS:
             object.__setattr__(self, key, memoryview(getattr(self, key)).toreadonly())
-        offsets = accumulate(self.lengths, initial=0)
         derived = {
-            "_spans": [(start, start + length, offset - start)
-                       for start, length, offset in zip(self.starts, self.lengths, offsets)],
+            "_offsets": array("Q", accumulate(self.lengths, initial=0)),
             "_positions": {year: pos for pos, year in enumerate(self.years_loaded)},
-            "_ids": {name: i for i, name in enumerate(self.names)},
+            "_ids": dict(zip(self.names, range(len(self.names)))),
+            "_distinct": None,
             "_groups": None,
         }
         for key, value in derived.items():
             object.__setattr__(self, key, value)
-        keys = _folded_keys(self.names)  # after the spans: before them, ingest peaked ~3 MB higher
-        object.__setattr__(self, "_distinct", len(set(keys)) == len(keys))
 
     def _fold_groups(self) -> dict[str, list[int]]:
         """Folded key -> the ascending indices of the stored names that share it."""
@@ -133,8 +133,15 @@ class Dataset:
         (only with ``fold_diacritics``) the rest of its folded-key group.
         """
         exact = self._ids.get(name)
-        if exact is not None and self._distinct:
-            return (exact,)
+        if exact is not None:
+            # Two threads may both compute it; they compute equal values.
+            distinct = self._distinct
+            if distinct is None:
+                keys = _folded_keys(self.names)
+                distinct = len(set(keys)) == len(keys)
+                object.__setattr__(self, "_distinct", distinct)
+            if distinct:
+                return (exact,)
         # A query holding "\n" gets a key holding "\n", which no group has.
         group = self._fold_groups().get("\n".join(_folded_keys((name,))))
         if group is None:
@@ -158,9 +165,10 @@ class Dataset:
     def _first_cell(self, ids: Sequence[int], pos: int) -> Optional[tuple[int, int]]:
         """Counts of the first name in ``ids`` with data at ``pos``."""
         for i in ids:
-            start, stop, base = self._spans[i]
-            if start <= pos < stop:
-                female, male = self.female[base + pos], self.male[base + pos]
+            offset = pos - self.starts[i]
+            if 0 <= offset < self.lengths[i]:
+                cell = self._offsets[i] + offset
+                female, male = self.female[cell], self.male[cell]
                 if female or male:
                     return female, male
         return None
@@ -196,11 +204,13 @@ class Dataset:
         first = self._positions.get(years[0]) if n else None
         if len(ids) == 1 and first is not None and (
                 self.years_loaded[first:first + n] == tuple(years)):
-            start, stop, base = self._spans[ids[0]]
-            lo, hi = max(first, start), min(first + n, stop)
+            i = ids[0]
+            start = self.starts[i]
+            lo, hi = max(first, start), min(first + n, start + self.lengths[i])
             if lo >= hi:
                 return [0] * n, [0] * n
             head, tail = [0] * (lo - first), [0] * (first + n - hi)
+            base = self._offsets[i] - start
             return (head + self.female[base + lo:base + hi].tolist() + tail,
                     head + self.male[base + lo:base + hi].tolist() + tail)
         # -1, the position of a year not loaded, is in no name's span
@@ -212,8 +222,10 @@ class Dataset:
         lo, hi = min(p1, p2), max(p1, p2)
         female, male = self.female, self.male
         rows = []
-        for name, (start, stop, base) in zip(self.names, self._spans):
-            if start <= lo and hi < stop:
+        for name, start, length, offset in zip(
+                self.names, self.starts, self.lengths, self._offsets):
+            if start <= lo and hi < start + length:
+                base = offset - start
                 f1, m1 = female[base + p1], male[base + p1]
                 f2, m2 = female[base + p2], male[base + p2]
                 if (f1 or m1) and (f2 or m2):
@@ -230,8 +242,10 @@ class Dataset:
         if not ids:
             return _NO_DATA
         if len(ids) == 1:  # one stored name answers every year: sum its slices
-            start, stop, base = self._spans[ids[0]]
-            lo, hi = base + max(lo, start), base + min(hi, stop)
+            i = ids[0]
+            start = self.starts[i]
+            base = self._offsets[i] - start
+            lo, hi = base + max(lo, start), base + min(hi, start + self.lengths[i])
             if lo >= hi:
                 return _NO_DATA
             return sum(self.female[lo:hi]), sum(self.male[lo:hi])
@@ -406,7 +420,8 @@ def bundled_sample_dir() -> Path:
 # highest plane that holds a non-zero byte: counts below 2^16 keep two
 # planes, so their section holds two bytes per value. Loading is decompress,
 # checksum and unshuffle into zeroed 32-bit words, which the Dataset reads in
-# place: no row parsing.
+# place: no row parsing. The Dataset derives its offsets from ``lengths``;
+# stored, they would need three planes and grow the file.
 
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
@@ -421,6 +436,7 @@ def _shuffle(column: memoryview) -> tuple[bytes, int]:
     """The column's byte planes up to its highest non-zero one, and their count."""
     raw = column.tobytes()
     planes = [raw[offset::4] for offset in _PLANE_OFFSETS]
+    del raw  # before the join: a dense ingest peaked ~3 MB higher with it kept
     width = 4
     while width > 1 and planes[width - 1].count(0) == len(planes[width - 1]):
         width -= 1
@@ -523,7 +539,7 @@ def load_index(path: Path | str) -> Dataset:
     except UnicodeDecodeError as exc:
         raise errors.IndexFormatError(f"{path}: name table is not UTF-8 ({exc})") from None
     names = tuple(text.split("\n")) if text else ()
-    if not all(a < b for a, b in zip(names, names[1:])):
+    if not all(map(lt, names, names[1:])):
         raise errors.IndexFormatError(f"{path}: name table is not sorted and unique")
     widths = header["widths"]
     columns = {key: _unshuffle(data, widths[key]) for key, data in parts.items()}
@@ -531,6 +547,6 @@ def load_index(path: Path | str) -> Dataset:
     n_years = len(header["years"])
     if not (len(starts) == len(lengths) == len(names)
             and len(columns["female"]) == len(columns["male"]) == sum(lengths)
-            and all(start + length <= n_years for start, length in zip(starts, lengths))):
+            and max(map(add, starts, lengths), default=0) <= n_years):
         raise errors.IndexFormatError(f"{path}: name spans point outside the columns")
     return Dataset(years_loaded=tuple(header["years"]), names=names, **columns)

@@ -9,10 +9,12 @@ but never treated as ground truth.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import os
 import re
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,14 +118,21 @@ class PredictionCache:
     def put(self, prediction: ExternalPrediction, date: str) -> None:
         """Store ``prediction``; an entry that cannot be written is a data error."""
         path = self._path(prediction.service_id, prediction.name, date)
+        tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(prediction.__dict__))
-            tmp.replace(path)  # atomic: concurrent readers never see partial writes
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)  # one per writer
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(prediction.__dict__))
+            os.replace(tmp, path)  # atomic: concurrent readers never see partial writes
+            tmp = None
         except OSError as exc:
             raise errors.TemponymError(
                 f"{path}: cannot be written ({exc.strerror or exc})") from None
+        finally:
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
 
 
 FIXTURE_COLUMNS = ("service_id", "name", "label")

@@ -124,13 +124,27 @@ def _sections_do_not_add_up(path):
     _write_index(path, header, payload)
 
 
-def _spans_outside_columns(path):
+def _save_two_names(path, names, starts=(0, 0), lengths=(1, 1)):
+    """An index of two names over 1990-1991, saved without any check."""
+    cells = sum(lengths)
     bad = dataset_mod.Dataset(
-        years_loaded=(1990, 1991), names=("Ann", "Pat"),
-        starts=array("I", [0, 1]), lengths=array("I", [2, 2]),
-        female=array("I", [5, 6, 7, 8]), male=array("I", [0, 0, 0, 0]),
+        years_loaded=(1990, 1991), names=names,
+        starts=array("I", starts), lengths=array("I", lengths),
+        female=array("I", range(5, 5 + cells)), male=array("I", [0] * cells),
     )
     dataset_mod.save_index(bad, path)
+
+
+def _spans_outside_columns(path):
+    _save_two_names(path, ("Ann", "Pat"), starts=(0, 1), lengths=(2, 2))
+
+
+def _names_not_sorted(path):
+    _save_two_names(path, ("Pat", "Ann"))
+
+
+def _names_not_unique(path):
+    _save_two_names(path, ("Pat", "Pat"))
 
 
 # Each damage, and a fragment of the error it must be reported with.
@@ -145,6 +159,8 @@ BAD_INDEXES = [
     (_length_not_a_multiple_of_width, "not a whole number of values of its width"),
     (_sections_do_not_add_up, "section lengths"),
     (_spans_outside_columns, "spans point outside"),
+    (_names_not_sorted, "not sorted and unique"),
+    (_names_not_unique, "not sorted and unique"),
 ]
 
 

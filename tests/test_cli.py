@@ -237,6 +237,7 @@ def test_compare_reports_a_cache_entry_that_cannot_be_written(runner, monkeypatc
     assert result.exit_code == 4, result.output
     [row] = json.loads(result.output)["rows"]
     assert row["errors"]["genderize"].startswith(f"{path}: cannot be written")
+    assert list(path.parent.glob("*.tmp")) == []
 
 
 def test_compare_requires_names(runner):
@@ -386,7 +387,17 @@ CLI_ERRORS = [
     ("trajectories-reversed-years",
      ["plot", "trajectories", "--names", "Leslie", "--years", "2000..1990"], {}, 2),
     ("audit-fixed-cohort-with-half-width", ["audit", "--cohort", "fixed:35:10"], {}, 2),
+    ("audit-negative-cohort-offset", ["audit", "--cohort", "uniform:-500:3"], {}, 2),
     ("shift-negative-top", ["shift", "--top", "-3"], {}, 2),
+    ("shift-nan-min-delta", ["shift", "--min-delta", "nan"], {}, 2),
+    ("shift-infinite-min-delta", ["shift", "--min-delta", "inf"], {}, 2),
+    ("shift-negative-min-delta", ["shift", "--min-delta", "-1"], {}, 2),
+    ("shift-negative-min-support", ["shift", "--min-support", "-1"], {}, 2),
+    # rejected before the two-million-year list is built
+    ("trajectories-years-out-of-bounds",
+     ["plot", "trajectories", "--names", "Leslie", "--years", "0..2000000"], {}, 2),
+    ("trajectories-listed-year-out-of-bounds",
+     ["plot", "trajectories", "--names", "Leslie", "--years", "1925,9999"], {}, 2),
     ("trajectories-negative-top-shifts", ["plot", "trajectories", "--top-shifts", "-1"], {}, 2),
     ("query-no-data", ["query", "--name", "Zzyzx", "--year", "1925"], {}, 3),
     ("shift-year-not-loaded", ["shift", "--y1", "1776"], {}, 3),

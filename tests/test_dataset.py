@@ -319,6 +319,19 @@ def test_shared_keys_resolve_exact_names_through_the_fold_maps():
     assert data._groups is not None
 
 
+def test_loading_folds_no_name(monkeypatch, tmp_path):
+    calls = []
+    folded_keys = ds._folded_keys
+    monkeypatch.setattr(ds, "_folded_keys",
+                        lambda names: calls.append(names) or folded_keys(names))
+    data = ds.load_dataset([(1990, "Ann,F,10\nRenée,F,100"), (1991, "Bo,M,20")])
+    ds.save_index(data, tmp_path / "x.idx")
+    loaded = ds.load_index(tmp_path / "x.idx")
+    assert calls == []
+    assert loaded.lookup("Renée", 1990) == (100, 0)  # the first exact hit folds the table
+    assert len(calls) == 1
+
+
 def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch):
     calls = []
     strip = ds.strip_diacritics
@@ -326,7 +339,9 @@ def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch):
     data = ds.load_dataset([(1990, "Ann,F,10\nLee,M,9\nBo,F,8")])
     assert data.lookup("Lee", 1990) == (0, 9)
     assert calls == []
-    ds.load_dataset([(1990, "Ann,F,10\nRenée,F,7")])
+    data = ds.load_dataset([(1990, "Ann,F,10\nRenée,F,7")])
+    assert calls == []
+    assert data.lookup("Ann", 1990) == (10, 0)  # the first exact hit folds the table
     assert calls == ["renée"]
 
 

@@ -163,33 +163,36 @@ year_rows = st.dictionaries(
 @given(st.dictionaries(st.integers(1880, 1900), year_rows, max_size=8),
        st.integers(1875, 1905), st.integers(0, 30))
 def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width):
-    """Lookups on the columns equal the per-year dicts they were built from."""
+    """Lookups on the columns, built or loaded, equal the per-year dicts they were built from."""
     sources = [
         (year, "".join(f"{n},F,{f}\n{n},M,{m}\n" for n, (f, m) in rows.items()))
         for year, rows in per_year.items()
     ]
-    data = ds.load_dataset(sources, strict=False)
+    built = ds.load_dataset(sources, strict=False)
     path = tmp_path_factory.getbasetemp() / "columns.idx"
-    ds.save_index(data, path)
-    assert ds.load_index(path) == data
-    assert data.years_loaded == tuple(sorted(per_year))
-    for name in POOL:
-        for year, rows in per_year.items():
-            expected = rows.get(name, (0, 0))
-            assert (data.lookup(name, year) or (0, 0)) == expected
-        in_range = [rows.get(name, (0, 0)) for year, rows in per_year.items()
-                    if lo <= year <= lo + width]
-        assert data.totals(name, lo, lo + width) == (
-            sum(f for f, _ in in_range), sum(m for _, m in in_range))
-        window = [year for year in data.years_loaded if lo <= year <= lo + width]
-        for years in (list(per_year), window, list(range(lo, lo + width + 1))):
-            cells = [per_year.get(year, {}).get(name, (0, 0)) for year in years]
-            assert data.name_counts(name, years) == ([f for f, _ in cells], [m for _, m in cells])
-    for y1, rows1 in per_year.items():
-        for y2, rows2 in per_year.items():
-            assert data.year_pair_cells(y1, y2) == [
-                (name, *rows1[name], *rows2[name]) for name in sorted(POOL)
-                if any(rows1.get(name, ())) and any(rows2.get(name, ()))]
+    ds.save_index(built, path)
+    loaded = ds.load_index(path)
+    assert loaded == built
+    for data in (built, loaded):
+        assert data.years_loaded == tuple(sorted(per_year))
+        for name in POOL:
+            for year, rows in per_year.items():
+                expected = rows.get(name, (0, 0))
+                assert (data.lookup(name, year) or (0, 0)) == expected
+            in_range = [rows.get(name, (0, 0)) for year, rows in per_year.items()
+                        if lo <= year <= lo + width]
+            assert data.totals(name, lo, lo + width) == (
+                sum(f for f, _ in in_range), sum(m for _, m in in_range))
+            window = [year for year in data.years_loaded if lo <= year <= lo + width]
+            for years in (list(per_year), window, list(range(lo, lo + width + 1))):
+                cells = [per_year.get(year, {}).get(name, (0, 0)) for year in years]
+                assert data.name_counts(name, years) == (
+                    [f for f, _ in cells], [m for _, m in cells])
+        for y1, rows1 in per_year.items():
+            for y2, rows2 in per_year.items():
+                assert data.year_pair_cells(y1, y2) == [
+                    (name, *rows1[name], *rows2[name]) for name in sorted(POOL)
+                    if any(rows1.get(name, ())) and any(rows2.get(name, ()))]
 
 
 # --- the SSA row parser -----------------------------------------------------
