@@ -10,39 +10,44 @@ package itself. Commands call through the module objects
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import errors
 from . import shifts as shifts_mod
 from .model import NAMSOR_LESLIE_REFERENCE
 
+EXIT_USAGE = 2
 EXIT_DATA_ERROR = 3
 EXIT_PARTIAL = 4
 
 
-# Option callbacks: a BadParameter raised in one becomes a usage error naming the option.
-def parse_year_range(ctx, param, text: str | None) -> tuple[int, int] | None:
+class UsageError(Exception):
+    """Options that do not fit together: the command exits 2 with its usage."""
+
+
+# Option types: an ArgumentTypeError raised in one becomes a usage error naming
+# the option. argparse applies them to string defaults too, ``--config`` values
+# among them.
+def parse_year_range(text: str) -> tuple[int, int]:
     """``(START, END)`` of a ``START..END`` year range; END may not precede START."""
-    if text is None:
-        return None
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise click.BadParameter(f"expected START..END, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected START..END, got {text!r}") from None
     if lo > hi:
-        raise click.BadParameter(f"{text!r} ends before it starts")
+        raise argparse.ArgumentTypeError(f"{text!r} ends before it starts")
     return lo, hi
 
 
-def _year_list(ctx, param, text: str) -> list[int]:
+def _year_list(text: str) -> list[int]:
     """The years of a comma-separated list or of a ``START..END`` range.
 
     Every year must lie in [MIN_YEAR, MAX_YEAR]; a range is checked before
@@ -51,136 +56,120 @@ def _year_list(ctx, param, text: str) -> list[int]:
     from .dataset import MAX_YEAR, MIN_YEAR
 
     if ".." in text:
-        lo, hi = parse_year_range(ctx, param, text)
+        lo, hi = parse_year_range(text)
         years = range(lo, hi + 1)
     else:
         try:
             years = [int(year) for year in text.split(",")]
         except ValueError:
-            raise click.BadParameter(
-                f"expected comma-separated years or START..END, got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated years or START..END, got {text!r}") from None
         lo, hi = min(years), max(years)
     if lo < MIN_YEAR or hi > MAX_YEAR:
-        raise click.BadParameter(f"years must lie in {MIN_YEAR}..{MAX_YEAR}, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"years must lie in {MIN_YEAR}..{MAX_YEAR}, got {text!r}")
     return list(years)
 
 
-def _finite_non_negative(ctx, param, value: float) -> float:
-    """A finite number >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
+
+
+def _count(text: str) -> int:
+    """An integer >= 0."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0.")
     return value
 
 
-def _name_list(ctx, param, text: str | None) -> list[str] | None:
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid float.") from None
+
+
+def _finite_non_negative(text: str) -> float:
+    """A finite number >= 0."""
+    value = _number(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
+    return value
+
+
+def _choice(*choices: str):
+    """The type of an option whose value is one of ``choices``."""
+    def choice(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(f"{text!r} is not one of {listed}.")
+        return text
+    return choice
+
+
+def _existing(text: str) -> str:
+    """A path that exists."""
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"Path {text!r} does not exist.")
+    return text
+
+
+def _directory(text: str) -> str:
+    """A directory that exists."""
+    if not os.path.isdir(_existing(text)):
+        raise argparse.ArgumentTypeError(f"Directory {text!r} is a file.")
+    return text
+
+
+def _name_list(text: str) -> list[str] | None:
     """The names of a comma-separated list; None when it names none."""
-    return [name.strip() for name in (text or "").split(",") if name.strip()] or None
+    return [name.strip() for name in text.split(",") if name.strip()] or None
 
 
-def _names_file(ctx, param, path: str | None) -> list[str] | None:
-    """The names in a file, one per line."""
-    if path is None:
-        return None
-    from . import dataset as dataset_mod
-
-    return [line.strip() for line in dataset_mod.read_text(path).splitlines() if line.strip()]
-
-
-def _cohort(ctx, param, text: str):
+def _cohort(text: str):
     """The ``audit.CohortModel`` of a ``--cohort`` spec."""
     from . import audit as audit_mod
 
     try:
         return audit_mod.CohortModel.parse(text)
     except errors.ConfigError as exc:
-        raise click.BadParameter(str(exc))
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_data(index_path, data_dir):
     from . import dataset as dataset_mod
 
     if index_path and data_dir:
-        raise click.UsageError("--index and --dir are mutually exclusive")
+        raise UsageError("'--index' and '--dir' are mutually exclusive")
     if index_path:
         return dataset_mod.load_index(index_path)
     directory = Path(data_dir) if data_dir else dataset_mod.bundled_sample_dir()
     return dataset_mod.load_directory(directory)
 
 
+def _echo(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left early (``temponym shift | head -1``): drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(payload, fmt: str, csv_rows=None, csv_header=None) -> None:
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
         out = io.StringIO()
         writer = csv.writer(out)
         if csv_header:
             writer.writerow(csv_header)
         writer.writerows(csv_rows or [])
-        click.echo(out.getvalue().rstrip("\n"))
+        _echo(out.getvalue().rstrip("\n"))
 
 
-def with_data_options(fn):
-    """Adds ``--index`` and ``--dir``, the two places a command reads data from."""
-    fn = click.option("--dir", "data_dir", type=click.Path(exists=True, file_okay=False),
-                      default=None,
-                      help="Directory of yobYYYY.txt files (default: bundled sample).")(fn)
-    return click.option("--index", "index_path", type=click.Path(exists=True), default=None,
-                        help="Persisted index file produced by `temponym ingest`.")(fn)
-
-
-class _Main(click.Group):
-    """The top-level group: a data error from any command exits 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except errors.TemponymError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DATA_ERROR)
-
-
-def _check_config(defaults, group: click.Group, prefix: str = "") -> None:
-    """Each section a command reads from ``--config`` must be a JSON object."""
-    for name, command in group.commands.items():
-        section = defaults.get(name)
-        if section is None:
-            continue
-        if not isinstance(section, dict):
-            raise click.BadParameter(f"section '{prefix}{name}' must hold a JSON object")
-        if isinstance(command, click.Group):
-            _check_config(section, command, f"{prefix}{name}.")
-
-
-def _read_config(ctx, param, fh) -> None:
-    """Makes the JSON object of ``--config`` the default values of every command."""
-    if fh is None:
-        return
-    try:
-        defaults = json.load(fh)
-    except ValueError as exc:
-        raise click.BadParameter(f"not JSON ({exc})")
-    if not isinstance(defaults, dict):
-        raise click.BadParameter("must hold a JSON object")
-    _check_config(defaults, ctx.command)
-    ctx.default_map = defaults
-
-
-@click.group(cls=_Main)
-@click.option("--config", type=click.File(encoding="utf-8"), metavar="PATH",
-              callback=_read_config, expose_value=False,
-              help="JSON file of default option values, keyed by subcommand.")
-def main():
-    """Temporally-aware name-gender analysis over SSA yearly name data."""
-
-
-@main.command()
-@click.option("--dir", "data_dir", type=click.Path(exists=True, file_okay=False),
-              required=True)
-@click.option("--years", default=None, callback=parse_year_range,
-              help="Restrict to a range, e.g. 1880..2023.")
-@click.option("--strict/--lenient", default=True,
-              help="Abort on invalid rows (default) or skip them with a tally.")
-@click.option("--out", "out_path", type=click.Path(), required=True)
 def ingest(data_dir, years, strict, out_path):
     """Parse SSA yearly files and persist a checksummed index."""
     from . import dataset as dataset_mod
@@ -193,28 +182,21 @@ def ingest(data_dir, years, strict, out_path):
     dataset_mod.save_index(data, out_path)
     births = sum(data.female) + sum(data.male)
     skipped = sum(data.skipped)
-    click.echo(
+    _echo(
         f"indexed {len(data.years_loaded)} years, "
         f"{births} births, {len(data.names)} names"
         + (f", {skipped} rows skipped" if skipped else "")
     )
 
 
-@main.command()
-@with_data_options
-@click.option("--name", required=True)
-@click.option("--year", type=int, default=None)
-@click.option("--window", type=click.IntRange(min=0), default=None,
-              help="Half-width around --year.")
-@click.option("--pooled", default=None, callback=parse_year_range,
-              help="Pooled range, e.g. 1880..2020.")
-@click.option("--policy", type=click.Choice(["majority", "t95"]), default="majority")
-@click.option("--fold-diacritics", is_flag=True, default=False)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacritics, fmt):
     """Female-gender probability for a name in a temporal context."""
-    if year is None and pooled is None:
-        raise click.UsageError("provide --year or --pooled")
+    if pooled is not None:
+        for option, value in (("--year", year), ("--window", window)):
+            if value is not None:
+                raise UsageError(f"'--pooled' and '{option}' are mutually exclusive")
+    elif year is None:
+        raise UsageError("provide '--year' or '--pooled'")
     from . import model as model_mod
 
     data = _load_data(index_path, data_dir)
@@ -247,18 +229,6 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
     )
 
 
-@main.command()
-@with_data_options
-@click.option("--y1", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[0], show_default=True)
-@click.option("--y2", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[1], show_default=True)
-@click.option("--weighted", is_flag=True, default=False)
-@click.option("--top", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--min-support", type=click.IntRange(min=0),
-              default=shifts_mod.DEFAULT_MIN_SUPPORT, show_default=True)
-@click.option("--min-delta", type=float, default=shifts_mod.DEFAULT_MIN_ABS_DELTA,
-              callback=_finite_non_negative, show_default=True,
-              help="Qualifying |shift| threshold (x100 scale).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, fmt):
     """Rank gender shifts between two years; reports summary statistics."""
     data = _load_data(index_path, data_dir)
@@ -288,14 +258,10 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
                      e.support_y1, e.support_y2, f"{e.weight:.1f}", f"{e.weighted_shift:.1f}"]
                     for rank, e in enumerate(entries, start=1)])
     if fmt == "csv":
-        click.echo(f"# qualifying names at |delta|>={min_delta}: {len(qualifying)}",
-                   err=True)
+        print(f"# qualifying names at |delta|>={min_delta}: {len(qualifying)}",
+              file=sys.stderr)
 
 
-@main.command()
-@with_data_options
-@click.option("--year", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def ambiguity(index_path, data_dir, year, fmt):
     """Share of children given a name used for both sexes that year."""
     from . import model as model_mod
@@ -307,15 +273,6 @@ def ambiguity(index_path, data_dir, year, fmt):
           csv_rows=[[year, f"{share:.4f}"]])
 
 
-@main.command(name="audit")
-@with_data_options
-@click.option("--corpus", "corpus_path", type=click.Path(exists=True), default=None,
-              help="Corpus CSV (default: the bundled Leslie fixture).")
-@click.option("--cohort", default="fixed:35", show_default=True, callback=_cohort,
-              help="fixed:OFFSET, uniform:OFFSET:HALF or triangular:OFFSET:HALF.")
-@click.option("--atemporal", default="1880..2020", show_default=True,
-              callback=parse_year_range)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
     """Temporal vs atemporal expected-female audit of a corpus."""
     from . import audit as audit_mod
@@ -348,25 +305,18 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
         sys.exit(EXIT_PARTIAL)
 
 
-@main.command()
-@with_data_options
-@click.option("--names", default=None, callback=_name_list, help="Comma-separated names.")
-@click.option("--names-file", type=click.Path(exists=True), default=None,
-              callback=_names_file, help="File with one name per line.")
-@click.option("--ssa-year", type=int, default=1925, show_default=True)
-@click.option("--services", "services_spec", default="fixtures", show_default=True,
-              help='"fixtures" or "genderize-live:URL".')
-@click.option("--fixture-file", type=click.Path(exists=True), default=None)
-@click.option("--cache-dir", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
             fixture_file, cache_dir, fmt):
     """Compare third-party gender predictions against SSA ground truth."""
     from . import services
 
-    name_list = names or names_file
-    if name_list is None:
-        raise click.UsageError("provide --names or --names-file")
+    if names_file is not None:
+        from . import dataset as dataset_mod
+
+        lines = dataset_mod.read_text(names_file).splitlines()
+        names = names or [line.strip() for line in lines if line.strip()]
+    if names is None:
+        raise UsageError("provide '--names' or '--names-file'")
 
     data = _load_data(index_path, data_dir)
     if services_spec == "fixtures":
@@ -376,7 +326,7 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
     else:
         raise errors.ConfigError(f"unknown services spec {services_spec!r}")
     cache = services.PredictionCache(cache_dir) if cache_dir else None
-    rows = services.comparison_table(name_list, data, ssa_year, configs, cache=cache)
+    rows = services.comparison_table(names, data, ssa_year, configs, cache=cache)
     metrics = services.divergence_metrics(rows) if rows else None
 
     payload = {
@@ -426,21 +376,6 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
         sys.exit(EXIT_PARTIAL)
 
 
-@main.group()
-def plot():
-    """Emit plot-ready data series (no rendering)."""
-
-
-@plot.command()
-@with_data_options
-@click.option("--names", default=None, callback=_name_list, help="Comma-separated names.")
-@click.option("--top-shifts", type=click.IntRange(min=0), default=None,
-              help="Instead of --names, use the top-N weighted shifting names.")
-@click.option("--years", default="1925,1950,1975,2000", show_default=True,
-              callback=_year_list, help="Comma-separated years or a range like 1925..2000.")
-@click.option("--y1", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[0], show_default=True)
-@click.option("--y2", type=int, default=shifts_mod.DEFAULT_YEAR_PAIR[1], show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
     """p(F) trajectories for named or top-shifting names."""
     from . import report
@@ -450,17 +385,11 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
         entries = shifts_mod.rank_shifts(data, y1, y2, top_k=top_shifts, weighted=True)
         names = [e.name for e in entries]
     elif names is None:
-        raise click.UsageError("provide --names or --top-shifts")
+        raise UsageError("provide '--names' or '--top-shifts'")
     series = report.emit_trajectories(data, names, years)
     _emit_series(series, fmt)
 
 
-@plot.command()
-@click.option("--corpus", "corpus_path", type=click.Path(exists=True), default=None,
-              help="Labeled corpus CSV (default: the bundled Leslie fixture).")
-@click.option("--reference", type=float, default=None,
-              help=f"Constant reference p(F) line (e.g. {NAMSOR_LESLIE_REFERENCE}).")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def bubbles(corpus_path, reference, fmt):
     """Year-by-year publication bubbles per known-gender stratum."""
     from . import audit as audit_mod
@@ -478,13 +407,245 @@ def _emit_series(series, fmt: str) -> None:
              "points": [{"x": x, "y": y, "size": size} for x, y, size in s.points]}
             for s in series
         ]
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
     else:
         rows = [
             [s.series_id, x, f"{y:.6f}", "" if size is None else size]
             for s in series for x, y, size in s.points
         ]
         _emit(None, "csv", csv_header=["series_id", "x", "y", "size"], csv_rows=rows)
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Help and usage messages that begin ``Usage:``."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser of a command (``run``) or of a group of commands (``commands``).
+
+    A usage error prints the usage and ``Error: MESSAGE`` and exits 2; a bad
+    option value reads ``Invalid value for '--option': ...``.
+    """
+
+    def __init__(self, *args, run=None, **kwargs):
+        super().__init__(*args, formatter_class=_Formatter, allow_abbrev=False,
+                         exit_on_error=False, **kwargs)
+        self.run = run
+        self.commands: dict[str, _Parser] = {}
+        self.options: dict[str, argparse.Action] = {}  # by dest, the ``--config`` keys
+        self.required_options: list[argparse.Action] = []
+        self._subparsers_action = None
+
+    def option(self, *flags, required=False, **kwargs) -> None:
+        """An option; a required one may also take its value from ``--config``."""
+        action = self.add_argument(*flags, **kwargs)
+        self.options.setdefault(action.dest, action)
+        if required:
+            self.required_options.append(action)
+
+    def command(self, name: str, run=None, doc: str | None = None) -> _Parser:
+        """A subcommand calling ``run`` with its option values, or a group if ``run`` is None."""
+        if self._subparsers_action is None:
+            self._subparsers_action = self.add_subparsers(
+                title="commands", metavar="COMMAND", prog=self.prog, required=True)
+        doc = doc or run.__doc__
+        parser = self._subparsers_action.add_parser(
+            name, help=doc, description=doc, run=run,
+            usage="%(prog)s [OPTIONS]" if run else "%(prog)s [OPTIONS] COMMAND [ARGS]...")
+        if run:
+            parser.set_defaults(command=parser)
+        self.commands[name] = parser
+        return parser
+
+    def configure(self, section: dict) -> None:
+        """Makes a ``--config`` section, keyed by option dest, this command's defaults.
+
+        A value passes the check of the same value given on the command line,
+        and it satisfies a required option; a key that names no option, or a
+        null value, is ignored.
+        """
+        defaults = {}
+        for dest, value in section.items():
+            action = self.options.get(dest)
+            if action is None or value is None:
+                continue
+            if action.nargs == 0:  # a flag
+                if not isinstance(value, bool):
+                    raise argparse.ArgumentError(action, f"{value!r} is not true or false")
+                defaults[dest] = value
+            else:
+                defaults[dest] = str(value)  # argparse checks a string default like a value
+        self.set_defaults(**defaults)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except argparse.ArgumentError as exc:  # an option type's ArgumentTypeError among them
+            name = exc.argument_name
+            self.error(f"Invalid value for '{name}': {exc.message}" if name else exc.message)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"Try '{self.prog} --help' for help.\n\nError: {message}\n")
+
+
+class _ReadConfig(argparse.Action):
+    """``--config PATH``: a JSON object whose sections, keyed by command, set option defaults."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            config = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise argparse.ArgumentError(self, f"{path!r}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, f"not JSON ({exc})") from None
+        if not isinstance(config, dict):
+            raise argparse.ArgumentError(self, "must hold a JSON object")
+        self.apply(config, parser)
+
+    def apply(self, config: dict, group: _Parser, prefix: str = "") -> None:
+        for name, command in group.commands.items():
+            section = config.get(name)
+            if section is None:
+                continue
+            if not isinstance(section, dict):
+                raise argparse.ArgumentError(
+                    self, f"section '{prefix}{name}' must hold a JSON object")
+            if command.run:
+                command.configure(section)
+            else:
+                self.apply(section, command, f"{prefix}{name}.")
+
+
+def _data_options(parser: _Parser) -> None:
+    """``--index`` and ``--dir``, the two places a command reads data from."""
+    parser.option("--index", dest="index_path", type=_existing, metavar="PATH",
+                  help="Persisted index file produced by `temponym ingest`.")
+    parser.option("--dir", dest="data_dir", type=_directory, metavar="DIRECTORY",
+                  help="Directory of yobYYYY.txt files (default: bundled sample).")
+
+
+def _format_option(parser: _Parser, *choices: str) -> None:
+    """``--format``, defaulting to the first of ``choices``."""
+    parser.option("--format", dest="fmt", type=_choice(*choices), default=choices[0],
+                  metavar="{" + ",".join(choices) + "}")
+
+
+def _parser(prog: str) -> _Parser:
+    main = _Parser(prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                   description="Temporally-aware name-gender analysis over SSA yearly "
+                               "name data.")
+    main.add_argument("--config", action=_ReadConfig, metavar="PATH", default=argparse.SUPPRESS,
+                      help="JSON file of default option values, keyed by subcommand.")
+    y1, y2 = shifts_mod.DEFAULT_YEAR_PAIR
+
+    p = main.command("ingest", ingest)
+    p.option("--dir", dest="data_dir", type=_directory, metavar="DIRECTORY", required=True,
+             help="Directory of yobYYYY.txt files (required).")
+    p.option("--years", type=parse_year_range, help="Restrict to a range, e.g. 1880..2023.")
+    p.option("--strict", dest="strict", action="store_true", default=True,
+             help="Abort on invalid rows (default).")
+    p.option("--lenient", dest="strict", action="store_false",
+             help="Skip invalid rows with a tally.")
+    p.option("--out", dest="out_path", metavar="PATH", required=True,
+             help="Index file to write (required).")
+
+    p = main.command("query", query)
+    _data_options(p)
+    p.option("--name", required=True, help="(required)")
+    p.option("--year", type=_integer)
+    p.option("--window", type=_count, help="Half-width around --year (x>=0).")
+    p.option("--pooled", type=parse_year_range,
+             help="Pooled range, e.g. 1880..2020; not with --year or --window.")
+    p.option("--policy", type=_choice("majority", "t95"), default="majority",
+             metavar="{majority,t95}")
+    p.option("--fold-diacritics", action="store_true")
+    _format_option(p, "json", "csv")
+
+    p = main.command("shift", shift)
+    _data_options(p)
+    p.option("--y1", type=_integer, default=y1, help="(default: %(default)s)")
+    p.option("--y2", type=_integer, default=y2, help="(default: %(default)s)")
+    p.option("--weighted", action="store_true")
+    p.option("--top", type=_count, default=50, help="(default: %(default)s)")
+    p.option("--min-support", type=_count, default=shifts_mod.DEFAULT_MIN_SUPPORT,
+             help="(default: %(default)s)")
+    p.option("--min-delta", type=_finite_non_negative,
+             default=shifts_mod.DEFAULT_MIN_ABS_DELTA,
+             help="Qualifying |shift| threshold (x100 scale; default: %(default)s).")
+    _format_option(p, "csv", "json")
+
+    p = main.command("ambiguity", ambiguity)
+    _data_options(p)
+    p.option("--year", type=_integer, required=True, help="(required)")
+    _format_option(p, "json", "csv")
+
+    p = main.command("audit", audit_cmd)
+    _data_options(p)
+    p.option("--corpus", dest="corpus_path", type=_existing, metavar="PATH",
+             help="Corpus CSV (default: the bundled Leslie fixture).")
+    p.option("--cohort", type=_cohort, default="fixed:35",
+             help="fixed:OFFSET, uniform:OFFSET:HALF or triangular:OFFSET:HALF "
+                  "(default: %(default)s).")
+    p.option("--atemporal", type=parse_year_range, default="1880..2020",
+             help="(default: %(default)s)")
+    _format_option(p, "json", "csv")
+
+    p = main.command("compare", compare)
+    _data_options(p)
+    p.option("--names", type=_name_list, help="Comma-separated names.")
+    p.option("--names-file", type=_existing, metavar="PATH",
+             help="File with one name per line.")
+    p.option("--ssa-year", type=_integer, default=1925, help="(default: %(default)s)")
+    p.option("--services", dest="services_spec", default="fixtures", metavar="SPEC",
+             help='"fixtures" or "genderize-live:URL" (default: %(default)s).')
+    p.option("--fixture-file", type=_existing, metavar="PATH")
+    p.option("--cache-dir", metavar="PATH")
+    _format_option(p, "csv", "json")
+
+    plot = main.command("plot", doc="Emit plot-ready data series (no rendering).")
+    p = plot.command("trajectories", trajectories)
+    _data_options(p)
+    p.option("--names", type=_name_list, help="Comma-separated names.")
+    p.option("--top-shifts", type=_count,
+             help="Instead of --names, use the top-N weighted shifting names.")
+    p.option("--years", type=_year_list, default="1925,1950,1975,2000",
+             help="Comma-separated years or a range like 1925..2000 "
+                  "(default: %(default)s).")
+    p.option("--y1", type=_integer, default=y1, help="(default: %(default)s)")
+    p.option("--y2", type=_integer, default=y2, help="(default: %(default)s)")
+    _format_option(p, "json", "csv")
+
+    p = plot.command("bubbles", bubbles)
+    p.option("--corpus", dest="corpus_path", type=_existing, metavar="PATH",
+             help="Labeled corpus CSV (default: the bundled Leslie fixture).")
+    p.option("--reference", type=_number,
+             help=f"Constant reference p(F) line (e.g. {NAMSOR_LESLIE_REFERENCE}).")
+    _format_option(p, "json", "csv")
+    return main
+
+
+def main(args=None, prog_name=None):
+    """Run one command line; always ends in ``SystemExit`` with the exit code."""
+    namespace, extras = _parser(prog_name or "temponym").parse_known_args(args)
+    values = vars(namespace)
+    command = values.pop("command")
+    if extras:
+        command.error(f"unrecognized arguments: {' '.join(extras)}")
+    for action in command.required_options:
+        if values[action.dest] is None:
+            command.error(f"Missing option '{action.option_strings[0]}'.")
+    try:
+        command.run(**values)
+    except UsageError as exc:
+        command.error(str(exc))
+    except errors.TemponymError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_DATA_ERROR)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,9 @@ from .dataset import Dataset, read_csv
 from .model import p_female
 
 CACHE_VERSION = "v2"
+# The longest Retry-After (RFC 9110 §10.2.3) that a rate-limited live call
+# waits out before its one retry.
+RETRY_AFTER_CAP_S = 5.0
 FixtureTable = dict[str, dict[str, "ExternalPrediction"]]
 
 
@@ -183,7 +186,12 @@ def fetch_prediction(
     cache: Optional[PredictionCache] = None,
     limiter: Optional[RateLimiter] = None,
 ) -> ExternalPrediction:
-    """One normalized prediction, from the fixture table or a live call."""
+    """One normalized prediction, from the fixture table or a live call.
+
+    A live call answered 429 is retried once, after sleeping through
+    ``limiter`` for its Retry-After, when that is at most
+    ``RETRY_AFTER_CAP_S``; without a limiter it is not retried.
+    """
     if config.fixture_table is not None:
         hit = config.fixture_table.get(name.casefold())
         if hit is None:
@@ -198,7 +206,14 @@ def fetch_prediction(
 
     if limiter is not None:
         limiter.wait()
-    prediction = _fetch_live(config, name, today)
+    try:
+        prediction = _fetch_live(config, name, today)
+    except errors.RateLimited as exc:
+        if limiter is None or exc.retry_after > RETRY_AFTER_CAP_S:
+            raise
+        limiter.sleep(exc.retry_after)
+        limiter.wait()
+        prediction = _fetch_live(config, name, today)
     if cache is not None:
         cache.put(prediction, today)
     return prediction

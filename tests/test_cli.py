@@ -1,21 +1,49 @@
+import contextlib
 import datetime
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
-from click.testing import CliRunner
 
 import temponym
 from temponym import dataset as ds
 from temponym.cli import main
 
 
+class Result(NamedTuple):
+    exit_code: int
+    exception: Optional[BaseException]  # None when the exit code is 0
+    output: str  # stdout, then stderr
+    stderr: str
+
+
+class Runner:
+    """Runs ``main(args)`` in this process, as a shell would run ``temponym ARGS``."""
+
+    def invoke(self, command, args) -> Result:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        exception = None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                command(args, prog_name="temponym")
+                exit_code = 0
+            except SystemExit as exc:
+                exit_code = 0 if exc.code is None else exc.code
+                exception = exc if exit_code else None
+            except Exception as exc:  # noqa: BLE001 - a crash is a result to assert on
+                exit_code, exception = 1, exc
+        return Result(exit_code, exception, stdout.getvalue() + stderr.getvalue(),
+                      stderr.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def test_no_args_shows_usage(runner):
@@ -335,6 +363,70 @@ def test_config_that_is_not_json_is_usage_error(runner, tmp_path):
     assert "--config" in result.output
 
 
+@pytest.mark.parametrize("other", ["--year", "--window"])
+def test_pooled_with_year_or_window_names_both_options(runner, other):
+    result = runner.invoke(main, ["query", "--name", "Leslie", "--pooled", "1880..2020",
+                                  other, "1925"])
+    assert result.exit_code == 2, result.output
+    assert "'--pooled'" in result.output and f"'{other}'" in result.output
+
+
+# (id, --config JSON, arguments, exit code, text the output must hold).
+CONFIG_CASES = [
+    ("nested-section", {"plot": {"trajectories": {"names": "Leslie", "years": "1925..1926",
+                                                  "fmt": "csv"}}},
+     ["plot", "trajectories"], 0, "series_id,x,y,size\r\nLeslie,1925,"),
+    ("command-line-wins", {"query": {"name": "Zzyzx", "year": 1925}},
+     ["query", "--name", "Leslie"], 0, '"name": "Leslie"'),
+    ("flag", {"shift": {"weighted": True, "top": 1, "fmt": "json"}}, ["shift"], 0,
+     '"weighted": true'),
+    ("unknown-key-ignored", {"query": {"name": "Leslie", "year": 1925, "colour": "red"}},
+     ["query"], 0, '"name": "Leslie"'),
+    ("checked-count", {"query": {"name": "Leslie", "year": 1925, "window": -3}}, ["query"], 2,
+     "Invalid value for '--window': -3 is not in the range x>=0."),
+    ("checked-choice", {"query": {"name": "Leslie", "year": 1925, "fmt": "xml"}}, ["query"], 2,
+     "Invalid value for '--format'"),
+    ("checked-range", {"audit": {"atemporal": "2020..1880"}}, ["audit"], 2,
+     "Invalid value for '--atemporal': '2020..1880' ends before it starts"),
+    ("checked-flag", {"shift": {"weighted": "yes"}}, ["shift"], 2,
+     "Invalid value for '--weighted'"),
+    ("required-still-missing", {"query": {"year": 1925}}, ["query"], 2,
+     "Missing option '--name'."),
+]
+
+
+@pytest.mark.parametrize("config,args,code,text", [case[1:] for case in CONFIG_CASES],
+                         ids=[case[0] for case in CONFIG_CASES])
+def test_config_value_is_checked_like_a_command_line_value(runner, tmp_path, config, args,
+                                                           code, text):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["--config", str(path), *args])
+    assert result.exit_code == code, result.output
+    assert text in result.output
+
+
+def test_config_flag_pair_sets_lenient(runner, tmp_path):
+    (tmp_path / "yob1925.txt").write_text("Pat,F,10\nPat,Q,10\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ingest": {"strict": False}}))
+    result = runner.invoke(main, ["--config", str(config), "ingest", "--dir", str(tmp_path),
+                                  "--out", str(tmp_path / "x.idx")])
+    assert result.exit_code == 0, result.output
+    assert result.output == "indexed 1 years, 10 births, 1 names, 1 rows skipped\n"
+
+
+def test_help_process_starts_and_prints_usage():
+    """The start-up probe of the benchmark: ``temponym --help`` exits 0 with Usage on stdout."""
+    src = str(Path(temponym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "temponym.cli", "--help"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Usage" in done.stdout
+
+
 CORPUS_HEADER = b"record_id,given_name,activity_year,known_gender\n"
 FIXTURE_HEADER = b"service_id,name,label,p_female,sample_count\n"
 
@@ -383,6 +475,10 @@ CLI_ERRORS = [
      ["ingest", "--dir", "{tmp}", "--years", "2020..1880", "--out", "{tmp}/x.idx"],
      {"yob1925.txt": b"Pat,F,10\n"}, 2),
     ("query-reversed-pooled", ["query", "--name", "Leslie", "--pooled", "2020..1880"], {}, 2),
+    ("query-pooled-with-year",
+     ["query", "--name", "Leslie", "--year", "1925", "--pooled", "1880..2020"], {}, 2),
+    ("query-pooled-with-window",
+     ["query", "--name", "Leslie", "--pooled", "1880..2020", "--window", "5"], {}, 2),
     ("audit-reversed-atemporal", ["audit", "--atemporal", "2020..1880"], {}, 2),
     ("trajectories-reversed-years",
      ["plot", "trajectories", "--names", "Leslie", "--years", "2000..1990"], {}, 2),
@@ -430,6 +526,8 @@ def test_bad_input_ends_in_a_documented_exit(runner, tmp_path, args, files, code
 
 # Each command imports the modules it uses and no others: these are all the
 # temponym modules a command may load, and whether it loads ``statistics``.
+# Every other module it loads must come with the standard library: no
+# third-party package (no CLI framework, no HTTP client) is paid for at start-up.
 COMMON_MODULES = ["temponym", "temponym._pyparse", "temponym.cli", "temponym.dataset",
                   "temponym.errors", "temponym.model", "temponym.shifts"]
 COMMAND_MODULES = [
@@ -439,12 +537,15 @@ COMMAND_MODULES = [
 ]
 LOADED_MODULES = """
 import json, sys
+before = set(sys.modules)
 from temponym.cli import main
 try:
     main(sys.argv[1:], prog_name="temponym")
 finally:
     temponym = sorted(m for m in sys.modules if m.split(".")[0] == "temponym")
-    print(json.dumps([temponym, "statistics" in sys.modules]), file=sys.stderr)
+    third_party = sorted(m for m in set(sys.modules) - before
+                         if m.split(".")[0] not in {"temponym", *sys.stdlib_module_names})
+    print(json.dumps([temponym, "statistics" in sys.modules, third_party]), file=sys.stderr)
 """
 
 
@@ -457,4 +558,4 @@ def test_a_command_imports_only_what_it_uses(args, modules, statistics):
     done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr.splitlines()[-1]) == [modules, statistics]
+    assert json.loads(done.stderr.splitlines()[-1]) == [modules, statistics, []]

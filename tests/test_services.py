@@ -254,6 +254,72 @@ def test_retry_after_forms(monkeypatch, header, seconds):
     assert exc_info.value.retry_after == seconds
 
 
+def _stub_responses(monkeypatch, *responses):
+    """``requests.get`` answers with each ``(status, body, headers)`` in turn."""
+    import requests
+
+    replies = []
+    for status, body, headers in responses:
+        response = requests.Response()
+        response.status_code = status
+        response._content = body
+        response.headers.update(headers)
+        replies.append(response)
+    calls = []
+
+    def get(url, params, timeout):
+        calls.append(params["name"])
+        return replies[len(calls) - 1]
+
+    monkeypatch.setattr(requests, "get", get)
+    return calls
+
+
+def _virtual_limiter(sleeps):
+    """A limiter of one request per second on a virtual clock; sleeps are recorded."""
+    clock = {"now": 0.0}
+
+    def sleep(duration):
+        sleeps.append(duration)
+        clock["now"] += duration
+
+    return services.RateLimiter(1.0, clock=lambda: clock["now"], sleep=sleep)
+
+
+TOO_MANY = (429, b"", {"Retry-After": "3"})
+OK = (200, b'{"gender": "female", "probability": 0.75}', {})
+
+
+def test_rate_limited_call_is_retried_once_after_retry_after(monkeypatch):
+    calls = _stub_responses(monkeypatch, TOO_MANY, OK)
+    sleeps = []
+    prediction = services.fetch_prediction(LIVE, "Leslie", limiter=_virtual_limiter(sleeps))
+    assert prediction.p_female == 0.75
+    assert calls == ["Leslie", "Leslie"]
+    assert sleeps == [3.0]  # 3 s is past the limiter's 1 s spacing: no second wait
+
+
+def test_retry_after_above_the_cap_is_not_waited_for(monkeypatch):
+    over = str(int(services.RETRY_AFTER_CAP_S) + 1)
+    calls = _stub_responses(monkeypatch, (429, b"", {"Retry-After": over}), OK)
+    sleeps = []
+    with pytest.raises(errors.RateLimited) as exc_info:
+        services.fetch_prediction(LIVE, "Leslie", limiter=_virtual_limiter(sleeps))
+    assert exc_info.value.retry_after == float(over)
+    assert calls == ["Leslie"] and sleeps == []
+
+
+def test_second_rate_limit_is_a_cell_error(monkeypatch, sample_dataset):
+    calls = _stub_responses(monkeypatch, TOO_MANY, TOO_MANY, OK)
+    sleeps = []
+    limiter = _virtual_limiter(sleeps)
+    monkeypatch.setattr(services, "RateLimiter", lambda rate: limiter)
+    [row] = services.comparison_table(["Leslie"], sample_dataset, 1925, [LIVE])
+    assert row.predictions == {}
+    assert row.cell_errors == {"genderize": "rate limited; retry after 3.00s"}
+    assert calls == ["Leslie", "Leslie"] and sleeps == [3.0]
+
+
 # --- rate limiting in comparison_table ----------------------------------------
 
 def test_comparison_table_rate_limits_each_live_service(
