@@ -9,14 +9,13 @@ is the historical over-count introduced by the atemporal shortcut.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import add, mul, truediv
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
-from .dataset import Dataset, read_csv
+from .dataset import Dataset, Record, read_csv
 from .model import (
     ClassificationPolicy,
     GenderLabel,
@@ -32,23 +31,22 @@ DEFAULT_ATEMPORAL_RANGE = (1880, 2020)
 KNOWN_P_FEMALE = {"F": 0.95, "M": 0.05, "U": 0.5}
 
 
-@dataclass(frozen=True)
-class CohortModel:
+class CohortModel(Record):
     """Maps an activity year to a distribution over plausible birth years."""
 
-    kind: str = "fixed-offset"
-    offset_years: int = DEFAULT_COHORT_OFFSET
-    half_width: int = 0
+    __slots__ = _compared = ("kind", "offset_years", "half_width")
 
-    def __post_init__(self):
-        if self.kind not in ("fixed-offset", "uniform-window", "triangular-window"):
-            raise errors.ConfigError(f"unknown cohort model kind {self.kind!r}")
-        if self.offset_years < 0:
+    def __init__(self, kind: str = "fixed-offset", offset_years: int = DEFAULT_COHORT_OFFSET,
+                 half_width: int = 0):
+        if kind not in ("fixed-offset", "uniform-window", "triangular-window"):
+            raise errors.ConfigError(f"unknown cohort model kind {kind!r}")
+        if offset_years < 0:
             raise errors.ConfigError("offset_years must be >= 0")
-        if self.half_width < 0:
+        if half_width < 0:
             raise errors.ConfigError("half_width must be >= 0")
-        if self.kind == "fixed-offset" and self.half_width:
+        if kind == "fixed-offset" and half_width:
             raise errors.ConfigError("a fixed-offset cohort takes no half-width")
+        self._init(kind=kind, offset_years=offset_years, half_width=half_width)
 
     @classmethod
     def parse(cls, text: str) -> "CohortModel":
@@ -67,8 +65,7 @@ class CohortModel:
         return cls(kinds[parts[0]], *numbers)
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     record_id: str
     given_name: str
     activity_year: int
@@ -86,8 +83,7 @@ class CorpusRecord:
         return KNOWN_P_FEMALE[self.known_gender]
 
 
-@dataclass(frozen=True)
-class DecadeRow:
+class DecadeRow(NamedTuple):
     period: int  # decade start, e.g. 1970
     n_records: int
     n_unresolved: int
@@ -99,10 +95,14 @@ class DecadeRow:
         return self.expected_female_atemporal - self.expected_female_temporal
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    rows: tuple[DecadeRow, ...]
-    config: dict = field(compare=False)
+class AuditReport(Record):
+    """The decade rows of an audit and the settings that made them (not compared)."""
+
+    __slots__ = ("rows", "config")
+    _compared = ("rows",)
+
+    def __init__(self, rows: tuple[DecadeRow, ...], config: dict):
+        self._init(rows=rows, config=config)
 
     @property
     def total_records(self) -> int:

@@ -3,8 +3,13 @@
 Exit codes: 0 success, 2 usage error, 3 data error, 4 partial results
 (some records could not be resolved).
 
-Each command is a fresh process, so this module imports at the top only
-what the option declarations need; a command imports the rest of the
+Each command is a fresh process, so a start imports and builds only what
+its command runs. At the top this module imports the standard library and
+``errors``, no data module: ``temponym --help`` lists the commands from the
+docstrings of their functions here. A command's options are declared by its
+``_*_options`` function, which runs when that command is parsed, or when a
+``--config`` section for it is checked; a default taken from a data module
+(``shifts``, ``model``) is read there. A command imports the rest of the
 package itself. Commands call through the module objects
 (``dataset_mod.load_index``), never through names bound at import.
 """
@@ -20,8 +25,6 @@ import sys
 from pathlib import Path
 
 from . import errors
-from . import shifts as shifts_mod
-from .model import NAMSOR_LESLIE_REFERENCE
 
 EXIT_USAGE = 2
 EXIT_DATA_ERROR = 3
@@ -231,6 +234,8 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
 
 def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, fmt):
     """Rank gender shifts between two years; reports summary statistics."""
+    from . import shifts as shifts_mod
+
     data = _load_data(index_path, data_dir)
     entries = shifts_mod.rank_shifts(
         data, y1, y2, min_support_each_year=min_support, top_k=top, weighted=weighted
@@ -248,8 +253,8 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
     }
     payload = {
         "meta": meta,
-        "statistics": stats.__dict__ if stats else None,
-        "entries": [entry.__dict__ for entry in entries],
+        "statistics": stats._asdict() if stats else None,
+        "entries": [entry._asdict() for entry in entries],
     }
     _emit(payload, fmt,
           csv_header=["rank", "name", "p1", "p2", "delta_scaled",
@@ -285,7 +290,7 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
     payload = {
         "config": result.config,
         "rows": [
-            {**row.__dict__, "overcount": row.overcount} for row in result.rows
+            {**row._asdict(), "overcount": row.overcount} for row in result.rows
         ],
         "totals": {
             "records": result.total_records,
@@ -379,6 +384,7 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
 def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
     """p(F) trajectories for named or top-shifting names."""
     from . import report
+    from . import shifts as shifts_mod
 
     data = _load_data(index_path, data_dir)
     if top_shifts is not None:
@@ -426,61 +432,51 @@ class _Formatter(argparse.HelpFormatter):
 class _Parser(argparse.ArgumentParser):
     """The parser of a command (``run``) or of a group of commands (``commands``).
 
-    A usage error prints the usage and ``Error: MESSAGE`` and exits 2; a bad
-    option value reads ``Invalid value for '--option': ...``.
+    ``declare`` adds its options, or a group's commands; ``build`` calls it on
+    first need, so a start builds only the parsers it uses. A usage error
+    prints the usage and ``Error: MESSAGE`` and exits 2; a bad option value
+    reads ``Invalid value for '--option': ...``.
     """
 
-    def __init__(self, *args, run=None, **kwargs):
+    def __init__(self, *args, run=None, declare=None, **kwargs):
         super().__init__(*args, formatter_class=_Formatter, allow_abbrev=False,
                          exit_on_error=False, **kwargs)
         self.run = run
+        self.declare = declare
         self.commands: dict[str, _Parser] = {}
-        self.options: dict[str, argparse.Action] = {}  # by dest, the ``--config`` keys
+        # by long name without dashes (``min-support``): the ``--config`` keys
+        self.options: dict[str, argparse.Action] = {}
         self.required_options: list[argparse.Action] = []
         self._subparsers_action = None
+
+    def build(self) -> None:
+        """Adds the options (or the commands) that ``declare`` declares, once."""
+        declare, self.declare = self.declare, None
+        if declare is not None:
+            declare(self)
 
     def option(self, *flags, required=False, **kwargs) -> None:
         """An option; a required one may also take its value from ``--config``."""
         action = self.add_argument(*flags, **kwargs)
-        self.options.setdefault(action.dest, action)
+        self.options[action.option_strings[0].lstrip("-")] = action
         if required:
             self.required_options.append(action)
 
-    def command(self, name: str, run=None, doc: str | None = None) -> _Parser:
+    def command(self, name: str, run=None, declare=None, doc: str | None = None) -> None:
         """A subcommand calling ``run`` with its option values, or a group if ``run`` is None."""
         if self._subparsers_action is None:
             self._subparsers_action = self.add_subparsers(
                 title="commands", metavar="COMMAND", prog=self.prog, required=True)
         doc = doc or run.__doc__
         parser = self._subparsers_action.add_parser(
-            name, help=doc, description=doc, run=run,
+            name, help=doc, description=doc, run=run, declare=declare,
             usage="%(prog)s [OPTIONS]" if run else "%(prog)s [OPTIONS] COMMAND [ARGS]...")
         if run:
             parser.set_defaults(command=parser)
         self.commands[name] = parser
-        return parser
-
-    def configure(self, section: dict) -> None:
-        """Makes a ``--config`` section, keyed by option dest, this command's defaults.
-
-        A value passes the check of the same value given on the command line,
-        and it satisfies a required option; a key that names no option, or a
-        null value, is ignored.
-        """
-        defaults = {}
-        for dest, value in section.items():
-            action = self.options.get(dest)
-            if action is None or value is None:
-                continue
-            if action.nargs == 0:  # a flag
-                if not isinstance(value, bool):
-                    raise argparse.ArgumentError(action, f"{value!r} is not true or false")
-                defaults[dest] = value
-            else:
-                defaults[dest] = str(value)  # argparse checks a string default like a value
-        self.set_defaults(**defaults)
 
     def parse_known_args(self, args=None, namespace=None):
+        self.build()
         try:
             return super().parse_known_args(args, namespace)
         except argparse.ArgumentError as exc:  # an option type's ArgumentTypeError among them
@@ -507,17 +503,40 @@ class _ReadConfig(argparse.Action):
         self.apply(config, parser)
 
     def apply(self, config: dict, group: _Parser, prefix: str = "") -> None:
-        for name, command in group.commands.items():
-            section = config.get(name)
+        """Checks every section against its command's parser and sets that command's defaults.
+
+        A section is keyed by the options' long names without dashes. A value
+        passes the check of the same value given on the command line, when its
+        command runs, and it satisfies a required option; a null value is
+        ignored. A section or key that names no command or option is an error.
+        """
+        for name, section in config.items():
+            where = f"section '{prefix}{name}'"
+            command = group.commands.get(name)
+            if command is None:
+                raise argparse.ArgumentError(self, f"{where} names no command")
             if section is None:
                 continue
             if not isinstance(section, dict):
-                raise argparse.ArgumentError(
-                    self, f"section '{prefix}{name}' must hold a JSON object")
-            if command.run:
-                command.configure(section)
-            else:
+                raise argparse.ArgumentError(self, f"{where} must hold a JSON object")
+            command.build()
+            if command.run is None:
                 self.apply(section, command, f"{prefix}{name}.")
+                continue
+            defaults = {}
+            for key, value in section.items():
+                action = command.options.get(key)
+                if action is None:
+                    raise argparse.ArgumentError(self, f"{where} has no option '{key}'")
+                if value is None:
+                    continue
+                if action.nargs == 0:  # a flag; --lenient stores False
+                    if not isinstance(value, bool):
+                        raise argparse.ArgumentError(action, f"{value!r} is not true or false")
+                    defaults[action.dest] = value == action.const
+                else:
+                    defaults[action.dest] = str(value)  # argparse checks a string default like a value
+            command.set_defaults(**defaults)
 
 
 def _data_options(parser: _Parser) -> None:
@@ -534,15 +553,7 @@ def _format_option(parser: _Parser, *choices: str) -> None:
                   metavar="{" + ",".join(choices) + "}")
 
 
-def _parser(prog: str) -> _Parser:
-    main = _Parser(prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
-                   description="Temporally-aware name-gender analysis over SSA yearly "
-                               "name data.")
-    main.add_argument("--config", action=_ReadConfig, metavar="PATH", default=argparse.SUPPRESS,
-                      help="JSON file of default option values, keyed by subcommand.")
-    y1, y2 = shifts_mod.DEFAULT_YEAR_PAIR
-
-    p = main.command("ingest", ingest)
+def _ingest_options(p: _Parser) -> None:
     p.option("--dir", dest="data_dir", type=_directory, metavar="DIRECTORY", required=True,
              help="Directory of yobYYYY.txt files (required).")
     p.option("--years", type=parse_year_range, help="Restrict to a range, e.g. 1880..2023.")
@@ -553,7 +564,8 @@ def _parser(prog: str) -> _Parser:
     p.option("--out", dest="out_path", metavar="PATH", required=True,
              help="Index file to write (required).")
 
-    p = main.command("query", query)
+
+def _query_options(p: _Parser) -> None:
     _data_options(p)
     p.option("--name", required=True, help="(required)")
     p.option("--year", type=_integer)
@@ -565,7 +577,11 @@ def _parser(prog: str) -> _Parser:
     p.option("--fold-diacritics", action="store_true")
     _format_option(p, "json", "csv")
 
-    p = main.command("shift", shift)
+
+def _shift_options(p: _Parser) -> None:
+    from . import shifts as shifts_mod
+
+    y1, y2 = shifts_mod.DEFAULT_YEAR_PAIR
     _data_options(p)
     p.option("--y1", type=_integer, default=y1, help="(default: %(default)s)")
     p.option("--y2", type=_integer, default=y2, help="(default: %(default)s)")
@@ -578,12 +594,14 @@ def _parser(prog: str) -> _Parser:
              help="Qualifying |shift| threshold (x100 scale; default: %(default)s).")
     _format_option(p, "csv", "json")
 
-    p = main.command("ambiguity", ambiguity)
+
+def _ambiguity_options(p: _Parser) -> None:
     _data_options(p)
     p.option("--year", type=_integer, required=True, help="(required)")
     _format_option(p, "json", "csv")
 
-    p = main.command("audit", audit_cmd)
+
+def _audit_options(p: _Parser) -> None:
     _data_options(p)
     p.option("--corpus", dest="corpus_path", type=_existing, metavar="PATH",
              help="Corpus CSV (default: the bundled Leslie fixture).")
@@ -594,7 +612,8 @@ def _parser(prog: str) -> _Parser:
              help="(default: %(default)s)")
     _format_option(p, "json", "csv")
 
-    p = main.command("compare", compare)
+
+def _compare_options(p: _Parser) -> None:
     _data_options(p)
     p.option("--names", type=_name_list, help="Comma-separated names.")
     p.option("--names-file", type=_existing, metavar="PATH",
@@ -606,8 +625,16 @@ def _parser(prog: str) -> _Parser:
     p.option("--cache-dir", metavar="PATH")
     _format_option(p, "csv", "json")
 
-    plot = main.command("plot", doc="Emit plot-ready data series (no rendering).")
-    p = plot.command("trajectories", trajectories)
+
+def _plot_commands(plot: _Parser) -> None:
+    plot.command("trajectories", trajectories, _trajectories_options)
+    plot.command("bubbles", bubbles, _bubbles_options)
+
+
+def _trajectories_options(p: _Parser) -> None:
+    from . import shifts as shifts_mod
+
+    y1, y2 = shifts_mod.DEFAULT_YEAR_PAIR
     _data_options(p)
     p.option("--names", type=_name_list, help="Comma-separated names.")
     p.option("--top-shifts", type=_count,
@@ -619,12 +646,32 @@ def _parser(prog: str) -> _Parser:
     p.option("--y2", type=_integer, default=y2, help="(default: %(default)s)")
     _format_option(p, "json", "csv")
 
-    p = plot.command("bubbles", bubbles)
+
+def _bubbles_options(p: _Parser) -> None:
+    from .model import NAMSOR_LESLIE_REFERENCE
+
     p.option("--corpus", dest="corpus_path", type=_existing, metavar="PATH",
              help="Labeled corpus CSV (default: the bundled Leslie fixture).")
     p.option("--reference", type=_number,
              help=f"Constant reference p(F) line (e.g. {NAMSOR_LESLIE_REFERENCE}).")
     _format_option(p, "json", "csv")
+
+
+def _parser(prog: str) -> _Parser:
+    """The main parser: ``--config`` and the commands, none of whose options are added yet."""
+    main = _Parser(prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...",
+                   description="Temporally-aware name-gender analysis over SSA yearly "
+                               "name data.")
+    main.add_argument("--config", action=_ReadConfig, metavar="PATH", default=argparse.SUPPRESS,
+                      help="JSON file of default option values, keyed by subcommand.")
+    main.command("ingest", ingest, _ingest_options)
+    main.command("query", query, _query_options)
+    main.command("shift", shift, _shift_options)
+    main.command("ambiguity", ambiguity, _ambiguity_options)
+    main.command("audit", audit_cmd, _audit_options)
+    main.command("compare", compare, _compare_options)
+    main.command("plot", declare=_plot_commands,
+                 doc="Emit plot-ready data series (no rendering).")
     return main
 
 

@@ -27,7 +27,6 @@ import unicodedata
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, count, repeat
 from operator import add, lt
 from pathlib import Path
@@ -43,7 +42,7 @@ MIN_YEAR = 1880
 # mistyped year such as yob9125.txt.
 MAX_YEAR = 2100
 
-_YOB_RE = re.compile(r"yob(\d{4})\.txt$")
+_YOB_RE = re.compile(r"yob([0-9]{4})\.txt")  # the whole file name
 
 INDEX_MAGIC = b"TMPNIDX\n"
 INDEX_VERSION = 3
@@ -71,8 +70,51 @@ def _folded_keys(names: Sequence[str]) -> list[str]:
     return [key if key.isascii() else strip_diacritics(key) for key in keys]
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Record:
+    """Base of an immutable class that checks its values when it is built.
+
+    It stands in for a frozen dataclass: importing ``dataclasses`` and
+    building each class with it costs a cold command several milliseconds.
+    A subclass names its attributes in ``__slots__``, sets them in
+    ``__init__`` through ``_init``, and names in ``_compared`` the ones its
+    equality, hash and repr use. Copies and pickles restore the attributes
+    through ``__setstate__``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _init(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        _, slots = state  # no __dict__, so the state is (None, {slot: value})
+        self._init(**slots)
+
+
+class Dataset(Record):
     """Immutable name-major count columns over ``years_loaded``.
 
     Name ``names[i]`` has ``lengths[i]`` cells, for the positions
@@ -80,39 +122,39 @@ class Dataset:
     ``_offsets[i]`` on in ``female`` and ``male``, right after those of
     ``names[i - 1]``. The four columns are given as ``array('I')`` or
     ``'I'`` memoryviews and kept as read-only memoryviews over them, so the
-    dataset can be shared by concurrent readers.
+    dataset can be shared by concurrent readers. ``skipped`` holds the rows
+    skipped per year and takes no part in equality.
     """
 
-    years_loaded: tuple[int, ...]
-    names: tuple[str, ...]
-    starts: memoryview = field(repr=False)
-    lengths: memoryview = field(repr=False)
-    female: memoryview = field(repr=False)
-    male: memoryview = field(repr=False)
-    skipped: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    # Per name, the index in the count columns of its first cell, plus the
-    # total cell count at the end: the running sum of ``lengths``.
-    _offsets: array = field(init=False, compare=False, repr=False)
-    _positions: dict = field(init=False, compare=False, repr=False)
-    _ids: dict = field(init=False, compare=False, repr=False)
-    # Whether every stored name folds only to itself, so an exact name needs
-    # no fold map; None until the first exact hit in _candidates computes it.
-    # _groups is built by _fold_groups on first need.
-    _distinct: Optional[bool] = field(init=False, compare=False, repr=False)
-    _groups: Optional[dict] = field(init=False, compare=False, repr=False)
+    __slots__ = ("years_loaded", "names", "starts", "lengths", "female", "male", "skipped",
+                 # Per name, the index in the count columns of its first cell,
+                 # plus the total cell count at the end: the running sum of
+                 # ``lengths``.
+                 "_offsets", "_positions", "_ids",
+                 # Whether every stored name folds only to itself, so an exact
+                 # name needs no fold map; None until the first exact hit in
+                 # _candidates computes it. _groups is built by _fold_groups on
+                 # first need.
+                 "_distinct", "_groups")
+    _compared = ("years_loaded", "names", "starts", "lengths", "female", "male")
 
-    def __post_init__(self):
-        for key in _U32_SECTIONS:
-            object.__setattr__(self, key, memoryview(getattr(self, key)).toreadonly())
-        derived = {
-            "_offsets": array("Q", accumulate(self.lengths, initial=0)),
-            "_positions": {year: pos for pos, year in enumerate(self.years_loaded)},
-            "_ids": dict(zip(self.names, range(len(self.names)))),
-            "_distinct": None,
-            "_groups": None,
-        }
-        for key, value in derived.items():
-            object.__setattr__(self, key, value)
+    def __init__(self, years_loaded: tuple[int, ...], names: tuple[str, ...], starts, lengths,
+                 female, male, skipped: tuple[int, ...] = ()):
+        lengths = memoryview(lengths).toreadonly()
+        self._init(
+            years_loaded=years_loaded,
+            names=names,
+            starts=memoryview(starts).toreadonly(),
+            lengths=lengths,
+            female=memoryview(female).toreadonly(),
+            male=memoryview(male).toreadonly(),
+            skipped=skipped,
+            _offsets=array("Q", accumulate(lengths, initial=0)),
+            _positions={year: pos for pos, year in enumerate(years_loaded)},
+            _ids=dict(zip(names, range(len(names)))),
+            _distinct=None,
+            _groups=None,
+        )
 
     def _fold_groups(self) -> dict[str, list[int]]:
         """Folded key -> the ascending indices of the stored names that share it."""
@@ -351,7 +393,7 @@ def load_directory(
     wanted = set(years) if years is not None else None
     found = []
     for path in directory.iterdir():
-        match = _YOB_RE.search(path.name)
+        match = _YOB_RE.fullmatch(path.name)
         if not match:
             continue
         year = int(match.group(1))

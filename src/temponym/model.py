@@ -9,12 +9,11 @@ gender APIs and serves as the atemporal baseline in bias audits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from . import errors
-from .dataset import Dataset
+from .dataset import Dataset, Record
 
 DEFAULT_MIN_SUPPORT = 20
 
@@ -47,8 +46,7 @@ class GenderProbability(NamedTuple):
         return self.female_count + self.male_count
 
 
-@dataclass(frozen=True)
-class ClassificationPolicy:
+class ClassificationPolicy(Record):
     """How a probability becomes a Female/Male/Unknown label.
 
     A probability is labelled Female above ``threshold`` and Male below
@@ -57,14 +55,14 @@ class ClassificationPolicy:
     rule; 0.95 is the common >0.95 rule.
     """
 
-    threshold: float
-    min_support: int
+    __slots__ = _compared = ("threshold", "min_support")
 
-    def __post_init__(self):
-        if not 0.5 <= self.threshold <= 1.0:
+    def __init__(self, threshold: float, min_support: int):
+        if not 0.5 <= threshold <= 1.0:
             raise errors.ConfigError("threshold must be in [0.5, 1]")
-        if self.min_support < 1:
+        if min_support < 1:
             raise errors.ConfigError("min_support must be >= 1")
+        self._init(threshold=threshold, min_support=min_support)
 
 
 MAJORITY = ClassificationPolicy(0.5, DEFAULT_MIN_SUPPORT)

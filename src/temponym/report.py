@@ -5,8 +5,7 @@ tool can consume the CSV or JSON forms the CLI writes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
 from .audit import KNOWN_P_FEMALE, CorpusRecord
@@ -14,8 +13,7 @@ from .dataset import Dataset
 from .model import p_female
 
 
-@dataclass(frozen=True)
-class PlotSeries:
+class PlotSeries(NamedTuple):
     series_id: str
     points: tuple[tuple[int, float, Optional[float]], ...]  # (year, y, size)
 

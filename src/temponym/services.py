@@ -16,12 +16,11 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import errors
-from .dataset import Dataset, read_csv
+from .dataset import Dataset, Record, read_csv
 from .model import p_female
 
 CACHE_VERSION = "v2"
@@ -31,8 +30,7 @@ RETRY_AFTER_CAP_S = 5.0
 FixtureTable = dict[str, dict[str, "ExternalPrediction"]]
 
 
-@dataclass(frozen=True)
-class ExternalPrediction:
+class ExternalPrediction(NamedTuple):
     service_id: str
     name: str
     predicted_label: str  # F, M or U
@@ -51,19 +49,23 @@ def _is_count(value) -> bool:
     return value is None or type(value) is int  # not a bool
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """A fixture service (with ``fixture_table``) or a live one (with ``endpoint_url``)."""
+class ServiceConfig(Record):
+    """A fixture service (with ``fixture_table``) or a live one (with ``endpoint_url``).
 
-    service_id: str
-    endpoint_url: Optional[str] = None
-    rate_limit: float = 1.0  # requests per second, live services only
-    fixture_table: Optional[dict] = field(default=None, compare=False)
+    ``rate_limit`` is in requests per second, for live services only; the
+    fixture table takes no part in equality.
+    """
 
-    def __post_init__(self):
-        if (self.fixture_table is None) == (not self.endpoint_url):
+    __slots__ = ("service_id", "endpoint_url", "rate_limit", "fixture_table")
+    _compared = ("service_id", "endpoint_url", "rate_limit")
+
+    def __init__(self, service_id: str, endpoint_url: Optional[str] = None,
+                 rate_limit: float = 1.0, fixture_table: Optional[dict] = None):
+        if (fixture_table is None) == (not endpoint_url):
             raise errors.ConfigError(
-                f"{self.service_id}: needs exactly one of a fixture table and an endpoint URL")
+                f"{service_id}: needs exactly one of a fixture table and an endpoint URL")
+        self._init(service_id=service_id, endpoint_url=endpoint_url, rate_limit=rate_limit,
+                   fixture_table=fixture_table)
 
     @property
     def api_key(self) -> Optional[str]:
@@ -126,7 +128,7 @@ class PredictionCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)  # one per writer
             with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(prediction.__dict__))
+                fh.write(json.dumps(prediction._asdict()))
             os.replace(tmp, path)  # atomic: concurrent readers never see partial writes
             tmp = None
         except OSError as exc:
@@ -290,8 +292,7 @@ def _retry_after(header: Optional[str]) -> float:
     return max((when - now).total_seconds(), 0.0)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     name: str
     ssa_p_female: Optional[float]
     predictions: dict  # service_id -> ExternalPrediction

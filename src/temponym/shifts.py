@@ -8,8 +8,7 @@ weight is the mean of the two years' supports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import errors
 from .dataset import Dataset
@@ -20,8 +19,7 @@ DEFAULT_MIN_ABS_DELTA = 20.0
 DEFAULT_YEAR_PAIR = (1925, 2000)
 
 
-@dataclass(frozen=True)
-class ShiftEntry:
+class ShiftEntry(NamedTuple):
     name: str
     y1: int
     y2: int
@@ -34,8 +32,7 @@ class ShiftEntry:
     weighted_shift: float
 
 
-@dataclass(frozen=True)
-class ShiftStatistics:
+class ShiftStatistics(NamedTuple):
     n_total: int
     n_positive: int
     n_negative: int

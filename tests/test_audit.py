@@ -1,8 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from temponym import audit, errors, model
+from temponym import audit, errors, model, services
 from temponym import dataset as ds
 
 
@@ -48,6 +50,31 @@ def test_cohort_model_parse():
     )
     with pytest.raises(errors.ConfigError):
         audit.CohortModel.parse("gamma:2")
+
+
+@pytest.mark.parametrize("value,attribute", [
+    (audit.CohortModel("uniform-window", 35, 10), "half_width"),
+    (model.ClassificationPolicy(0.95, 1), "threshold"),
+    (services.ServiceConfig("genderize", "http://example.invalid"), "rate_limit"),
+    (audit.AuditReport((), {"atemporal_range": "1880..2020"}), "rows"),
+])
+def test_checked_records_are_immutable_values(value, attribute):
+    before = getattr(value, attribute)
+    with pytest.raises(AttributeError):
+        setattr(value, attribute, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, attribute)
+    assert getattr(value, attribute) == before
+    clone = pickle.loads(pickle.dumps(value))
+    assert clone == value == copy.copy(value)
+    assert hash(clone) == hash(value)
+
+
+def test_fields_outside_equality_do_not_compare():
+    assert audit.AuditReport((), {"a": 1}) == audit.AuditReport((), {"b": 2})
+    fixture = services.ServiceConfig("genderize", fixture_table={})
+    assert fixture == services.ServiceConfig("genderize", fixture_table={"x": None})
+    assert fixture != services.ServiceConfig("genderize", "http://example.invalid")
 
 
 def test_fixed_offset_cohort_takes_no_half_width():

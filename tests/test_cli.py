@@ -374,17 +374,38 @@ def test_pooled_with_year_or_window_names_both_options(runner, other):
 # (id, --config JSON, arguments, exit code, text the output must hold).
 CONFIG_CASES = [
     ("nested-section", {"plot": {"trajectories": {"names": "Leslie", "years": "1925..1926",
-                                                  "fmt": "csv"}}},
+                                                  "format": "csv"}}},
      ["plot", "trajectories"], 0, "series_id,x,y,size\r\nLeslie,1925,"),
     ("command-line-wins", {"query": {"name": "Zzyzx", "year": 1925}},
      ["query", "--name", "Leslie"], 0, '"name": "Leslie"'),
-    ("flag", {"shift": {"weighted": True, "top": 1, "fmt": "json"}}, ["shift"], 0,
+    ("flag", {"shift": {"weighted": True, "top": 1, "format": "json"}}, ["shift"], 0,
      '"weighted": true'),
-    ("unknown-key-ignored", {"query": {"name": "Leslie", "year": 1925, "colour": "red"}},
-     ["query"], 0, '"name": "Leslie"'),
+    ("unknown-key-refused", {"query": {"name": "Leslie", "year": 1925, "colour": "red"}},
+     ["query"], 2, "Invalid value for '--config': section 'query' has no option 'colour'"),
+    ("parameter-name-key-refused", {"query": {"name": "Leslie", "year": 1925, "fmt": "csv"}},
+     ["query"], 2, "section 'query' has no option 'fmt'"),
+    ("unknown-key-in-nested-section", {"plot": {"bubbles": {"fmt": "csv"}}},
+     ["plot", "bubbles"], 2, "section 'plot.bubbles' has no option 'fmt'"),
+    ("unknown-key-of-a-command-not-run",
+     {"query": {"name": "Leslie", "year": 1925}, "shift": {"min_support": 5}}, ["query"], 2,
+     "section 'shift' has no option 'min_support'"),
+    ("unknown-section", {"querry": {"name": "Leslie"}},
+     ["query", "--name", "Leslie", "--year", "1925"], 2, "section 'querry' names no command"),
+    ("format-key", {"query": {"name": "Leslie", "year": 1925, "format": "csv"}}, ["query"], 0,
+     "name,context,p_female,female_count,male_count,label\r\nLeslie,1925,"),
+    ("dashed-key", {"shift": {"min-support": 100000, "format": "json"}}, ["shift"], 0,
+     '"qualifying_count": 0'),
+    ("index-key", {"query": {"name": "Leslie", "year": 1925, "index": "no/such.idx"}}, ["query"],
+     2, "Invalid value for '--index'"),
+    ("dir-key", {"query": {"name": "Leslie", "year": 1925, "dir": "no/such/dir"}}, ["query"], 2,
+     "Invalid value for '--dir'"),
+    ("corpus-key", {"audit": {"corpus": "no/such.csv"}}, ["audit"], 2,
+     "Invalid value for '--corpus'"),
+    ("services-key", {"compare": {"names": "Jean", "services": "bogus"}}, ["compare"], 3,
+     "unknown services spec 'bogus'"),
     ("checked-count", {"query": {"name": "Leslie", "year": 1925, "window": -3}}, ["query"], 2,
      "Invalid value for '--window': -3 is not in the range x>=0."),
-    ("checked-choice", {"query": {"name": "Leslie", "year": 1925, "fmt": "xml"}}, ["query"], 2,
+    ("checked-choice", {"query": {"name": "Leslie", "year": 1925, "format": "xml"}}, ["query"], 2,
      "Invalid value for '--format'"),
     ("checked-range", {"audit": {"atemporal": "2020..1880"}}, ["audit"], 2,
      "Invalid value for '--atemporal': '2020..1880' ends before it starts"),
@@ -414,6 +435,32 @@ def test_config_flag_pair_sets_lenient(runner, tmp_path):
                                   "--out", str(tmp_path / "x.idx")])
     assert result.exit_code == 0, result.output
     assert result.output == "indexed 1 years, 10 births, 1 names, 1 rows skipped\n"
+
+
+@pytest.mark.parametrize("flags", [{"strict": False}, {"lenient": True}])
+def test_config_sets_ingest_by_option_names(runner, tmp_path, flags):
+    (tmp_path / "yob1925.txt").write_text("Pat,F,10\nPat,Q,10\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ingest": {"dir": str(tmp_path), "out": str(tmp_path / "x.idx"),
+                                             **flags}}))
+    result = runner.invoke(main, ["--config", str(config), "ingest"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "indexed 1 years, 10 births, 1 names, 1 rows skipped\n"
+    assert (tmp_path / "x.idx").exists()
+
+
+HELP_PAGES = Path(__file__).resolve().parent / "help_pages"
+
+
+@pytest.mark.parametrize("page", ["main", "ingest", "query", "shift", "ambiguity", "audit",
+                                  "compare", "plot", "plot-trajectories", "plot-bubbles"])
+def test_help_page_is_unchanged(runner, monkeypatch, page):
+    """Each help page, byte for byte, as the CLI printed it at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    args = [] if page == "main" else page.split("-")
+    result = runner.invoke(main, [*args, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.output == (HELP_PAGES / f"{page}.txt").read_text(encoding="utf-8")
 
 
 def test_help_process_starts_and_prints_usage():
@@ -468,6 +515,8 @@ CLI_ERRORS = [
     ("ingest-out-is-a-directory", ["ingest", "--dir", "{tmp}", "--out", "{tmp}"],
      {"yob1925.txt": b"Pat,F,10\n"}, 3),
     ("ingest-no-files", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"], {}, 3),
+    ("ingest-no-yob-file", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
+     {"old_yob1925.txt": b"Pat,F,10\n"}, 3),
     ("ingest-no-files-in-years",
      ["ingest", "--dir", "{tmp}", "--years", "1880..1890", "--out", "{tmp}/x.idx"],
      {"yob1925.txt": b"Pat,F,10\n"}, 3),
@@ -528,11 +577,14 @@ def test_bad_input_ends_in_a_documented_exit(runner, tmp_path, args, files, code
 # temponym modules a command may load, and whether it loads ``statistics``.
 # Every other module it loads must come with the standard library: no
 # third-party package (no CLI framework, no HTTP client) is paid for at start-up.
-COMMON_MODULES = ["temponym", "temponym._pyparse", "temponym.cli", "temponym.dataset",
-                  "temponym.errors", "temponym.model", "temponym.shifts"]
+# No command loads ``dataclasses`` or the ``inspect`` it imports.
+HELP_MODULES = ["temponym", "temponym.cli", "temponym.errors"]
+COMMON_MODULES = sorted(HELP_MODULES + ["temponym._pyparse", "temponym.dataset",
+                                        "temponym.model"])
 COMMAND_MODULES = [
+    (["--help"], HELP_MODULES, False),
     (["query", "--name", "Leslie", "--year", "1925"], COMMON_MODULES, False),
-    (["shift", "--top", "3"], COMMON_MODULES, True),
+    (["shift", "--top", "3"], sorted(COMMON_MODULES + ["temponym.shifts"]), True),
     (["audit"], sorted(COMMON_MODULES + ["temponym.audit"]), False),
 ]
 LOADED_MODULES = """
@@ -545,7 +597,9 @@ finally:
     temponym = sorted(m for m in sys.modules if m.split(".")[0] == "temponym")
     third_party = sorted(m for m in set(sys.modules) - before
                          if m.split(".")[0] not in {"temponym", *sys.stdlib_module_names})
-    print(json.dumps([temponym, "statistics" in sys.modules, third_party]), file=sys.stderr)
+    unwanted = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+    print(json.dumps([temponym, "statistics" in sys.modules, third_party, unwanted]),
+          file=sys.stderr)
 """
 
 
@@ -558,4 +612,4 @@ def test_a_command_imports_only_what_it_uses(args, modules, statistics):
     done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr.splitlines()[-1]) == [modules, statistics, []]
+    assert json.loads(done.stderr.splitlines()[-1]) == [modules, statistics, [], []]

@@ -1,4 +1,3 @@
-import dataclasses
 import datetime
 import sys
 import threading
@@ -91,6 +90,22 @@ def test_load_order_independence():
     assert forward == backward
 
 
+def test_load_directory_reads_only_yob_files(tmp_path):
+    """Only a whole ``yobYYYY.txt`` name, with ASCII digits, is a year file."""
+    (tmp_path / "yob1925.txt").write_text("Pat,F,10\n")
+    for name in ("old_yob1925.txt", "yob1925.txt.bak", "yob\u0661\u0669\u0662\u0665.txt"):
+        (tmp_path / name).write_text("Sam,M,20\n")
+    data = ds.load_directory(tmp_path)
+    assert data.years_loaded == (1925,)
+    assert data.names == ("Pat",)
+
+
+def test_load_directory_without_yob_files_is_a_data_error(tmp_path):
+    (tmp_path / "old_yob1925.txt").write_text("Pat,F,10\n")
+    with pytest.raises(errors.TemponymError, match="no yobYYYY.txt file$"):
+        ds.load_directory(tmp_path)
+
+
 def test_1917_includes_boys_named_sue(sample_dataset):
     assert sample_dataset.year_cells(1917)["Sue"] == (1200, 7)
 
@@ -111,8 +126,10 @@ def test_tables_are_immutable(sample_dataset):
     cells["Leslie"] = (0, 0)
     assert sample_dataset.lookup("Leslie", 1925) == (839, 9161)
     assert sample_dataset.year_cells(1925)["Leslie"] == (839, 9161)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    names = sample_dataset.names
+    with pytest.raises(AttributeError):  # FrozenInstanceError is one
         sample_dataset.names = ()
+    assert sample_dataset.names is names
 
 
 @pytest.mark.parametrize("column", ["starts", "lengths", "female", "male"])
