@@ -18,7 +18,6 @@ from . import errors
 from .dataset import Dataset, Record, read_csv
 from .model import (
     ClassificationPolicy,
-    GenderLabel,
     GenderProbability,
     MAJORITY,
     classify,
@@ -171,37 +170,36 @@ def temporal_p_female(
                              mixture, sum(female), sum(male))
 
 
-def _predictor(dataset, cohort_model, atemporal_range):
-    """A (temporal, atemporal) predictor for one audit; None if either lacks data.
+def _predictions(records, dataset, cohort_model, atemporal_range):
+    """``(record, (temporal, atemporal))`` for each record, in input order.
 
-    The records of a corpus share few activity years and repeat names, so
-    the birth distribution is kept per activity year and the atemporal
+    The pair is None where either predictor lacks data for the record. The
+    records of a corpus share few activity years and repeat names, so the
+    birth distribution is kept per activity year and the atemporal
     prediction per name, each as None where it has no data.
     """
     births: dict[int, Optional[list]] = {}
     pooled: dict[str, Optional[GenderProbability]] = {}
-
-    def predict(record):
+    for record in records:
         year, name = record.activity_year, record.given_name
         if year not in births:
             try:
                 births[year] = infer_birth_distribution(year, cohort_model, dataset)
             except errors.EmptySupport:
                 births[year] = None
-        if births[year] is None:
-            return None
-        try:
-            temporal = temporal_p_female(dataset, name, births[year])
-        except errors.NoData:
-            return None
-        if name not in pooled:
+        temporal = None
+        if births[year] is not None:
+            try:
+                temporal = temporal_p_female(dataset, name, births[year])
+            except errors.NoData:
+                pass
+        if temporal is not None and name not in pooled:
             try:
                 pooled[name] = p_female_pooled(dataset, name, atemporal_range)
             except errors.NoData:
                 pooled[name] = None
-        return None if pooled[name] is None else (temporal, pooled[name])
-
-    return predict
+        resolved = temporal is not None and pooled[name] is not None
+        yield record, (temporal, pooled[name]) if resolved else None
 
 
 def audit_corpus(
@@ -215,40 +213,22 @@ def audit_corpus(
     Records that fail either predictor are tallied as unresolved and
     excluded from both expectation sums.
     """
-    buckets: dict[int, list] = {}
-    for record in records:
-        decade = record.activity_year // 10 * 10
-        buckets.setdefault(decade, []).append(record)
-
-    predict = _predictor(dataset, cohort_model, atemporal_range)
-    rows = []
-    for decade in sorted(buckets):
-        n_data = unresolved = 0
-        exp_temporal = exp_atemporal = 0.0
-        for record in buckets[decade]:
-            pair = predict(record)
-            if pair is None:
-                unresolved += 1
-                continue
-            temporal, atemporal = pair
-            n_data += 1
-            exp_temporal += temporal.p_female
-            exp_atemporal += atemporal.p_female
-        rows.append(
-            DecadeRow(
-                period=decade,
-                n_records=n_data,
-                n_unresolved=unresolved,
-                expected_female_temporal=exp_temporal,
-                expected_female_atemporal=exp_atemporal,
-            )
-        )
+    sums: dict[int, list] = {}  # decade -> [resolved, unresolved, temporal, atemporal]
+    for record, pair in _predictions(records, dataset, cohort_model, atemporal_range):
+        decade = sums.setdefault(record.activity_year // 10 * 10, [0, 0, 0.0, 0.0])
+        if pair is None:
+            decade[1] += 1
+        else:
+            decade[0] += 1
+            decade[2] += pair[0].p_female
+            decade[3] += pair[1].p_female
     config = {
         "cohort_model": f"{cohort_model.kind}:{cohort_model.offset_years}"
         + (f":{cohort_model.half_width}" if cohort_model.half_width else ""),
         "atemporal_range": f"{atemporal_range[0]}..{atemporal_range[1]}",
     }
-    return AuditReport(rows=tuple(rows), config=config)
+    rows = tuple(DecadeRow(decade, *sums[decade]) for decade in sorted(sums))
+    return AuditReport(rows=rows, config=config)
 
 
 def evaluate_known(
@@ -265,32 +245,19 @@ def evaluate_known(
     """
     import statistics  # here, not at the top: only evaluate_known needs it
 
-    labeled = [r for r in records if r.known_gender is not None]
-    if not labeled:
-        raise errors.EmptyInput("no labeled records")
-
-    confusion = {
-        "temporal": {},
-        "atemporal": {},
-    }
+    confusion = {"temporal": {}, "atemporal": {}}
     years_by_gender: dict[str, list[int]] = {}
     authors_by_gender: dict[str, set] = {}
-    predict = _predictor(dataset, cohort_model, atemporal_range)
-    for record in labeled:
-        years_by_gender.setdefault(record.known_gender, []).append(record.activity_year)
-        authors_by_gender.setdefault(record.known_gender, set()).add(record.author_id)
-
-        pair = predict(record)
-        if pair is None:
-            predicted = {"temporal": GenderLabel.UNKNOWN, "atemporal": GenderLabel.UNKNOWN}
-        else:
-            predicted = {
-                "temporal": classify(pair[0], policy),
-                "atemporal": classify(pair[1], policy),
-            }
-        for which, label in predicted.items():
-            key = (record.known_gender, label.value)
+    labeled = (r for r in records if r.known_gender is not None)
+    for record, pair in _predictions(labeled, dataset, cohort_model, atemporal_range):
+        gender = record.known_gender
+        years_by_gender.setdefault(gender, []).append(record.activity_year)
+        authors_by_gender.setdefault(gender, set()).add(record.author_id)
+        for which, prob in zip(confusion, pair or (None, None)):
+            key = (gender, "U" if prob is None else classify(prob, policy).value)
             confusion[which][key] = confusion[which].get(key, 0) + 1
+    if not years_by_gender:
+        raise errors.EmptyInput("no labeled records")
 
     return {
         "confusion": confusion,

@@ -16,9 +16,6 @@ package itself. Commands call through the module objects
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
@@ -163,8 +160,13 @@ def _echo(text: str) -> None:
 
 def _emit(payload, fmt: str, csv_rows=None, csv_header=None) -> None:
     if fmt == "json":
+        import json
+
         _echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.writer(out)
         if csv_header:
@@ -408,6 +410,8 @@ def bubbles(corpus_path, reference, fmt):
 
 def _emit_series(series, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         payload = [
             {"series_id": s.series_id,
              "points": [{"x": x, "y": y, "size": size} for x, y, size in s.points]}
@@ -492,8 +496,10 @@ class _ReadConfig(argparse.Action):
     """``--config PATH``: a JSON object whose sections, keyed by command, set option defaults."""
 
     def __call__(self, parser, namespace, path, option_string=None):
+        import json
+
         try:
-            config = json.loads(Path(path).read_text(encoding="utf-8"))
+            config = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # drops a BOM
         except OSError as exc:
             raise argparse.ArgumentError(self, f"{path!r}: {exc.strerror or exc}") from None
         except ValueError as exc:
@@ -627,6 +633,9 @@ def _compare_options(p: _Parser) -> None:
 
 
 def _plot_commands(plot: _Parser) -> None:
+    # The help column stays at 16, where ``trajectories`` wraps, on every
+    # Python: from 3.13 argparse widens it to fit the command's name.
+    plot.formatter_class = lambda prog: _Formatter(prog, max_help_position=16)
     plot.command("trajectories", trajectories, _trajectories_options)
     plot.command("bubbles", bubbles, _bubbles_options)
 

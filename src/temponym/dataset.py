@@ -410,11 +410,12 @@ def load_directory(
 def read_text(path: Path | str, newline: Optional[str] = None) -> str:
     """A file's text, decoded as UTF-8; ``newline`` is as for ``open``.
 
-    A file that cannot be read or decoded is a data error naming it.
+    One leading byte-order mark is dropped. A file that cannot be read or
+    decoded is a data error naming it.
     """
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise errors.TemponymError(f"{path}: not UTF-8 text ({exc})") from None
     except OSError as exc:

@@ -5,6 +5,7 @@ tool can consume the CSV or JSON forms the CLI writes.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
@@ -23,7 +24,11 @@ def emit_trajectories(
     names: Iterable[str],
     years: Sequence[int],
 ) -> list[PlotSeries]:
-    """One p(F)-over-time series per name; missing years are skipped."""
+    """One p(F)-over-time series per name.
+
+    A year without data for a name is left out of its series; a year the
+    dataset does not hold raises ``YearNotLoaded``.
+    """
     ordered_years = sorted(years)
     series = []
     for name in names:
@@ -47,15 +52,10 @@ def emit_bubble_series(
     0.5, female 0.95); bubble size is the paper count that year. An
     optional constant reference series spans the same year range.
     """
-    records = list(records)
-    labeled = [r for r in records if r.known_gender is not None]
-    if not labeled:
+    counts = Counter((r.known_gender, r.activity_year) for r in records
+                     if r.known_gender is not None)
+    if not counts:
         raise errors.EmptyInput("no labeled records")
-
-    counts: dict[str, dict[int, int]] = {"M": {}, "U": {}, "F": {}}
-    for record in labeled:
-        per_year = counts[record.known_gender]
-        per_year[record.activity_year] = per_year.get(record.activity_year, 0) + 1
 
     stratum_names = {"M": "male", "U": "unknown", "F": "female"}
     series = [
@@ -63,18 +63,17 @@ def emit_bubble_series(
             series_id=stratum_names[gender],
             points=tuple(
                 (year, KNOWN_P_FEMALE[gender], float(n))
-                for year, n in sorted(counts[gender].items())
+                for (stratum, year), n in sorted(counts.items()) if stratum == gender
             ),
         )
         for gender in ("M", "U", "F")
     ]
     if reference_value is not None:
-        lo = min(r.activity_year for r in labeled)
-        hi = max(r.activity_year for r in labeled)
+        years = [year for _, year in counts]
         series.append(
             PlotSeries(
                 series_id="reference",
-                points=tuple((year, reference_value, None) for year in (lo, hi)),
+                points=tuple((year, reference_value, None) for year in (min(years), max(years))),
             )
         )
     return series

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import random
+import zlib
 from array import array
 
 import pytest
@@ -124,6 +125,48 @@ def _sections_do_not_add_up(path):
     _write_index(path, header, payload)
 
 
+def _set_header(path, key, value):
+    header, payload = _index_parts(path)
+    header[key] = value
+    _write_index(path, header, payload)
+
+
+def _header_not_an_object(path):
+    _, payload = _index_parts(path)
+    _write_index(path, b"[3]", payload)
+
+
+def _version_4(path):
+    _set_header(path, "version", 4)
+
+
+def _years_not_increasing(path):
+    _set_header(path, "years", [1990, 1990])
+
+
+def _sections_not_a_mapping(path):
+    header, _ = _index_parts(path)
+    _set_header(path, "sections", list(header["sections"].values()))
+
+
+def _rewrite_payload(path, change, keep_sha256=True):
+    """Replace the payload by ``change(payload)``, recompressed; the checksum
+    is left as it was or recomputed."""
+    header, compressed = _index_parts(path)
+    payload = change(zlib.decompress(compressed))
+    if not keep_sha256:
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+    _write_index(path, header, zlib.compress(payload))
+
+
+def _payload_byte_changed(path):
+    _rewrite_payload(path, lambda payload: payload[:-1] + bytes([payload[-1] ^ 1]))
+
+
+def _names_not_utf8(path):
+    _rewrite_payload(path, lambda payload: b"\xff" + payload[1:], keep_sha256=False)
+
+
 def _save_two_names(path, names, starts=(0, 0), lengths=(1, 1)):
     """An index of two names over 1990-1991, saved without any check."""
     cells = sum(lengths)
@@ -153,6 +196,12 @@ BAD_INDEXES = [
     (_header_not_json, "not JSON"),
     (_version_1, "re-run `temponym ingest`"),
     (_version_2, "version 2 is no longer read; re-run `temponym ingest`"),
+    (_header_not_an_object, "header is not a JSON object"),
+    (_version_4, "unsupported index version 4"),
+    (_years_not_increasing, "header years are not increasing integers"),
+    (_sections_not_a_mapping, "header sections must be byte lengths"),
+    (_payload_byte_changed, "checksum mismatch"),
+    (_names_not_utf8, "name table is not UTF-8"),
     (_width_0, "header widths"),
     (_width_5, "header widths"),
     (_width_not_an_integer, "header widths"),

@@ -223,6 +223,15 @@ def test_corpus_csv_round_trip(tmp_path):
     assert records[1].known_p_female is None
 
 
+def test_corpus_csv_byte_order_mark_is_dropped(tmp_path):
+    rows = b"record_id,given_name,activity_year,known_gender\r\na:1,Leslie,1980,M\r\n"
+    (tmp_path / "plain.csv").write_bytes(rows)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + rows)
+    records = audit.load_corpus_csv(tmp_path / "bom.csv")
+    assert records == audit.load_corpus_csv(tmp_path / "plain.csv")
+    assert records == [audit.CorpusRecord("a:1", "Leslie", 1980, "M")]
+
+
 def test_corpus_csv_rejects_bad_gender(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("record_id,given_name,activity_year,known_gender\na,Leslie,1980,X\n")

@@ -70,6 +70,15 @@ def test_query_missing_name_is_data_error(runner):
     assert result.exit_code == 3
 
 
+def test_query_window(runner):
+    result = runner.invoke(main, ["query", "--name", "Leslie", "--year", "1925",
+                                  "--window", "5"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["context"] == "1920..1930 (window around 1925)"
+    assert payload["p_female"] == pytest.approx(0.083543, abs=1e-6)
+
+
 def test_query_requires_context(runner):
     result = runner.invoke(main, ["query", "--name", "Leslie"])
     assert result.exit_code == 2
@@ -197,20 +206,81 @@ def test_compare_fixtures(runner):
     assert jean["services"]["genderize"]["divergence"] == pytest.approx(0.9245, abs=0.0005)
 
 
-def test_compare_live_probability_not_a_number_is_partial(runner, monkeypatch):
+def _stub_get(monkeypatch, answer):
+    """``requests.get`` records its params and returns or raises ``answer``."""
+    import requests
+
+    sent = []
+
+    def get(url, params, timeout):
+        sent.append(params)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(requests, "get", get)
+    return sent
+
+
+def _response(status, body):
     import requests
 
     response = requests.Response()
-    response.status_code = 200
-    response._content = b'{"gender": "female", "probability": "high"}'
-    monkeypatch.setattr(requests, "get", lambda url, params, timeout: response)
-    result = runner.invoke(main, [
-        "compare", "--names", "Leslie", "--services", "genderize-live:http://example.invalid",
-        "--format", "json",
-    ])
+    response.status_code = status
+    response._content = body
+    return response
+
+
+LIVE_LESLIE = ["compare", "--names", "Leslie", "--services",
+               "genderize-live:http://example.invalid", "--format", "json"]
+
+
+def test_compare_live_probability_not_a_number_is_partial(runner, monkeypatch):
+    _stub_get(monkeypatch, _response(200, b'{"gender": "female", "probability": "high"}'))
+    result = runner.invoke(main, LIVE_LESLIE)
     assert result.exit_code == 4, result.output
     [row] = json.loads(result.output)["rows"]
     assert "is not a number in [0, 1]" in row["errors"]["genderize"]
+
+
+# (id, HTTP status or None for a refused connection, body, error class, its
+# message as a cell error).
+LIVE_FAILURES = [
+    ("unauthorized", 401, b"", "AuthError", "genderize: authentication failed"),
+    ("unavailable", 503, b"", "NetworkError", "genderize: HTTP 503"),
+    ("gender-null", 200, b'{"gender": null, "probability": 0.0, "count": 0}',
+     "ServiceUnknownName", "genderize has no prediction for 'Leslie'"),
+    ("connection-refused", None, b"", "NetworkError", "connection refused"),
+]
+
+
+@pytest.mark.parametrize("status,body,error,message", [case[1:] for case in LIVE_FAILURES],
+                         ids=[case[0] for case in LIVE_FAILURES])
+def test_compare_live_failure_is_a_cell_error(runner, monkeypatch, status, body, error,
+                                              message):
+    import requests
+
+    from temponym import errors, services
+
+    refused = requests.ConnectionError(message)
+    _stub_get(monkeypatch, refused if status is None else _response(status, body))
+    result = runner.invoke(main, LIVE_LESLIE)
+    assert result.exit_code == 4, result.output
+    [row] = json.loads(result.output)["rows"]
+    assert row["errors"] == {"genderize": message}
+    config = services.ServiceConfig("genderize", endpoint_url="http://example.invalid")
+    with pytest.raises(getattr(errors, error), match=message):
+        services.fetch_prediction(config, "Leslie")
+
+
+def test_compare_live_sends_the_api_key_from_the_environment(runner, monkeypatch):
+    monkeypatch.setenv("TEMPONYM_GENDERIZE_KEY", "sekrit")
+    sent = _stub_get(monkeypatch, _response(200, b'{"gender": "male", "probability": 0.9}'))
+    result = runner.invoke(main, LIVE_LESLIE)
+    assert result.exit_code == 0, result.output
+    assert sent == [{"name": "Leslie", "apikey": "sekrit"}]
+    [row] = json.loads(result.output)["rows"]
+    assert row["services"]["genderize"]["p_female"] == pytest.approx(0.1)
 
 
 CACHED = {"service_id": "genderize", "name": "Leslie", "predicted_label": "F",
@@ -225,14 +295,9 @@ def _cached(**changes):
 
 def _stub_live_compare(monkeypatch, tmp_path):
     """Stub genderize to answer p(F) 0.75; return the path of Leslie's cache entry."""
-    import requests
-
     from temponym import services
 
-    response = requests.Response()
-    response.status_code = 200
-    response._content = b'{"gender": "female", "probability": 0.75}'
-    monkeypatch.setattr(requests, "get", lambda url, params, timeout: response)
+    _stub_get(monkeypatch, _response(200, b'{"gender": "female", "probability": 0.75}'))
     today = datetime.date.today().isoformat()
     return services.PredictionCache(tmp_path)._path("genderize", "Leslie", today)
 
@@ -266,6 +331,17 @@ def test_compare_reports_a_cache_entry_that_cannot_be_written(runner, monkeypatc
     [row] = json.loads(result.output)["rows"]
     assert row["errors"]["genderize"].startswith(f"{path}: cannot be written")
     assert list(path.parent.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_compare_names_file(runner, tmp_path, bom):
+    names = tmp_path / "names.txt"
+    names.write_bytes(bom + b"Jean\n\nLeslie\n")
+    result = runner.invoke(main, ["compare", "--names-file", str(names), "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["Jean", "0.9745"],
+                                                           ["Leslie", "0.0839"]]
 
 
 def test_compare_requires_names(runner):
@@ -353,6 +429,15 @@ def test_corpus_missing_column_is_data_error(runner, tmp_path):
     result = runner.invoke(main, ["audit", "--corpus", str(corpus)])
     assert result.exit_code == 3
     assert "activity_year" in result.output
+
+
+def test_config_byte_order_mark_is_dropped(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"query": {"name": "Leslie",
+                                                               "year": 1925}}).encode())
+    result = runner.invoke(main, ["--config", str(config), "query"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["name"] == "Leslie"
 
 
 def test_config_that_is_not_json_is_usage_error(runner, tmp_path):
@@ -533,6 +618,14 @@ CLI_ERRORS = [
      ["plot", "trajectories", "--names", "Leslie", "--years", "2000..1990"], {}, 2),
     ("audit-fixed-cohort-with-half-width", ["audit", "--cohort", "fixed:35:10"], {}, 2),
     ("audit-negative-cohort-offset", ["audit", "--cohort", "uniform:-500:3"], {}, 2),
+    ("audit-negative-cohort-half-width", ["audit", "--cohort", "uniform:35:-1"], {}, 2),
+    ("query-index-with-dir",
+     ["query", "--index", "{tmp}/x.idx", "--dir", "{tmp}", "--name", "Pat", "--year", "1990"],
+     {"x.idx": b""}, 2),
+    ("query-dir-is-a-file",
+     ["query", "--dir", "{tmp}/yob1990.txt", "--name", "Pat", "--year", "1990"],
+     {"yob1990.txt": b"Pat,F,10\n"}, 2),
+    ("trajectories-without-names", ["plot", "trajectories"], {}, 2),
     ("shift-negative-top", ["shift", "--top", "-3"], {}, 2),
     ("shift-nan-min-delta", ["shift", "--min-delta", "nan"], {}, 2),
     ("shift-infinite-min-delta", ["shift", "--min-delta", "inf"], {}, 2),
@@ -577,7 +670,8 @@ def test_bad_input_ends_in_a_documented_exit(runner, tmp_path, args, files, code
 # temponym modules a command may load, and whether it loads ``statistics``.
 # Every other module it loads must come with the standard library: no
 # third-party package (no CLI framework, no HTTP client) is paid for at start-up.
-# No command loads ``dataclasses`` or the ``inspect`` it imports.
+# No command loads ``dataclasses`` or the ``inspect`` it imports, and ``--help``
+# loads neither ``json`` nor ``csv``.
 HELP_MODULES = ["temponym", "temponym.cli", "temponym.errors"]
 COMMON_MODULES = sorted(HELP_MODULES + ["temponym._pyparse", "temponym.dataset",
                                         "temponym.model"])
@@ -588,18 +682,20 @@ COMMAND_MODULES = [
     (["audit"], sorted(COMMON_MODULES + ["temponym.audit"]), False),
 ]
 LOADED_MODULES = """
-import json, sys
+import sys
 before = set(sys.modules)
 from temponym.cli import main
 try:
     main(sys.argv[1:], prog_name="temponym")
 finally:
+    formats = [m for m in ("json", "csv") if m in sys.modules]
+    import json
     temponym = sorted(m for m in sys.modules if m.split(".")[0] == "temponym")
     third_party = sorted(m for m in set(sys.modules) - before
                          if m.split(".")[0] not in {"temponym", *sys.stdlib_module_names})
     unwanted = [m for m in ("dataclasses", "inspect") if m in sys.modules]
-    print(json.dumps([temponym, "statistics" in sys.modules, third_party, unwanted]),
-          file=sys.stderr)
+    print(json.dumps([temponym, "statistics" in sys.modules, third_party, unwanted,
+                      "json" in before, formats]), file=sys.stderr)
 """
 
 
@@ -612,4 +708,7 @@ def test_a_command_imports_only_what_it_uses(args, modules, statistics):
     done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stderr.splitlines()[-1]) == [modules, statistics, [], []]
+    loaded = json.loads(done.stderr.splitlines()[-1])
+    assert loaded[:5] == [modules, statistics, [], [], False]
+    if args == ["--help"]:  # nothing is written as JSON or CSV
+        assert loaded[5] == []

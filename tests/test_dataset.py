@@ -106,6 +106,17 @@ def test_load_directory_without_yob_files_is_a_data_error(tmp_path):
         ds.load_directory(tmp_path)
 
 
+def test_year_file_byte_order_mark_is_dropped(tmp_path):
+    rows = b"Mary,F,7065\nJohn,M,9655\n"
+    for directory, data in (("plain", rows), ("bom", b"\xef\xbb\xbf" + rows)):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "yob1880.txt").write_bytes(data)
+    with_bom = ds.load_directory(tmp_path / "bom")
+    assert with_bom == ds.load_directory(tmp_path / "plain")
+    assert with_bom.names == ("John", "Mary")
+    assert with_bom.lookup("Mary", 1880) == (7065, 0)
+
+
 def test_1917_includes_boys_named_sue(sample_dataset):
     assert sample_dataset.year_cells(1917)["Sue"] == (1200, 7)
 

@@ -36,6 +36,15 @@ def test_fixture_unknown_name(by_id):
         services.fetch_prediction(by_id["genderize"], "Zzyzx")
 
 
+def test_fixture_csv_byte_order_mark_is_dropped(tmp_path):
+    rows = b"service_id,name,label,p_female,sample_count\ngenderize,Jean,M,0.05,\n"
+    (tmp_path / "plain.csv").write_bytes(rows)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + rows)
+    table = services.load_fixture_table(tmp_path / "bom.csv")
+    assert table == services.load_fixture_table(tmp_path / "plain.csv")
+    assert table["genderize"]["jean"].p_female == 0.05
+
+
 def test_config_without_table_or_endpoint_is_refused():
     with pytest.raises(errors.ConfigError):
         services.ServiceConfig(service_id="genderize")
