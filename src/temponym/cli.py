@@ -592,7 +592,7 @@ def _shift_options(p: _Parser) -> None:
     p.option("--y1", type=_integer, default=y1, help="(default: %(default)s)")
     p.option("--y2", type=_integer, default=y2, help="(default: %(default)s)")
     p.option("--weighted", action="store_true")
-    p.option("--top", type=_count, default=50, help="(default: %(default)s)")
+    p.option("--top", type=_count, default=shifts_mod.DEFAULT_TOP, help="(default: %(default)s)")
     p.option("--min-support", type=_count, default=shifts_mod.DEFAULT_MIN_SUPPORT,
              help="(default: %(default)s)")
     p.option("--min-delta", type=_finite_non_negative,

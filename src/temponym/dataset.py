@@ -12,8 +12,9 @@ in which the name has no data holds zeros. A zero count (lenient mode keeps
 rows below the publication floor) is no data: a span starts and ends at
 non-zero cells. Positions rather than calendar years keep sparse year sets
 compact, a single-year lookup is one index into each column, and a windowed
-or pooled lookup sums one slice of each. Building a Dataset, from raw files
-or from an index, does no per-name work in Python code.
+or pooled lookup sums one slice of each. Loading a Dataset from an index
+does no per-name work in Python code; building one from raw files does one
+step per name and none per row.
 """
 from __future__ import annotations
 
@@ -391,8 +392,13 @@ def load_directory(
     """
     directory = Path(directory)
     wanted = set(years) if years is not None else None
+    try:
+        paths = list(directory.iterdir())
+    except OSError as exc:
+        raise errors.TemponymError(
+            f"{directory}: cannot be read ({exc.strerror or exc})") from None
     found = []
-    for path in directory.iterdir():
+    for path in paths:
         match = _YOB_RE.fullmatch(path.name)
         if not match:
             continue

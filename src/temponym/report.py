@@ -24,12 +24,16 @@ def emit_trajectories(
     names: Iterable[str],
     years: Sequence[int],
 ) -> list[PlotSeries]:
-    """One p(F)-over-time series per name.
+    """One p(F)-over-time series per name, over the distinct ``years`` in order.
 
-    A year without data for a name is left out of its series; a year the
-    dataset does not hold raises ``YearNotLoaded``.
+    A year without data for a name is left out of its series. A year the
+    dataset does not hold raises ``YearNotLoaded`` for the first such year,
+    before any name is looked at, so also when ``names`` is empty.
     """
-    ordered_years = sorted(years)
+    ordered_years = sorted(set(years))
+    for year in ordered_years:
+        if not dataset.has_year(year):
+            raise errors.YearNotLoaded(year)
     series = []
     for name in names:
         points = []

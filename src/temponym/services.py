@@ -280,7 +280,7 @@ def _retry_after(header: Optional[str]) -> float:
     header = header.strip()
     if header.isascii() and header.isdigit():
         return float(header)
-    import email.utils  # here, not at the top: every command imports this module
+    import email.utils  # here, not at the top: only a 429 with an HTTP-date needs it
 
     try:
         when = email.utils.parsedate_to_datetime(header)

@@ -15,6 +15,7 @@ from .dataset import Dataset
 from .model import p_female
 
 DEFAULT_MIN_SUPPORT = 50
+DEFAULT_TOP = 50
 DEFAULT_MIN_ABS_DELTA = 20.0
 DEFAULT_YEAR_PAIR = (1925, 2000)
 
@@ -45,41 +46,27 @@ def gender_shift(dataset: Dataset, name: str, y1: int, y2: int) -> ShiftEntry:
     """Shift entry for one name; requires data at both endpoint years."""
     prob1 = p_female(dataset, name, y1)
     prob2 = p_female(dataset, name, y2)
-    row = _row(name, prob1.female_count, prob1.male_count,
-               prob2.female_count, prob2.male_count)
-    return _entry(row, y1, y2)
+    cells = (name, prob1.female_count, prob1.male_count, prob2.female_count, prob2.male_count)
+    return ShiftEntry._make(_rows([cells], y1, y2, 0)[0])
 
 
-def _row(name, f1, m1, f2, m2):
-    """``(name, support_y1, support_y2, p1, p2, delta_scaled)`` from endpoint counts."""
-    s1, s2 = f1 + m1, f2 + m2
-    p1, p2 = f1 / s1, f2 / s2  # the ratio model.p_female computes
-    return name, s1, s2, p1, p2, (p2 - p1) * 100
+def _rows(cells: Iterable[tuple], y1: int, y2: int, min_support: int) -> list[tuple]:
+    """The ``ShiftEntry`` fields, in field order, of each name with enough support.
 
-
-def _entry(row, y1, y2) -> ShiftEntry:
-    name, s1, s2, p1, p2, delta = row
-    weight = (s1 + s2) / 2
-    return ShiftEntry(
-        name=name,
-        y1=y1,
-        y2=y2,
-        p1=p1,
-        p2=p2,
-        delta_scaled=delta,
-        support_y1=s1,
-        support_y2=s2,
-        weight=weight,
-        weighted_shift=delta * weight,
-    )
-
-
-def _rows(dataset: Dataset, y1: int, y2: int, min_support: int) -> list[tuple]:
-    """A ``_row`` per name with at least ``min_support`` births in each year."""
-    return [
-        _row(*cells) for cells in dataset.year_pair_cells(y1, y2)
-        if cells[1] + cells[2] >= min_support and cells[3] + cells[4] >= min_support
-    ]
+    ``cells`` holds ``(name, f1, m1, f2, m2)``: a name's female and male
+    counts in ``y1`` and ``y2``. A name with fewer than ``min_support``
+    births in either year is left out. The rows stay plain tuples, built in
+    this one loop, because a year pair walks every name of the dataset.
+    """
+    rows = []
+    for name, f1, m1, f2, m2 in cells:
+        s1, s2 = f1 + m1, f2 + m2
+        if s1 >= min_support and s2 >= min_support:
+            p1, p2 = f1 / s1, f2 / s2  # the ratio model.p_female computes
+            delta = (p2 - p1) * 100
+            weight = (s1 + s2) / 2
+            rows.append((name, y1, y2, p1, p2, delta, s1, s2, weight, delta * weight))
+    return rows
 
 
 def rank_shifts(
@@ -87,7 +74,7 @@ def rank_shifts(
     y1: int,
     y2: int,
     min_support_each_year: int = DEFAULT_MIN_SUPPORT,
-    top_k: int = 50,
+    top_k: int = DEFAULT_TOP,
     weighted: bool = False,
 ) -> list[ShiftEntry]:
     """Top-k shifts, deterministically ordered.
@@ -95,13 +82,10 @@ def rank_shifts(
     Sorted descending by |shift| (or |weighted shift|); ties broken by
     larger combined support, then by name.
     """
-    rows = _rows(dataset, y1, y2, min_support_each_year)
-    # |weighted_shift| or |delta_scaled| of the entry _entry would build
-    magnitude = (
-        (lambda r: abs(r[5] * ((r[1] + r[2]) / 2))) if weighted else (lambda r: abs(r[5]))
-    )
-    rows.sort(key=lambda r: (-magnitude(r), -(r[1] + r[2]), r[0]))
-    return [_entry(row, y1, y2) for row in rows[: max(top_k, 0)]]
+    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year)
+    field = 9 if weighted else 5  # weighted_shift or delta_scaled
+    rows.sort(key=lambda r: (-abs(r[field]), -(r[6] + r[7]), r[0]))
+    return [ShiftEntry._make(row) for row in rows[: max(top_k, 0)]]
 
 
 def shift_statistics(
@@ -149,6 +133,6 @@ def qualifying_names(
     1925-1975 they give 1.
     """
     return {
-        row[0] for row in _rows(dataset, y1, y2, min_support)
+        row[0] for row in _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support)
         if abs(row[5]) >= min_abs_delta
     }

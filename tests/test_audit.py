@@ -50,6 +50,8 @@ def test_cohort_model_parse():
     )
     with pytest.raises(errors.ConfigError):
         audit.CohortModel.parse("gamma:2")
+    with pytest.raises(errors.ConfigError):
+        audit.CohortModel("bogus")
 
 
 @pytest.mark.parametrize("value,attribute", [
@@ -68,6 +70,9 @@ def test_checked_records_are_immutable_values(value, attribute):
     clone = pickle.loads(pickle.dumps(value))
     assert clone == value == copy.copy(value)
     assert hash(clone) == hash(value)
+    assert repr(value).startswith(f"{type(value).__name__}(")
+    assert f"{attribute}={before!r}" in repr(value)
+    assert value != attribute and value.__eq__(attribute) is NotImplemented
 
 
 def test_fields_outside_equality_do_not_compare():

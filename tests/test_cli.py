@@ -1,5 +1,6 @@
 import contextlib
 import datetime
+import errno
 import io
 import json
 import os
@@ -121,6 +122,14 @@ def test_shift_csv_columns(runner):
     assert result.output.splitlines()[1].startswith("1,Shelby")
 
 
+def test_ambiguity_of_a_year_without_births(runner, tmp_path):
+    (tmp_path / "yob1990.txt").write_text("")
+    (tmp_path / "yob1991.txt").write_text("Pat,F,10\n")
+    result = runner.invoke(main, ["ambiguity", "--dir", str(tmp_path), "--year", "1990"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"ambiguous_share": 0.0, "year": 1990}
+
+
 def test_ambiguity(runner):
     result = runner.invoke(main, ["ambiguity", "--year", "1900"])
     assert result.exit_code == 0
@@ -178,12 +187,37 @@ def test_ingest_unreadable_entry_is_data_error(runner, tmp_path):
     assert not (tmp_path / "x.idx").exists()
 
 
+@pytest.mark.parametrize("command", [["ingest", "--out", "{tmp}/x.idx"],
+                                     ["query", "--name", "Leslie", "--year", "1925"]])
+def test_dir_that_cannot_be_listed_is_data_error(runner, monkeypatch, tmp_path, command):
+    def iterdir(self):
+        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "iterdir", iterdir)
+    args = [arg.format(tmp=tmp_path) for arg in command]
+    result = runner.invoke(main, [*args, "--dir", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert f"{tmp_path}: cannot be read (Permission denied)" in result.output
+
+
 def test_audit_default_fixture(runner):
     result = runner.invoke(main, ["audit", "--format", "json"])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     overcount = {row["period"]: row["overcount"] for row in payload["rows"]}
     assert overcount[1970] > 0 and overcount[1980] > 0 and overcount[1990] > 0
+
+
+def test_audit_without_atemporal_data_is_unresolved(runner, tmp_path):
+    (tmp_path / "yob1900.txt").write_text("Kim,F,10\n")
+    (tmp_path / "yob1945.txt").write_text("Pat,F,10\nPat,M,5\n")
+    (tmp_path / "c.csv").write_bytes(CORPUS_HEADER + b"a,Pat,1980,F\n")
+    result = runner.invoke(main, ["audit", "--dir", str(tmp_path), "--corpus",
+                                  str(tmp_path / "c.csv"), "--atemporal", "1900..1900",
+                                  "--format", "json"])
+    assert result.exit_code == 4, result.output
+    assert json.loads(result.output)["totals"] == {"overcount": 0.0, "records": 0,
+                                                   "unresolved": 1}
 
 
 def test_audit_partial_exit_code(runner, tmp_path):
@@ -204,6 +238,20 @@ def test_compare_fixtures(runner):
     payload = json.loads(result.output)
     jean = next(row for row in payload["rows"] if row["name"] == "Jean")
     assert jean["services"]["genderize"]["divergence"] == pytest.approx(0.9245, abs=0.0005)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compare_divergence_without_both_sides_is_empty(runner, tmp_path, fmt):
+    fixture = tmp_path / "f.csv"
+    fixture.write_bytes(FIXTURE_HEADER + b"genderize,Jean,F,,\ngenderize,Zzyzx,F,0.5,\n")
+    result = runner.invoke(main, ["compare", "--names", "Jean,Zzyzx", "--fixture-file",
+                                  str(fixture), "--format", fmt])
+    assert result.exit_code == 4, result.output  # no SSA data for Zzyzx
+    if fmt == "json":
+        rows = json.loads(result.output)["rows"]
+        assert [row["services"]["genderize"]["divergence"] for row in rows] == [None, None]
+    else:
+        assert result.output.splitlines()[1:] == ["Jean,0.9745,F,,", "Zzyzx,,F,0.5000,"]
 
 
 def _stub_get(monkeypatch, answer):
@@ -397,6 +445,8 @@ BAD_OPTION_VALUES = [
     ("trajectories-years", ["plot", "trajectories", "--names", "Leslie", "--years", "abc"],
      "--years"),
     ("audit-cohort", ["audit", "--cohort", "fixed:abc"], "--cohort"),
+    ("query-year", ["query", "--name", "Leslie", "--year", "abc"], "--year"),
+    ("bubbles-reference", ["plot", "bubbles", "--reference", "abc"], "--reference"),
 ]
 
 
@@ -498,6 +548,12 @@ CONFIG_CASES = [
      "Invalid value for '--weighted'"),
     ("required-still-missing", {"query": {"year": 1925}}, ["query"], 2,
      "Missing option '--name'."),
+    ("not-an-object", [{"query": {"name": "Leslie"}}], ["query"], 2,
+     "Invalid value for '--config': must hold a JSON object"),
+    ("null-section-ignored", {"query": None}, ["query", "--name", "Leslie", "--year", "1925"],
+     0, '"name": "Leslie"'),
+    ("null-value-ignored", {"shift": {"top": None, "format": "csv"}}, ["shift"], 0,
+     "\r\n50,"),
 ]
 
 
@@ -648,6 +704,8 @@ CLI_ERRORS = [
      ["compare", "--names", "Jean", "--services", "genderize-live:"], {}, 3),
     ("trajectories-year-not-loaded",
      ["plot", "trajectories", "--top-shifts", "3", "--y1", "1776"], {}, 3),
+    ("trajectories-no-names-year-not-loaded",
+     ["plot", "trajectories", "--top-shifts", "0", "--years", "2050"], {}, 3),
     ("bubbles-corpus-without-activity-year", ["plot", "bubbles", "--corpus", "{tmp}/c.csv"],
      {"c.csv": b"record_id,given_name\na,Leslie\n"}, 3),
 ]

@@ -22,8 +22,9 @@ def test_trajectories_empty_names(sample_dataset):
 
 
 def test_trajectories_single_point(sample_dataset):
-    (series,) = report.emit_trajectories(sample_dataset, ["Leslie"], [1925])
-    assert len(series.points) == 1
+    for years in ([1925], [1925, 1925]):  # a repeated year is one point
+        (series,) = report.emit_trajectories(sample_dataset, ["Leslie"], years)
+        assert len(series.points) == 1
 
 
 def test_bubble_series_totals():

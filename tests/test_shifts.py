@@ -178,10 +178,12 @@ def _reference_entries(data, y1, y2, min_support):
             entry = shifts.gender_shift(data, name, y1, y2)
         except errors.NoData:
             continue
-        p1 = model.p_female(data, name, y1).p_female
-        p2 = model.p_female(data, name, y2).p_female
+        prob1, prob2 = model.p_female(data, name, y1), model.p_female(data, name, y2)
+        p1, p2 = prob1.p_female, prob2.p_female
         assert (entry.p1, entry.p2, entry.delta_scaled) == (p1, p2, (p2 - p1) * 100)
+        assert (entry.support_y1, entry.support_y2) == (prob1.support, prob2.support)
         assert entry.weight == (entry.support_y1 + entry.support_y2) / 2
+        assert entry.weighted_shift == entry.delta_scaled * entry.weight
         if entry.support_y1 >= min_support and entry.support_y2 >= min_support:
             entries.append(entry)
     return entries
