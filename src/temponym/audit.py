@@ -16,13 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
 from .dataset import Dataset, Record, read_csv
-from .model import (
-    ClassificationPolicy,
-    GenderProbability,
-    MAJORITY,
-    classify,
-    p_female_pooled,
-)
+from .model import GenderProbability, classify, p_female_pooled
 
 DEFAULT_COHORT_OFFSET = 35  # approximate mid-career age at publication
 DEFAULT_ATEMPORAL_RANGE = (1880, 2020)
@@ -63,6 +57,11 @@ class CohortModel(Record):
             ) from None
         return cls(kinds[parts[0]], *numbers)
 
+    def __str__(self) -> str:
+        """``KIND:OFFSET[:HALF]``, e.g. ``fixed-offset:35`` or ``triangular-window:35:10``."""
+        return f"{self.kind}:{self.offset_years}" + (
+            f":{self.half_width}" if self.half_width else "")
+
 
 class CorpusRecord(NamedTuple):
     record_id: str
@@ -74,12 +73,6 @@ class CorpusRecord(NamedTuple):
     def author_id(self) -> str:
         """Author part of "author:paper" record ids; whole id otherwise."""
         return self.record_id.split(":", 1)[0]
-
-    @property
-    def known_p_female(self) -> Optional[float]:
-        if self.known_gender is None:
-            return None
-        return KNOWN_P_FEMALE[self.known_gender]
 
 
 class DecadeRow(NamedTuple):
@@ -94,45 +87,17 @@ class DecadeRow(NamedTuple):
         return self.expected_female_atemporal - self.expected_female_temporal
 
 
-class AuditReport(Record):
-    """The decade rows of an audit and the settings that made them (not compared)."""
-
-    __slots__ = ("rows", "config")
-    _compared = ("rows",)
-
-    def __init__(self, rows: tuple[DecadeRow, ...], config: dict):
-        self._init(rows=rows, config=config)
-
-    @property
-    def total_records(self) -> int:
-        return sum(row.n_records for row in self.rows)
-
-    @property
-    def total_unresolved(self) -> int:
-        return sum(row.n_unresolved for row in self.rows)
-
-    @property
-    def total_overcount(self) -> float:
-        return sum(row.overcount for row in self.rows)
-
-
-def infer_birth_distribution(
-    activity_year: int,
-    cohort_model: CohortModel,
-    dataset: Optional[Dataset] = None,
-) -> list[tuple[int, float]]:
+def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
+                             dataset: Dataset) -> list[tuple[int, float]]:
     """Distribution over birth years for someone active in a given year.
 
-    If a dataset is supplied the distribution is restricted to loaded
-    years and renormalized.
+    The distribution covers the dataset's loaded years inside the cohort
+    window, renormalized over them.
     """
     center = activity_year - cohort_model.offset_years
     h = cohort_model.half_width
-    if dataset is None:
-        years = range(center - h, center + h + 1)
-    else:
-        loaded = dataset.years_loaded
-        years = loaded[bisect_left(loaded, center - h):bisect_right(loaded, center + h)]
+    loaded = dataset.years_loaded
+    years = loaded[bisect_left(loaded, center - h):bisect_right(loaded, center + h)]
     if cohort_model.kind == "triangular-window":
         weights = [float(h + 1 - abs(year - center)) for year in years]
     else:
@@ -207,11 +172,12 @@ def audit_corpus(
     dataset: Dataset,
     cohort_model: CohortModel = CohortModel(),
     atemporal_range: tuple[int, int] = DEFAULT_ATEMPORAL_RANGE,
-) -> AuditReport:
+) -> tuple[DecadeRow, ...]:
     """Decade-by-decade expected-female comparison of the two predictors.
 
-    Records that fail either predictor are tallied as unresolved and
-    excluded from both expectation sums.
+    One row per decade holding a record, in decade order. Records that
+    fail either predictor are tallied as unresolved and excluded from both
+    expectation sums.
     """
     sums: dict[int, list] = {}  # decade -> [resolved, unresolved, temporal, atemporal]
     for record, pair in _predictions(records, dataset, cohort_model, atemporal_range):
@@ -222,26 +188,20 @@ def audit_corpus(
             decade[0] += 1
             decade[2] += pair[0].p_female
             decade[3] += pair[1].p_female
-    config = {
-        "cohort_model": f"{cohort_model.kind}:{cohort_model.offset_years}"
-        + (f":{cohort_model.half_width}" if cohort_model.half_width else ""),
-        "atemporal_range": f"{atemporal_range[0]}..{atemporal_range[1]}",
-    }
-    rows = tuple(DecadeRow(decade, *sums[decade]) for decade in sorted(sums))
-    return AuditReport(rows=rows, config=config)
+    return tuple(DecadeRow(decade, *sums[decade]) for decade in sorted(sums))
 
 
 def evaluate_known(
     records: Iterable[CorpusRecord],
     dataset: Dataset,
     cohort_model: CohortModel = CohortModel(),
-    atemporal_range: tuple[int, int] = DEFAULT_ATEMPORAL_RANGE,
-    policy: ClassificationPolicy = MAJORITY,
 ) -> dict:
     """Score both predictors against records with known gender labels.
 
-    Returns per-predictor confusion matrices plus per-gender paper counts,
-    author counts, and median activity years.
+    The atemporal predictor pools ``DEFAULT_ATEMPORAL_RANGE``, and each
+    prediction is labeled by ``classify``'s majority policy. Returns
+    per-predictor confusion matrices plus per-gender paper counts, author
+    counts, and median activity years.
     """
     import statistics  # here, not at the top: only evaluate_known needs it
 
@@ -249,12 +209,12 @@ def evaluate_known(
     years_by_gender: dict[str, list[int]] = {}
     authors_by_gender: dict[str, set] = {}
     labeled = (r for r in records if r.known_gender is not None)
-    for record, pair in _predictions(labeled, dataset, cohort_model, atemporal_range):
+    for record, pair in _predictions(labeled, dataset, cohort_model, DEFAULT_ATEMPORAL_RANGE):
         gender = record.known_gender
         years_by_gender.setdefault(gender, []).append(record.activity_year)
         authors_by_gender.setdefault(gender, set()).add(record.author_id)
         for which, prob in zip(confusion, pair or (None, None)):
-            key = (gender, "U" if prob is None else classify(prob, policy).value)
+            key = (gender, "U" if prob is None else classify(prob).value)
             confusion[which][key] = confusion[which].get(key, 0) + 1
     if not years_by_gender:
         raise errors.EmptyInput("no labeled records")
@@ -293,13 +253,6 @@ def load_corpus_csv(path: Optional[Path | str] = None) -> list[CorpusRecord]:
             raise errors.ConfigError(
                 f"record {record_id}: activity_year {row['activity_year']!r} is not a year"
             ) from None
-        records.append(
-            CorpusRecord(
-                record_id=record_id,
-                given_name=row["given_name"],
-                activity_year=activity_year,
-                known_gender=gender,
-            )
-        )
+        records.append(CorpusRecord(record_id, row["given_name"], activity_year, gender))
     return records
 

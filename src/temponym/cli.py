@@ -101,6 +101,14 @@ def _finite_non_negative(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    """A number in [0, 1]."""
+    value = _number(text)
+    if not 0 <= value <= 1:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {value}")
+    return value
+
+
 def _choice(*choices: str):
     """The type of an option whose value is one of ``choices``."""
     def choice(text: str) -> str:
@@ -286,19 +294,15 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
 
     data = _load_data(index_path, data_dir)
     records = audit_mod.load_corpus_csv(corpus_path)
-    result = audit_mod.audit_corpus(
-        records, data, cohort_model=cohort, atemporal_range=atemporal
-    )
+    rows = audit_mod.audit_corpus(records, data, cohort_model=cohort, atemporal_range=atemporal)
+    totals = {"records": sum(row.n_records for row in rows),
+              "unresolved": sum(row.n_unresolved for row in rows),
+              "overcount": sum(row.overcount for row in rows)}
     payload = {
-        "config": result.config,
-        "rows": [
-            {**row._asdict(), "overcount": row.overcount} for row in result.rows
-        ],
-        "totals": {
-            "records": result.total_records,
-            "unresolved": result.total_unresolved,
-            "overcount": result.total_overcount,
-        },
+        "config": {"cohort_model": str(cohort),
+                   "atemporal_range": f"{atemporal[0]}..{atemporal[1]}"},
+        "rows": [{**row._asdict(), "overcount": row.overcount} for row in rows],
+        "totals": totals,
     }
     _emit(payload, fmt,
           csv_header=["period", "n_records", "n_unresolved",
@@ -307,8 +311,8 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
           csv_rows=[[row.period, row.n_records, row.n_unresolved,
                      f"{row.expected_female_temporal:.4f}",
                      f"{row.expected_female_atemporal:.4f}",
-                     f"{row.overcount:.4f}"] for row in result.rows])
-    if result.total_unresolved:
+                     f"{row.overcount:.4f}"] for row in rows])
+    if totals["unresolved"]:
         sys.exit(EXIT_PARTIAL)
 
 
@@ -661,7 +665,7 @@ def _bubbles_options(p: _Parser) -> None:
 
     p.option("--corpus", dest="corpus_path", type=_existing, metavar="PATH",
              help="Labeled corpus CSV (default: the bundled Leslie fixture).")
-    p.option("--reference", type=_number,
+    p.option("--reference", type=_probability,
              help=f"Constant reference p(F) line (e.g. {NAMSOR_LESLIE_REFERENCE}).")
     _format_option(p, "json", "csv")
 

@@ -49,6 +49,12 @@ def _is_count(value) -> bool:
     return value is None or type(value) is int  # not a bool
 
 
+def _is_prediction(prediction: ExternalPrediction) -> bool:
+    """A label of F, M or U, a null or [0, 1] p(F) and a null or integer count."""
+    return (prediction.predicted_label in ("F", "M", "U")
+            and _is_probability(prediction.p_female) and _is_count(prediction.sample_count))
+
+
 class ServiceConfig(Record):
     """A fixture service (with ``fixture_table``) or a live one (with ``endpoint_url``).
 
@@ -116,9 +122,7 @@ class PredictionCache:
             hit = ExternalPrediction(**json.loads(text))
         except (OSError, ValueError, TypeError):  # refetched, and ``put`` overwrites it
             return None
-        valid = (hit.predicted_label in ("F", "M", "U") and _is_probability(hit.p_female)
-                 and _is_count(hit.sample_count))
-        return hit if valid else None
+        return hit if _is_prediction(hit) else None
 
     def put(self, prediction: ExternalPrediction, date: str) -> None:
         """Store ``prediction``; an entry that cannot be written is a data error."""
@@ -161,14 +165,12 @@ def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
                 raise errors.ConfigError(
                     f"{path}: line {line}: {column} {text!r} is not a number"
                 ) from None
-        prediction = ExternalPrediction(
-            service_id=row["service_id"],
-            name=row["name"],
-            predicted_label=row["label"],
-            **numbers,
-            source="fixture",
-            fetched_at="",
-        )
+        prediction = ExternalPrediction(row["service_id"], row["name"], row["label"],
+                                        **numbers, source="fixture", fetched_at="")
+        if not _is_prediction(prediction):
+            raise errors.ConfigError(
+                f"{path}: line {line}: label {prediction.predicted_label!r}, p_female "
+                f"{prediction.p_female!r}: the label must be F, M or U and p_female in [0, 1]")
         table.setdefault(row["service_id"], {})[row["name"].casefold()] = prediction
     return table
 

@@ -108,8 +108,8 @@ def test_criterion_07_leslie_audit(sample_dataset):
         temporal = audit.temporal_p_female(sample_dataset, "Leslie", dist)
         assert temporal.p_female < 0.5, activity_year
 
-    report = audit.audit_corpus(audit.load_corpus_csv(), sample_dataset, cohort)
-    overcount = {row.period: row.overcount for row in report.rows}
+    rows = audit.audit_corpus(audit.load_corpus_csv(), sample_dataset, cohort)
+    overcount = {row.period: row.overcount for row in rows}
     for decade in (1970, 1980, 1990):
         assert overcount[decade] > 0, decade
 

@@ -13,6 +13,7 @@ import pytest
 
 import temponym
 from temponym import dataset as ds
+from temponym import shifts
 from temponym.cli import main
 
 
@@ -447,6 +448,9 @@ BAD_OPTION_VALUES = [
     ("audit-cohort", ["audit", "--cohort", "fixed:abc"], "--cohort"),
     ("query-year", ["query", "--name", "Leslie", "--year", "abc"], "--year"),
     ("bubbles-reference", ["plot", "bubbles", "--reference", "abc"], "--reference"),
+    ("bubbles-reference-nan", ["plot", "bubbles", "--reference", "nan"], "--reference"),
+    ("bubbles-reference-above-one", ["plot", "bubbles", "--reference", "1.5"], "--reference"),
+    ("bubbles-reference-negative", ["plot", "bubbles", "--reference", "-0.5"], "--reference"),
 ]
 
 
@@ -637,6 +641,17 @@ CLI_ERRORS = [
      {"f.csv": b"service_id,name,p_female\ngenderize,Jean,0.5\n"}, 3),
     ("fixture-short-row", ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
      {"f.csv": FIXTURE_HEADER + b"genderize,Jean\n"}, 3),
+    ("fixture-label-not-f-m-or-u",
+     ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,X,0.5,\n"}, 3),
+    ("fixture-p-female-nan", ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,nan,\n"}, 3),
+    ("fixture-p-female-infinite",
+     ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,inf,\n"}, 3),
+    ("fixture-p-female-above-one",
+     ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,1.7,\n"}, 3),
     ("trajectories-years-not-years",
      ["plot", "trajectories", "--names", "Leslie", "--years", "abc"], {}, 2),
     ("config-section-not-an-object", ["--config", "{tmp}/c.json", "query"],
@@ -770,3 +785,43 @@ def test_a_command_imports_only_what_it_uses(args, modules, statistics):
     assert loaded[:5] == [modules, statistics, [], [], False]
     if args == ["--help"]:  # nothing is written as JSON or CSV
         assert loaded[5] == []
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Each command that writes JSON, on the bundled sample.
+JSON_COMMANDS = [
+    ("query-year", ["query", "--name", "Leslie", "--year", "1925"]),
+    ("query-window", ["query", "--name", "Leslie", "--year", "1925", "--window", "5"]),
+    ("query-pooled", ["query", "--name", "Leslie", "--pooled", "1880..2020"]),
+    ("shift", ["shift", "--format", "json"]),
+    ("ambiguity", ["ambiguity", "--year", "1925"]),
+    ("audit", ["audit", "--format", "json"]),
+    ("compare", ["compare", "--names", "Jean,Leslie,Sydney", "--format", "json"]),
+    ("trajectories", ["plot", "trajectories", "--names", "Leslie,Jean"]),
+    ("bubbles", ["plot", "bubbles", "--reference", "0.874"]),
+]
+
+
+@pytest.mark.parametrize("args", [case[1] for case in JSON_COMMANDS],
+                         ids=[case[0] for case in JSON_COMMANDS])
+def test_json_output_is_strict_json(runner, args):
+    """No ``NaN`` or ``Infinity``, which ``json.dumps`` writes but JSON does not have."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    json.loads(result.output, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_shift_statistics_cover_the_listed_entries(runner, weighted):
+    """``statistics`` summarize the ``--top`` entries listed, not every qualifying name."""
+    result = runner.invoke(main, ["shift", "--format", "json", "--top", "20"]
+                           + ["--weighted"] * weighted)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    entries = [shifts.ShiftEntry(**entry) for entry in payload["entries"]]
+    assert len(entries) == 20 < payload["meta"]["qualifying_count"]
+    expected = shifts.shift_statistics(entries, use_weighted=weighted)
+    assert payload["statistics"] == expected._asdict()

@@ -1,5 +1,6 @@
 import datetime
 import email.utils
+import re
 
 import pytest
 
@@ -43,6 +44,15 @@ def test_fixture_csv_byte_order_mark_is_dropped(tmp_path):
     table = services.load_fixture_table(tmp_path / "bom.csv")
     assert table == services.load_fixture_table(tmp_path / "plain.csv")
     assert table["genderize"]["jean"].p_female == 0.05
+
+
+@pytest.mark.parametrize("row", [b"svc,Jean,X,0.5,", b"svc,Jean,F,nan,", b"svc,Jean,F,inf,",
+                                 b"svc,Jean,F,1.7,"])
+def test_fixture_row_that_is_not_a_prediction_names_file_and_line(tmp_path, row):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"service_id,name,label,p_female,sample_count\nsvc,Ann,F,0.5,\n" + row)
+    with pytest.raises(errors.ConfigError, match=re.escape(f"{path}: line 3: ")):
+        services.load_fixture_table(path)
 
 
 def test_config_without_table_or_endpoint_is_refused():
