@@ -9,14 +9,13 @@ is the historical over-count introduced by the atemporal shortcut.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress
-from operator import add, mul, truediv
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
 from .dataset import Dataset, Record, read_csv
-from .model import GenderProbability, classify, p_female_pooled
+from .model import GenderProbability, _probability, classify, p_female_pooled
 
 DEFAULT_COHORT_OFFSET = 35  # approximate mid-career age at publication
 DEFAULT_ATEMPORAL_RANGE = (1880, 2020)
@@ -98,16 +97,17 @@ def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
     h = cohort_model.half_width
     loaded = dataset.years_loaded
     years = loaded[bisect_left(loaded, center - h):bisect_right(loaded, center + h)]
-    if cohort_model.kind == "triangular-window":
-        weights = [float(h + 1 - abs(year - center)) for year in years]
-    else:
-        weights = [1.0] * len(years)
-    total = sum(weights)
-    if total == 0:
+    if not years:
         raise errors.EmptySupport(
             f"no loaded year receives cohort weight for activity year {activity_year}"
         )
-    return [(year, w / total) for year, w in zip(years, weights)]
+    if cohort_model.kind != "triangular-window":
+        return list(zip(years, repeat(1 / len(years))))
+    # Integer weights, each at least 1 inside the window: their sum is exact,
+    # and int / int rounds each share once, as float / float of them would.
+    weights = [h + 1 - abs(year - center) for year in years]
+    total = sum(weights)
+    return [(year, weight / total) for year, weight in zip(years, weights)]
 
 
 def temporal_p_female(
@@ -122,17 +122,18 @@ def temporal_p_female(
     proportional to the name's total count that year. A birth year without
     data, loaded or not, takes no part.
     """
-    years, weights = zip(*birth_distribution)
-    female, male = dataset.name_counts(name, years)
-    supports = list(map(add, female, male))
-    masses = list(map(mul, compress(weights, supports), compress(supports, supports)))
+    female, male = dataset.name_counts(name, tuple([year for year, _ in birth_distribution]))
+    masses, terms = [], []
+    for (_, weight), f, m in zip(birth_distribution, female, male):
+        if f or m:
+            mass = weight * (f + m)
+            masses.append(mass)
+            terms.append(mass * (f / (f + m)))
     if not masses:
         span = f"{birth_distribution[0][0]}..{birth_distribution[-1][0]}"
         raise errors.NoData(name, f"birth years {span}")
-    ratios = map(truediv, compress(female, supports), compress(supports, supports))
-    mixture = sum(map(mul, masses, ratios)) / sum(masses)
-    return GenderProbability(name, f"cohort mixture over {len(masses)} birth years",
-                             mixture, sum(female), sum(male))
+    return _probability((name, f"cohort mixture over {len(masses)} birth years",
+                         sum(terms) / sum(masses), sum(female), sum(male)))
 
 
 def _predictions(records, dataset, cohort_model, atemporal_range):

@@ -24,7 +24,6 @@ import io
 import json
 import re
 import sys
-import unicodedata
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
@@ -32,6 +31,7 @@ from itertools import accumulate, count, repeat
 from operator import add, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
+from unicodedata import combining, normalize
 
 from . import errors
 from ._pyparse import merge_rows
@@ -54,8 +54,7 @@ _NO_DATA = (0, 0)
 def strip_diacritics(text: str) -> str:
     if text.isascii():  # NFKD leaves ASCII unchanged and adds no combining marks
         return text
-    decomposed = unicodedata.normalize("NFKD", text)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return "".join([ch for ch in normalize("NFKD", text) if not combining(ch)])
 
 
 def _folded_keys(names: Sequence[str]) -> list[str]:
@@ -125,6 +124,15 @@ class Dataset(Record):
     ``'I'`` memoryviews and kept as read-only memoryviews over them, so the
     dataset can be shared by concurrent readers. ``skipped`` holds the rows
     skipped per year and takes no part in equality.
+
+    ``lookup``, ``totals`` and ``name_counts`` resolve a name once. A name
+    that is stored, in a table where no two names fold to one key, answers
+    alone: they read its cells in place. Any other name (a case or diacritic
+    variant, an unknown name, or a spelling that shares its folded key) goes
+    through ``_candidates``, the one resolver of folded keys, and the first
+    candidate with data in a year answers for it (``_first_cell``). So does
+    the first stored name asked for, whose resolve finds out whether the
+    table's names fold apart (``_is_distinct``).
     """
 
     __slots__ = ("years_loaded", "names", "starts", "lengths", "female", "male", "skipped",
@@ -169,6 +177,16 @@ class Dataset(Record):
             object.__setattr__(self, "_groups", groups)
         return groups
 
+    def _is_distinct(self) -> bool:
+        """Whether every stored name folds only to itself; computed on first need."""
+        # Two threads may both compute it; they compute equal values.
+        distinct = self._distinct
+        if distinct is None:
+            keys = _folded_keys(self.names)
+            distinct = len(set(keys)) == len(keys)
+            object.__setattr__(self, "_distinct", distinct)
+        return distinct
+
     def _candidates(self, name: str, fold_diacritics: bool) -> Sequence[int]:
         """Indices of the stored names that may answer for ``name``, in order.
 
@@ -176,20 +194,16 @@ class Dataset(Record):
         (only with ``fold_diacritics``) the rest of its folded-key group.
         """
         exact = self._ids.get(name)
-        if exact is not None:
-            # Two threads may both compute it; they compute equal values.
-            distinct = self._distinct
-            if distinct is None:
-                keys = _folded_keys(self.names)
-                distinct = len(set(keys)) == len(keys)
-                object.__setattr__(self, "_distinct", distinct)
-            if distinct:
-                return (exact,)
+        if exact is not None and self._is_distinct():
+            return (exact,)
+        key = name.casefold()
         # A query holding "\n" gets a key holding "\n", which no group has.
-        group = self._fold_groups().get("\n".join(_folded_keys((name,))))
+        group = (self._groups or self._fold_groups()).get(
+            key if key.isascii() else strip_diacritics(key))
         if group is None:
             return ()
-        key = name.casefold()
+        if len(group) == 1:  # the exact name, if stored, is this one
+            return group if fold_diacritics or self.names[group[0]].casefold() == key else ()
         ids = [] if exact is None else [exact]
         ids += [i for i in group if self.names[i].casefold() == key]
         if fold_diacritics:
@@ -228,8 +242,19 @@ class Dataset(Record):
 
         The first of the name's ``_candidates`` with data in that year answers.
         """
-        pos = self._position(year)
-        return self._first_cell(self._candidates(name, fold_diacritics), pos)
+        pos = self._positions.get(year)
+        if pos is None:
+            raise errors.YearNotLoaded(year)
+        i = self._ids.get(name)
+        if i is None or not self._distinct:
+            return self._first_cell(self._candidates(name, fold_diacritics), pos)
+        offset = pos - self.starts[i]
+        if 0 <= offset < self.lengths[i]:
+            cell = self._offsets[i] + offset
+            female, male = self.female[cell], self.male[cell]
+            if female or male:
+                return female, male
+        return None
 
     def name_counts(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
@@ -243,21 +268,29 @@ class Dataset(Record):
         name's span starts or ends inside them.
         """
         n = len(years)
-        ids = self._candidates(name, fold_diacritics)
         first = self._positions.get(years[0]) if n else None
-        if len(ids) == 1 and first is not None and (
-                self.years_loaded[first:first + n] == tuple(years)):
-            i = ids[0]
-            start = self.starts[i]
-            lo, hi = max(first, start), min(first + n, start + self.lengths[i])
-            if lo >= hi:
-                return [0] * n, [0] * n
-            head, tail = [0] * (lo - first), [0] * (first + n - hi)
-            base = self._offsets[i] - start
-            return (head + self.female[base + lo:base + hi].tolist() + tail,
-                    head + self.male[base + lo:base + hi].tolist() + tail)
-        # -1, the position of a year not loaded, is in no name's span
-        return self._first_cells(ids, [self._positions.get(year, -1) for year in years])
+        i = self._ids.get(name)
+        ids = (i,) if i is not None and self._distinct else self._candidates(
+            name, fold_diacritics)
+        if len(ids) != 1 or first is None or (
+                self.years_loaded[first:first + n] != tuple(years)):
+            # -1, the position of a year not loaded, is in no name's span
+            return self._first_cells(ids, [self._positions.get(year, -1) for year in years])
+        i = ids[0]
+        start = self.starts[i]
+        end = start + self.lengths[i]
+        stop = first + n
+        lo = first if first > start else start
+        hi = stop if stop < end else end
+        if lo >= hi:
+            return [0] * n, [0] * n
+        base = self._offsets[i] - start
+        female = self.female[base + lo:base + hi].tolist()
+        male = self.male[base + lo:base + hi].tolist()
+        if lo == first and hi == stop:
+            return female, male
+        head, tail = [0] * (lo - first), [0] * (stop - hi)
+        return head + female + tail, head + male + tail
 
     def year_pair_cells(self, y1: int, y2: int) -> list[tuple[str, int, int, int, int]]:
         """``(name, f1, m1, f2, m2)`` for every name with data in both years, in name order."""
@@ -281,19 +314,24 @@ class Dataset(Record):
         """(female, male) summed over the loaded years in [first_year, last_year]."""
         lo = bisect_left(self.years_loaded, first_year)
         hi = bisect_right(self.years_loaded, last_year)
-        ids = self._candidates(name, fold_diacritics)
-        if not ids:
-            return _NO_DATA
-        if len(ids) == 1:  # one stored name answers every year: sum its slices
-            i = ids[0]
-            start = self.starts[i]
-            base = self._offsets[i] - start
-            lo, hi = base + max(lo, start), base + min(hi, start + self.lengths[i])
-            if lo >= hi:
+        i = self._ids.get(name)
+        if i is None or not self._distinct:
+            ids = self._candidates(name, fold_diacritics)
+            if not ids:
                 return _NO_DATA
-            return sum(self.female[lo:hi]), sum(self.male[lo:hi])
-        female, male = self._first_cells(ids, range(lo, hi))
-        return sum(female), sum(male)
+            if len(ids) > 1:
+                female, male = self._first_cells(ids, range(lo, hi))
+                return sum(female), sum(male)
+            i = ids[0]
+        # one stored name answers every year: sum its slices
+        start = self.starts[i]
+        end = start + self.lengths[i]
+        base = self._offsets[i] - start
+        lo = base + (lo if lo > start else start)
+        hi = base + (hi if hi < end else end)
+        if lo >= hi:
+            return _NO_DATA
+        return sum(self.female[lo:hi]), sum(self.male[lo:hi])
 
     def year_cells(self, year: int) -> dict[str, tuple[int, int]]:
         """Every name with data in one year, in name order, with its counts."""

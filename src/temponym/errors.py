@@ -40,17 +40,26 @@ class DuplicateYear(TemponymError):
         self.year = year
 
 
+# The lookup paths raise these two on every miss, so they keep their
+# arguments in ``args`` and build the message only when it is read.
+
 class YearNotLoaded(TemponymError):
-    def __init__(self, year: int):
-        super().__init__(f"year {year} is not loaded")
-        self.year = year
+    """``YearNotLoaded(year)``: the dataset holds no file for that year."""
+
+    year = property(lambda self: self.args[0])
+
+    def __str__(self):
+        return f"year {self.year} is not loaded"
 
 
 class NoData(TemponymError):
-    def __init__(self, name: str, context: str):
-        super().__init__(f"no data for {name!r} in {context}")
-        self.name = name
-        self.context = context
+    """``NoData(name, context)``: no births for the name in that context (text)."""
+
+    name = property(lambda self: self.args[0])
+    context = property(lambda self: self.args[1])
+
+    def __str__(self):
+        return f"no data for {self.name!r} in {self.context}"
 
 
 class EmptyInput(TemponymError):

@@ -10,6 +10,7 @@ gender APIs and serves as the atemporal baseline in bias audits.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from . import errors
@@ -26,6 +27,11 @@ class GenderLabel(Enum):
     FEMALE = "F"
     MALE = "M"
     UNKNOWN = "U"
+
+
+# The members, bound once for ``classify``: reading one off the class costs
+# a lookup through the enum's metaclass.
+_FEMALE, _MALE, _UNKNOWN = GenderLabel
 
 
 class GenderProbability(NamedTuple):
@@ -46,6 +52,11 @@ class GenderProbability(NamedTuple):
         return self.female_count + self.male_count
 
 
+# Builds a GenderProbability from the tuple of its fields, as ``_make`` does
+# but without its Python frame: every lookup builds one.
+_probability = partial(tuple.__new__, GenderProbability)
+
+
 class ClassificationPolicy(Record):
     """How a probability becomes a Female/Male/Unknown label.
 
@@ -55,14 +66,17 @@ class ClassificationPolicy(Record):
     rule; 0.95 is the common >0.95 rule.
     """
 
-    __slots__ = _compared = ("threshold", "min_support")
+    # _ratio is the threshold as an integer ratio, kept for ``classify``
+    __slots__ = ("threshold", "min_support", "_ratio")
+    _compared = ("threshold", "min_support")
 
     def __init__(self, threshold: float, min_support: int):
         if not 0.5 <= threshold <= 1.0:
             raise errors.ConfigError("threshold must be in [0.5, 1]")
         if min_support < 1:
             raise errors.ConfigError("min_support must be >= 1")
-        self._init(threshold=threshold, min_support=min_support)
+        self._init(threshold=threshold, min_support=min_support,
+                   _ratio=threshold.as_integer_ratio())
 
 
 MAJORITY = ClassificationPolicy(0.5, DEFAULT_MIN_SUPPORT)
@@ -73,17 +87,17 @@ def p_female(
     dataset: Dataset, name: str, year: int, fold_diacritics: bool = False
 ) -> GenderProbability:
     """p(F) for a single year of birth: female count over total count."""
-    counts = dataset.lookup(name, year, fold_diacritics=fold_diacritics)
+    counts = dataset.lookup(name, year, fold_diacritics)
     if counts is None:
         raise errors.NoData(name, str(year))
     female, male = counts
-    return from_counts(name, str(year), female, male)
+    # int / int is correctly rounded, at any size
+    return _probability((name, str(year), female / (female + male), female, male))
 
 
 def from_counts(name: str, context: str, female: int, male: int) -> GenderProbability:
     """The probability for counts already looked up; support must be > 0."""
-    # int / int is correctly rounded, at any size
-    return GenderProbability(name, context, female / (female + male), female, male)
+    return _probability((name, context, female / (female + male), female, male))
 
 
 def p_female_windowed(
@@ -117,27 +131,28 @@ def p_female_pooled(
 
 
 def _accumulate(dataset, name, first, last, context, fold_diacritics):
-    female, male = dataset.totals(name, first, last, fold_diacritics=fold_diacritics)
+    female, male = dataset.totals(name, first, last, fold_diacritics)
     if female + male == 0:
         raise errors.NoData(name, context)
-    return from_counts(name, context, female, male)
+    return _probability((name, context, female / (female + male), female, male))
 
 
 def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -> GenderLabel:
     """Label a probability under a policy; Unknown when conditions unmet."""
-    female, support = prob.female_count, prob.support
+    _, _, p, female, male = prob
+    support = female + male
     if support < policy.min_support:
-        return GenderLabel.UNKNOWN
+        return _UNKNOWN
     # Exact rational comparison, in integers, so that swapping the counts
     # mirrors the label exactly, even at threshold boundaries.
-    if female / support != prob.p_female:  # a mixture, not the counts' ratio; compare it
-        female, support = prob.p_female.as_integer_ratio()
-    num, den = policy.threshold.as_integer_ratio()
+    if female / support != p:  # a mixture, not the counts' ratio; compare it
+        female, support = p.as_integer_ratio()
+    num, den = policy._ratio
     if female * den > num * support:  # p > threshold
-        return GenderLabel.FEMALE
+        return _FEMALE
     if female * den < (den - num) * support:  # p < 1 - threshold
-        return GenderLabel.MALE
-    return GenderLabel.UNKNOWN
+        return _MALE
+    return _UNKNOWN
 
 
 def ambiguous_name_share(dataset: Dataset, year: int) -> float:

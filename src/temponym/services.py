@@ -150,11 +150,13 @@ FIXTURE_COLUMNS = ("service_id", "name", "label")
 def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
     """Fixture CSV -> {service_id: {casefolded name: prediction}}.
 
-    Defaults to the bundled benchmark snapshot.
+    Defaults to the bundled benchmark snapshot. Two rows of one service whose
+    names casefold alike are a ``ConfigError`` naming both lines.
     """
     if path is None:
         path = Path(__file__).resolve().parent / "data" / "fixtures" / "table1_services.csv"
     table: FixtureTable = {}
+    first_lines: dict[tuple[str, str], int] = {}  # (service_id, casefolded name) -> line
     for line, row in read_csv(path, FIXTURE_COLUMNS, "fixture"):
         numbers = {}
         for column, kind in (("p_female", float), ("sample_count", int)):
@@ -171,7 +173,13 @@ def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
             raise errors.ConfigError(
                 f"{path}: line {line}: label {prediction.predicted_label!r}, p_female "
                 f"{prediction.p_female!r}: the label must be F, M or U and p_female in [0, 1]")
-        table.setdefault(row["service_id"], {})[row["name"].casefold()] = prediction
+        key = (row["service_id"], row["name"].casefold())
+        if key in first_lines:
+            raise errors.ConfigError(
+                f"{path}: line {line}: {key[0]} {row['name']!r} repeats the name of line "
+                f"{first_lines[key]}; a service has one row per casefolded name")
+        first_lines[key] = line
+        table.setdefault(key[0], {})[key[1]] = prediction
     return table
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import temponym
 from temponym import dataset as ds
-from temponym import shifts
+from temponym import errors, shifts
 from temponym.cli import main
 
 
@@ -652,6 +652,9 @@ CLI_ERRORS = [
     ("fixture-p-female-above-one",
      ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
      {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,1.7,\n"}, 3),
+    ("fixture-name-repeated-under-casefolding",
+     ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,0.9,\ngenderize,jean,M,0.1,\n"}, 3),
     ("trajectories-years-not-years",
      ["plot", "trajectories", "--names", "Leslie", "--years", "abc"], {}, 2),
     ("config-section-not-an-object", ["--config", "{tmp}/c.json", "query"],
@@ -737,6 +740,33 @@ def test_bad_input_ends_in_a_documented_exit(runner, tmp_path, args, files, code
     if code != 4:
         assert any(line.startswith(("error:", "Error:")) for line in result.output.splitlines())
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+# What a failed lookup prints, word for word: the lookup errors build their
+# message only when it is read, so this pins the text that reading builds.
+LOOKUP_ERRORS = [
+    (["--name", "Zzyzx", "--year", "1925"], "no data for 'Zzyzx' in 1925"),
+    (["--name", "Leslie", "--year", "1850"], "year 1850 is not loaded"),
+    (["--name", "Zzyzx", "--year", "1925", "--window", "3"],
+     "no data for 'Zzyzx' in 1922..1928 (window around 1925)"),
+    (["--name", "Zzyzx", "--pooled", "1900..1950"], "no data for 'Zzyzx' in pooled 1900..1950"),
+]
+
+
+def test_lookup_error_text_is_pinned(runner):
+    for args, message in LOOKUP_ERRORS:
+        result = runner.invoke(main, ["query", *args])
+        assert (result.exit_code, result.stderr) == (3, f"error: {message}\n"), args
+    missing = errors.NoData("Zzyzx", "1925")
+    assert (str(missing), missing.name, missing.context) == (
+        "no data for 'Zzyzx' in 1925", "Zzyzx", "1925")
+    unloaded = errors.YearNotLoaded(1850)
+    assert (str(unloaded), unloaded.year) == ("year 1850 is not loaded", 1850)
+    result = runner.invoke(main, ["compare", "--names", "Zzyzx,Leslie", "--format", "json"])
+    assert result.exit_code == 4
+    rows = json.loads(result.output[:len(result.output) - len(result.stderr)])["rows"]
+    assert rows[0]["errors"]["ssa"] == "no data for 'Zzyzx' in 1925"
+    assert "ssa" not in rows[1]["errors"]
 
 
 # Each command imports the modules it uses and no others: these are all the

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -394,13 +395,17 @@ def _eager_lookup(cells, names, name, year, fold):
                 None)
 
 
+def _spelling_sources(stored, data):
+    """One file per year of ``FOLD_YEARS``, each holding a random part of ``stored``'s rows."""
+    return [(year, "\n".join(
+        f"{name},{sex},{data.draw(st.integers(5, 99))}"
+        for name in stored for sex in "FM" if data.draw(st.booleans()))) for year in FOLD_YEARS]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(SPELLINGS), min_size=1, unique=True), st.data())
 def test_folded_lookups_follow_the_eager_rule(stored, data):
-    sources = [(year, "\n".join(
-        f"{name},{sex},{data.draw(st.integers(5, 99))}"
-        for name in stored for sex in "FM" if data.draw(st.booleans()))) for year in FOLD_YEARS]
-    dataset = ds.load_dataset(sources)
+    dataset = ds.load_dataset(_spelling_sources(stored, data))
     cells = {year: dataset.year_cells(year) for year in FOLD_YEARS}
     names = dataset.names
     for name in (*names, *SPELLINGS, "Zzyzx"):
@@ -413,3 +418,102 @@ def test_folded_lookups_follow_the_eager_rule(stored, data):
                 [f for f, _ in expected], [m for _, m in expected])
             assert dataset.totals(name, 1990, 1993, fold_diacritics=fold) == (
                 sum(f for f, _ in expected), sum(m for _, m in expected))
+
+
+def _eager_probability(cells, names, name, years, fold, context):
+    """The GenderProbability the eager rule gives over ``years``, or None without data."""
+    found = [_eager_lookup(cells, names, name, year, fold) or (0, 0) for year in years]
+    female, male = sum(f for f, _ in found), sum(m for _, m in found)
+    if not female + male:
+        return None
+    return model.GenderProbability(name, context, female / (female + male), female, male)
+
+
+def _eager_mixture(cells, names, name, dist):
+    """``audit.temporal_p_female`` from the eager cells of each loaded year of ``dist``."""
+    terms = []
+    for year, weight in dist:
+        f, m = year in cells and _eager_lookup(cells, names, name, year, False) or (0, 0)
+        if f + m:
+            terms.append((f, m, weight * (f + m), f / (f + m)))
+    if not terms:
+        return None
+    return model.GenderProbability(
+        name, f"cohort mixture over {len(terms)} birth years",
+        sum(mass * p for _, _, mass, p in terms) / sum(mass for _, _, mass, _ in terms),
+        sum(f for f, _, _, _ in terms), sum(m for _, m, _, _ in terms))
+
+
+def _fraction_label(prob, policy):
+    p, support = Fraction(prob.p_female), prob.female_count + prob.male_count
+    if support < policy.min_support:
+        return model.GenderLabel.UNKNOWN
+    if p > Fraction(policy.threshold):
+        return model.GenderLabel.FEMALE
+    if p < 1 - Fraction(policy.threshold):
+        return model.GenderLabel.MALE
+    return model.GenderLabel.UNKNOWN
+
+
+WINDOWS = [(1990, 0), (1991, 1), (1992, 0), (1992, 1), (1993, 2)]
+POOLS = [(1990, 1993), (1991, 1991), (1992, 1992), (1880, 2020)]
+DISTS = [[(1990, 0.25), (1991, 0.5), (1993, 0.25)], [(1991, 0.3), (1992, 0.7)], [(1993, 1.0)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(SPELLINGS), min_size=1, unique=True), st.data())
+def test_model_entry_points_follow_the_eager_rule(stored, data):
+    """p(F), windowed, pooled, classify and the cohort mixture equal the eager cells' values.
+
+    Each call runs once on a dataset that has not yet learnt whether its
+    names fold apart and once on one that has; a context without eager data
+    raises ``NoData``. The floats of the count ratios are compared exactly.
+    """
+    dataset = ds.load_dataset(_spelling_sources(stored, data))
+    cells = {year: dataset.year_cells(year) for year in FOLD_YEARS}
+    names = dataset.names
+
+    def cold_then_warm():
+        """Yield with the fold facts as a load leaves them (unknown), then computed."""
+        object.__setattr__(dataset, "_distinct", None)
+        object.__setattr__(dataset, "_groups", None)
+        yield
+        dataset._is_distinct()
+        yield
+
+    def check(expected, call, *args):
+        for _ in cold_then_warm():
+            if expected is None:
+                with pytest.raises(errors.NoData):
+                    call(dataset, *args)
+            else:
+                got = call(dataset, *args)
+                assert got == expected and type(got) is model.GenderProbability
+
+    for name in (*names, *SPELLINGS, "Zzyzx"):
+        for fold in (False, True):
+            for year in FOLD_YEARS:
+                expected = _eager_probability(cells, names, name, [year], fold, str(year))
+                check(expected, model.p_female, name, year, fold)
+                for policy in (model.MAJORITY, model.T95):
+                    label = None if expected is None else _fraction_label(expected, policy)
+                    for _ in cold_then_warm():
+                        if label is None:
+                            with pytest.raises(errors.NoData):
+                                model.classify(model.p_female(dataset, name, year, fold), policy)
+                        else:
+                            assert model.classify(
+                                model.p_female(dataset, name, year, fold), policy) is label
+            for center, half in WINDOWS:
+                lo, hi = center - half, center + half
+                years = [year for year in FOLD_YEARS if lo <= year <= hi]
+                context = f"{lo}..{hi} (window around {center})"
+                check(_eager_probability(cells, names, name, years, fold, context),
+                      model.p_female_windowed, name, center, half, fold)
+            for first, last in POOLS:
+                years = [year for year in FOLD_YEARS if first <= year <= last]
+                check(_eager_probability(cells, names, name, years, fold,
+                                         f"pooled {first}..{last}"),
+                      model.p_female_pooled, name, (first, last), fold)
+        for dist in DISTS:
+            check(_eager_mixture(cells, names, name, dist), audit.temporal_p_female, name, dist)

@@ -55,6 +55,22 @@ def test_fixture_row_that_is_not_a_prediction_names_file_and_line(tmp_path, row)
         services.load_fixture_table(path)
 
 
+def test_fixture_rows_repeating_a_casefolded_name_name_both_lines(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"service_id,name,label,p_female,sample_count\n"
+                     b"svc,Jean,F,0.9,\nother,jean,M,0.1,\nsvc,Ann,F,0.5,\nsvc,jean,M,0.1,\n")
+    with pytest.raises(errors.ConfigError) as caught:
+        services.load_fixture_table(path)
+    assert str(caught.value) == (
+        f"{path}: line 5: svc 'jean' repeats the name of line 2; "
+        "a service has one row per casefolded name")
+    # The same name under another service, or another name, is no repeat.
+    path.write_bytes(b"service_id,name,label,p_female,sample_count\n"
+                     b"svc,Jean,F,0.9,\nother,jean,M,0.1,\nsvc,Ann,F,0.5,\n")
+    table = services.load_fixture_table(path)
+    assert table["svc"]["jean"].p_female == 0.9 and table["other"]["jean"].p_female == 0.1
+
+
 def test_config_without_table_or_endpoint_is_refused():
     with pytest.raises(errors.ConfigError):
         services.ServiceConfig(service_id="genderize")
