@@ -5,7 +5,7 @@ per line, no header, one file per year of birth (``yob1925.txt``); the exact
 row grammar is in ``_pyparse``.
 
 In memory a :class:`Dataset` is columnar and name-major: one sorted name
-table and two ``array('I')`` columns of female and male counts. Each name
+table and two unsigned columns of female and male counts. Each name
 owns one contiguous span of positions in ``years_loaded`` and its cells sit
 next to each other in the columns, from its offset on; a year inside a span
 in which the name has no data holds zeros. A zero count (lenient mode keeps
@@ -120,10 +120,13 @@ class Dataset(Record):
     Name ``names[i]`` has ``lengths[i]`` cells, for the positions
     ``starts[i]`` onwards in ``years_loaded``; they are the cells from
     ``_offsets[i]`` on in ``female`` and ``male``, right after those of
-    ``names[i - 1]``. The four columns are given as ``array('I')`` or
-    ``'I'`` memoryviews and kept as read-only memoryviews over them, so the
-    dataset can be shared by concurrent readers. ``skipped`` holds the rows
-    skipped per year and takes no part in equality.
+    ``names[i - 1]``. The four columns are unsigned arrays or memoryviews
+    of any item size, kept as read-only memoryviews over them, so the
+    dataset can be shared by concurrent readers. Ingest builds them as
+    ``'I'``; ``load_index`` keeps each at its stored width (``'B'``, ``'H'``
+    or ``'I'``), so real SSA counts, some above 2^16, load as ``'I'``.
+    ``skipped`` holds the rows skipped per year and takes no part in
+    equality.
 
     ``lookup``, ``totals`` and ``name_counts`` resolve a name once. A name
     that is stored, in a table where no two names fold to one key, answers
@@ -505,38 +508,53 @@ def bundled_sample_dir() -> Path:
 # sections are unsigned 32-bit little-endian columns, stored byte-plane
 # shuffled (all first bytes, then all second bytes, ...) and cut after the
 # highest plane that holds a non-zero byte: counts below 2^16 keep two
-# planes, so their section holds two bytes per value. Loading is decompress,
-# checksum and unshuffle into zeroed 32-bit words, which the Dataset reads in
-# place: no row parsing. The Dataset derives its offsets from ``lengths``;
-# stored, they would need three planes and grow the file.
+# planes, so their section holds two bytes per value. Loading is one
+# decompress into a buffer of the size the header gives, checksum, and
+# unshuffle of each column into the narrowest native unsigned type that
+# holds its width, which the Dataset reads in place: no row parsing. Saving
+# reads a column by its own item size, so a loaded Dataset saves to the same
+# bytes. The Dataset derives its offsets from ``lengths``; stored, they
+# would need three planes and grow the file.
 
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
 
+# The array type code of a column stored ``width`` bytes wide, by width.
+_TYPECODES = {1: "B", 2: "H", 3: "I", 4: "I"}
 
-# The byte offset, in a native 32-bit word, of each byte plane, least
-# significant first.
-_PLANE_OFFSETS = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
+# Deflate's largest expansion is 1032:1, so no payload is longer than this
+# many times its compressed bytes.
+_MAX_INFLATE_RATIO = 1032
+
+
+def _plane_offsets(itemsize: int) -> range:
+    """The byte offset, in a native word of ``itemsize`` bytes, of each byte
+    plane, least significant first."""
+    return range(itemsize) if sys.byteorder == "little" else range(itemsize - 1, -1, -1)
 
 
 def _shuffle(column: memoryview) -> tuple[bytes, int]:
     """The column's byte planes up to its highest non-zero one, and their count."""
+    size = column.itemsize
     raw = column.tobytes()
-    planes = [raw[offset::4] for offset in _PLANE_OFFSETS]
+    planes = [raw[offset::size] for offset in _plane_offsets(size)]
     del raw  # before the join: a dense ingest peaked ~3 MB higher with it kept
-    width = 4
+    width = size
     while width > 1 and planes[width - 1].count(0) == len(planes[width - 1]):
         width -= 1
     return b"".join(planes[:width]), width
 
 
 def _unshuffle(data: memoryview, width: int) -> memoryview:
-    """The 32-bit column whose first ``width`` byte planes are ``data``."""
+    """The column whose first ``width`` byte planes are ``data``, in the
+    narrowest native unsigned type that holds them."""
     n = len(data) // width
-    raw = bytearray(4 * n)
-    for plane in range(width):
-        raw[_PLANE_OFFSETS[plane]::4] = data[plane * n:(plane + 1) * n]
-    return memoryview(raw).cast("I")
+    typecode = _TYPECODES[width]
+    size = array(typecode).itemsize
+    raw = bytearray(size * n)
+    for plane, offset in zip(range(width), _plane_offsets(size)):
+        raw[offset::size] = data[plane * n:(plane + 1) * n]
+    return memoryview(raw).cast(typecode)
 
 
 def save_index(dataset: Dataset, path: Path | str) -> None:
@@ -572,10 +590,11 @@ def _read_header(path, line: bytes) -> dict:
     if not isinstance(header, dict):
         raise bad("header is not a JSON object")
     version = header.get("version")
-    if version in (1, 2):
-        raise bad(f"index format version {version} is no longer read; re-run `temponym ingest`")
-    if version != INDEX_VERSION:
+    # JSON's 3.0 and true compare equal to 3 and 1, but are not versions.
+    if type(version) is not int or version not in (1, 2, INDEX_VERSION):
         raise bad(f"unsupported index version {version!r}")
+    if version != INDEX_VERSION:
+        raise bad(f"index format version {version} is no longer read; re-run `temponym ingest`")
     sha, years, sections = header.get("sha256"), header.get("years"), header.get("sections")
     if not isinstance(sha, str):
         raise bad("header has no sha256")
@@ -604,19 +623,28 @@ def load_index(path: Path | str) -> Dataset:
             raise errors.IndexFormatError(f"{path}: not a temponym index")
         header = _read_header(path, fh.readline())
         compressed = fh.read()
+    sizes = header["sections"]
+    size = sum(sizes.values())
     try:
-        payload = zlib.decompress(compressed)
+        # One buffer of the size the header gives, so zlib need not join
+        # blocks; capped, so a false size cannot make it allocate more than
+        # the compressed bytes can fill. Even that cap can pass the memory
+        # there is (a false size on a 9 MB file asks for 9 GB): then inflate
+        # in growing blocks, which allocate only what the payload fills.
+        try:
+            payload = zlib.decompress(
+                compressed, bufsize=min(size, _MAX_INFLATE_RATIO * len(compressed)))
+        except MemoryError:
+            payload = zlib.decompress(compressed)
     except zlib.error as exc:
         raise errors.IndexFormatError(f"{path}: corrupt payload ({exc})") from None
+    del compressed
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise errors.IndexFormatError(f"{path}: checksum mismatch")
-
-    sizes = header["sections"]
-    if sum(sizes.values()) != len(payload):
+    if size != len(payload):
         raise errors.IndexFormatError(
-            f"{path}: section lengths add up to {sum(sizes.values())} bytes, "
-            f"the payload has {len(payload)}"
-        )
+            f"{path}: section lengths add up to {size} bytes, the payload has {len(payload)}")
+
     view = memoryview(payload)
     parts = {}
     for key, end in zip(_SECTIONS, accumulate(sizes[key] for key in _SECTIONS)):
@@ -626,10 +654,12 @@ def load_index(path: Path | str) -> Dataset:
     except UnicodeDecodeError as exc:
         raise errors.IndexFormatError(f"{path}: name table is not UTF-8 ({exc})") from None
     names = tuple(text.split("\n")) if text else ()
+    del text
     if not all(map(lt, names, names[1:])):
         raise errors.IndexFormatError(f"{path}: name table is not sorted and unique")
     widths = header["widths"]
     columns = {key: _unshuffle(data, widths[key]) for key, data in parts.items()}
+    del view, parts, payload  # the columns are copies: free the payload before the Dataset
     starts, lengths = columns["starts"], columns["lengths"]
     n_years = len(header["years"])
     if not (len(starts) == len(lengths) == len(names)

@@ -125,6 +125,12 @@ def _sections_do_not_add_up(path):
     _write_index(path, header, payload)
 
 
+def _sections_claim_a_terabyte(path):
+    header, payload = _index_parts(path)
+    header["sections"]["names"] = 2**40  # no inflate buffer may be sized from it alone
+    _write_index(path, header, payload)
+
+
 def _set_header(path, key, value):
     header, payload = _index_parts(path)
     header[key] = value
@@ -138,6 +144,14 @@ def _header_not_an_object(path):
 
 def _version_4(path):
     _set_header(path, "version", 4)
+
+
+def _version_float(path):
+    _set_header(path, "version", 3.0)  # equal to 3, but not the integer 3
+
+
+def _version_true(path):
+    _set_header(path, "version", True)  # equal to 1, but not the integer 1
 
 
 def _years_not_increasing(path):
@@ -198,6 +212,8 @@ BAD_INDEXES = [
     (_version_2, "version 2 is no longer read; re-run `temponym ingest`"),
     (_header_not_an_object, "header is not a JSON object"),
     (_version_4, "unsupported index version 4"),
+    (_version_float, "unsupported index version 3.0"),
+    (_version_true, "unsupported index version True"),
     (_years_not_increasing, "header years are not increasing integers"),
     (_sections_not_a_mapping, "header sections must be byte lengths"),
     (_payload_byte_changed, "checksum mismatch"),
@@ -207,6 +223,7 @@ BAD_INDEXES = [
     (_width_not_an_integer, "header widths"),
     (_length_not_a_multiple_of_width, "not a whole number of values of its width"),
     (_sections_do_not_add_up, "section lengths"),
+    (_sections_claim_a_terabyte, "section lengths"),
     (_spans_outside_columns, "spans point outside"),
     (_names_not_sorted, "not sorted and unique"),
     (_names_not_unique, "not sorted and unique"),

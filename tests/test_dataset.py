@@ -1,7 +1,12 @@
 import datetime
+import json
+import random
 import sys
 import threading
 import time
+import tracemalloc
+import zlib
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -318,6 +323,88 @@ def test_index_format_errors(bad_index):
     with pytest.raises(errors.IndexFormatError) as caught:
         ds.load_index(path)
     assert message in str(caught.value)
+
+
+def test_an_inflate_buffer_that_cannot_be_allocated_is_not_needed(monkeypatch, tmp_path):
+    """Where the buffer a false section length asks for cannot be allocated,
+    the payload is inflated in growing blocks and the header is still refused."""
+    path = tmp_path / "x.idx"
+    ds.save_index(ds.load_dataset([(1990, "Pat,F,10\nSam,M,9")]), path)
+    decompress = zlib.decompress
+
+    def little_memory(data, wbits=zlib.MAX_WBITS, bufsize=None):
+        if bufsize is None:  # growing blocks
+            return decompress(data, wbits)
+        if bufsize > 4096:  # far more than this payload of about 20 bytes
+            raise MemoryError
+        return decompress(data, wbits, bufsize)
+
+    monkeypatch.setattr(zlib, "decompress", little_memory)
+    assert ds.load_index(path).lookup("Pat", 1990) == (10, 0)
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header["sections"]["names"] = 2**40
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
+    with pytest.raises(errors.IndexFormatError, match="section lengths add up to"):
+        ds.load_index(path)
+
+
+# A count at each edge of a stored width, and the item size of the loaded
+# column that holds it: widths 1 and 2 load as 'B' and 'H', 3 and 4 as 'I'.
+WIDTH_EDGES = [(1, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2**24 - 1, 4),
+               (2**24, 4), (2**32 - 1, 4)]
+
+
+@pytest.mark.parametrize("count, itemsize", WIDTH_EDGES)
+def test_index_loads_columns_at_their_stored_width(tmp_path, count, itemsize):
+    built = ds.load_dataset([(1990, f"Ann,F,{count}\nBo,M,1"), (1991, f"Bo,F,{count}"),
+                             (1993, f"Ann,M,{count}\nAnn,F,1\nBo,M,{count}")], strict=False)
+    path = tmp_path / "edges.idx"
+    ds.save_index(built, path)
+    loaded = ds.load_index(path)
+    assert (loaded.starts.itemsize, loaded.lengths.itemsize) == (1, 1)
+    assert (loaded.female.itemsize, loaded.male.itemsize) == (itemsize, itemsize)
+    assert loaded == built
+    assert loaded.totals("Ann", 1990, 1993) == (count + 1, count)
+    for name in ("Ann", "Bo", "ANN", "Cy"):
+        for year in built.years_loaded:
+            assert loaded.lookup(name, year) == built.lookup(name, year)
+        assert loaded.totals(name, 1880, 2020) == built.totals(name, 1880, 2020)
+        for years in ([1990, 1991], [1991, 1993], [1990, 1991, 1992, 1993]):
+            assert loaded.name_counts(name, years) == built.name_counts(name, years)
+    assert loaded.year_pair_cells(1990, 1993) == built.year_pair_cells(1990, 1993)
+    assert loaded.year_pair_cells(1991, 1991) == built.year_pair_cells(1991, 1991)
+    resaved = tmp_path / "resaved.idx"
+    ds.save_index(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_index_load_peak_stays_under_three_payloads(tmp_path):
+    """One inflate buffer of the payload's size and count columns at their
+    stored 16 bits: tracemalloc's peak over ``load_index`` stays under three
+    times the payload."""
+    rng = random.Random(0)
+    n, years = 1000, tuple(range(1880, 2021))
+    cells = n * len(years)
+    data = ds.Dataset(
+        years_loaded=years, names=tuple(f"Name{i:05d}" for i in range(n)),
+        starts=array("I", [0] * n), lengths=array("I", [len(years)] * n),
+        female=array("I", [rng.randrange(1, 2**16) for _ in range(cells)]),
+        male=array("I", [rng.randrange(1, 2**16) for _ in range(cells)]))
+    path = tmp_path / "dense16.idx"
+    ds.save_index(data, path)
+    header = json.loads(path.read_bytes().split(b"\n")[1])
+    assert header["widths"] == {"starts": 1, "lengths": 1, "female": 2, "male": 2}
+    payload = sum(header["sections"].values())
+    assert header["sections"]["female"] + header["sections"]["male"] > 0.9 * payload
+    tracemalloc.start()
+    try:
+        loaded = ds.load_index(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == data
+    assert peak < 3 * payload, peak / payload
 
 
 def test_exact_names_resolve_without_fold_maps_until_a_miss(tmp_path):

@@ -182,6 +182,9 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
     ds.save_index(built, path)
     loaded = ds.load_index(path)
     assert loaded == built
+    resaved = path.with_name("columns-resaved.idx")
+    ds.save_index(loaded, resaved)  # from columns at their stored widths
+    assert resaved.read_bytes() == path.read_bytes()
     for data in (built, loaded):
         assert data.years_loaded == tuple(sorted(per_year))
         for name in POOL:
