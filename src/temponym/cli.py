@@ -247,19 +247,19 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
     from . import shifts as shifts_mod
 
     data = _load_data(index_path, data_dir)
-    entries = shifts_mod.rank_shifts(
-        data, y1, y2, min_support_each_year=min_support, top_k=top, weighted=weighted
-    )
-    qualifying = shifts_mod.qualifying_names(
-        data, y1, y2, min_support=min_support, min_abs_delta=min_delta
-    )
+    # One walk of the year pair: every supported name ranked, then the top
+    # listed and the qualifying names counted from the same list.
+    ranked = shifts_mod.rank_shifts(data, y1, y2, min_support_each_year=min_support,
+                                    top_k=len(data.names), weighted=weighted)
+    entries = ranked[:top]
+    qualifying = sum(abs(e.delta_scaled) >= min_delta for e in ranked)
     stats = (
         shifts_mod.shift_statistics(entries, use_weighted=weighted) if entries else None
     )
     meta = {
         "y1": y1, "y2": y2, "weighted": weighted,
         "min_support": min_support, "min_abs_delta": min_delta,
-        "qualifying_count": len(qualifying),
+        "qualifying_count": qualifying,
     }
     payload = {
         "meta": meta,
@@ -273,7 +273,7 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
                      e.support_y1, e.support_y2, f"{e.weight:.1f}", f"{e.weighted_shift:.1f}"]
                     for rank, e in enumerate(entries, start=1)])
     if fmt == "csv":
-        print(f"# qualifying names at |delta|>={min_delta}: {len(qualifying)}",
+        print(f"# qualifying names at |delta|>={min_delta}: {qualifying}",
               file=sys.stderr)
 
 
@@ -321,11 +321,13 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
     """Compare third-party gender predictions against SSA ground truth."""
     from . import services
 
+    if names is not None and names_file is not None:
+        raise UsageError("'--names' and '--names-file' are mutually exclusive")
     if names_file is not None:
         from . import dataset as dataset_mod
 
         lines = dataset_mod.read_text(names_file).splitlines()
-        names = names or [line.strip() for line in lines if line.strip()]
+        names = [line.strip() for line in lines if line.strip()]
     if names is None:
         raise UsageError("provide '--names' or '--names-file'")
 
@@ -340,24 +342,29 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
     rows = services.comparison_table(names, data, ssa_year, configs, cache=cache)
     metrics = services.divergence_metrics(rows) if rows else None
 
+    service_ids = sorted({sid for row in rows for sid in row.predictions})
+    header = ["name", "ssa_p_female"]
+    for sid in service_ids:
+        header += [f"{sid}_label", f"{sid}_p_female", f"{sid}_divergence"]
+    json_rows, csv_rows = [], []
+    for row in rows:  # each row's JSON and CSV cells, one divergence per cell
+        cells = {}
+        out = [row.name, "" if row.ssa_p_female is None else f"{row.ssa_p_female:.4f}"]
+        for sid in service_ids:
+            p = row.predictions.get(sid)
+            if p is None:
+                out += ["", "", ""]
+                continue
+            d = row.divergence(sid)
+            cells[sid] = {"label": p.predicted_label, "p_female": p.p_female, "divergence": d}
+            out += [p.predicted_label, "" if p.p_female is None else f"{p.p_female:.4f}",
+                    "" if d is None else f"{d:.4f}"]
+        json_rows.append({"name": row.name, "ssa_p_female": row.ssa_p_female,
+                          "services": cells, "errors": row.cell_errors})
+        csv_rows.append(out)
     payload = {
         "ssa_year": ssa_year,
-        "rows": [
-            {
-                "name": row.name,
-                "ssa_p_female": row.ssa_p_female,
-                "services": {
-                    sid: {
-                        "label": p.predicted_label,
-                        "p_female": p.p_female,
-                        "divergence": row.divergence(sid),
-                    }
-                    for sid, p in row.predictions.items()
-                },
-                "errors": row.cell_errors,
-            }
-            for row in rows
-        ],
+        "rows": json_rows,
         "metrics": {
             "per_service": metrics["per_service"],
             "label_disagreement": {
@@ -365,23 +372,6 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
             },
         } if metrics else None,
     }
-    service_ids = sorted({sid for row in rows for sid in row.predictions})
-    header = ["name", "ssa_p_female"]
-    for sid in service_ids:
-        header += [f"{sid}_label", f"{sid}_p_female", f"{sid}_divergence"]
-    csv_rows = []
-    for row in rows:
-        out = [row.name,
-               f"{row.ssa_p_female:.4f}" if row.ssa_p_female is not None else ""]
-        for sid in service_ids:
-            p = row.predictions.get(sid)
-            d = row.divergence(sid)
-            out += [
-                p.predicted_label if p else "",
-                f"{p.p_female:.4f}" if p and p.p_female is not None else "",
-                f"{d:.4f}" if d is not None else "",
-            ]
-        csv_rows.append(out)
     _emit(payload, fmt, csv_header=header, csv_rows=csv_rows)
     if any(row.cell_errors for row in rows):
         sys.exit(EXIT_PARTIAL)
@@ -392,6 +382,8 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
     from . import report
     from . import shifts as shifts_mod
 
+    if names is not None and top_shifts is not None:
+        raise UsageError("'--names' and '--top-shifts' are mutually exclusive")
     data = _load_data(index_path, data_dir)
     if top_shifts is not None:
         entries = shifts_mod.rank_shifts(data, y1, y2, top_k=top_shifts, weighted=True)

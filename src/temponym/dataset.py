@@ -589,6 +589,8 @@ def _read_header(path, line: bytes) -> dict:
         raise bad(f"header is not JSON ({exc})") from None
     if not isinstance(header, dict):
         raise bad("header is not a JSON object")
+    if header.get("format") != "temponym-index":
+        raise bad(f"header format {header.get('format')!r} is not 'temponym-index'")
     version = header.get("version")
     # JSON's 3.0 and true compare equal to 3 and 1, but are not versions.
     if type(version) is not int or version not in (1, 2, INDEX_VERSION):
@@ -601,6 +603,8 @@ def _read_header(path, line: bytes) -> dict:
     if not (isinstance(years, list) and all(type(y) is int for y in years)
             and all(a < b for a, b in zip(years, years[1:]))):
         raise bad("header years are not increasing integers")
+    if years and not MIN_YEAR <= years[0] <= years[-1] <= MAX_YEAR:
+        raise bad(f"header years must lie in {MIN_YEAR}..{MAX_YEAR}")
     if not (isinstance(sections, dict) and list(sections) == list(_SECTIONS)
             and all(type(n) is int and n >= 0 for n in sections.values())):
         raise bad(f"header sections must be byte lengths of {', '.join(_SECTIONS)}")

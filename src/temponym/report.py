@@ -11,7 +11,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import errors
 from .audit import KNOWN_P_FEMALE, CorpusRecord
 from .dataset import Dataset
-from .model import p_female
 
 
 class PlotSeries(NamedTuple):
@@ -36,13 +35,10 @@ def emit_trajectories(
             raise errors.YearNotLoaded(year)
     series = []
     for name in names:
-        points = []
-        for year in ordered_years:
-            try:
-                points.append((year, p_female(dataset, name, year).p_female, None))
-            except errors.NoData:
-                continue
-        series.append(PlotSeries(series_id=name, points=tuple(points)))
+        female, male = dataset.name_counts(name, ordered_years)
+        points = tuple((year, f / (f + m), None)  # the ratio model.p_female computes
+                       for year, f, m in zip(ordered_years, female, male) if f or m)
+        series.append(PlotSeries(series_id=name, points=points))
     return series
 
 

@@ -158,6 +158,14 @@ def _years_not_increasing(path):
     _set_header(path, "years", [1990, 1990])
 
 
+def _year_before_1880(path):
+    _set_header(path, "years", [-7])
+
+
+def _format_not_temponym(path):
+    _set_header(path, "format", "something-else")
+
+
 def _sections_not_a_mapping(path):
     header, _ = _index_parts(path)
     _set_header(path, "sections", list(header["sections"].values()))
@@ -215,6 +223,8 @@ BAD_INDEXES = [
     (_version_float, "unsupported index version 3.0"),
     (_version_true, "unsupported index version True"),
     (_years_not_increasing, "header years are not increasing integers"),
+    (_year_before_1880, "header years must lie in 1880..2100"),
+    (_format_not_temponym, "header format 'something-else' is not 'temponym-index'"),
     (_sections_not_a_mapping, "header sections must be byte lengths"),
     (_payload_byte_changed, "checksum mismatch"),
     (_names_not_utf8, "name table is not UTF-8"),

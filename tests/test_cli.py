@@ -114,6 +114,48 @@ def test_shift_same_year_all_zero(runner):
     assert all(entry["delta_scaled"] == 0.0 for entry in payload["entries"])
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_shift_walks_the_year_pair_once(runner, monkeypatch, fmt):
+    calls = []
+    walk = ds.Dataset.year_pair_cells
+
+    def counted(self, y1, y2):
+        calls.append((y1, y2))
+        return walk(self, y1, y2)
+
+    monkeypatch.setattr(ds.Dataset, "year_pair_cells", counted)
+    result = runner.invoke(main, ["shift", "--format", fmt])
+    assert result.exit_code == 0, result.output
+    assert calls == [shifts.DEFAULT_YEAR_PAIR]
+
+
+@pytest.fixture(scope="module")
+def sample_index(tmp_path_factory, sample_dataset):
+    """The bundled sample saved as an index, so each command skips the parse."""
+    path = tmp_path_factory.mktemp("shift") / "sample.idx"
+    ds.save_index(sample_dataset, path)
+    return path
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("min_delta", [0, 20, 50])
+def test_shift_counts_the_qualifying_names_of_its_ranking(runner, sample_dataset, sample_index,
+                                                          weighted, min_delta):
+    data = sample_dataset
+    qualifying = shifts.qualifying_names(data, 1925, 2000, min_abs_delta=min_delta)
+    n_rows = len(shifts.rank_shifts(data, 1925, 2000, top_k=len(data.names)))
+    for top in (0, 5, n_rows + 1):
+        result = runner.invoke(main, ["shift", "--index", str(sample_index), "--format", "json",
+                                      "--min-delta", str(min_delta), "--top", str(top)]
+                               + ["--weighted"] * weighted)
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["meta"]["qualifying_count"] == len(qualifying), top
+        entries = shifts.rank_shifts(data, 1925, 2000, top_k=top, weighted=weighted)
+        assert payload["entries"] == [entry._asdict() for entry in entries]
+        assert len(entries) == min(top, n_rows)
+
+
 def test_shift_csv_columns(runner):
     result = runner.invoke(main, ["shift", "--top", "3"])
     assert result.exit_code == 0
@@ -700,6 +742,10 @@ CLI_ERRORS = [
      ["query", "--dir", "{tmp}/yob1990.txt", "--name", "Pat", "--year", "1990"],
      {"yob1990.txt": b"Pat,F,10\n"}, 2),
     ("trajectories-without-names", ["plot", "trajectories"], {}, 2),
+    ("trajectories-names-with-top-shifts",
+     ["plot", "trajectories", "--names", "Leslie", "--top-shifts", "3"], {}, 2),
+    ("compare-names-with-names-file",
+     ["compare", "--names", "Jean", "--names-file", "{tmp}/n.txt"], {"n.txt": b"Leslie\n"}, 2),
     ("shift-negative-top", ["shift", "--top", "-3"], {}, 2),
     ("shift-nan-min-delta", ["shift", "--min-delta", "nan"], {}, 2),
     ("shift-infinite-min-delta", ["shift", "--min-delta", "inf"], {}, 2),

@@ -27,6 +27,36 @@ def test_trajectories_single_point(sample_dataset):
         assert len(series.points) == 1
 
 
+def _p_female_points(data, name, years):
+    """The points of ``name``'s series, one ``model.p_female`` per year."""
+    points = []
+    for year in sorted(set(years)):
+        try:
+            points.append((year, model.p_female(data, name, year).p_female, None))
+        except errors.NoData:
+            continue
+    return tuple(points)
+
+
+def test_trajectories_equal_a_per_year_lookup(sparse_dataset):
+    # stored, case variants, diacritic spellings, names sharing a folded key
+    # (Lee, LEE, lee) and unknown names
+    names = ["Ann", "ann", "Bo", "Zoë", "ZOË", "Zoe", "Lee", "LEE", "lee", "lEE",
+             "Renée", "Renee", "RENEE", "Zzyzx"]
+    years_cases = [
+        [1922, 1923, 1924, 1926, 1927, 1928],  # consecutive loaded years
+        [1908, 1910, 1911],
+        [1950, 1951],
+        [1900, 1912, 1930, 1951, 1960],  # scattered
+        [1935, 1900, 1935],  # unordered, with a repeat
+    ]
+    for years in years_cases:
+        series = report.emit_trajectories(sparse_dataset, names, years)
+        assert [s.series_id for s in series] == names
+        for name, s in zip(names, series):
+            assert s.points == _p_female_points(sparse_dataset, name, years), (name, years)
+
+
 def test_bubble_series_totals():
     series = report.emit_bubble_series(audit.load_corpus_csv())
     by_id = {s.series_id: s for s in series}
