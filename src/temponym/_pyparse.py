@@ -14,6 +14,11 @@ digits, although ``int()`` accepts all of those. Strict mode further
 rejects counts below the publication floor of 5 and a second row for the
 same name and sex; lenient mode skips and counts every rejected row
 instead. In both modes a count must fit the 32-bit columns of the index.
+
+``merge_rows`` first splits the whole file into fields and checks them in
+bulk, each rule one pass in C over all rows, with no regular expression.
+Only a file that fails a check, or holds a blank line, is read line by line
+against ``GRAMMAR``; that loop alone names bad lines and counts skipped rows.
 """
 from __future__ import annotations
 
@@ -32,6 +37,10 @@ LINE = rf"(?:{ROW})?\r?"
 # Matches a whole file, and so also any one line of it.
 GRAMMAR = re.compile(rf"(?:{LINE}\n)*{LINE}")
 
+# Every byte but "," and "\n", deleted to leave a file's line structure.
+_NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n"))
+_NAME_LENGTHS = frozenset(range(2, 16))
+_SEXES = frozenset("FM")
 # One selector byte per row, 1 where the row is of that sex, for ``compress``.
 _IS_FEMALE = bytes.maketrans(b"FM", b"\x01\x00")
 _IS_MALE = bytes.maketrans(b"FM", b"\x00\x01")
@@ -50,42 +59,55 @@ def merge_rows(
     ``female`` and ``male`` map each name to its count for that sex. When
     ``canon`` is given, every name is stored as the string ``canon`` holds
     for it (added on first sight), so one string object serves all years.
-    A file the grammar accepts is split and converted without a per-row
-    Python loop; any other file is read line by line to name the first bad
-    line (strict) or to skip and count the bad rows (lenient).
+    A file of rows without a blank line is checked and converted in bulk,
+    with no per-row Python loop (``_split``); any other file is read line
+    by line to name the first bad line (strict) or to skip and count the
+    bad rows (lenient). Both give the same result or error for any text.
     """
     if canon is None:
         canon = {}
-    if GRAMMAR.fullmatch(content):
-        by_sex = _split(content, strict, canon)
-        if by_sex is not None:
-            return by_sex, 0
+    by_sex = _split(content, strict, canon)
+    if by_sex is not None:
+        return by_sex, 0
     return _merge_lines(content, strict, canon)
 
 
 def _split(content: str, strict: bool, canon: dict[str, str]) -> Optional[SexCounts]:
-    """The per-sex counts of a file that matches the grammar.
+    """The per-sex counts of a file of valid rows and no blank line.
 
-    None if a rule the grammar cannot express fails (a duplicate row, the
-    floor in strict mode, a count above 32 bits); the line loop then finds
-    the line.
+    None if any line is not a row (``GRAMMAR``'s rules, checked field by
+    field over the whole file), or a rule beyond the grammar fails (a
+    duplicate row, the floor in strict mode, a count above 32 bits); the
+    line loop then finds the line.
     """
-    if "\r" in content:  # after a match, only a line's optional trailing \r
+    if "\r" in content:  # the \r of a CRLF ending, or of the last line, is in no field
         content = content.replace("\r\n", "\n").removesuffix("\r")
+    content = content.removesuffix("\n")
+    # Exactly two commas on every line, so each line splits into three
+    # fields. Neither byte occurs inside a multi-byte UTF-8 character, and
+    # "surrogatepass" keeps a lone surrogate, which a name may hold.
+    shape = content.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    if shape != b",,\n" * (len(shape) // 3) + b",,":
+        return None
     fields = content.replace(",", "\n").split("\n")
-    if "\n\n" in content or content.startswith("\n"):
-        fields = list(filter(None, fields))  # no field of a row is empty
-    elif not fields[-1]:
-        del fields[-1]
-    names = list(map(canon.setdefault, fields[0::3], fields[0::3]))
-    counts = list(map(int, fields[2::3]))
-    sexes = "".join(fields[1::3]).encode()
+    names, sexes, digits = fields[0::3], fields[1::3], fields[2::3]
+    if not (set(map(len, names)) <= _NAME_LENGTHS and set(sexes) <= _SEXES):
+        return None
+    joined = "".join(digits)
+    if not (joined.isascii() and joined.encode().isdigit()):
+        return None
+    try:  # every count field is ASCII digits, so only an empty one fails here
+        counts = list(map(int, digits))
+    except ValueError:
+        return None
+    names = list(map(canon.setdefault, names, names))
+    sexes = "".join(sexes).encode()
     is_female, is_male = sexes.translate(_IS_FEMALE), sexes.translate(_IS_MALE)
     female = dict(zip(compress(names, is_female), compress(counts, is_female)))
     male = dict(zip(compress(names, is_male), compress(counts, is_male)))
     if len(female) + len(male) != len(names):
         return None
-    if counts and (max(counts) > MAX_COUNT or strict and min(counts) < FLOOR):
+    if max(counts) > MAX_COUNT or strict and min(counts) < FLOOR:
         return None
     return female, male
 

@@ -327,7 +327,7 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
         from . import dataset as dataset_mod
 
         lines = dataset_mod.read_text(names_file).splitlines()
-        names = [line.strip() for line in lines if line.strip()]
+        names = [line.strip() for line in lines if line.strip()] or None
     if names is None:
         raise UsageError("provide '--names' or '--names-file'")
 

@@ -114,6 +114,21 @@ class Record:
         self._init(**slots)
 
 
+def _same(a, b) -> bool:
+    """``a == b``, with two columns of different item sizes compared at one width.
+
+    ``memoryview`` compares such columns item by item through ``struct``: a
+    loaded ``'H'`` count column against a built ``'I'`` one of 1.06M cells
+    took ~0.3 s. Copying the narrower into an array of the wider format first
+    takes a sixth of that.
+    """
+    if isinstance(a, memoryview) and a.format != b.format:
+        if a.itemsize > b.itemsize:
+            a, b = b, a
+        return len(a) == len(b) and memoryview(array(b.format, a)) == b
+    return a == b
+
+
 class Dataset(Record):
     """Immutable name-major count columns over ``years_loaded``.
 
@@ -167,6 +182,13 @@ class Dataset(Record):
             _distinct=None,
             _groups=None,
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(_same, self._key(), other._key()))
+
+    __hash__ = Record.__hash__  # a class that defines __eq__ loses the inherited one
 
     def _fold_groups(self) -> dict[str, list[int]]:
         """Folded key -> the ascending indices of the stored names that share it."""

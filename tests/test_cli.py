@@ -746,6 +746,9 @@ CLI_ERRORS = [
      ["plot", "trajectories", "--names", "Leslie", "--top-shifts", "3"], {}, 2),
     ("compare-names-with-names-file",
      ["compare", "--names", "Jean", "--names-file", "{tmp}/n.txt"], {"n.txt": b"Leslie\n"}, 2),
+    # a names file with no non-blank line names nobody, like an empty --names
+    ("compare-names-file-all-blank",
+     ["compare", "--names-file", "{tmp}/n.txt"], {"n.txt": b"\n  \r\n\t\n"}, 2),
     ("shift-negative-top", ["shift", "--top", "-3"], {}, 2),
     ("shift-nan-min-delta", ["shift", "--min-delta", "nan"], {}, 2),
     ("shift-infinite-min-delta", ["shift", "--min-delta", "inf"], {}, 2),

@@ -379,6 +379,25 @@ def test_index_loads_columns_at_their_stored_width(tmp_path, count, itemsize):
     assert resaved.read_bytes() == path.read_bytes()
 
 
+def test_columns_of_different_widths_compare_by_value(tmp_path):
+    """A loaded dataset ('H' and 'B' counts) equals the one built ('I');
+    one changed cell makes them unequal, in either order."""
+    built = ds.load_dataset([(1990, "Ann,F,300\nBo,M,7"), (1991, "Ann,F,65535\nAnn,M,12")])
+    path = tmp_path / "widths.idx"
+    ds.save_index(built, path)
+    loaded = ds.load_index(path)
+    assert (loaded.female.format, loaded.male.format, built.female.format) == ("H", "B", "I")
+    assert loaded == built and built == loaded
+    for column in ("female", "male"):
+        for cell in range(len(built.female)):
+            cells = array("I", getattr(built, column))
+            cells[cell] += 1
+            columns = {"female": built.female, "male": built.male, column: cells}
+            changed = ds.Dataset(built.years_loaded, built.names, built.starts, built.lengths,
+                                 **columns)
+            assert loaded != changed and changed != loaded
+
+
 def test_index_load_peak_stays_under_three_payloads(tmp_path):
     """One inflate buffer of the payload's size and count columns at their
     stored 16 bits: tracemalloc's peak over ``load_index`` stays under three

@@ -6,9 +6,10 @@ import random
 import sys
 from array import array
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from temponym import _pyparse, audit, errors, model, shifts
@@ -215,26 +216,30 @@ NAME_CHARS = st.characters(blacklist_characters=",\n", blacklist_categories=("Cs
 row_names = st.text(NAME_CHARS, min_size=2, max_size=15)
 
 
-def render(rows, crlf, blanks, trailing):
+def render(rows, eol, blanks, end):
     """A year file of ``(name, sex, count)`` rows, blank lines at ``blanks``."""
     lines = [f"{name},{sex},{count}" for name, sex, count in rows]
     for pos in sorted(blanks, reverse=True):
         lines.insert(pos, "")
-    eol = "\r\n" if crlf else "\n"
-    return eol.join(lines) + (eol if trailing else "")
+    return eol.join(lines) + end
 
 
 @st.composite
-def year_files(draw, floor, names=row_names):
-    """(name -> (female or None, male or None), file text); None is no row."""
+def year_files(draw, floor, names=row_names, max_blanks=3):
+    """(name -> (female or None, male or None), file text); None is no row.
+
+    Lines end in LF or CRLF; the file ends after its last row, after a line
+    ending, or after a lone ``\r``.
+    """
     count = st.none() | st.integers(floor, 2**32 - 1)
     cells = draw(st.dictionaries(
         names, st.tuples(count, count).filter(lambda fm: fm != (None, None)), max_size=6))
     rows = [(name, sex, c) for name, fm in cells.items()
             for sex, c in zip("FM", fm) if c is not None]
     rows = draw(st.permutations(rows))
-    blanks = draw(st.lists(st.integers(0, len(rows)), max_size=3))
-    return cells, render(rows, draw(st.booleans()), blanks, draw(st.booleans()))
+    blanks = draw(st.lists(st.integers(0, len(rows)), max_size=max_blanks))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return cells, render(rows, eol, blanks, draw(st.sampled_from(["", eol, "\r"])))
 
 
 def dataset_of(per_year):
@@ -292,6 +297,97 @@ def test_any_text_parses_or_raises_a_temponym_error(text, strict):
     bulk = parsed_or_error(_pyparse.merge_rows, text, strict)
     assert bulk == parsed_or_error(_pyparse._merge_lines, text, strict, {})
     parsed_or_error(ds.load_dataset, [(1990, text)], strict)
+
+
+# Names holding what a field check could mistake for a separator, a sex or
+# a count: non-ASCII letters, digits, spaces, the sex codes and "\r".
+tricky_names = st.text(st.sampled_from("Fé7 \rM") | NAME_CHARS, min_size=2, max_size=15)
+
+
+def no_line_loop(*args):
+    raise AssertionError("the file was read line by line")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_valid_files_without_a_blank_line_are_split_in_bulk(strict, data):
+    """LF or CRLF, ending after the last row, a line ending or a lone \\r."""
+    cells, text = data.draw(year_files(5 if strict else 0, tricky_names, max_blanks=0))
+    assume(cells)  # a file without rows is one blank line
+    with mock.patch.object(_pyparse, "_merge_lines", no_line_loop):
+        (female, male), skipped = _pyparse.merge_rows(text, strict)
+    assert skipped == 0
+    assert female == {name: f for name, (f, _) in cells.items() if f is not None}
+    assert male == {name: m for name, (_, m) in cells.items() if m is not None}
+
+
+# What turns a row into a line the grammar rejects, or into another row: a
+# separator, a line ending, a sex, a digit or sign, a space, a lone
+# surrogate, or nothing (an edit that only deletes).
+EDITS = st.sampled_from([",", "\n", "\r", "\r\n", "F", "M", "Q", "7", "\u0663", "-", " ",
+                         "Ab", "\ud800", ""])
+
+
+@st.composite
+def edited_files(draw):
+    """A year file with up to three edits, each an ``EDITS`` piece put in
+    place of zero to two characters."""
+    _, text = draw(year_files(0, tricky_names))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(EDITS) + text[at + draw(st.integers(0, 2)):]
+    return text
+
+
+@THOROUGH
+@given(edited_files(), st.booleans())
+def test_the_bulk_path_accepts_only_what_the_grammar_accepts(text, strict):
+    """Whenever the bulk checks pass, the whole file matches ``GRAMMAR`` and
+    the line loop gives the same counts; either way ``merge_rows`` agrees
+    with the line loop."""
+    by_sex = _pyparse._split(text, strict, {})
+    if by_sex is not None:
+        assert _pyparse.GRAMMAR.fullmatch(text)
+        assert _pyparse._merge_lines(text, strict, {}) == (by_sex, 0)
+    bulk = parsed_or_error(_pyparse.merge_rows, text, strict)
+    assert bulk == parsed_or_error(_pyparse._merge_lines, text, strict, {})
+
+
+def test_a_file_of_three_fields_per_row_but_not_per_line_is_read_line_by_line():
+    """Split on both separators, these lines give the fields of two valid
+    rows (Ab,F,12 and Cd,M,5); the line structure check refuses them."""
+    text = "Ab,F,12,Cd\nM,5"
+    assert _pyparse._split(text, True, {}) is None
+    with pytest.raises(errors.MalformedLine, match="expected 3 fields") as caught:
+        _pyparse.merge_rows(text, strict=True)
+    assert caught.value.lineno == 1
+    assert _pyparse.merge_rows(text, strict=False) == (({}, {}), 2)
+
+
+# Files that fool a field check taken alone, each with the type and line of
+# its first error: the fields line up as rows once joined or split on both
+# separators, so only the check named fails.
+NEAR_MISSES = [
+    ("Ab,FM,12\nCd,M,5", errors.InvalidSex, 1),  # sex: the joined sexes "FMM" select 2 rows
+    ("Ab,,12\nCd,FM,5", errors.InvalidSex, 1),  # sex: "" and "FM" join to two codes
+    ("Ab,F,\nCd,M,5", errors.MalformedLine, 1),  # count: the joined digits are "5"
+    ("Ab,F,12\nCd,M,", errors.MalformedLine, 2),
+    ("Ab,F,12\nC,M,5", errors.MalformedLine, 2),  # name length
+    ("Ab,F,12\r\r\nCd,M,5", errors.MalformedLine, 1),  # a second \r is no line ending
+    ("Ab,F,12\n\rCd,M,5\n\n", None, None),  # a blank last line: valid, read line by line
+]
+
+
+@pytest.mark.parametrize("text,error,lineno", NEAR_MISSES)
+def test_near_misses_are_read_line_by_line(text, error, lineno):
+    assert _pyparse._split(text, True, {}) is None
+    assert _pyparse.merge_rows(text, False) == _pyparse._merge_lines(text, False, {})
+    if error is None:
+        assert _pyparse.merge_rows(text, True) == _pyparse._merge_lines(text, True, {})
+        return
+    with pytest.raises(error) as caught:
+        _pyparse.merge_rows(text, strict=True)
+    assert caught.value.lineno == lineno
 
 
 # One bad line per rejection reason, with the error strict mode reports.
