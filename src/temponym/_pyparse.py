@@ -126,7 +126,10 @@ def _merge_lines(content: str, strict: bool, canon: dict[str, str]) -> tuple[Sex
         if not row:
             continue
         name, sex, count_text = row.split(",")
-        count = int(count_text)
+        # int() refuses more than 4,300 digits, leading zeros included; a
+        # count of more than 10 significant digits is above MAX_COUNT anyway.
+        digits = count_text.lstrip("0")
+        count = int(digits or "0") if len(digits) <= 10 else MAX_COUNT + 1
         if strict and count < FLOOR:
             raise errors.FloorViolation(lineno, name, count)
         cells = female if sex == "F" else male

@@ -77,8 +77,9 @@ class Record:
     building each class with it costs a cold command several milliseconds.
     A subclass names its attributes in ``__slots__``, sets them in
     ``__init__`` through ``_init``, and names in ``_compared`` the ones its
-    equality, hash and repr use. Copies and pickles restore the attributes
-    through ``__setstate__``.
+    equality, hash and repr use. A subclass whose compared values cannot all
+    be hashed sets ``__hash__ = None``, as ``Dataset`` does. Copies and
+    pickles restore the attributes through ``__setstate__``.
     """
 
     __slots__ = ()
@@ -150,7 +151,12 @@ class Dataset(Record):
     through ``_candidates``, the one resolver of folded keys, and the first
     candidate with data in a year answers for it (``_first_cell``). So does
     the first stored name asked for, whose resolve finds out whether the
-    table's names fold apart (``_is_distinct``).
+    table's names fold apart (``_is_distinct``). ``_candidates`` reads the
+    fold map, built on first need: per folded key the int index of the one
+    stored name with that key, or, only for a key that two or more names
+    share, the ascending tuple of their indices.
+
+    A Dataset compares by its columns but is not hashable.
     """
 
     __slots__ = ("years_loaded", "names", "starts", "lengths", "female", "male", "skipped",
@@ -160,8 +166,9 @@ class Dataset(Record):
                  "_offsets", "_positions", "_ids",
                  # Whether every stored name folds only to itself, so an exact
                  # name needs no fold map; None until the first exact hit in
-                 # _candidates computes it. _groups is built by _fold_groups on
-                 # first need.
+                 # _candidates computes it. _groups, the fold map built by
+                 # _fold_groups on first need: folded key -> an int index, or
+                 # a tuple of the indices of the names that share the key.
                  "_distinct", "_groups")
     _compared = ("years_loaded", "names", "starts", "lengths", "female", "male")
 
@@ -188,17 +195,30 @@ class Dataset(Record):
             return NotImplemented
         return all(map(_same, self._key(), other._key()))
 
-    __hash__ = Record.__hash__  # a class that defines __eq__ loses the inherited one
+    # Unhashable, as a mutable sequence would be: CPython hashes a memoryview
+    # only of format 'B', 'b' or 'c', and a column may be 'H' or 'I'.
+    __hash__ = None
 
-    def _fold_groups(self) -> dict[str, list[int]]:
-        """Folded key -> the ascending indices of the stored names that share it."""
+    def _fold_groups(self) -> dict[str, int | tuple[int, ...]]:
+        """Folded key -> the index of the one stored name that has it, or the
+        ascending tuple of indices of the names that share it."""
         # Two threads may both build it; each gets a complete, equal map, so
         # whichever is kept gives the same answers.
         groups = self._groups
         if groups is None:
-            groups = {}
-            for i, key in enumerate(_folded_keys(self.names)):
-                groups.setdefault(key, []).append(i)
+            keys, ids = _folded_keys(self.names), self._ids
+            # Built in C from the index ints ``_ids`` holds: its values in
+            # order, unless a directly built table repeats a name. A key that
+            # several names share is left with the last index it has, so
+            # ``groups[key] == i`` only there.
+            groups = dict(zip(keys, ids.values() if len(ids) == len(keys)
+                              else map(ids.__getitem__, self.names)))
+            if len(groups) < len(keys):  # some names share a key
+                shared: dict[str, list[int]] = {}
+                for i, key in enumerate(keys):
+                    if groups[key] != i or key in shared:
+                        shared.setdefault(key, []).append(i)
+                groups.update((key, tuple(group)) for key, group in shared.items())
             object.__setattr__(self, "_groups", groups)
         return groups
 
@@ -227,8 +247,8 @@ class Dataset(Record):
             key if key.isascii() else strip_diacritics(key))
         if group is None:
             return ()
-        if len(group) == 1:  # the exact name, if stored, is this one
-            return group if fold_diacritics or self.names[group[0]].casefold() == key else ()
+        if isinstance(group, int):  # the exact name, if stored, is this one
+            return (group,) if fold_diacritics or self.names[group].casefold() == key else ()
         ids = [] if exact is None else [exact]
         ids += [i for i in group if self.names[i].casefold() == key]
         if fold_diacritics:

@@ -72,7 +72,7 @@ def test_checked_records_are_immutable_values(value, attribute):
     assert getattr(value, attribute) == before
     clone = pickle.loads(pickle.dumps(value))
     assert clone == value == copy.copy(value)
-    assert hash(clone) == hash(value)
+    assert hash(clone) == hash(value) == hash(value._key())
     assert repr(value).startswith(f"{type(value).__name__}(")
     assert f"{attribute}={before!r}" in repr(value)
     assert value != attribute and value.__eq__(attribute) is NotImplemented

@@ -636,6 +636,18 @@ def test_config_sets_ingest_by_option_names(runner, tmp_path, flags):
     assert (tmp_path / "x.idx").exists()
 
 
+@pytest.mark.parametrize("mode", [[], ["--lenient"]], ids=["strict", "lenient"])
+def test_ingest_reads_a_count_padded_with_thousands_of_zeros(runner, tmp_path, mode):
+    for name, count in (("padded", "0" * 5000 + "5"), ("plain", "5")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "yob1990.txt").write_text(f"Pat,F,{count}\n")
+        result = runner.invoke(main, ["ingest", "--dir", str(tmp_path / name),
+                                      "--out", str(tmp_path / f"{name}.idx"), *mode])
+        assert result.exit_code == 0, result.output
+        assert result.output == "indexed 1 years, 5 births, 1 names\n"
+    assert (tmp_path / "padded.idx").read_bytes() == (tmp_path / "plain.idx").read_bytes()
+
+
 HELP_PAGES = Path(__file__).resolve().parent / "help_pages"
 
 
@@ -716,6 +728,12 @@ CLI_ERRORS = [
     ("ingest-out-is-a-directory", ["ingest", "--dir", "{tmp}", "--out", "{tmp}"],
      {"yob1925.txt": b"Pat,F,10\n"}, 3),
     ("ingest-no-files", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"], {}, 3),
+    # more digits than int() converts, in both modes
+    ("ingest-count-of-5000-digits", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
+     {"yob1990.txt": b"Pat,F," + b"1" * 5000 + b"\n"}, 3),
+    ("ingest-lenient-count-of-5000-digits",
+     ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx", "--lenient"],
+     {"yob1990.txt": b"Pat,F," + b"1" * 5000 + b"\n"}, 3),
     ("ingest-no-yob-file", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
      {"old_yob1925.txt": b"Pat,F,10\n"}, 3),
     ("ingest-no-files-in-years",

@@ -289,6 +289,30 @@ def test_count_above_32_bits_is_a_data_error():
         "Sam": (0, 2**32 - 1)}
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_a_count_of_thousands_of_digits_is_read_without_int_limits(strict):
+    """More digits than ``int()`` converts (4,300): above 32 bits, or a padded small count."""
+    with pytest.raises(errors.TemponymError,
+                       match="^year 1990: line 1: Pat has a count above 4294967295"):
+        ds.load_dataset([(1990, "Pat,F," + "1" * 5000 + "\n")], strict)
+    padded = "0" * 5000
+    with pytest.raises(errors.TemponymError, match="count above"):
+        ds.load_dataset([(1990, f"Pat,F,{padded}{2**32}\n")], strict)
+    plain = ds.load_dataset([(1990, "Pat,F,5\n")], strict)
+    assert ds.load_dataset([(1990, f"Pat,F,{padded}5\n")], strict) == plain
+    assert ds.load_dataset([(1990, f"Pat,F,{padded}{2**32 - 1}\n")], strict).lookup(
+        "Pat", 1990) == (2**32 - 1, 0)
+
+
+def test_a_dataset_is_not_hashable(tmp_path):
+    built = ds.load_dataset([(1990, "Ann,F,300")])  # 'I' columns
+    ds.save_index(built, tmp_path / "x.idx")
+    loaded = ds.load_index(tmp_path / "x.idx")  # 'B' and 'H' columns
+    for data in (built, loaded):
+        with pytest.raises(TypeError, match="unhashable type: 'Dataset'"):
+            hash(data)
+
+
 def test_zero_counts_are_no_data():
     data = ds.load_dataset([(1900, "Pat,F,0\nSam,M,0"), (1901, "Sam,M,7"), (1902, "Sam,F,0")],
                            strict=False)
@@ -451,6 +475,68 @@ def test_shared_keys_resolve_exact_names_through_the_fold_maps():
     data = ds.load_dataset([(1990, "Lee,F,10"), (1991, "LEE,M,20")])
     assert data.lookup("Lee", 1991) == (0, 20)
     assert data._groups is not None
+
+
+# Two names, then three, share the folded key "lee". Each spelling's
+# female and male counts in 1990..1992, without and with fold_diacritics.
+SHARED_KEY_TABLES = {
+    "two": [(1990, "Lee,F,10\nLEE,M,20"), (1991, "LEE,M,5"), (1992, "Lee,F,30")],
+    "three": [(1990, "Lee,F,10\nLEE,M,20"), (1991, "LEE,M,5\nLée,F,7"),
+              (1992, "Lee,F,30\nLée,M,9")],
+}
+LEE_FIRST = ([10, 0, 30], [0, 5, 0])  # Lee, then LEE
+UPPER_FIRST = ([0, 0, 30], [20, 5, 0])  # LEE, then Lee
+NOTHING = ([0, 0, 0], [0, 0, 0])
+ACCENTED = ([0, 7, 0], [0, 0, 9])  # Lée alone
+ACCENTED_FIRST = ([0, 7, 0], [20, 0, 9])  # Lée, then LEE, then Lee
+SHARED_KEY_ANSWERS = {
+    "two": {"Lee": (LEE_FIRST, LEE_FIRST), "LEE": (UPPER_FIRST, UPPER_FIRST),
+            "lee": (UPPER_FIRST, UPPER_FIRST), "Lée": (NOTHING, UPPER_FIRST),
+            "LÉE": (NOTHING, UPPER_FIRST), "lée": (NOTHING, UPPER_FIRST),
+            "Lea": (NOTHING, NOTHING)},
+    "three": {"Lee": (LEE_FIRST, LEE_FIRST), "LEE": (UPPER_FIRST, UPPER_FIRST),
+              "lee": (UPPER_FIRST, UPPER_FIRST), "Lée": (ACCENTED, ACCENTED_FIRST),
+              "LÉE": (ACCENTED, ACCENTED_FIRST), "lée": (ACCENTED, ACCENTED_FIRST),
+              "Lea": (NOTHING, NOTHING)},
+}
+
+
+@pytest.mark.parametrize("table", sorted(SHARED_KEY_TABLES))
+def test_every_spelling_of_a_shared_key_gives_the_pinned_answers(table):
+    years = [1990, 1991, 1992]
+    for spelling, answers in SHARED_KEY_ANSWERS[table].items():
+        for fold, (female, male) in zip((False, True), answers):
+            data = ds.load_dataset(SHARED_KEY_TABLES[table])  # cold: no fold facts yet
+            assert data.name_counts(spelling, years, fold) == (female, male), (spelling, fold)
+            assert [data.lookup(spelling, year, fold) for year in years] == [
+                (f, m) if f or m else None for f, m in zip(female, male)]
+            assert data.totals(spelling, 1990, 1992, fold) == (sum(female), sum(male))
+            assert data.totals(spelling, 1991, 1991, fold) == (female[1], male[1])
+
+
+def test_the_fold_map_holds_one_int_per_unshared_key():
+    """Under 130 B a name at 20,000 names (~80 B), where one list per name took ~190 B."""
+    n = 20_000
+    names = tuple(f"Name{i:05d}" for i in range(n))
+    data = ds.Dataset((1990,), names, array("I", bytes(4 * n)), array("I", [1] * n),
+                      array("I", [1] * n), array("I", bytes(4 * n)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        groups = data._fold_groups()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / n < 130, held / n
+    assert groups["name00042"] == 42 and data.lookup("NAME00042", 1990) == (1, 0)
+
+
+def test_a_directly_built_table_that_repeats_a_name_groups_every_copy():
+    data = ds.Dataset((1990,), ("Ann", "ANN", "Ann"), array("I", [0, 0, 0]),
+                      array("I", [1, 1, 1]), array("I", [5, 0, 0]), array("I", [0, 6, 7]))
+    assert data._fold_groups() == {"ann": (0, 1, 2)}
+    assert data.lookup("Ann", 1990) == (0, 7)  # the name's id is its last copy
+    assert data.lookup("ann", 1990) == (5, 0)
 
 
 def test_loading_folds_no_name(monkeypatch, tmp_path):

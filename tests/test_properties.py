@@ -1,7 +1,10 @@
 """Property suites over randomized inputs (1,000 cases per property unless noted)."""
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import random
 import sys
 from array import array
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from temponym import _pyparse, audit, errors, model, shifts
 from temponym import dataset as ds
+from temponym.cli import main
 
 THOROUGH = settings(max_examples=1000, deadline=None)
 
@@ -290,8 +294,17 @@ def parsed_or_error(parse, *args):
         return type(exc), str(exc)
 
 
+# A row whose count has thousands of digits, more than ``int()`` converts
+# (4,300): above 32 bits, or zeros before a count of any size.
+long_counts = st.builds(
+    lambda row, zeros, count: row + "0" * zeros + count,
+    st.sampled_from(["Pat,F,", "Sam,M,"]), st.integers(0, 6000),
+    st.sampled_from(["", "4", "5", str(2**32 - 1), str(2**32), "1" * 4400]))
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(near_rows | st.text(max_size=20), max_size=8).map("\n".join), st.booleans())
+@given(st.lists(near_rows | st.text(max_size=20) | long_counts, max_size=8).map("\n".join),
+       st.booleans())
 def test_any_text_parses_or_raises_a_temponym_error(text, strict):
     """Never another exception; the bulk path agrees with the line loop."""
     bulk = parsed_or_error(_pyparse.merge_rows, text, strict)
@@ -616,3 +629,114 @@ def test_model_entry_points_follow_the_eager_rule(stored, data):
                       model.p_female_pooled, name, (first, last), fold)
         for dist in DISTS:
             check(_eager_mixture(cells, names, name, dist), audit.temporal_p_female, name, dist)
+
+
+# Each command's --config section path with its option keys. Only ingest
+# writes a file, and it is never run.
+CONFIG_SECTIONS = {
+    ("ingest",): ("dir", "years", "strict", "lenient", "out"),
+    ("query",): ("index", "dir", "name", "year", "window", "pooled", "policy",
+                 "fold-diacritics", "format"),
+    ("shift",): ("index", "dir", "y1", "y2", "weighted", "top", "min-support", "min-delta",
+                 "format"),
+    ("ambiguity",): ("index", "dir", "year", "format"),
+    ("audit",): ("index", "dir", "corpus", "cohort", "atemporal", "format"),
+    ("compare",): ("index", "dir", "names", "names-file", "ssa-year", "services",
+                   "fixture-file", "cache-dir", "format"),
+    ("plot", "trajectories"): ("index", "dir", "names", "top-shifts", "years", "y1", "y2",
+                               "format"),
+    ("plot", "bubbles"): ("corpus", "reference", "format"),
+}
+READ_ONLY_COMMANDS = sorted(path for path in CONFIG_SECTIONS if path != ("ingest",))
+# The options that a command's own section always sets, so that it runs.
+REQUIRED_KEYS = {("query",): ("name", "year"), ("ambiguity",): ("year",),
+                 ("compare",): ("names",), ("plot", "trajectories"): ("names",)}
+# Values of each option. Most are accepted; some name a missing file, a
+# year not loaded or an unknown service. A run's own directory is its working
+# directory and holds config.json and names.txt; no value a path option can
+# get holds "/" or "..", so a path names a file there.
+OPTION_VALUES = {
+    "index": ["config.json", "missing.idx", ".", None], "dir": [".", "names.txt", None, None],
+    "name": ["Leslie", "leslie", "LÉE", "Zzyzx"], "names": ["Leslie,Jean", "Zzyzx", " , "],
+    "year": [1925, "1950", 1776], "y1": [1925, 1776], "y2": [2000, "1950"],
+    "ssa-year": [1925, 1776], "window": [0, 3, 10**10], "pooled": ["1880..2020", "1925..1925"],
+    "policy": ["majority", "t95"], "format": ["json", "csv"], "top": [0, 3, 10**10],
+    "min-support": [0, 50], "min-delta": [0, 20.5], "top-shifts": [0, 3],
+    "fold-diacritics": [True, False], "weighted": [True, False],
+    "corpus": ["names.txt", "missing.csv"], "cohort": ["fixed:35", "triangular:35:10"],
+    "atemporal": ["1880..2020", "1990..1990"], "names-file": ["names.txt", "config.json"],
+    "services": ["fixtures", "bogus"], "fixture-file": ["names.txt", "missing.csv"],
+    "cache-dir": ["cache"], "years": ["1925..1930", "1925,1950"], "reference": [0.5, 1],
+    "strict": [True], "lenient": [False], "out": ["x.idx"],
+}
+
+# Any JSON value. No text holds "/" or ".", and none is long enough to
+# start "genderize-live:", so compare calls no live service.
+config_text = st.text(st.characters(blacklist_characters="/\\."), max_size=8)
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**4, 10**10) | st.floats() | config_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(config_text, inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def config_runs(draw):
+    """A read-only command, and a --config object with a section of accepted
+    values for it and for up to three other commands, and up to two faults:
+    a value of any JSON type, an unknown key, a section or the plot group
+    that is not an object, or an unknown section."""
+    command = draw(st.sampled_from(READ_ONLY_COMMANDS))
+    paths = draw(st.lists(st.sampled_from(list(CONFIG_SECTIONS)), unique=True, max_size=3))
+    sections = {}
+    for path in dict.fromkeys([command, *paths]):
+        required = REQUIRED_KEYS.get(path, ()) if path == command else ()
+        values = {key: st.sampled_from(OPTION_VALUES[key]) for key in CONFIG_SECTIONS[path]}
+        sections[path] = draw(st.fixed_dictionaries(
+            {key: values.pop(key) for key in required}, optional=values))
+    top = {}
+    for fault in draw(st.lists(st.sampled_from(["value", "key", "section", "plot", "top"]),
+                               max_size=2)):
+        path = draw(st.sampled_from(list(sections)))
+        section = sections[path] if isinstance(sections[path], dict) else {}
+        if fault == "value":
+            key = draw(st.sampled_from(CONFIG_SECTIONS[path]))
+            sections[path] = {**section, key: draw(config_values)}
+        elif fault == "key":
+            sections[path] = {**section, draw(config_text): draw(config_values)}
+        elif fault == "section":
+            sections[path] = draw(config_values)
+        elif fault == "plot":
+            top["plot"] = draw(config_values)
+        else:
+            top[draw(config_text)] = draw(config_values)
+    config = {}
+    for path, section in sections.items():
+        if len(path) == 1:
+            config[path[0]] = section
+        else:
+            config.setdefault(path[0], {})[path[1]] = section
+    return command, {**config, **top}
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_runs())
+def test_any_config_ends_in_a_documented_exit(tmp_path_factory, run):
+    """A read-only command under any --config JSON object on the bundled sample.
+
+    It exits 0, 2 (usage) or 3 (data), or 4 where audit and compare report a
+    partial result; never with another exception. 150 cases.
+    """
+    command, config = run
+    directory = tmp_path_factory.mktemp("config")
+    (directory / "config.json").write_text(json.dumps(config))
+    (directory / "names.txt").write_text("Leslie\nJean\n")
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as ended:
+            main(["--config", "config.json", *command], prog_name="temponym")
+    finally:
+        os.chdir(cwd)
+    partial = {4} if command[0] in ("audit", "compare") else set()
+    assert ended.value.code in {0, 2, 3} | partial
