@@ -46,7 +46,7 @@ MAX_YEAR = 2100
 _YOB_RE = re.compile(r"yob([0-9]{4})\.txt")  # the whole file name
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 _NO_DATA = (0, 0)
 
@@ -144,17 +144,16 @@ class Dataset(Record):
     ``skipped`` holds the rows skipped per year and takes no part in
     equality.
 
-    ``lookup``, ``totals`` and ``name_counts`` resolve a name once. A name
-    that is stored, in a table where no two names fold to one key, answers
-    alone: they read its cells in place. Any other name (a case or diacritic
-    variant, an unknown name, or a spelling that shares its folded key) goes
-    through ``_candidates``, the one resolver of folded keys, and the first
-    candidate with data in a year answers for it (``_first_cell``). So does
-    the first stored name asked for, whose resolve finds out whether the
-    table's names fold apart (``_is_distinct``). ``_candidates`` reads the
-    fold map, built on first need: per folded key the int index of the one
-    stored name with that key, or, only for a key that two or more names
-    share, the ascending tuple of their indices.
+    ``lookup``, ``totals`` and ``name_counts`` resolve a name once. Whether
+    any two names fold to one key is fixed when the dataset is built:
+    ``__init__`` folds the names, unless ``load_index`` passes what its index
+    stores. If none do, a stored name answers alone: its cells are read in
+    place. Any other name goes through ``_candidates``, the one resolver of
+    folded keys, and the first candidate with data in a year answers for it
+    (``_first_cell``). ``_candidates`` reads the fold map, built on first
+    need: per folded key the int index of the one stored name with that key,
+    or, only for a key that two or more names share, the ascending tuple of
+    their indices.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -165,15 +164,16 @@ class Dataset(Record):
                  # ``lengths``.
                  "_offsets", "_positions", "_ids",
                  # Whether every stored name folds only to itself, so an exact
-                 # name needs no fold map; None until the first exact hit in
-                 # _candidates computes it. _groups, the fold map built by
+                 # name needs no fold map. _groups, the fold map built by
                  # _fold_groups on first need: folded key -> an int index, or
                  # a tuple of the indices of the names that share the key.
                  "_distinct", "_groups")
     _compared = ("years_loaded", "names", "starts", "lengths", "female", "male")
 
     def __init__(self, years_loaded: tuple[int, ...], names: tuple[str, ...], starts, lengths,
-                 female, male, skipped: tuple[int, ...] = ()):
+                 female, male, skipped: tuple[int, ...] = (), distinct: Optional[bool] = None):
+        if distinct is None:  # not read from an index: fold the names once
+            distinct = len(set(_folded_keys(names))) == len(names)
         lengths = memoryview(lengths).toreadonly()
         self._init(
             years_loaded=years_loaded,
@@ -186,7 +186,7 @@ class Dataset(Record):
             _offsets=array("Q", accumulate(lengths, initial=0)),
             _positions={year: pos for pos, year in enumerate(years_loaded)},
             _ids=dict(zip(names, range(len(names)))),
-            _distinct=None,
+            _distinct=distinct,
             _groups=None,
         )
 
@@ -222,25 +222,12 @@ class Dataset(Record):
             object.__setattr__(self, "_groups", groups)
         return groups
 
-    def _is_distinct(self) -> bool:
-        """Whether every stored name folds only to itself; computed on first need."""
-        # Two threads may both compute it; they compute equal values.
-        distinct = self._distinct
-        if distinct is None:
-            keys = _folded_keys(self.names)
-            distinct = len(set(keys)) == len(keys)
-            object.__setattr__(self, "_distinct", distinct)
-        return distinct
-
     def _candidates(self, name: str, fold_diacritics: bool) -> Sequence[int]:
         """Indices of the stored names that may answer for ``name``, in order.
 
         The exact name, then the names equal to it under casefolding, then
         (only with ``fold_diacritics``) the rest of its folded-key group.
         """
-        exact = self._ids.get(name)
-        if exact is not None and self._is_distinct():
-            return (exact,)
         key = name.casefold()
         # A query holding "\n" gets a key holding "\n", which no group has.
         group = (self._groups or self._fold_groups()).get(
@@ -249,7 +236,7 @@ class Dataset(Record):
             return ()
         if isinstance(group, int):  # the exact name, if stored, is this one
             return (group,) if fold_diacritics or self.names[group].casefold() == key else ()
-        ids = [] if exact is None else [exact]
+        ids = [self._ids[name]] if name in self._ids else []
         ids += [i for i in group if self.names[i].casefold() == key]
         if fold_diacritics:
             ids += group
@@ -425,6 +412,7 @@ def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> 
             lengths.append(stop - start)
             female += cells_f[start:stop]
             male += cells_m[start:stop]
+    del grid_f, grid_m  # before the Dataset folds its names, so the two peaks do not add
     return Dataset(
         years_loaded=tuple(years),
         names=tuple(names),
@@ -468,13 +456,12 @@ def load_directory(
     years: Optional[Sequence[int]] = None,
     strict: bool = True,
 ) -> Dataset:
-    """Load every yobYYYY.txt file in a directory, optionally filtered.
+    """Load every yobYYYY.txt file in a directory, or only those of ascending ``years``.
 
     Files are read as UTF-8, one at a time, in year order, as they are parsed.
     A directory with no such file (of the wanted years) is a data error.
     """
     directory = Path(directory)
-    wanted = set(years) if years is not None else None
     try:
         paths = list(directory.iterdir())
     except OSError as exc:
@@ -486,11 +473,11 @@ def load_directory(
         if not match:
             continue
         year = int(match.group(1))
-        if wanted is None or year in wanted:
+        if years is None or year in years:  # no copy: a range of any width answers at once
             found.append((year, path))
     if not found:
-        where = "" if wanted is None else (
-            f" for years {min(wanted)}..{max(wanted)}" if wanted else " for no year")
+        where = "" if years is None else (
+            f" for years {years[0]}..{years[-1]}" if years else " for no year")
         raise errors.TemponymError(f"{directory}: no yobYYYY.txt file{where}")
     found.sort()
     return load_dataset(((year, read_text(path)) for year, path in found), strict=strict)
@@ -537,8 +524,8 @@ def bundled_sample_dir() -> Path:
 # --- persisted index -------------------------------------------------------
 #
 # Layout: magic line, one JSON header line, then a zlib-compressed payload.
-# The header holds the format version, the SHA-256 of the uncompressed
-# payload, the years, the byte length of each payload section, in order:
+# The header holds the format version, a SHA-256 checksum, the years, the
+# byte length of each payload section, in order:
 #
 #   names    the name table, UTF-8, joined by "\n"
 #   starts   per name, the position in ``years`` of its first cell
@@ -546,7 +533,9 @@ def bundled_sample_dir() -> Path:
 #   female   the female count column, name-major
 #   male     the male count column
 #
-# and the width, 1 to 4 bytes, of each section after ``names``. Those
+# the width, 1 to 4 bytes, of each section after ``names``, and whether no
+# two names fold to one key (``distinct_keys``). The checksum (``_checksum``)
+# covers the header, its own field null, and the uncompressed payload. Those
 # sections are unsigned 32-bit little-endian columns, stored byte-plane
 # shuffled (all first bytes, then all second bytes, ...) and cut after the
 # highest plane that holds a non-zero byte: counts below 2^16 keep two
@@ -599,6 +588,13 @@ def _unshuffle(data: memoryview, width: int) -> memoryview:
     return memoryview(raw).cast(typecode)
 
 
+def _checksum(header: dict, payload: bytes) -> str:
+    """SHA-256 of the header as JSON, its ``sha256`` field null, then of the payload."""
+    digest = hashlib.sha256(json.dumps({**header, "sha256": None}).encode())
+    digest.update(payload)
+    return digest.hexdigest()
+
+
 def save_index(dataset: Dataset, path: Path | str) -> None:
     """Write ``dataset`` to ``path``; a file that cannot be written is a data error."""
     columns = {key: _shuffle(getattr(dataset, key)) for key in _U32_SECTIONS}
@@ -607,11 +603,12 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
     header = {
         "format": "temponym-index",
         "version": INDEX_VERSION,
-        "sha256": hashlib.sha256(payload).hexdigest(),
         "years": list(dataset.years_loaded),
         "sections": {key: len(data) for key, data in zip(_SECTIONS, sections)},
         "widths": {key: width for key, (_, width) in columns.items()},
+        "distinct_keys": dataset._distinct,
     }
+    header["sha256"] = _checksum(header, payload)
     try:
         with open(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
@@ -627,15 +624,15 @@ def _read_header(path, line: bytes) -> dict:
 
     try:
         header = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise bad(f"header is not JSON ({exc})") from None
     if not isinstance(header, dict):
         raise bad("header is not a JSON object")
     if header.get("format") != "temponym-index":
         raise bad(f"header format {header.get('format')!r} is not 'temponym-index'")
     version = header.get("version")
-    # JSON's 3.0 and true compare equal to 3 and 1, but are not versions.
-    if type(version) is not int or version not in (1, 2, INDEX_VERSION):
+    # JSON's 4.0 and true compare equal to 4 and 1, but are not versions.
+    if type(version) is not int or version not in (1, 2, 3, INDEX_VERSION):
         raise bad(f"unsupported index version {version!r}")
     if version != INDEX_VERSION:
         raise bad(f"index format version {version} is no longer read; re-run `temponym ingest`")
@@ -656,6 +653,8 @@ def _read_header(path, line: bytes) -> dict:
         raise bad(f"header widths must be byte widths 1 to 4 of {', '.join(_U32_SECTIONS)}")
     if any(sections[key] % widths[key] for key in _U32_SECTIONS):
         raise bad("a column section is not a whole number of values of its width")
+    if type(header.get("distinct_keys")) is not bool:
+        raise bad("header distinct_keys must be true or false")
     return header
 
 
@@ -685,7 +684,7 @@ def load_index(path: Path | str) -> Dataset:
     except zlib.error as exc:
         raise errors.IndexFormatError(f"{path}: corrupt payload ({exc})") from None
     del compressed
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+    if _checksum(header, payload) != header["sha256"]:
         raise errors.IndexFormatError(f"{path}: checksum mismatch")
     if size != len(payload):
         raise errors.IndexFormatError(
@@ -707,9 +706,9 @@ def load_index(path: Path | str) -> Dataset:
     columns = {key: _unshuffle(data, widths[key]) for key, data in parts.items()}
     del view, parts, payload  # the columns are copies: free the payload before the Dataset
     starts, lengths = columns["starts"], columns["lengths"]
-    n_years = len(header["years"])
+    years = tuple(header["years"])
     if not (len(starts) == len(lengths) == len(names)
             and len(columns["female"]) == len(columns["male"]) == sum(lengths)
-            and max(map(add, starts, lengths), default=0) <= n_years):
+            and max(map(add, starts, lengths), default=0) <= len(years)):
         raise errors.IndexFormatError(f"{path}: name spans point outside the columns")
-    return Dataset(years_loaded=tuple(header["years"]), names=names, **columns)
+    return Dataset(years, names, **columns, distinct=header["distinct_keys"])

@@ -252,7 +252,7 @@ def _fetch_live(config: ServiceConfig, name: str, today: str) -> ExternalPredict
 
     try:
         body = response.json()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise errors.NetworkError(f"{config.service_id}: response is not JSON ({exc})") from None
     if not isinstance(body, dict):
         raise errors.NetworkError(f"{config.service_id}: response is not a JSON object")
@@ -294,7 +294,7 @@ def _retry_after(header: Optional[str]) -> float:
 
     try:
         when = email.utils.parsedate_to_datetime(header)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a year of many digits
         return 1.0
     if when.tzinfo is None:  # "-0000": UTC with no zone information
         when = when.replace(tzinfo=datetime.timezone.utc)

@@ -72,6 +72,12 @@ def _write_index(path, header, payload):
     path.write_bytes(dataset_mod.INDEX_MAGIC + header_line + b"\n" + payload)
 
 
+def _signed(header, compressed):
+    """``header`` with the checksum of itself and the payload ``compressed`` holds,
+    so that a damage to a field the checksum covers reaches the check it is for."""
+    return {**header, "sha256": dataset_mod._checksum(header, zlib.decompress(compressed))}
+
+
 def _drop_sha256(path):
     header, payload = _index_parts(path)
     del header["sha256"]
@@ -94,6 +100,13 @@ def _version_2(path):
     header, payload = _index_parts(path)
     header["version"] = 2
     del header["widths"]
+    _write_index(path, header, payload)
+
+
+def _version_3(path):
+    header, payload = _index_parts(path)
+    header["version"] = 3
+    del header["distinct_keys"]
     _write_index(path, header, payload)
 
 
@@ -122,13 +135,13 @@ def _length_not_a_multiple_of_width(path):
 def _sections_do_not_add_up(path):
     header, payload = _index_parts(path)
     header["sections"]["names"] += 4
-    _write_index(path, header, payload)
+    _write_index(path, _signed(header, payload), payload)
 
 
 def _sections_claim_a_terabyte(path):
     header, payload = _index_parts(path)
     header["sections"]["names"] = 2**40  # no inflate buffer may be sized from it alone
-    _write_index(path, header, payload)
+    _write_index(path, _signed(header, payload), payload)
 
 
 def _set_header(path, key, value):
@@ -142,12 +155,17 @@ def _header_not_an_object(path):
     _write_index(path, b"[3]", payload)
 
 
-def _version_4(path):
-    _set_header(path, "version", 4)
+def _header_nested_too_deep(path):
+    _, payload = _index_parts(path)
+    _write_index(path, b"[" * 100_000, payload)
+
+
+def _version_5(path):
+    _set_header(path, "version", 5)
 
 
 def _version_float(path):
-    _set_header(path, "version", 3.0)  # equal to 3, but not the integer 3
+    _set_header(path, "version", 4.0)  # equal to 4, but not the integer 4
 
 
 def _version_true(path):
@@ -171,14 +189,35 @@ def _sections_not_a_mapping(path):
     _set_header(path, "sections", list(header["sections"].values()))
 
 
+def _year_moved(path):
+    """A year still increasing and in range, so only the checksum can tell."""
+    dataset_mod.save_index(dataset_mod.load_dataset([(2019, "Pat,F,10"), (2020, "Pat,F,12")]),
+                           path)
+    _set_header(path, "years", [2019, 2025])
+
+
+def _fold_fact_flipped(path):
+    """Names that share a folded key, marked as folding apart."""
+    dataset_mod.save_index(dataset_mod.load_dataset([(1990, "Lee,F,10\nLEE,M,20")]), path)
+    _set_header(path, "distinct_keys", True)
+
+
+def _fold_fact_missing(path):
+    header, payload = _index_parts(path)
+    del header["distinct_keys"]
+    _write_index(path, header, payload)
+
+
+def _fold_fact_not_a_bool(path):
+    _set_header(path, "distinct_keys", 1)  # equal to true, but not a bool
+
+
 def _rewrite_payload(path, change, keep_sha256=True):
     """Replace the payload by ``change(payload)``, recompressed; the checksum
     is left as it was or recomputed."""
     header, compressed = _index_parts(path)
-    payload = change(zlib.decompress(compressed))
-    if not keep_sha256:
-        header["sha256"] = hashlib.sha256(payload).hexdigest()
-    _write_index(path, header, zlib.compress(payload))
+    compressed = zlib.compress(change(zlib.decompress(compressed)))
+    _write_index(path, header if keep_sha256 else _signed(header, compressed), compressed)
 
 
 def _payload_byte_changed(path):
@@ -218,15 +257,21 @@ BAD_INDEXES = [
     (_header_not_json, "not JSON"),
     (_version_1, "re-run `temponym ingest`"),
     (_version_2, "version 2 is no longer read; re-run `temponym ingest`"),
+    (_version_3, "version 3 is no longer read; re-run `temponym ingest`"),
     (_header_not_an_object, "header is not a JSON object"),
-    (_version_4, "unsupported index version 4"),
-    (_version_float, "unsupported index version 3.0"),
+    (_header_nested_too_deep, "header is not JSON"),
+    (_version_5, "unsupported index version 5"),
+    (_version_float, "unsupported index version 4.0"),
     (_version_true, "unsupported index version True"),
     (_years_not_increasing, "header years are not increasing integers"),
     (_year_before_1880, "header years must lie in 1880..2100"),
     (_format_not_temponym, "header format 'something-else' is not 'temponym-index'"),
     (_sections_not_a_mapping, "header sections must be byte lengths"),
     (_payload_byte_changed, "checksum mismatch"),
+    (_year_moved, "checksum mismatch"),
+    (_fold_fact_flipped, "checksum mismatch"),
+    (_fold_fact_missing, "header distinct_keys must be true or false"),
+    (_fold_fact_not_a_bool, "header distinct_keys must be true or false"),
     (_names_not_utf8, "name table is not UTF-8"),
     (_width_0, "header widths"),
     (_width_5, "header widths"),

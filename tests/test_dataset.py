@@ -111,6 +111,25 @@ def test_load_directory_without_yob_files_is_a_data_error(tmp_path):
         ds.load_directory(tmp_path)
 
 
+def test_a_year_range_of_any_width_is_not_copied():
+    """The sample's 141 years out of two million wanted: a copy of the range
+    as a set took ~140 MB."""
+    tracemalloc.start()
+    try:
+        data = ds.load_directory(ds.bundled_sample_dir(), years=range(1, 2_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data.years_loaded) == 141
+    assert peak < 20_000_000, peak
+
+
+def test_no_file_of_a_year_range_names_its_bounds(tmp_path):
+    (tmp_path / "yob1925.txt").write_text("Pat,F,10\n")
+    with pytest.raises(errors.TemponymError, match="file for years 2000..1999999$"):
+        ds.load_directory(tmp_path, years=range(2000, 2_000_000))
+
+
 def test_year_file_byte_order_mark_is_dropped(tmp_path):
     rows = b"Mary,F,7065\nJohn,M,9655\n"
     for directory, data in (("plain", rows), ("bom", b"\xef\xbb\xbf" + rows)):
@@ -368,6 +387,7 @@ def test_an_inflate_buffer_that_cannot_be_allocated_is_not_needed(monkeypatch, t
     magic, header, body = path.read_bytes().split(b"\n", 2)
     header = json.loads(header)
     header["sections"]["names"] = 2**40
+    header["sha256"] = ds._checksum(header, decompress(body))  # signed: only the size is false
     path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
     with pytest.raises(errors.IndexFormatError, match="section lengths add up to"):
         ds.load_index(path)
@@ -501,17 +521,29 @@ SHARED_KEY_ANSWERS = {
 }
 
 
-@pytest.mark.parametrize("table", sorted(SHARED_KEY_TABLES))
-def test_every_spelling_of_a_shared_key_gives_the_pinned_answers(table):
+def _assert_pinned_answers(table, load):
     years = [1990, 1991, 1992]
     for spelling, answers in SHARED_KEY_ANSWERS[table].items():
         for fold, (female, male) in zip((False, True), answers):
-            data = ds.load_dataset(SHARED_KEY_TABLES[table])  # cold: no fold facts yet
+            data = load()  # cold: no fold map yet
             assert data.name_counts(spelling, years, fold) == (female, male), (spelling, fold)
             assert [data.lookup(spelling, year, fold) for year in years] == [
                 (f, m) if f or m else None for f, m in zip(female, male)]
             assert data.totals(spelling, 1990, 1992, fold) == (sum(female), sum(male))
             assert data.totals(spelling, 1991, 1991, fold) == (female[1], male[1])
+
+
+@pytest.mark.parametrize("table", sorted(SHARED_KEY_TABLES))
+def test_every_spelling_of_a_shared_key_gives_the_pinned_answers(table):
+    _assert_pinned_answers(table, lambda: ds.load_dataset(SHARED_KEY_TABLES[table]))
+
+
+@pytest.mark.parametrize("table", sorted(SHARED_KEY_TABLES))
+def test_a_saved_shared_key_table_loads_with_the_pinned_answers(table, tmp_path):
+    path = tmp_path / "shared.idx"
+    ds.save_index(ds.load_dataset(SHARED_KEY_TABLES[table]), path)
+    assert json.loads(path.read_bytes().split(b"\n")[1])["distinct_keys"] is False
+    _assert_pinned_answers(table, lambda: ds.load_index(path))
 
 
 def test_the_fold_map_holds_one_int_per_unshared_key():
@@ -539,20 +571,36 @@ def test_a_directly_built_table_that_repeats_a_name_groups_every_copy():
     assert data.lookup("ann", 1990) == (5, 0)
 
 
-def test_loading_folds_no_name(monkeypatch, tmp_path):
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The name tables ``_folded_keys`` is called with, from now on."""
     calls = []
     folded_keys = ds._folded_keys
     monkeypatch.setattr(ds, "_folded_keys",
                         lambda names: calls.append(names) or folded_keys(names))
+    return calls
+
+
+def _exact_answers_after_a_load(data, path):
+    """Save and load ``data``, then ask the loaded table for stored names only."""
+    ds.save_index(data, path)
+    loaded = ds.load_index(path)
+    name = data.names[0]
+    return (loaded.lookup(name, 1990), loaded.name_counts(name, [1990, 1991]),
+            loaded.totals(name, 1990, 1991))
+
+
+def test_loading_folds_no_name(fold_calls, tmp_path):
     data = ds.load_dataset([(1990, "Ann,F,10\nRenée,F,100"), (1991, "Bo,M,20")])
-    ds.save_index(data, tmp_path / "x.idx")
-    loaded = ds.load_index(tmp_path / "x.idx")
-    assert calls == []
-    assert loaded.lookup("Renée", 1990) == (100, 0)  # the first exact hit folds the table
-    assert len(calls) == 1
+    assert len(fold_calls) == 1  # built: its names are folded once
+    assert data._distinct is True
+    fold_calls.clear()
+    assert _exact_answers_after_a_load(data, tmp_path / "x.idx") == (
+        (10, 0), ([10, 0], [0, 0]), (10, 0))
+    assert fold_calls == []
 
 
-def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch):
+def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch, fold_calls, tmp_path):
     calls = []
     strip = ds.strip_diacritics
     monkeypatch.setattr(ds, "strip_diacritics", lambda text: calls.append(text) or strip(text))
@@ -560,9 +608,12 @@ def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch):
     assert data.lookup("Lee", 1990) == (0, 9)
     assert calls == []
     data = ds.load_dataset([(1990, "Ann,F,10\nRenée,F,7")])
-    assert calls == []
-    assert data.lookup("Ann", 1990) == (10, 0)  # the first exact hit folds the table
-    assert calls == ["renée"]
+    assert calls == ["renée"]  # built: its one non-ASCII name is stripped once
+    calls.clear()
+    fold_calls.clear()
+    assert _exact_answers_after_a_load(data, tmp_path / "x.idx") == (
+        (10, 0), ([10, 0], [0, 0]), (10, 0))
+    assert calls == [] and fold_calls == []
 
 
 FOLD_QUERIES = [("lee", 1990, False), ("LEE", 1991, False), ("renee", 1990, True),

@@ -1,5 +1,7 @@
 """Property suites over randomized inputs (1,000 cases per property unless noted)."""
 import contextlib
+import datetime
+import email.utils
 import hashlib
 import io
 import json
@@ -7,6 +9,7 @@ import math
 import os
 import random
 import sys
+import zlib
 from array import array
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from temponym import _pyparse, audit, errors, model, shifts
+from temponym import _pyparse, audit, errors, model, services, shifts
 from temponym import dataset as ds
 from temponym.cli import main
 
@@ -456,7 +459,9 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
 # the zlib build. It changed once, with index format 3, which drops byte
 # planes that are all zero; the data did not change: the four-plane payload
 # of format 2, rebuilt from a format-3 load, still hashes to the old pin,
-# unchanged since the columnar index was introduced.
+# unchanged since the columnar index was introduced. Format 4 left the
+# payload as it was; its header checksum covers the header too, so the test
+# hashes the inflated payload itself.
 SAMPLE_PAYLOAD_SHA256 = "b344f7805039d683d78b4c59ce06a0be355620b63073ede49f3c5b6a63e4dff1"
 SAMPLE_V2_PAYLOAD_SHA256 = "7a0eaa025eeda934f513797abf5701b62cc1d6ec52a87a93e19deed826d63741"
 
@@ -476,8 +481,9 @@ def _v2_payload(data):
 def test_sample_index_payload_is_pinned(tmp_path, sample_dataset):
     path = tmp_path / "sample.idx"
     ds.save_index(sample_dataset, path)
-    header = json.loads(path.read_bytes().split(b"\n")[1])
-    assert header["sha256"] == SAMPLE_PAYLOAD_SHA256
+    header_line, compressed = path.read_bytes()[len(ds.INDEX_MAGIC):].split(b"\n", 1)
+    header = json.loads(header_line)
+    assert hashlib.sha256(zlib.decompress(compressed)).hexdigest() == SAMPLE_PAYLOAD_SHA256
     assert header["widths"] == {"starts": 1, "lengths": 1, "female": 3, "male": 2}
     loaded = ds.load_index(path)
     assert loaded == sample_dataset
@@ -557,9 +563,12 @@ def _eager_mixture(cells, names, name, dist):
 
 
 def _fraction_label(prob, policy):
-    p, support = Fraction(prob.p_female), prob.female_count + prob.male_count
+    """The label of the exact count ratio, not of its rounded float: README's
+    t95 labels 19 of 20 (and 95 of 100) births Female."""
+    support = prob.female_count + prob.male_count
     if support < policy.min_support:
         return model.GenderLabel.UNKNOWN
+    p = Fraction(prob.female_count, support)
     if p > Fraction(policy.threshold):
         return model.GenderLabel.FEMALE
     if p < 1 - Fraction(policy.threshold):
@@ -577,20 +586,20 @@ DISTS = [[(1990, 0.25), (1991, 0.5), (1993, 0.25)], [(1991, 0.3), (1992, 0.7)], 
 def test_model_entry_points_follow_the_eager_rule(stored, data):
     """p(F), windowed, pooled, classify and the cohort mixture equal the eager cells' values.
 
-    Each call runs once on a dataset that has not yet learnt whether its
-    names fold apart and once on one that has; a context without eager data
-    raises ``NoData``. The floats of the count ratios are compared exactly.
+    Each call runs once on a dataset whose fold map is not yet built, as a
+    load leaves it, and once on one whose map is built; a context without
+    eager data raises ``NoData``. The floats of the count ratios are
+    compared exactly.
     """
     dataset = ds.load_dataset(_spelling_sources(stored, data))
     cells = {year: dataset.year_cells(year) for year in FOLD_YEARS}
     names = dataset.names
 
     def cold_then_warm():
-        """Yield with the fold facts as a load leaves them (unknown), then computed."""
-        object.__setattr__(dataset, "_distinct", None)
+        """Yield with no fold map, as a load leaves it, then with the map built."""
         object.__setattr__(dataset, "_groups", None)
         yield
-        dataset._is_distinct()
+        dataset._fold_groups()
         yield
 
     def check(expected, call, *args):
@@ -740,3 +749,69 @@ def test_any_config_ends_in_a_documented_exit(tmp_path_factory, run):
         os.chdir(cwd)
     partial = {4} if command[0] in ("audit", "compare") else set()
     assert ended.value.code in {0, 2, 3} | partial
+
+
+# --- live service responses -------------------------------------------------
+
+LIVE = services.ServiceConfig("genderize", endpoint_url="http://example.invalid")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# Bodies near a genderize.io answer, any JSON value, or ValueError: a body
+# whose ``.json()`` raises it.
+live_bodies = st.fixed_dictionaries({}, optional={
+    "gender": st.sampled_from(["female", "male"]) | json_values,
+    "probability": st.none() | st.floats(0, 1) | json_values,
+    "count": st.none() | st.integers(0, 10**6) | json_values,
+}) | json_values | st.just(ValueError)
+http_dates = st.datetimes().map(
+    lambda when: email.utils.format_datetime(when.replace(tzinfo=datetime.timezone.utc),
+                                             usegmt=True))
+retry_afters = (st.none() | st.from_regex(r"[0-9]{1,6}", fullmatch=True) | http_dates
+                | st.sampled_from(["0", "99", "10000", str(2**63), "9" * 30]).map(
+                    "Mon, 1 Jan {} 00:00:00 GMT".format)
+                | st.text(max_size=12) | st.just("9" * 5000))
+live_responses = st.tuples(st.sampled_from([200, 200, 401, 404, 429, 429, 500])
+                           | st.integers(100, 599), retry_afters, live_bodies)
+
+
+class FakeResponse:
+    def __init__(self, status, retry_after, body):
+        self.status_code = status
+        self.headers = {} if retry_after is None else {"Retry-After": retry_after}
+        self._body = body
+
+    def json(self):
+        if self._body is ValueError:
+            raise ValueError("Expecting value: line 1 column 1 (char 0)")
+        return self._body
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(live_responses, min_size=2, max_size=2), st.booleans(), st.booleans())
+def test_any_live_response_ends_as_a_prediction_or_a_temponym_error(
+        tmp_path_factory, responses, cached, limited):
+    """A live ``fetch_prediction`` with ``requests.get`` faked: any status,
+    Retry-After header and body, with and without a cache and a limiter whose
+    sleeps are only recorded. 300 cases."""
+    import requests
+
+    replies = iter([FakeResponse(*response) for response in responses])
+    sleeps = []
+    limiter = None
+    if limited:
+        limiter = services.RateLimiter(1.0, clock=lambda: 0.0, sleep=sleeps.append)
+    cache = services.PredictionCache(tmp_path_factory.mktemp("cache")) if cached else None
+    with mock.patch.object(requests, "get", lambda url, params, timeout: next(replies)):
+        try:
+            prediction = services.fetch_prediction(LIVE, "Leslie", cache, limiter)
+        except errors.TemponymError:
+            return
+        assert type(prediction) is services.ExternalPrediction
+        assert services._is_prediction(prediction)
+        assert all(0 <= seconds <= services.RETRY_AFTER_CAP_S for seconds in sleeps)
+        if cache is not None:  # the second call is a hit: no third response is asked for
+            assert services.fetch_prediction(LIVE, "Leslie", cache, limiter) == prediction

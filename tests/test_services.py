@@ -236,6 +236,12 @@ def test_live_body_that_is_not_a_json_object_is_network_error(monkeypatch, body)
         services.fetch_prediction(LIVE, "Leslie")
 
 
+def test_live_body_nested_too_deep_to_parse_is_network_error(monkeypatch):
+    _stub_response(monkeypatch, 200, b"[" * 100_000)
+    with pytest.raises(errors.NetworkError, match="genderize: response is not JSON"):
+        services.fetch_prediction(LIVE, "Leslie")
+
+
 def test_live_json_body_is_parsed(monkeypatch):
     _stub_response(monkeypatch, 200, b'{"gender": "male", "probability": 0.75, "count": 12}')
     prediction = services.fetch_prediction(LIVE, "Leslie")
@@ -279,6 +285,7 @@ def test_retry_after_as_http_date(monkeypatch):
     ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # in the past
     ("Wed, 21 Oct 2015 07:28:00 -0000", 0.0),
     ("soon", 1.0),
+    ("Mon, 1 Jan 99999999999999999999 00:00:00 GMT", 1.0),  # a year no datetime holds
     ("²", 1.0),
     (None, 1.0),
 ])
