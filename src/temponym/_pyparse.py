@@ -17,13 +17,17 @@ instead. In both modes a count must fit the 32-bit columns of the index.
 
 ``merge_rows`` first splits the whole file into fields and checks them in
 bulk, each rule one pass in C over all rows, with no regular expression.
-Only a file that fails a check, or holds a blank line, is read line by line
-against ``GRAMMAR``; that loop alone names bad lines and counts skipped rows.
+Only a file that fails a check, or holds a blank line or a count with a
+leading zero, is read line by line against ``GRAMMAR``; that loop alone
+names bad lines and counts skipped rows. Either way a row is kept as the
+int id of its name, from one ``name -> id`` dict that every year of an
+ingest shares, and its count.
 """
 from __future__ import annotations
 
+import json
 import re
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Optional
 
 from . import errors
@@ -48,35 +52,37 @@ _IS_MALE = bytes.maketrans(b"FM", b"\x00\x01")
 FLOOR = 5
 MAX_COUNT = 2**32 - 1
 
-SexCounts = tuple[dict[str, int], dict[str, int]]
+# One sex's rows of a year file: the id of each row's name, and its count.
+SexRows = tuple[list[int], list[int]]
 
 
 def merge_rows(
-    content: str, strict: bool, canon: Optional[dict[str, str]] = None
-) -> tuple[SexCounts, int]:
+    content: str, strict: bool, ids: dict[str, int]
+) -> tuple[tuple[SexRows, SexRows], int]:
     """Parse one year file into ``((female, male), skipped)``.
 
-    ``female`` and ``male`` map each name to its count for that sex. When
-    ``canon`` is given, every name is stored as the string ``canon`` holds
-    for it (added on first sight), so one string object serves all years.
-    A file of rows without a blank line is checked and converted in bulk,
-    with no per-row Python loop (``_split``); any other file is read line
-    by line to name the first bad line (strict) or to skip and count the
-    bad rows (lenient). Both give the same result or error for any text.
+    ``female`` and ``male`` are each ``(row ids, counts)``, in file order:
+    the id of the name of each row of that sex, and its count. ``ids`` maps
+    each name to its id; a name not in it gets the next id, ``len(ids)``, when
+    its first row is kept, so ids run in order of first sight and ``ids``
+    grows only from kept rows. A file of rows without a blank line is checked
+    and converted in bulk, with no per-row Python loop (``_split``); any
+    other file is read line by line to name the first bad line (strict) or
+    to skip and count the bad rows (lenient). Both give the same result or
+    error for any text, and leave ``ids`` the same.
     """
-    if canon is None:
-        canon = {}
-    by_sex = _split(content, strict, canon)
+    by_sex = _split(content, strict, ids)
     if by_sex is not None:
         return by_sex, 0
-    return _merge_lines(content, strict, canon)
+    return _merge_lines(content, strict, ids)
 
 
-def _split(content: str, strict: bool, canon: dict[str, str]) -> Optional[SexCounts]:
-    """The per-sex counts of a file of valid rows and no blank line.
+def _split(content: str, strict: bool, ids: dict[str, int]) -> Optional[tuple[SexRows, SexRows]]:
+    """The per-sex rows of a file of valid rows and no blank line.
 
-    None if any line is not a row (``GRAMMAR``'s rules, checked field by
-    field over the whole file), or a rule beyond the grammar fails (a
+    None, with ``ids`` as it was, if any line is not a row (``GRAMMAR``'s
+    rules, checked field by field over the whole file; a name's length only
+    where ``ids`` does not hold it yet), or a rule beyond the grammar fails (a
     duplicate row, the floor in strict mode, a count above 32 bits); the
     line loop then finds the line.
     """
@@ -91,30 +97,39 @@ def _split(content: str, strict: bool, canon: dict[str, str]) -> Optional[SexCou
         return None
     fields = content.replace(",", "\n").split("\n")
     names, sexes, digits = fields[0::3], fields[1::3], fields[2::3]
-    if not (set(map(len, names)) <= _NAME_LENGTHS and set(sexes) <= _SEXES):
+    if not set(sexes) <= _SEXES:
         return None
     joined = "".join(digits)
     if not (joined.isascii() and joined.encode().isdigit()):
         return None
-    try:  # every count field is ASCII digits, so only an empty one fails here
-        counts = list(map(int, digits))
+    try:  # JSON reads the counts in C, faster than int(), and refuses an
+        # empty field, a leading zero and more digits than int() converts
+        counts = json.loads(f"[{','.join(digits)}]")
     except ValueError:
         return None
-    names = list(map(canon.setdefault, names, names))
+    if max(counts) > MAX_COUNT or strict and min(counts) < FLOOR:
+        return None
+    new = dict.fromkeys(filterfalse(ids.__contains__, names))  # in order of first sight
+    if not set(map(len, new)) <= _NAME_LENGTHS:
+        return None
+    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+    row_ids = list(map(ids.__getitem__, names))
     sexes = "".join(sexes).encode()
     is_female, is_male = sexes.translate(_IS_FEMALE), sexes.translate(_IS_MALE)
-    female = dict(zip(compress(names, is_female), compress(counts, is_female)))
-    male = dict(zip(compress(names, is_male), compress(counts, is_male)))
-    if len(female) + len(male) != len(names):
-        return None
-    if max(counts) > MAX_COUNT or strict and min(counts) < FLOOR:
+    female = list(compress(row_ids, is_female)), list(compress(counts, is_female))
+    male = list(compress(row_ids, is_male)), list(compress(counts, is_male))
+    if len(set(female[0])) + len(set(male[0])) != len(row_ids):  # a name twice for one sex
+        for name in new:  # the line loop adds the names of the rows it keeps
+            del ids[name]
         return None
     return female, male
 
 
-def _merge_lines(content: str, strict: bool, canon: dict[str, str]) -> tuple[SexCounts, int]:
-    female: dict[str, int] = {}
-    male: dict[str, int] = {}
+def _merge_lines(
+    content: str, strict: bool, ids: dict[str, int]
+) -> tuple[tuple[SexRows, SexRows], int]:
+    female: dict[int, int] = {}  # row id -> count, in file order
+    male: dict[int, int] = {}
     skipped = 0
     for lineno, line in enumerate(content.split("\n"), start=1):
         if not GRAMMAR.fullmatch(line):
@@ -133,7 +148,8 @@ def _merge_lines(content: str, strict: bool, canon: dict[str, str]) -> tuple[Sex
         if strict and count < FLOOR:
             raise errors.FloorViolation(lineno, name, count)
         cells = female if sex == "F" else male
-        if name in cells:
+        i = ids.get(name)
+        if i in cells:
             if strict:
                 raise errors.DuplicateRow(lineno, name, sex)
             skipped += 1
@@ -143,8 +159,10 @@ def _merge_lines(content: str, strict: bool, canon: dict[str, str]) -> tuple[Sex
                 f"line {lineno}: {name} has a count above {MAX_COUNT}, "
                 "the largest the index stores"
             )
-        cells[canon.setdefault(name, name)] = count
-    return (female, male), skipped
+        if i is None:
+            i = ids[name] = len(ids)
+        cells[i] = count
+    return ((list(female), list(female.values())), (list(male), list(male.values()))), skipped
 
 
 def _rejection(lineno: int, line: str) -> errors.TemponymError:

@@ -13,8 +13,9 @@ rows below the publication floor) is no data: a span starts and ends at
 non-zero cells. Positions rather than calendar years keep sparse year sets
 compact, a single-year lookup is one index into each column, and a windowed
 or pooled lookup sums one slice of each. Loading a Dataset from an index
-does no per-name work in Python code; building one from raw files does one
-step per name and none per row.
+does no per-name work in Python code. Building one from raw files costs, per
+row, one name-to-id lookup and one store into its year's row of counts, both
+in C; per name, one Python step cuts its span out of the year rows.
 """
 from __future__ import annotations
 
@@ -27,8 +28,9 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import deque
 from itertools import accumulate, count, repeat
-from operator import add, lt
+from operator import add, lt, setitem
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 from unicodedata import combining, normalize
@@ -46,7 +48,7 @@ MAX_YEAR = 2100
 _YOB_RE = re.compile(r"yob([0-9]{4})\.txt")  # the whole file name
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 _NO_DATA = (0, 0)
 
@@ -379,11 +381,12 @@ def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> 
     """Name-major columns from per-year rows gathered as the years were parsed.
 
     ``rows`` maps each year to its female counts, its male counts and its
-    skipped-row count; the counts follow the order of ``seen`` and stop at
-    the names seen so far when the year was parsed. Padded with zeros and
-    stacked in year order they form a year-major grid, in which each name's
-    cells are one strided slice. A name's span runs from the first to the
-    last year in which either count is non-zero.
+    skipped-row count; each name's counts sit at its row id, its position in
+    ``seen``, and a row stops at the names seen so far when its year was
+    parsed. Padded with zeros and stacked in year order they form a
+    year-major grid, in which each name's cells are one strided slice. A
+    name's span runs from the first to the last year in which either count
+    is non-zero.
     """
     years = sorted(rows)
     width = len(seen)
@@ -433,22 +436,25 @@ def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dat
     parse error keeps its type (``InvalidSex``, ``FloorViolation``, ...)
     and its ``lineno``; its message gains the year: ``year Y: line N: ...``.
     """
-    canon: dict[str, str] = {}  # one string per distinct name, in order of first sight
+    ids: dict[str, int] = {}  # each distinct name's row id, in order of first sight
     rows: dict[int, tuple[array, array, int]] = {}
-    zeros = repeat(0)
     for year, content in sources:
         if year in rows:
             raise errors.DuplicateYear(year)
         try:
             if not MIN_YEAR <= year <= MAX_YEAR:
                 raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]")
-            (female, male), skipped = merge_rows(content, strict, canon)
+            (female, male), skipped = merge_rows(content, strict, ids)
         except errors.TemponymError as exc:
             exc.args = (f"year {year}: {exc}",)
             raise
-        rows[year] = (array("I", map(female.get, canon, zeros)),
-                      array("I", map(male.get, canon, zeros)), skipped)
-    return _columns(list(canon), rows)
+        # Each count stored at its row id in a zeroed row, in C: one store per row.
+        zeros = bytes(4 * len(ids))
+        row_f, row_m = array("I", zeros), array("I", zeros)
+        deque(map(setitem, repeat(row_f), *female), 0)
+        deque(map(setitem, repeat(row_m), *male), 0)
+        rows[year] = row_f, row_m, skipped
+    return _columns(list(ids), rows)
 
 
 def load_directory(
@@ -523,9 +529,9 @@ def bundled_sample_dir() -> Path:
 
 # --- persisted index -------------------------------------------------------
 #
-# Layout: magic line, one JSON header line, then a zlib-compressed payload.
-# The header holds the format version, a SHA-256 checksum, the years, the
-# byte length of each payload section, in order:
+# Layout: magic line, one JSON header line, then two zlib streams. The header
+# holds the format version, a SHA-256 checksum, the years, the byte length of
+# each payload section, in order:
 #
 #   names    the name table, UTF-8, joined by "\n"
 #   starts   per name, the position in ``years`` of its first cell
@@ -535,17 +541,21 @@ def bundled_sample_dir() -> Path:
 #
 # the width, 1 to 4 bytes, of each section after ``names``, and whether no
 # two names fold to one key (``distinct_keys``). The checksum (``_checksum``)
-# covers the header, its own field null, and the uncompressed payload. Those
-# sections are unsigned 32-bit little-endian columns, stored byte-plane
-# shuffled (all first bytes, then all second bytes, ...) and cut after the
-# highest plane that holds a non-zero byte: counts below 2^16 keep two
-# planes, so their section holds two bytes per value. Loading is one
-# decompress into a buffer of the size the header gives, checksum, and
-# unshuffle of each column into the narrowest native unsigned type that
-# holds its width, which the Dataset reads in place: no row parsing. Saving
-# reads a column by its own item size, so a loaded Dataset saves to the same
-# bytes. The Dataset derives its offsets from ``lengths``; stored, they
-# would need three planes and grow the file.
+# covers the header, its own field null, and the uncompressed sections in
+# order. Those after ``names`` are unsigned 32-bit little-endian columns,
+# stored byte-plane shuffled (all first bytes, then all second bytes, ...)
+# and cut after the highest plane that holds a non-zero byte: counts below
+# 2^16 keep two planes, so their section holds two bytes per value. The first
+# stream holds the name table, deflated with the default strategy; the second
+# holds the four columns, deflated as runs only (``zlib.Z_RLE``): count bytes
+# hardly ever repeat at a distance, so searching for matches costs time and
+# saves almost nothing. Nothing may follow the second stream. Loading inflates
+# each stream as it reads the file, checks the checksum, and unshuffles each
+# column into the narrowest native unsigned type that holds its width, which
+# the Dataset reads in place: no row parsing. Saving reads a column by its own
+# item size, so a loaded Dataset saves to the same bytes. The Dataset derives
+# its offsets from ``lengths``; stored, they would need three planes and grow
+# the file.
 
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
@@ -553,9 +563,9 @@ _U32_SECTIONS = _SECTIONS[1:]
 # The array type code of a column stored ``width`` bytes wide, by width.
 _TYPECODES = {1: "B", 2: "H", 3: "I", 4: "I"}
 
-# Deflate's largest expansion is 1032:1, so no payload is longer than this
-# many times its compressed bytes.
-_MAX_INFLATE_RATIO = 1032
+# Compressed bytes fed to a stream at a time, so that finding where a stream
+# ends copies no more than this of what follows it.
+_CHUNK = 1 << 16
 
 
 def _plane_offsets(itemsize: int) -> range:
@@ -588,10 +598,12 @@ def _unshuffle(data: memoryview, width: int) -> memoryview:
     return memoryview(raw).cast(typecode)
 
 
-def _checksum(header: dict, payload: bytes) -> str:
-    """SHA-256 of the header as JSON, its ``sha256`` field null, then of the payload."""
+def _checksum(header: dict, *sections) -> str:
+    """SHA-256 of the header as JSON, its ``sha256`` field null, then of each
+    payload section in turn."""
     digest = hashlib.sha256(json.dumps({**header, "sha256": None}).encode())
-    digest.update(payload)
+    for section in sections:
+        digest.update(section)
     return digest.hexdigest()
 
 
@@ -599,7 +611,6 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
     """Write ``dataset`` to ``path``; a file that cannot be written is a data error."""
     columns = {key: _shuffle(getattr(dataset, key)) for key in _U32_SECTIONS}
     sections = ["\n".join(dataset.names).encode(), *(data for data, _ in columns.values())]
-    payload = b"".join(sections)
     header = {
         "format": "temponym-index",
         "version": INDEX_VERSION,
@@ -608,12 +619,16 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
         "widths": {key: width for key, (_, width) in columns.items()},
         "distinct_keys": dataset._distinct,
     }
-    header["sha256"] = _checksum(header, payload)
+    header["sha256"] = _checksum(header, *sections)
+    runs = zlib.compressobj(6, strategy=zlib.Z_RLE)
     try:
         with open(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
             fh.write(json.dumps(header).encode() + b"\n")
-            fh.write(zlib.compress(payload, 6))
+            fh.write(zlib.compress(sections[0], 6))
+            for data in sections[1:]:
+                fh.write(runs.compress(data))
+            fh.write(runs.flush())
     except OSError as exc:
         raise errors.TemponymError(f"{path}: cannot be written ({exc.strerror or exc})") from None
 
@@ -631,8 +646,8 @@ def _read_header(path, line: bytes) -> dict:
     if header.get("format") != "temponym-index":
         raise bad(f"header format {header.get('format')!r} is not 'temponym-index'")
     version = header.get("version")
-    # JSON's 4.0 and true compare equal to 4 and 1, but are not versions.
-    if type(version) is not int or version not in (1, 2, 3, INDEX_VERSION):
+    # JSON's 5.0 and true compare equal to 5 and 1, but are not versions.
+    if type(version) is not int or version not in (1, 2, 3, 4, INDEX_VERSION):
         raise bad(f"unsupported index version {version!r}")
     if version != INDEX_VERSION:
         raise bad(f"index format version {version} is no longer read; re-run `temponym ingest`")
@@ -658,6 +673,33 @@ def _read_header(path, line: bytes) -> dict:
     return header
 
 
+def _inflate(path, view: memoryview, at: int, size: int, what: str) -> tuple[bytearray, int]:
+    """The ``what`` stream that starts at ``view[at]``, inflated, and the
+    offset just after it; its length must be ``size``, what the header gives.
+
+    The stream is fed ``_CHUNK`` bytes at a time and the output grows as it
+    fills, so no buffer is sized from the header, and inflating stops one byte
+    past ``size``: a false length costs no more memory than the true one.
+    """
+    stream = zlib.decompressobj()
+    data = bytearray()
+    try:
+        while not stream.eof and len(data) <= size and at < len(view):
+            piece = view[at:at + _CHUNK]
+            data += stream.decompress(piece, size + 1 - len(data))
+            at += len(piece) - len(stream.unconsumed_tail) - len(stream.unused_data)
+    except zlib.error as exc:
+        raise errors.IndexFormatError(f"{path}: corrupt {what} stream ({exc})") from None
+    if not stream.eof and len(data) <= size:
+        raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
+    if len(data) != size:
+        held = "more" if len(data) > size else len(data)
+        raise errors.IndexFormatError(
+            f"{path}: section lengths add up to {size} bytes for the {what} stream, "
+            f"it holds {held}")
+    return data, at
+
+
 def load_index(path: Path | str) -> Dataset:
     try:
         fh = open(path, "rb")
@@ -669,42 +711,27 @@ def load_index(path: Path | str) -> Dataset:
         header = _read_header(path, fh.readline())
         compressed = fh.read()
     sizes = header["sections"]
-    size = sum(sizes.values())
-    try:
-        # One buffer of the size the header gives, so zlib need not join
-        # blocks; capped, so a false size cannot make it allocate more than
-        # the compressed bytes can fill. Even that cap can pass the memory
-        # there is (a false size on a 9 MB file asks for 9 GB): then inflate
-        # in growing blocks, which allocate only what the payload fills.
-        try:
-            payload = zlib.decompress(
-                compressed, bufsize=min(size, _MAX_INFLATE_RATIO * len(compressed)))
-        except MemoryError:
-            payload = zlib.decompress(compressed)
-    except zlib.error as exc:
-        raise errors.IndexFormatError(f"{path}: corrupt payload ({exc})") from None
-    del compressed
-    if _checksum(header, payload) != header["sha256"]:
+    view = memoryview(compressed)
+    table, at = _inflate(path, view, 0, sizes["names"], "names")
+    cells, at = _inflate(path, view, at, sum(sizes[key] for key in _U32_SECTIONS), "columns")
+    if at != len(view):
+        raise errors.IndexFormatError(f"{path}: {len(view) - at} byte(s) after the last stream")
+    del view, compressed
+    if _checksum(header, table, cells) != header["sha256"]:
         raise errors.IndexFormatError(f"{path}: checksum mismatch")
-    if size != len(payload):
-        raise errors.IndexFormatError(
-            f"{path}: section lengths add up to {size} bytes, the payload has {len(payload)}")
-
-    view = memoryview(payload)
-    parts = {}
-    for key, end in zip(_SECTIONS, accumulate(sizes[key] for key in _SECTIONS)):
-        parts[key] = view[end - sizes[key]:end]
     try:
-        text = str(parts.pop("names"), "utf-8")
+        text = str(table, "utf-8")
     except UnicodeDecodeError as exc:
         raise errors.IndexFormatError(f"{path}: name table is not UTF-8 ({exc})") from None
+    del table
     names = tuple(text.split("\n")) if text else ()
     del text
     if not all(map(lt, names, names[1:])):
         raise errors.IndexFormatError(f"{path}: name table is not sorted and unique")
-    widths = header["widths"]
-    columns = {key: _unshuffle(data, widths[key]) for key, data in parts.items()}
-    del view, parts, payload  # the columns are copies: free the payload before the Dataset
+    view, widths, columns = memoryview(cells), header["widths"], {}
+    for key, end in zip(_U32_SECTIONS, accumulate(sizes[key] for key in _U32_SECTIONS)):
+        columns[key] = _unshuffle(view[end - sizes[key]:end], widths[key])
+    del view, cells  # the columns are copies: free the inflated bytes before the Dataset
     starts, lengths = columns["starts"], columns["lengths"]
     years = tuple(header["years"])
     if not (len(starts) == len(lengths) == len(names)

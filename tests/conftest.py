@@ -67,6 +67,16 @@ def _index_parts(path):
     return json.loads(header_line), payload
 
 
+def inflated_streams(compressed):
+    """The inflated bytes of each zlib stream in ``compressed``, in order."""
+    streams = []
+    while compressed:
+        stream = zlib.decompressobj()
+        streams.append(stream.decompress(compressed))
+        compressed = stream.unused_data
+    return streams
+
+
 def _write_index(path, header, payload):
     header_line = header if isinstance(header, bytes) else json.dumps(header).encode()
     path.write_bytes(dataset_mod.INDEX_MAGIC + header_line + b"\n" + payload)
@@ -75,7 +85,7 @@ def _write_index(path, header, payload):
 def _signed(header, compressed):
     """``header`` with the checksum of itself and the payload ``compressed`` holds,
     so that a damage to a field the checksum covers reaches the check it is for."""
-    return {**header, "sha256": dataset_mod._checksum(header, zlib.decompress(compressed))}
+    return {**header, "sha256": dataset_mod._checksum(header, *inflated_streams(compressed))}
 
 
 def _drop_sha256(path):
@@ -108,6 +118,14 @@ def _version_3(path):
     header["version"] = 3
     del header["distinct_keys"]
     _write_index(path, header, payload)
+
+
+def _version_4(path):
+    """Version 4: the same header and payload, deflated as one stream."""
+    header, payload = _index_parts(path)
+    header["version"] = 4
+    payload = zlib.compress(b"".join(inflated_streams(payload)))
+    _write_index(path, _signed(header, payload), payload)
 
 
 def _set_female_width(path, width):
@@ -160,12 +178,12 @@ def _header_nested_too_deep(path):
     _write_index(path, b"[" * 100_000, payload)
 
 
-def _version_5(path):
-    _set_header(path, "version", 5)
+def _version_6(path):
+    _set_header(path, "version", 6)
 
 
 def _version_float(path):
-    _set_header(path, "version", 4.0)  # equal to 4, but not the integer 4
+    _set_header(path, "version", 5.0)  # equal to 5, but not the integer 5
 
 
 def _version_true(path):
@@ -213,19 +231,43 @@ def _fold_fact_not_a_bool(path):
 
 
 def _rewrite_payload(path, change, keep_sha256=True):
-    """Replace the payload by ``change(payload)``, recompressed; the checksum
-    is left as it was or recomputed."""
+    """Replace the inflated name table and columns by ``change(names,
+    columns)``, each recompressed; the checksum is left as it was or recomputed."""
     header, compressed = _index_parts(path)
-    compressed = zlib.compress(change(zlib.decompress(compressed)))
+    compressed = b"".join(map(zlib.compress, change(*inflated_streams(compressed))))
     _write_index(path, header if keep_sha256 else _signed(header, compressed), compressed)
 
 
 def _payload_byte_changed(path):
-    _rewrite_payload(path, lambda payload: payload[:-1] + bytes([payload[-1] ^ 1]))
+    _rewrite_payload(path, lambda names, columns: (names, columns[:-1] + bytes([columns[-1] ^ 1])))
 
 
 def _names_not_utf8(path):
-    _rewrite_payload(path, lambda payload: b"\xff" + payload[1:], keep_sha256=False)
+    _rewrite_payload(path, lambda names, columns: (b"\xff" + names[1:], columns),
+                     keep_sha256=False)
+
+
+def _trailing_bytes(path):
+    with path.open("ab") as fh:
+        fh.write(b"GARBAGE")
+
+
+def _names_stream_truncated(path):
+    header, compressed = _index_parts(path)
+    names = zlib.compress(inflated_streams(compressed)[0])
+    _write_index(path, header, names[:len(names) // 2])
+
+
+def _columns_stream_missing(path):
+    header, compressed = _index_parts(path)
+    _write_index(path, header, zlib.compress(inflated_streams(compressed)[0]))
+
+
+def _columns_stream_longer(path):
+    """A columns stream that inflates to far more than the header gives."""
+    header, compressed = _index_parts(path)
+    names = zlib.compress(inflated_streams(compressed)[0])
+    _write_index(path, header, names + zlib.compress(bytes(1 << 20)))
 
 
 def _save_two_names(path, names, starts=(0, 0), lengths=(1, 1)):
@@ -260,8 +302,9 @@ BAD_INDEXES = [
     (_version_3, "version 3 is no longer read; re-run `temponym ingest`"),
     (_header_not_an_object, "header is not a JSON object"),
     (_header_nested_too_deep, "header is not JSON"),
-    (_version_5, "unsupported index version 5"),
-    (_version_float, "unsupported index version 4.0"),
+    (_version_4, "version 4 is no longer read; re-run `temponym ingest`"),
+    (_version_6, "unsupported index version 6"),
+    (_version_float, "unsupported index version 5.0"),
     (_version_true, "unsupported index version True"),
     (_years_not_increasing, "header years are not increasing integers"),
     (_year_before_1880, "header years must lie in 1880..2100"),
@@ -273,6 +316,10 @@ BAD_INDEXES = [
     (_fold_fact_missing, "header distinct_keys must be true or false"),
     (_fold_fact_not_a_bool, "header distinct_keys must be true or false"),
     (_names_not_utf8, "name table is not UTF-8"),
+    (_trailing_bytes, "7 byte(s) after the last stream"),
+    (_names_stream_truncated, "the names stream is truncated"),
+    (_columns_stream_missing, "the columns stream is truncated"),
+    (_columns_stream_longer, "for the columns stream, it holds more"),
     (_width_0, "header widths"),
     (_width_5, "header widths"),
     (_width_not_an_integer, "header widths"),

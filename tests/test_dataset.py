@@ -368,29 +368,80 @@ def test_index_format_errors(bad_index):
     assert message in str(caught.value)
 
 
-def test_an_inflate_buffer_that_cannot_be_allocated_is_not_needed(monkeypatch, tmp_path):
-    """Where the buffer a false section length asks for cannot be allocated,
-    the payload is inflated in growing blocks and the header is still refused."""
+def _streams(body):
+    """The inflated name table and columns of an index's two zlib streams."""
+    names = zlib.decompressobj()
+    return names.decompress(body), zlib.decompress(names.unused_data)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_inflate_buffer_that_cannot_be_allocated_is_not_needed(tmp_path):
+    """A section length far beyond what the streams hold sizes no buffer:
+    the load allocates only what the streams inflate to, then refuses it."""
     path = tmp_path / "x.idx"
     ds.save_index(ds.load_dataset([(1990, "Pat,F,10\nSam,M,9")]), path)
-    decompress = zlib.decompress
-
-    def little_memory(data, wbits=zlib.MAX_WBITS, bufsize=None):
-        if bufsize is None:  # growing blocks
-            return decompress(data, wbits)
-        if bufsize > 4096:  # far more than this payload of about 20 bytes
-            raise MemoryError
-        return decompress(data, wbits, bufsize)
-
-    monkeypatch.setattr(zlib, "decompress", little_memory)
-    assert ds.load_index(path).lookup("Pat", 1990) == (10, 0)
     magic, header, body = path.read_bytes().split(b"\n", 2)
     header = json.loads(header)
     header["sections"]["names"] = 2**40
-    header["sha256"] = ds._checksum(header, decompress(body))  # signed: only the size is false
+    header["sha256"] = ds._checksum(header, *_streams(body))  # signed: only the size is false
     path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
-    with pytest.raises(errors.IndexFormatError, match="section lengths add up to"):
-        ds.load_index(path)
+
+    def load():
+        with pytest.raises(errors.IndexFormatError, match="section lengths add up to"):
+            ds.load_index(path)
+    assert _traced_peak(load) < 2**20
+
+
+def test_inflating_stops_one_byte_past_the_header_length(tmp_path):
+    """A columns stream of 256 MB of zeros, where the header gives 10 bytes,
+    is refused after inflating little more than those 10."""
+    path = tmp_path / "x.idx"
+    ds.save_index(ds.load_dataset([(1990, "Pat,F,10\nSam,M,9")]), path)
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    assert sum(json.loads(header)["sections"].values()) < 20
+    names = zlib.decompressobj()
+    names.decompress(body)
+    zeros = zlib.compressobj()
+    bomb = b"".join(zeros.compress(bytes(2**20)) for _ in range(256)) + zeros.flush()
+    path.write_bytes(magic + b"\n" + header + b"\n" + body[:-len(names.unused_data)] + bomb)
+
+    def load():
+        with pytest.raises(errors.IndexFormatError, match="columns stream, it holds more"):
+            ds.load_index(path)
+    assert _traced_peak(load) < 2**20
+
+
+def test_a_name_first_seen_in_a_later_year_gets_its_own_cells():
+    data = ds.load_dataset([(1990, "Ann,F,5"), (1991, "Bo,M,7\nAnn,F,6"), (1992, "Cy,F,9")])
+    assert data.names == ("Ann", "Bo", "Cy")
+    assert list(zip(data.starts, data.lengths)) == [(0, 2), (1, 1), (2, 1)]
+    assert list(data.female) == [5, 6, 0, 9] and list(data.male) == [0, 0, 7, 0]
+
+
+def test_a_name_of_one_sex_each_year_keeps_both_columns():
+    """Female only in 1990, male only in 1991 and 1993: one span, each cell
+    in the column of its row."""
+    data = ds.load_dataset([(1990, "Pat,F,10"), (1991, "Pat,M,12"), (1992, "Sam,F,5"),
+                            (1993, "Pat,M,8")])
+    assert [data.lookup("Pat", year) for year in (1990, 1991, 1992, 1993)] == [
+        (10, 0), (0, 12), None, (0, 8)]
+    assert data.name_counts("Pat", [1990, 1991, 1992, 1993]) == ([10, 0, 0, 0], [0, 12, 0, 8])
+
+
+def test_lenient_zero_count_rows_never_start_or_end_a_span():
+    data = ds.load_dataset([(1990, "Pat,F,0"), (1991, "Pat,F,5\nPat,M,0"),
+                            (1992, "Pat,M,0\nPat,F,0"), (1993, "Pat,M,3"), (1994, "Pat,F,0")],
+                           strict=False)
+    assert (data.starts[0], data.lengths[0]) == (1, 3)
+    assert list(data.female) == [5, 0, 0] and list(data.male) == [0, 0, 3]
 
 
 # A count at each edge of a stored width, and the item size of the loaded

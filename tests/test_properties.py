@@ -285,6 +285,32 @@ def test_valid_files_give_the_dataset_of_their_counts(strict, data):
     assert loaded.skipped == (0,) * len(files)
 
 
+# A few names, so that most of them recur across years, one sex or both.
+FEW_NAMES = ("Ann", "Bo", "Cy", "Dee", "Eve")
+few_cells = st.tuples(st.none() | st.integers(0, 9), st.none() | st.integers(0, 9)).filter(
+    lambda fm: fm != (None, None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(1880, 1895), st.dictionaries(
+           st.sampled_from(FEW_NAMES), few_cells, max_size=len(FEW_NAMES)), max_size=6),
+       st.data())
+def test_any_source_order_gives_one_dataset(per_year, data):
+    """Row ids follow the order names are first seen in, which the source
+    order sets: names first seen in a later year, a name of one sex in one
+    year and of the other in another, and zero counts (lenient), which never
+    start or end a span, all give the Dataset of the counts."""
+    sources = [(year, "\n".join(f"{name},{sex},{count}" for name, fm in cells.items()
+                                for sex, count in zip("FM", fm) if count is not None))
+               for year, cells in per_year.items()]
+    first = ds.load_dataset(data.draw(st.permutations(sources)), strict=False)
+    second = ds.load_dataset(data.draw(st.permutations(sources)), strict=False)
+    assert first == second == dataset_of(per_year)
+    for offset, length in zip(first._offsets, first.lengths):
+        for cell in (offset, offset + length - 1):
+            assert first.female[cell] or first.male[cell]
+
+
 # Text near the grammar: pieces of rows, signs, spaces, separators, a
 # non-ASCII digit, and lines of arbitrary text.
 near_rows = st.text(st.sampled_from("PatZé,,FMQ0123456789-+_ \r\n\u0663"), max_size=24)
@@ -295,6 +321,29 @@ def parsed_or_error(parse, *args):
         return parse(*args)
     except errors.TemponymError as exc:
         return type(exc), str(exc)
+
+
+def named(parse, text, strict):
+    """``parse(text, strict, ids)`` from an empty ``ids``, as ``((female,
+    male), skipped, names)``: each sex's rows as ``{name: count}``, and the
+    names in id order; or the error's type and message.
+
+    The ids must run 0, 1, ... in ``ids``, name only names of kept rows, and
+    be unique within each sex.
+    """
+    ids = {}
+    try:
+        (female, male), skipped = parse(text, strict, ids)
+    except errors.TemponymError as exc:
+        return type(exc), str(exc)
+    names = list(ids)
+    assert list(ids.values()) == list(range(len(names)))
+    assert set(female[0]) | set(male[0]) == set(ids.values())
+    by_sex = []
+    for row_ids, counts in (female, male):
+        assert len(set(row_ids)) == len(row_ids) == len(counts)
+        by_sex.append({names[i]: count for i, count in zip(row_ids, counts)})
+    return tuple(by_sex), skipped, names
 
 
 # A row whose count has thousands of digits, more than ``int()`` converts
@@ -310,8 +359,8 @@ long_counts = st.builds(
        st.booleans())
 def test_any_text_parses_or_raises_a_temponym_error(text, strict):
     """Never another exception; the bulk path agrees with the line loop."""
-    bulk = parsed_or_error(_pyparse.merge_rows, text, strict)
-    assert bulk == parsed_or_error(_pyparse._merge_lines, text, strict, {})
+    bulk = named(_pyparse.merge_rows, text, strict)
+    assert bulk == named(_pyparse._merge_lines, text, strict)
     parsed_or_error(ds.load_dataset, [(1990, text)], strict)
 
 
@@ -331,7 +380,7 @@ def test_valid_files_without_a_blank_line_are_split_in_bulk(strict, data):
     cells, text = data.draw(year_files(5 if strict else 0, tricky_names, max_blanks=0))
     assume(cells)  # a file without rows is one blank line
     with mock.patch.object(_pyparse, "_merge_lines", no_line_loop):
-        (female, male), skipped = _pyparse.merge_rows(text, strict)
+        (female, male), skipped, _ = named(_pyparse.merge_rows, text, strict)
     assert skipped == 0
     assert female == {name: f for name, (f, _) in cells.items() if f is not None}
     assert male == {name: m for name, (_, m) in cells.items() if m is not None}
@@ -361,12 +410,17 @@ def test_the_bulk_path_accepts_only_what_the_grammar_accepts(text, strict):
     """Whenever the bulk checks pass, the whole file matches ``GRAMMAR`` and
     the line loop gives the same counts; either way ``merge_rows`` agrees
     with the line loop."""
-    by_sex = _pyparse._split(text, strict, {})
+    ids = {}
+    by_sex = _pyparse._split(text, strict, ids)
     if by_sex is not None:
         assert _pyparse.GRAMMAR.fullmatch(text)
-        assert _pyparse._merge_lines(text, strict, {}) == (by_sex, 0)
-    bulk = parsed_or_error(_pyparse.merge_rows, text, strict)
-    assert bulk == parsed_or_error(_pyparse._merge_lines, text, strict, {})
+        loop_ids = {}
+        assert _pyparse._merge_lines(text, strict, loop_ids) == (by_sex, 0)
+        assert loop_ids == ids
+    else:
+        assert ids == {}  # a file the line loop must read adds no name
+    bulk = named(_pyparse.merge_rows, text, strict)
+    assert bulk == named(_pyparse._merge_lines, text, strict)
 
 
 def test_a_file_of_three_fields_per_row_but_not_per_line_is_read_line_by_line():
@@ -375,9 +429,9 @@ def test_a_file_of_three_fields_per_row_but_not_per_line_is_read_line_by_line():
     text = "Ab,F,12,Cd\nM,5"
     assert _pyparse._split(text, True, {}) is None
     with pytest.raises(errors.MalformedLine, match="expected 3 fields") as caught:
-        _pyparse.merge_rows(text, strict=True)
+        _pyparse.merge_rows(text, True, {})
     assert caught.value.lineno == 1
-    assert _pyparse.merge_rows(text, strict=False) == (({}, {}), 2)
+    assert named(_pyparse.merge_rows, text, False) == (({}, {}), 2, [])
 
 
 # Files that fool a field check taken alone, each with the type and line of
@@ -391,19 +445,27 @@ NEAR_MISSES = [
     ("Ab,F,12\nC,M,5", errors.MalformedLine, 2),  # name length
     ("Ab,F,12\r\r\nCd,M,5", errors.MalformedLine, 1),  # a second \r is no line ending
     ("Ab,F,12\n\rCd,M,5\n\n", None, None),  # a blank last line: valid, read line by line
+    ("Ab,F,12\nCd,M,5\nAb,F,7", errors.DuplicateRow, 3),  # found after the ids are given
 ]
 
 
 @pytest.mark.parametrize("text,error,lineno", NEAR_MISSES)
 def test_near_misses_are_read_line_by_line(text, error, lineno):
     assert _pyparse._split(text, True, {}) is None
-    assert _pyparse.merge_rows(text, False) == _pyparse._merge_lines(text, False, {})
+    assert named(_pyparse.merge_rows, text, False) == named(_pyparse._merge_lines, text, False)
     if error is None:
-        assert _pyparse.merge_rows(text, True) == _pyparse._merge_lines(text, True, {})
+        assert named(_pyparse.merge_rows, text, True) == named(_pyparse._merge_lines, text, True)
         return
     with pytest.raises(error) as caught:
-        _pyparse.merge_rows(text, strict=True)
+        _pyparse.merge_rows(text, True, {})
     assert caught.value.lineno == lineno
+
+
+@pytest.mark.parametrize("text,error,lineno", NEAR_MISSES)
+def test_a_file_the_bulk_path_refuses_adds_no_name(text, error, lineno):
+    ids = {"Zed": 0}
+    assert _pyparse._split(text, False, ids) is None
+    assert ids == {"Zed": 0}
 
 
 # One bad line per rejection reason, with the error strict mode reports.
@@ -435,7 +497,7 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
     at = data.draw(st.integers(1, len(lines)))
     lines.insert(at, bad)
     with pytest.raises(error) as caught:
-        _pyparse.merge_rows("\n".join(lines), strict=True)
+        _pyparse.merge_rows("\n".join(lines), True, {})
     assert caught.value.lineno == at + 1
     assert str(caught.value).startswith(f"line {at + 1}: ")
     assert reason in str(caught.value)
@@ -445,13 +507,13 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
     assert caught.value.lineno == at + 1
     assert str(caught.value).startswith(f"year 1990: line {at + 1}: ")
     # Lenient mode drops the line, but keeps a count below the floor.
-    kept = _pyparse.merge_rows("\n".join(lines), strict=False)
+    kept, skipped, _ = named(_pyparse.merge_rows, "\n".join(lines), False)
     del lines[at]
-    (female, male), _ = _pyparse.merge_rows("\n".join(lines), strict=True)
+    (female, male), _, _ = named(_pyparse.merge_rows, "\n".join(lines), True)
     if error is errors.FloorViolation:
-        assert kept == (({**female, "Pat": 4}, male), 0)
+        assert (kept, skipped) == (({**female, "Pat": 4}, male), 0)
     else:
-        assert kept == ((female, male), 1)
+        assert (kept, skipped) == ((female, male), 1)
 
 
 # SHA-256 of the index payload (names, spans, counts) of the bundled sample.
@@ -461,7 +523,8 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
 # of format 2, rebuilt from a format-3 load, still hashes to the old pin,
 # unchanged since the columnar index was introduced. Format 4 left the
 # payload as it was; its header checksum covers the header too, so the test
-# hashes the inflated payload itself.
+# hashes the inflated payload itself. Format 5 deflates the name table and
+# the columns as two streams; inflated and joined, they are the same payload.
 SAMPLE_PAYLOAD_SHA256 = "b344f7805039d683d78b4c59ce06a0be355620b63073ede49f3c5b6a63e4dff1"
 SAMPLE_V2_PAYLOAD_SHA256 = "7a0eaa025eeda934f513797abf5701b62cc1d6ec52a87a93e19deed826d63741"
 
@@ -483,7 +546,9 @@ def test_sample_index_payload_is_pinned(tmp_path, sample_dataset):
     ds.save_index(sample_dataset, path)
     header_line, compressed = path.read_bytes()[len(ds.INDEX_MAGIC):].split(b"\n", 1)
     header = json.loads(header_line)
-    assert hashlib.sha256(zlib.decompress(compressed)).hexdigest() == SAMPLE_PAYLOAD_SHA256
+    names = zlib.decompressobj()
+    payload = names.decompress(compressed) + zlib.decompress(names.unused_data)
+    assert hashlib.sha256(payload).hexdigest() == SAMPLE_PAYLOAD_SHA256
     assert header["widths"] == {"starts": 1, "lengths": 1, "female": 3, "male": 2}
     loaded = ds.load_index(path)
     assert loaded == sample_dataset
