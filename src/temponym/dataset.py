@@ -23,6 +23,7 @@ import csv
 import hashlib
 import io
 import json
+import mmap
 import re
 import sys
 import zlib
@@ -567,6 +568,10 @@ _TYPECODES = {1: "B", 2: "H", 3: "I", 4: "I"}
 # ends copies no more than this of what follows it.
 _CHUNK = 1 << 16
 
+# Deflate's largest expansion is 1032:1, so no stream inflates to more than
+# this many times its compressed bytes.
+_MAX_INFLATE_RATIO = 1032
+
 
 def _plane_offsets(itemsize: int) -> range:
     """The byte offset, in a native word of ``itemsize`` bytes, of each byte
@@ -673,31 +678,43 @@ def _read_header(path, line: bytes) -> dict:
     return header
 
 
-def _inflate(path, view: memoryview, at: int, size: int, what: str) -> tuple[bytearray, int]:
+def _inflate(path, view: memoryview, at: int, size: int, what: str) -> tuple[memoryview, int]:
     """The ``what`` stream that starts at ``view[at]``, inflated, and the
     offset just after it; its length must be ``size``, what the header gives.
 
-    The stream is fed ``_CHUNK`` bytes at a time and the output grows as it
-    fills, so no buffer is sized from the header, and inflating stops one byte
-    past ``size``: a false length costs no more memory than the true one.
+    The stream is fed ``_CHUNK`` bytes at a time. Its output goes to one
+    buffer, capped one byte past ``size`` or past what deflate can expand the
+    rest of the file to, whichever is less, so a false size inflates no more.
+    The buffer is an anonymous map: pages are taken only as the stream fills
+    them and given back when it is freed. (A bytearray grown in the heap kept
+    the dense index's 4 MB of columns resident after the load.) If the system
+    will not map even the capped size, the buffer is a bytearray that grows
+    only as the stream fills it.
     """
-    stream = zlib.decompressobj()
-    data = bytearray()
+    limit = min(size, _MAX_INFLATE_RATIO * (len(view) - at)) + 1
     try:
-        while not stream.eof and len(data) <= size and at < len(view):
+        data = mmap.mmap(-1, limit)
+    except OSError:
+        data = bytearray()
+    stream = zlib.decompressobj()
+    filled = 0
+    try:
+        while not stream.eof and filled < limit and at < len(view):
             piece = view[at:at + _CHUNK]
-            data += stream.decompress(piece, size + 1 - len(data))
+            out = stream.decompress(piece, limit - filled)
+            data[filled:filled + len(out)] = out
+            filled += len(out)
             at += len(piece) - len(stream.unconsumed_tail) - len(stream.unused_data)
     except zlib.error as exc:
         raise errors.IndexFormatError(f"{path}: corrupt {what} stream ({exc})") from None
-    if not stream.eof and len(data) <= size:
+    if not stream.eof and filled <= size:
         raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
-    if len(data) != size:
-        held = "more" if len(data) > size else len(data)
+    if filled != size:
+        held = "more" if filled > size else filled
         raise errors.IndexFormatError(
             f"{path}: section lengths add up to {size} bytes for the {what} stream, "
             f"it holds {held}")
-    return data, at
+    return memoryview(data)[:size], at
 
 
 def load_index(path: Path | str) -> Dataset:
@@ -731,7 +748,7 @@ def load_index(path: Path | str) -> Dataset:
     view, widths, columns = memoryview(cells), header["widths"], {}
     for key, end in zip(_U32_SECTIONS, accumulate(sizes[key] for key in _U32_SECTIONS)):
         columns[key] = _unshuffle(view[end - sizes[key]:end], widths[key])
-    del view, cells  # the columns are copies: free the inflated bytes before the Dataset
+    del view, cells  # the columns are copies: unmap the inflated bytes before the Dataset
     starts, lengths = columns["starts"], columns["lengths"]
     years = tuple(header["years"])
     if not (len(starts) == len(lengths) == len(names)

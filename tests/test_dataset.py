@@ -1,5 +1,7 @@
 import datetime
+import errno
 import json
+import mmap
 import random
 import sys
 import threading
@@ -383,26 +385,46 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_an_inflate_buffer_that_cannot_be_allocated_is_not_needed(tmp_path):
-    """A section length far beyond what the streams hold sizes no buffer:
-    the load allocates only what the streams inflate to, then refuses it."""
+def _map_at_most(monkeypatch, most):
+    """Make ``mmap.mmap`` refuse maps longer than ``most`` bytes, as a system
+    out of memory does; returns the list of lengths asked for."""
+    asked = []
+    real = mmap.mmap
+
+    def limited(fileno, length, *args, **kwargs):
+        asked.append(length)
+        if length > most:
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", limited)
+    return asked
+
+
+def test_an_inflate_buffer_that_cannot_be_allocated_is_not_needed(monkeypatch, tmp_path):
+    """Where the buffer a false section length asks for cannot be mapped, the
+    stream is inflated into a growing buffer and the header is still refused;
+    no buffer asked for is longer than deflate can expand the file to."""
     path = tmp_path / "x.idx"
     ds.save_index(ds.load_dataset([(1990, "Pat,F,10\nSam,M,9")]), path)
+    asked = _map_at_most(monkeypatch, 0)  # every map refused
+    assert ds.load_index(path).lookup("Pat", 1990) == (10, 0)
+    assert asked
     magic, header, body = path.read_bytes().split(b"\n", 2)
     header = json.loads(header)
     header["sections"]["names"] = 2**40
     header["sha256"] = ds._checksum(header, *_streams(body))  # signed: only the size is false
     path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
+    asked = _map_at_most(monkeypatch, 4096)
+    with pytest.raises(errors.IndexFormatError, match="section lengths add up to"):
+        ds.load_index(path)
+    assert max(asked) <= 1032 * len(body) + 1
 
-    def load():
-        with pytest.raises(errors.IndexFormatError, match="section lengths add up to"):
-            ds.load_index(path)
-    assert _traced_peak(load) < 2**20
 
-
-def test_inflating_stops_one_byte_past_the_header_length(tmp_path):
+@pytest.mark.parametrize("most", [2**20, 0], ids=["mapped", "grown"])
+def test_inflating_stops_one_byte_past_the_header_length(monkeypatch, tmp_path, most):
     """A columns stream of 256 MB of zeros, where the header gives 10 bytes,
-    is refused after inflating little more than those 10."""
+    is refused after inflating 11, into a map or a growing buffer."""
     path = tmp_path / "x.idx"
     ds.save_index(ds.load_dataset([(1990, "Pat,F,10\nSam,M,9")]), path)
     magic, header, body = path.read_bytes().split(b"\n", 2)
@@ -412,11 +434,13 @@ def test_inflating_stops_one_byte_past_the_header_length(tmp_path):
     zeros = zlib.compressobj()
     bomb = b"".join(zeros.compress(bytes(2**20)) for _ in range(256)) + zeros.flush()
     path.write_bytes(magic + b"\n" + header + b"\n" + body[:-len(names.unused_data)] + bomb)
+    asked = _map_at_most(monkeypatch, most)
 
     def load():
         with pytest.raises(errors.IndexFormatError, match="columns stream, it holds more"):
             ds.load_index(path)
     assert _traced_peak(load) < 2**20
+    assert max(asked) < 20
 
 
 def test_a_name_first_seen_in_a_later_year_gets_its_own_cells():
