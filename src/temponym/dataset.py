@@ -449,13 +449,16 @@ def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dat
         except errors.TemponymError as exc:
             exc.args = (f"year {year}: {exc}",)
             raise
-        # Each count stored at its row id in a zeroed row, in C: one store per row.
-        zeros = bytes(4 * len(ids))
-        row_f, row_m = array("I", zeros), array("I", zeros)
+        # Each count stored at its row id in a zeroed row, in C: one store per
+        # row. Repeating one zero allocates no temporary: a scale-1 sparse
+        # ingest built from a zeroed bytes object peaked ~15 MB higher.
+        row_f, row_m = array("I", [0]) * len(ids), array("I", [0]) * len(ids)
         deque(map(setitem, repeat(row_f), *female), 0)
         deque(map(setitem, repeat(row_m), *male), 0)
         rows[year] = row_f, row_m, skipped
-    return _columns(list(ids), rows)
+    seen = list(ids)
+    del ids  # with its int values, before the grid of ``_columns`` sets the peak
+    return _columns(seen, rows)
 
 
 def load_directory(
