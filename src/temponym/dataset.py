@@ -689,10 +689,10 @@ def _inflate(path, view: memoryview, at: int, size: int, what: str) -> tuple[mem
     buffer, capped one byte past ``size`` or past what deflate can expand the
     rest of the file to, whichever is less, so a false size inflates no more.
     The buffer is an anonymous map: pages are taken only as the stream fills
-    them and given back when it is freed. (A bytearray grown in the heap kept
-    the dense index's 4 MB of columns resident after the load.) If the system
-    will not map even the capped size, the buffer is a bytearray that grows
-    only as the stream fills it.
+    them and given back when it is freed. (A bytearray grown at the top of
+    the heap and freed below the columns stayed resident: 4 MB more after a
+    dense load.) If the system will not map even the capped size, the buffer
+    is a bytearray that grows only as the stream fills it.
     """
     limit = min(size, _MAX_INFLATE_RATIO * (len(view) - at)) + 1
     try:
