@@ -604,13 +604,16 @@ def _ambiguity_options(p: _Parser) -> None:
 
 
 def _audit_options(p: _Parser) -> None:
+    from . import audit as audit_mod
+
+    first, last = audit_mod.DEFAULT_ATEMPORAL_RANGE
     _data_options(p)
     p.option("--corpus", dest="corpus_path", type=_existing, metavar="PATH",
              help="Corpus CSV (default: the bundled Leslie fixture).")
-    p.option("--cohort", type=_cohort, default="fixed:35",
+    p.option("--cohort", type=_cohort, default=f"fixed:{audit_mod.DEFAULT_COHORT_OFFSET}",
              help="fixed:OFFSET, uniform:OFFSET:HALF or triangular:OFFSET:HALF "
                   "(default: %(default)s).")
-    p.option("--atemporal", type=parse_year_range, default="1880..2020",
+    p.option("--atemporal", type=parse_year_range, default=f"{first}..{last}",
              help="(default: %(default)s)")
     _format_option(p, "json", "csv")
 

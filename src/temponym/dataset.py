@@ -81,8 +81,10 @@ class Record:
     A subclass names its attributes in ``__slots__``, sets them in
     ``__init__`` through ``_init``, and names in ``_compared`` the ones its
     equality, hash and repr use. A subclass whose compared values cannot all
-    be hashed sets ``__hash__ = None``, as ``Dataset`` does. Copies and
-    pickles restore the attributes through ``__setstate__``.
+    be hashed sets ``__hash__ = None``, as ``Dataset`` does. Copies restore
+    the attributes through ``__setstate__``. So do pickles of
+    ``CohortModel``, ``ClassificationPolicy`` and ``ServiceConfig``; a
+    ``Dataset`` does not pickle, since its columns are memoryviews.
     """
 
     __slots__ = ()
@@ -118,21 +120,6 @@ class Record:
         self._init(**slots)
 
 
-def _same(a, b) -> bool:
-    """``a == b``, with two columns of different item sizes compared at one width.
-
-    ``memoryview`` compares such columns item by item through ``struct``: a
-    loaded ``'H'`` count column against a built ``'I'`` one of 1.06M cells
-    took ~0.3 s. Copying the narrower into an array of the wider format first
-    takes a sixth of that.
-    """
-    if isinstance(a, memoryview) and a.format != b.format:
-        if a.itemsize > b.itemsize:
-            a, b = b, a
-        return len(a) == len(b) and memoryview(array(b.format, a)) == b
-    return a == b
-
-
 class Dataset(Record):
     """Immutable name-major count columns over ``years_loaded``.
 
@@ -141,22 +128,28 @@ class Dataset(Record):
     ``_offsets[i]`` on in ``female`` and ``male``, right after those of
     ``names[i - 1]``. The four columns are unsigned arrays or memoryviews
     of any item size, kept as read-only memoryviews over them, so the
-    dataset can be shared by concurrent readers. Ingest builds them as
-    ``'I'``; ``load_index`` keeps each at its stored width (``'B'``, ``'H'``
-    or ``'I'``), so real SSA counts, some above 2^16, load as ``'I'``.
-    ``skipped`` holds the rows skipped per year and takes no part in
-    equality.
+    dataset can be shared by concurrent readers. ``load_index`` keeps each
+    at its stored width (``'B'``, ``'H'`` or ``'I'``, so real SSA counts,
+    some above 2^16, load as ``'I'``), and ``_columns`` gives each the width
+    a load of its index would. ``skipped`` holds the rows skipped per year
+    and takes no part in equality.
+
+    ``__init__`` checks the rules of a valid table for every builder (names
+    sorted and unique, spans inside ``years_loaded`` and the columns) and
+    raises a ``TemponymError`` naming the one broken; ``load_index`` reports
+    it as an ``IndexFormatError``.
 
     ``lookup``, ``totals`` and ``name_counts`` resolve a name once. Whether
-    any two names fold to one key is fixed when the dataset is built:
-    ``__init__`` folds the names, unless ``load_index`` passes what its index
-    stores. If none do, a stored name answers alone: its cells are read in
-    place. Any other name goes through ``_candidates``, the one resolver of
-    folded keys, and the first candidate with data in a year answers for it
-    (``_first_cell``). ``_candidates`` reads the fold map, built on first
-    need: per folded key the int index of the one stored name with that key,
-    or, only for a key that two or more names share, the ascending tuple of
-    their indices.
+    any two names fold to one key is fixed when the dataset is built. If
+    none do, a stored name answers alone: its cells are read in place. Any
+    other name goes through ``_candidates``, the one resolver of folded
+    keys, and the first candidate with data in a year answers for it
+    (``_first_cell``). ``_candidates`` reads the fold map: per folded key
+    the int index of the one stored name with that key, or, only for a key
+    that two or more names share, the ascending tuple of their indices.
+    ``load_index`` passes the fact its index stores, and the map waits for
+    the first lookup that needs it; any other table is folded in
+    ``__init__``, which keeps the map and reads the fact from it.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -168,39 +161,49 @@ class Dataset(Record):
                  "_offsets", "_positions", "_ids",
                  # Whether every stored name folds only to itself, so an exact
                  # name needs no fold map. _groups, the fold map built by
-                 # _fold_groups on first need: folded key -> an int index, or
-                 # a tuple of the indices of the names that share the key.
+                 # _fold_groups, in __init__ or on first need: folded key ->
+                 # an int index, or a tuple of the indices of the names that
+                 # share the key.
                  "_distinct", "_groups")
     _compared = ("years_loaded", "names", "starts", "lengths", "female", "male")
 
     def __init__(self, years_loaded: tuple[int, ...], names: tuple[str, ...], starts, lengths,
                  female, male, skipped: tuple[int, ...] = (), distinct: Optional[bool] = None):
-        if distinct is None:  # not read from an index: fold the names once
-            distinct = len(set(_folded_keys(names))) == len(names)
-        lengths = memoryview(lengths).toreadonly()
+        if not all(map(lt, names, names[1:])):
+            raise errors.TemponymError("name table is not sorted and unique")
+        starts, lengths = memoryview(starts).toreadonly(), memoryview(lengths).toreadonly()
+        female, male = memoryview(female).toreadonly(), memoryview(male).toreadonly()
+        offsets = array("Q", accumulate(lengths, initial=0))
+        if not (len(starts) == len(lengths) == len(names)
+                and len(female) == len(male) == offsets[-1]
+                and max(map(add, starts, lengths), default=0) <= len(years_loaded)):
+            raise errors.TemponymError("name spans point outside the columns")
         self._init(
             years_loaded=years_loaded,
             names=names,
-            starts=memoryview(starts).toreadonly(),
+            starts=starts,
             lengths=lengths,
-            female=memoryview(female).toreadonly(),
-            male=memoryview(male).toreadonly(),
+            female=female,
+            male=male,
             skipped=skipped,
-            _offsets=array("Q", accumulate(lengths, initial=0)),
+            _offsets=offsets,
             _positions={year: pos for pos, year in enumerate(years_loaded)},
             _ids=dict(zip(names, range(len(names)))),
             _distinct=distinct,
             _groups=None,
         )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(map(_same, self._key(), other._key()))
+        if distinct is None:  # not read from an index: fold the names once, keeping the map
+            self._init(_distinct=len(self._fold_groups()) == len(names))
 
     # Unhashable, as a mutable sequence would be: CPython hashes a memoryview
     # only of format 'B', 'b' or 'c', and a column may be 'H' or 'I'.
     __hash__ = None
+
+    def __repr__(self):  # the columns may hold millions of cells
+        years = self.years_loaded
+        span = f"{years[0]}..{years[-1]}" if years else "none"
+        return (f"Dataset(years {span}, {len(years)} loaded; {len(self.names)} names; "
+                f"{len(self.female)} cells)")
 
     def _fold_groups(self) -> dict[str, int | tuple[int, ...]]:
         """Folded key -> the index of the one stored name that has it, or the
@@ -209,13 +212,11 @@ class Dataset(Record):
         # whichever is kept gives the same answers.
         groups = self._groups
         if groups is None:
-            keys, ids = _folded_keys(self.names), self._ids
-            # Built in C from the index ints ``_ids`` holds: its values in
-            # order, unless a directly built table repeats a name. A key that
-            # several names share is left with the last index it has, so
-            # ``groups[key] == i`` only there.
-            groups = dict(zip(keys, ids.values() if len(ids) == len(keys)
-                              else map(ids.__getitem__, self.names)))
+            keys = _folded_keys(self.names)
+            # Built in C from the index ints ``_ids`` holds, in name order. A
+            # key that several names share is left with the last index it
+            # has, so ``groups[key] == i`` only there.
+            groups = dict(zip(keys, self._ids.values()))
             if len(groups) < len(keys):  # some names share a key
                 shared: dict[str, list[int]] = {}
                 for i, key in enumerate(keys):
@@ -387,7 +388,9 @@ def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> 
     parsed. Padded with zeros and stacked in year order they form a
     year-major grid, in which each name's cells are one strided slice. A
     name's span runs from the first to the last year in which either count
-    is non-zero.
+    is non-zero. Each column is built as ``'I'`` and then narrowed by the
+    rule of an index save and load, so the table holds the widths its
+    index would load with.
     """
     years = sorted(rows)
     width = len(seen)
@@ -416,16 +419,13 @@ def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> 
             lengths.append(stop - start)
             female += cells_f[start:stop]
             male += cells_m[start:stop]
-    del grid_f, grid_m  # before the Dataset folds its names, so the two peaks do not add
-    return Dataset(
-        years_loaded=tuple(years),
-        names=tuple(names),
-        starts=starts,
-        lengths=lengths,
-        female=female,
-        male=male,
-        skipped=tuple(skipped),
-    )
+    # The grid goes before the columns are narrowed and the names folded, and
+    # each wide column before the next is narrowed, so the peaks do not add.
+    columns = {"starts": starts, "lengths": lengths, "female": female, "male": male}
+    del grid_f, grid_m, starts, lengths, female, male
+    for key in columns:
+        columns[key] = _unshuffle(*_shuffle(memoryview(columns[key])))
+    return Dataset(tuple(years), tuple(names), **columns, skipped=tuple(skipped))
 
 
 def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dataset:
@@ -746,16 +746,11 @@ def load_index(path: Path | str) -> Dataset:
     del table
     names = tuple(text.split("\n")) if text else ()
     del text
-    if not all(map(lt, names, names[1:])):
-        raise errors.IndexFormatError(f"{path}: name table is not sorted and unique")
     view, widths, columns = memoryview(cells), header["widths"], {}
     for key, end in zip(_U32_SECTIONS, accumulate(sizes[key] for key in _U32_SECTIONS)):
         columns[key] = _unshuffle(view[end - sizes[key]:end], widths[key])
     del view, cells  # the columns are copies: unmap the inflated bytes before the Dataset
-    starts, lengths = columns["starts"], columns["lengths"]
-    years = tuple(header["years"])
-    if not (len(starts) == len(lengths) == len(names)
-            and len(columns["female"]) == len(columns["male"]) == sum(lengths)
-            and max(map(add, starts, lengths), default=0) <= len(years)):
-        raise errors.IndexFormatError(f"{path}: name spans point outside the columns")
-    return Dataset(years, names, **columns, distinct=header["distinct_keys"])
+    try:
+        return Dataset(tuple(header["years"]), names, **columns, distinct=header["distinct_keys"])
+    except errors.TemponymError as exc:
+        raise errors.IndexFormatError(f"{path}: {exc}") from None

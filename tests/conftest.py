@@ -3,7 +3,6 @@ import hashlib
 import json
 import random
 import zlib
-from array import array
 
 import pytest
 
@@ -270,27 +269,21 @@ def _columns_stream_longer(path):
     _write_index(path, header, names + zlib.compress(bytes(1 << 20)))
 
 
-def _save_two_names(path, names, starts=(0, 0), lengths=(1, 1)):
-    """An index of two names over 1990-1991, saved without any check."""
-    cells = sum(lengths)
-    bad = dataset_mod.Dataset(
-        years_loaded=(1990, 1991), names=names,
-        starts=array("I", starts), lengths=array("I", lengths),
-        female=array("I", range(5, 5 + cells)), male=array("I", [0] * cells),
-    )
-    dataset_mod.save_index(bad, path)
-
-
 def _spans_outside_columns(path):
-    _save_two_names(path, ("Ann", "Pat"), starts=(0, 1), lengths=(2, 2))
+    """Sam's span starts at position 1, past 1990, the one year loaded.
+
+    Each column holds one byte per name (width 1): starts, lengths, female,
+    male."""
+    _rewrite_payload(path, lambda names, columns: (names, b"\0\1" + columns[2:]),
+                     keep_sha256=False)
 
 
 def _names_not_sorted(path):
-    _save_two_names(path, ("Pat", "Ann"))
+    _rewrite_payload(path, lambda names, columns: (b"Sam\nPat", columns), keep_sha256=False)
 
 
 def _names_not_unique(path):
-    _save_two_names(path, ("Pat", "Pat"))
+    _rewrite_payload(path, lambda names, columns: (b"Pat\nPat", columns), keep_sha256=False)
 
 
 # Each damage, and a fragment of the error it must be reported with.

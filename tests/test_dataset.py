@@ -1,3 +1,4 @@
+import copy
 import datetime
 import errno
 import json
@@ -326,10 +327,13 @@ def test_a_count_of_thousands_of_digits_is_read_without_int_limits(strict):
 
 
 def test_a_dataset_is_not_hashable(tmp_path):
-    built = ds.load_dataset([(1990, "Ann,F,300")])  # 'I' columns
+    built = ds.load_dataset([(1990, "Ann,F,300")])  # 'B' and 'H' columns
     ds.save_index(built, tmp_path / "x.idx")
-    loaded = ds.load_index(tmp_path / "x.idx")  # 'B' and 'H' columns
-    for data in (built, loaded):
+    loaded = ds.load_index(tmp_path / "x.idx")
+    only_bytes = ds.load_dataset([(1990, "Ann,F,10")])  # 'B' columns, which memoryview hashes
+    direct = ds.Dataset((1990,), ("Ann",), array("I", [0]), array("I", [1]),
+                        array("I", [300]), array("I", [0]))
+    for data in (built, loaded, only_bytes, direct):
         with pytest.raises(TypeError, match="unhashable type: 'Dataset'"):
             hash(data)
 
@@ -498,23 +502,81 @@ def test_index_loads_columns_at_their_stored_width(tmp_path, count, itemsize):
     assert resaved.read_bytes() == path.read_bytes()
 
 
+COLUMNS = ("starts", "lengths", "female", "male")
+
+
+def _formats(data):
+    return tuple(getattr(data, column).format for column in COLUMNS)
+
+
 def test_columns_of_different_widths_compare_by_value(tmp_path):
-    """A loaded dataset ('H' and 'B' counts) equals the one built ('I');
-    one changed cell makes them unequal, in either order."""
+    """A loaded dataset ('H' and 'B' counts) equals the same table built
+    directly ('I'); one changed cell makes them unequal, in either order.
+    Built from year files, the table holds the loaded widths."""
     built = ds.load_dataset([(1990, "Ann,F,300\nBo,M,7"), (1991, "Ann,F,65535\nAnn,M,12")])
     path = tmp_path / "widths.idx"
     ds.save_index(built, path)
     loaded = ds.load_index(path)
-    assert (loaded.female.format, loaded.male.format, built.female.format) == ("H", "B", "I")
-    assert loaded == built and built == loaded
+    assert _formats(loaded) == _formats(built) == ("B", "B", "H", "B")
+    wide = {column: array("I", getattr(built, column)) for column in COLUMNS}
+    direct = ds.Dataset(built.years_loaded, built.names, **wide)
+    assert direct.female.format == "I"
+    assert loaded == direct and direct == loaded
     for column in ("female", "male"):
         for cell in range(len(built.female)):
             cells = array("I", getattr(built, column))
             cells[cell] += 1
-            columns = {"female": built.female, "male": built.male, column: cells}
-            changed = ds.Dataset(built.years_loaded, built.names, built.starts, built.lengths,
-                                 **columns)
+            changed = ds.Dataset(built.years_loaded, built.names, **{**wide, column: cells})
             assert loaded != changed and changed != loaded
+
+
+@pytest.mark.parametrize("table", ["sample", "dense"])
+def test_a_built_table_equals_its_loaded_index_width_for_width(tmp_path, table, sample_dataset):
+    """Year files and their index give one Dataset, with equal column
+    formats; the dense table holds counts above 2^16 and 2^8."""
+    if table == "sample":
+        built = sample_dataset
+    else:
+        rng = random.Random(5)
+        years = range(1990, 2000)
+        built = ds.load_dataset([(year, "\n".join(
+            f"Name{i:03d},{sex},{rng.randrange(5, 2**17)}" for i in range(300) for sex in "FM"))
+            for year in years])
+        assert max(built.female) >= 2**16 and built.female.format == "I"
+    path = tmp_path / "table.idx"
+    ds.save_index(built, path)
+    loaded = ds.load_index(path)
+    assert _formats(built) == _formats(loaded)
+    assert built == loaded
+
+
+def test_repr_is_bounded_and_a_copy_is_equal(sample_dataset):
+    text = repr(sample_dataset)
+    assert text == "Dataset(years 1880..2020, 141 loaded; %d names; %d cells)" % (
+        len(sample_dataset.names), len(sample_dataset.female))
+    assert len(text) < 100
+    assert repr(ds.load_dataset([])) == "Dataset(years none, 0 loaded; 0 names; 0 cells)"
+    assert copy.copy(sample_dataset) == sample_dataset
+
+
+def _two_names(names=("Ann", "Pat"), starts=(0, 0), lengths=(1, 1), cells=2):
+    return ds.Dataset((1990, 1991), names, array("I", starts), array("I", lengths),
+                      array("I", [5] * cells), array("I", [0] * cells))
+
+
+@pytest.mark.parametrize("table, rule", [
+    (dict(names=("Pat", "Ann")), "name table is not sorted and unique"),
+    (dict(names=("Pat", "Pat")), "name table is not sorted and unique"),
+    (dict(starts=(0, 1), lengths=(1, 2), cells=3), "name spans point outside the columns"),
+    (dict(lengths=(1, 2)), "name spans point outside the columns"),
+    (dict(starts=(0,)), "name spans point outside the columns"),
+], ids=["unsorted", "repeated", "span-past-the-last-year", "columns-shorter-than-spans",
+        "a-start-missing"])
+def test_the_constructor_refuses_a_table_that_breaks_a_rule(table, rule):
+    assert _two_names().lookup("Pat", 1990) == (5, 0)
+    with pytest.raises(errors.TemponymError, match=rule) as caught:
+        _two_names(**table)
+    assert type(caught.value) is errors.TemponymError
 
 
 def test_index_load_peak_stays_under_three_payloads(tmp_path):
@@ -625,8 +687,10 @@ def test_the_fold_map_holds_one_int_per_unshared_key():
     """Under 130 B a name at 20,000 names (~80 B), where one list per name took ~190 B."""
     n = 20_000
     names = tuple(f"Name{i:05d}" for i in range(n))
+    # Given the fold fact, as from an index, the map waits for its first need.
     data = ds.Dataset((1990,), names, array("I", bytes(4 * n)), array("I", [1] * n),
-                      array("I", [1] * n), array("I", bytes(4 * n)))
+                      array("I", [1] * n), array("I", bytes(4 * n)), distinct=True)
+    assert data._groups is None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -638,12 +702,10 @@ def test_the_fold_map_holds_one_int_per_unshared_key():
     assert groups["name00042"] == 42 and data.lookup("NAME00042", 1990) == (1, 0)
 
 
-def test_a_directly_built_table_that_repeats_a_name_groups_every_copy():
-    data = ds.Dataset((1990,), ("Ann", "ANN", "Ann"), array("I", [0, 0, 0]),
-                      array("I", [1, 1, 1]), array("I", [5, 0, 0]), array("I", [0, 6, 7]))
-    assert data._fold_groups() == {"ann": (0, 1, 2)}
-    assert data.lookup("Ann", 1990) == (0, 7)  # the name's id is its last copy
-    assert data.lookup("ann", 1990) == (5, 0)
+def test_a_directly_built_table_that_repeats_a_name_is_refused():
+    with pytest.raises(errors.TemponymError, match="not sorted and unique"):
+        ds.Dataset((1990,), ("ANN", "Ann", "Ann"), array("I", [0, 0, 0]),
+                   array("I", [1, 1, 1]), array("I", [5, 0, 0]), array("I", [0, 6, 7]))
 
 
 @pytest.fixture
@@ -675,6 +737,17 @@ def test_loading_folds_no_name(fold_calls, tmp_path):
     assert fold_calls == []
 
 
+def test_a_table_from_year_files_folds_its_names_once(fold_calls, tmp_path):
+    """The fold map built for the fold fact answers the variant spellings."""
+    for year, text in [(1990, "Ann,F,10\nRenée,F,7"), (1991, "Bo,M,30")]:
+        (tmp_path / f"yob{year}.txt").write_text(text, encoding="utf-8")
+    data = ds.load_directory(tmp_path)
+    assert data.lookup("Ann", 1990) == (10, 0)
+    assert data.lookup("BO", 1991) == (0, 30)
+    assert data.lookup("renee", 1990, fold_diacritics=True) == (7, 0)
+    assert fold_calls == [data.names]
+
+
 def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch, fold_calls, tmp_path):
     calls = []
     strip = ds.strip_diacritics
@@ -695,7 +768,7 @@ FOLD_QUERIES = [("lee", 1990, False), ("LEE", 1991, False), ("renee", 1990, True
                 ("RENEE", 1991, False), ("Zzyzx", 1990, True), ("ANN", 1990, False)]
 
 
-def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch):
+def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch, tmp_path):
     sources = [(1990, "Lee,F,10\nLEE,M,40\nRenée,F,100\nAnn,F,7"), (1991, "lee,M,20\nRenee,M,30")]
 
     def answers(data):
@@ -703,7 +776,10 @@ def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch):
                  data.totals(name, 1990, 1991, fold)) for name, year, fold in FOLD_QUERIES]
 
     expected = answers(ds.load_dataset(sources))
-    data = ds.load_dataset(sources)
+    # Loaded from an index, so that the fold map waits for the first lookup.
+    ds.save_index(ds.load_dataset(sources), tmp_path / "shared.idx")
+    data = ds.load_index(tmp_path / "shared.idx")
+    assert data._groups is None
     racers = 8  # more threads than cores
     start = threading.Barrier(racers, timeout=30)
 
