@@ -63,13 +63,22 @@ def strip_diacritics(text: str) -> str:
 def _folded_keys(names: Sequence[str]) -> list[str]:
     """The folded key of each name: its casefold, stripped of diacritics.
 
-    Stored names hold no ``\n``, so one casefold of the joined table gives
-    every key; only non-ASCII keys can lose diacritics.
+    One casefold of the joined table gives every key. An index stores the
+    table joined by ``\n`` as UTF-8, so a name holding ``\n`` (it splits
+    into two keys) or a lone surrogate (which UTF-8 cannot encode) is
+    refused here; only a non-ASCII table can hold a surrogate or lose
+    diacritics.
     """
     folded = "\n".join(names).casefold()
     keys = folded.split("\n") if names else []
+    if len(keys) != len(names):
+        raise errors.TemponymError("a name holds a line break")
     if folded.isascii():
         return keys
+    try:
+        folded.encode()
+    except UnicodeEncodeError:
+        raise errors.TemponymError("a name holds a lone surrogate, not UTF-8 text") from None
     return [key if key.isascii() else strip_diacritics(key) for key in keys]
 
 
@@ -127,17 +136,21 @@ class Dataset(Record):
     ``starts[i]`` onwards in ``years_loaded``; they are the cells from
     ``_offsets[i]`` on in ``female`` and ``male``, right after those of
     ``names[i - 1]``. The four columns are unsigned arrays or memoryviews
-    of any item size, kept as read-only memoryviews over them, so the
-    dataset can be shared by concurrent readers. ``load_index`` keeps each
-    at its stored width (``'B'``, ``'H'`` or ``'I'``, so real SSA counts,
-    some above 2^16, load as ``'I'``), and ``_columns`` gives each the width
-    a load of its index would. ``skipped`` holds the rows skipped per year
-    and takes no part in equality.
+    of format ``'B'``, ``'H'`` or ``'I'``, kept as read-only memoryviews
+    over them, so the dataset can be shared by concurrent readers.
+    ``load_index`` keeps each at its stored width (real SSA counts, some
+    above 2^16, load as ``'I'``), and ``_columns`` gives each the width a
+    load of its index would. ``skipped`` holds the rows skipped per year, or
+    nothing, and takes no part in equality.
 
-    ``__init__`` checks the rules of a valid table for every builder (names
-    sorted and unique, spans inside ``years_loaded`` and the columns) and
-    raises a ``TemponymError`` naming the one broken; ``load_index`` reports
-    it as an ``IndexFormatError``.
+    ``__init__`` checks the rules of a valid table for every builder (years
+    increasing ints in ``MIN_YEAR..MAX_YEAR``, names sorted, unique and not
+    empty, spans inside ``years_loaded`` and the columns, those three
+    column formats, ``skipped`` empty or one count per year; names not read
+    from an index also pass ``_folded_keys``) and raises a
+    ``TemponymError`` naming the one broken, so every table it accepts,
+    years and names kept as tuples, saves to an index that loads back
+    equal. ``load_index`` reports a broken rule as an ``IndexFormatError``.
 
     ``lookup``, ``totals`` and ``name_counts`` resolve a name once. Whether
     any two names fold to one key is fixed when the dataset is built. If
@@ -167,17 +180,31 @@ class Dataset(Record):
                  "_distinct", "_groups")
     _compared = ("years_loaded", "names", "starts", "lengths", "female", "male")
 
-    def __init__(self, years_loaded: tuple[int, ...], names: tuple[str, ...], starts, lengths,
-                 female, male, skipped: tuple[int, ...] = (), distinct: Optional[bool] = None):
+    def __init__(self, years_loaded: Sequence[int], names: Sequence[str], starts, lengths,
+                 female, male, skipped: Sequence[int] = (), distinct: Optional[bool] = None):
+        years_loaded, names, skipped = tuple(years_loaded), tuple(names), tuple(skipped)
+        if not (all(type(year) is int for year in years_loaded)
+                and all(map(lt, years_loaded, years_loaded[1:]))):
+            raise errors.TemponymError("years are not increasing integers")
+        if years_loaded and not MIN_YEAR <= years_loaded[0] <= years_loaded[-1] <= MAX_YEAR:
+            raise errors.TemponymError(f"years must lie in {MIN_YEAR}..{MAX_YEAR}")
         if not all(map(lt, names, names[1:])):
             raise errors.TemponymError("name table is not sorted and unique")
+        if names and not names[0]:  # sorted, so an empty name comes first
+            raise errors.TemponymError("a name is empty")
         starts, lengths = memoryview(starts).toreadonly(), memoryview(lengths).toreadonly()
         female, male = memoryview(female).toreadonly(), memoryview(male).toreadonly()
+        for key, column in zip(_U32_SECTIONS, (starts, lengths, female, male)):
+            if column.format not in _TYPECODES.values():
+                raise errors.TemponymError(
+                    f"column {key} has format {column.format!r}, not 'B', 'H' or 'I'")
         offsets = array("Q", accumulate(lengths, initial=0))
         if not (len(starts) == len(lengths) == len(names)
                 and len(female) == len(male) == offsets[-1]
                 and max(map(add, starts, lengths), default=0) <= len(years_loaded)):
             raise errors.TemponymError("name spans point outside the columns")
+        if skipped and len(skipped) != len(years_loaded):
+            raise errors.TemponymError("skipped does not hold one count per year")
         self._init(
             years_loaded=years_loaded,
             names=names,
@@ -425,7 +452,7 @@ def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> 
     del grid_f, grid_m, starts, lengths, female, male
     for key in columns:
         columns[key] = _unshuffle(*_shuffle(memoryview(columns[key])))
-    return Dataset(tuple(years), tuple(names), **columns, skipped=tuple(skipped))
+    return Dataset(years, names, **columns, skipped=skipped)
 
 
 def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dataset:
@@ -564,7 +591,8 @@ def bundled_sample_dir() -> Path:
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
 
-# The array type code of a column stored ``width`` bytes wide, by width.
+# The array type code of a column stored ``width`` bytes wide, by width: the
+# formats a Dataset column may have.
 _TYPECODES = {1: "B", 2: "H", 3: "I", 4: "I"}
 
 # Compressed bytes fed to a stream at a time, so that finding where a stream
@@ -662,11 +690,8 @@ def _read_header(path, line: bytes) -> dict:
     sha, years, sections = header.get("sha256"), header.get("years"), header.get("sections")
     if not isinstance(sha, str):
         raise bad("header has no sha256")
-    if not (isinstance(years, list) and all(type(y) is int for y in years)
-            and all(a < b for a, b in zip(years, years[1:]))):
-        raise bad("header years are not increasing integers")
-    if years and not MIN_YEAR <= years[0] <= years[-1] <= MAX_YEAR:
-        raise bad(f"header years must lie in {MIN_YEAR}..{MAX_YEAR}")
+    if not isinstance(years, list):  # the Dataset checks its items
+        raise bad("header years are not a list")
     if not (isinstance(sections, dict) and list(sections) == list(_SECTIONS)
             and all(type(n) is int and n >= 0 for n in sections.values())):
         raise bad(f"header sections must be byte lengths of {', '.join(_SECTIONS)}")
@@ -751,6 +776,6 @@ def load_index(path: Path | str) -> Dataset:
         columns[key] = _unshuffle(view[end - sizes[key]:end], widths[key])
     del view, cells  # the columns are copies: unmap the inflated bytes before the Dataset
     try:
-        return Dataset(tuple(header["years"]), names, **columns, distinct=header["distinct_keys"])
+        return Dataset(header["years"], names, **columns, distinct=header["distinct_keys"])
     except errors.TemponymError as exc:
         raise errors.IndexFormatError(f"{path}: {exc}") from None

@@ -95,11 +95,6 @@ def p_female(
     return _probability((name, str(year), female / (female + male), female, male))
 
 
-def from_counts(name: str, context: str, female: int, male: int) -> GenderProbability:
-    """The probability for counts already looked up; support must be > 0."""
-    return _probability((name, context, female / (female + male), female, male))
-
-
 def p_female_windowed(
     dataset: Dataset,
     name: str,

@@ -27,6 +27,8 @@ CACHE_VERSION = "v2"
 # The longest Retry-After (RFC 9110 §10.2.3) that a rate-limited live call
 # waits out before its one retry.
 RETRY_AFTER_CAP_S = 5.0
+# Requests per second that ``comparison_table`` sends to each live service.
+LIVE_RATE = 1.0
 FixtureTable = dict[str, dict[str, "ExternalPrediction"]]
 
 
@@ -58,20 +60,19 @@ def _is_prediction(prediction: ExternalPrediction) -> bool:
 class ServiceConfig(Record):
     """A fixture service (with ``fixture_table``) or a live one (with ``endpoint_url``).
 
-    ``rate_limit`` is in requests per second, for live services only; the
-    fixture table takes no part in equality.
+    Calls to a live service are spaced at ``LIVE_RATE`` requests per second;
+    the fixture table takes no part in equality.
     """
 
-    __slots__ = ("service_id", "endpoint_url", "rate_limit", "fixture_table")
-    _compared = ("service_id", "endpoint_url", "rate_limit")
+    __slots__ = ("service_id", "endpoint_url", "fixture_table")
+    _compared = ("service_id", "endpoint_url")
 
     def __init__(self, service_id: str, endpoint_url: Optional[str] = None,
-                 rate_limit: float = 1.0, fixture_table: Optional[dict] = None):
+                 fixture_table: Optional[dict] = None):
         if (fixture_table is None) == (not endpoint_url):
             raise errors.ConfigError(
                 f"{service_id}: needs exactly one of a fixture table and an endpoint URL")
-        self._init(service_id=service_id, endpoint_url=endpoint_url, rate_limit=rate_limit,
-                   fixture_table=fixture_table)
+        self._init(service_id=service_id, endpoint_url=endpoint_url, fixture_table=fixture_table)
 
     @property
     def api_key(self) -> Optional[str]:
@@ -88,8 +89,6 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if rate <= 0:
-            raise errors.ConfigError("rate must be positive")
         self.interval = 1.0 / rate
         self.clock = clock
         self.sleep = sleep
@@ -325,13 +324,13 @@ def comparison_table(
     """One row per name: every service's prediction vs the SSA ground truth.
 
     Per-cell failures are recorded in the row, never fatal. Calls to each
-    live service are spaced by its ``rate_limit``; fixture lookups and
-    cache hits never wait.
+    live service are spaced at ``LIVE_RATE`` per second; fixture lookups
+    and cache hits never wait.
     """
     configs = list(configs)
     if not dataset.has_year(ssa_year):  # before any fetch
         raise errors.YearNotLoaded(ssa_year)
-    limiters = [RateLimiter(c.rate_limit) if c.endpoint_url else None for c in configs]
+    limiters = [RateLimiter(LIVE_RATE) if c.endpoint_url else None for c in configs]
     rows = []
     for name in names:
         cell_errors: dict[str, str] = {}

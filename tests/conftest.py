@@ -161,10 +161,10 @@ def _sections_claim_a_terabyte(path):
     _write_index(path, _signed(header, payload), payload)
 
 
-def _set_header(path, key, value):
+def _set_header(path, key, value, signed=False):
     header, payload = _index_parts(path)
     header[key] = value
-    _write_index(path, header, payload)
+    _write_index(path, _signed(header, payload) if signed else header, payload)
 
 
 def _header_not_an_object(path):
@@ -189,12 +189,17 @@ def _version_true(path):
     _set_header(path, "version", True)  # equal to 1, but not the integer 1
 
 
+def _years_not_a_list(path):
+    _set_header(path, "years", 5)
+
+
+# Signed, so that the years pass the checksum and reach the Dataset's rules.
 def _years_not_increasing(path):
-    _set_header(path, "years", [1990, 1990])
+    _set_header(path, "years", [1990, 1990], signed=True)
 
 
 def _year_before_1880(path):
-    _set_header(path, "years", [-7])
+    _set_header(path, "years", [-7], signed=True)
 
 
 def _format_not_temponym(path):
@@ -299,8 +304,9 @@ BAD_INDEXES = [
     (_version_6, "unsupported index version 6"),
     (_version_float, "unsupported index version 5.0"),
     (_version_true, "unsupported index version True"),
-    (_years_not_increasing, "header years are not increasing integers"),
-    (_year_before_1880, "header years must lie in 1880..2100"),
+    (_years_not_a_list, "header years are not a list"),
+    (_years_not_increasing, "years are not increasing integers"),
+    (_year_before_1880, "years must lie in 1880..2100"),
     (_format_not_temponym, "header format 'something-else' is not 'temponym-index'"),
     (_sections_not_a_mapping, "header sections must be byte lengths"),
     (_payload_byte_changed, "checksum mismatch"),

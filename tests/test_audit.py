@@ -61,7 +61,7 @@ def test_cohort_model_parse():
 @pytest.mark.parametrize("value,attribute", [
     (audit.CohortModel("uniform-window", 35, 10), "half_width"),
     (model.ClassificationPolicy(0.95, 1), "threshold"),
-    (services.ServiceConfig("genderize", "http://example.invalid"), "rate_limit"),
+    (services.ServiceConfig("genderize", "http://example.invalid"), "endpoint_url"),
 ])
 def test_checked_records_are_immutable_values(value, attribute):
     before = getattr(value, attribute)

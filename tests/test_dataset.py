@@ -4,6 +4,7 @@ import errno
 import json
 import mmap
 import random
+import re
 import sys
 import threading
 import time
@@ -559,9 +560,10 @@ def test_repr_is_bounded_and_a_copy_is_equal(sample_dataset):
     assert copy.copy(sample_dataset) == sample_dataset
 
 
-def _two_names(names=("Ann", "Pat"), starts=(0, 0), lengths=(1, 1), cells=2):
-    return ds.Dataset((1990, 1991), names, array("I", starts), array("I", lengths),
-                      array("I", [5] * cells), array("I", [0] * cells))
+def _two_names(names=("Ann", "Pat"), starts=(0, 0), lengths=(1, 1), cells=2,
+               years=(1990, 1991), typecode="I", skipped=()):
+    return ds.Dataset(years, names, array(typecode, starts), array(typecode, lengths),
+                      array(typecode, [5] * cells), array(typecode, [0] * cells), skipped)
 
 
 @pytest.mark.parametrize("table, rule", [
@@ -570,13 +572,35 @@ def _two_names(names=("Ann", "Pat"), starts=(0, 0), lengths=(1, 1), cells=2):
     (dict(starts=(0, 1), lengths=(1, 2), cells=3), "name spans point outside the columns"),
     (dict(lengths=(1, 2)), "name spans point outside the columns"),
     (dict(starts=(0,)), "name spans point outside the columns"),
+    (dict(years=(1991, 1990)), "years are not increasing integers"),
+    (dict(years=(1990, 1990)), "years are not increasing integers"),
+    (dict(years=(1990, 1991.0)), "years are not increasing integers"),
+    (dict(years=(1990, "1991")), "years are not increasing integers"),
+    (dict(years=(1879, 1880)), "years must lie in 1880..2100"),
+    (dict(years=(2100, 2101)), "years must lie in 1880..2100"),
+    (dict(typecode="i"), "column starts has format 'i', not 'B', 'H' or 'I'"),
+    (dict(typecode="Q"), "column starts has format 'Q', not 'B', 'H' or 'I'"),
+    (dict(typecode="d"), "column starts has format 'd', not 'B', 'H' or 'I'"),
+    (dict(skipped=(0,)), "skipped does not hold one count per year"),
+    (dict(names=("A\nB", "Pat")), "a name holds a line break"),
+    (dict(names=("A\ud800b", "Pat")), "a name holds a lone surrogate"),
+    (dict(names=("",), starts=(0,), lengths=(1,), cells=1), "a name is empty"),
 ], ids=["unsorted", "repeated", "span-past-the-last-year", "columns-shorter-than-spans",
-        "a-start-missing"])
+        "a-start-missing", "years-out-of-order", "a-year-repeated", "a-float-year",
+        "a-text-year", "a-year-before-1880", "a-year-after-2100", "signed-columns",
+        "8-byte-columns", "float-columns", "skipped-of-one-year", "a-line-break-in-a-name",
+        "a-lone-surrogate-in-a-name", "an-empty-name"])
 def test_the_constructor_refuses_a_table_that_breaks_a_rule(table, rule):
     assert _two_names().lookup("Pat", 1990) == (5, 0)
-    with pytest.raises(errors.TemponymError, match=rule) as caught:
+    assert _two_names(typecode="B", skipped=(0, 3)).lookup("Pat", 1990) == (5, 0)
+    with pytest.raises(errors.TemponymError, match=re.escape(rule)) as caught:
         _two_names(**table)
     assert type(caught.value) is errors.TemponymError
+
+
+def test_a_year_file_name_utf8_cannot_encode_is_refused_before_any_save():
+    with pytest.raises(errors.TemponymError, match="a name holds a lone surrogate"):
+        ds.load_dataset([(1990, "A\ud800b,F,10")])
 
 
 def test_index_load_peak_stays_under_three_payloads(tmp_path):

@@ -215,6 +215,50 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
                     if any(rows1.get(name, ())) and any(rows2.get(name, ()))]
 
 
+# The largest value of each column format a Dataset accepts.
+COLUMN_MAX = {"B": 2**8 - 1, "H": 2**16 - 1, "I": 2**32 - 1}
+
+
+@st.composite
+def tables(draw):
+    """Arguments the Dataset constructor accepts: increasing years in
+    1880..2100, sorted non-empty names with no line break or lone surrogate,
+    spans inside the years (empty ones too) and 'B', 'H' or 'I' columns
+    holding any value of their format, as lists or tuples."""
+    years = sorted(draw(st.sets(st.integers(ds.MIN_YEAR, ds.MAX_YEAR), max_size=6)))
+    names = sorted(draw(st.sets(st.text(st.characters(
+        blacklist_characters="\n", blacklist_categories=("Cs",)), min_size=1, max_size=4),
+        max_size=5)))
+    starts = [draw(st.integers(0, len(years))) for _ in names]
+    lengths = [draw(st.integers(0, len(years) - start)) for start in starts]
+    columns = {}
+    for key, values in (("starts", starts), ("lengths", lengths),
+                        ("female", None), ("male", None)):
+        typecode = draw(st.sampled_from(sorted(COLUMN_MAX)))
+        if values is None:
+            values = draw(st.lists(st.integers(0, COLUMN_MAX[typecode]),
+                                   min_size=sum(lengths), max_size=sum(lengths)))
+        columns[key] = array(typecode, values)
+    sequence = draw(st.sampled_from([list, tuple]))
+    return sequence(years), sequence(names), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_every_accepted_table_loads_back_from_its_index_equal(tmp_path_factory, table):
+    years, names, columns = table
+    built = ds.Dataset(years, names, **columns)
+    assert (built.years_loaded, built.names) == (tuple(years), tuple(names))
+    path = tmp_path_factory.getbasetemp() / "table.idx"
+    ds.save_index(built, path)
+    loaded = ds.load_index(path)
+    assert loaded == built
+    assert loaded._distinct == built._distinct
+    resaved = path.with_name("table-resaved.idx")
+    ds.save_index(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
 # --- the SSA row parser -----------------------------------------------------
 
 # Any character but "," and "\n" may be part of a name; lone surrogates are

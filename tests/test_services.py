@@ -385,31 +385,22 @@ def test_comparison_table_rate_limits_each_live_service(
     real_limiter = services.RateLimiter
     monkeypatch.setattr(services, "RateLimiter", limiter)
     monkeypatch.setattr(services, "_fetch_live", fake_fetch)
-    live = [
-        services.ServiceConfig(service_id="slow", endpoint_url="http://example.invalid",
-                               rate_limit=2.0),
-        services.ServiceConfig(service_id="fast", endpoint_url="http://example.invalid",
-                               rate_limit=100.0),
-    ]
+    live = [services.ServiceConfig(service_id=service_id, endpoint_url="http://example.invalid")
+            for service_id in ("first", "second")]
     names = ["Sydney", "Jean", "Leslie", "Shelby"]
     cache = services.PredictionCache(tmp_path)
     rows = services.comparison_table(names, sample_dataset, 1925, fixture_configs + live, cache)
-    assert rates == [2.0, 100.0]  # one limiter per live service, none for fixtures
+    assert rates == [services.LIVE_RATE] * 2  # one limiter per live service, none for fixtures
     assert all(not row.cell_errors for row in rows)
-    slow = [t for service, _, t in calls if service == "slow"]
-    assert len(slow) == len(names) and len(calls) == 2 * len(names)
-    assert all(b - a >= 0.5 for a, b in zip(slow, slow[1:]))
-    assert sleeps and sum(sleeps) <= (len(names) - 1) * 0.5
+    assert len(calls) == 2 * len(names)
+    spacing = 1 / services.LIVE_RATE
+    for service_id in ("first", "second"):
+        times = [t for service, _, t in calls if service == service_id]
+        assert len(times) == len(names)
+        assert all(b - a >= spacing for a, b in zip(times, times[1:]))
+    assert sleeps and sum(sleeps) <= (len(names) - 1) * spacing
 
     sleeps.clear()
     calls.clear()
     services.comparison_table(names, sample_dataset, 1925, fixture_configs + live, cache)
     assert calls == [] and sleeps == []  # cache hits and fixture lookups never wait
-
-
-def test_comparison_table_rejects_a_bad_rate_before_any_fetch(sample_dataset, monkeypatch):
-    monkeypatch.setattr(services, "_fetch_live", lambda *args: pytest.fail("fetched"))
-    config = services.ServiceConfig(service_id="x", endpoint_url="http://example.invalid",
-                                    rate_limit=0)
-    with pytest.raises(errors.ConfigError):
-        services.comparison_table(["Jean"], sample_dataset, 1925, [config])
