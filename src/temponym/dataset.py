@@ -146,11 +146,13 @@ class Dataset(Record):
     ``__init__`` checks the rules of a valid table for every builder (years
     increasing ints in ``MIN_YEAR..MAX_YEAR``, names sorted, unique and not
     empty, spans inside ``years_loaded`` and the columns, those three
-    column formats, ``skipped`` empty or one count per year; names not read
-    from an index also pass ``_folded_keys``) and raises a
+    column formats, ``skipped`` empty or one count per year; names given
+    without ``distinct`` also pass ``_folded_keys``) and raises a
     ``TemponymError`` naming the one broken, so every table it accepts,
     years and names kept as tuples, saves to an index that loads back
     equal. ``load_index`` reports a broken rule as an ``IndexFormatError``.
+    Only ``load_index`` passes ``distinct``: its names, UTF-8 text split on
+    ``\n``, need no ``_folded_keys`` check.
 
     ``lookup``, ``totals`` and ``name_counts`` resolve a name once. Whether
     any two names fold to one key is fixed when the dataset is built. If
