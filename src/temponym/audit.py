@@ -8,13 +8,15 @@ is the historical over-count introduced by the atemporal shortcut.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import repeat
+from bisect import bisect_left
+from math import inf
+from operator import mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
-from .dataset import Dataset, Record, read_csv
+from ._pyparse import COUNT
+from .dataset import MAX_YEAR, MIN_YEAR, Dataset, Record, read_csv
 from .model import GenderProbability, _probability, classify, p_female_pooled
 
 DEFAULT_COHORT_OFFSET = 35  # approximate mid-career age at publication
@@ -26,7 +28,9 @@ KNOWN_P_FEMALE = {"F": 0.95, "M": 0.05, "U": 0.5}
 class CohortModel(Record):
     """Maps an activity year to a distribution over plausible birth years."""
 
-    __slots__ = _compared = ("kind", "offset_years", "half_width")
+    # _weights: the integer weight of each year of the window, earliest first
+    __slots__ = ("kind", "offset_years", "half_width", "_weights")
+    _compared = ("kind", "offset_years", "half_width")
 
     def __init__(self, kind: str = "fixed-offset", offset_years: int = DEFAULT_COHORT_OFFSET,
                  half_width: int = 0):
@@ -34,11 +38,13 @@ class CohortModel(Record):
             raise errors.ConfigError(f"unknown cohort model kind {kind!r}")
         if offset_years < 0:
             raise errors.ConfigError("offset_years must be >= 0")
-        if half_width < 0:
-            raise errors.ConfigError("half_width must be >= 0")
+        if not 0 <= half_width <= MAX_YEAR - MIN_YEAR:
+            raise errors.ConfigError(f"half_width must be in 0..{MAX_YEAR - MIN_YEAR}")
         if kind == "fixed-offset" and half_width:
             raise errors.ConfigError("a fixed-offset cohort takes no half-width")
-        self._init(kind=kind, offset_years=offset_years, half_width=half_width)
+        self._init(kind=kind, offset_years=offset_years, half_width=half_width, _weights=(
+            (*range(1, half_width + 1), *range(half_width + 1, 0, -1))
+            if kind == "triangular-window" else (1,) * (2 * half_width + 1)))
 
     @classmethod
     def parse(cls, text: str) -> "CohortModel":
@@ -87,27 +93,22 @@ class DecadeRow(NamedTuple):
 
 
 def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
-                             dataset: Dataset) -> list[tuple[int, float]]:
-    """Distribution over birth years for someone active in a given year.
+                             dataset: Dataset) -> list[tuple[int, int]]:
+    """``(birth year, weight)`` for the loaded years in the cohort window of an activity year.
 
-    The distribution covers the dataset's loaded years inside the cohort
-    window, renormalized over them.
+    The weights are relative integers, since only their ratios matter: 1
+    each, or ``h + 1 - |year - center|`` in a triangular window.
     """
-    center = activity_year - cohort_model.offset_years
-    h = cohort_model.half_width
+    low = activity_year - cohort_model.offset_years - cohort_model.half_width
+    weights = cohort_model._weights
     loaded = dataset.years_loaded
-    years = loaded[bisect_left(loaded, center - h):bisect_right(loaded, center + h)]
+    years = loaded[bisect_left(loaded, low):bisect_left(loaded, low + len(weights))]
     if not years:
         raise errors.EmptySupport(
-            f"no loaded year receives cohort weight for activity year {activity_year}"
-        )
-    if cohort_model.kind != "triangular-window":
-        return list(zip(years, repeat(1 / len(years))))
-    # Integer weights, each at least 1 inside the window: their sum is exact,
-    # and int / int rounds each share once, as float / float of them would.
-    weights = [h + 1 - abs(year - center) for year in years]
-    total = sum(weights)
-    return [(year, weight / total) for year, weight in zip(years, weights)]
+            f"no loaded year receives cohort weight for activity year {activity_year}")
+    if years[-1] - years[0] == len(years) - 1:  # consecutive years: one slice of the weights
+        return list(zip(years, weights[years[0] - low:years[-1] - low + 1]))
+    return [(year, weights[year - low]) for year in years]
 
 
 def temporal_p_female(
@@ -117,23 +118,24 @@ def temporal_p_female(
 ) -> GenderProbability:
     """Mixture of per-year p(F), weighted by cohort weight x yearly usage.
 
-    A person active in a given year is more likely born in a year when the
-    name was common, so within the cohort window the mixture weights are
-    proportional to the name's total count that year. A birth year without
-    data, loaded or not, takes no part.
+    A person is more likely born in a year when the name was common, so
+    p(F) = sum(w * f) / sum(w * (f + m)) over the birth years, exact and
+    correctly rounded for integer weights. A year without data, loaded or
+    not, takes no part. Years that do not increase, and weights that are
+    negative, infinite, NaN or so large that the sums overflow, are refused.
     """
-    female, male = dataset.name_counts(name, tuple([year for year, _ in birth_distribution]))
-    masses, terms = [], []
-    for (_, weight), f, m in zip(birth_distribution, female, male):
-        if f or m:
-            mass = weight * (f + m)
-            masses.append(mass)
-            terms.append(mass * (f / (f + m)))
-    if not masses:
-        span = f"{birth_distribution[0][0]}..{birth_distribution[-1][0]}"
-        raise errors.NoData(name, f"birth years {span}")
-    return _probability((name, f"cohort mixture over {len(masses)} birth years",
-                         sum(terms) / sum(masses), sum(female), sum(male)))
+    if not birth_distribution:
+        raise errors.TemponymError("the birth distribution holds no year")
+    years, weights = zip(*birth_distribution)
+    skip, female, male = dataset.window(name, years)
+    num = sum(map(mul, weights[skip:], female))
+    den = num + sum(map(mul, weights[skip:], male))
+    if not (min(weights) >= 0 and sum(weights) + den < inf):  # a NaN fails both
+        raise errors.TemponymError("bad birth-year weights: negative, not finite or overflowing")
+    if not den:  # no year with data has weight
+        raise errors.NoData(name, f"birth years {years[0]}..{years[-1]}")
+    return _probability((name, f"cohort mixture over birth years {years[0]}..{years[-1]}",
+                         num / den, sum(female), sum(male)))
 
 
 def _predictions(records, dataset, cohort_model, atemporal_range):
@@ -248,12 +250,10 @@ def load_corpus_csv(path: Optional[Path | str] = None) -> list[CorpusRecord]:
             raise errors.ConfigError(
                 f"record {record_id}: known_gender must be F, M, U or empty"
             )
-        try:
-            activity_year = int(row["activity_year"])
-        except ValueError:
-            raise errors.ConfigError(
-                f"record {record_id}: activity_year {row['activity_year']!r} is not a year"
-            ) from None
-        records.append(CorpusRecord(record_id, row["given_name"], activity_year, gender))
+        year = row["activity_year"]
+        # 1 to 9 ASCII digits, like a count in a year file: int() also takes "+1", "1_0", " 1"
+        if not (COUNT.fullmatch(year) and len(year) <= 9):
+            raise errors.ConfigError(f"record {record_id}: activity_year {year!r} is not a year")
+        records.append(CorpusRecord(record_id, row["given_name"], int(year), gender))
     return records
 

@@ -143,28 +143,28 @@ class Dataset(Record):
     load of its index would. ``skipped`` holds the rows skipped per year, or
     nothing, and takes no part in equality.
 
-    ``__init__`` checks the rules of a valid table for every builder (years
-    increasing ints in ``MIN_YEAR..MAX_YEAR``, names sorted, unique and not
-    empty, spans inside ``years_loaded`` and the columns, those three
-    column formats, ``skipped`` empty or one count per year; names given
-    without ``distinct`` also pass ``_folded_keys``) and raises a
-    ``TemponymError`` naming the one broken, so every table it accepts,
-    years and names kept as tuples, saves to an index that loads back
-    equal. ``load_index`` reports a broken rule as an ``IndexFormatError``.
-    Only ``load_index`` passes ``distinct``: its names, UTF-8 text split on
-    ``\n``, need no ``_folded_keys`` check.
+    ``__init__`` checks the rules of a valid table (years increasing ints
+    in ``MIN_YEAR..MAX_YEAR``, names sorted, unique and not empty, spans
+    inside ``years_loaded`` and the columns, those three column formats,
+    ``skipped`` empty or one count per year, and names that pass
+    ``_folded_keys``) and raises a ``TemponymError`` naming the one broken,
+    so every table it accepts, years and names kept as tuples, saves to an
+    index that loads back equal. ``load_index`` builds its table through
+    ``_loaded``, which checks the same rules but the last (its names, UTF-8
+    text split on ``\n``, need no ``_folded_keys`` check), and reports a
+    broken rule as an ``IndexFormatError``.
 
-    ``lookup``, ``totals`` and ``name_counts`` resolve a name once. Whether
-    any two names fold to one key is fixed when the dataset is built. If
-    none do, a stored name answers alone: its cells are read in place. Any
-    other name goes through ``_candidates``, the one resolver of folded
-    keys, and the first candidate with data in a year answers for it
+    ``lookup``, ``totals``, ``window`` and ``name_counts`` resolve a name
+    once. Whether any two names fold to one key is fixed when the dataset is
+    built. If none do, a stored name answers alone: its cells are read in
+    place. Any other name goes through ``_candidates``, the one resolver of
+    folded keys, and the first candidate with data in a year answers for it
     (``_first_cell``). ``_candidates`` reads the fold map: per folded key
     the int index of the one stored name with that key, or, only for a key
     that two or more names share, the ascending tuple of their indices.
-    ``load_index`` passes the fact its index stores, and the map waits for
-    the first lookup that needs it; any other table is folded in
-    ``__init__``, which keeps the map and reads the fact from it.
+    ``_loaded`` takes the fact its index stores, and the map waits for the
+    first lookup that needs it; ``__init__`` folds every table it builds,
+    keeps the map and reads the fact from it.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -183,7 +183,23 @@ class Dataset(Record):
     _compared = ("years_loaded", "names", "starts", "lengths", "female", "male")
 
     def __init__(self, years_loaded: Sequence[int], names: Sequence[str], starts, lengths,
-                 female, male, skipped: Sequence[int] = (), distinct: Optional[bool] = None):
+                 female, male, skipped: Sequence[int] = ()):
+        self._set_table(years_loaded, names, starts, lengths, female, male, skipped)
+        # not read from an index: fold the names once, keeping the map
+        self._init(_distinct=len(self._fold_groups()) == len(self.names))
+
+    @classmethod
+    def _loaded(cls, distinct: bool, *table) -> "Dataset":
+        """The table of an index, with the fold fact it stores: its names, UTF-8
+        text split on ``\n``, need no ``_folded_keys`` check, and the fold
+        map waits for the first lookup that needs it."""
+        dataset = cls.__new__(cls)
+        dataset._set_table(*table)
+        dataset._init(_distinct=distinct)
+        return dataset
+
+    def _set_table(self, years_loaded, names, starts, lengths, female, male, skipped=()):
+        """Check the rules of a valid table and set its attributes."""
         years_loaded, names, skipped = tuple(years_loaded), tuple(names), tuple(skipped)
         if not (all(type(year) is int for year in years_loaded)
                 and all(map(lt, years_loaded, years_loaded[1:]))):
@@ -218,11 +234,8 @@ class Dataset(Record):
             _offsets=offsets,
             _positions={year: pos for pos, year in enumerate(years_loaded)},
             _ids=dict(zip(names, range(len(names)))),
-            _distinct=distinct,
             _groups=None,
         )
-        if distinct is None:  # not read from an index: fold the names once, keeping the map
-            self._init(_distinct=len(self._fold_groups()) == len(names))
 
     # Unhashable, as a mutable sequence would be: CPython hashes a memoryview
     # only of format 'B', 'b' or 'c', and a column may be 'H' or 'I'.
@@ -321,26 +334,36 @@ class Dataset(Record):
                 return female, male
         return None
 
-    def name_counts(
-        self, name: str, years: Sequence[int], fold_diacritics: bool = False
-    ) -> tuple[list[int], list[int]]:
-        """A name's female and male counts in each of ``years``, resolving the name once.
+    def _resolve(self, name: str, fold_diacritics: bool) -> Sequence[int]:
+        """The stored names that may answer for ``name``: itself alone when it
+        is stored in a table where no two names fold alike, else its
+        ``_candidates``."""
+        i = self._ids.get(name)
+        return (i,) if i is not None and self._distinct else self._candidates(
+            name, fold_diacritics)
 
-        Position k holds ``lookup(name, years[k], fold_diacritics)``, with 0
-        for a year without data and for a year that is not loaded. When one
-        stored name answers and the years are consecutive loaded years, the
-        counts are one slice of each column, padded with zeros where the
-        name's span starts or ends inside them.
+    def window(
+        self, name: str, years: Sequence[int], fold_diacritics: bool = False
+    ) -> tuple[int, list[int], list[int]]:
+        """``(skip, female, male)``: a name's counts in increasing ``years``,
+        resolving the name once.
+
+        Position k of the two lists holds ``lookup(name, years[skip + k],
+        fold_diacritics)``, 0 for a year without data or not loaded; the
+        name has no data in the years before ``skip`` or past the lists'
+        end. Years that do not increase are a ``TemponymError``. When one
+        stored name answers and ``years`` is a tuple of consecutive loaded
+        years, the lists are one slice of each column, where the name's span
+        and the years overlap: no step per year and no padding.
         """
+        ids = self._resolve(name, fold_diacritics)
         n = len(years)
         first = self._positions.get(years[0]) if n else None
-        i = self._ids.get(name)
-        ids = (i,) if i is not None and self._distinct else self._candidates(
-            name, fold_diacritics)
-        if len(ids) != 1 or first is None or (
-                self.years_loaded[first:first + n] != tuple(years)):
+        if len(ids) != 1 or first is None or self.years_loaded[first:first + n] != years:
+            if not all(map(lt, years, years[1:])):
+                raise errors.TemponymError("years are not increasing")
             # -1, the position of a year not loaded, is in no name's span
-            return self._first_cells(ids, [self._positions.get(year, -1) for year in years])
+            return (0, *self._first_cells(ids, [self._positions.get(year, -1) for year in years]))
         i = ids[0]
         start = self.starts[i]
         end = start + self.lengths[i]
@@ -348,13 +371,25 @@ class Dataset(Record):
         lo = first if first > start else start
         hi = stop if stop < end else end
         if lo >= hi:
-            return [0] * n, [0] * n
+            return 0, [], []
         base = self._offsets[i] - start
-        female = self.female[base + lo:base + hi].tolist()
-        male = self.male[base + lo:base + hi].tolist()
-        if lo == first and hi == stop:
-            return female, male
-        head, tail = [0] * (lo - first), [0] * (stop - hi)
+        cells = slice(base + lo, base + hi)
+        return lo - first, self.female[cells].tolist(), self.male[cells].tolist()
+
+    def name_counts(
+        self, name: str, years: Sequence[int], fold_diacritics: bool = False
+    ) -> tuple[list[int], list[int]]:
+        """A name's female and male counts in each of ``years``, resolving the name once.
+
+        Position k holds ``lookup(name, years[k], fold_diacritics)``, with 0
+        for a year without data and for a year that is not loaded: the
+        ``window`` of increasing years, padded with zeros.
+        """
+        if not all(map(lt, years, years[1:])):  # a year repeated or out of order
+            return self._first_cells(self._resolve(name, fold_diacritics),
+                                     [self._positions.get(year, -1) for year in years])
+        skip, female, male = self.window(name, tuple(years), fold_diacritics)
+        head, tail = [0] * skip, [0] * (len(years) - skip - len(female))
         return head + female + tail, head + male + tail
 
     def year_pair_cells(self, y1: int, y2: int) -> list[tuple[str, int, int, int, int]]:
@@ -778,6 +813,6 @@ def load_index(path: Path | str) -> Dataset:
         columns[key] = _unshuffle(view[end - sizes[key]:end], widths[key])
     del view, cells  # the columns are copies: unmap the inflated bytes before the Dataset
     try:
-        return Dataset(header["years"], names, **columns, distinct=header["distinct_keys"])
+        return Dataset._loaded(header["distinct_keys"], header["years"], names, *columns.values())
     except errors.TemponymError as exc:
         raise errors.IndexFormatError(f"{path}: {exc}") from None

@@ -1,6 +1,9 @@
 import copy
+import math
 import pickle
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -12,32 +15,30 @@ def test_fixed_offset_point_mass(sample_dataset):
     dist = audit.infer_birth_distribution(
         1971, audit.CohortModel("fixed-offset", 35), sample_dataset
     )
-    assert dist == [(1936, 1.0)]
+    assert dist == [(1936, 1)] and type(dist[0][1]) is int
 
 
 def test_uniform_window(sample_dataset):
     dist = audit.infer_birth_distribution(
         2000, audit.CohortModel("uniform-window", 35, 10), sample_dataset
     )
-    years = [year for year, _ in dist]
-    assert years == list(range(1955, 1976))
-    assert all(w == pytest.approx(1 / 21) for _, w in dist)
+    assert dist == [(year, 1) for year in range(1955, 1976)]
+    assert all(type(w) is int for _, w in dist)
 
 
 def test_triangular_degenerate_equals_fixed(sample_dataset):
     tri = audit.infer_birth_distribution(
         1971, audit.CohortModel("triangular-window", 35, 0), sample_dataset
     )
-    assert tri == [(1936, 1.0)]
+    assert tri == [(1936, 1)] and type(tri[0][1]) is int
 
 
 def test_triangular_weights_peak_at_center(sample_dataset):
     dist = audit.infer_birth_distribution(
         2000, audit.CohortModel("triangular-window", 35, 2), sample_dataset
     )
-    weights = dict(dist)
-    assert weights[1965] > weights[1964] > weights[1963]
-    assert sum(weights.values()) == pytest.approx(1.0)
+    assert dist == [(1963, 1), (1964, 2), (1965, 3), (1966, 2), (1967, 1)]
+    assert all(type(w) is int for _, w in dist)
 
 
 def test_empty_support_raises(quarter_dataset):
@@ -84,6 +85,15 @@ def test_fields_outside_equality_do_not_compare():
     assert fixture != services.ServiceConfig("genderize", "http://example.invalid")
 
 
+def test_cohort_half_width_spans_at_most_the_year_axis(sample_dataset):
+    widest = audit.CohortModel("triangular-window", 35, ds.MAX_YEAR - ds.MIN_YEAR)
+    dist = audit.infer_birth_distribution(2000, widest, sample_dataset)
+    assert dist[0] == (1880, 221 - 85) and dist[-1] == (2020, 221 - 55)
+    for kind in ("uniform-window", "triangular-window"):
+        with pytest.raises(errors.ConfigError, match=r"half_width must be in 0\.\.220"):
+            audit.CohortModel(kind, 35, ds.MAX_YEAR - ds.MIN_YEAR + 1)
+
+
 def test_fixed_offset_cohort_takes_no_half_width():
     with pytest.raises(errors.ConfigError):
         audit.CohortModel("fixed-offset", 35, 10)
@@ -102,16 +112,17 @@ def test_temporal_all_female_is_one():
 
 
 def test_temporal_two_year_mixture_hand_computed():
-    # oracle: usage-reweighted mixture computed by hand
+    # oracle: usage-reweighted mixture computed by hand, exact, rounded once
     data = ds.load_dataset([
         (1990, "Pat,F,20\nPat,M,80"),   # p=0.2, support 100
         (1991, "Pat,F,90\nPat,M,210"),  # p=0.3, support 300
     ])
-    dist = [(1990, 0.5), (1991, 0.5)]
-    w1, w2 = 0.5 * 100, 0.5 * 300
-    expected = (w1 * 0.2 + w2 * 0.3) / (w1 + w2)
-    prob = audit.temporal_p_female(data, "Pat", dist)
-    assert prob.p_female == pytest.approx(expected)
+    w1, w2 = Fraction(1, 2) * 100, Fraction(1, 2) * 300
+    expected = float((w1 * Fraction(2, 10) + w2 * Fraction(3, 10)) / (w1 + w2))
+    for dist in ([(1990, 0.5), (1991, 0.5)], [(1990, 1), (1991, 1)]):
+        prob = audit.temporal_p_female(data, "Pat", dist)
+        assert prob.p_female == expected == 0.275
+        assert (prob.female_count, prob.male_count) == (110, 290)
 
 
 def test_temporal_mixture_bounds(sample_dataset):
@@ -129,6 +140,42 @@ def test_temporal_mixture_bounds(sample_dataset):
 def test_temporal_no_data(sample_dataset):
     with pytest.raises(errors.NoData):
         audit.temporal_p_female(sample_dataset, "Zzyzx", [(1925, 1.0)])
+
+
+PAT = ds.load_dataset([(1990, "Pat,F,20\nPat,M,80"), (1991, "Pat,F,90\nPat,M,210"),
+                       (1992, "Ann,F,9")])
+
+
+BAD_WEIGHTS = "bad birth-year weights: negative, not finite or overflowing"
+
+
+@pytest.mark.parametrize("dist, rule", [
+    ([], "the birth distribution holds no year"),
+    ([(1990, math.nan), (1991, 1)], BAD_WEIGHTS),
+    ([(1990, 1), (1991, math.inf)], BAD_WEIGHTS),
+    ([(1990, 1), (1991, 1), (1992, math.nan)], BAD_WEIGHTS),
+    ([(1990, -1), (1991, 2)], BAD_WEIGHTS),
+    ([(1990, 1.0), (1991, -0.5)], BAD_WEIGHTS),
+    ([(1990, 1e307), (1991, 1e307)], BAD_WEIGHTS),
+    ([(1990, 1), (1990, 1), (1991, 1)], "years are not increasing"),
+    ([(1991, 1), (1990, 1)], "years are not increasing"),
+], ids=["empty", "nan", "inf", "nan-on-a-year-without-data", "negative-int",
+        "negative-float", "products-overflow", "a-year-repeated", "years-out-of-order"])
+def test_temporal_refuses_a_bad_distribution(dist, rule):
+    # an exact name, and a spelling that resolves through the fold map
+    for name in ("Pat", "pat"):
+        with pytest.raises(errors.TemponymError, match=re.escape(rule)) as caught:
+            audit.temporal_p_female(PAT, name, dist)
+        assert type(caught.value) is errors.TemponymError
+
+
+@pytest.mark.parametrize("dist", [
+    [(1990, 0), (1991, 0)], [(1990, 0.0), (1991, 0), (1992, 5)], [(1992, 3), (1993, 1)],
+], ids=["all-zero", "weight-only-without-data", "no-year-with-data"])
+def test_temporal_without_weight_on_a_year_with_data_has_no_data(dist):
+    for name in ("Pat", "pat"):
+        with pytest.raises(errors.NoData):
+            audit.temporal_p_female(PAT, name, dist)
 
 
 def test_audit_empty_corpus(sample_dataset):
@@ -238,6 +285,21 @@ def test_corpus_csv_rejects_bad_gender(tmp_path):
         audit.load_corpus_csv(path)
 
 
+@pytest.mark.parametrize("year", [
+    "1_990", "+1990", " 1990", "1990 ", "\u0661\u0669\u0669\u0660", "-1990", "1990.0", "19x0", "",
+    "1" * 10,
+], ids=["underscore", "plus", "leading-space", "trailing-space", "arabic-indic-digits",
+        "minus", "decimal", "letter", "empty", "ten-digits"])
+def test_corpus_csv_activity_year_is_ascii_digits(tmp_path, year):
+    path = tmp_path / "corpus.csv"
+    path.write_text(f"record_id,given_name,activity_year\na:1,Leslie,1980\nb:2,Jean,{year}\n",
+                    encoding="utf-8")
+    with pytest.raises(errors.ConfigError, match=re.escape(f"record b:2: activity_year {year!r}")):
+        audit.load_corpus_csv(path)
+    path.write_text("record_id,given_name,activity_year\na:1,Leslie,01980\nb:2,Jean,7\n")
+    assert [r.activity_year for r in audit.load_corpus_csv(path)] == [1980, 7]
+
+
 # --- audit_corpus and evaluate_known against the per-record loop ------------
 
 def _audit_case():
@@ -334,36 +396,36 @@ def test_evaluate_known_equals_per_record_loop(cohort, atemporal_range, policy):
 # --- the birth distribution and the mixture against per-year references ------
 
 def _reference_distribution(activity_year, cohort, dataset):
-    """Every year of the window, then the loaded ones kept and renormalized."""
+    """Every year of the window with its integer weight, then the loaded ones kept."""
     center, h = activity_year - cohort.offset_years, cohort.half_width
     if cohort.kind == "fixed-offset" or h == 0:
-        pairs = [(center, 1.0)]
+        pairs = [(center, 1)]
     elif cohort.kind == "uniform-window":
-        pairs = [(year, 1.0) for year in range(center - h, center + h + 1)]
+        pairs = [(year, 1) for year in range(center - h, center + h + 1)]
     else:
-        pairs = [(center + d, float(h + 1 - abs(d))) for d in range(-h, h + 1)]
+        pairs = [(center + d, h + 1 - abs(d)) for d in range(-h, h + 1)]
     if dataset is not None:
         pairs = [(year, w) for year, w in pairs if dataset.has_year(year)]
-    total = sum(w for _, w in pairs)
-    if total == 0:
+    if not pairs:
         raise errors.EmptySupport(activity_year)
-    return [(year, w / total) for year, w in pairs]
+    return pairs
 
 
 def _reference_temporal(data, name, dist):
-    """The mixture from per-year ``lookup`` over the loaded years of ``dist``."""
-    terms, female_sum, male_sum = [], 0, 0
+    """The mixture from per-year ``lookup`` over the loaded years of ``dist``:
+    the exact ratio sum(w * f) / sum(w * (f + m)), rounded once."""
+    num = den = female_sum = male_sum = 0
     for year, weight in dist:
-        counts = data.lookup(name, year) if data.has_year(year) else None
-        if counts:
-            terms.append((weight * sum(counts), counts[0] / sum(counts)))
-            female_sum += counts[0]
-            male_sum += counts[1]
-    if not terms:
+        f, m = data.has_year(year) and data.lookup(name, year) or (0, 0)
+        num += Fraction(weight) * f
+        den += Fraction(weight) * (f + m)
+        female_sum += f
+        male_sum += m
+    if not den:
         return None
     return model.GenderProbability(
-        name, f"cohort mixture over {len(terms)} birth years",
-        sum(w * p for w, p in terms) / sum(w for w, _ in terms), female_sum, male_sum)
+        name, f"cohort mixture over birth years {dist[0][0]}..{dist[-1][0]}",
+        float(num / den), female_sum, male_sum)
 
 
 COHORTS = [
@@ -389,7 +451,8 @@ def test_birth_distribution_equals_filter_then_normalise(sparse_dataset, cohort)
             with pytest.raises(errors.EmptySupport):
                 audit.infer_birth_distribution(activity_year, cohort, sparse_dataset)
             continue
-        assert audit.infer_birth_distribution(activity_year, cohort, sparse_dataset) == expected
+        dist = audit.infer_birth_distribution(activity_year, cohort, sparse_dataset)
+        assert dist == expected and all(type(w) is int for _, w in dist)
     assert empty > 0  # windows that hold no loaded year
 
 

@@ -519,6 +519,16 @@ def test_corpus_bad_activity_year_is_data_error(runner, tmp_path):
     assert "record b" in result.output and "19x0" in result.output
 
 
+@pytest.mark.parametrize("year", ["1_990", "+1990", " 1990", "\u0661\u0669\u0669\u0660"])
+def test_corpus_activity_year_int_would_read_is_data_error(runner, tmp_path, year):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("record_id,given_name,activity_year,known_gender\n"
+                      f"a,Leslie,1980,M\nb,Jean,{year},F\n", encoding="utf-8")
+    result = runner.invoke(main, ["audit", "--corpus", str(corpus)])
+    assert result.exit_code == 3
+    assert f"record b: activity_year {year!r} is not a year" in result.output
+
+
 def test_corpus_missing_column_is_data_error(runner, tmp_path):
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("record_id,given_name,known_gender\na,Leslie,M\n")
@@ -753,6 +763,7 @@ CLI_ERRORS = [
     ("audit-fixed-cohort-with-half-width", ["audit", "--cohort", "fixed:35:10"], {}, 2),
     ("audit-negative-cohort-offset", ["audit", "--cohort", "uniform:-500:3"], {}, 2),
     ("audit-negative-cohort-half-width", ["audit", "--cohort", "uniform:35:-1"], {}, 2),
+    ("audit-cohort-wider-than-the-year-axis", ["audit", "--cohort", "triangular:35:221"], {}, 2),
     ("query-index-with-dir",
      ["query", "--index", "{tmp}/x.idx", "--dir", "{tmp}", "--name", "Pat", "--year", "1990"],
      {"x.idx": b""}, 2),

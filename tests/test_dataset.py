@@ -598,6 +598,17 @@ def test_the_constructor_refuses_a_table_that_breaks_a_rule(table, rule):
     assert type(caught.value) is errors.TemponymError
 
 
+def test_the_constructor_takes_no_fold_fact_and_folds_every_table():
+    def lee(**fact):
+        return ds.Dataset((1990, 1991), ("LEE", "Lee"), array("I", [0, 1]), array("I", [1, 1]),
+                          array("I", [5, 0]), array("I", [0, 6]), **fact)
+
+    assert lee().lookup("Lee", 1990) == (5, 0) and lee()._distinct is False
+    for fact in (True, False):
+        with pytest.raises(TypeError):
+            lee(distinct=fact)
+
+
 def test_a_year_file_name_utf8_cannot_encode_is_refused_before_any_save():
     with pytest.raises(errors.TemponymError, match="a name holds a lone surrogate"):
         ds.load_dataset([(1990, "A\ud800b,F,10")])
@@ -707,13 +718,14 @@ def test_a_saved_shared_key_table_loads_with_the_pinned_answers(table, tmp_path)
     _assert_pinned_answers(table, lambda: ds.load_index(path))
 
 
-def test_the_fold_map_holds_one_int_per_unshared_key():
+def test_the_fold_map_holds_one_int_per_unshared_key(tmp_path):
     """Under 130 B a name at 20,000 names (~80 B), where one list per name took ~190 B."""
     n = 20_000
     names = tuple(f"Name{i:05d}" for i in range(n))
-    # Given the fold fact, as from an index, the map waits for its first need.
-    data = ds.Dataset((1990,), names, array("I", bytes(4 * n)), array("I", [1] * n),
-                      array("I", [1] * n), array("I", bytes(4 * n)), distinct=True)
+    ds.save_index(ds.Dataset((1990,), names, array("I", bytes(4 * n)), array("I", [1] * n),
+                             array("I", [1] * n), array("I", bytes(4 * n))), tmp_path / "n.idx")
+    # Loaded with the fold fact of its index, the map waits for its first need.
+    data = ds.load_index(tmp_path / "n.idx")
     assert data._groups is None
     tracemalloc.start()
     try:

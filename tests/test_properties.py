@@ -141,9 +141,12 @@ def test_cohort_weight_normalization(activity_year, kind, offset, half_width):
             audit.infer_birth_distribution(activity_year, cohort, EVERY_YEAR)
         return
     dist = audit.infer_birth_distribution(activity_year, cohort, EVERY_YEAR)
-    weights = [w for _, w in dist]
-    assert all(w >= 0 for w in weights)
-    assert sum(weights) == pytest.approx(1.0)
+    # relative integer weights, not normalised: each loaded year of the window
+    center, h = activity_year - offset, cohort.half_width
+    shape = (lambda d: h + 1 - abs(d)) if kind == "triangular-window" else (lambda d: 1)
+    assert dist == [(year, shape(year - center))
+                    for year in range(max(center - h, ds.MIN_YEAR), center + h + 1)]
+    assert all(type(w) is int and w >= 1 for _, w in dist)
 
 
 @THOROUGH
@@ -164,6 +167,39 @@ def test_mixture_bounds(rows):
     per_year = [f / (f + m) for f, m, _ in rows if f + m > 0]
     assert min(per_year) - 1e-12 <= mixed.p_female <= max(per_year) + 1e-12
     assert 0.0 <= mixed.p_female <= 1.0
+
+
+@THOROUGH
+@given(
+    st.integers(0, 9),
+    st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+             min_size=1, max_size=10),
+    st.integers(1985, 2004),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20),
+    st.sets(st.integers(0, 19), max_size=4),
+    st.sampled_from(["Pat", "pat"]),
+)
+def test_integer_weights_give_the_exact_ratio_rounded_once(start, cells, first, weights,
+                                                           dropped, name):
+    """p(F) of a mixture with integer weights and counts up to 2^32 - 1 is
+    float(Fraction(sum(w * f), sum(w * (f + m)))), whether the years are
+    one run of loaded years (one slice of each column) or not."""
+    cells = cells[:10 - start]
+    data = ds.Dataset(range(1990, 2000), ("Pat",), array("I", [start]), array("I", [len(cells)]),
+                      array("I", [f for f, _ in cells]), array("I", [m for _, m in cells]))
+    dist = [(first + k, w) for k, w in enumerate(weights) if k not in dropped]
+    assume(dist)
+    counts = {1990 + start + k: cell for k, cell in enumerate(cells)}
+    found = [(w, *counts.get(year, (0, 0))) for year, w in dist]
+    num, den = sum(w * f for w, f, _ in found), sum(w * (f + m) for w, f, m in found)
+    if not den:
+        with pytest.raises(errors.NoData):
+            audit.temporal_p_female(data, name, dist)
+        return
+    prob = audit.temporal_p_female(data, name, dist)
+    assert prob.p_female == float(Fraction(num, den))
+    assert (prob.female_count, prob.male_count) == (
+        sum(f for _, f, _ in found), sum(m for _, _, m in found))
 
 
 # Names distinct under casefolding and diacritic stripping, so every lookup
@@ -657,18 +693,18 @@ def _eager_probability(cells, names, name, years, fold, context):
 
 
 def _eager_mixture(cells, names, name, dist):
-    """``audit.temporal_p_female`` from the eager cells of each loaded year of ``dist``."""
-    terms = []
+    """``audit.temporal_p_female`` from the eager cells of each loaded year of
+    ``dist``: the exact ratio sum(w * f) / sum(w * (f + m)), rounded once."""
+    num = den = female = male = 0
     for year, weight in dist:
         f, m = year in cells and _eager_lookup(cells, names, name, year, False) or (0, 0)
-        if f + m:
-            terms.append((f, m, weight * (f + m), f / (f + m)))
-    if not terms:
+        num, den = num + weight * f, den + weight * (f + m)
+        female, male = female + f, male + m
+    if not den:
         return None
     return model.GenderProbability(
-        name, f"cohort mixture over {len(terms)} birth years",
-        sum(mass * p for _, _, mass, p in terms) / sum(mass for _, _, mass, _ in terms),
-        sum(f for f, _, _, _ in terms), sum(m for _, m, _, _ in terms))
+        name, f"cohort mixture over birth years {dist[0][0]}..{dist[-1][0]}",
+        float(Fraction(num, den)), female, male)
 
 
 def _fraction_label(prob, policy):
@@ -687,7 +723,8 @@ def _fraction_label(prob, policy):
 
 WINDOWS = [(1990, 0), (1991, 1), (1992, 0), (1992, 1), (1993, 2)]
 POOLS = [(1990, 1993), (1991, 1991), (1992, 1992), (1880, 2020)]
-DISTS = [[(1990, 0.25), (1991, 0.5), (1993, 0.25)], [(1991, 0.3), (1992, 0.7)], [(1993, 1.0)]]
+DISTS = [[(1990, 1), (1991, 2), (1993, 1)], [(1991, 3), (1992, 7)], [(1993, 1)],
+         [(1989, 2), (1990, 5), (1991, 1), (1992, 3)]]
 
 
 @settings(max_examples=100, deadline=None)
