@@ -54,13 +54,12 @@ class CohortModel(Record):
                  "triangular": "triangular-window"}
         if parts[0] not in kinds or len(parts) > 3:
             raise errors.ConfigError(f"unknown cohort spec {text!r}")
-        try:
-            numbers = [int(part) for part in parts[1:]]  # the fields' defaults fill the rest
-        except ValueError:
+        # 1 to 9 ASCII digits, like a corpus activity_year: int() also takes "+3_5", " 1", "٣٥"
+        if not all(COUNT.fullmatch(part) and len(part) <= 9 for part in parts[1:]):
             raise errors.ConfigError(
-                f"cohort spec {text!r}: offset and half-width must be integers"
-            ) from None
-        return cls(kinds[parts[0]], *numbers)
+                f"cohort spec {text!r}: offset and half-width must be 1 to 9 ASCII digits")
+        # the fields' defaults fill the rest
+        return cls(kinds[parts[0]], *map(int, parts[1:]))
 
     def __str__(self) -> str:
         """``KIND:OFFSET[:HALF]``, e.g. ``fixed-offset:35`` or ``triangular-window:35:10``."""

@@ -23,7 +23,6 @@ import csv
 import hashlib
 import io
 import json
-import mmap
 import re
 import sys
 import zlib
@@ -49,7 +48,7 @@ MAX_YEAR = 2100
 _YOB_RE = re.compile(r"yob([0-9]{4})\.txt")  # the whole file name
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 
 _NO_DATA = (0, 0)
 
@@ -597,9 +596,8 @@ def bundled_sample_dir() -> Path:
 
 # --- persisted index -------------------------------------------------------
 #
-# Layout: magic line, one JSON header line, then two zlib streams. The header
-# holds the format version, a SHA-256 checksum, the years, the byte length of
-# each payload section, in order:
+# Layout: magic line, one JSON header line, then one zlib stream per payload
+# section, in order:
 #
 #   names    the name table, UTF-8, joined by "\n"
 #   starts   per name, the position in ``years`` of its first cell
@@ -607,20 +605,24 @@ def bundled_sample_dir() -> Path:
 #   female   the female count column, name-major
 #   male     the male count column
 #
-# the width, 1 to 4 bytes, of each section after ``names``, and whether no
-# two names fold to one key (``distinct_keys``). The checksum (``_checksum``)
-# covers the header, its own field null, and the uncompressed sections in
-# order. Those after ``names`` are unsigned 32-bit little-endian columns,
-# stored byte-plane shuffled (all first bytes, then all second bytes, ...)
-# and cut after the highest plane that holds a non-zero byte: counts below
-# 2^16 keep two planes, so their section holds two bytes per value. The first
-# stream holds the name table, deflated with the default strategy; the second
-# holds the four columns, deflated as runs only (``zlib.Z_RLE``): count bytes
-# hardly ever repeat at a distance, so searching for matches costs time and
-# saves almost nothing. Nothing may follow the second stream. Loading inflates
-# each stream as it reads the file, checks the checksum, and unshuffles each
-# column into the narrowest native unsigned type that holds its width, which
-# the Dataset reads in place: no row parsing. Saving reads a column by its own
+# The header holds the format version, a SHA-256 checksum, the years, the
+# byte length of each section (``sections``) and of its stream as stored
+# (``stored``), the width, 1 to 4 bytes, of each section after ``names``, and
+# whether no two names fold to one key (``distinct_keys``). The checksum
+# (``_checksum``) covers the header, its own field null, and the stored
+# streams in order; each stream checks its own inflated bytes with its
+# Adler-32 trailer. The sections after ``names`` are unsigned 32-bit
+# little-endian columns, stored byte-plane shuffled (all first bytes, then
+# all second bytes, ...) and cut after the highest plane that holds a
+# non-zero byte: counts below 2^16 keep two planes, so their section holds
+# two bytes per value. The name table is deflated with the default strategy;
+# each column is deflated as runs only (``zlib.Z_RLE``): count bytes hardly
+# ever repeat at a distance, so searching for matches costs time and saves
+# almost nothing. Nothing may follow the last stream. Loading reads each
+# stream by its stored length, checks the checksum before it inflates
+# anything, then inflates one section at a time and unshuffles each column
+# into the narrowest native unsigned type that holds its width, which the
+# Dataset reads in place: no row parsing. Saving reads a column by its own
 # item size, so a loaded Dataset saves to the same bytes. The Dataset derives
 # its offsets from ``lengths``; stored, they would need three planes and grow
 # the file.
@@ -631,14 +633,6 @@ _U32_SECTIONS = _SECTIONS[1:]
 # The array type code of a column stored ``width`` bytes wide, by width: the
 # formats a Dataset column may have.
 _TYPECODES = {1: "B", 2: "H", 3: "I", 4: "I"}
-
-# Compressed bytes fed to a stream at a time, so that finding where a stream
-# ends copies no more than this of what follows it.
-_CHUNK = 1 << 16
-
-# Deflate's largest expansion is 1032:1, so no stream inflates to more than
-# this many times its compressed bytes.
-_MAX_INFLATE_RATIO = 1032
 
 
 def _plane_offsets(itemsize: int) -> range:
@@ -659,9 +653,10 @@ def _shuffle(column: memoryview) -> tuple[bytes, int]:
     return b"".join(planes[:width]), width
 
 
-def _unshuffle(data: memoryview, width: int) -> memoryview:
+def _unshuffle(data: bytes, width: int) -> memoryview:
     """The column whose first ``width`` byte planes are ``data``, in the
     narrowest native unsigned type that holds them."""
+    data = memoryview(data)
     n = len(data) // width
     typecode = _TYPECODES[width]
     size = array(typecode).itemsize
@@ -671,37 +666,42 @@ def _unshuffle(data: memoryview, width: int) -> memoryview:
     return memoryview(raw).cast(typecode)
 
 
-def _checksum(header: dict, *sections) -> str:
+def _checksum(header: dict, *streams) -> str:
     """SHA-256 of the header as JSON, its ``sha256`` field null, then of each
-    payload section in turn."""
+    stored stream in turn."""
     digest = hashlib.sha256(json.dumps({**header, "sha256": None}).encode())
-    for section in sections:
-        digest.update(section)
+    for stream in streams:
+        digest.update(stream)
     return digest.hexdigest()
 
 
 def save_index(dataset: Dataset, path: Path | str) -> None:
     """Write ``dataset`` to ``path``; a file that cannot be written is a data error."""
-    columns = {key: _shuffle(getattr(dataset, key)) for key in _U32_SECTIONS}
-    sections = ["\n".join(dataset.names).encode(), *(data for data, _ in columns.values())]
+    sizes, widths, streams = {}, {}, {}
+    for key in _SECTIONS:
+        if key == "names":
+            data, strategy = "\n".join(dataset.names).encode(), zlib.Z_DEFAULT_STRATEGY
+        else:
+            (data, widths[key]), strategy = _shuffle(getattr(dataset, key)), zlib.Z_RLE
+        sizes[key] = len(data)
+        deflate = zlib.compressobj(6, strategy=strategy)
+        streams[key] = deflate.compress(data) + deflate.flush()
+        del data
     header = {
         "format": "temponym-index",
         "version": INDEX_VERSION,
         "years": list(dataset.years_loaded),
-        "sections": {key: len(data) for key, data in zip(_SECTIONS, sections)},
-        "widths": {key: width for key, (_, width) in columns.items()},
+        "sections": sizes,
+        "stored": {key: len(stream) for key, stream in streams.items()},
+        "widths": widths,
         "distinct_keys": dataset._distinct,
     }
-    header["sha256"] = _checksum(header, *sections)
-    runs = zlib.compressobj(6, strategy=zlib.Z_RLE)
+    header["sha256"] = _checksum(header, *streams.values())
     try:
         with open(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
             fh.write(json.dumps(header).encode() + b"\n")
-            fh.write(zlib.compress(sections[0], 6))
-            for data in sections[1:]:
-                fh.write(runs.compress(data))
-            fh.write(runs.flush())
+            fh.writelines(streams.values())
     except OSError as exc:
         raise errors.TemponymError(f"{path}: cannot be written ({exc.strerror or exc})") from None
 
@@ -719,67 +719,55 @@ def _read_header(path, line: bytes) -> dict:
     if header.get("format") != "temponym-index":
         raise bad(f"header format {header.get('format')!r} is not 'temponym-index'")
     version = header.get("version")
-    # JSON's 5.0 and true compare equal to 5 and 1, but are not versions.
-    if type(version) is not int or version not in (1, 2, 3, 4, INDEX_VERSION):
+    # JSON's 6.0 and true compare equal to 6 and 1, but are not versions.
+    if type(version) is not int or not 1 <= version <= INDEX_VERSION:
         raise bad(f"unsupported index version {version!r}")
     if version != INDEX_VERSION:
         raise bad(f"index format version {version} is no longer read; re-run `temponym ingest`")
-    sha, years, sections = header.get("sha256"), header.get("years"), header.get("sections")
+    sha, years = header.get("sha256"), header.get("years")
     if not isinstance(sha, str):
         raise bad("header has no sha256")
     if not isinstance(years, list):  # the Dataset checks its items
         raise bad("header years are not a list")
-    if not (isinstance(sections, dict) and list(sections) == list(_SECTIONS)
-            and all(type(n) is int and n >= 0 for n in sections.values())):
-        raise bad(f"header sections must be byte lengths of {', '.join(_SECTIONS)}")
+    # A length below sys.maxsize leaves room for the one byte an inflate may overrun.
+    for field in ("sections", "stored"):
+        lengths = header.get(field)
+        if not (isinstance(lengths, dict) and list(lengths) == list(_SECTIONS)
+                and all(type(n) is int and 0 <= n < sys.maxsize for n in lengths.values())):
+            raise bad(f"header {field} must be byte lengths of {', '.join(_SECTIONS)}")
     widths = header.get("widths")
     if not (isinstance(widths, dict) and list(widths) == list(_U32_SECTIONS)
             and all(type(w) is int and 1 <= w <= 4 for w in widths.values())):
         raise bad(f"header widths must be byte widths 1 to 4 of {', '.join(_U32_SECTIONS)}")
-    if any(sections[key] % widths[key] for key in _U32_SECTIONS):
+    if any(header["sections"][key] % widths[key] for key in _U32_SECTIONS):
         raise bad("a column section is not a whole number of values of its width")
     if type(header.get("distinct_keys")) is not bool:
         raise bad("header distinct_keys must be true or false")
     return header
 
 
-def _inflate(path, view: memoryview, at: int, size: int, what: str) -> tuple[memoryview, int]:
-    """The ``what`` stream that starts at ``view[at]``, inflated, and the
-    offset just after it; its length must be ``size``, what the header gives.
+def _inflate(path, stream: bytes, size: int, key: str) -> bytes:
+    """The ``key`` section inflated from its stored ``stream``; its length
+    must be ``size``, what the header gives.
 
-    The stream is fed ``_CHUNK`` bytes at a time. Its output goes to one
-    buffer, capped one byte past ``size`` or past what deflate can expand the
-    rest of the file to, whichever is less, so a false size inflates no more.
-    The buffer is an anonymous map: pages are taken only as the stream fills
-    them and given back when it is freed. (A bytearray grown at the top of
-    the heap and freed below the columns stayed resident: 4 MB more after a
-    dense load.) If the system will not map even the capped size, the buffer
-    is a bytearray that grows only as the stream fills it.
-    """
-    limit = min(size, _MAX_INFLATE_RATIO * (len(view) - at)) + 1
+    One call inflates at most one byte past ``size``, so a false size
+    inflates no more, and zlib grows its output only as the stream fills it:
+    no buffer is sized from the header."""
+    inflate = zlib.decompressobj()
     try:
-        data = mmap.mmap(-1, limit)
-    except OSError:
-        data = bytearray()
-    stream = zlib.decompressobj()
-    filled = 0
-    try:
-        while not stream.eof and filled < limit and at < len(view):
-            piece = view[at:at + _CHUNK]
-            out = stream.decompress(piece, limit - filled)
-            data[filled:filled + len(out)] = out
-            filled += len(out)
-            at += len(piece) - len(stream.unconsumed_tail) - len(stream.unused_data)
+        data = inflate.decompress(stream, size + 1)
     except zlib.error as exc:
-        raise errors.IndexFormatError(f"{path}: corrupt {what} stream ({exc})") from None
-    if not stream.eof and filled <= size:
-        raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
-    if filled != size:
-        held = "more" if filled > size else filled
+        raise errors.IndexFormatError(f"{path}: corrupt {key} stream ({exc})") from None
+    if len(data) <= size and not inflate.eof:
+        raise errors.IndexFormatError(f"{path}: the {key} stream is truncated")
+    if len(data) != size:
+        held = "more" if len(data) > size else len(data)
         raise errors.IndexFormatError(
-            f"{path}: section lengths add up to {size} bytes for the {what} stream, "
-            f"it holds {held}")
-    return memoryview(data)[:size], at
+            f"{path}: section lengths give {size} bytes for the {key} stream, it holds {held}")
+    if inflate.unused_data:
+        raise errors.IndexFormatError(
+            f"{path}: {len(inflate.unused_data)} byte(s) after the end of the {key} stream")
+    return data
 
 
 def load_index(path: Path | str) -> Dataset:
@@ -791,28 +779,28 @@ def load_index(path: Path | str) -> Dataset:
         if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
             raise errors.IndexFormatError(f"{path}: not a temponym index")
         header = _read_header(path, fh.readline())
-        compressed = fh.read()
-    sizes = header["sections"]
-    view = memoryview(compressed)
-    table, at = _inflate(path, view, 0, sizes["names"], "names")
-    cells, at = _inflate(path, view, at, sum(sizes[key] for key in _U32_SECTIONS), "columns")
-    if at != len(view):
-        raise errors.IndexFormatError(f"{path}: {len(view) - at} byte(s) after the last stream")
-    del view, compressed
-    if _checksum(header, table, cells) != header["sha256"]:
+        rest = fh.read()
+    streams, at = {}, 0
+    for key, length in header["stored"].items():
+        streams[key] = rest[at:at + length]
+        at += length
+        if len(streams[key]) < length:
+            raise errors.IndexFormatError(f"{path}: the {key} stream is truncated")
+    if at != len(rest):
+        raise errors.IndexFormatError(f"{path}: {len(rest) - at} byte(s) after the last stream")
+    del rest
+    if _checksum(header, *streams.values()) != header["sha256"]:
         raise errors.IndexFormatError(f"{path}: checksum mismatch")
+    sizes, widths = header["sections"], header["widths"]
     try:
-        text = str(table, "utf-8")
+        text = str(_inflate(path, streams.pop("names"), sizes["names"], "names"), "utf-8")
     except UnicodeDecodeError as exc:
         raise errors.IndexFormatError(f"{path}: name table is not UTF-8 ({exc})") from None
-    del table
     names = tuple(text.split("\n")) if text else ()
     del text
-    view, widths, columns = memoryview(cells), header["widths"], {}
-    for key, end in zip(_U32_SECTIONS, accumulate(sizes[key] for key in _U32_SECTIONS)):
-        columns[key] = _unshuffle(view[end - sizes[key]:end], widths[key])
-    del view, cells  # the columns are copies: unmap the inflated bytes before the Dataset
+    columns = [_unshuffle(_inflate(path, streams.pop(key), sizes[key], key), widths[key])
+               for key in _U32_SECTIONS]
     try:
-        return Dataset._loaded(header["distinct_keys"], header["years"], names, *columns.values())
+        return Dataset._loaded(header["distinct_keys"], header["years"], names, *columns)
     except errors.TemponymError as exc:
         raise errors.IndexFormatError(f"{path}: {exc}") from None

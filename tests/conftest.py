@@ -60,7 +60,7 @@ def sparse_dataset():
 # --- damaged index files ----------------------------------------------------
 
 def _index_parts(path):
-    """(header dict, compressed payload) of an index file."""
+    """(header dict, stored streams) of an index file."""
     raw = path.read_bytes()
     header_line, payload = raw[len(dataset_mod.INDEX_MAGIC):].split(b"\n", 1)
     return json.loads(header_line), payload
@@ -81,10 +81,10 @@ def _write_index(path, header, payload):
     path.write_bytes(dataset_mod.INDEX_MAGIC + header_line + b"\n" + payload)
 
 
-def _signed(header, compressed):
-    """``header`` with the checksum of itself and the payload ``compressed`` holds,
+def _signed(header, payload):
+    """``header`` with the checksum of itself and the stored streams ``payload``,
     so that a damage to a field the checksum covers reaches the check it is for."""
-    return {**header, "sha256": dataset_mod._checksum(header, *inflated_streams(compressed))}
+    return {**header, "sha256": dataset_mod._checksum(header, payload)}
 
 
 def _drop_sha256(path):
@@ -123,8 +123,20 @@ def _version_4(path):
     """Version 4: the same header and payload, deflated as one stream."""
     header, payload = _index_parts(path)
     header["version"] = 4
+    del header["stored"]
     payload = zlib.compress(b"".join(inflated_streams(payload)))
     _write_index(path, _signed(header, payload), payload)
+
+
+def _version_5(path):
+    """Version 5: no stored lengths, the name table in one stream and the
+    columns in a second."""
+    header, payload = _index_parts(path)
+    header["version"] = 5
+    del header["stored"]
+    names, *columns = inflated_streams(payload)
+    payload = zlib.compress(names) + zlib.compress(b"".join(columns))
+    _write_index(path, header, payload)
 
 
 def _set_female_width(path, width):
@@ -177,12 +189,12 @@ def _header_nested_too_deep(path):
     _write_index(path, b"[" * 100_000, payload)
 
 
-def _version_6(path):
-    _set_header(path, "version", 6)
+def _version_7(path):
+    _set_header(path, "version", 7)
 
 
 def _version_float(path):
-    _set_header(path, "version", 5.0)  # equal to 5, but not the integer 5
+    _set_header(path, "version", 6.0)  # equal to 6, but not the integer 6
 
 
 def _version_true(path):
@@ -211,6 +223,18 @@ def _sections_not_a_mapping(path):
     _set_header(path, "sections", list(header["sections"].values()))
 
 
+def _stored_lengths_missing(path):
+    header, payload = _index_parts(path)
+    del header["stored"]
+    _write_index(path, header, payload)
+
+
+def _a_length_past_any_buffer(path):
+    """A section as long as the largest buffer: one byte more does not fit."""
+    header, _ = _index_parts(path)
+    _set_header(path, "sections", {**header["sections"], "names": 2**63 - 1})
+
+
 def _year_moved(path):
     """A year still increasing and in range, so only the checksum can tell."""
     dataset_mod.save_index(dataset_mod.load_dataset([(2019, "Pat,F,10"), (2020, "Pat,F,12")]),
@@ -235,19 +259,24 @@ def _fold_fact_not_a_bool(path):
 
 
 def _rewrite_payload(path, change, keep_sha256=True):
-    """Replace the inflated name table and columns by ``change(names,
-    columns)``, each recompressed; the checksum is left as it was or recomputed."""
-    header, compressed = _index_parts(path)
-    compressed = b"".join(map(zlib.compress, change(*inflated_streams(compressed))))
-    _write_index(path, header if keep_sha256 else _signed(header, compressed), compressed)
+    """Replace the inflated sections (the name table, then the starts,
+    lengths, female and male columns) by ``change(*sections)``, each
+    recompressed, with their stored lengths; the checksum is left as it was
+    or recomputed."""
+    header, payload = _index_parts(path)
+    streams = [zlib.compress(section) for section in change(*inflated_streams(payload))]
+    header["stored"] = dict(zip(header["stored"], map(len, streams)))
+    payload = b"".join(streams)
+    _write_index(path, header if keep_sha256 else _signed(header, payload), payload)
 
 
 def _payload_byte_changed(path):
-    _rewrite_payload(path, lambda names, columns: (names, columns[:-1] + bytes([columns[-1] ^ 1])))
+    _rewrite_payload(path, lambda *sections: (
+        *sections[:-1], sections[-1][:-1] + bytes([sections[-1][-1] ^ 1])))
 
 
 def _names_not_utf8(path):
-    _rewrite_payload(path, lambda names, columns: (b"\xff" + names[1:], columns),
+    _rewrite_payload(path, lambda names, *columns: (b"\xff" + names[1:], *columns),
                      keep_sha256=False)
 
 
@@ -257,38 +286,57 @@ def _trailing_bytes(path):
 
 
 def _names_stream_truncated(path):
-    header, compressed = _index_parts(path)
-    names = zlib.compress(inflated_streams(compressed)[0])
-    _write_index(path, header, names[:len(names) // 2])
+    header, payload = _index_parts(path)
+    _write_index(path, header, payload[:header["stored"]["names"] // 2])
 
 
 def _columns_stream_missing(path):
-    header, compressed = _index_parts(path)
-    _write_index(path, header, zlib.compress(inflated_streams(compressed)[0]))
+    header, payload = _index_parts(path)
+    _write_index(path, header, payload[:header["stored"]["names"]])
 
 
 def _columns_stream_longer(path):
-    """A columns stream that inflates to far more than the header gives."""
-    header, compressed = _index_parts(path)
-    names = zlib.compress(inflated_streams(compressed)[0])
-    _write_index(path, header, names + zlib.compress(bytes(1 << 20)))
+    """A starts stream that inflates to far more than the header gives.
+
+    Signed, with its stored length: the checksum is checked before any
+    stream is inflated."""
+    _rewrite_payload(path, lambda names, *columns: (names, bytes(1 << 20), *columns[1:]),
+                     keep_sha256=False)
+
+
+def _stream_with_trailing_bytes(path):
+    """Bytes after the end of the names stream, inside its stored length."""
+    header, payload = _index_parts(path)
+    at = header["stored"]["names"]
+    payload = payload[:at] + b"GARBAGE" + payload[at:]
+    header["stored"]["names"] += 7
+    _write_index(path, _signed(header, payload), payload)
+
+
+def _stream_trailer_cut(path):
+    """A names stream that inflates to its whole section, without the
+    Adler-32 trailer that checks it."""
+    header, payload = _index_parts(path)
+    at = header["stored"]["names"]
+    payload = payload[:at - 4] + payload[at:]
+    header["stored"]["names"] -= 4
+    _write_index(path, _signed(header, payload), payload)
 
 
 def _spans_outside_columns(path):
     """Sam's span starts at position 1, past 1990, the one year loaded.
 
-    Each column holds one byte per name (width 1): starts, lengths, female,
-    male."""
-    _rewrite_payload(path, lambda names, columns: (names, b"\0\1" + columns[2:]),
+    Each column holds one byte per name (width 1)."""
+    _rewrite_payload(path, lambda names, starts, *columns: (names, b"\0\1", *columns),
                      keep_sha256=False)
 
 
 def _names_not_sorted(path):
-    _rewrite_payload(path, lambda names, columns: (b"Sam\nPat", columns), keep_sha256=False)
+    _rewrite_payload(path, lambda names, *columns: (b"Sam\nPat", *columns), keep_sha256=False)
 
 
 def _names_not_unique(path):
-    _rewrite_payload(path, lambda names, columns: (b"Pat\nPat", columns), keep_sha256=False)
+    _rewrite_payload(path, lambda names, *columns: (b"Pat\nPat", *columns), keep_sha256=False)
 
 
 # Each damage, and a fragment of the error it must be reported with.
@@ -301,14 +349,17 @@ BAD_INDEXES = [
     (_header_not_an_object, "header is not a JSON object"),
     (_header_nested_too_deep, "header is not JSON"),
     (_version_4, "version 4 is no longer read; re-run `temponym ingest`"),
-    (_version_6, "unsupported index version 6"),
-    (_version_float, "unsupported index version 5.0"),
+    (_version_5, "version 5 is no longer read; re-run `temponym ingest`"),
+    (_version_7, "unsupported index version 7"),
+    (_version_float, "unsupported index version 6.0"),
     (_version_true, "unsupported index version True"),
     (_years_not_a_list, "header years are not a list"),
     (_years_not_increasing, "years are not increasing integers"),
     (_year_before_1880, "years must lie in 1880..2100"),
     (_format_not_temponym, "header format 'something-else' is not 'temponym-index'"),
     (_sections_not_a_mapping, "header sections must be byte lengths"),
+    (_stored_lengths_missing, "header stored must be byte lengths"),
+    (_a_length_past_any_buffer, "header sections must be byte lengths"),
     (_payload_byte_changed, "checksum mismatch"),
     (_year_moved, "checksum mismatch"),
     (_fold_fact_flipped, "checksum mismatch"),
@@ -317,8 +368,10 @@ BAD_INDEXES = [
     (_names_not_utf8, "name table is not UTF-8"),
     (_trailing_bytes, "7 byte(s) after the last stream"),
     (_names_stream_truncated, "the names stream is truncated"),
-    (_columns_stream_missing, "the columns stream is truncated"),
-    (_columns_stream_longer, "for the columns stream, it holds more"),
+    (_columns_stream_missing, "the starts stream is truncated"),
+    (_columns_stream_longer, "for the starts stream, it holds more"),
+    (_stream_with_trailing_bytes, "7 byte(s) after the end of the names stream"),
+    (_stream_trailer_cut, "the names stream is truncated"),
     (_width_0, "header widths"),
     (_width_5, "header widths"),
     (_width_not_an_integer, "header widths"),

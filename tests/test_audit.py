@@ -55,6 +55,10 @@ def test_cohort_model_parse():
     )
     with pytest.raises(errors.ConfigError):
         audit.CohortModel.parse("gamma:2")
+    # int() takes signs, underscores, spaces and non-ASCII digits; the spec does not
+    for spec in ("triangular:+3_5: 1_0", "fixed:\u0663\u0665", "fixed:1" + "0" * 9):
+        with pytest.raises(errors.ConfigError, match="must be 1 to 9 ASCII digits"):
+            audit.CohortModel.parse(spec)
     with pytest.raises(errors.ConfigError):
         audit.CohortModel("bogus")
 

@@ -764,6 +764,8 @@ CLI_ERRORS = [
     ("audit-negative-cohort-offset", ["audit", "--cohort", "uniform:-500:3"], {}, 2),
     ("audit-negative-cohort-half-width", ["audit", "--cohort", "uniform:35:-1"], {}, 2),
     ("audit-cohort-wider-than-the-year-axis", ["audit", "--cohort", "triangular:35:221"], {}, 2),
+    ("audit-cohort-signs-and-underscores", ["audit", "--cohort", "triangular:+3_5: 1_0"], {}, 2),
+    ("audit-cohort-arabic-indic-digits", ["audit", "--cohort", "fixed:\u0663\u0665"], {}, 2),
     ("query-index-with-dir",
      ["query", "--index", "{tmp}/x.idx", "--dir", "{tmp}", "--name", "Pat", "--year", "1990"],
      {"x.idx": b""}, 2),

@@ -605,6 +605,9 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
 # payload as it was; its header checksum covers the header too, so the test
 # hashes the inflated payload itself. Format 5 deflates the name table and
 # the columns as two streams; inflated and joined, they are the same payload.
+# Format 6 deflates each section as a stream of its own, and its checksum
+# covers the stored streams; the sections, inflated and joined, are still
+# the same payload.
 SAMPLE_PAYLOAD_SHA256 = "b344f7805039d683d78b4c59ce06a0be355620b63073ede49f3c5b6a63e4dff1"
 SAMPLE_V2_PAYLOAD_SHA256 = "7a0eaa025eeda934f513797abf5701b62cc1d6ec52a87a93e19deed826d63741"
 
@@ -621,18 +624,126 @@ def _v2_payload(data):
     return b"".join(sections)
 
 
+def _stored_streams(raw):
+    """(header, stored stream by section) of an index file's bytes."""
+    header_line, payload = raw[len(ds.INDEX_MAGIC):].split(b"\n", 1)
+    header, streams, at = json.loads(header_line), {}, 0
+    for key, length in header["stored"].items():
+        streams[key], at = payload[at:at + length], at + length
+    return header, streams
+
+
 def test_sample_index_payload_is_pinned(tmp_path, sample_dataset):
     path = tmp_path / "sample.idx"
     ds.save_index(sample_dataset, path)
-    header_line, compressed = path.read_bytes()[len(ds.INDEX_MAGIC):].split(b"\n", 1)
-    header = json.loads(header_line)
-    names = zlib.decompressobj()
-    payload = names.decompress(compressed) + zlib.decompress(names.unused_data)
+    header, streams = _stored_streams(path.read_bytes())
+    payload = b"".join(map(zlib.decompress, streams.values()))
     assert hashlib.sha256(payload).hexdigest() == SAMPLE_PAYLOAD_SHA256
     assert header["widths"] == {"starts": 1, "lengths": 1, "female": 3, "male": 2}
     loaded = ds.load_index(path)
     assert loaded == sample_dataset
     assert hashlib.sha256(_v2_payload(loaded)).hexdigest() == SAMPLE_V2_PAYLOAD_SHA256
+
+
+# --- the index loader under damage ------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+@pytest.fixture(scope="module")
+def sample_index(tmp_path_factory, sample_dataset):
+    """(header, stored streams by section, file bytes) of the bundled sample's index."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed-sample.idx"
+    ds.save_index(sample_dataset, path)
+    raw = path.read_bytes()
+    return (*_stored_streams(raw), raw)
+
+
+def _edited(draw, data: bytes) -> bytes:
+    """``data`` with one byte flipped, a run cut out, or bytes inserted."""
+    at = draw(st.integers(0, len(data)))
+    kind = draw(st.sampled_from(["flip", "cut", "insert"] if at < len(data) else ["insert"]))
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if kind == "cut":
+        return data[:at] + data[at + draw(st.integers(1, 8)):]
+    return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+
+
+def _resigned_header(draw, header):
+    """A re-signed ``header`` with one field dropped or changed: an inner
+    length, width or year near its own, or any JSON value."""
+    header = json.loads(json.dumps(header))
+    key = draw(st.sampled_from([key for key in header if key != "sha256"] + ["extra"]))
+    value = header.get(key)
+    how = draw(st.sampled_from(["drop", "any", "near"]))
+    if how == "drop":
+        header.pop(key, None)
+    elif how == "near" and isinstance(value, dict):
+        inner = draw(st.sampled_from(list(value)))
+        value[inner] = draw(st.integers(-1, 2 * value[inner] + 2))
+    elif how == "near" and isinstance(value, list) and value:
+        value[draw(st.integers(0, len(value) - 1))] = draw(st.integers(1870, 2110))
+    else:
+        header[key] = draw(json_values)
+    return header
+
+
+def _answers(table):
+    """Ask ``table`` each kind of question, for a few of its names."""
+    years = table.years_loaded
+    for name in {*table.names[:2], *table.names[-2:], "Leslie", "leslie"}:
+        table.totals(name, ds.MIN_YEAR, ds.MAX_YEAR)
+        table.name_counts(name, [*years[:3], *years[-3:]])
+        table.name_counts(name, years, fold_diacritics=True)
+        for year in {*years[:1], *years[-1:]}:
+            table.lookup(name, year)
+            table.lookup(name, year, fold_diacritics=True)
+    if years:
+        table.year_pair_cells(years[0], years[-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["file", "header", "stream"]), st.data())
+def test_a_damaged_index_is_refused_or_loads_a_table_that_answers(
+        tmp_path_factory, sample_dataset, sample_index, where, data):
+    """Bit flips, cuts and inserted bytes anywhere in the file either are
+    refused or load the sample itself; a re-signed edit of the header or of
+    one stream, stored or inflated, is refused or loads a table that
+    answers every kind of question. Nothing else is raised."""
+    header, streams, raw = sample_index
+    streams = dict(streams)
+    if where == "file":
+        raw = _edited(data.draw, raw)
+    else:
+        if where == "header":
+            header = _resigned_header(data.draw, header)
+        else:
+            header = json.loads(json.dumps(header))
+            key = data.draw(st.sampled_from(ds._SECTIONS))
+            if data.draw(st.booleans()):  # the stored bytes themselves
+                streams[key] = _edited(data.draw, streams[key])
+            else:
+                section = _edited(data.draw, zlib.decompress(streams[key]))
+                streams[key] = zlib.compress(section)
+                if data.draw(st.booleans()):
+                    header["sections"][key] = len(section)
+            header["stored"][key] = len(streams[key])
+        header["sha256"] = ds._checksum(header, *streams.values())
+        raw = ds.INDEX_MAGIC + json.dumps(header).encode() + b"\n" + b"".join(streams.values())
+    path = tmp_path_factory.getbasetemp() / "fuzzed.idx"
+    path.write_bytes(raw)
+    try:
+        table = ds.load_index(path)
+    except errors.IndexFormatError:
+        return
+    if where == "file":
+        assert table == sample_dataset
+    _answers(table)
 
 
 # Spellings that share a casefold key (Lee/LEE, Straße/STRASSE), a
