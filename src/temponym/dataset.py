@@ -618,11 +618,11 @@ def bundled_sample_dir() -> Path:
 # two bytes per value. The name table is deflated with the default strategy;
 # each column is deflated as runs only (``zlib.Z_RLE``): count bytes hardly
 # ever repeat at a distance, so searching for matches costs time and saves
-# almost nothing. Nothing may follow the last stream. Loading reads each
-# stream by its stored length, checks the checksum before it inflates
-# anything, then inflates one section at a time and unshuffles each column
-# into the narrowest native unsigned type that holds its width, which the
-# Dataset reads in place: no row parsing. Saving reads a column by its own
+# almost nothing. Nothing may follow the last stream. Loading cuts each
+# stream from the file by its stored length, checks the checksum before it
+# inflates anything, inflates each section, then unshuffles each column into
+# the narrowest native unsigned type that holds its width, which the Dataset
+# reads in place: no row parsing. Saving reads a column by its own
 # item size, so a loaded Dataset saves to the same bytes. The Dataset derives
 # its offsets from ``lengths``; stored, they would need three planes and grow
 # the file.
@@ -772,34 +772,40 @@ def _inflate(path, stream: bytes, size: int, key: str) -> bytes:
 
 def load_index(path: Path | str) -> Dataset:
     try:
-        fh = open(path, "rb")
+        fh = open(path, "rb", buffering=0)
     except OSError as exc:
         raise errors.TemponymError(f"{path}: cannot be read ({exc.strerror or exc})") from None
-    with fh:
+    with fh:  # unbuffered: the rest of the file is read into one buffer, with no copy
         if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
             raise errors.IndexFormatError(f"{path}: not a temponym index")
-        header = _read_header(path, fh.readline())
         rest = fh.read()
-    streams, at = {}, 0
+    at = rest.find(b"\n") + 1 or len(rest) + 1
+    header = _read_header(path, rest[:at])
+    view, streams = memoryview(rest), {}
     for key, length in header["stored"].items():
-        streams[key] = rest[at:at + length]
+        streams[key] = view[at:at + length]
         at += length
         if len(streams[key]) < length:
             raise errors.IndexFormatError(f"{path}: the {key} stream is truncated")
     if at != len(rest):
         raise errors.IndexFormatError(f"{path}: {len(rest) - at} byte(s) after the last stream")
-    del rest
     if _checksum(header, *streams.values()) != header["sha256"]:
         raise errors.IndexFormatError(f"{path}: checksum mismatch")
     sizes, widths = header["sections"], header["widths"]
+    table, *cells = [_inflate(path, streams.pop(key), sizes[key], key) for key in _SECTIONS]
+    # The file's bytes are freed only now. glibc raises its mmap threshold to
+    # the size of a mapped block when it is freed; freed before the sections
+    # are inflated, the file would put them on the heap, where the freed
+    # sections then stay resident: +4 MB on a `shift` of the dense index.
+    del view, rest
     try:
-        text = str(_inflate(path, streams.pop("names"), sizes["names"], "names"), "utf-8")
+        text = str(table, "utf-8")
     except UnicodeDecodeError as exc:
         raise errors.IndexFormatError(f"{path}: name table is not UTF-8 ({exc})") from None
+    del table
     names = tuple(text.split("\n")) if text else ()
     del text
-    columns = [_unshuffle(_inflate(path, streams.pop(key), sizes[key], key), widths[key])
-               for key in _U32_SECTIONS]
+    columns = [_unshuffle(cells.pop(0), widths[key]) for key in _U32_SECTIONS]
     try:
         return Dataset._loaded(header["distinct_keys"], header["years"], names, *columns)
     except errors.TemponymError as exc:
