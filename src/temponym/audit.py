@@ -8,8 +8,8 @@ is the historical over-count introduced by the atemporal shortcut.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from math import inf
+from bisect import bisect_left, bisect_right
+from math import fsum, inf
 from operator import mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -17,7 +17,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import errors
 from ._pyparse import COUNT
 from .dataset import MAX_YEAR, MIN_YEAR, Dataset, Record, read_csv
-from .model import GenderProbability, _probability, classify, p_female_pooled
+from .model import (GenderProbability, _pooled_years, _probability, classify,
+                    p_female_pooled)
 
 DEFAULT_COHORT_OFFSET = 35  # approximate mid-career age at publication
 DEFAULT_ATEMPORAL_RANGE = (1880, 2020)
@@ -91,6 +92,25 @@ class DecadeRow(NamedTuple):
         return self.expected_female_atemporal - self.expected_female_temporal
 
 
+def _cohort_window(activity_year: int, cohort_model: CohortModel,
+                   loaded: Sequence[int]) -> tuple[int, Sequence[int], Sequence[int]]:
+    """``(first, years, weights)``: the loaded years inside the cohort window
+    of an activity year, the position in ``loaded`` of the first of them, and
+    the weight of each; the years are empty when none is loaded.
+
+    Loaded years sit at consecutive positions, so the weights line up with
+    the positions from ``first`` on, also where a year inside the window is
+    not loaded.
+    """
+    low = activity_year - cohort_model.offset_years - cohort_model.half_width
+    weights = cohort_model._weights
+    first = bisect_left(loaded, low)
+    years = loaded[first:bisect_left(loaded, low + len(weights))]
+    if years and years[-1] - years[0] == len(years) - 1:  # consecutive: one slice of the weights
+        return first, years, weights[years[0] - low:years[-1] - low + 1]
+    return first, years, tuple(weights[year - low] for year in years)
+
+
 def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
                              dataset: Dataset) -> list[tuple[int, int]]:
     """``(birth year, weight)`` for the loaded years in the cohort window of an activity year.
@@ -98,16 +118,19 @@ def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
     The weights are relative integers, since only their ratios matter: 1
     each, or ``h + 1 - |year - center|`` in a triangular window.
     """
-    low = activity_year - cohort_model.offset_years - cohort_model.half_width
-    weights = cohort_model._weights
-    loaded = dataset.years_loaded
-    years = loaded[bisect_left(loaded, low):bisect_left(loaded, low + len(weights))]
+    _, years, weights = _cohort_window(activity_year, cohort_model, dataset.years_loaded)
     if not years:
         raise errors.EmptySupport(
             f"no loaded year receives cohort weight for activity year {activity_year}")
-    if years[-1] - years[0] == len(years) - 1:  # consecutive years: one slice of the weights
-        return list(zip(years, weights[years[0] - low:years[-1] - low + 1]))
-    return [(year, weights[year - low]) for year in years]
+    return list(zip(years, weights))
+
+
+def _weighted_sums(weights: Sequence, female: Iterable[int], male: Iterable[int]) -> tuple:
+    """``(Σ w·f, Σ w·(f + m))`` over aligned weights and counts, each pair cut
+    at the shorter: a cohort mixture's p(F) is their ratio, exact and
+    correctly rounded for integer weights."""
+    num = sum(map(mul, weights, female))
+    return num, num + sum(map(mul, weights, male))
 
 
 def temporal_p_female(
@@ -127,8 +150,7 @@ def temporal_p_female(
         raise errors.TemponymError("the birth distribution holds no year")
     years, weights = zip(*birth_distribution)
     skip, female, male = dataset.window(name, years)
-    num = sum(map(mul, weights[skip:], female))
-    den = num + sum(map(mul, weights[skip:], male))
+    num, den = _weighted_sums(weights[skip:], female, male)
     if not (min(weights) >= 0 and sum(weights) + den < inf):  # a NaN fails both
         raise errors.TemponymError("bad birth-year weights: negative, not finite or overflowing")
     if not den:  # no year with data has weight
@@ -137,36 +159,82 @@ def temporal_p_female(
                          num / den, sum(female), sum(male)))
 
 
-def _predictions(records, dataset, cohort_model, atemporal_range):
-    """``(record, (temporal, atemporal))`` for each record, in input order.
+def _predictions(records, dataset, cohort_model, atemporal_range, counts=False):
+    """``(record, pair)`` for each record, in input order, in one pass.
 
-    The pair is None where either predictor lacks data for the record. The
-    records of a corpus share few activity years and repeat names, so the
-    birth distribution is kept per activity year and the atemporal
-    prediction per name, each as None where it has no data.
+    ``pair`` holds the temporal and the atemporal p(F), or with ``counts``
+    each as a ``(p(F), female, male)`` triple, the counts that ``classify``
+    reads; it is None where either predictor lacks data for the record.
+
+    The cohort window is built once per activity year, as its first loaded
+    position and a weight per position from there on. Each distinct name is
+    resolved once, by ``Dataset.span``, and its pooled counts are summed
+    when it first resolves. A record whose name one stored name answers for
+    then costs two weighted sums over one slice of each count column and a
+    division: the rules of ``temporal_p_female`` and ``p_female_pooled``,
+    which every other name goes through.
     """
-    births: dict[int, Optional[list]] = {}
-    pooled: dict[str, Optional[GenderProbability]] = {}
+    loaded, female, male = dataset.years_loaded, dataset.female, dataset.male
+    first_year, last_year = atemporal_range
+    pool_lo, pool_hi = bisect_left(loaded, first_year), bisect_right(loaded, last_year)
+    windows: dict = {}  # activity year -> (first position, weights, distribution), or None
+    spans: dict = {}  # name -> its Dataset.span
+    pooled: dict = {}  # name -> its atemporal prediction, or None without data
+
+    def pool(name, span):
+        """The atemporal prediction of a name, or None without data."""
+        if span is None:
+            try:
+                prob = p_female_pooled(dataset, name, atemporal_range)
+            except errors.NoData:
+                return None
+            return prob[2:] if counts else prob.p_female
+        _pooled_years(atemporal_range)  # refused as p_female_pooled refuses it
+        start, stop, base = span
+        lo = base + (pool_lo if pool_lo > start else start)
+        hi = base + (pool_hi if pool_hi < stop else stop)
+        f, m = (sum(female[lo:hi]), sum(male[lo:hi])) if lo < hi else (0, 0)
+        if not f + m:
+            return None
+        return (f / (f + m), f, m) if counts else f / (f + m)
+
     for record in records:
         year, name = record.activity_year, record.given_name
-        if year not in births:
-            try:
-                births[year] = infer_birth_distribution(year, cohort_model, dataset)
-            except errors.EmptySupport:
-                births[year] = None
+        if year not in windows:
+            first, years, weights = _cohort_window(year, cohort_model, loaded)
+            windows[year] = (first, weights, list(zip(years, weights))) if years else None
+        window = windows[year]
+        if window is None:
+            yield record, None
+            continue
+        if name not in spans:
+            spans[name] = dataset.span(name)
+        span = spans[name]
         temporal = None
-        if births[year] is not None:
+        if span is None:
             try:
-                temporal = temporal_p_female(dataset, name, births[year])
+                prob = temporal_p_female(dataset, name, window[2])
+                temporal = prob[2:] if counts else prob.p_female
             except errors.NoData:
                 pass
-        if temporal is not None and name not in pooled:
-            try:
-                pooled[name] = p_female_pooled(dataset, name, atemporal_range)
-            except errors.NoData:
-                pooled[name] = None
-        resolved = temporal is not None and pooled[name] is not None
-        yield record, (temporal, pooled[name]) if resolved else None
+        else:
+            first, weights, _ = window
+            start, stop, base = span
+            end = first + len(weights)
+            lo = first if first > start else start
+            hi = stop if stop < end else end
+            if lo < hi:
+                f, m = female[base + lo:base + hi], male[base + lo:base + hi]
+                num, den = _weighted_sums(weights[lo - first:] if lo > first else weights, f, m)
+                if den:
+                    temporal = (num / den, sum(f), sum(m)) if counts else num / den
+        if temporal is None:
+            yield record, None
+            continue
+        if name not in pooled:
+            pooled[name] = pool(name, span)
+        atemporal = pooled[name]
+        yield record, None if atemporal is None else (temporal, atemporal)
 
 
 def audit_corpus(
@@ -179,18 +247,22 @@ def audit_corpus(
 
     One row per decade holding a record, in decade order. Records that
     fail either predictor are tallied as unresolved and excluded from both
-    expectation sums.
+    expectation sums. Each sum is the ``math.fsum`` of its records' p(F):
+    exact, rounded once, so it does not depend on the records' order.
     """
-    sums: dict[int, list] = {}  # decade -> [resolved, unresolved, temporal, atemporal]
+    decades: dict[int, list] = {}  # decade -> [unresolved, temporal p(F)s, atemporal p(F)s]
     for record, pair in _predictions(records, dataset, cohort_model, atemporal_range):
-        decade = sums.setdefault(record.activity_year // 10 * 10, [0, 0, 0.0, 0.0])
+        key = record.activity_year // 10 * 10
+        if key not in decades:
+            decades[key] = [0, [], []]
+        decade = decades[key]
         if pair is None:
-            decade[1] += 1
-        else:
             decade[0] += 1
-            decade[2] += pair[0].p_female
-            decade[3] += pair[1].p_female
-    return tuple(DecadeRow(decade, *sums[decade]) for decade in sorted(sums))
+        else:
+            decade[1].append(pair[0])
+            decade[2].append(pair[1])
+    return tuple(DecadeRow(key, len(temporal), unresolved, fsum(temporal), fsum(atemporal))
+                 for key, (unresolved, temporal, atemporal) in sorted(decades.items()))
 
 
 def evaluate_known(
@@ -211,12 +283,14 @@ def evaluate_known(
     years_by_gender: dict[str, list[int]] = {}
     authors_by_gender: dict[str, set] = {}
     labeled = (r for r in records if r.known_gender is not None)
-    for record, pair in _predictions(labeled, dataset, cohort_model, DEFAULT_ATEMPORAL_RANGE):
+    for record, pair in _predictions(labeled, dataset, cohort_model, DEFAULT_ATEMPORAL_RANGE,
+                                     counts=True):
         gender = record.known_gender
         years_by_gender.setdefault(gender, []).append(record.activity_year)
         authors_by_gender.setdefault(gender, set()).add(record.author_id)
-        for which, prob in zip(confusion, pair or (None, None)):
-            key = (gender, "U" if prob is None else classify(prob).value)
+        for which, counts in zip(confusion, pair or (None, None)):
+            key = (gender, "U" if counts is None else classify(
+                GenderProbability(record.given_name, which, *counts)).value)
             confusion[which][key] = confusion[which].get(key, 0) + 1
     if not years_by_gender:
         raise errors.EmptyInput("no labeled records")

@@ -247,12 +247,9 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
     from . import shifts as shifts_mod
 
     data = _load_data(index_path, data_dir)
-    # One walk of the year pair: every supported name ranked, then the top
-    # listed and the qualifying names counted from the same list.
-    ranked = shifts_mod.rank_shifts(data, y1, y2, min_support_each_year=min_support,
-                                    top_k=len(data.names), weighted=weighted)
-    entries = ranked[:top]
-    qualifying = sum(abs(e.delta_scaled) >= min_delta for e in ranked)
+    entries, qualifying = shifts_mod.ranked_and_qualifying(
+        data, y1, y2, min_support_each_year=min_support, top_k=top, weighted=weighted,
+        min_abs_delta=min_delta)
     stats = (
         shifts_mod.shift_statistics(entries, use_weighted=weighted) if entries else None
     )

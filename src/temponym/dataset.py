@@ -165,6 +165,12 @@ class Dataset(Record):
     first lookup that needs it; ``__init__`` folds every table it builds,
     keeps the map and reads the fact from it.
 
+    ``span`` tells where a name's cells lie when exactly one stored name
+    answers for it: its first and past-the-last positions and the offset
+    from a position to its cell in the columns. ``window`` and ``totals``
+    read their one-name slices by it, and the audit resolves each distinct
+    name of a corpus once with it and then reads the columns directly.
+
     A Dataset compares by its columns but is not hashable.
     """
 
@@ -341,6 +347,25 @@ class Dataset(Record):
         return (i,) if i is not None and self._distinct else self._candidates(
             name, fold_diacritics)
 
+    def span(self, name: str, fold_diacritics: bool = False) -> Optional[tuple[int, int, int]]:
+        """``(start, stop, base)`` when exactly one stored name answers for ``name``,
+        else None.
+
+        The answering name's loaded-year positions are ``start`` to ``stop - 1``,
+        and its counts at position p are ``female[base + p]`` and
+        ``male[base + p]``. None when no stored name answers, and when several
+        may, each year going to the first with data there (``_first_cell``).
+        """
+        return self._span(self._resolve(name, fold_diacritics))
+
+    def _span(self, ids: Sequence[int]) -> Optional[tuple[int, int, int]]:
+        """``span`` of the resolved ``ids``: None unless they hold one name."""
+        if len(ids) != 1:
+            return None
+        i = ids[0]
+        start = self.starts[i]
+        return start, start + self.lengths[i], self._offsets[i] - start
+
     def window(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
     ) -> tuple[int, list[int], list[int]]:
@@ -351,27 +376,26 @@ class Dataset(Record):
         fold_diacritics)``, 0 for a year without data or not loaded; the
         name has no data in the years before ``skip`` or past the lists'
         end. Years that do not increase are a ``TemponymError``. When one
-        stored name answers and ``years`` is a tuple of consecutive loaded
-        years, the lists are one slice of each column, where the name's span
-        and the years overlap: no step per year and no padding.
+        stored name answers (``span``) and ``years`` is a tuple of
+        consecutive loaded years, the lists are one slice of each column,
+        where the name's span and the years overlap: no step per year and no
+        padding.
         """
         ids = self._resolve(name, fold_diacritics)
+        span = self._span(ids)
         n = len(years)
         first = self._positions.get(years[0]) if n else None
-        if len(ids) != 1 or first is None or self.years_loaded[first:first + n] != years:
+        if span is None or first is None or self.years_loaded[first:first + n] != years:
             if not all(map(lt, years, years[1:])):
                 raise errors.TemponymError("years are not increasing")
             # -1, the position of a year not loaded, is in no name's span
             return (0, *self._first_cells(ids, [self._positions.get(year, -1) for year in years]))
-        i = ids[0]
-        start = self.starts[i]
-        end = start + self.lengths[i]
+        start, end, base = span
         stop = first + n
         lo = first if first > start else start
         hi = stop if stop < end else end
         if lo >= hi:
             return 0, [], []
-        base = self._offsets[i] - start
         cells = slice(base + lo, base + hi)
         return lo - first, self.female[cells].tolist(), self.male[cells].tolist()
 
@@ -413,19 +437,15 @@ class Dataset(Record):
         """(female, male) summed over the loaded years in [first_year, last_year]."""
         lo = bisect_left(self.years_loaded, first_year)
         hi = bisect_right(self.years_loaded, last_year)
-        i = self._ids.get(name)
-        if i is None or not self._distinct:
-            ids = self._candidates(name, fold_diacritics)
+        ids = self._resolve(name, fold_diacritics)
+        span = self._span(ids)
+        if span is None:  # no stored name, or several, answers
             if not ids:
                 return _NO_DATA
-            if len(ids) > 1:
-                female, male = self._first_cells(ids, range(lo, hi))
-                return sum(female), sum(male)
-            i = ids[0]
+            female, male = self._first_cells(ids, range(lo, hi))
+            return sum(female), sum(male)
         # one stored name answers every year: sum its slices
-        start = self.starts[i]
-        end = start + self.lengths[i]
-        base = self._offsets[i] - start
+        start, end, base = span
         lo = base + (lo if lo > start else start)
         hi = base + (hi if hi < end else end)
         if lo >= hi:
@@ -574,18 +594,30 @@ def read_text(path: Path | str, newline: Optional[str] = None) -> str:
 def read_csv(path: Path | str, columns: Sequence[str], what: str) -> Iterator[tuple[int, dict]]:
     """``(line number, row)`` for each record of a UTF-8 CSV file with a header.
 
-    A header without one of ``columns``, or a record that stops before one
-    of them, is a ``ConfigError`` naming the file as a ``what`` CSV.
+    A row maps each header field to the record's value in that column, as a
+    ``csv.DictReader`` row does: a field the header names twice takes its
+    last column, a field past the end of a short record is None, and a blank
+    line holds no record. A header without one of ``columns``, or a
+    record that stops before one of them, is a ``ConfigError`` naming the
+    file as a ``what`` CSV.
     """
-    reader = csv.DictReader(io.StringIO(read_text(path, newline=""), newline=""))
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    header = next(reader, [])
+    missing = [c for c in columns if c not in header]
     if missing:
         raise errors.ConfigError(f"{path}: {what} CSV has no {', '.join(missing)} column")
-    for row in reader:
-        if any(row[column] is None for column in columns):
+    # a record holds each of ``columns`` when it reaches the last field so named
+    width = max((len(header) - header[::-1].index(c) for c in columns), default=0)
+    for fields in reader:
+        if not fields:  # a blank line
+            continue
+        if len(fields) < width:
             raise errors.ConfigError(
                 f"{path}: line {reader.line_num} has fewer than {len(columns)} fields"
             )
+        row = dict(zip(header, fields))
+        if len(fields) < len(header):
+            row.update(dict.fromkeys(header[len(fields):]))
         yield reader.line_num, row
 
 

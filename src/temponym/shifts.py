@@ -8,6 +8,7 @@ weight is the mean of the two years' supports.
 """
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, NamedTuple
 
 from . import errors
@@ -83,9 +84,33 @@ def rank_shifts(
     larger combined support, then by name.
     """
     rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year)
+    return _top(rows, top_k, weighted)
+
+
+def ranked_and_qualifying(
+    dataset: Dataset,
+    y1: int,
+    y2: int,
+    min_support_each_year: int = DEFAULT_MIN_SUPPORT,
+    top_k: int = DEFAULT_TOP,
+    weighted: bool = False,
+    min_abs_delta: float = DEFAULT_MIN_ABS_DELTA,
+) -> tuple[list[ShiftEntry], int]:
+    """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair."""
+    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year)
+    return _top(rows, top_k, weighted), sum(abs(row[5]) >= min_abs_delta for row in rows)
+
+
+def _top(rows: list[tuple], top_k: int, weighted: bool) -> list[ShiftEntry]:
+    """The ``top_k`` first of ``rows`` in ranking order, as entries.
+
+    Only those are built: the sort key ends in the name, which no two rows
+    share, so ``nsmallest`` gives what ``sorted(rows, key=...)[:top_k]`` would.
+    """
     field = 9 if weighted else 5  # weighted_shift or delta_scaled
-    rows.sort(key=lambda r: (-abs(r[field]), -(r[6] + r[7]), r[0]))
-    return [ShiftEntry._make(row) for row in rows[: max(top_k, 0)]]
+    top = heapq.nsmallest(max(top_k, 0), rows,
+                          key=lambda r: (-abs(r[field]), -(r[6] + r[7]), r[0]))
+    return [ShiftEntry._make(row) for row in top]
 
 
 def shift_statistics(

@@ -1,3 +1,4 @@
+import collections
 import copy
 import math
 import pickle
@@ -357,9 +358,9 @@ AUDIT_SETTINGS = [
 ]
 
 
-@pytest.mark.parametrize("cohort, atemporal_range", AUDIT_SETTINGS)
-def test_audit_corpus_equals_per_record_loop(cohort, atemporal_range):
-    data, records = _audit_case()
+def _expected_rows(data, records, cohort, atemporal_range):
+    """``audit_corpus``'s rows from the per-record reference: per decade, the
+    ``fsum`` of the reference pairs' p(F)."""
     buckets = {}
     for record in records:
         buckets.setdefault(record.activity_year // 10 * 10, []).append(record)
@@ -367,14 +368,31 @@ def test_audit_corpus_equals_per_record_loop(cohort, atemporal_range):
     for decade in sorted(buckets):
         pairs = [_reference_pair(data, r, cohort, atemporal_range) for r in buckets[decade]]
         resolved = [pair for pair in pairs if pair is not None]
-        temporal = atemporal = 0.0
-        for t, a in resolved:
-            temporal += t.p_female
-            atemporal += a.p_female
         expected.append(audit.DecadeRow(decade, len(resolved), len(pairs) - len(resolved),
-                                        temporal, atemporal))
+                                        math.fsum(t.p_female for t, _ in resolved),
+                                        math.fsum(a.p_female for _, a in resolved)))
+    return tuple(expected)
+
+
+def _expected_confusion(data, records, cohort, policy=model.MAJORITY):
+    """``evaluate_known``'s confusion matrices from the per-record reference."""
+    confusion = {"temporal": {}, "atemporal": {}}
+    for record in records:
+        if record.known_gender is None:
+            continue
+        pair = _reference_pair(data, record, cohort, audit.DEFAULT_ATEMPORAL_RANGE)
+        for which, prob in zip(confusion, pair or (None, None)):
+            label = model.classify(prob, policy).value if prob else "U"
+            key = (record.known_gender, label)
+            confusion[which][key] = confusion[which].get(key, 0) + 1
+    return confusion
+
+
+@pytest.mark.parametrize("cohort, atemporal_range", AUDIT_SETTINGS)
+def test_audit_corpus_equals_per_record_loop(cohort, atemporal_range):
+    data, records = _audit_case()
     rows = audit.audit_corpus(records, data, cohort, atemporal_range)
-    assert rows == tuple(expected)
+    assert rows == _expected_rows(data, records, cohort, atemporal_range)
     assert sum(row.n_unresolved for row in rows) > 0 and sum(row.n_records for row in rows) > 0
 
 
@@ -384,17 +402,49 @@ def test_evaluate_known_equals_per_record_loop(cohort, atemporal_range, policy):
     # evaluate_known pools DEFAULT_ATEMPORAL_RANGE; ``atemporal_range`` is audit_corpus's
     data, records = _audit_case()
     labeled = [r for r in records if r.known_gender is not None]
-    confusion = {"temporal": {}, "atemporal": {}}
-    for record in labeled:
-        pair = _reference_pair(data, record, cohort, audit.DEFAULT_ATEMPORAL_RANGE)
-        for which, prob in zip(confusion, pair or (None, None)):
-            label = model.classify(prob, policy).value if prob else "U"
-            key = (record.known_gender, label)
-            confusion[which][key] = confusion[which].get(key, 0) + 1
     result = audit.evaluate_known(records, data, cohort)
-    assert result["confusion"] == confusion
+    assert result["confusion"] == _expected_confusion(data, records, cohort, policy)
     assert result["record_counts"] == {
         g: sum(r.known_gender == g for r in labeled) for g in ("F", "M", "U")}
+
+
+@pytest.mark.parametrize("cohort, atemporal_range", AUDIT_SETTINGS)
+def test_audit_rows_do_not_depend_on_record_order(sample_dataset, cohort, atemporal_range):
+    records = audit.load_corpus_csv()
+    shuffled = records.copy()
+    random.Random(1).shuffle(shuffled)
+    assert shuffled != records
+    rows = audit.audit_corpus(records, sample_dataset, cohort, atemporal_range)
+    assert audit.audit_corpus(shuffled, sample_dataset, cohort, atemporal_range) == rows
+    assert audit.audit_corpus(records[::-1], sample_dataset, cohort, atemporal_range) == rows
+
+
+def test_audit_resolves_each_distinct_name_once(monkeypatch):
+    data, records = _audit_case()
+    records.append(audit.CorpusRecord("z:1", "Unwindowed", 2090, "F"))
+    cohort = audit.CohortModel("triangular-window", 35, 10)
+
+    def windowed(year):
+        try:
+            return bool(audit.infer_birth_distribution(year, cohort, data))
+        except errors.EmptySupport:
+            return False
+
+    # a name is resolved once it has a record whose cohort window holds a loaded year
+    names = {r.given_name for r in records if windowed(r.activity_year)}
+    assert "Unwindowed" not in names and len(names) < len(records)
+    calls = collections.Counter()
+    span = ds.Dataset.span
+
+    def counted(self, name, fold_diacritics=False):
+        calls[name] += 1
+        return span(self, name, fold_diacritics)
+
+    monkeypatch.setattr(ds.Dataset, "span", counted)
+    for run in (audit.audit_corpus, audit.evaluate_known):
+        calls.clear()
+        run(records, data, cohort)
+        assert calls == dict.fromkeys(names, 1)
 
 
 # --- the birth distribution and the mixture against per-year references ------
@@ -481,3 +531,18 @@ def test_temporal_p_female_equals_per_year_reference(sparse_dataset, cohort):
                 resolved += 1
                 assert audit.temporal_p_female(sparse_dataset, name, dist) == expected
     assert resolved > 0
+
+
+@pytest.mark.parametrize("cohort", COHORTS, ids=cohort_id)
+def test_audit_of_spans_inside_windows_equals_per_record_loop(sparse_dataset, cohort):
+    """Names whose spans start and end inside cohort windows, windows across
+    unloaded years, and names that several stored names answer for."""
+    names = ("Ann", "bo", "Cy", "Dee", "Lee", "lee", "Renee", "Zoë", "Zoe", "Zzyzx")
+    records = [audit.CorpusRecord(f"a{i % 9}:{i}", name, year, "FMU"[i % 3])
+               for i, (name, year) in enumerate(
+                   (name, year) for year in range(1925, 2000, 2) for name in names)]
+    for atemporal_range in ((1880, 2020), (1905, 1925), (1941, 1949)):
+        rows = audit.audit_corpus(records, sparse_dataset, cohort, atemporal_range)
+        assert rows == _expected_rows(sparse_dataset, records, cohort, atemporal_range)
+    assert audit.evaluate_known(records, sparse_dataset, cohort)["confusion"] == (
+        _expected_confusion(sparse_dataset, records, cohort))

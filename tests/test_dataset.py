@@ -1,5 +1,7 @@
 import copy
+import csv
 import datetime
+import io
 import json
 import random
 import re
@@ -143,6 +145,40 @@ def test_year_file_byte_order_mark_is_dropped(tmp_path):
     assert with_bom.lookup("Mary", 1880) == (7065, 0)
 
 
+def _dict_reader_rows(path, columns, what):
+    """``read_csv`` as it read with ``csv.DictReader``, for reference."""
+    reader = csv.DictReader(io.StringIO(ds.read_text(path, newline=""), newline=""))
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise errors.ConfigError(f"{path}: {what} CSV has no {', '.join(missing)} column")
+    for row in reader:
+        if any(row[column] is None for column in columns):
+            raise errors.ConfigError(
+                f"{path}: line {reader.line_num} has fewer than {len(columns)} fields")
+        row.pop(None, None)  # the fields past the header's end
+        yield reader.line_num, row
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "a,b\n", "b\n1\n", "a,b\n1,2\n\n3,4\r\n", "a,b\n1\n", "\na,b\n1,2\n",
+    "a,b,a\n1,2,3\n4,5\n", "a,x,a,b\n1,2\n", "a,b,c\n1,2\n", "a,b\n1,2,3,4\n",
+    'a,b\n"1\n1",2\n3\n', "\ufeffa,b\r\n1,2\r\n", "a,b\n,\n ,\n",
+], ids=["empty", "blank", "header-only", "no-a", "blank-lines", "short", "blank-header",
+        "duplicate-field", "duplicate-short", "short-optional", "long", "quoted-newline", "bom",
+        "empty-fields"])
+def test_read_csv_rows_equal_dict_reader_rows(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def rows(read):
+        try:
+            return list(read(path, ("a", "b"), "test"))
+        except errors.ConfigError as exc:
+            return str(exc)
+
+    assert rows(ds.read_csv) == rows(_dict_reader_rows)
+
+
 def test_1917_includes_boys_named_sue(sample_dataset):
     assert sample_dataset.year_cells(1917)["Sue"] == (1200, 7)
 
@@ -266,6 +302,46 @@ def test_name_counts_of_shared_keys_and_diacritics():
     assert data.name_counts("Renee", [1990, 1991], fold_diacritics=True) == ([100, 0], [0, 30])
     assert data.name_counts("Ann", [1990, 1991, 1993]) == ([7, 0, 0], [0, 0, 8])
     assert data.name_counts("Ann", []) == ([], [])
+
+
+def test_span_addresses_the_cells_lookup_reads(sparse_dataset):
+    distinct = ds.load_dataset([(1990, "Ann,F,7\nBo,M,9"), (1991, "Bo,F,6"), (1993, "Ann,M,8")])
+    for data in (sparse_dataset, distinct):
+        for name in NAME_QUERIES:
+            for fold in (False, True):
+                span = data.span(name, fold_diacritics=fold)
+                if span is None:
+                    continue
+                start, stop, base = span
+                for pos, year in enumerate(data.years_loaded):
+                    cell = data.lookup(name, year, fold_diacritics=fold)
+                    if start <= pos < stop:
+                        assert (data.female[base + pos], data.male[base + pos]) == (cell or (0, 0))
+                    else:
+                        assert cell is None
+    assert distinct.span("Ann") == (0, 3, 0) and distinct.span("Bo") == (0, 2, 3)
+
+
+def test_span_of_one_stored_name():
+    data = ds.load_dataset([(1990, "Ann,F,7\nZoë,F,9"), (1991, "Zoë,M,5"), (1993, "Ann,M,8")])
+    assert data.span("Ann") == (0, 3, 0)
+    assert data.span("ANN") == data.span("Ann")  # the one name its casefold reaches
+    assert data.span("Zoe") is None
+    assert data.span("Zoe", fold_diacritics=True) == data.span("Zoë") == (0, 2, 3)
+
+
+def test_span_of_several_candidates_is_none(sparse_dataset):
+    # Lee, LEE and lee share a folded key; Renée and Renee share one without diacritics
+    for name in ("Lee", "lee", "LEE", "lEe"):
+        assert sparse_dataset.span(name) is None
+    assert sparse_dataset.span("Renee") is not None
+    assert sparse_dataset.span("Renee", fold_diacritics=True) is None
+
+
+def test_span_of_an_unknown_name_is_none(sparse_dataset):
+    for fold in (False, True):
+        assert sparse_dataset.span("Zzyzx", fold_diacritics=fold) is None
+        assert sparse_dataset.span("", fold_diacritics=fold) is None
 
 
 def test_year_pair_cells_equal_the_two_year_views(sample_dataset):

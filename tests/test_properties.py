@@ -897,6 +897,58 @@ def test_model_entry_points_follow_the_eager_rule(stored, data):
             check(_eager_mixture(cells, names, name, dist), audit.temporal_p_female, name, dist)
 
 
+# Corpus names: stored spellings, case variants, names reachable only by
+# folding diacritics (which the audit does not do) and an unknown name.
+AUDIT_NAMES = SPELLINGS + ("renee", "ZOE", "Zzyzx")
+COHORT_KINDS = ("triangular-window", "uniform-window", "fixed-offset")
+
+
+@st.composite
+def audit_cases(draw):
+    """A table with year gaps, and a corpus over it with a cohort model and a
+    pooled range; activity years reach windows before, across and past the
+    loaded years."""
+    years = draw(st.lists(st.integers(1900, 1911), min_size=1, max_size=10, unique=True))
+    stored = draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, unique=True))
+    # each name's years of use, so that spans start and end apart
+    used = {name: sorted(draw(st.lists(st.integers(1900, 1911), min_size=2, max_size=2)))
+            for name in stored}
+    data = ds.load_dataset([(year, "\n".join(
+        f"{name},{sex},{draw(st.integers(5, 99))}"
+        for name in stored if used[name][0] <= year <= used[name][1]
+        for sex in "FM" if draw(st.booleans()))) for year in years])
+    kind = draw(st.sampled_from(COHORT_KINDS))
+    half_width = 0 if kind == "fixed-offset" else draw(st.integers(0, 5))
+    offset = draw(st.integers(0, 30))
+    cohort = audit.CohortModel(kind, offset, half_width)
+    first, last = sorted(draw(st.lists(st.integers(1895, 1915), min_size=2, max_size=2)))
+    records = [audit.CorpusRecord(f"a{i % 5}:{i}", name, year, gender)
+               for i, (name, year, gender) in enumerate(draw(st.lists(st.tuples(
+                   st.sampled_from(stored) | st.sampled_from(AUDIT_NAMES),
+                   st.integers(1896 + offset, 1915 + offset),
+                   st.sampled_from(["F", "M", "U", None])), max_size=30)))]
+    return data, records, cohort, (first, last)
+
+
+@settings(max_examples=150, deadline=None)
+@given(audit_cases())
+def test_audit_and_evaluate_known_equal_the_per_record_reference(case):
+    """``audit_corpus`` rows are the ``fsum`` of the per-record reference
+    pairs (``_reference_pair``), decade by decade, and ``evaluate_known``
+    labels each record as its reference pair does. 150 cases."""
+    from test_audit import _expected_confusion, _expected_rows
+
+    data, records, cohort, atemporal_range = case
+    assert audit.audit_corpus(records, data, cohort, atemporal_range) == _expected_rows(
+        data, records, cohort, atemporal_range)
+    if all(r.known_gender is None for r in records):
+        with pytest.raises(errors.EmptyInput):
+            audit.evaluate_known(records, data, cohort)
+    else:
+        assert audit.evaluate_known(records, data, cohort)["confusion"] == (
+            _expected_confusion(data, records, cohort))
+
+
 # Each command's --config section path with its option keys. Only ingest
 # writes a file, and it is never run.
 CONFIG_SECTIONS = {

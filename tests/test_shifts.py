@@ -226,6 +226,19 @@ def test_qualifying_names_equals_reference():
                     e.name for e in entries if abs(e.delta_scaled) >= min_abs_delta}
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_ranked_and_qualifying_equal_the_two_walks(weighted):
+    data = _shift_dataset()
+    for y1, y2 in [(1925, 2000), (2000, 1950), (1925, 1925)]:
+        for min_support in (1, 50, 51):
+            for top_k in (-1, 0, 1, 7, 10_000):
+                for min_abs_delta in (0, 20.0, 37.5):
+                    assert shifts.ranked_and_qualifying(
+                        data, y1, y2, min_support, top_k, weighted, min_abs_delta) == (
+                        shifts.rank_shifts(data, y1, y2, min_support, top_k, weighted),
+                        len(shifts.qualifying_names(data, y1, y2, min_support, min_abs_delta)))
+
+
 def test_qualifying_year_not_loaded(quarter_dataset):
     with pytest.raises(errors.YearNotLoaded):
         shifts.qualifying_names(quarter_dataset, 1999, 2000)
