@@ -339,13 +339,18 @@ class Dataset(Record):
                 return female, male
         return None
 
-    def _resolve(self, name: str, fold_diacritics: bool) -> Sequence[int]:
-        """The stored names that may answer for ``name``: itself alone when it
-        is stored in a table where no two names fold alike, else its
-        ``_candidates``."""
+    def _locate(self, name: str, fold_diacritics: bool) -> tuple[Sequence[int], Optional[tuple]]:
+        """``(ids, span)``: the stored names that may answer for ``name`` (itself
+        alone when it is stored in a table where no two names fold alike, else
+        its ``_candidates``), and its ``span``."""
         i = self._ids.get(name)
-        return (i,) if i is not None and self._distinct else self._candidates(
-            name, fold_diacritics)
+        if i is None or not self._distinct:
+            ids = self._candidates(name, fold_diacritics)
+            if len(ids) != 1:
+                return ids, None
+            i = ids[0]
+        start = self.starts[i]
+        return (i,), (start, start + self.lengths[i], self._offsets[i] - start)
 
     def span(self, name: str, fold_diacritics: bool = False) -> Optional[tuple[int, int, int]]:
         """``(start, stop, base)`` when exactly one stored name answers for ``name``,
@@ -356,15 +361,7 @@ class Dataset(Record):
         ``male[base + p]``. None when no stored name answers, and when several
         may, each year going to the first with data there (``_first_cell``).
         """
-        return self._span(self._resolve(name, fold_diacritics))
-
-    def _span(self, ids: Sequence[int]) -> Optional[tuple[int, int, int]]:
-        """``span`` of the resolved ``ids``: None unless they hold one name."""
-        if len(ids) != 1:
-            return None
-        i = ids[0]
-        start = self.starts[i]
-        return start, start + self.lengths[i], self._offsets[i] - start
+        return self._locate(name, fold_diacritics)[1]
 
     def window(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
@@ -381,8 +378,7 @@ class Dataset(Record):
         where the name's span and the years overlap: no step per year and no
         padding.
         """
-        ids = self._resolve(name, fold_diacritics)
-        span = self._span(ids)
+        ids, span = self._locate(name, fold_diacritics)
         n = len(years)
         first = self._positions.get(years[0]) if n else None
         if span is None or first is None or self.years_loaded[first:first + n] != years:
@@ -409,7 +405,7 @@ class Dataset(Record):
         ``window`` of increasing years, padded with zeros.
         """
         if not all(map(lt, years, years[1:])):  # a year repeated or out of order
-            return self._first_cells(self._resolve(name, fold_diacritics),
+            return self._first_cells(self._locate(name, fold_diacritics)[0],
                                      [self._positions.get(year, -1) for year in years])
         skip, female, male = self.window(name, tuple(years), fold_diacritics)
         head, tail = [0] * skip, [0] * (len(years) - skip - len(female))
@@ -437,8 +433,7 @@ class Dataset(Record):
         """(female, male) summed over the loaded years in [first_year, last_year]."""
         lo = bisect_left(self.years_loaded, first_year)
         hi = bisect_right(self.years_loaded, last_year)
-        ids = self._resolve(name, fold_diacritics)
-        span = self._span(ids)
+        ids, span = self._locate(name, fold_diacritics)
         if span is None:  # no stored name, or several, answers
             if not ids:
                 return _NO_DATA

@@ -83,8 +83,7 @@ def rank_shifts(
     Sorted descending by |shift| (or |weighted shift|); ties broken by
     larger combined support, then by name.
     """
-    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year)
-    return _top(rows, top_k, weighted)
+    return ranked_and_qualifying(dataset, y1, y2, min_support_each_year, top_k, weighted)[0]
 
 
 def ranked_and_qualifying(
@@ -96,21 +95,17 @@ def ranked_and_qualifying(
     weighted: bool = False,
     min_abs_delta: float = DEFAULT_MIN_ABS_DELTA,
 ) -> tuple[list[ShiftEntry], int]:
-    """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair."""
-    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year)
-    return _top(rows, top_k, weighted), sum(abs(row[5]) >= min_abs_delta for row in rows)
+    """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair.
 
-
-def _top(rows: list[tuple], top_k: int, weighted: bool) -> list[ShiftEntry]:
-    """The ``top_k`` first of ``rows`` in ranking order, as entries.
-
-    Only those are built: the sort key ends in the name, which no two rows
-    share, so ``nsmallest`` gives what ``sorted(rows, key=...)[:top_k]`` would.
+    Only the listed entries are built: the sort key ends in the name, which
+    no two rows share, so ``nsmallest`` gives what a sort cut at ``top_k`` would.
     """
+    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year)
     field = 9 if weighted else 5  # weighted_shift or delta_scaled
     top = heapq.nsmallest(max(top_k, 0), rows,
                           key=lambda r: (-abs(r[field]), -(r[6] + r[7]), r[0]))
-    return [ShiftEntry._make(row) for row in top]
+    return ([ShiftEntry._make(row) for row in top],
+            sum(abs(row[5]) >= min_abs_delta for row in rows))
 
 
 def shift_statistics(

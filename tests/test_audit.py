@@ -538,9 +538,9 @@ def test_audit_of_spans_inside_windows_equals_per_record_loop(sparse_dataset, co
     """Names whose spans start and end inside cohort windows, windows across
     unloaded years, and names that several stored names answer for."""
     names = ("Ann", "bo", "Cy", "Dee", "Lee", "lee", "Renee", "Zoë", "Zoe", "Zzyzx")
+    pairs = [(name, year) for year in range(1925, 2000, 2) for name in names]
     records = [audit.CorpusRecord(f"a{i % 9}:{i}", name, year, "FMU"[i % 3])
-               for i, (name, year) in enumerate(
-                   (name, year) for year in range(1925, 2000, 2) for name in names)]
+               for i, (name, year) in enumerate(pairs)]
     for atemporal_range in ((1880, 2020), (1905, 1925), (1941, 1949)):
         rows = audit.audit_corpus(records, sparse_dataset, cohort, atemporal_range)
         assert rows == _expected_rows(sparse_dataset, records, cohort, atemporal_range)
