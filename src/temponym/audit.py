@@ -17,8 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import errors
 from ._pyparse import COUNT
 from .dataset import MAX_YEAR, MIN_YEAR, Dataset, Record, read_csv
-from .model import (GenderProbability, _pooled_years, _probability, classify,
-                    p_female_pooled)
+from .model import GenderProbability, _probability, classify, p_female_pooled
 
 DEFAULT_COHORT_OFFSET = 35  # approximate mid-career age at publication
 DEFAULT_ATEMPORAL_RANGE = (1880, 2020)
@@ -183,13 +182,12 @@ def _predictions(records, dataset, cohort_model, atemporal_range, counts=False):
 
     def pool(name, span):
         """The atemporal prediction of a name, or None without data."""
-        if span is None:
+        if span is None or first_year > last_year:  # p_female_pooled refuses such a range
             try:
                 prob = p_female_pooled(dataset, name, atemporal_range)
             except errors.NoData:
                 return None
             return prob[2:] if counts else prob.p_female
-        _pooled_years(atemporal_range)  # refused as p_female_pooled refuses it
         start, stop, base = span
         lo = base + (pool_lo if pool_lo > start else start)
         hi = base + (pool_hi if pool_hi < stop else stop)

@@ -119,17 +119,10 @@ def p_female_pooled(
     ``year_range`` is an inclusive ``(first, last)`` pair of years and must
     hold at least one year.
     """
-    first, last = _pooled_years(year_range)
-    return _accumulate(dataset, name, first, last, f"pooled {first}..{last}", fold_diacritics)
-
-
-def _pooled_years(year_range: tuple[int, int]) -> tuple[int, int]:
-    """``(first, last)`` of an inclusive pooled year range; one that holds no
-    year is a ``TemponymError``."""
     first, last = year_range
     if first > last:
         raise errors.TemponymError(f"pooled years {year_range!r} hold no year")
-    return first, last
+    return _accumulate(dataset, name, first, last, f"pooled {first}..{last}", fold_diacritics)
 
 
 def _accumulate(dataset, name, first, last, context, fold_diacritics):
