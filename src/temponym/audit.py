@@ -8,7 +8,7 @@ is the historical over-count introduced by the atemporal shortcut.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from math import fsum, inf
 from operator import mul
 from pathlib import Path
@@ -167,34 +167,24 @@ def _predictions(records, dataset, cohort_model, atemporal_range, counts=False):
 
     The cohort window is built once per activity year, as its first loaded
     position and a weight per position from there on. Each distinct name is
-    resolved once, by ``Dataset.span``, and its pooled counts are summed
-    when it first resolves. A record whose name one stored name answers for
-    then costs two weighted sums over one slice of each count column and a
-    division: the rules of ``temporal_p_female`` and ``p_female_pooled``,
-    which every other name goes through.
+    resolved once, by ``Dataset.span``, and its ``p_female_pooled`` is kept
+    from the first record that needs it. A record whose name one stored
+    name answers for then costs two weighted sums over its ``span_cells``
+    and a division: the rule of ``temporal_p_female``, which every other
+    name goes through.
     """
-    loaded, female, male = dataset.years_loaded, dataset.female, dataset.male
-    first_year, last_year = atemporal_range
-    pool_lo, pool_hi = bisect_left(loaded, first_year), bisect_right(loaded, last_year)
+    loaded = dataset.years_loaded
     windows: dict = {}  # activity year -> (first position, weights, distribution), or None
     spans: dict = {}  # name -> its Dataset.span
     pooled: dict = {}  # name -> its atemporal prediction, or None without data
 
-    def pool(name, span):
+    def pool(name):
         """The atemporal prediction of a name, or None without data."""
-        if span is None or first_year > last_year:  # p_female_pooled refuses such a range
-            try:
-                prob = p_female_pooled(dataset, name, atemporal_range)
-            except errors.NoData:
-                return None
-            return prob[2:] if counts else prob.p_female
-        start, stop, base = span
-        lo = base + (pool_lo if pool_lo > start else start)
-        hi = base + (pool_hi if pool_hi < stop else stop)
-        f, m = (sum(female[lo:hi]), sum(male[lo:hi])) if lo < hi else (0, 0)
-        if not f + m:
+        try:
+            prob = p_female_pooled(dataset, name, atemporal_range)
+        except errors.NoData:
             return None
-        return (f / (f + m), f, m) if counts else f / (f + m)
+        return prob[2:] if counts else prob.p_female
 
     for record in records:
         year, name = record.activity_year, record.given_name
@@ -217,20 +207,15 @@ def _predictions(records, dataset, cohort_model, atemporal_range, counts=False):
                 pass
         else:
             first, weights, _ = window
-            start, stop, base = span
-            end = first + len(weights)
-            lo = first if first > start else start
-            hi = stop if stop < end else end
-            if lo < hi:
-                f, m = female[base + lo:base + hi], male[base + lo:base + hi]
-                num, den = _weighted_sums(weights[lo - first:] if lo > first else weights, f, m)
-                if den:
-                    temporal = (num / den, sum(f), sum(m)) if counts else num / den
+            skip, female, male = dataset.span_cells(span, first, first + len(weights))
+            num, den = _weighted_sums(weights[skip:] if skip else weights, female, male)
+            if den:
+                temporal = (num / den, sum(female), sum(male)) if counts else num / den
         if temporal is None:
             yield record, None
             continue
         if name not in pooled:
-            pooled[name] = pool(name, span)
+            pooled[name] = pool(name)
         atemporal = pooled[name]
         yield record, None if atemporal is None else (temporal, atemporal)
 

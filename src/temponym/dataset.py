@@ -167,9 +167,10 @@ class Dataset(Record):
 
     ``span`` tells where a name's cells lie when exactly one stored name
     answers for it: its first and past-the-last positions and the offset
-    from a position to its cell in the columns. ``window`` and ``totals``
-    read their one-name slices by it, and the audit resolves each distinct
-    name of a corpus once with it and then reads the columns directly.
+    from a position to its cell in the columns. ``span_cells`` cuts a span's
+    cells in a range of positions as one slice of each column. ``window``
+    and ``totals`` read their one-name counts through the two, and so does
+    the audit, which resolves each distinct name of a corpus once.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -339,18 +340,13 @@ class Dataset(Record):
                 return female, male
         return None
 
-    def _locate(self, name: str, fold_diacritics: bool) -> tuple[Sequence[int], Optional[tuple]]:
-        """``(ids, span)``: the stored names that may answer for ``name`` (itself
-        alone when it is stored in a table where no two names fold alike, else
-        its ``_candidates``), and its ``span``."""
+    def _resolve(self, name: str, fold_diacritics: bool) -> Sequence[int]:
+        """The stored names that may answer for ``name``: itself alone when it
+        is stored in a table where no two names fold alike, else its
+        ``_candidates``."""
         i = self._ids.get(name)
-        if i is None or not self._distinct:
-            ids = self._candidates(name, fold_diacritics)
-            if len(ids) != 1:
-                return ids, None
-            i = ids[0]
-        start = self.starts[i]
-        return (i,), (start, start + self.lengths[i], self._offsets[i] - start)
+        return (i,) if i is not None and self._distinct else self._candidates(
+            name, fold_diacritics)
 
     def span(self, name: str, fold_diacritics: bool = False) -> Optional[tuple[int, int, int]]:
         """``(start, stop, base)`` when exactly one stored name answers for ``name``,
@@ -358,10 +354,34 @@ class Dataset(Record):
 
         The answering name's loaded-year positions are ``start`` to ``stop - 1``,
         and its counts at position p are ``female[base + p]`` and
-        ``male[base + p]``. None when no stored name answers, and when several
-        may, each year going to the first with data there (``_first_cell``).
+        ``male[base + p]`` (``span_cells``). None when no stored name answers,
+        and when several may, each year going to the first with data there
+        (``_first_cell``).
         """
-        return self._locate(name, fold_diacritics)[1]
+        i = self._ids.get(name)
+        if i is None or not self._distinct:
+            ids = self._candidates(name, fold_diacritics)
+            if len(ids) != 1:
+                return None
+            i = ids[0]
+        start = self.starts[i]
+        return start, start + self.lengths[i], self._offsets[i] - start
+
+    def span_cells(self, span: tuple[int, int, int], lo: int,
+                   hi: int) -> tuple[int, Sequence[int], Sequence[int]]:
+        """``(skip, female, male)``: a ``span``'s counts at the loaded positions
+        ``lo`` to ``hi - 1``, as one slice of each column where the span and
+        the positions overlap.
+
+        Position ``lo + skip + k`` holds cell k; the name has no data before
+        ``lo + skip`` or past the slices' end. The slices are empty where the
+        two do not overlap.
+        """
+        start, stop, base = span
+        first = lo if lo > start else start
+        last = hi if hi < stop else stop
+        cells = slice(base + first, base + (last if last > first else first))
+        return first - lo, self.female[cells], self.male[cells]
 
     def window(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
@@ -378,22 +398,17 @@ class Dataset(Record):
         where the name's span and the years overlap: no step per year and no
         padding.
         """
-        ids, span = self._locate(name, fold_diacritics)
+        span = self.span(name, fold_diacritics)
         n = len(years)
         first = self._positions.get(years[0]) if n else None
         if span is None or first is None or self.years_loaded[first:first + n] != years:
             if not all(map(lt, years, years[1:])):
                 raise errors.TemponymError("years are not increasing")
             # -1, the position of a year not loaded, is in no name's span
-            return (0, *self._first_cells(ids, [self._positions.get(year, -1) for year in years]))
-        start, end, base = span
-        stop = first + n
-        lo = first if first > start else start
-        hi = stop if stop < end else end
-        if lo >= hi:
-            return 0, [], []
-        cells = slice(base + lo, base + hi)
-        return lo - first, self.female[cells].tolist(), self.male[cells].tolist()
+            return (0, *self._first_cells(self._resolve(name, fold_diacritics),
+                                          [self._positions.get(year, -1) for year in years]))
+        skip, female, male = self.span_cells(span, first, first + n)
+        return (skip, female.tolist(), male.tolist()) if female else (0, [], [])
 
     def name_counts(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
@@ -405,7 +420,7 @@ class Dataset(Record):
         ``window`` of increasing years, padded with zeros.
         """
         if not all(map(lt, years, years[1:])):  # a year repeated or out of order
-            return self._first_cells(self._locate(name, fold_diacritics)[0],
+            return self._first_cells(self._resolve(name, fold_diacritics),
                                      [self._positions.get(year, -1) for year in years])
         skip, female, male = self.window(name, tuple(years), fold_diacritics)
         head, tail = [0] * skip, [0] * (len(years) - skip - len(female))
@@ -433,19 +448,15 @@ class Dataset(Record):
         """(female, male) summed over the loaded years in [first_year, last_year]."""
         lo = bisect_left(self.years_loaded, first_year)
         hi = bisect_right(self.years_loaded, last_year)
-        ids, span = self._locate(name, fold_diacritics)
+        span = self.span(name, fold_diacritics)
         if span is None:  # no stored name, or several, answers
+            ids = self._candidates(name, fold_diacritics)
             if not ids:
                 return _NO_DATA
             female, male = self._first_cells(ids, range(lo, hi))
-            return sum(female), sum(male)
-        # one stored name answers every year: sum its slices
-        start, end, base = span
-        lo = base + (lo if lo > start else start)
-        hi = base + (hi if hi < end else end)
-        if lo >= hi:
-            return _NO_DATA
-        return sum(self.female[lo:hi]), sum(self.male[lo:hi])
+        else:  # one stored name answers every year: sum its slices
+            _, female, male = self.span_cells(span, lo, hi)
+        return sum(female), sum(male)
 
     def year_cells(self, year: int) -> dict[str, tuple[int, int]]:
         """Every name with data in one year, in name order, with its counts."""

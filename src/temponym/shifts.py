@@ -83,7 +83,7 @@ def rank_shifts(
     Sorted descending by |shift| (or |weighted shift|); ties broken by
     larger combined support, then by name.
     """
-    return ranked_and_qualifying(dataset, y1, y2, min_support_each_year, top_k, weighted)[0]
+    return _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted)[0]
 
 
 def ranked_and_qualifying(
@@ -95,17 +95,22 @@ def ranked_and_qualifying(
     weighted: bool = False,
     min_abs_delta: float = DEFAULT_MIN_ABS_DELTA,
 ) -> tuple[list[ShiftEntry], int]:
-    """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair.
+    """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair."""
+    entries, rows = _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted)
+    return entries, sum(abs(row[5]) >= min_abs_delta for row in rows)
+
+
+def _ranked(dataset, y1, y2, min_support, top_k, weighted) -> tuple[list[ShiftEntry], list]:
+    """The ``rank_shifts`` entries, and the ``_rows`` of every supported name.
 
     Only the listed entries are built: the sort key ends in the name, which
     no two rows share, so ``nsmallest`` gives what a sort cut at ``top_k`` would.
     """
-    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year)
+    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support)
     field = 9 if weighted else 5  # weighted_shift or delta_scaled
     top = heapq.nsmallest(max(top_k, 0), rows,
                           key=lambda r: (-abs(r[field]), -(r[6] + r[7]), r[0]))
-    return ([ShiftEntry._make(row) for row in top],
-            sum(abs(row[5]) >= min_abs_delta for row in rows))
+    return [ShiftEntry._make(row) for row in top], rows
 
 
 def shift_statistics(

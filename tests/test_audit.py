@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -437,7 +438,10 @@ def test_audit_resolves_each_distinct_name_once(monkeypatch):
     span = ds.Dataset.span
 
     def counted(self, name, fold_diacritics=False):
-        calls[name] += 1
+        # only the audit's own calls: the library functions it falls back to
+        # (temporal_p_female, p_female_pooled) resolve a name for themselves
+        if sys._getframe(1).f_globals["__name__"] == audit.__name__:
+            calls[name] += 1
         return span(self, name, fold_diacritics)
 
     monkeypatch.setattr(ds.Dataset, "span", counted)

@@ -344,6 +344,27 @@ def test_span_of_an_unknown_name_is_none(sparse_dataset):
         assert sparse_dataset.span("", fold_diacritics=fold) is None
 
 
+def test_span_cells_equal_lookup_in_every_range_of_positions(sparse_dataset):
+    # Ann's cells come first in the columns but its span starts past position
+    # 0, so a range ending before it puts the end of a naive slice below 0,
+    # where it would wrap to the columns' end
+    distinct = ds.load_dataset([(1990, "Bo,F,6"), (1991, "Ann,F,7"), (1993, "Ann,M,8\nBo,M,9")])
+    for data in (sparse_dataset, distinct):
+        n = len(data.years_loaded)
+        for name in ("Ann", "Bo", "Renee", "Robin", "Lee"):
+            span = data.span(name)
+            if span is None:
+                continue
+            for lo in range(n + 2):
+                for hi in range(lo, n + 2):
+                    skip, female, male = data.span_cells(span, lo, hi)
+                    cells = [data.lookup(name, year) or (0, 0)
+                             for year in data.years_loaded[lo:hi]]
+                    assert len(female) == len(male) <= len(cells) - skip or not female
+                    got = ([(0, 0)] * skip + list(zip(female, male)))[:len(cells)]
+                    assert got + [(0, 0)] * (len(cells) - len(got)) == cells, (name, lo, hi)
+
+
 def test_year_pair_cells_equal_the_two_year_views(sample_dataset):
     data = ds.load_dataset([
         (1990, "Ann,F,7\nBo,M,9\nCy,F,5\nCy,M,5"),
