@@ -193,11 +193,10 @@ def ingest(data_dir, years, strict, out_path):
         raise errors.TemponymError(f"{out_path}: {out_dir} is not an existing directory")
     data = dataset_mod.load_directory(data_dir, years=wanted, strict=strict)
     dataset_mod.save_index(data, out_path)
-    births = sum(data.female) + sum(data.male)
     skipped = sum(data.skipped)
     _echo(
         f"indexed {len(data.years_loaded)} years, "
-        f"{births} births, {len(data.names)} names"
+        f"{data.births} births, {len(data.names)} names"
         + (f", {skipped} rows skipped" if skipped else "")
     )
 

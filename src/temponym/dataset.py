@@ -14,8 +14,9 @@ non-zero cells. Positions rather than calendar years keep sparse year sets
 compact, a single-year lookup is one index into each column, and a windowed
 or pooled lookup sums one slice of each. Loading a Dataset from an index
 does no per-name work in Python code. Building one from raw files costs, per
-row, one name-to-id lookup and one store into its year's row of counts, both
-in C; per name, one Python step cuts its span out of the year rows.
+row, one lookup of its ``name,sex`` key's id and one store into its year's
+row of counts, both in C; per key, one Python step splits it into name and
+sex, and per name one cuts its span out of the year rows.
 """
 from __future__ import annotations
 
@@ -29,14 +30,14 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 from operator import add, lt, setitem
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 from unicodedata import combining, normalize
 
 from . import errors
-from ._pyparse import merge_rows
+from ._pyparse import KeyIds, merge_rows
 
 MIN_YEAR = 1880
 # Latest accepted year of birth. A fixed bound, not today's date, so that
@@ -140,7 +141,9 @@ class Dataset(Record):
     ``load_index`` keeps each at its stored width (real SSA counts, some
     above 2^16, load as ``'I'``), and ``_columns`` gives each the width a
     load of its index would. ``skipped`` holds the rows skipped per year, or
-    nothing, and takes no part in equality.
+    nothing. ``births`` is the sum of every count: a table ``load_dataset``
+    built carries the sum it took from the parse, and any other sums its
+    columns when asked. Neither takes part in equality.
 
     ``__init__`` checks the rules of a valid table (years increasing ints
     in ``MIN_YEAR..MAX_YEAR``, names sorted, unique and not empty, spans
@@ -185,7 +188,10 @@ class Dataset(Record):
                  # _fold_groups, in __init__ or on first need: folded key ->
                  # an int index, or a tuple of the indices of the names that
                  # share the key.
-                 "_distinct", "_groups")
+                 "_distinct", "_groups",
+                 # The sum of every count, when ``load_dataset`` summed it from
+                 # the parse; else None, and ``births`` sums the columns.
+                 "_births")
     _compared = ("years_loaded", "names", "starts", "lengths", "female", "male")
 
     def __init__(self, years_loaded: Sequence[int], names: Sequence[str], starts, lengths,
@@ -241,7 +247,15 @@ class Dataset(Record):
             _positions={year: pos for pos, year in enumerate(years_loaded)},
             _ids=dict(zip(names, range(len(names)))),
             _groups=None,
+            _births=None,
         )
+
+    @property
+    def births(self) -> int:
+        """Every female and male count summed."""
+        if self._births is None:
+            return sum(self.female) + sum(self.male)
+        return self._births
 
     # Unhashable, as a mutable sequence would be: CPython hashes a memoryview
     # only of format 'B', 'b' or 'c', and a column may be 'H' or 'I'.
@@ -468,35 +482,39 @@ def parse_year_file(content: str, year: int, strict: bool = True) -> Dataset:
     return load_dataset([(year, content)], strict)
 
 
-def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> Dataset:
+def _columns(keys: Sequence[str], rows: dict[int, tuple[array, int]]) -> Dataset:
     """Name-major columns from per-year rows gathered as the years were parsed.
 
-    ``rows`` maps each year to its female counts, its male counts and its
-    skipped-row count; each name's counts sit at its row id, its position in
-    ``seen``, and a row stops at the names seen so far when its year was
-    parsed. Padded with zeros and stacked in year order they form a
-    year-major grid, in which each name's cells are one strided slice. A
-    name's span runs from the first to the last year in which either count
-    is non-zero. Each column is built as ``'I'`` and then narrowed by the
-    rule of an index save and load, so the table holds the widths its
-    index would load with.
+    ``rows`` maps each year to its counts and its skipped-row count; each
+    ``name,sex`` key's count sits at its row id, its position in ``keys``,
+    and a row stops at the keys seen so far when its year was parsed. Padded
+    with zeros and stacked in year order they form a year-major grid, in
+    which each key's cells are one strided slice. Each key is split into
+    its name and sex once, and each name's female and male cells are cut
+    from the grid. A name's span runs from the first to the last year in
+    which either count is non-zero. Each column is built as ``'I'`` and
+    then narrowed by the rule of an index save and load, so the table holds
+    the widths its index would load with.
     """
     years = sorted(rows)
-    width = len(seen)
-    grid_f, grid_m = array("I"), array("I")
-    skipped = []
+    width = len(keys)
+    grid, skipped = array("I"), []
     for year in years:
-        row_f, row_m, lost = rows.pop(year)  # popped, so each row is freed once copied
-        pad = bytes(4 * (width - len(row_f)))
-        grid_f += row_f
-        grid_f.frombytes(pad)
-        grid_m += row_m
-        grid_m.frombytes(pad)
+        row, lost = rows.pop(year)  # popped, so each row is freed once copied
+        grid += row
+        grid.frombytes(bytes(4 * (width - len(row))))
         skipped.append(lost)
+    by_sex = {"F": {}, "M": {}}  # per sex, name -> the row id of its key
+    for i, key in enumerate(keys):  # "name,sex": the sex is the last character
+        by_sex[key[-1]][key[:-2]] = i
+    female_ids, male_ids = by_sex["F"], by_sex["M"]
+    zeros = array("I", [0]) * len(years)  # the cells of a sex the name has no key of
     names, starts, lengths = [], array("I"), array("I")
     female, male = array("I"), array("I")
-    for name, i in sorted(zip(seen, count())):
-        cells_f, cells_m = grid_f[i::width], grid_m[i::width]
+    for name in sorted(female_ids.keys() | male_ids.keys()):
+        f, m = female_ids.get(name), male_ids.get(name)
+        cells_f = zeros if f is None else grid[f::width]
+        cells_m = zeros if m is None else grid[m::width]
         raw_f, raw_m = cells_f.tobytes(), cells_m.tobytes()
         zero_head = min(len(raw_f) - len(raw_f.lstrip(b"\0")),
                         len(raw_m) - len(raw_m.lstrip(b"\0")))
@@ -511,7 +529,7 @@ def _columns(seen: Sequence[str], rows: dict[int, tuple[array, array, int]]) -> 
     # The grid goes before the columns are narrowed and the names folded, and
     # each wide column before the next is narrowed, so the peaks do not add.
     columns = {"starts": starts, "lengths": lengths, "female": female, "male": male}
-    del grid_f, grid_m, starts, lengths, female, male
+    del grid, by_sex, female_ids, male_ids, starts, lengths, female, male
     for key in columns:
         columns[key] = _unshuffle(*_shuffle(memoryview(columns[key])))
     return Dataset(years, names, **columns, skipped=skipped)
@@ -522,32 +540,37 @@ def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dat
 
     The result is order-independent: sources may arrive in any order. Each
     content is parsed as it arrives and only its counts are kept, so an
-    iterator that reads files lazily holds one file's text at a time. A
-    parse error keeps its type (``InvalidSex``, ``FloorViolation``, ...)
-    and its ``lineno``; its message gains the year: ``year Y: line N: ...``.
+    iterator that reads files lazily holds one file's text at a time. The
+    kept counts are summed as they arrive, and the Dataset carries the sum
+    as its ``births``. A parse error keeps its type (``InvalidSex``,
+    ``FloorViolation``, ...) and its ``lineno``; its message gains the year:
+    ``year Y: line N: ...``.
     """
-    ids: dict[str, int] = {}  # each distinct name's row id, in order of first sight
-    rows: dict[int, tuple[array, array, int]] = {}
+    ids = KeyIds()  # each distinct name,sex key's row id, in order of first sight
+    rows: dict[int, tuple[array, int]] = {}
+    births = 0
     for year, content in sources:
         if year in rows:
             raise errors.DuplicateYear(year)
         try:
             if not MIN_YEAR <= year <= MAX_YEAR:
                 raise errors.TemponymError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]")
-            (female, male), skipped = merge_rows(content, strict, ids)
+            (row_ids, counts), skipped = merge_rows(content, strict, ids)
         except errors.TemponymError as exc:
             exc.args = (f"year {year}: {exc}",)
             raise
         # Each count stored at its row id in a zeroed row, in C: one store per
         # row. Repeating one zero allocates no temporary: a scale-1 sparse
         # ingest built from a zeroed bytes object peaked ~15 MB higher.
-        row_f, row_m = array("I", [0]) * len(ids), array("I", [0]) * len(ids)
-        deque(map(setitem, repeat(row_f), *female), 0)
-        deque(map(setitem, repeat(row_m), *male), 0)
-        rows[year] = row_f, row_m, skipped
-    seen = list(ids)
+        row = array("I", [0]) * len(ids)
+        deque(map(setitem, repeat(row), row_ids, counts), 0)
+        births += sum(counts)
+        rows[year] = row, skipped
+    keys = list(ids)
     del ids  # with its int values, before the grid of ``_columns`` sets the peak
-    return _columns(seen, rows)
+    dataset = _columns(keys, rows)
+    dataset._init(_births=births)
+    return dataset
 
 
 def load_directory(

@@ -193,6 +193,24 @@ def test_ingest_then_query_via_index(runner, tmp_path):
     assert json.loads(result.output)["p_female"] == pytest.approx(0.0839, abs=0.0001)
 
 
+@pytest.mark.parametrize("files,mode,kept", [
+    ({"yob1990.txt": "Pat,F,10\nPat,M,7\nSam,M,12\n", "yob1991.txt": "Sam,F,5\r\nAnn,F,300\r\n",
+      "yob1992.txt": "Pat,M,65536"}, [], [10, 7, 12, 5, 300, 65536]),
+    # A zero count is kept; the second Pat,F row and the Sam,Q row are skipped.
+    ({"yob1990.txt": "Pat,F,10\nPat,F,11\nSam,M,0\nSam,Q,9\n",
+      "yob1991.txt": "Ann,F,4\nAnn,M,70000"}, ["--lenient"], [10, 0, 4, 70000]),
+], ids=["strict", "lenient"])
+def test_ingest_prints_the_births_of_every_kept_row(runner, tmp_path, files, mode, kept):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "x.idx"
+    result = runner.invoke(main, ["ingest", "--dir", str(tmp_path), "--out", str(out), *mode])
+    assert result.exit_code == 0, result.output
+    births = int(result.output.split(" births, ")[0].rsplit(" ", 1)[1])
+    loaded = ds.load_index(out)
+    assert births == sum(kept) == sum(loaded.female) + sum(loaded.male)
+
+
 def test_bad_index_is_data_error(runner, bad_index):
     path, message = bad_index
     result = runner.invoke(main, ["query", "--index", str(path),

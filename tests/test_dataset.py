@@ -441,6 +441,16 @@ def test_zero_counts_are_no_data():
     assert (data.starts[0], data.lengths[0]) == (1, 1)
 
 
+def test_births_is_the_sum_of_every_count(tmp_path):
+    """Carried from the parse by load_dataset, summed from the columns by a
+    table loaded from its index."""
+    built = ds.load_dataset([(1990, "Ann,F,300\nBo,M,7"),
+                             (1991, "Ann,F,65535\nAnn,M,12\nBo,M,0")], strict=False)
+    path = tmp_path / "births.idx"
+    ds.save_index(built, path)
+    assert built.births == ds.load_index(path).births == 300 + 7 + 65535 + 12
+
+
 def test_index_keeps_years_without_rows(tmp_path):
     data = ds.load_dataset([(1900, "Pat,F,10"), (1901, "")])
     path = tmp_path / "gap.idx"

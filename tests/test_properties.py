@@ -376,7 +376,7 @@ few_cells = st.tuples(st.none() | st.integers(0, 9), st.none() | st.integers(0, 
            st.sampled_from(FEW_NAMES), few_cells, max_size=len(FEW_NAMES)), max_size=6),
        st.data())
 def test_any_source_order_gives_one_dataset(per_year, data):
-    """Row ids follow the order names are first seen in, which the source
+    """Row ids follow the order keys are first seen in, which the source
     order sets: names first seen in a later year, a name of one sex in one
     year and of the other in another, and zero counts (lenient), which never
     start or end a span, all give the Dataset of the counts."""
@@ -404,26 +404,27 @@ def parsed_or_error(parse, *args):
 
 
 def named(parse, text, strict):
-    """``parse(text, strict, ids)`` from an empty ``ids``, as ``((female,
-    male), skipped, names)``: each sex's rows as ``{name: count}``, and the
-    names in id order; or the error's type and message.
+    """``parse(text, strict, ids)`` from an empty ``KeyIds``, as ``((female,
+    male), skipped, keys)``: each sex's rows as ``{name: count}``, and the
+    ``name,sex`` keys in id order; or the error's type and message.
 
-    The ids must run 0, 1, ... in ``ids``, name only names of kept rows, and
-    be unique within each sex.
+    The ids must run 0, 1, ... in ``ids``, name only keys of kept rows, and
+    be unique among the rows.
     """
-    ids = {}
+    ids = _pyparse.KeyIds()
     try:
-        (female, male), skipped = parse(text, strict, ids)
+        (row_ids, counts), skipped = parse(text, strict, ids)
     except errors.TemponymError as exc:
         return type(exc), str(exc)
-    names = list(ids)
-    assert list(ids.values()) == list(range(len(names)))
-    assert set(female[0]) | set(male[0]) == set(ids.values())
-    by_sex = []
-    for row_ids, counts in (female, male):
-        assert len(set(row_ids)) == len(row_ids) == len(counts)
-        by_sex.append({names[i]: count for i, count in zip(row_ids, counts)})
-    return tuple(by_sex), skipped, names
+    keys = list(ids)
+    assert list(ids.values()) == list(range(len(keys)))
+    assert set(row_ids) == set(ids.values())
+    assert len(set(row_ids)) == len(row_ids) == len(counts)
+    by_sex = {"F": {}, "M": {}}
+    for i, count in zip(row_ids, counts):
+        name, sex = keys[i].rsplit(",", 1)
+        by_sex[sex][name] = count
+    return (by_sex["F"], by_sex["M"]), skipped, keys
 
 
 # A row whose count has thousands of digits, more than ``int()`` converts
@@ -490,15 +491,15 @@ def test_the_bulk_path_accepts_only_what_the_grammar_accepts(text, strict):
     """Whenever the bulk checks pass, the whole file matches ``GRAMMAR`` and
     the line loop gives the same counts; either way ``merge_rows`` agrees
     with the line loop."""
-    ids = {}
-    by_sex = _pyparse._split(text, strict, ids)
-    if by_sex is not None:
+    ids = _pyparse.KeyIds()
+    rows = _pyparse._split(text, strict, ids)
+    if rows is not None:
         assert _pyparse.GRAMMAR.fullmatch(text)
-        loop_ids = {}
-        assert _pyparse._merge_lines(text, strict, loop_ids) == (by_sex, 0)
+        loop_ids = _pyparse.KeyIds()
+        assert _pyparse._merge_lines(text, strict, loop_ids) == (rows, 0)
         assert loop_ids == ids
     else:
-        assert ids == {}  # a file the line loop must read adds no name
+        assert ids == {}  # a file the line loop must read adds no key
     bulk = named(_pyparse.merge_rows, text, strict)
     assert bulk == named(_pyparse._merge_lines, text, strict)
 
@@ -507,9 +508,9 @@ def test_a_file_of_three_fields_per_row_but_not_per_line_is_read_line_by_line():
     """Split on both separators, these lines give the fields of two valid
     rows (Ab,F,12 and Cd,M,5); the line structure check refuses them."""
     text = "Ab,F,12,Cd\nM,5"
-    assert _pyparse._split(text, True, {}) is None
+    assert _pyparse._split(text, True, _pyparse.KeyIds()) is None
     with pytest.raises(errors.MalformedLine, match="expected 3 fields") as caught:
-        _pyparse.merge_rows(text, True, {})
+        _pyparse.merge_rows(text, True, _pyparse.KeyIds())
     assert caught.value.lineno == 1
     assert named(_pyparse.merge_rows, text, False) == (({}, {}), 2, [])
 
@@ -526,26 +527,39 @@ NEAR_MISSES = [
     ("Ab,F,12\r\r\nCd,M,5", errors.MalformedLine, 1),  # a second \r is no line ending
     ("Ab,F,12\n\rCd,M,5\n\n", None, None),  # a blank last line: valid, read line by line
     ("Ab,F,12\nCd,M,5\nAb,F,7", errors.DuplicateRow, 3),  # found after the ids are given
+    ("Ab,F,12\nCd,m,5", errors.InvalidSex, 2),  # sex: only the last row's is bad
+    ("Ab,F,12\nCd,F M,5", errors.InvalidSex, 2),
 ]
 
 
 @pytest.mark.parametrize("text,error,lineno", NEAR_MISSES)
 def test_near_misses_are_read_line_by_line(text, error, lineno):
-    assert _pyparse._split(text, True, {}) is None
+    assert _pyparse._split(text, True, _pyparse.KeyIds()) is None
     assert named(_pyparse.merge_rows, text, False) == named(_pyparse._merge_lines, text, False)
     if error is None:
         assert named(_pyparse.merge_rows, text, True) == named(_pyparse._merge_lines, text, True)
         return
     with pytest.raises(error) as caught:
-        _pyparse.merge_rows(text, True, {})
+        _pyparse.merge_rows(text, True, _pyparse.KeyIds())
     assert caught.value.lineno == lineno
 
 
 @pytest.mark.parametrize("text,error,lineno", NEAR_MISSES)
 def test_a_file_the_bulk_path_refuses_adds_no_name(text, error, lineno):
-    ids = {"Zed": 0}
+    ids = _pyparse.KeyIds({"Zed,F": 0})
     assert _pyparse._split(text, False, ids) is None
-    assert ids == {"Zed": 0}
+    assert ids == {"Zed,F": 0}
+
+
+def test_a_duplicate_row_takes_back_the_ids_of_the_new_keys():
+    """The duplicate is found after the file's new keys got ids; refused,
+    the map holds its keys and ids in their order, and the next new key
+    gets the next id."""
+    ids = _pyparse.KeyIds({"Zed,F": 0, "Ab,F": 1})
+    text = "Cd,M,5\nAb,F,12\nEf,F,7\nAb,F,9"
+    assert _pyparse._split(text, True, ids) is None
+    assert list(ids.items()) == [("Zed,F", 0), ("Ab,F", 1)]
+    assert _pyparse._split("Ef,F,7", True, ids) == ([2], [7])
 
 
 # One bad line per rejection reason, with the error strict mode reports.
@@ -577,7 +591,7 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
     at = data.draw(st.integers(1, len(lines)))
     lines.insert(at, bad)
     with pytest.raises(error) as caught:
-        _pyparse.merge_rows("\n".join(lines), True, {})
+        _pyparse.merge_rows("\n".join(lines), True, _pyparse.KeyIds())
     assert caught.value.lineno == at + 1
     assert str(caught.value).startswith(f"line {at + 1}: ")
     assert reason in str(caught.value)
