@@ -67,8 +67,8 @@ class KeyIds(dict):
 def merge_rows(content: str, strict: bool, ids: KeyIds) -> tuple[Rows, int]:
     """Parse one year file into ``((row ids, counts), skipped)``.
 
-    The rows are those kept, in file order: the id of each row's key, its
-    name and sex joined as ``name,sex``, and its count. ``ids`` maps each key
+    The rows are those kept, in file order: the id of each row's key (its
+    name and sex joined as ``name,sex``) and its count. ``ids`` maps each key
     to its id; a key not in it gets the next id when its first row is kept,
     so ids run in order of first sight and ``ids`` grows only from kept rows.
     A file of rows without a blank line is checked and converted in bulk,
