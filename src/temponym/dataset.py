@@ -16,7 +16,9 @@ or pooled lookup sums one slice of each. Loading a Dataset from an index
 does no per-name work in Python code. Building one from raw files costs, per
 row, one lookup of its ``name,sex`` key's id and one store into its year's
 row of counts, both in C; per key, one Python step splits it into name and
-sex, and per name one cuts its span out of the year rows.
+sex and one cuts its cells out of a block of the year rows; per name, one
+copies them into the columns. Each count is held once, at the width of its
+year's row, until the columns hold it; no years x keys grid is built.
 """
 from __future__ import annotations
 
@@ -482,56 +484,97 @@ def parse_year_file(content: str, year: int, strict: bool = True) -> Dataset:
     return load_dataset([(year, content)], strict)
 
 
-def _columns(keys: Sequence[str], rows: dict[int, tuple[array, int]]) -> Dataset:
+# Keys per block of the table build: ``_columns`` stacks one block of each
+# year's row at a time, never the whole years x keys grid.
+_BLOCK = 2048
+
+
+def _columns(ids: dict[str, int], rows: dict[int, tuple[array, int]]) -> Dataset:
     """Name-major columns from per-year rows gathered as the years were parsed.
 
-    ``rows`` maps each year to its counts and its skipped-row count; each
-    ``name,sex`` key's count sits at its row id, its position in ``keys``,
-    and a row stops at the keys seen so far when its year was parsed. Padded
-    with zeros and stacked in year order they form a year-major grid, in
-    which each key's cells are one strided slice. Each key is split into
-    its name and sex once, and each name's female and male cells are cut
-    from the grid. A name's span runs from the first to the last year in
-    which either count is non-zero. Each column is built as ``'I'`` and
-    then narrowed by the rule of an index save and load, so the table holds
-    the widths its index would load with.
+    ``ids`` maps each ``name,sex`` key to its row id and ``rows`` each year
+    to its counts and its skipped-row count; both are emptied as they are
+    read. A key's count sits at its row id, and a row stops at the keys seen
+    so far when its year was parsed. A row is an unsigned array, each at its
+    own width. The keys are cut in blocks of ``_BLOCK`` ids. A block's slice
+    of every row, widened to the widest row's type and padded with zeros, is
+    stacked in year order into a small year-major grid, in which each key's
+    cells are one strided slice. The blocks go from the highest ids down, so
+    each row can then lose that slice off its end: the rows shrink as the
+    cells gathered grow. Of each key only its cells from its first to its
+    last non-zero one are kept, one after another in one store. Each key is
+    then split into its name and sex once, and each name's female and male
+    cells are copied from the store, padded with zeros to the name's span:
+    from the first to the last year in which either count is non-zero. The
+    columns are built at the widest row's type and narrowed, if at all, by
+    the rule of an index save and load, so the table holds the widths its
+    index would load with.
     """
+    n_keys = len(ids)
     years = sorted(rows)
-    width = len(keys)
-    grid, skipped = array("I"), []
+    year_rows, skipped = [], []
     for year in years:
-        row, lost = rows.pop(year)  # popped, so each row is freed once copied
-        grid += row
-        grid.frombytes(bytes(4 * (width - len(row))))
+        row, lost = rows.pop(year)
+        year_rows.append(row)
         skipped.append(lost)
+    n = len(years)
+    typecode = _TYPECODES[max((row.itemsize for row in year_rows), default=1)]
+    size = array(typecode).itemsize
+    # Per row id, the first and past-the-last position of its key's cells in
+    # ``store`` and the byte offset of the first; row id ``n_keys``, with no
+    # cells, stands for the key of a sex a name has no row of.
+    first = array("I", [n]) * (n_keys + 1)
+    last = array("I", [0]) * (n_keys + 1)
+    at = array("Q", [0]) * (n_keys + 1)
+    store = bytearray()
+    for lo in reversed(range(0, n_keys, _BLOCK)):
+        width = min(_BLOCK, n_keys - lo)
+        grid = array(typecode, [0]) * (n * width)
+        with memoryview(grid).cast("B") as view:
+            for y, row in enumerate(year_rows):
+                if len(row) > lo:  # else the row ends before this block
+                    piece = _resized(row[lo:].tobytes(), row.itemsize, size)
+                    view[y * width * size:y * width * size + len(piece)] = piece
+                    del row[lo:]
+        for j in range(width):
+            raw = grid[j::width].tobytes()
+            data = raw.lstrip(b"\0")
+            if data:
+                head = len(raw) - len(data)
+                start, stop = head // size, (head + len(data.rstrip(b"\0")) + size - 1) // size
+                first[lo + j], last[lo + j], at[lo + j] = start, stop, len(store)
+                store += raw[start * size:stop * size]
+        del grid
+    del year_rows
     by_sex = {"F": {}, "M": {}}  # per sex, name -> the row id of its key
-    for i, key in enumerate(keys):  # "name,sex": the sex is the last character
+    for key, i in ids.items():  # "name,sex": the sex is the last character
         by_sex[key[-1]][key[:-2]] = i
+    ids.clear()
     female_ids, male_ids = by_sex["F"], by_sex["M"]
-    zeros = array("I", [0]) * len(years)  # the cells of a sex the name has no key of
+    zeros, cells = memoryview(bytes(n * size)), memoryview(store)
     names, starts, lengths = [], array("I"), array("I")
-    female, male = array("I"), array("I")
+    female, male = array(typecode), array(typecode)
     for name in sorted(female_ids.keys() | male_ids.keys()):
-        f, m = female_ids.get(name), male_ids.get(name)
-        cells_f = zeros if f is None else grid[f::width]
-        cells_m = zeros if m is None else grid[m::width]
-        raw_f, raw_m = cells_f.tobytes(), cells_m.tobytes()
-        zero_head = min(len(raw_f) - len(raw_f.lstrip(b"\0")),
-                        len(raw_m) - len(raw_m.lstrip(b"\0")))
-        data_end = max(len(raw_f.rstrip(b"\0")), len(raw_m.rstrip(b"\0")))
-        start, stop = zero_head // 4, (data_end + 3) // 4  # bytes to cells
-        if start < stop:
-            names.append(name)
-            starts.append(start)
-            lengths.append(stop - start)
-            female += cells_f[start:stop]
-            male += cells_m[start:stop]
-    # The grid goes before the columns are narrowed and the names folded, and
-    # each wide column before the next is narrowed, so the peaks do not add.
+        f, m = female_ids.get(name, n_keys), male_ids.get(name, n_keys)
+        start, stop = min(first[f], first[m]), max(last[f], last[m])
+        if start >= stop:  # only zero counts: no data
+            continue
+        names.append(name)
+        starts.append(start)
+        lengths.append(stop - start)
+        for column, i in ((female, f), (male, m)):
+            a, b = first[i], last[i]
+            if a >= b:  # no cells in this sex: its whole span is zeros
+                a = b = stop
+            column.frombytes(zeros[:(a - start) * size])
+            column.frombytes(cells[at[i]:at[i] + (b - a) * size])
+            column.frombytes(zeros[:(stop - b) * size])
+    del cells, store, by_sex, female_ids, male_ids
     columns = {"starts": starts, "lengths": lengths, "female": female, "male": male}
-    del grid, by_sex, female_ids, male_ids, starts, lengths, female, male
-    for key in columns:
-        columns[key] = _unshuffle(*_shuffle(memoryview(columns[key])))
+    del starts, lengths, female, male  # so that a wide column goes once it is narrowed
+    for key, column in columns.items():
+        columns[key] = _narrowest(column)
+    del column
     return Dataset(years, names, **columns, skipped=skipped)
 
 
@@ -539,10 +582,11 @@ def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dat
     """Build a Dataset from (year, content) pairs.
 
     The result is order-independent: sources may arrive in any order. Each
-    content is parsed as it arrives and only its counts are kept, so an
-    iterator that reads files lazily holds one file's text at a time. The
-    kept counts are summed as they arrive, and the Dataset carries the sum
-    as its ``births``. A parse error keeps its type (``InvalidSex``,
+    content is parsed as it arrives and only its counts are kept, each year's
+    in one row at the narrowest of ``'B'``, ``'H'`` and ``'I'`` that holds
+    them, so an iterator that reads files lazily holds one file's text at a
+    time. The kept counts are summed as they arrive, and the Dataset carries
+    the sum as its ``births``. A parse error keeps its type (``InvalidSex``,
     ``FloorViolation``, ...) and its ``lineno``; its message gains the year:
     ``year Y: line N: ...``.
     """
@@ -560,15 +604,15 @@ def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dat
             exc.args = (f"year {year}: {exc}",)
             raise
         # Each count stored at its row id in a zeroed row, in C: one store per
-        # row. Repeating one zero allocates no temporary: a scale-1 sparse
-        # ingest built from a zeroed bytes object peaked ~15 MB higher.
+        # row. Repeating one zero allocates no temporary. An 'I' row takes
+        # the stores; one into 'H' converts each count through PyArg_Parse
+        # and costs about half as much again.
         row = array("I", [0]) * len(ids)
         deque(map(setitem, repeat(row), row_ids, counts), 0)
+        rows[year] = _narrowest(row), skipped
         births += sum(counts)
-        rows[year] = row, skipped
-    keys = list(ids)
-    del ids  # with its int values, before the grid of ``_columns`` sets the peak
-    dataset = _columns(keys, rows)
+        del row, row_ids, counts  # before the next file is parsed
+    dataset = _columns(ids, rows)
     dataset._init(_births=births)
     return dataset
 
@@ -702,16 +746,57 @@ def _plane_offsets(itemsize: int) -> range:
     return range(itemsize) if sys.byteorder == "little" else range(itemsize - 1, -1, -1)
 
 
-def _shuffle(column: memoryview) -> tuple[bytes, int]:
-    """The column's byte planes up to its highest non-zero one, and their count."""
-    size = column.itemsize
-    raw = column.tobytes()
-    planes = [raw[offset::size] for offset in _plane_offsets(size)]
-    del raw  # before the join: a dense ingest peaked ~3 MB higher with it kept
+# Values per piece in which ``_pieces`` copies a column.
+_CHUNK = 1 << 16
+
+
+def _pieces(values) -> Iterator[bytes]:
+    """The bytes of an unsigned array or memoryview, copied ``_CHUNK`` values
+    at a time."""
+    view = memoryview(values)
+    for lo in range(0, len(view), _CHUNK):
+        yield view[lo:lo + _CHUNK].tobytes()
+
+
+def _width(values) -> int:
+    """The bytes per value an index stores ``values`` in: up to the highest
+    byte plane that holds a non-zero byte, and at least one."""
+    size = values.itemsize
+    offsets = _plane_offsets(size)
     width = size
-    while width > 1 and planes[width - 1].count(0) == len(planes[width - 1]):
+    while width > 1 and all(piece[offsets[width - 1]::size].count(0) == len(piece) // size
+                            for piece in _pieces(values)):
         width -= 1
-    return b"".join(planes[:width]), width
+    return width
+
+
+def _resized(cells: bytes, size: int, to: int) -> bytes | bytearray:
+    """Unsigned values of ``size`` bytes each, given as their bytes, as
+    values of ``to`` bytes each, copied byte plane by byte plane.
+
+    Only the planes both sizes have are copied: a narrower size keeps each
+    value's low bytes, and a wider one gets zeros in its high planes.
+    """
+    if size == to:
+        return cells
+    out = bytearray(len(cells) // size * to)
+    for dst, src in zip(_plane_offsets(to), _plane_offsets(size)):
+        out[dst::to] = cells[src::size]
+    return out
+
+
+def _narrowest(values: array) -> array:
+    """``values``, or, when a narrower type holds them all (``_width``), their
+    copy in it, made ``_CHUNK`` values at a time."""
+    typecode = _TYPECODES[_width(values)]
+    if typecode == values.typecode:
+        return values
+    out = array(typecode, [0]) * len(values)
+    with memoryview(out).cast("B") as view:
+        for lo, piece in zip(range(0, len(view), _CHUNK * out.itemsize), _pieces(values)):
+            cells = _resized(piece, values.itemsize, out.itemsize)
+            view[lo:lo + len(cells)] = cells
+    return out
 
 
 def _unshuffle(data: bytes, width: int) -> memoryview:
@@ -737,17 +822,26 @@ def _checksum(header: dict, *streams) -> str:
 
 
 def save_index(dataset: Dataset, path: Path | str) -> None:
-    """Write ``dataset`` to ``path``; a file that cannot be written is a data error."""
-    sizes, widths, streams = {}, {}, {}
-    for key in _SECTIONS:
-        if key == "names":
-            data, strategy = "\n".join(dataset.names).encode(), zlib.Z_DEFAULT_STRATEGY
-        else:
-            (data, widths[key]), strategy = _shuffle(getattr(dataset, key)), zlib.Z_RLE
-        sizes[key] = len(data)
-        deflate = zlib.compressobj(6, strategy=strategy)
-        streams[key] = deflate.compress(data) + deflate.flush()
-        del data
+    """Write ``dataset`` to ``path``; a file that cannot be written is a data error.
+
+    Each column's byte planes are cut from pieces of it (``_pieces``) and fed
+    to its deflate stream one plane at a time, so no whole copy of a column
+    is made.
+    """
+    names = "\n".join(dataset.names).encode()
+    sizes, widths = {"names": len(names)}, {}
+    deflate = zlib.compressobj(6)
+    streams = {"names": deflate.compress(names) + deflate.flush()}
+    del names
+    for key in _U32_SECTIONS:
+        column = getattr(dataset, key)
+        size, width = column.itemsize, _width(column)
+        deflate = zlib.compressobj(6, strategy=zlib.Z_RLE)
+        stream = [deflate.compress(piece[offset::size])
+                  for offset in _plane_offsets(size)[:width] for piece in _pieces(column)]
+        stream.append(deflate.flush())
+        streams[key] = b"".join(stream)
+        sizes[key], widths[key] = width * len(column), width
     header = {
         "format": "temponym-index",
         "version": INDEX_VERSION,

@@ -727,6 +727,35 @@ def test_index_load_peak_stays_under_three_payloads(tmp_path):
     assert peak < 3 * payload, peak / payload
 
 
+def test_ingest_peak_stays_under_six_times_its_columns():
+    """A sparse archive shaped like the SSA's: 5,000 Zipf-ranked names, each
+    over one span of years, later starts likelier, one sex for 88% of them,
+    counts up to ~91,000. The build holds each year's counts once, at their
+    own width, and stacks one block of keys at a time, never the years x
+    keys grid, so tracemalloc's peak over ``load_dataset`` stays under six
+    times the bytes of the columns it returns."""
+    rng = random.Random(0)
+    per_year = {year: [] for year in range(1880, 2021)}
+    for rank in range(5000):
+        start = 1880 + int(140 * rng.random() ** 0.5)
+        length = min(1 + int(rng.expovariate(1 / 24)), 2021 - start)
+        sexes = "FM" if rng.random() < 0.12 else rng.choice("FM")
+        level = 70_000 / (rank + 1) ** 0.85
+        for year in range(start, start + length):
+            per_year[year] += [f"N{rank:05d},{sex},{max(5, round(level * rng.uniform(0.7, 1.3)))}"
+                               for sex in sexes]
+    sources = [(year, "\n".join(rows)) for year, rows in per_year.items()]
+    tracemalloc.start()
+    try:
+        data = ds.load_dataset(sources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "I" in (data.female.format, data.male.format)  # a count above 65,535
+    columns = sum(getattr(data, key).nbytes for key in ("starts", "lengths", "female", "male"))
+    assert peak < 6 * columns, peak / columns
+
+
 def test_exact_names_resolve_without_fold_maps_until_a_miss(tmp_path):
     ds.save_index(ds.load_dataset([(1990, "Ann,F,10\nRenée,F,7"), (1991, "Bo,M,9")]),
                   tmp_path / "distinct.idx")

@@ -391,6 +391,124 @@ def test_any_source_order_gives_one_dataset(per_year, data):
             assert first.female[cell] or first.male[cell]
 
 
+# --- the table build's edges ------------------------------------------------
+#
+# ``_columns`` cuts the keys in blocks of ``ds._BLOCK`` row ids, stacks each
+# block of every year's row, each at its own width, into one grid at the
+# widest row's width, and then narrows the columns. Each case below must give
+# the per-name reference table (``dataset_of``), and the index it saves must
+# load back equal, every column at the narrowest format that holds its
+# values.
+
+
+def source_files(per_year):
+    """Year files of ``{year: {name: (female, male)}}``; None is no row."""
+    return [(year, "\n".join(f"{name},{sex},{count}" for name, fm in cells.items()
+                              for sex, count in zip("FM", fm) if count is not None))
+            for year, cells in per_year.items()]
+
+
+def column_formats(data):
+    return [getattr(data, key).format for key in ("starts", "lengths", "female", "male")]
+
+
+def check_build(path, per_year, sources=None):
+    """The lenient build of ``per_year``'s files (or of ``sources``), checked
+    against the reference, and against its index, formats included."""
+    built = ds.load_dataset(source_files(per_year) if sources is None else sources, strict=False)
+    assert built == dataset_of(per_year)
+    ds.save_index(built, path)
+    loaded = ds.load_index(path)
+    assert loaded == built
+    narrowest = [next(code for code, top in COLUMN_MAX.items() if max(column, default=0) <= top)
+                 for column in (built.starts, built.lengths, built.female, built.male)]
+    assert column_formats(built) == column_formats(loaded) == narrowest
+    return built
+
+
+@pytest.mark.parametrize("n_keys", [ds._BLOCK - 1, ds._BLOCK, ds._BLOCK + 1, 2 * ds._BLOCK + 1])
+def test_key_counts_around_the_block_size(tmp_path, n_keys):
+    """Keys first seen in each year, so the rows end at different places,
+    some inside the last block; names of one sex and of both."""
+    rng = random.Random(n_keys)
+    names = [f"N{i:05d}" for i in range((n_keys + 1) // 2)]
+    per_year = {year: {} for year in (1880, 1881, 1882)}
+    for i, name in enumerate(names):
+        year = rng.choice(list(per_year))
+        both = 2 * i + 1 < n_keys  # the last name of an odd count has one key
+        per_year[year][name] = (rng.randrange(5, 300), rng.randrange(5, 300) if both else None)
+        if year < 1882 and rng.random() < 0.5:
+            per_year[1882][name] = (rng.randrange(5, 300), None)
+    data = check_build(tmp_path / "block.idx", per_year)
+    assert len(data.names) == len(names)
+
+
+def test_a_name_whose_keys_fall_in_different_blocks(tmp_path):
+    """Zed's F key gets row id 0 and its M key the last id, a block later."""
+    fillers = {f"N{i:05d}": (7, None) for i in range(ds._BLOCK + 5)}
+    per_year = {1880: {"Zed": (9, None), **fillers},
+                1881: {"Zed": (None, 11)},
+                1882: {"Zed": (13, 0), "N00000": (6, None)}}
+    files = source_files(per_year)
+    files[0] = (1880, files[0][1] + "\nZed,M,0")  # Zed,M last seen in 1880's file
+    data = check_build(tmp_path / "split.idx", per_year, files)
+    assert data.name_counts("Zed", [1880, 1881, 1882]) == ([9, 0, 13], [0, 11, 0])
+
+
+def test_years_of_one_two_and_three_byte_counts(tmp_path):
+    """Rows of 'B', 'H' and 'I' counts stack into one 'I' grid; only the
+    female column holds a count of three bytes, one above 65,535."""
+    per_year = {1880: {"Ann": (200, None), "Bo": (None, 9)},
+                1881: {"Ann": (40_000, 7), "Bo": (None, 255)},
+                1882: {"Ann": (70_000, None), "Cy": (5, 60)}}
+    data = check_build(tmp_path / "widths.idx", per_year)
+    assert column_formats(data) == ["B", "B", "I", "B"]
+    per_year[1881]["Bo"] = (None, 256)
+    assert column_formats(check_build(tmp_path / "widths.idx", per_year)) == ["B", "B", "I", "H"]
+
+
+def test_zero_count_rows_at_span_edges(tmp_path):
+    """Lenient zero counts before, inside and after a name's data, and a name
+    with zero counts only, which has no data."""
+    per_year = {1880: {"Ann": (0, None), "Nil": (0, 0)},
+                1881: {"Ann": (5, 0)},
+                1882: {"Ann": (0, 0), "Nil": (None, 0)},
+                1883: {"Ann": (None, 7)},
+                1884: {"Ann": (0, 0), "Bo": (0, 6)}}
+    data = check_build(tmp_path / "zeros.idx", per_year)
+    assert data.names == ("Ann", "Bo")
+    assert (data.starts[0], data.lengths[0]) == (1, 3)
+
+
+@pytest.mark.parametrize("per_year", [
+    {},
+    {1880: {}},
+    {1880: {}, 1881: {"Ann": (5, None)}, 1882: {}},
+    {1880: {"Ann": (5, None)}, 1881: {}},
+], ids=["no source", "one empty year", "empty first and last years", "empty last year"])
+def test_no_source_and_years_that_keep_no_row(tmp_path, per_year):
+    data = check_build(tmp_path / "empty.idx", per_year)
+    assert data.years_loaded == tuple(sorted(per_year))
+
+
+wide_counts = st.none() | st.sampled_from([0, 5, 255, 256, 65_535, 65_536, 2**24, 2**32 - 1])
+
+
+# 200 cases: each saves and loads an index.
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(1880, 1890), st.dictionaries(
+           st.sampled_from(FEW_NAMES), st.tuples(wide_counts, wide_counts).filter(
+               lambda fm: fm != (None, None)), max_size=len(FEW_NAMES)), max_size=5),
+       st.integers(1, 4), st.data())
+def test_any_block_size_gives_the_table_of_the_counts(tmp_path_factory, per_year, block, data):
+    """Blocks of one to four keys, so most keys share no block with their
+    name's other key and most rows end inside a block, over counts of one
+    to four bytes in any source order."""
+    sources = data.draw(st.permutations(source_files(per_year)))
+    with mock.patch.object(ds, "_BLOCK", block):
+        check_build(tmp_path_factory.getbasetemp() / "blocks.idx", per_year, sources)
+
+
 # Text near the grammar: pieces of rows, signs, spaces, separators, a
 # non-ASCII digit, and lines of arbitrary text.
 near_rows = st.text(st.sampled_from("PatZé,,FMQ0123456789-+_ \r\n\u0663"), max_size=24)
