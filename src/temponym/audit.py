@@ -167,56 +167,40 @@ def _predictions(records, dataset, cohort_model, atemporal_range, counts=False):
 
     The cohort window is built once per activity year, as its first loaded
     position and a weight per position from there on. Each distinct name is
-    resolved once, by ``Dataset.span``, and its ``p_female_pooled`` is kept
-    from the first record that needs it. A record whose name one stored
-    name answers for then costs two weighted sums over its ``span_cells``
-    and a division: the rule of ``temporal_p_female``, which every other
-    name goes through.
+    resolved once, by ``Dataset.resolve``, and its ``p_female_pooled`` is
+    kept from the first record that needs it. A record then costs two
+    weighted sums over its ``Dataset.cells`` in the window and a division:
+    the rule of ``temporal_p_female``.
     """
     loaded = dataset.years_loaded
-    windows: dict = {}  # activity year -> (first position, weights, distribution), or None
-    spans: dict = {}  # name -> its Dataset.span
+    windows: dict = {}  # activity year -> (first position, weights), or None
+    resolved: dict = {}  # name -> its Dataset.resolve
     pooled: dict = {}  # name -> its atemporal prediction, or None without data
-
-    def pool(name):
-        """The atemporal prediction of a name, or None without data."""
-        try:
-            prob = p_female_pooled(dataset, name, atemporal_range)
-        except errors.NoData:
-            return None
-        return prob[2:] if counts else prob.p_female
-
     for record in records:
         year, name = record.activity_year, record.given_name
         if year not in windows:
             first, years, weights = _cohort_window(year, cohort_model, loaded)
-            windows[year] = (first, weights, list(zip(years, weights))) if years else None
+            windows[year] = (first, weights) if years else None
         window = windows[year]
         if window is None:
             yield record, None
             continue
-        if name not in spans:
-            spans[name] = dataset.span(name)
-        span = spans[name]
-        temporal = None
-        if span is None:
-            try:
-                prob = temporal_p_female(dataset, name, window[2])
-                temporal = prob[2:] if counts else prob.p_female
-            except errors.NoData:
-                pass
-        else:
-            first, weights, _ = window
-            skip, female, male = dataset.span_cells(span, first, first + len(weights))
-            num, den = _weighted_sums(weights[skip:] if skip else weights, female, male)
-            if den:
-                temporal = (num / den, sum(female), sum(male)) if counts else num / den
-        if temporal is None:
+        if name not in resolved:
+            resolved[name] = dataset.resolve(name)
+        first, weights = window
+        skip, female, male = dataset.cells(resolved[name], first, first + len(weights))
+        num, den = _weighted_sums(weights[skip:] if skip else weights, female, male)
+        if not den:
             yield record, None
             continue
         if name not in pooled:
-            pooled[name] = pool(name)
+            try:
+                prob = p_female_pooled(dataset, name, atemporal_range)
+                pooled[name] = prob[2:] if counts else prob.p_female
+            except errors.NoData:
+                pooled[name] = None
         atemporal = pooled[name]
+        temporal = (num / den, sum(female), sum(male)) if counts else num / den
         yield record, None if atemporal is None else (temporal, atemporal)
 
 

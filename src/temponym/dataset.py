@@ -170,12 +170,11 @@ class Dataset(Record):
     first lookup that needs it; ``__init__`` folds every table it builds,
     keeps the map and reads the fact from it.
 
-    ``span`` tells where a name's cells lie when exactly one stored name
-    answers for it: its first and past-the-last positions and the offset
-    from a position to its cell in the columns. ``span_cells`` cuts a span's
-    cells in a range of positions as one slice of each column. ``window``
-    and ``totals`` read their one-name counts through the two, and so does
-    the audit, which resolves each distinct name of a corpus once.
+    ``resolve`` gives the stored names that answer for a name, and ``cells``
+    their counts in a range of positions: one slice of each column for one
+    name, a ``_first_cell`` per position for several. ``totals``, ``window``
+    and ``name_counts`` read through the two, and so does the audit, which
+    resolves each distinct name of a corpus once.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -356,48 +355,35 @@ class Dataset(Record):
                 return female, male
         return None
 
-    def _resolve(self, name: str, fold_diacritics: bool) -> Sequence[int]:
-        """The stored names that may answer for ``name``: itself alone when it
-        is stored in a table where no two names fold alike, else its
+    def resolve(self, name: str, fold_diacritics: bool = False) -> Sequence[int]:
+        """The stored names that answer for ``name``, in order: itself alone
+        when it is stored in a table where no two names fold alike, else its
         ``_candidates``."""
         i = self._ids.get(name)
         return (i,) if i is not None and self._distinct else self._candidates(
             name, fold_diacritics)
 
-    def span(self, name: str, fold_diacritics: bool = False) -> Optional[tuple[int, int, int]]:
-        """``(start, stop, base)`` when exactly one stored name answers for ``name``,
-        else None.
+    def cells(self, ids: Sequence[int], lo: int,
+              hi: int) -> tuple[int, Sequence[int], Sequence[int]]:
+        """``(skip, female, male)``: the counts of the names ``ids`` (``resolve``)
+        at the loaded positions ``lo`` to ``hi - 1``.
 
-        The answering name's loaded-year positions are ``start`` to ``stop - 1``,
-        and its counts at position p are ``female[base + p]`` and
-        ``male[base + p]`` (``span_cells``). None when no stored name answers,
-        and when several may, each year going to the first with data there
-        (``_first_cell``).
+        Position ``lo + skip + k`` holds cell k; the names have no data before
+        ``lo + skip`` or past the cells' end. One name's cells are one slice
+        of each column, where its span and the positions overlap. Several
+        names' are read position by position, each from the first name with
+        data there (``_first_cell``).
         """
-        i = self._ids.get(name)
-        if i is None or not self._distinct:
-            ids = self._candidates(name, fold_diacritics)
-            if len(ids) != 1:
-                return None
-            i = ids[0]
+        if len(ids) != 1:
+            hi = min(hi, len(self.years_loaded)) if ids else lo  # no name: no cells
+            return (0, *self._first_cells(ids, range(lo, hi)))
+        i = ids[0]
         start = self.starts[i]
-        return start, start + self.lengths[i], self._offsets[i] - start
-
-    def span_cells(self, span: tuple[int, int, int], lo: int,
-                   hi: int) -> tuple[int, Sequence[int], Sequence[int]]:
-        """``(skip, female, male)``: a ``span``'s counts at the loaded positions
-        ``lo`` to ``hi - 1``, as one slice of each column where the span and
-        the positions overlap.
-
-        Position ``lo + skip + k`` holds cell k; the name has no data before
-        ``lo + skip`` or past the slices' end. The slices are empty where the
-        two do not overlap.
-        """
-        start, stop, base = span
+        stop, base = start + self.lengths[i], self._offsets[i] - start
         first = lo if lo > start else start
         last = hi if hi < stop else stop
-        cells = slice(base + first, base + (last if last > first else first))
-        return first - lo, self.female[cells], self.male[cells]
+        cut = slice(base + first, base + (last if last > first else first))
+        return first - lo, self.female[cut], self.male[cut]
 
     def window(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
@@ -409,21 +395,19 @@ class Dataset(Record):
         fold_diacritics)``, 0 for a year without data or not loaded; the
         name has no data in the years before ``skip`` or past the lists'
         end. Years that do not increase are a ``TemponymError``. When one
-        stored name answers (``span``) and ``years`` is a tuple of
-        consecutive loaded years, the lists are one slice of each column,
-        where the name's span and the years overlap: no step per year and no
-        padding.
+        stored name answers and ``years`` is a tuple of consecutive loaded
+        years, the lists are its ``cells`` at their positions: no step per
+        year and no padding.
         """
-        span = self.span(name, fold_diacritics)
+        ids = self.resolve(name, fold_diacritics)
         n = len(years)
         first = self._positions.get(years[0]) if n else None
-        if span is None or first is None or self.years_loaded[first:first + n] != years:
+        if len(ids) != 1 or first is None or self.years_loaded[first:first + n] != years:
             if not all(map(lt, years, years[1:])):
                 raise errors.TemponymError("years are not increasing")
             # -1, the position of a year not loaded, is in no name's span
-            return (0, *self._first_cells(self._resolve(name, fold_diacritics),
-                                          [self._positions.get(year, -1) for year in years]))
-        skip, female, male = self.span_cells(span, first, first + n)
+            return (0, *self._first_cells(ids, [self._positions.get(year, -1) for year in years]))
+        skip, female, male = self.cells(ids, first, first + n)
         return (skip, female.tolist(), male.tolist()) if female else (0, [], [])
 
     def name_counts(
@@ -436,7 +420,7 @@ class Dataset(Record):
         ``window`` of increasing years, padded with zeros.
         """
         if not all(map(lt, years, years[1:])):  # a year repeated or out of order
-            return self._first_cells(self._resolve(name, fold_diacritics),
+            return self._first_cells(self.resolve(name, fold_diacritics),
                                      [self._positions.get(year, -1) for year in years])
         skip, female, male = self.window(name, tuple(years), fold_diacritics)
         head, tail = [0] * skip, [0] * (len(years) - skip - len(female))
@@ -464,14 +448,7 @@ class Dataset(Record):
         """(female, male) summed over the loaded years in [first_year, last_year]."""
         lo = bisect_left(self.years_loaded, first_year)
         hi = bisect_right(self.years_loaded, last_year)
-        span = self.span(name, fold_diacritics)
-        if span is None:  # no stored name, or several, answers
-            ids = self._candidates(name, fold_diacritics)
-            if not ids:
-                return _NO_DATA
-            female, male = self._first_cells(ids, range(lo, hi))
-        else:  # one stored name answers every year: sum its slices
-            _, female, male = self.span_cells(span, lo, hi)
+        _, female, male = self.cells(self.resolve(name, fold_diacritics), lo, hi)
         return sum(female), sum(male)
 
     def year_cells(self, year: int) -> dict[str, tuple[int, int]]:

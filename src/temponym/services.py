@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import errors
+from ._pyparse import COUNT
 from .dataset import Dataset, Record, read_csv
 from .model import p_female
 
@@ -48,11 +49,12 @@ def _is_probability(value) -> bool:
 
 
 def _is_count(value) -> bool:
-    return value is None or type(value) is int  # not a bool
+    """Null, or an integer that is not a bool and not negative."""
+    return value is None or (type(value) is int and value >= 0)
 
 
 def _is_prediction(prediction: ExternalPrediction) -> bool:
-    """A label of F, M or U, a null or [0, 1] p(F) and a null or integer count."""
+    """A label of F, M or U, a null or [0, 1] p(F) and a null or non-negative integer count."""
     return (prediction.predicted_label in ("F", "M", "U")
             and _is_probability(prediction.p_female) and _is_count(prediction.sample_count))
 
@@ -157,17 +159,19 @@ def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
     table: FixtureTable = {}
     first_lines: dict[tuple[str, str], int] = {}  # (service_id, casefolded name) -> line
     for line, row in read_csv(path, FIXTURE_COLUMNS, "fixture"):
-        numbers = {}
-        for column, kind in (("p_female", float), ("sample_count", int)):
-            text = (row.get(column) or "").strip()
-            try:
-                numbers[column] = kind(text) if text else None
-            except ValueError:
-                raise errors.ConfigError(
-                    f"{path}: line {line}: {column} {text!r} is not a number"
-                ) from None
-        prediction = ExternalPrediction(row["service_id"], row["name"], row["label"],
-                                        **numbers, source="fixture", fetched_at="")
+        p, count = ((row.get(column) or "").strip() for column in ("p_female", "sample_count"))
+        # float() and int() also take "٠.٥", "1_000" and "-3": a p_female must be
+        # ASCII, and a sample_count 1 to 9 ASCII digits, like a corpus activity_year
+        if count and not (COUNT.fullmatch(count) and len(count) <= 9):
+            raise errors.ConfigError(
+                f"{path}: line {line}: sample_count {count!r} is not 1 to 9 ASCII digits")
+        try:  # a UnicodeEncodeError, from non-ASCII text, is a ValueError
+            probability = float(p.encode("ascii")) if p else None
+        except ValueError:
+            raise errors.ConfigError(
+                f"{path}: line {line}: p_female {p!r} is not a number") from None
+        prediction = ExternalPrediction(row["service_id"], row["name"], row["label"], probability,
+                                        int(count) if count else None, "fixture", "")
         if not _is_prediction(prediction):
             raise errors.ConfigError(
                 f"{path}: line {line}: label {prediction.predicted_label!r}, p_female "
@@ -264,7 +268,7 @@ def _fetch_live(config: ServiceConfig, name: str, today: str) -> ExternalPredict
         raise errors.NetworkError(
             f"{config.service_id}: probability {probability!r} is not a number in [0, 1]")
     if not _is_count(count):
-        raise errors.NetworkError(f"{config.service_id}: count {count!r} is not an integer")
+        raise errors.NetworkError(f"{config.service_id}: count {count!r} is not an integer >= 0")
     p = None
     if probability is not None:
         p = float(probability) if gender == "female" else 1.0 - probability

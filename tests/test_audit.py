@@ -435,16 +435,16 @@ def test_audit_resolves_each_distinct_name_once(monkeypatch):
     names = {r.given_name for r in records if windowed(r.activity_year)}
     assert "Unwindowed" not in names and len(names) < len(records)
     calls = collections.Counter()
-    span = ds.Dataset.span
+    resolve = ds.Dataset.resolve
 
     def counted(self, name, fold_diacritics=False):
-        # only the audit's own calls: the library functions it falls back to
-        # (temporal_p_female, p_female_pooled) resolve a name for themselves
+        # only the audit's own calls: p_female_pooled, which the audit calls,
+        # resolves a name for itself
         if sys._getframe(1).f_globals["__name__"] == audit.__name__:
             calls[name] += 1
-        return span(self, name, fold_diacritics)
+        return resolve(self, name, fold_diacritics)
 
-    monkeypatch.setattr(ds.Dataset, "span", counted)
+    monkeypatch.setattr(ds.Dataset, "resolve", counted)
     for run in (audit.audit_corpus, audit.evaluate_known):
         calls.clear()
         run(records, data, cohort)

@@ -360,6 +360,8 @@ LIVE_FAILURES = [
     ("gender-null", 200, b'{"gender": null, "probability": 0.0, "count": 0}',
      "ServiceUnknownName", "genderize has no prediction for 'Leslie'"),
     ("connection-refused", None, b"", "NetworkError", "connection refused"),
+    ("count-negative", 200, b'{"gender": "female", "probability": 0.5, "count": -1}',
+     "NetworkError", "genderize: count -1 is not an integer >= 0"),
 ]
 
 
@@ -419,7 +421,8 @@ LIVE_COMPARE = ["compare", "--names", "Leslie", "--services",
     b"{not json", b'{"a": 1}', b"[1]",
     _cached(p_female="x"), _cached(p_female=1.5), _cached(p_female=True),
     _cached(predicted_label="Q"), _cached(sample_count=2.5), _cached(sample_count=True),
-    _cached(sample_count="3"), _cached(source=None), _cached(extra="field"),
+    _cached(sample_count="3"), _cached(sample_count=-3), _cached(source=None),
+    _cached(extra="field"),
 ])
 def test_compare_refetches_an_unreadable_cache_entry(runner, monkeypatch, tmp_path, entry):
     path = _stub_live_compare(monkeypatch, tmp_path)
@@ -719,6 +722,9 @@ CLI_ERRORS = [
     ("fixture-sample-count-not-a-number",
      ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
      {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,0.5,many\n"}, 3),
+    ("fixture-sample-count-negative",
+     ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
+     {"f.csv": FIXTURE_HEADER + b"genderize,Jean,F,0.5,-3\n"}, 3),
     ("fixture-without-label", ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],
      {"f.csv": b"service_id,name,p_female\ngenderize,Jean,0.5\n"}, 3),
     ("fixture-short-row", ["compare", "--names", "Jean", "--fixture-file", "{tmp}/f.csv"],

@@ -304,65 +304,105 @@ def test_name_counts_of_shared_keys_and_diacritics():
     assert data.name_counts("Ann", []) == ([], [])
 
 
-def test_span_addresses_the_cells_lookup_reads(sparse_dataset):
+def test_cells_of_one_stored_name_are_the_cells_lookup_reads(sparse_dataset):
     distinct = ds.load_dataset([(1990, "Ann,F,7\nBo,M,9"), (1991, "Bo,F,6"), (1993, "Ann,M,8")])
     for data in (sparse_dataset, distinct):
+        n = len(data.years_loaded)
         for name in NAME_QUERIES:
             for fold in (False, True):
-                span = data.span(name, fold_diacritics=fold)
-                if span is None:
+                ids = data.resolve(name, fold_diacritics=fold)
+                if len(ids) != 1:
                     continue
-                start, stop, base = span
+                skip, female, male = data.cells(ids, 0, n)
+                # one slice of each column
+                assert type(female) is type(male) is memoryview
                 for pos, year in enumerate(data.years_loaded):
                     cell = data.lookup(name, year, fold_diacritics=fold)
-                    if start <= pos < stop:
-                        assert (data.female[base + pos], data.male[base + pos]) == (cell or (0, 0))
+                    if skip <= pos < skip + len(female):
+                        assert (female[pos - skip], male[pos - skip]) == (cell or (0, 0))
                     else:
                         assert cell is None
-    assert distinct.span("Ann") == (0, 3, 0) and distinct.span("Bo") == (0, 2, 3)
+    # Ann's span is positions 0 to 2 from cell 0, Bo's 0 to 1 from cell 3
+    ann, bo = distinct.resolve("Ann"), distinct.resolve("Bo")
+    assert list(ann) == [0] and list(bo) == [1]
+    assert [(skip, f.tolist(), m.tolist()) for skip, f, m in (
+        distinct.cells(ann, 0, 3), distinct.cells(bo, 0, 3))] == [
+        (0, distinct.female[0:3].tolist(), distinct.male[0:3].tolist()),
+        (0, distinct.female[3:5].tolist(), distinct.male[3:5].tolist())]
 
 
-def test_span_of_one_stored_name():
+def _cell_list(data, ids, lo=0, hi=None):
+    """``cells`` of ``ids`` over ``lo..hi - 1``, every loaded position by default, as lists."""
+    skip, female, male = data.cells(ids, lo, len(data.years_loaded) if hi is None else hi)
+    return skip, list(female), list(male)
+
+
+def test_resolve_of_one_stored_name():
     data = ds.load_dataset([(1990, "Ann,F,7\nZoë,F,9"), (1991, "Zoë,M,5"), (1993, "Ann,M,8")])
-    assert data.span("Ann") == (0, 3, 0)
-    assert data.span("ANN") == data.span("Ann")  # the one name its casefold reaches
-    assert data.span("Zoe") is None
-    assert data.span("Zoe", fold_diacritics=True) == data.span("Zoë") == (0, 2, 3)
+    assert list(data.resolve("Ann")) == [0]
+    assert _cell_list(data, data.resolve("Ann")) == (0, [7, 0, 0], [0, 0, 8])
+    assert data.resolve("ANN") == data.resolve("Ann")  # the one name its casefold reaches
+    assert not data.resolve("Zoe")
+    assert list(data.resolve("Zoe", fold_diacritics=True)) == list(data.resolve("Zoë")) == [1]
+    # Zoë's cells start at cell 3 and cover positions 0 and 1
+    assert _cell_list(data, data.resolve("Zoë")) == (0, [9, 0], [0, 5])
+    assert data.female[3:5].tolist() == [9, 0]
 
 
-def test_span_of_several_candidates_is_none(sparse_dataset):
+def test_resolve_of_a_shared_key_gives_several_names(sparse_dataset):
     # Lee, LEE and lee share a folded key; Renée and Renee share one without diacritics
     for name in ("Lee", "lee", "LEE", "lEe"):
-        assert sparse_dataset.span(name) is None
-    assert sparse_dataset.span("Renee") is not None
-    assert sparse_dataset.span("Renee", fold_diacritics=True) is None
+        assert len(sparse_dataset.resolve(name)) > 1
+    assert len(sparse_dataset.resolve("Renee")) == 1
+    assert len(sparse_dataset.resolve("Renee", fold_diacritics=True)) > 1
 
 
-def test_span_of_an_unknown_name_is_none(sparse_dataset):
+def test_resolve_of_an_unknown_name_is_empty(sparse_dataset):
     for fold in (False, True):
-        assert sparse_dataset.span("Zzyzx", fold_diacritics=fold) is None
-        assert sparse_dataset.span("", fold_diacritics=fold) is None
+        for name in ("Zzyzx", ""):
+            ids = sparse_dataset.resolve(name, fold_diacritics=fold)
+            assert not ids
+            assert _cell_list(sparse_dataset, ids) == (0, [], [])
 
 
-def test_span_cells_equal_lookup_in_every_range_of_positions(sparse_dataset):
+def test_cells_equal_lookup_in_every_range_of_positions(sparse_dataset):
     # Ann's cells come first in the columns but its span starts past position
     # 0, so a range ending before it puts the end of a naive slice below 0,
     # where it would wrap to the columns' end
     distinct = ds.load_dataset([(1990, "Bo,F,6"), (1991, "Ann,F,7"), (1993, "Ann,M,8\nBo,M,9")])
     for data in (sparse_dataset, distinct):
         n = len(data.years_loaded)
-        for name in ("Ann", "Bo", "Renee", "Robin", "Lee"):
-            span = data.span(name)
-            if span is None:
-                continue
-            for lo in range(n + 2):
-                for hi in range(lo, n + 2):
-                    skip, female, male = data.span_cells(span, lo, hi)
-                    cells = [data.lookup(name, year) or (0, 0)
-                             for year in data.years_loaded[lo:hi]]
-                    assert len(female) == len(male) <= len(cells) - skip or not female
-                    got = ([(0, 0)] * skip + list(zip(female, male)))[:len(cells)]
-                    assert got + [(0, 0)] * (len(cells) - len(got)) == cells, (name, lo, hi)
+        for name in (*NAME_QUERIES, "Robin"):
+            for fold in (False, True):
+                ids = data.resolve(name, fold_diacritics=fold)
+                for lo in range(n + 2):
+                    for hi in range(lo, n + 2):
+                        skip, female, male = data.cells(ids, lo, hi)
+                        cells = [data.lookup(name, year, fold_diacritics=fold) or (0, 0)
+                                 for year in data.years_loaded[lo:hi]]
+                        assert len(female) == len(male) <= len(cells) - skip or not female
+                        got = ([(0, 0)] * skip + list(zip(female, male)))[:len(cells)]
+                        assert got + [(0, 0)] * (len(cells) - len(got)) == cells, (
+                            name, fold, lo, hi)
+
+
+def test_totals_and_window_resolve_a_shared_key_name_once(sparse_dataset, monkeypatch):
+    calls = []
+    candidates = ds.Dataset._candidates
+
+    def counted(self, name, fold_diacritics):
+        calls.append(name)
+        return candidates(self, name, fold_diacritics)
+
+    monkeypatch.setattr(ds.Dataset, "_candidates", counted)
+    years = sparse_dataset.years_loaded
+    for fold in (False, True):
+        for read in (lambda: sparse_dataset.totals("lee", 1900, 1960, fold),
+                     lambda: sparse_dataset.window("lee", years[3:9], fold),
+                     lambda: sparse_dataset.window("lee", (1900, 1905, 1910), fold)):
+            calls.clear()
+            read()
+            assert calls == ["lee"]
 
 
 def test_year_pair_cells_equal_the_two_year_views(sample_dataset):

@@ -46,8 +46,14 @@ def test_fixture_csv_byte_order_mark_is_dropped(tmp_path):
     assert table["genderize"]["jean"].p_female == 0.05
 
 
-@pytest.mark.parametrize("row", [b"svc,Jean,X,0.5,", b"svc,Jean,F,nan,", b"svc,Jean,F,inf,",
-                                 b"svc,Jean,F,1.7,"])
+@pytest.mark.parametrize("row", [
+    b"svc,Jean,X,0.5,", b"svc,Jean,F,nan,", b"svc,Jean,F,inf,", b"svc,Jean,F,1.7,",
+    # a sample_count must be 1 to 9 ASCII digits and a p_female ASCII text, though
+    # int() and float() read these
+    b"svc,Jean,F,0.5,-3", b"svc,Jean,F,0.5,1_000", b"svc,Jean,F,0.5,+3", b"svc,Jean,F,0.5,3.0",
+    "svc,Jean,F,0.5,\u0663".encode(), b"svc,Jean,F,0.5,1234567890",
+    "svc,Jean,F,\u0660.\u0665,".encode(), "svc,Jean,F,\uff10.5,".encode(),
+])
 def test_fixture_row_that_is_not_a_prediction_names_file_and_line(tmp_path, row):
     path = tmp_path / "f.csv"
     path.write_bytes(b"service_id,name,label,p_female,sample_count\nsvc,Ann,F,0.5,\n" + row)
@@ -258,7 +264,7 @@ def test_live_probability_that_is_not_a_number_in_range_is_network_error(
         services.fetch_prediction(LIVE, "Leslie")
 
 
-@pytest.mark.parametrize("count", [b'"12"', b"true", b"12.0", b"[12]"])
+@pytest.mark.parametrize("count", [b'"12"', b"true", b"12.0", b"[12]", b"-1", b"-0.0"])
 def test_live_count_that_is_not_an_integer_is_network_error(monkeypatch, count):
     _stub_response(monkeypatch, 200, b'{"gender": "female", "count": %s}' % count)
     with pytest.raises(errors.NetworkError, match="genderize: count .* is not an integer"):
