@@ -41,6 +41,12 @@ LINE = rf"(?:{ROW})?\r?"
 # Matches a whole file, and so also any one line of it.
 GRAMMAR = re.compile(rf"(?:{LINE}\n)*{LINE}")
 
+# 1 to 9 ASCII digits: a corpus activity_year, a fixture sample_count and each
+# number of a cohort spec. int() also takes "+1", "1_0", " 1" and "٣".
+NUMBER = re.compile("[0-9]{1,9}")
+# An ASCII decimal, a fixture p_female: float() also takes "0.5_0", "+.5e0" and "nan".
+DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
 # Every byte but "," and "\n", deleted to leave a file's line structure.
 _NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n"))
 # The bytes of a year file's counts joined by ",".

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import fsum, inf
-from operator import mul
+from operator import lt, mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
-from ._pyparse import COUNT
+from ._pyparse import NUMBER
 from .dataset import MAX_YEAR, MIN_YEAR, Dataset, Record, read_csv
 from .model import GenderProbability, _probability, classify, p_female_pooled
 
@@ -54,8 +54,7 @@ class CohortModel(Record):
                  "triangular": "triangular-window"}
         if parts[0] not in kinds or len(parts) > 3:
             raise errors.ConfigError(f"unknown cohort spec {text!r}")
-        # 1 to 9 ASCII digits, like a corpus activity_year: int() also takes "+3_5", " 1", "٣٥"
-        if not all(COUNT.fullmatch(part) and len(part) <= 9 for part in parts[1:]):
+        if not all(map(NUMBER.fullmatch, parts[1:])):
             raise errors.ConfigError(
                 f"cohort spec {text!r}: offset and half-width must be 1 to 9 ASCII digits")
         # the fields' defaults fill the rest
@@ -144,11 +143,20 @@ def temporal_p_female(
     correctly rounded for integer weights. A year without data, loaded or
     not, takes no part. Years that do not increase, and weights that are
     negative, infinite, NaN or so large that the sums overflow, are refused.
+    Years at consecutive loaded positions, as ``infer_birth_distribution``
+    gives them, are read as the audit reads them: one ``Dataset.cells``.
     """
     if not birth_distribution:
         raise errors.TemponymError("the birth distribution holds no year")
     years, weights = zip(*birth_distribution)
-    skip, female, male = dataset.window(name, years)
+    loaded, n = dataset.years_loaded, len(years)
+    first = bisect_left(loaded, years[0])
+    if loaded[first:first + n] == years:
+        skip, female, male = dataset.cells(dataset.resolve(name), first, first + n)
+    elif all(map(lt, years, years[1:])):
+        skip, (female, male) = 0, dataset.name_counts(name, years)
+    else:
+        raise errors.TemponymError("years are not increasing")
     num, den = _weighted_sums(weights[skip:], female, male)
     if not (min(weights) >= 0 and sum(weights) + den < inf):  # a NaN fails both
         raise errors.TemponymError("bad birth-year weights: negative, not finite or overflowing")
@@ -291,8 +299,7 @@ def load_corpus_csv(path: Optional[Path | str] = None) -> list[CorpusRecord]:
                 f"record {record_id}: known_gender must be F, M, U or empty"
             )
         year = row["activity_year"]
-        # 1 to 9 ASCII digits, like a count in a year file: int() also takes "+1", "1_0", " 1"
-        if not (COUNT.fullmatch(year) and len(year) <= 9):
+        if not NUMBER.fullmatch(year):
             raise errors.ConfigError(f"record {record_id}: activity_year {year!r} is not a year")
         records.append(CorpusRecord(record_id, row["given_name"], int(year), gender))
     return records

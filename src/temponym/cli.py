@@ -506,7 +506,9 @@ class _ReadConfig(argparse.Action):
         A section is keyed by the options' long names without dashes. A value
         passes the check of the same value given on the command line, when its
         command runs, and it satisfies a required option; a null value is
-        ignored. A section or key that names no command or option is an error.
+        ignored. A section or key that names no command or option is an
+        error, and so is an array, an object, or true or false for an option
+        that takes a value.
         """
         for name, section in config.items():
             where = f"section '{prefix}{name}'"
@@ -532,6 +534,11 @@ class _ReadConfig(argparse.Action):
                     if not isinstance(value, bool):
                         raise argparse.ArgumentError(action, f"{value!r} is not true or false")
                     defaults[action.dest] = value == action.const
+                elif isinstance(value, (bool, list, dict)):  # str() would pass "True" or "['a']"
+                    kind = {list: "a JSON array", dict: "a JSON object"}.get(
+                        type(value), str(value).lower())
+                    raise argparse.ArgumentError(
+                        self, f"{where} key '{key}' takes a string or a number, not {kind}")
                 else:
                     defaults[action.dest] = str(value)  # argparse checks a string default like a value
             command.set_defaults(**defaults)

@@ -158,11 +158,11 @@ class Dataset(Record):
     text split on ``\n``, need no ``_folded_keys`` check), and reports a
     broken rule as an ``IndexFormatError``.
 
-    ``lookup``, ``totals``, ``window`` and ``name_counts`` resolve a name
-    once. Whether any two names fold to one key is fixed when the dataset is
-    built. If none do, a stored name answers alone: its cells are read in
-    place. Any other name goes through ``_candidates``, the one resolver of
-    folded keys, and the first candidate with data in a year answers for it
+    ``lookup``, ``totals`` and ``name_counts`` resolve a name once. Whether
+    any two names fold to one key is fixed when the dataset is built. If
+    none do, a stored name answers alone: its cells are read in place. Any
+    other name goes through ``_candidates``, the one resolver of folded
+    keys, and the first candidate with data in a year answers for it
     (``_first_cell``). ``_candidates`` reads the fold map: per folded key
     the int index of the one stored name with that key, or, only for a key
     that two or more names share, the ascending tuple of their indices.
@@ -172,9 +172,11 @@ class Dataset(Record):
 
     ``resolve`` gives the stored names that answer for a name, and ``cells``
     their counts in a range of positions: one slice of each column for one
-    name, a ``_first_cell`` per position for several. ``totals``, ``window``
-    and ``name_counts`` read through the two, and so does the audit, which
-    resolves each distinct name of a corpus once.
+    name, a ``_first_cell`` per position for several. ``totals`` reads
+    through the two, and so does the audit: ``temporal_p_female`` for a
+    cohort of consecutive loaded years, and ``audit_corpus``, which resolves
+    each distinct name of a corpus once. ``name_counts`` reads named years,
+    in any order, one ``_first_cell`` each.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -385,46 +387,18 @@ class Dataset(Record):
         cut = slice(base + first, base + (last if last > first else first))
         return first - lo, self.female[cut], self.male[cut]
 
-    def window(
-        self, name: str, years: Sequence[int], fold_diacritics: bool = False
-    ) -> tuple[int, list[int], list[int]]:
-        """``(skip, female, male)``: a name's counts in increasing ``years``,
-        resolving the name once.
-
-        Position k of the two lists holds ``lookup(name, years[skip + k],
-        fold_diacritics)``, 0 for a year without data or not loaded; the
-        name has no data in the years before ``skip`` or past the lists'
-        end. Years that do not increase are a ``TemponymError``. When one
-        stored name answers and ``years`` is a tuple of consecutive loaded
-        years, the lists are its ``cells`` at their positions: no step per
-        year and no padding.
-        """
-        ids = self.resolve(name, fold_diacritics)
-        n = len(years)
-        first = self._positions.get(years[0]) if n else None
-        if len(ids) != 1 or first is None or self.years_loaded[first:first + n] != years:
-            if not all(map(lt, years, years[1:])):
-                raise errors.TemponymError("years are not increasing")
-            # -1, the position of a year not loaded, is in no name's span
-            return (0, *self._first_cells(ids, [self._positions.get(year, -1) for year in years]))
-        skip, female, male = self.cells(ids, first, first + n)
-        return (skip, female.tolist(), male.tolist()) if female else (0, [], [])
-
     def name_counts(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
     ) -> tuple[list[int], list[int]]:
         """A name's female and male counts in each of ``years``, resolving the name once.
 
         Position k holds ``lookup(name, years[k], fold_diacritics)``, with 0
-        for a year without data and for a year that is not loaded: the
-        ``window`` of increasing years, padded with zeros.
+        for a year without data and for a year that is not loaded. The years
+        may come in any order and repeat.
         """
-        if not all(map(lt, years, years[1:])):  # a year repeated or out of order
-            return self._first_cells(self.resolve(name, fold_diacritics),
-                                     [self._positions.get(year, -1) for year in years])
-        skip, female, male = self.window(name, tuple(years), fold_diacritics)
-        head, tail = [0] * skip, [0] * (len(years) - skip - len(female))
-        return head + female + tail, head + male + tail
+        # -1, the position of a year not loaded, is in no name's span
+        return self._first_cells(self.resolve(name, fold_diacritics),
+                                 [self._positions.get(year, -1) for year in years])
 
     def year_pair_cells(self, y1: int, y2: int) -> list[tuple[str, int, int, int, int]]:
         """``(name, f1, m1, f2, m2)`` for every name with data in both years, in name order."""
@@ -601,7 +575,8 @@ def load_directory(
 ) -> Dataset:
     """Load every yobYYYY.txt file in a directory, or only those of ascending ``years``.
 
-    Files are read as UTF-8, one at a time, in year order, as they are parsed.
+    Files are read as UTF-8, one at a time, in year order, as they are parsed,
+    with their line endings as stored: a lone ``\\r`` breaks no line.
     A directory with no such file (of the wanted years) is a data error.
     """
     directory = Path(directory)
@@ -626,14 +601,14 @@ def load_directory(
     return load_dataset(((year, read_text(path)) for year, path in found), strict=strict)
 
 
-def read_text(path: Path | str, newline: Optional[str] = None) -> str:
-    """A file's text, decoded as UTF-8; ``newline`` is as for ``open``.
+def read_text(path: Path | str) -> str:
+    """A file's text, decoded as UTF-8, with its line endings as stored.
 
     One leading byte-order mark is dropped. A file that cannot be read or
     decoded is a data error naming it.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise errors.TemponymError(f"{path}: not UTF-8 text ({exc})") from None
@@ -651,7 +626,7 @@ def read_csv(path: Path | str, columns: Sequence[str], what: str) -> Iterator[tu
     record that stops before one of them, is a ``ConfigError`` naming the
     file as a ``what`` CSV.
     """
-    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, [])
     missing = [c for c in columns if c not in header]
     if missing:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import errors
-from ._pyparse import COUNT
+from ._pyparse import DECIMAL, NUMBER
 from .dataset import Dataset, Record, read_csv
 from .model import p_female
 
@@ -160,18 +160,14 @@ def load_fixture_table(path: Optional[Path | str] = None) -> FixtureTable:
     first_lines: dict[tuple[str, str], int] = {}  # (service_id, casefolded name) -> line
     for line, row in read_csv(path, FIXTURE_COLUMNS, "fixture"):
         p, count = ((row.get(column) or "").strip() for column in ("p_female", "sample_count"))
-        # float() and int() also take "٠.٥", "1_000" and "-3": a p_female must be
-        # ASCII, and a sample_count 1 to 9 ASCII digits, like a corpus activity_year
-        if count and not (COUNT.fullmatch(count) and len(count) <= 9):
+        if count and not NUMBER.fullmatch(count):
             raise errors.ConfigError(
                 f"{path}: line {line}: sample_count {count!r} is not 1 to 9 ASCII digits")
-        try:  # a UnicodeEncodeError, from non-ASCII text, is a ValueError
-            probability = float(p.encode("ascii")) if p else None
-        except ValueError:
-            raise errors.ConfigError(
-                f"{path}: line {line}: p_female {p!r} is not a number") from None
-        prediction = ExternalPrediction(row["service_id"], row["name"], row["label"], probability,
-                                        int(count) if count else None, "fixture", "")
+        if p and not DECIMAL.fullmatch(p):
+            raise errors.ConfigError(f"{path}: line {line}: p_female {p!r} is not a decimal")
+        prediction = ExternalPrediction(row["service_id"], row["name"], row["label"],
+                                        float(p) if p else None, int(count) if count else None,
+                                        "fixture", "")
         if not _is_prediction(prediction):
             raise errors.ConfigError(
                 f"{path}: line {line}: label {prediction.predicted_label!r}, p_female "

@@ -627,6 +627,17 @@ CONFIG_CASES = [
      "Missing option '--name'."),
     ("not-an-object", [{"query": {"name": "Leslie"}}], ["query"], 2,
      "Invalid value for '--config': must hold a JSON object"),
+    # str() would turn these into the names "['Leslie'" and "'Jean']", and "True"
+    ("array-value", {"compare": {"names": ["Leslie", "Jean"]}}, ["compare"], 2,
+     "Invalid value for '--config': section 'compare' key 'names' takes a string or a number, "
+     "not a JSON array"),
+    ("object-value", {"plot": {"trajectories": {"names": {"Leslie": 1}}}},
+     ["plot", "trajectories"], 2,
+     "section 'plot.trajectories' key 'names' takes a string or a number, not a JSON object"),
+    ("true-for-a-value", {"query": {"name": True, "year": 1925}}, ["query"], 2,
+     "section 'query' key 'name' takes a string or a number, not true"),
+    ("false-for-a-value", {"shift": {"top": False}}, ["shift"], 2,
+     "section 'shift' key 'top' takes a string or a number, not false"),
     ("null-section-ignored", {"query": None}, ["query", "--name", "Leslie", "--year", "1925"],
      0, '"name": "Leslie"'),
     ("null-value-ignored", {"shift": {"top": None, "format": "csv"}}, ["shift"], 0,
@@ -757,6 +768,8 @@ CLI_ERRORS = [
     ("corpus-is-a-directory", ["audit", "--corpus", "{tmp}"], {}, 3),
     ("ingest-bad-row", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
      {"yob1925.txt": b"Pat,Q,10\n"}, 3),
+    ("ingest-lone-carriage-return", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
+     {"yob1925.txt": b"Ann,F,5\rBo,M,6\n"}, 3),
     ("ingest-out-directory-missing", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/no/x.idx"],
      {"yob1925.txt": b"Pat,F,10\n"}, 3),
     ("ingest-out-is-a-directory", ["ingest", "--dir", "{tmp}", "--out", "{tmp}"],

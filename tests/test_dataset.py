@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from temponym import errors
+from temponym import audit, errors
 from temponym import dataset as ds
 
 
@@ -147,7 +147,7 @@ def test_year_file_byte_order_mark_is_dropped(tmp_path):
 
 def _dict_reader_rows(path, columns, what):
     """``read_csv`` as it read with ``csv.DictReader``, for reference."""
-    reader = csv.DictReader(io.StringIO(ds.read_text(path, newline=""), newline=""))
+    reader = csv.DictReader(io.StringIO(ds.read_text(path), newline=""))
     missing = [c for c in columns if c not in (reader.fieldnames or ())]
     if missing:
         raise errors.ConfigError(f"{path}: {what} CSV has no {', '.join(missing)} column")
@@ -386,7 +386,8 @@ def test_cells_equal_lookup_in_every_range_of_positions(sparse_dataset):
                             name, fold, lo, hi)
 
 
-def test_totals_and_window_resolve_a_shared_key_name_once(sparse_dataset, monkeypatch):
+def test_totals_name_counts_and_temporal_p_female_resolve_a_shared_key_name_once(
+        sparse_dataset, monkeypatch):
     calls = []
     candidates = ds.Dataset._candidates
 
@@ -396,13 +397,17 @@ def test_totals_and_window_resolve_a_shared_key_name_once(sparse_dataset, monkey
 
     monkeypatch.setattr(ds.Dataset, "_candidates", counted)
     years = sparse_dataset.years_loaded
+    # consecutive loaded years, and years with one (1905) not loaded
+    reads = [lambda c=chosen: audit.temporal_p_female(sparse_dataset, "lee", [(y, 1) for y in c])
+             for chosen in (years[3:9], (1900, 1905, 1910))]
     for fold in (False, True):
-        for read in (lambda: sparse_dataset.totals("lee", 1900, 1960, fold),
-                     lambda: sparse_dataset.window("lee", years[3:9], fold),
-                     lambda: sparse_dataset.window("lee", (1900, 1905, 1910), fold)):
-            calls.clear()
-            read()
-            assert calls == ["lee"]
+        reads += [lambda f=fold: sparse_dataset.totals("lee", 1900, 1960, f),
+                  lambda f=fold: sparse_dataset.name_counts("lee", years[3:9], f),
+                  lambda f=fold: sparse_dataset.name_counts("lee", (1910, 1905, 1900, 1910), f)]
+    for read in reads:
+        calls.clear()
+        read()
+        assert calls == ["lee"]
 
 
 def test_year_pair_cells_equal_the_two_year_views(sample_dataset):

@@ -622,6 +622,22 @@ def test_the_bulk_path_accepts_only_what_the_grammar_accepts(text, strict):
     assert bulk == named(_pyparse._merge_lines, text, strict)
 
 
+@settings(max_examples=300, deadline=None)
+@given(edited_files(), st.booleans())
+def test_a_year_file_is_read_as_stored(tmp_path_factory, text, strict):
+    """A file's bytes give the table, or the error, that its text gives, but
+    for one leading byte-order mark: reading it breaks no line at a lone \\r."""
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate: no UTF-8 file holds it
+        assume(False)
+    directory = tmp_path_factory.getbasetemp() / "read-as-stored"
+    directory.mkdir(exist_ok=True)
+    (directory / "yob1990.txt").write_bytes(data)
+    expected = parsed_or_error(ds.load_dataset, [(1990, text.removeprefix("\ufeff"))], strict)
+    assert parsed_or_error(ds.load_directory, directory, None, strict) == expected
+
+
 def test_a_file_of_three_fields_per_row_but_not_per_line_is_read_line_by_line():
     """Split on both separators, these lines give the fields of two valid
     rows (Ab,F,12 and Cd,M,5); the line structure check refuses them."""

@@ -53,6 +53,8 @@ def test_fixture_csv_byte_order_mark_is_dropped(tmp_path):
     b"svc,Jean,F,0.5,-3", b"svc,Jean,F,0.5,1_000", b"svc,Jean,F,0.5,+3", b"svc,Jean,F,0.5,3.0",
     "svc,Jean,F,0.5,\u0663".encode(), b"svc,Jean,F,0.5,1234567890",
     "svc,Jean,F,\u0660.\u0665,".encode(), "svc,Jean,F,\uff10.5,".encode(),
+    # a p_female must be an ASCII decimal, digits and an optional "." and digits
+    b"svc,Jean,F,0.5_0,", b"svc,Jean,F,+.5e0,", b"svc,Jean,F,5e-1,", b"svc,Jean,F,.5,",
 ])
 def test_fixture_row_that_is_not_a_prediction_names_file_and_line(tmp_path, row):
     path = tmp_path / "f.csv"
