@@ -153,6 +153,8 @@ def temporal_p_female(
     first = bisect_left(loaded, years[0])
     if loaded[first:first + n] == years:
         skip, female, male = dataset.cells(dataset.resolve(name), first, first + n)
+        # lists: each count is read twice, and a memoryview makes its int at each read
+        female, male = list(female), list(male)
     elif all(map(lt, years, years[1:])):
         skip, (female, male) = 0, dataset.name_counts(name, years)
     else:
