@@ -8,7 +8,7 @@ is the historical over-count introduced by the atemporal shortcut.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import fsum, inf
 from operator import lt, mul
 from pathlib import Path
@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import errors
 from ._pyparse import NUMBER
 from .dataset import MAX_YEAR, MIN_YEAR, Dataset, Record, read_csv
-from .model import GenderProbability, _probability, classify, p_female_pooled
+from .model import GenderProbability, _probability, classify
 
 DEFAULT_COHORT_OFFSET = 35  # approximate mid-career age at publication
 DEFAULT_ATEMPORAL_RANGE = (1880, 2020)
@@ -141,13 +141,19 @@ def temporal_p_female(
     A person is more likely born in a year when the name was common, so
     p(F) = sum(w * f) / sum(w * (f + m)) over the birth years, exact and
     correctly rounded for integer weights. A year without data, loaded or
-    not, takes no part. Years that do not increase, and weights that are
-    negative, infinite, NaN or so large that the sums overflow, are refused.
+    not, takes no part. Pairs that are not an int year and an int or float
+    weight, years that do not increase, and weights that are negative,
+    infinite, NaN or so large that the sums overflow, are refused.
     Years at consecutive loaded positions, as ``infer_birth_distribution``
     gives them, are read as the audit reads them: one ``Dataset.cells``.
     """
     if not birth_distribution:
         raise errors.TemponymError("the birth distribution holds no year")
+    for pair in birth_distribution:
+        year, weight = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, 0)
+        if type(year) is not int or type(weight) is bool or not isinstance(weight, (int, float)):
+            raise errors.TemponymError(f"birth-year pair {pair!r} is not an int year and "
+                                       "an int or float weight, neither a bool")
     years, weights = zip(*birth_distribution)
     loaded, n = dataset.years_loaded, len(years)
     first = bisect_left(loaded, years[0])
@@ -168,24 +174,28 @@ def temporal_p_female(
                          num / den, sum(female), sum(male)))
 
 
-def _predictions(records, dataset, cohort_model, atemporal_range, counts=False):
+def _predictions(records, dataset, cohort_model, atemporal_range):
     """``(record, pair)`` for each record, in input order, in one pass.
 
-    ``pair`` holds the temporal and the atemporal p(F), or with ``counts``
-    each as a ``(p(F), female, male)`` triple, the counts that ``classify``
-    reads; it is None where either predictor lacks data for the record.
+    ``pair`` holds the temporal and the atemporal ``(p(F), female, male)``,
+    the counts that ``classify`` reads; it is None where either predictor
+    lacks data for the record. A reversed ``atemporal_range`` is refused as
+    the pass starts.
 
     The cohort window is built once per activity year, as its first loaded
     position and a weight per position from there on. Each distinct name is
-    resolved once, by ``Dataset.resolve``, and its ``p_female_pooled`` is
-    kept from the first record that needs it. A record then costs two
-    weighted sums over its ``Dataset.cells`` in the window and a division:
+    resolved once, by ``Dataset.resolve``, and its pooled counts are the
+    sums of its ``Dataset.cells`` over the atemporal range. A record then
+    costs two weighted sums over its cells in the window and a division:
     the rule of ``temporal_p_female``.
     """
+    first_year, last_year = atemporal_range
+    if first_year > last_year:
+        raise errors.TemponymError(f"pooled years {atemporal_range!r} hold no year")
     loaded = dataset.years_loaded
+    lo, hi = bisect_left(loaded, first_year), bisect_right(loaded, last_year)
     windows: dict = {}  # activity year -> (first position, weights), or None
-    resolved: dict = {}  # name -> its Dataset.resolve
-    pooled: dict = {}  # name -> its atemporal prediction, or None without data
+    names: dict = {}  # name -> (its Dataset.resolve, its atemporal triple or None)
     for record in records:
         year, name = record.activity_year, record.given_name
         if year not in windows:
@@ -195,23 +205,16 @@ def _predictions(records, dataset, cohort_model, atemporal_range, counts=False):
         if window is None:
             yield record, None
             continue
-        if name not in resolved:
-            resolved[name] = dataset.resolve(name)
+        if name not in names:
+            ids = dataset.resolve(name)
+            _, female, male = dataset.cells(ids, lo, hi)
+            female, male = sum(female), sum(male)
+            names[name] = ids, (female / (female + male), female, male) if female or male else None
+        ids, pooled = names[name]
         first, weights = window
-        skip, female, male = dataset.cells(resolved[name], first, first + len(weights))
+        skip, female, male = dataset.cells(ids, first, first + len(weights))
         num, den = _weighted_sums(weights[skip:] if skip else weights, female, male)
-        if not den:
-            yield record, None
-            continue
-        if name not in pooled:
-            try:
-                prob = p_female_pooled(dataset, name, atemporal_range)
-                pooled[name] = prob[2:] if counts else prob.p_female
-            except errors.NoData:
-                pooled[name] = None
-        atemporal = pooled[name]
-        temporal = (num / den, sum(female), sum(male)) if counts else num / den
-        yield record, None if atemporal is None else (temporal, atemporal)
+        yield record, ((num / den, sum(female), sum(male)), pooled) if den and pooled else None
 
 
 def audit_corpus(
@@ -229,15 +232,12 @@ def audit_corpus(
     """
     decades: dict[int, list] = {}  # decade -> [unresolved, temporal p(F)s, atemporal p(F)s]
     for record, pair in _predictions(records, dataset, cohort_model, atemporal_range):
-        key = record.activity_year // 10 * 10
-        if key not in decades:
-            decades[key] = [0, [], []]
-        decade = decades[key]
+        decade = decades.setdefault(record.activity_year // 10 * 10, [0, [], []])
         if pair is None:
             decade[0] += 1
         else:
-            decade[1].append(pair[0])
-            decade[2].append(pair[1])
+            decade[1].append(pair[0][0])
+            decade[2].append(pair[1][0])
     return tuple(DecadeRow(key, len(temporal), unresolved, fsum(temporal), fsum(atemporal))
                  for key, (unresolved, temporal, atemporal) in sorted(decades.items()))
 
@@ -260,8 +260,7 @@ def evaluate_known(
     years_by_gender: dict[str, list[int]] = {}
     authors_by_gender: dict[str, set] = {}
     labeled = (r for r in records if r.known_gender is not None)
-    for record, pair in _predictions(labeled, dataset, cohort_model, DEFAULT_ATEMPORAL_RANGE,
-                                     counts=True):
+    for record, pair in _predictions(labeled, dataset, cohort_model, DEFAULT_ATEMPORAL_RANGE):
         gender = record.known_gender
         years_by_gender.setdefault(gender, []).append(record.activity_year)
         authors_by_gender.setdefault(gender, set()).add(record.author_id)

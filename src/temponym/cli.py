@@ -32,6 +32,15 @@ class UsageError(Exception):
     """Options that do not fit together: the command exits 2 with its usage."""
 
 
+def _ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII digits with an optional leading ``-``; else a
+    ValueError. int() alone also takes "+1", "1_0", " 1" and "١"."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 # Option types: an ArgumentTypeError raised in one becomes a usage error naming
 # the option. argparse applies them to string defaults too, ``--config`` values
 # among them.
@@ -39,7 +48,7 @@ def parse_year_range(text: str) -> tuple[int, int]:
     """``(START, END)`` of a ``START..END`` year range; END may not precede START."""
     try:
         lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = _ascii_int(lo), _ascii_int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected START..END, got {text!r}") from None
     if lo > hi:
@@ -60,7 +69,7 @@ def _year_list(text: str) -> list[int]:
         years = range(lo, hi + 1)
     else:
         try:
-            years = [int(year) for year in text.split(",")]
+            years = [_ascii_int(year) for year in text.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated years or START..END, got {text!r}") from None
@@ -73,7 +82,7 @@ def _year_list(text: str) -> list[int]:
 
 def _integer(text: str) -> int:
     try:
-        return int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer.") from None
 

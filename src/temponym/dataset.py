@@ -457,9 +457,10 @@ def _columns(ids: dict[str, int], rows: dict[int, tuple[array, int]]) -> Dataset
     then split into its name and sex once, and each name's female and male
     cells are copied from the store, padded with zeros to the name's span:
     from the first to the last year in which either count is non-zero. The
-    columns are built at the widest row's type and narrowed, if at all, by
-    the rule of an index save and load, so the table holds the widths its
-    index would load with.
+    count columns are built at the widest row's type and narrowed, if at
+    all, by the rule of an index save and load, and the span columns, which
+    hold positions among at most 221 loaded years, are built one byte wide,
+    so the table holds the widths its index would load with.
     """
     n_keys = len(ids)
     years = sorted(rows)
@@ -503,7 +504,7 @@ def _columns(ids: dict[str, int], rows: dict[int, tuple[array, int]]) -> Dataset
     ids.clear()
     female_ids, male_ids = by_sex["F"], by_sex["M"]
     zeros, cells = memoryview(bytes(n * size)), memoryview(store)
-    names, starts, lengths = [], array("I"), array("I")
+    names, starts, lengths = [], array("B"), array("B")
     female, male = array(typecode), array(typecode)
     for name in sorted(female_ids.keys() | male_ids.keys()):
         f, m = female_ids.get(name, n_keys), male_ids.get(name, n_keys)
@@ -521,12 +522,10 @@ def _columns(ids: dict[str, int], rows: dict[int, tuple[array, int]]) -> Dataset
             column.frombytes(cells[at[i]:at[i] + (b - a) * size])
             column.frombytes(zeros[:(stop - b) * size])
     del cells, store, by_sex, female_ids, male_ids
-    columns = {"starts": starts, "lengths": lengths, "female": female, "male": male}
-    del starts, lengths, female, male  # so that a wide column goes once it is narrowed
-    for key, column in columns.items():
-        columns[key] = _narrowest(column)
-    del column
-    return Dataset(years, names, **columns, skipped=skipped)
+    # one at a time, so that the wide female column goes before the male one is copied
+    female = _narrowest(female)
+    male = _narrowest(male)
+    return Dataset(years, names, starts, lengths, female, male, skipped=skipped)
 
 
 def load_dataset(sources: Iterable[tuple[int, str]], strict: bool = True) -> Dataset:

@@ -4,7 +4,6 @@ import math
 import pickle
 import random
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -165,8 +164,19 @@ BAD_WEIGHTS = "bad birth-year weights: negative, not finite or overflowing"
     ([(1990, 1e307), (1991, 1e307)], BAD_WEIGHTS),
     ([(1990, 1), (1990, 1), (1991, 1)], "years are not increasing"),
     ([(1991, 1), (1990, 1)], "years are not increasing"),
+    ([(1925, 1, 2)], "birth-year pair (1925, 1, 2) is not"),
+    ([(1925,)], "birth-year pair (1925,) is not"),
+    ([1925], "birth-year pair 1925 is not"),
+    ([(1925, "a")], "birth-year pair (1925, 'a') is not"),
+    ([(1925, None)], "birth-year pair (1925, None) is not"),
+    ([("1925", 1)], "birth-year pair ('1925', 1) is not"),
+    ([(1925, 1), (1926, 1, 5)], "birth-year pair (1926, 1, 5) is not"),
+    ([(1990, 1), (True, 1)], "birth-year pair (True, 1) is not"),
+    ([(1990, True), (1991, 1)], "birth-year pair (1990, True) is not"),
 ], ids=["empty", "nan", "inf", "nan-on-a-year-without-data", "negative-int",
-        "negative-float", "products-overflow", "a-year-repeated", "years-out-of-order"])
+        "negative-float", "products-overflow", "a-year-repeated", "years-out-of-order",
+        "three-items", "one-item", "not-a-pair", "str-weight", "none-weight", "str-year",
+        "a-later-pair-of-three", "bool-year", "bool-weight"])
 def test_temporal_refuses_a_bad_distribution(dist, rule):
     # an exact name, and a spelling that resolves through the fold map
     for name in ("Pat", "pat"):
@@ -186,6 +196,12 @@ def test_temporal_without_weight_on_a_year_with_data_has_no_data(dist):
 
 def test_audit_empty_corpus(sample_dataset):
     assert audit.audit_corpus([], sample_dataset) == ()
+
+
+def test_audit_refuses_a_reversed_atemporal_range_before_any_record(sample_dataset):
+    with pytest.raises(errors.TemponymError,
+                       match=re.escape("pooled years (2020, 1880) hold no year")):
+        audit.audit_corpus([], sample_dataset, atemporal_range=(2020, 1880))
 
 
 def test_audit_single_record_overcount_is_two_call_arithmetic(sample_dataset):
@@ -438,10 +454,7 @@ def test_audit_resolves_each_distinct_name_once(monkeypatch):
     resolve = ds.Dataset.resolve
 
     def counted(self, name, fold_diacritics=False):
-        # only the audit's own calls: p_female_pooled, which the audit calls,
-        # resolves a name for itself
-        if sys._getframe(1).f_globals["__name__"] == audit.__name__:
-            calls[name] += 1
+        calls[name] += 1
         return resolve(self, name, fold_diacritics)
 
     monkeypatch.setattr(ds.Dataset, "resolve", counted)
@@ -449,6 +462,29 @@ def test_audit_resolves_each_distinct_name_once(monkeypatch):
         calls.clear()
         run(records, data, cohort)
         assert calls == dict.fromkeys(names, 1)
+
+
+def test_audit_folds_each_shared_key_name_once(monkeypatch):
+    # Lee and LEE share a folded key, so every spelling goes through the fold map
+    data = ds.load_dataset([(1990, "Lee,F,30\nLEE,M,20\nAnn,F,9"), (1991, "Lee,M,5")])
+    records = [audit.CorpusRecord(f"a{i}:{i}", name, 2025 + i % 2, "F")
+               for i, name in enumerate(["lee", "Lee", "lee", "lee", "Lee", "lee"])]
+    calls = collections.Counter()
+    candidates = ds.Dataset._candidates
+
+    def counted(self, name, fold_diacritics):
+        calls[name] += 1
+        return candidates(self, name, fold_diacritics)
+
+    monkeypatch.setattr(ds.Dataset, "_candidates", counted)
+    cohort = audit.CohortModel("fixed-offset", 35)
+    calls.clear()
+    (row,) = audit.audit_corpus(records, data, cohort)
+    assert (row.n_records, row.n_unresolved) == (6, 0)
+    assert calls == {"lee": 1, "Lee": 1}
+    calls.clear()
+    assert audit.evaluate_known(records, data, cohort)["record_counts"] == {"F": 6}
+    assert calls == {"lee": 1, "Lee": 1}
 
 
 # --- the birth distribution and the mixture against per-year references ------

@@ -510,6 +510,22 @@ BAD_OPTION_VALUES = [
      "--years"),
     ("audit-cohort", ["audit", "--cohort", "fixed:abc"], "--cohort"),
     ("query-year", ["query", "--name", "Leslie", "--year", "abc"], "--year"),
+    # int() would take each of these as 1925; an integer value is ASCII digits
+    ("query-year-underscore", ["query", "--name", "Leslie", "--year", "1_925"], "--year"),
+    ("query-year-plus", ["query", "--name", "Leslie", "--year", "+1925"], "--year"),
+    ("query-year-space", ["query", "--name", "Leslie", "--year", " 1925"], "--year"),
+    ("query-year-arabic-indic-digits",
+     ["query", "--name", "Leslie", "--year", "\u0661\u0669\u0662\u0665"], "--year"),
+    ("query-window-plus", ["query", "--name", "Leslie", "--year", "1925", "--window", "+3"],
+     "--window"),
+    ("shift-top-underscore", ["shift", "--top", "1_0"], "--top"),
+    ("query-pooled-underscore", ["query", "--name", "Leslie", "--pooled", "1_880..2020"],
+     "--pooled"),
+    ("audit-atemporal-space", ["audit", "--atemporal", "1880.. 2020"], "--atemporal"),
+    ("trajectories-years-plus",
+     ["plot", "trajectories", "--names", "Leslie", "--years", "1925,+1950"], "--years"),
+    ("trajectories-years-range-underscore",
+     ["plot", "trajectories", "--names", "Leslie", "--years", "1_925..1950"], "--years"),
     ("bubbles-reference", ["plot", "bubbles", "--reference", "abc"], "--reference"),
     ("bubbles-reference-nan", ["plot", "bubbles", "--reference", "nan"], "--reference"),
     ("bubbles-reference-above-one", ["plot", "bubbles", "--reference", "1.5"], "--reference"),
