@@ -510,7 +510,7 @@ BAD_OPTION_VALUES = [
      "--years"),
     ("audit-cohort", ["audit", "--cohort", "fixed:abc"], "--cohort"),
     ("query-year", ["query", "--name", "Leslie", "--year", "abc"], "--year"),
-    # int() would take each of these as 1925; an integer value is ASCII digits
+    # int() would take each of these; an integer value is ASCII digits with an optional -
     ("query-year-underscore", ["query", "--name", "Leslie", "--year", "1_925"], "--year"),
     ("query-year-plus", ["query", "--name", "Leslie", "--year", "+1925"], "--year"),
     ("query-year-space", ["query", "--name", "Leslie", "--year", " 1925"], "--year"),
