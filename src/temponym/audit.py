@@ -109,8 +109,72 @@ def _cohort_window(activity_year: int, cohort_model: CohortModel,
     return first, years, tuple(weights[year - low] for year in years)
 
 
+_BAD_WEIGHTS = "bad birth-year weights: negative, not finite or overflowing"
+
+
+class BirthDistribution(Record):
+    """An immutable sequence of ``(birth year, weight)`` pairs, held as two tuples.
+
+    ``BirthDistribution(pairs)`` reads ``pairs``, any iterable, once and
+    refuses with a ``TemponymError`` a distribution that holds no pair, a
+    pair that is not an int year and an int or float weight (neither a
+    bool), years that do not increase, and weights that are negative, NaN,
+    infinite or whose sum overflows. Such a distribution is the one
+    ``temporal_p_female`` reads without checking it again.
+
+    Length, iteration and indexing act as on the list of its pairs, and it
+    equals that list; like a list it is not hashable.
+    """
+
+    __slots__ = ("years", "weights")
+    _compared = ("years", "weights")
+    __hash__ = None
+
+    def __init__(self, pairs: Iterable[tuple[int, int | float]]):
+        years, weights = [], []
+        for pair in pairs:
+            year, weight = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, 0)
+            if type(year) is not int or type(weight) is bool or not isinstance(weight, (int, float)):
+                raise errors.TemponymError(f"birth-year pair {pair!r} is not an int year and "
+                                           "an int or float weight, neither a bool")
+            years.append(year)
+            weights.append(weight)
+        if not years:
+            raise errors.TemponymError("the birth distribution holds no year")
+        if not all(map(lt, years, years[1:])):
+            raise errors.TemponymError("years are not increasing")
+        if not (min(weights) >= 0 and sum(weights) < inf):  # a NaN fails both
+            raise errors.TemponymError(_BAD_WEIGHTS)
+        self._init(years=tuple(years), weights=tuple(weights))
+
+    @classmethod
+    def _trusted(cls, years: tuple, weights: tuple) -> "BirthDistribution":
+        """The distribution of pairs that are valid by construction: no check."""
+        dist = object.__new__(cls)
+        # not _init: this runs on every cohort lookup, and _init's keywords double its cost
+        object.__setattr__(dist, "years", years)
+        object.__setattr__(dist, "weights", weights)
+        return dist
+
+    def __len__(self):
+        return len(self.years)
+
+    def __iter__(self):
+        return zip(self.years, self.weights)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.years[index], self.weights[index]))
+        return self.years[index], self.weights[index]
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        return super().__eq__(other)
+
+
 def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
-                             dataset: Dataset) -> list[tuple[int, int]]:
+                             dataset: Dataset) -> BirthDistribution:
     """``(birth year, weight)`` for the loaded years in the cohort window of an activity year.
 
     The weights are relative integers, since only their ratios matter: 1
@@ -120,7 +184,7 @@ def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
     if not years:
         raise errors.EmptySupport(
             f"no loaded year receives cohort weight for activity year {activity_year}")
-    return list(zip(years, weights))
+    return BirthDistribution._trusted(years, weights)
 
 
 def _weighted_sums(weights: Sequence, female: Iterable[int], male: Iterable[int]) -> tuple:
@@ -131,47 +195,58 @@ def _weighted_sums(weights: Sequence, female: Iterable[int], male: Iterable[int]
     return num, num + sum(map(mul, weights, male))
 
 
+def _mixture(dataset: Dataset, ids: Sequence[int], first: int, weights: Sequence) -> tuple:
+    """``(Σ w·f, Σ w·(f + m), Σ f, Σ m)`` of the names ``ids`` (``Dataset.resolve``)
+    over the loaded positions from ``first`` on, one weight per position.
+
+    The one kernel of a cohort mixture: ``temporal_p_female`` and the audit
+    both read a window of consecutive loaded years through it, one
+    ``Dataset.cells``.
+    """
+    skip, female, male = dataset.cells(ids, first, first + len(weights))
+    # lists: each count is read twice, and a memoryview makes its int at each read
+    female, male = list(female), list(male)
+    num, den = _weighted_sums(weights[skip:] if skip else weights, female, male)
+    return num, den, sum(female), sum(male)
+
+
 def temporal_p_female(
     dataset: Dataset,
     name: str,
-    birth_distribution: Sequence[tuple[int, float]],
+    birth_distribution: Iterable[tuple[int, int | float]],
 ) -> GenderProbability:
     """Mixture of per-year p(F), weighted by cohort weight x yearly usage.
 
     A person is more likely born in a year when the name was common, so
     p(F) = sum(w * f) / sum(w * (f + m)) over the birth years, exact and
     correctly rounded for integer weights. A year without data, loaded or
-    not, takes no part. Pairs that are not an int year and an int or float
-    weight, years that do not increase, and weights that are negative,
-    infinite, NaN or so large that the sums overflow, are refused.
-    Years at consecutive loaded positions, as ``infer_birth_distribution``
-    gives them, are read as the audit reads them: one ``Dataset.cells``.
+    not, takes no part.
+
+    A ``BirthDistribution``, as ``infer_birth_distribution`` gives, is read
+    as it is; any other iterable of pairs is checked once, by
+    ``BirthDistribution(pairs)``. Float weights so large that the sums
+    overflow are refused too. Years at consecutive loaded positions, as
+    ``infer_birth_distribution`` gives them, are read as the audit reads
+    them, through ``_mixture``; any other years through
+    ``Dataset.name_counts``.
     """
-    if not birth_distribution:
-        raise errors.TemponymError("the birth distribution holds no year")
-    for pair in birth_distribution:
-        year, weight = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, 0)
-        if type(year) is not int or type(weight) is bool or not isinstance(weight, (int, float)):
-            raise errors.TemponymError(f"birth-year pair {pair!r} is not an int year and "
-                                       "an int or float weight, neither a bool")
-    years, weights = zip(*birth_distribution)
+    if type(birth_distribution) is not BirthDistribution:
+        birth_distribution = BirthDistribution(birth_distribution)
+    years, weights = birth_distribution.years, birth_distribution.weights
     loaded, n = dataset.years_loaded, len(years)
     first = bisect_left(loaded, years[0])
     if loaded[first:first + n] == years:
-        skip, female, male = dataset.cells(dataset.resolve(name), first, first + n)
-        # lists: each count is read twice, and a memoryview makes its int at each read
-        female, male = list(female), list(male)
-    elif all(map(lt, years, years[1:])):
-        skip, (female, male) = 0, dataset.name_counts(name, years)
+        num, den, female, male = _mixture(dataset, dataset.resolve(name), first, weights)
     else:
-        raise errors.TemponymError("years are not increasing")
-    num, den = _weighted_sums(weights[skip:], female, male)
-    if not (min(weights) >= 0 and sum(weights) + den < inf):  # a NaN fails both
-        raise errors.TemponymError("bad birth-year weights: negative, not finite or overflowing")
+        female, male = dataset.name_counts(name, years)
+        num, den = _weighted_sums(weights, female, male)
+        female, male = sum(female), sum(male)
+    if not den < inf:  # float weights whose products overflow
+        raise errors.TemponymError(_BAD_WEIGHTS)
     if not den:  # no year with data has weight
         raise errors.NoData(name, f"birth years {years[0]}..{years[-1]}")
     return _probability((name, f"cohort mixture over birth years {years[0]}..{years[-1]}",
-                         num / den, sum(female), sum(male)))
+                         num / den, female, male))
 
 
 def _predictions(records, dataset, cohort_model, atemporal_range):
@@ -186,8 +261,8 @@ def _predictions(records, dataset, cohort_model, atemporal_range):
     position and a weight per position from there on. Each distinct name is
     resolved once, by ``Dataset.resolve``, and its pooled counts are the
     sums of its ``Dataset.cells`` over the atemporal range. A record then
-    costs two weighted sums over its cells in the window and a division:
-    the rule of ``temporal_p_female``.
+    costs one ``_mixture`` over the window, the kernel ``temporal_p_female``
+    reads consecutive years through, and a division.
     """
     first_year, last_year = atemporal_range
     if first_year > last_year:
@@ -211,10 +286,8 @@ def _predictions(records, dataset, cohort_model, atemporal_range):
             female, male = sum(female), sum(male)
             names[name] = ids, (female / (female + male), female, male) if female or male else None
         ids, pooled = names[name]
-        first, weights = window
-        skip, female, male = dataset.cells(ids, first, first + len(weights))
-        num, den = _weighted_sums(weights[skip:] if skip else weights, female, male)
-        yield record, ((num / den, sum(female), sum(male)), pooled) if den and pooled else None
+        num, den, female, male = _mixture(dataset, ids, *window)
+        yield record, ((num / den, female, male), pooled) if den and pooled else None
 
 
 def audit_corpus(

@@ -154,35 +154,86 @@ PAT = ds.load_dataset([(1990, "Pat,F,20\nPat,M,80"), (1991, "Pat,F,90\nPat,M,210
 BAD_WEIGHTS = "bad birth-year weights: negative, not finite or overflowing"
 
 
-@pytest.mark.parametrize("dist, rule", [
-    ([], "the birth distribution holds no year"),
-    ([(1990, math.nan), (1991, 1)], BAD_WEIGHTS),
-    ([(1990, 1), (1991, math.inf)], BAD_WEIGHTS),
-    ([(1990, 1), (1991, 1), (1992, math.nan)], BAD_WEIGHTS),
-    ([(1990, -1), (1991, 2)], BAD_WEIGHTS),
-    ([(1990, 1.0), (1991, -0.5)], BAD_WEIGHTS),
-    ([(1990, 1e307), (1991, 1e307)], BAD_WEIGHTS),
-    ([(1990, 1), (1990, 1), (1991, 1)], "years are not increasing"),
-    ([(1991, 1), (1990, 1)], "years are not increasing"),
-    ([(1925, 1, 2)], "birth-year pair (1925, 1, 2) is not"),
-    ([(1925,)], "birth-year pair (1925,) is not"),
-    ([1925], "birth-year pair 1925 is not"),
-    ([(1925, "a")], "birth-year pair (1925, 'a') is not"),
-    ([(1925, None)], "birth-year pair (1925, None) is not"),
-    ([("1925", 1)], "birth-year pair ('1925', 1) is not"),
-    ([(1925, 1), (1926, 1, 5)], "birth-year pair (1926, 1, 5) is not"),
-    ([(1990, 1), (True, 1)], "birth-year pair (True, 1) is not"),
-    ([(1990, True), (1991, 1)], "birth-year pair (1990, True) is not"),
-], ids=["empty", "nan", "inf", "nan-on-a-year-without-data", "negative-int",
-        "negative-float", "products-overflow", "a-year-repeated", "years-out-of-order",
-        "three-items", "one-item", "not-a-pair", "str-weight", "none-weight", "str-year",
-        "a-later-pair-of-three", "bool-year", "bool-weight"])
+OVERFLOW = [(1990, 1e307), (1991, 1e307)]  # finite weights whose products with counts overflow
+BAD_DISTRIBUTIONS = [
+    pytest.param([], "the birth distribution holds no year", id="empty"),
+    pytest.param([(1990, math.nan), (1991, 1)], BAD_WEIGHTS, id="nan"),
+    pytest.param([(1990, 1), (1991, math.inf)], BAD_WEIGHTS, id="inf"),
+    pytest.param([(1990, 1), (1991, 1), (1992, math.nan)], BAD_WEIGHTS,
+                 id="nan-on-a-year-without-data"),
+    pytest.param([(1990, -1), (1991, 2)], BAD_WEIGHTS, id="negative-int"),
+    pytest.param([(1990, 1.0), (1991, -0.5)], BAD_WEIGHTS, id="negative-float"),
+    pytest.param(OVERFLOW, BAD_WEIGHTS, id="products-overflow"),
+    pytest.param([(1990, 1), (1990, 1), (1991, 1)], "years are not increasing",
+                 id="a-year-repeated"),
+    pytest.param([(1991, 1), (1990, 1)], "years are not increasing", id="years-out-of-order"),
+    pytest.param([(1925, 1, 2)], "birth-year pair (1925, 1, 2) is not", id="three-items"),
+    pytest.param([(1925,)], "birth-year pair (1925,) is not", id="one-item"),
+    pytest.param([1925], "birth-year pair 1925 is not", id="not-a-pair"),
+    pytest.param([(1925, "a")], "birth-year pair (1925, 'a') is not", id="str-weight"),
+    pytest.param([(1925, None)], "birth-year pair (1925, None) is not", id="none-weight"),
+    pytest.param([("1925", 1)], "birth-year pair ('1925', 1) is not", id="str-year"),
+    pytest.param([(1925, 1), (1926, 1, 5)], "birth-year pair (1926, 1, 5) is not",
+                 id="a-later-pair-of-three"),
+    pytest.param([(1990, 1), (True, 1)], "birth-year pair (True, 1) is not", id="bool-year"),
+    pytest.param([(1990, True), (1991, 1)], "birth-year pair (1990, True) is not",
+                 id="bool-weight"),
+]
+
+
+@pytest.mark.parametrize("dist, rule", BAD_DISTRIBUTIONS)
 def test_temporal_refuses_a_bad_distribution(dist, rule):
-    # an exact name, and a spelling that resolves through the fold map
+    # an exact name, and a spelling that resolves through the fold map; the
+    # pairs as a list and as an iterator, which is read once
     for name in ("Pat", "pat"):
+        for pairs in (dist, iter(dist)):
+            with pytest.raises(errors.TemponymError, match=re.escape(rule)) as caught:
+                audit.temporal_p_female(PAT, name, pairs)
+            assert type(caught.value) is errors.TemponymError
+
+
+@pytest.mark.parametrize("dist, rule", [
+    case for case in BAD_DISTRIBUTIONS if case.values[0] is not OVERFLOW])
+def test_birth_distribution_refuses_what_temporal_p_female_refuses(dist, rule):
+    # all but OVERFLOW, whose refusal depends on the counts it meets
+    for pairs in (dist, iter(dist)):
         with pytest.raises(errors.TemponymError, match=re.escape(rule)) as caught:
-            audit.temporal_p_female(PAT, name, dist)
+            audit.BirthDistribution(pairs)
         assert type(caught.value) is errors.TemponymError
+    assert audit.BirthDistribution(OVERFLOW) == OVERFLOW
+
+
+def test_temporal_reads_an_iterator_of_pairs_once(sample_dataset):
+    pairs = [(1925, 1)]
+    expected = audit.temporal_p_female(sample_dataset, "Leslie", pairs)
+    assert audit.temporal_p_female(sample_dataset, "Leslie", (p for p in pairs)) == expected
+    assert expected.p_female == model.p_female(sample_dataset, "Leslie", 1925).p_female
+
+
+def test_birth_distribution_is_an_immutable_list_of_pairs(sample_dataset):
+    dist = audit.infer_birth_distribution(
+        2000, audit.CohortModel("triangular-window", 35, 2), sample_dataset)
+    pairs = [(1963, 1), (1964, 2), (1965, 3), (1966, 2), (1967, 1)]
+    assert type(dist) is audit.BirthDistribution and not hasattr(dist, "__dict__")
+    assert (dist.years, dist.weights) == ((1963, 1964, 1965, 1966, 1967), (1, 2, 3, 2, 1))
+    assert dist == pairs and pairs == dist and not dist != pairs
+    assert dist == audit.BirthDistribution(pairs) == audit.BirthDistribution(iter(pairs))
+    assert dist != pairs[:-1] and dist != tuple(pairs) and dist != audit.BirthDistribution(
+        pairs[:-1])
+    assert list(dist) == pairs and len(dist) == 5 and (1965, 3) in dist
+    assert dist[0] == (1963, 1) and dist[-1] == (1967, 1) and dist[1:3] == pairs[1:3]
+    with pytest.raises(IndexError):
+        dist[5]
+    for attribute in ("years", "weights"):
+        with pytest.raises(AttributeError):
+            setattr(dist, attribute, ())
+        with pytest.raises(AttributeError):
+            delattr(dist, attribute)
+    assert dist == pairs
+    with pytest.raises(TypeError):  # equal to a list, so unhashable as a list is
+        hash(dist)
+    assert pickle.loads(pickle.dumps(dist)) == dist == copy.copy(dist)
+    assert repr(dist) == f"BirthDistribution(years={dist.years!r}, weights={dist.weights!r})"
 
 
 @pytest.mark.parametrize("dist", [

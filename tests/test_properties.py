@@ -1097,6 +1097,31 @@ def test_audit_and_evaluate_known_equal_the_per_record_reference(case):
             _expected_confusion(data, records, cohort))
 
 
+@settings(max_examples=150, deadline=None)
+@given(audit_cases())
+def test_temporal_p_female_gives_one_answer_for_a_distribution_in_any_form(case):
+    """``temporal_p_female`` of ``infer_birth_distribution``'s result, which it
+    reads unchecked, of the same pairs as a list of lists and of an iterator
+    over them: one ``GenderProbability``, its p(F) the same float bit for
+    bit, or one ``NoData``. 150 cases."""
+    data, records, cohort, _ = case
+    for record in records:
+        try:
+            dist = audit.infer_birth_distribution(record.activity_year, cohort, data)
+        except errors.EmptySupport:
+            continue
+        outcomes = []
+        for pairs in (dist, [list(pair) for pair in dist], iter(dist)):
+            try:
+                prob = audit.temporal_p_female(data, record.given_name, pairs)
+            except errors.NoData as caught:
+                outcomes.append(("NoData", caught.args))
+            else:
+                assert type(prob) is model.GenderProbability
+                outcomes.append((*prob, prob.p_female.hex()))
+        assert outcomes[0] == outcomes[1] == outcomes[2], (record, dist)
+
+
 # Each command's --config section path with its option keys. Only ingest
 # writes a file, and it is never run.
 CONFIG_SECTIONS = {
