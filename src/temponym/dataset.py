@@ -173,12 +173,10 @@ class Dataset(Record):
     ``resolve`` gives the stored names that answer for a name, and ``cells``
     their counts in a range of positions: one slice of each column for one
     name, a ``_first_cell`` per position for several. ``totals`` reads
-    through the two, and so does the audit: its one cohort-mixture kernel,
-    ``audit._mixture``, which ``temporal_p_female`` calls for a cohort of
-    consecutive loaded years, and ``audit_corpus`` and ``evaluate_known``
-    for every record, resolving each distinct name of a corpus once and
-    summing its pooled counts from ``cells`` too. ``name_counts`` reads
-    named years, in any order, one ``_first_cell`` each.
+    through the two, and so does the audit's one mixture kernel,
+    ``audit._mixture``: for ``temporal_p_female`` over consecutive loaded
+    years, and for each record of ``audit_corpus`` and ``evaluate_known``.
+    ``name_counts`` reads named years, in any order, one ``_first_cell`` each.
 
     A Dataset compares by its columns but is not hashable.
     """
