@@ -8,9 +8,10 @@ is the historical over-count introduced by the atemporal shortcut.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from itertools import takewhile
 from math import fsum, inf
-from operator import lt, mul
+from operator import add, eq, lt
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -143,7 +144,11 @@ class BirthDistribution(Record):
             raise errors.TemponymError("the birth distribution holds no year")
         if not all(map(lt, years, years[1:])):
             raise errors.TemponymError("years are not increasing")
-        if not (min(weights) >= 0 and sum(weights) < inf):  # a NaN fails both
+        try:
+            valid = min(weights) >= 0 and sum(weights) < inf  # a NaN fails both
+        except OverflowError:  # an int too large for a float, summed with a float
+            valid = False
+        if not valid:
             raise errors.TemponymError(_BAD_WEIGHTS)
         self._init(years=tuple(years), weights=tuple(weights))
 
@@ -187,29 +192,6 @@ def infer_birth_distribution(activity_year: int, cohort_model: CohortModel,
     return BirthDistribution._trusted(years, weights)
 
 
-def _weighted_sums(weights: Sequence, female: Iterable[int], male: Iterable[int]) -> tuple:
-    """``(Σ w·f, Σ w·(f + m))`` over aligned weights and counts, each pair cut
-    at the shorter: a cohort mixture's p(F) is their ratio, exact and
-    correctly rounded for integer weights."""
-    num = sum(map(mul, weights, female))
-    return num, num + sum(map(mul, weights, male))
-
-
-def _mixture(dataset: Dataset, ids: Sequence[int], first: int, weights: Sequence) -> tuple:
-    """``(Σ w·f, Σ w·(f + m), Σ f, Σ m)`` of the names ``ids`` (``Dataset.resolve``)
-    over the loaded positions from ``first`` on, one weight per position.
-
-    The one kernel of a cohort mixture: ``temporal_p_female`` and the audit
-    both read a window of consecutive loaded years through it, one
-    ``Dataset.cells``.
-    """
-    skip, female, male = dataset.cells(ids, first, first + len(weights))
-    # lists: each count is read twice, and a memoryview makes its int at each read
-    female, male = list(female), list(male)
-    num, den = _weighted_sums(weights[skip:] if skip else weights, female, male)
-    return num, den, sum(female), sum(male)
-
-
 def temporal_p_female(
     dataset: Dataset,
     name: str,
@@ -219,28 +201,35 @@ def temporal_p_female(
 
     A person is more likely born in a year when the name was common, so
     p(F) = sum(w * f) / sum(w * (f + m)) over the birth years, exact and
-    correctly rounded for integer weights. A year without data, loaded or
-    not, takes no part.
+    correctly rounded for integer weights. A year not loaded takes no part;
+    the counts hold each loaded year of the distribution, at weight 0 too.
 
     A ``BirthDistribution``, as ``infer_birth_distribution`` gives, is read
     as it is; any other iterable of pairs is checked once, by
-    ``BirthDistribution(pairs)``. Float weights so large that the sums
-    overflow are refused too. Years at consecutive loaded positions, as
-    ``infer_birth_distribution`` gives them, are read as the audit reads
-    them, through ``_mixture``; any other years through
-    ``Dataset.name_counts``.
+    ``BirthDistribution(pairs)``. Weights whose sums overflow are refused
+    too. Each run of years at consecutive loaded positions is one
+    ``Dataset.sums``; one run, as ``infer_birth_distribution`` gives, is
+    found by one slice compare.
     """
     if type(birth_distribution) is not BirthDistribution:
         birth_distribution = BirthDistribution(birth_distribution)
     years, weights = birth_distribution.years, birth_distribution.weights
-    loaded, n = dataset.years_loaded, len(years)
+    loaded, ids, n = dataset.years_loaded, dataset.resolve(name), len(years)
     first = bisect_left(loaded, years[0])
-    if loaded[first:first + n] == years:
-        num, den, female, male = _mixture(dataset, dataset.resolve(name), first, weights)
-    else:
-        female, male = dataset.name_counts(name, years)
-        num, den = _weighted_sums(weights, female, male)
-        female, male = sum(female), sum(male)
+    try:
+        if loaded[first:first + n] == years:  # one run, as infer_birth_distribution gives
+            num, den, female, male = dataset.sums(ids, first, first + n, weights)
+        else:  # a kernel call per run of years at consecutive loaded positions
+            num = den = female = male = start = 0
+            while start < n:
+                first = bisect_left(loaded, years[start])
+                run = len(list(takewhile(bool, map(  # 0 for a year not loaded: it adds 0
+                    eq, loaded[first:], years[start:start + len(loaded)]))))
+                num, den, female, male = map(add, (num, den, female, male), dataset.sums(
+                    ids, first, first + run, weights[start:start + run]))
+                start += run or 1
+    except OverflowError:  # an int weight too large for a float, met with a float
+        den = inf
     if not den < inf:  # float weights whose products overflow
         raise errors.TemponymError(_BAD_WEIGHTS)
     if not den:  # no year with data has weight
@@ -257,36 +246,29 @@ def _predictions(records, dataset, cohort_model, atemporal_range):
     lacks data for the record. A reversed ``atemporal_range`` is refused as
     the pass starts.
 
-    The cohort window is built once per activity year, as its first loaded
-    position and a weight per position from there on. Each distinct name is
-    resolved once, by ``Dataset.resolve``, and its pooled counts are the
-    sums of its ``Dataset.cells`` over the atemporal range. A record then
-    costs one ``_mixture`` over the window, the kernel ``temporal_p_female``
-    reads consecutive years through, and a division.
+    The cohort window is built once per activity year, as its loaded
+    positions and a weight per position. Each distinct name is resolved
+    once, by ``Dataset.resolve``, and its pooled counts summed once. A
+    record then costs one ``Dataset.sums`` over the window and a division.
     """
-    first_year, last_year = atemporal_range
-    if first_year > last_year:
-        raise errors.TemponymError(f"pooled years {atemporal_range!r} hold no year")
-    loaded = dataset.years_loaded
-    lo, hi = bisect_left(loaded, first_year), bisect_right(loaded, last_year)
-    windows: dict = {}  # activity year -> (first position, weights), or None
+    lo, hi = dataset.year_span(*atemporal_range)
+    windows: dict = {}  # activity year -> (first position, end position, weights), or None
     names: dict = {}  # name -> (its Dataset.resolve, its atemporal triple or None)
     for record in records:
         year, name = record.activity_year, record.given_name
         if year not in windows:
-            first, years, weights = _cohort_window(year, cohort_model, loaded)
-            windows[year] = (first, weights) if years else None
+            first, years, weights = _cohort_window(year, cohort_model, dataset.years_loaded)
+            windows[year] = (first, first + len(weights), weights) if years else None
         window = windows[year]
         if window is None:
             yield record, None
             continue
         if name not in names:
             ids = dataset.resolve(name)
-            _, female, male = dataset.cells(ids, lo, hi)
-            female, male = sum(female), sum(male)
-            names[name] = ids, (female / (female + male), female, male) if female or male else None
+            num, den, female, male = dataset.sums(ids, lo, hi)
+            names[name] = ids, (num / den, female, male) if den else None
         ids, pooled = names[name]
-        num, den, female, male = _mixture(dataset, ids, *window)
+        num, den, female, male = dataset.sums(ids, *window)
         yield record, ((num / den, female, male), pooled) if den and pooled else None
 
 

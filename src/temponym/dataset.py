@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import accumulate, repeat
-from operator import add, lt, setitem
+from operator import add, lt, mul, setitem
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 from unicodedata import combining, normalize
@@ -172,11 +172,11 @@ class Dataset(Record):
 
     ``resolve`` gives the stored names that answer for a name, and ``cells``
     their counts in a range of positions: one slice of each column for one
-    name, a ``_first_cell`` per position for several. ``totals`` reads
-    through the two, and so does the audit's one mixture kernel,
-    ``audit._mixture``: for ``temporal_p_female`` over consecutive loaded
-    years, and for each record of ``audit_corpus`` and ``evaluate_known``.
-    ``name_counts`` reads named years, in any order, one ``_first_cell`` each.
+    name, a ``_first_cell`` per position for several. ``sums`` is the one
+    kernel that sums them, weighted or not: ``totals``, windowed and pooled
+    p(F), ``temporal_p_female`` (a call per run of consecutive loaded
+    years) and each record of the audit read through it. ``name_counts``
+    reads named years, in any order, one ``_first_cell`` each.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -387,6 +387,26 @@ class Dataset(Record):
         cut = slice(base + first, base + (last if last > first else first))
         return first - lo, self.female[cut], self.male[cut]
 
+    def sums(self, ids: Sequence[int], lo: int, hi: int,
+             weights: Optional[Sequence] = None) -> tuple:
+        """``(Σ w·f, Σ w·(f + m), Σ f, Σ m)`` over ``cells(ids, lo, hi)``, with
+        ``weights[k]`` the weight of position ``lo + k``, or 1 for each."""
+        skip, female, male = self.cells(ids, lo, hi)
+        if weights is None:
+            female, male = sum(female), sum(male)
+            return female, female + male, female, male
+        # lists: each count is read twice, and a memoryview makes its int at each read
+        female, male, weights = list(female), list(male), weights[skip:]
+        num = sum(map(mul, weights, female))
+        return num, num + sum(map(mul, weights, male)), sum(female), sum(male)
+
+    def year_span(self, first_year: int, last_year: int) -> tuple[int, int]:
+        """``(lo, hi)``: the loaded positions of the years in a range that holds one."""
+        if first_year > last_year:
+            raise errors.TemponymError(f"pooled years {(first_year, last_year)!r} hold no year")
+        years = self.years_loaded
+        return bisect_left(years, first_year), bisect_right(years, last_year)
+
     def name_counts(
         self, name: str, years: Sequence[int], fold_diacritics: bool = False
     ) -> tuple[list[int], list[int]]:
@@ -420,10 +440,8 @@ class Dataset(Record):
         self, name: str, first_year: int, last_year: int, fold_diacritics: bool = False
     ) -> tuple[int, int]:
         """(female, male) summed over the loaded years in [first_year, last_year]."""
-        lo = bisect_left(self.years_loaded, first_year)
-        hi = bisect_right(self.years_loaded, last_year)
-        _, female, male = self.cells(self.resolve(name, fold_diacritics), lo, hi)
-        return sum(female), sum(male)
+        return self.sums(self.resolve(name, fold_diacritics),
+                         *self.year_span(first_year, last_year))[2:]
 
     def year_cells(self, year: int) -> dict[str, tuple[int, int]]:
         """Every name with data in one year, in name order, with its counts."""

@@ -120,16 +120,15 @@ def p_female_pooled(
     hold at least one year.
     """
     first, last = year_range
-    if first > last:
-        raise errors.TemponymError(f"pooled years {year_range!r} hold no year")
     return _accumulate(dataset, name, first, last, f"pooled {first}..{last}", fold_diacritics)
 
 
 def _accumulate(dataset, name, first, last, context, fold_diacritics):
-    female, male = dataset.totals(name, first, last, fold_diacritics)
-    if female + male == 0:
+    lo, hi = dataset.year_span(first, last)
+    num, den, female, male = dataset.sums(dataset.resolve(name, fold_diacritics), lo, hi)
+    if not den:
         raise errors.NoData(name, context)
-    return _probability((name, context, female / (female + male), female, male))
+    return _probability((name, context, num / den, female, male))
 
 
 def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -> GenderLabel:

@@ -155,6 +155,8 @@ BAD_WEIGHTS = "bad birth-year weights: negative, not finite or overflowing"
 
 
 OVERFLOW = [(1990, 1e307), (1991, 1e307)]  # finite weights whose products with counts overflow
+# an int weight whose products with counts are too large for a float, summed with a float
+INT_OVERFLOW = [(1990, 10**308), (1991, 0.5)]
 BAD_DISTRIBUTIONS = [
     pytest.param([], "the birth distribution holds no year", id="empty"),
     pytest.param([(1990, math.nan), (1991, 1)], BAD_WEIGHTS, id="nan"),
@@ -164,6 +166,9 @@ BAD_DISTRIBUTIONS = [
     pytest.param([(1990, -1), (1991, 2)], BAD_WEIGHTS, id="negative-int"),
     pytest.param([(1990, 1.0), (1991, -0.5)], BAD_WEIGHTS, id="negative-float"),
     pytest.param(OVERFLOW, BAD_WEIGHTS, id="products-overflow"),
+    pytest.param(INT_OVERFLOW, BAD_WEIGHTS, id="int-products-too-large-for-a-float"),
+    pytest.param([(1990, 10**400), (1991, 0.5)], BAD_WEIGHTS,
+                 id="int-too-large-for-a-float-summed-with-a-float"),
     pytest.param([(1990, 1), (1990, 1), (1991, 1)], "years are not increasing",
                  id="a-year-repeated"),
     pytest.param([(1991, 1), (1990, 1)], "years are not increasing", id="years-out-of-order"),
@@ -193,13 +198,45 @@ def test_temporal_refuses_a_bad_distribution(dist, rule):
 
 
 @pytest.mark.parametrize("dist, rule", [
-    case for case in BAD_DISTRIBUTIONS if case.values[0] is not OVERFLOW])
+    case for case in BAD_DISTRIBUTIONS if case.values[0] not in (OVERFLOW, INT_OVERFLOW)])
 def test_birth_distribution_refuses_what_temporal_p_female_refuses(dist, rule):
-    # all but OVERFLOW, whose refusal depends on the counts it meets
+    # all but OVERFLOW and INT_OVERFLOW, whose refusal depends on the counts they meet
     for pairs in (dist, iter(dist)):
         with pytest.raises(errors.TemponymError, match=re.escape(rule)) as caught:
             audit.BirthDistribution(pairs)
         assert type(caught.value) is errors.TemponymError
+
+
+def test_int_weights_too_large_for_a_float_stay_exact():
+    dist = [(1990, 10**400), (1991, 1)]
+    assert audit.BirthDistribution(INT_OVERFLOW) == INT_OVERFLOW
+    for name in ("Pat", "pat"):
+        prob = audit.temporal_p_female(PAT, name, dist)
+        assert prob.p_female == float(Fraction(10**400 * 20 + 90, 10**400 * 100 + 300))
+        assert (prob.female_count, prob.male_count) == (110, 290)
+
+
+# Pat has data in each of the three loaded years.
+PAT_3 = ds.load_dataset([(1990, "Pat,F,20\nPat,M,80"), (1991, "Pat,F,90\nPat,M,210"),
+                         (1992, "Pat,F,5\nPat,M,5")])
+
+
+@pytest.mark.parametrize("dist, counts", [
+    ([(1990, 1), (1992, 1)], (25, 85)),
+    ([(1989, 7), (1990, 1), (1992, 1), (1993, 2)], (25, 85)),
+    ([(1990, 1), (1991, 0), (1992, 1)], (115, 295)),
+    ([(1990, 1.0), (1991, 0.0), (1992, 1.0)], (115, 295)),
+], ids=["skips-a-loaded-year", "skips-a-loaded-year-and-unloaded-years",
+        "weight-0-year", "float-weight-0-year"])
+def test_temporal_counts_hold_the_loaded_years_of_the_distribution(dist, counts):
+    # a loaded year with data outside the distribution adds nothing to the
+    # counts; one inside it at weight 0 adds its counts but not to p(F)
+    for name in ("Pat", "pat"):
+        for pairs in (dist, iter(dist)):
+            prob = audit.temporal_p_female(PAT_3, name, pairs)
+            assert (prob.female_count, prob.male_count) == counts
+            assert prob.p_female == 25 / 110
+            assert prob.context == f"cohort mixture over birth years {dist[0][0]}..{dist[-1][0]}"
 
 
 def test_temporal_reads_an_iterator_of_pairs_once(sample_dataset):

@@ -259,6 +259,13 @@ def test_shared_folded_key_answers_from_the_name_with_data():
     assert data.totals("lee", 1990, 1991) == (10, 20)
 
 
+def test_totals_refuses_a_reversed_range():
+    data = ds.load_dataset([(1990, "Lee,F,10"), (1991, "Lee,M,20")])
+    assert data.totals("Lee", 1991, 1991) == data.totals("Lee", 1991, 2000) == (0, 20)
+    with pytest.raises(errors.TemponymError, match=re.escape("pooled years (1991, 1990)")):
+        data.totals("Lee", 1991, 1990)
+
+
 def _counts_by_lookup(data, name, years, fold):
     """Per-year ``lookup``, with (0, 0) for no data and for a year not loaded."""
     cells = [(data.has_year(year) and data.lookup(name, year, fold_diacritics=fold)) or (0, 0)

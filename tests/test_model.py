@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,14 @@ def test_pooled_no_data(sample_dataset):
 def test_pooled_rejects_empty_span(sample_dataset, years):
     with pytest.raises(errors.TemponymError, match="hold no year"):
         model.p_female_pooled(sample_dataset, "Leslie", years)
+
+
+def test_windowed_rejects_a_negative_half_width_as_pooled_does(sample_dataset):
+    # the window 1951..1949 holds no year: the pooled check refuses it
+    with pytest.raises(errors.TemponymError,
+                       match=re.escape("pooled years (1951, 1949) hold no year")) as caught:
+        model.p_female_windowed(sample_dataset, "Leslie", 1950, -1)
+    assert type(caught.value) is errors.TemponymError
 
 
 def test_classify_jean_under_t95(sample_dataset):
