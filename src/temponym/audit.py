@@ -202,7 +202,7 @@ def temporal_p_female(
     A person is more likely born in a year when the name was common, so
     p(F) = sum(w * f) / sum(w * (f + m)) over the birth years, exact and
     correctly rounded for integer weights. A year not loaded takes no part;
-    the counts hold each loaded year of the distribution, at weight 0 too.
+    the counts sum every loaded year of the distribution, weight 0 too.
 
     A ``BirthDistribution``, as ``infer_birth_distribution`` gives, is read
     as it is; any other iterable of pairs is checked once, by
