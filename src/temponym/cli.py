@@ -157,13 +157,15 @@ def _cohort(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_data(index_path, data_dir):
+def _load_data(index_path, data_dir, names=None):
+    """The table of ``--index`` or ``--dir``; from an index, given the names a
+    command reads, only theirs (``load_index``)."""
     from . import dataset as dataset_mod
 
     if index_path and data_dir:
         raise UsageError("'--index' and '--dir' are mutually exclusive")
     if index_path:
-        return dataset_mod.load_index(index_path)
+        return dataset_mod.load_index(index_path, names)
     directory = Path(data_dir) if data_dir else dataset_mod.bundled_sample_dir()
     return dataset_mod.load_directory(directory)
 
@@ -220,7 +222,7 @@ def query(index_path, data_dir, name, year, window, pooled, policy, fold_diacrit
         raise UsageError("provide '--year' or '--pooled'")
     from . import model as model_mod
 
-    data = _load_data(index_path, data_dir)
+    data = _load_data(index_path, data_dir, [name])
     chosen_policy = model_mod.MAJORITY if policy == "majority" else model_mod.T95
     if pooled is not None:
         prob = model_mod.p_female_pooled(
@@ -336,7 +338,7 @@ def compare(index_path, data_dir, names, names_file, ssa_year, services_spec,
     if names is None:
         raise UsageError("provide '--names' or '--names-file'")
 
-    data = _load_data(index_path, data_dir)
+    data = _load_data(index_path, data_dir, names)
     if services_spec == "fixtures":
         configs = services.fixture_configs(fixture_file)
     elif services_spec.startswith("genderize-live:"):
@@ -389,7 +391,7 @@ def trajectories(index_path, data_dir, names, top_shifts, years, y1, y2, fmt):
 
     if names is not None and top_shifts is not None:
         raise UsageError("'--names' and '--top-shifts' are mutually exclusive")
-    data = _load_data(index_path, data_dir)
+    data = _load_data(index_path, data_dir, names)
     if top_shifts is not None:
         entries = shifts_mod.rank_shifts(data, y1, y2, top_k=top_shifts, weighted=True)
         names = [e.name for e in entries]

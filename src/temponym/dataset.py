@@ -51,7 +51,7 @@ MAX_YEAR = 2100
 _YOB_RE = re.compile(r"yob([0-9]{4})\.txt")  # the whole file name
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 6
+INDEX_VERSION = 7
 
 _NO_DATA = (0, 0)
 
@@ -82,6 +82,23 @@ def _folded_keys(names: Sequence[str]) -> list[str]:
     except UnicodeEncodeError:
         raise errors.TemponymError("a name holds a lone surrogate, not UTF-8 text") from None
     return [key if key.isascii() else strip_diacritics(key) for key in keys]
+
+
+def _checked_offsets(names: tuple, starts, lengths, positions: int, cells: int) -> array:
+    """Per name, the index of its first cell, plus the cell count at the end:
+    the running sum of ``lengths``. The names must be sorted, unique and not
+    empty, and each span must lie inside ``positions`` loaded years and the
+    ``cells`` cells of each count column; else the TemponymError of the rule
+    broken."""
+    if not all(map(lt, names, names[1:])):
+        raise errors.TemponymError("name table is not sorted and unique")
+    if names and not names[0]:  # sorted, so an empty name comes first
+        raise errors.TemponymError("a name is empty")
+    offsets = array("Q", accumulate(lengths, initial=0))
+    if not (len(starts) == len(lengths) == len(names) and offsets[-1] == cells
+            and max(map(add, starts, lengths), default=0) <= positions):
+        raise errors.TemponymError("name spans point outside the columns")
+    return offsets
 
 
 class Record:
@@ -158,7 +175,7 @@ class Dataset(Record):
     text split on ``\n``, need no ``_folded_keys`` check), and reports a
     broken rule as an ``IndexFormatError``.
 
-    ``lookup``, ``totals`` and ``name_counts`` resolve a name once. Whether
+    ``lookup`` and ``name_counts`` resolve a name once. Whether
     any two names fold to one key is fixed when the dataset is built. If
     none do, a stored name answers alone: its cells are read in place. Any
     other name goes through ``_candidates``, the one resolver of folded
@@ -173,9 +190,9 @@ class Dataset(Record):
     ``resolve`` gives the stored names that answer for a name, and ``cells``
     their counts in a range of positions: one slice of each column for one
     name, a ``_first_cell`` per position for several. ``sums`` is the one
-    kernel that sums them, weighted or not: ``totals``, windowed and pooled
-    p(F), ``temporal_p_female`` (a call per run of consecutive loaded
-    years) and each record of the audit read through it. ``name_counts``
+    kernel that sums them, weighted or not: windowed and pooled p(F),
+    ``temporal_p_female`` (a call per run of consecutive loaded years) and
+    each record of the audit read through it. ``name_counts``
     reads named years, in any order, one ``_first_cell`` each.
 
     A Dataset compares by its columns but is not hashable.
@@ -205,9 +222,10 @@ class Dataset(Record):
 
     @classmethod
     def _loaded(cls, distinct: bool, *table) -> "Dataset":
-        """The table of an index, with the fold fact it stores: its names, UTF-8
-        text split on ``\n``, need no ``_folded_keys`` check, and the fold
-        map waits for the first lookup that needs it."""
+        """The table of an index, or of some of its names, with the fold fact
+        of those names: its names, UTF-8 text split on ``\n``, need no
+        ``_folded_keys`` check, and the fold map waits for the first lookup
+        that needs it."""
         dataset = cls.__new__(cls)
         dataset._set_table(*table)
         dataset._init(_distinct=distinct)
@@ -221,21 +239,14 @@ class Dataset(Record):
             raise errors.TemponymError("years are not increasing integers")
         if years_loaded and not MIN_YEAR <= years_loaded[0] <= years_loaded[-1] <= MAX_YEAR:
             raise errors.TemponymError(f"years must lie in {MIN_YEAR}..{MAX_YEAR}")
-        if not all(map(lt, names, names[1:])):
-            raise errors.TemponymError("name table is not sorted and unique")
-        if names and not names[0]:  # sorted, so an empty name comes first
-            raise errors.TemponymError("a name is empty")
         starts, lengths = memoryview(starts).toreadonly(), memoryview(lengths).toreadonly()
         female, male = memoryview(female).toreadonly(), memoryview(male).toreadonly()
         for key, column in zip(_U32_SECTIONS, (starts, lengths, female, male)):
             if column.format not in _TYPECODES.values():
                 raise errors.TemponymError(
                     f"column {key} has format {column.format!r}, not 'B', 'H' or 'I'")
-        offsets = array("Q", accumulate(lengths, initial=0))
-        if not (len(starts) == len(lengths) == len(names)
-                and len(female) == len(male) == offsets[-1]
-                and max(map(add, starts, lengths), default=0) <= len(years_loaded)):
-            raise errors.TemponymError("name spans point outside the columns")
+        offsets = _checked_offsets(names, starts, lengths, len(years_loaded),
+                                   len(female) if len(female) == len(male) else -1)
         if skipped and len(skipped) != len(years_loaded):
             raise errors.TemponymError("skipped does not hold one count per year")
         self._init(
@@ -435,13 +446,6 @@ class Dataset(Record):
                 if (f1 or m1) and (f2 or m2):
                     rows.append((name, f1, m1, f2, m2))
         return rows
-
-    def totals(
-        self, name: str, first_year: int, last_year: int, fold_diacritics: bool = False
-    ) -> tuple[int, int]:
-        """(female, male) summed over the loaded years in [first_year, last_year]."""
-        return self.sums(self.resolve(name, fold_diacritics),
-                         *self.year_span(first_year, last_year))[2:]
 
     def year_cells(self, year: int) -> dict[str, tuple[int, int]]:
         """Every name with data in one year, in name order, with its counts."""
@@ -671,8 +675,8 @@ def bundled_sample_dir() -> Path:
 
 # --- persisted index -------------------------------------------------------
 #
-# Layout: magic line, one JSON header line, then one zlib stream per payload
-# section, in order:
+# Layout: magic line, one JSON header line, then the payload sections, in
+# order:
 #
 #   names    the name table, UTF-8, joined by "\n"
 #   starts   per name, the position in ``years`` of its first cell
@@ -681,26 +685,32 @@ def bundled_sample_dir() -> Path:
 #   male     the male count column
 #
 # The header holds the format version, a SHA-256 checksum, the years, the
-# byte length of each section (``sections``) and of its stream as stored
-# (``stored``), the width, 1 to 4 bytes, of each section after ``names``, and
-# whether no two names fold to one key (``distinct_keys``). The checksum
-# (``_checksum``) covers the header, its own field null, and the stored
-# streams in order; each stream checks its own inflated bytes with its
-# Adler-32 trailer. The sections after ``names`` are unsigned 32-bit
-# little-endian columns, stored byte-plane shuffled (all first bytes, then
-# all second bytes, ...) and cut after the highest plane that holds a
-# non-zero byte: counts below 2^16 keep two planes, so their section holds
-# two bytes per value. The name table is deflated with the default strategy;
-# each column is deflated as runs only (``zlib.Z_RLE``): count bytes hardly
-# ever repeat at a distance, so searching for matches costs time and saves
-# almost nothing. Nothing may follow the last stream. Loading cuts each
-# stream from the file by its stored length, checks the checksum before it
-# inflates anything, inflates each section, then unshuffles each column into
-# the narrowest native unsigned type that holds its width, which the Dataset
-# reads in place: no row parsing. Saving reads a column by its own
-# item size, so a loaded Dataset saves to the same bytes. The Dataset derives
-# its offsets from ``lengths``; stored, they would need three planes and grow
-# the file.
+# byte length of each section (``sections``) and of its streams as stored
+# (``stored``), the width, 1 to 4 bytes, of each section after ``names``,
+# whether no two names fold to one key (``distinct_keys``) and the rows
+# skipped per year, or ``[]`` when none was (``skipped``). The sections
+# after ``names`` are unsigned 32-bit little-endian columns, stored
+# byte-plane shuffled (all first bytes, then all second bytes, ...) and cut
+# after the highest plane that holds a non-zero byte: counts below 2^16 keep
+# two planes, so their section holds two bytes per value. The name table is
+# one zlib stream, deflated with the default strategy, and ``stored`` gives
+# its length. Each column is stored as blocks: each byte plane, cut in
+# pieces of ``_CHUNK`` values, each piece deflated as a zlib stream of its
+# own, plane by plane and piece by piece, and ``stored`` gives the list of
+# their lengths. Blocks are deflated as runs only (``zlib.Z_RLE``): count
+# bytes hardly ever repeat at a distance, so searching for matches costs
+# time and saves almost nothing. The checksum (``_checksum``) covers the
+# header, its own field null, and every stored stream in order; each stream
+# checks its own inflated bytes with its Adler-32 trailer. Nothing may
+# follow the last stream. Loading cuts each stream from the file by its
+# stored length and checks the checksum before it inflates anything. It then
+# inflates the name table, ``starts`` and ``lengths``, and, of the count
+# columns, every block or only the blocks that hold the cells of the names
+# asked for, writing each block's plane into a column of the narrowest native
+# unsigned type that holds its width, which the Dataset reads in place: no
+# row parsing. Saving reads a column by its own item size, so a loaded
+# Dataset saves to the same bytes. The Dataset derives its offsets from
+# ``lengths``; stored, they would need three planes and grow the file.
 
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
@@ -716,7 +726,8 @@ def _plane_offsets(itemsize: int) -> range:
     return range(itemsize) if sys.byteorder == "little" else range(itemsize - 1, -1, -1)
 
 
-# Values per piece in which ``_pieces`` copies a column.
+# Values per piece in which ``_pieces`` copies a column, and per block of an
+# index column.
 _CHUNK = 1 << 16
 
 
@@ -769,19 +780,6 @@ def _narrowest(values: array) -> array:
     return out
 
 
-def _unshuffle(data: bytes, width: int) -> memoryview:
-    """The column whose first ``width`` byte planes are ``data``, in the
-    narrowest native unsigned type that holds them."""
-    data = memoryview(data)
-    n = len(data) // width
-    typecode = _TYPECODES[width]
-    size = array(typecode).itemsize
-    raw = bytearray(size * n)
-    for plane, offset in zip(range(width), _plane_offsets(size)):
-        raw[offset::size] = data[plane * n:(plane + 1) * n]
-    return memoryview(raw).cast(typecode)
-
-
 def _checksum(header: dict, *streams) -> str:
     """SHA-256 of the header as JSON, its ``sha256`` field null, then of each
     stored stream in turn."""
@@ -791,44 +789,56 @@ def _checksum(header: dict, *streams) -> str:
     return digest.hexdigest()
 
 
+def _deflated(data: bytes, **options) -> bytes:
+    deflate = zlib.compressobj(6, **options)
+    return deflate.compress(data) + deflate.flush()
+
+
 def save_index(dataset: Dataset, path: Path | str) -> None:
     """Write ``dataset`` to ``path``; a file that cannot be written is a data error.
 
-    Each column's byte planes are cut from pieces of it (``_pieces``) and fed
-    to its deflate stream one plane at a time, so no whole copy of a column
-    is made.
+    Each column's byte planes are cut from pieces of it (``_pieces``), one
+    block at a time, so no whole copy of a column is made.
     """
     names = "\n".join(dataset.names).encode()
-    sizes, widths = {"names": len(names)}, {}
-    deflate = zlib.compressobj(6)
-    streams = {"names": deflate.compress(names) + deflate.flush()}
+    streams = [_deflated(names)]
+    sizes, stored, widths = {"names": len(names)}, {"names": len(streams[0])}, {}
     del names
     for key in _U32_SECTIONS:
         column = getattr(dataset, key)
         size, width = column.itemsize, _width(column)
-        deflate = zlib.compressobj(6, strategy=zlib.Z_RLE)
-        stream = [deflate.compress(piece[offset::size])
+        blocks = [_deflated(piece[offset::size], strategy=zlib.Z_RLE)
                   for offset in _plane_offsets(size)[:width] for piece in _pieces(column)]
-        stream.append(deflate.flush())
-        streams[key] = b"".join(stream)
-        sizes[key], widths[key] = width * len(column), width
+        streams += blocks
+        sizes[key], stored[key], widths[key] = width * len(column), list(map(len, blocks)), width
     header = {
         "format": "temponym-index",
         "version": INDEX_VERSION,
         "years": list(dataset.years_loaded),
         "sections": sizes,
-        "stored": {key: len(stream) for key, stream in streams.items()},
+        "stored": stored,
         "widths": widths,
         "distinct_keys": dataset._distinct,
+        "skipped": list(dataset.skipped) if any(dataset.skipped) else [],
     }
-    header["sha256"] = _checksum(header, *streams.values())
+    header["sha256"] = _checksum(header, *streams)
     try:
         with open(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
             fh.write(json.dumps(header).encode() + b"\n")
-            fh.writelines(streams.values())
+            fh.writelines(streams)
     except OSError as exc:
         raise errors.TemponymError(f"{path}: cannot be written ({exc.strerror or exc})") from None
+
+
+def _blocks(values: int, width: int) -> int:
+    """How many blocks a column of ``values`` values ``width`` bytes wide is stored in."""
+    return width * -(-values // _CHUNK)
+
+
+def _is_length(n) -> bool:
+    # A length below sys.maxsize leaves room for the one byte an inflate may overrun.
+    return type(n) is int and 0 <= n < sys.maxsize
 
 
 def _read_header(path, line: bytes) -> dict:
@@ -844,7 +854,7 @@ def _read_header(path, line: bytes) -> dict:
     if header.get("format") != "temponym-index":
         raise bad(f"header format {header.get('format')!r} is not 'temponym-index'")
     version = header.get("version")
-    # JSON's 6.0 and true compare equal to 6 and 1, but are not versions.
+    # JSON's 7.0 and true compare equal to 7 and 1, but are not versions.
     if type(version) is not int or not 1 <= version <= INDEX_VERSION:
         raise bad(f"unsupported index version {version!r}")
     if version != INDEX_VERSION:
@@ -854,26 +864,36 @@ def _read_header(path, line: bytes) -> dict:
         raise bad("header has no sha256")
     if not isinstance(years, list):  # the Dataset checks its items
         raise bad("header years are not a list")
-    # A length below sys.maxsize leaves room for the one byte an inflate may overrun.
-    for field in ("sections", "stored"):
-        lengths = header.get(field)
-        if not (isinstance(lengths, dict) and list(lengths) == list(_SECTIONS)
-                and all(type(n) is int and 0 <= n < sys.maxsize for n in lengths.values())):
-            raise bad(f"header {field} must be byte lengths of {', '.join(_SECTIONS)}")
+    sections, stored = header.get("sections"), header.get("stored")
+    if not (isinstance(sections, dict) and list(sections) == list(_SECTIONS)
+            and all(map(_is_length, sections.values()))):
+        raise bad(f"header sections must be byte lengths of {', '.join(_SECTIONS)}")
+    if not (isinstance(stored, dict) and list(stored) == list(_SECTIONS)
+            and _is_length(stored["names"])):
+        raise bad(f"header stored must be byte lengths of {', '.join(_SECTIONS)}")
     widths = header.get("widths")
     if not (isinstance(widths, dict) and list(widths) == list(_U32_SECTIONS)
             and all(type(w) is int and 1 <= w <= 4 for w in widths.values())):
         raise bad(f"header widths must be byte widths 1 to 4 of {', '.join(_U32_SECTIONS)}")
-    if any(header["sections"][key] % widths[key] for key in _U32_SECTIONS):
-        raise bad("a column section is not a whole number of values of its width")
+    for key in _U32_SECTIONS:
+        if sections[key] % widths[key]:
+            raise bad("a column section is not a whole number of values of its width")
+        count = _blocks(sections[key] // widths[key], widths[key])
+        if not (isinstance(stored[key], list) and len(stored[key]) == count
+                and all(map(_is_length, stored[key]))):
+            raise bad(f"header stored {key} must list the byte lengths of its {count} blocks")
     if type(header.get("distinct_keys")) is not bool:
         raise bad("header distinct_keys must be true or false")
+    skipped = header.get("skipped")
+    if not (isinstance(skipped, list) and len(skipped) in (0, len(years))
+            and all(type(n) is int and n >= 0 for n in skipped)):
+        raise bad("header skipped must be empty or one row count per year")
     return header
 
 
-def _inflate(path, stream: bytes, size: int, key: str) -> bytes:
-    """The ``key`` section inflated from its stored ``stream``; its length
-    must be ``size``, what the header gives.
+def _inflate(path, stream: bytes, size: int, what: str) -> bytes:
+    """The bytes inflated from the stored ``stream`` of ``what``, a section or
+    block; their length must be ``size``, what the header gives.
 
     One call inflates at most one byte past ``size``, so a false size
     inflates no more, and zlib grows its output only as the stream fills it:
@@ -882,20 +902,77 @@ def _inflate(path, stream: bytes, size: int, key: str) -> bytes:
     try:
         data = inflate.decompress(stream, size + 1)
     except zlib.error as exc:
-        raise errors.IndexFormatError(f"{path}: corrupt {key} stream ({exc})") from None
+        raise errors.IndexFormatError(f"{path}: corrupt {what} stream ({exc})") from None
     if len(data) <= size and not inflate.eof:
-        raise errors.IndexFormatError(f"{path}: the {key} stream is truncated")
+        raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
     if len(data) != size:
         held = "more" if len(data) > size else len(data)
         raise errors.IndexFormatError(
-            f"{path}: section lengths give {size} bytes for the {key} stream, it holds {held}")
+            f"{path}: section lengths give {size} bytes for the {what} stream, it holds {held}")
     if inflate.unused_data:
         raise errors.IndexFormatError(
-            f"{path}: {len(inflate.unused_data)} byte(s) after the end of the {key} stream")
+            f"{path}: {len(inflate.unused_data)} byte(s) after the end of the {what} stream")
     return data
 
 
-def load_index(path: Path | str) -> Dataset:
+def _column(path, key: str, blocks: Sequence, width: int, values: int,
+            spans: Optional[Sequence[tuple[int, int]]] = None) -> memoryview:
+    """The ``values`` values of column ``key``, or only those of the value
+    ranges ``spans`` (ascending, each a first and past-the-last index), one
+    range after another, in the narrowest native unsigned type that holds
+    ``width`` bytes.
+
+    ``blocks`` are the column's stored streams (see the layout above). Only
+    those that hold a value asked for are inflated, each once, and each
+    block's plane is written into the column as it is inflated.
+    """
+    if spans is None:
+        spans = ((0, values),)
+    typecode = _TYPECODES[width]
+    size = array(typecode).itemsize
+    per_plane = _blocks(values, 1)
+    raw = bytearray(size * sum(hi - lo for lo, hi in spans))
+    for plane, offset in zip(range(width), _plane_offsets(size)):
+        at, held = offset, -1
+        for lo, hi in spans:
+            while lo < hi:
+                if lo // _CHUNK != held:
+                    held = lo // _CHUNK
+                    j, base = plane * per_plane + held, held * _CHUNK
+                    data = memoryview(_inflate(path, blocks[j], min(_CHUNK, values - base),
+                                               f"{key} block {j}"))
+                cut = min(hi, base + _CHUNK)
+                raw[at:at + (cut - lo) * size:size] = data[lo - base:cut - base]
+                at, lo = at + (cut - lo) * size, cut
+    return memoryview(raw).cast(typecode)
+
+
+def _selected(table: tuple, wanted: Sequence[str], distinct: bool) -> tuple[list[int], bool]:
+    """The indices, ascending, of the names in ``table`` that fold to the key of
+    a name in ``wanted``, and whether no two of them share a key.
+
+    In a table where no two names fold alike, a name stored exactly as asked
+    folds only to itself: it is found by bisection and no name is folded."""
+    ids = [bisect_left(table, name) for name in wanted]
+    if distinct and all(i < len(table) and table[i] == name for i, name in zip(ids, wanted)):
+        return sorted(set(ids)), True
+    keys = _folded_keys(table)
+    asked = {key if key.isascii() else strip_diacritics(key)
+             for key in (name.casefold() for name in wanted)}
+    ids = [i for i, key in enumerate(keys) if key in asked]
+    return ids, len({keys[i] for i in ids}) == len(ids)
+
+
+def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Dataset:
+    """The Dataset an index file holds; a file that breaks its layout or a
+    table rule is an ``IndexFormatError``.
+
+    Given ``names``, only the stored names that fold to the key of one of
+    them are loaded, over every year, and only the count blocks that hold
+    their cells are inflated: the table answers every question about those
+    names as the whole one does. The checksum and the name table, ``starts``
+    and ``lengths`` are checked in full either way.
+    """
     try:
         fh = open(path, "rb", buffering=0)
     except OSError as exc:
@@ -906,32 +983,51 @@ def load_index(path: Path | str) -> Dataset:
         rest = fh.read()
     at = rest.find(b"\n") + 1 or len(rest) + 1
     header = _read_header(path, rest[:at])
-    view, streams = memoryview(rest), {}
-    for key, length in header["stored"].items():
-        streams[key] = view[at:at + length]
-        at += length
-        if len(streams[key]) < length:
-            raise errors.IndexFormatError(f"{path}: the {key} stream is truncated")
+    view, streams, payload = memoryview(rest), {}, at
+    for key, stored in header["stored"].items():
+        streams[key] = []
+        for j, length in enumerate(stored if key in _U32_SECTIONS else [stored]):
+            streams[key].append(view[at:at + length])
+            at += length
+            if len(streams[key][-1]) < length:
+                what = f"{key} block {j}" if key in _U32_SECTIONS else key
+                raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
     if at != len(rest):
         raise errors.IndexFormatError(f"{path}: {len(rest) - at} byte(s) after the last stream")
-    if _checksum(header, *streams.values()) != header["sha256"]:
+    if _checksum(header, view[payload:]) != header["sha256"]:
         raise errors.IndexFormatError(f"{path}: checksum mismatch")
     sizes, widths = header["sections"], header["widths"]
-    table, *cells = [_inflate(path, streams.pop(key), sizes[key], key) for key in _SECTIONS]
-    # The file's bytes are freed only now. glibc raises its mmap threshold to
-    # the size of a mapped block when it is freed; freed before the sections
-    # are inflated, the file would put them on the heap, where the freed
-    # sections then stay resident: +4 MB on a `shift` of the dense index.
-    del view, rest
+    values = {key: sizes[key] // widths[key] for key in _U32_SECTIONS}
+    table = _inflate(path, streams["names"][0], sizes["names"], "names")
     try:
         text = str(table, "utf-8")
     except UnicodeDecodeError as exc:
         raise errors.IndexFormatError(f"{path}: name table is not UTF-8 ({exc})") from None
     del table
-    names = tuple(text.split("\n")) if text else ()
+    table = tuple(text.split("\n")) if text else ()
     del text
-    columns = [_unshuffle(cells.pop(0), widths[key]) for key in _U32_SECTIONS]
+    starts, lengths = (_column(path, key, streams[key], widths[key], values[key])
+                       for key in ("starts", "lengths"))
+    distinct, spans = header["distinct_keys"], None
     try:
-        return Dataset._loaded(header["distinct_keys"], header["years"], names, *columns)
+        if names is not None:
+            cells = values["female"] if values["female"] == values["male"] else -1
+            offsets = _checked_offsets(table, starts, lengths, len(header["years"]), cells)
+            ids, distinct = _selected(table, list(names), distinct)
+            spans = [(offsets[i], offsets[i + 1]) for i in ids]
+            table = tuple(table[i] for i in ids)
+            starts, lengths = (array(column.format, [column[i] for i in ids])
+                               for column in (starts, lengths))
+        female, male = (_column(path, key, streams[key], widths[key], values[key], spans)
+                        for key in ("female", "male"))
+        # The file's bytes are freed only now. glibc raises its mmap threshold
+        # to the size of a mapped block when it is freed; freed before the
+        # columns are made, the file would put them on the heap, where they
+        # stay resident once freed: +3 MB on a `shift` of the dense index.
+        del view, streams, rest
+        return Dataset._loaded(distinct, header["years"], table, starts, lengths, female, male,
+                               header["skipped"])
+    except errors.IndexFormatError:
+        raise
     except errors.TemponymError as exc:
         raise errors.IndexFormatError(f"{path}: {exc}") from None

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import zlib
+from array import array
 
 import pytest
 
@@ -139,6 +140,17 @@ def _version_5(path):
     _write_index(path, header, payload)
 
 
+def _version_6(path):
+    """Version 6: no ``skipped``, and the stored length of each column as one
+    stream, which the one block of each column of the test table is."""
+    header, payload = _index_parts(path)
+    header["version"] = 6
+    del header["skipped"]
+    header["stored"] = {key: n if key == "names" else sum(n)
+                        for key, n in header["stored"].items()}
+    _write_index(path, _signed(header, payload), payload)
+
+
 def _set_female_width(path, width):
     header, payload = _index_parts(path)
     header["widths"]["female"] = width
@@ -189,12 +201,12 @@ def _header_nested_too_deep(path):
     _write_index(path, b"[" * 100_000, payload)
 
 
-def _version_7(path):
-    _set_header(path, "version", 7)
+def _version_8(path):
+    _set_header(path, "version", 8)
 
 
 def _version_float(path):
-    _set_header(path, "version", 6.0)  # equal to 6, but not the integer 6
+    _set_header(path, "version", 7.0)  # equal to 7, but not the integer 7
 
 
 def _version_true(path):
@@ -242,6 +254,28 @@ def _year_moved(path):
     _set_header(path, "years", [2019, 2025])
 
 
+def _set_female_blocks(path, change):
+    header, payload = _index_parts(path)
+    header["stored"]["female"] = change(header["stored"]["female"])
+    _write_index(path, header, payload)
+
+
+def _block_lengths_of_a_wrong_count(path):
+    _set_female_blocks(path, lambda blocks: blocks * 2)
+
+
+def _block_length_not_an_integer(path):
+    _set_female_blocks(path, lambda blocks: [float(n) for n in blocks])
+
+
+def _skipped_of_two_years(path):
+    _set_header(path, "skipped", [1, 0])  # the table has one year
+
+
+def _skipped_negative(path):
+    _set_header(path, "skipped", [-1])
+
+
 def _fold_fact_flipped(path):
     """Names that share a folded key, marked as folding apart."""
     dataset_mod.save_index(dataset_mod.load_dataset([(1990, "Lee,F,10\nLEE,M,20")]), path)
@@ -260,12 +294,13 @@ def _fold_fact_not_a_bool(path):
 
 def _rewrite_payload(path, change, keep_sha256=True):
     """Replace the inflated sections (the name table, then the starts,
-    lengths, female and male columns) by ``change(*sections)``, each
-    recompressed, with their stored lengths; the checksum is left as it was
-    or recomputed."""
+    lengths, female and male columns, each one block in the test table) by
+    ``change(*sections)``, each recompressed, with their stored lengths; the
+    checksum is left as it was or recomputed."""
     header, payload = _index_parts(path)
     streams = [zlib.compress(section) for section in change(*inflated_streams(payload))]
-    header["stored"] = dict(zip(header["stored"], map(len, streams)))
+    header["stored"] = {key: n if key == "names" else [n]
+                        for key, n in zip(header["stored"], map(len, streams))}
     payload = b"".join(streams)
     _write_index(path, header if keep_sha256 else _signed(header, payload), payload)
 
@@ -323,6 +358,27 @@ def _stream_trailer_cut(path):
     _write_index(path, _signed(header, payload), payload)
 
 
+def _count_block_short(path):
+    """A female block that inflates to one value, where the header gives two."""
+    _rewrite_payload(path, lambda names, starts, lengths, female, male: (
+        names, starts, lengths, female[:1], male), keep_sha256=False)
+
+
+def _count_block_long(path):
+    _rewrite_payload(path, lambda names, starts, lengths, female, male: (
+        names, starts, lengths, female + b"\0", male), keep_sha256=False)
+
+
+def _count_block_undecodable(path):
+    """A signed index whose female block is not a zlib stream."""
+    header, payload = _index_parts(path)
+    stored = header["stored"]
+    at = stored["names"] + sum(stored["starts"]) + sum(stored["lengths"])
+    n = stored["female"][0]
+    payload = payload[:at] + b"\xff" * n + payload[at + n:]
+    _write_index(path, _signed(header, payload), payload)
+
+
 def _spans_outside_columns(path):
     """Sam's span starts at position 1, past 1990, the one year loaded.
 
@@ -350,8 +406,9 @@ BAD_INDEXES = [
     (_header_nested_too_deep, "header is not JSON"),
     (_version_4, "version 4 is no longer read; re-run `temponym ingest`"),
     (_version_5, "version 5 is no longer read; re-run `temponym ingest`"),
-    (_version_7, "unsupported index version 7"),
-    (_version_float, "unsupported index version 6.0"),
+    (_version_6, "version 6 is no longer read; re-run `temponym ingest`"),
+    (_version_8, "unsupported index version 8"),
+    (_version_float, "unsupported index version 7.0"),
     (_version_true, "unsupported index version True"),
     (_years_not_a_list, "header years are not a list"),
     (_years_not_increasing, "years are not increasing integers"),
@@ -368,8 +425,8 @@ BAD_INDEXES = [
     (_names_not_utf8, "name table is not UTF-8"),
     (_trailing_bytes, "7 byte(s) after the last stream"),
     (_names_stream_truncated, "the names stream is truncated"),
-    (_columns_stream_missing, "the starts stream is truncated"),
-    (_columns_stream_longer, "for the starts stream, it holds more"),
+    (_columns_stream_missing, "the starts block 0 stream is truncated"),
+    (_columns_stream_longer, "for the starts block 0 stream, it holds more"),
     (_stream_with_trailing_bytes, "7 byte(s) after the end of the names stream"),
     (_stream_trailer_cut, "the names stream is truncated"),
     (_width_0, "header widths"),
@@ -378,6 +435,13 @@ BAD_INDEXES = [
     (_length_not_a_multiple_of_width, "not a whole number of values of its width"),
     (_sections_do_not_add_up, "section lengths"),
     (_sections_claim_a_terabyte, "section lengths"),
+    (_block_lengths_of_a_wrong_count, "stored female must list the byte lengths of its 1 blocks"),
+    (_block_length_not_an_integer, "stored female must list the byte lengths of its 1 blocks"),
+    (_count_block_short, "give 2 bytes for the female block 0 stream, it holds 1"),
+    (_count_block_long, "give 2 bytes for the female block 0 stream, it holds more"),
+    (_count_block_undecodable, "corrupt female block 0 stream"),
+    (_skipped_of_two_years, "header skipped must be empty or one row count per year"),
+    (_skipped_negative, "header skipped must be empty or one row count per year"),
     (_spans_outside_columns, "spans point outside"),
     (_names_not_sorted, "not sorted and unique"),
     (_names_not_unique, "not sorted and unique"),
@@ -392,3 +456,39 @@ def bad_index(request, tmp_path):
     dataset_mod.save_index(dataset_mod.load_dataset([(1990, "Pat,F,10\nSam,M,9")]), path)
     damage(path)
     return path, message
+
+
+@pytest.fixture(scope="session")
+def blocked_table():
+    """600 names x 141 years with counts up to 2^16 - 1: its index stores each
+    count column in two planes of two blocks each, and Name0464's cells are
+    the last of the first block and the first of the second."""
+    rng = random.Random(3)
+    n, years = 600, tuple(range(1880, 2021))
+    cells = n * len(years)
+    assert 464 * len(years) < dataset_mod._CHUNK < 465 * len(years) < cells
+    return dataset_mod.Dataset(
+        years, tuple(f"Name{i:04d}" for i in range(n)), array("B", [0] * n),
+        array("B", [len(years)] * n), array("H", [rng.randrange(1, 2**16) for _ in range(cells)]),
+        array("H", [rng.randrange(0, 2**16) for _ in range(cells)]))
+
+
+@pytest.fixture
+def blocked_index(tmp_path, blocked_table):
+    path = tmp_path / "blocks.idx"
+    dataset_mod.save_index(blocked_table, path)
+    header, _ = _index_parts(path)
+    assert [len(header["stored"][key]) for key in dataset_mod._U32_SECTIONS] == [1, 1, 4, 4]
+    return path
+
+
+@pytest.fixture
+def corrupt_block_index(blocked_index):
+    """``blocked_index``, signed, with the female column's block 1 (plane 0,
+    from value 65,536 on) not a zlib stream."""
+    header, payload = _index_parts(blocked_index)
+    stored = header["stored"]
+    at = stored["names"] + sum(stored["starts"]) + sum(stored["lengths"]) + stored["female"][0]
+    payload = payload[:at] + b"\xff" * stored["female"][1] + payload[at + stored["female"][1]:]
+    _write_index(blocked_index, _signed(header, payload), payload)
+    return blocked_index

@@ -219,6 +219,33 @@ def test_bad_index_is_data_error(runner, bad_index):
     assert message in result.output
 
 
+def test_a_command_of_named_names_reads_only_their_blocks(runner, corrupt_block_index,
+                                                          blocked_table):
+    """``query``, ``compare`` and ``plot trajectories --names`` load only the
+    named names' blocks from an index, so a corrupt block they do not read
+    leaves their answer as it was; one they read, or a whole load, exits 3."""
+    index = ["--index", str(corrupt_block_index)]
+    result = runner.invoke(main, ["query", *index, "--name", "Name0000", "--year", "1900"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["female_count"] == blocked_table.lookup("Name0000", 1900)[0]
+    result = runner.invoke(main, ["compare", *index, "--names", "Name0000,name0001",
+                                  "--ssa-year", "1900"])
+    assert result.exit_code == 4  # no service predicts these names
+    female, male = blocked_table.lookup("Name0001", 1900)
+    assert result.output.splitlines()[2] == f"name0001,{female / (female + male):.4f}"
+    result = runner.invoke(main, ["plot", "trajectories", *index, "--names", "Name0000",
+                                  "--years", "1900..1910", "--format", "csv"])
+    assert result.exit_code == 0 and len(result.output.splitlines()) == 12
+    for args in (["query", "--name", "Name0599", "--year", "1900"],
+                 ["query", "--name", "name0599", "--pooled", "1900..1910"],
+                 ["compare", "--names", "Name0000,Name0599", "--ssa-year", "1900"],
+                 ["shift"], ["ambiguity", "--year", "1900"], ["audit"],
+                 ["plot", "trajectories", "--top-shifts", "1"]):
+        result = runner.invoke(main, [*args, *index])
+        assert result.exit_code == 3, args
+        assert "corrupt female block 1 stream" in result.output, args
+
+
 def test_ingest_bad_dir_is_data_error(runner, tmp_path):
     (tmp_path / "yob1925.txt").write_text("garbage\n")
     result = runner.invoke(main, [

@@ -15,8 +15,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from temponym import audit, errors
+from temponym import audit, errors, model
 from temponym import dataset as ds
+
+
+def _pooled_counts(data, name, first_year, last_year, fold_diacritics=False):
+    """``name``'s (female, male) summed over the loaded years in
+    ``first_year..last_year``, as pooled p(F) sums them."""
+    return data.sums(data.resolve(name, fold_diacritics),
+                     *data.year_span(first_year, last_year))[2:]
 
 
 def test_merges_f_and_m_rows():
@@ -32,7 +39,7 @@ def test_empty_input_gives_empty_table():
     assert sum(data.female) + sum(data.male) == 0
     for name in ("", "Ann"):  # no name to resolve to, not even the empty one
         assert data.lookup(name, 2000, fold_diacritics=True) is None
-        assert data.totals(name, 2000, 2000) == (0, 0)
+        assert _pooled_counts(data, name, 2000, 2000) == (0, 0)
 
 
 def test_invalid_sex_rejected_in_strict_mode():
@@ -256,14 +263,15 @@ def test_shared_folded_key_answers_from_the_name_with_data():
     assert data.lookup("lee", 1990) == (10, 0)
     assert data.lookup("lee", 1991) == (0, 20)
     assert data.lookup("Lee", 1991) == (0, 20)
-    assert data.totals("lee", 1990, 1991) == (10, 20)
+    assert _pooled_counts(data, "lee", 1990, 1991) == (10, 20)
 
 
 def test_totals_refuses_a_reversed_range():
     data = ds.load_dataset([(1990, "Lee,F,10"), (1991, "Lee,M,20")])
-    assert data.totals("Lee", 1991, 1991) == data.totals("Lee", 1991, 2000) == (0, 20)
+    assert _pooled_counts(data, "Lee", 1991, 1991) == (0, 20)
+    assert _pooled_counts(data, "Lee", 1991, 2000) == (0, 20)
     with pytest.raises(errors.TemponymError, match=re.escape("pooled years (1991, 1990)")):
-        data.totals("Lee", 1991, 1990)
+        _pooled_counts(data, "Lee", 1991, 1990)
 
 
 def _counts_by_lookup(data, name, years, fold):
@@ -408,7 +416,7 @@ def test_totals_name_counts_and_temporal_p_female_resolve_a_shared_key_name_once
     reads = [lambda c=chosen: audit.temporal_p_female(sparse_dataset, "lee", [(y, 1) for y in c])
              for chosen in (years[3:9], (1900, 1905, 1910))]
     for fold in (False, True):
-        reads += [lambda f=fold: sparse_dataset.totals("lee", 1900, 1960, f),
+        reads += [lambda f=fold: _pooled_counts(sparse_dataset, "lee", 1900, 1960, f),
                   lambda f=fold: sparse_dataset.name_counts("lee", years[3:9], f),
                   lambda f=fold: sparse_dataset.name_counts("lee", (1910, 1905, 1900, 1910), f)]
     for read in reads:
@@ -526,17 +534,24 @@ def test_index_round_trip_keeps_diacritic_folding(tmp_path):
 
 
 def test_index_format_errors(bad_index):
+    """A whole load, and a load of one name, which in the test table reads
+    every block, are refused with the same error."""
     path, message = bad_index
-    with pytest.raises(errors.IndexFormatError) as caught:
-        ds.load_index(path)
-    assert message in str(caught.value)
+    for names in (None, ["Pat"]):
+        with pytest.raises(errors.IndexFormatError) as caught:
+            ds.load_index(path, names)
+        assert message in str(caught.value)
 
 
 def _streams(header, body):
-    """The stored zlib stream of each section, cut from ``body`` by the header."""
+    """The stored zlib streams of each section, cut from ``body`` by the
+    header: the names stream, then the blocks of each column."""
     streams, at = {}, 0
-    for key, length in header["stored"].items():
-        streams[key], at = body[at:at + length], at + length
+    for key, stored in header["stored"].items():
+        streams[key] = []
+        for length in [stored] if key == "names" else stored:
+            streams[key].append(body[at:at + length])
+            at += length
     return streams
 
 
@@ -552,8 +567,9 @@ def _traced_peak(call):
 def _inflate_bomb(header, streams):
     """A female stream of 256 MB of zeros, where the header gives 2 bytes."""
     zeros = zlib.compressobj()
-    streams["female"] = b"".join(zeros.compress(bytes(2**20)) for _ in range(256)) + zeros.flush()
-    return "female stream, it holds more"
+    streams["female"] = [
+        b"".join(zeros.compress(bytes(2**20)) for _ in range(256)) + zeros.flush()]
+    return "female block 0 stream, it holds more"
 
 
 def _names_claim_a_terabyte(header, streams):
@@ -575,9 +591,11 @@ def test_inflating_stops_one_byte_past_the_header_length(tmp_path, damage):
     assert sum(header["sections"].values()) < 20
     streams = _streams(header, body)
     message = damage(header, streams)
-    header["stored"] = {key: len(stream) for key, stream in streams.items()}
-    header["sha256"] = ds._checksum(header, *streams.values())  # signed: reaches the inflate
-    path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), b"".join(streams.values())]))
+    header["stored"] = {key: len(blocks[0]) if key == "names" else list(map(len, blocks))
+                        for key, blocks in streams.items()}
+    payload = b"".join(block for blocks in streams.values() for block in blocks)
+    header["sha256"] = ds._checksum(header, payload)  # signed: reaches the inflate
+    path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
 
     def load():
         with pytest.raises(errors.IndexFormatError, match=re.escape(message)):
@@ -626,11 +644,12 @@ def test_index_loads_columns_at_their_stored_width(tmp_path, count, itemsize):
     assert (loaded.starts.itemsize, loaded.lengths.itemsize) == (1, 1)
     assert (loaded.female.itemsize, loaded.male.itemsize) == (itemsize, itemsize)
     assert loaded == built
-    assert loaded.totals("Ann", 1990, 1993) == (count + 1, count)
+    assert _pooled_counts(loaded, "Ann", 1990, 1993) == (count + 1, count)
     for name in ("Ann", "Bo", "ANN", "Cy"):
         for year in built.years_loaded:
             assert loaded.lookup(name, year) == built.lookup(name, year)
-        assert loaded.totals(name, 1880, 2020) == built.totals(name, 1880, 2020)
+        assert (_pooled_counts(loaded, name, 1880, 2020)
+                == _pooled_counts(built, name, 1880, 2020))
         for years in ([1990, 1991], [1991, 1993], [1990, 1991, 1992, 1993]):
             assert loaded.name_counts(name, years) == built.name_counts(name, years)
     assert loaded.year_pair_cells(1990, 1993) == built.year_pair_cells(1990, 1993)
@@ -816,7 +835,7 @@ def test_exact_names_resolve_without_fold_maps_until_a_miss(tmp_path):
     assert data.lookup("Ann", 1991) is None
     assert data.lookup("Renée", 1990, fold_diacritics=True) == (7, 0)
     assert data.name_counts("Renée", [1990, 1991]) == ([7, 0], [0, 0])
-    assert data.totals("Bo", 1990, 1991) == (0, 9)
+    assert _pooled_counts(data, "Bo", 1990, 1991) == (0, 9)
     assert data._groups is None
     assert data.lookup("Zzyzx", 1990) is None  # a miss builds the groups
     assert data._groups is not None
@@ -867,8 +886,8 @@ def _assert_pinned_answers(table, load):
             assert data.name_counts(spelling, years, fold) == (female, male), (spelling, fold)
             assert [data.lookup(spelling, year, fold) for year in years] == [
                 (f, m) if f or m else None for f, m in zip(female, male)]
-            assert data.totals(spelling, 1990, 1992, fold) == (sum(female), sum(male))
-            assert data.totals(spelling, 1991, 1991, fold) == (female[1], male[1])
+            assert _pooled_counts(data, spelling, 1990, 1992, fold) == (sum(female), sum(male))
+            assert _pooled_counts(data, spelling, 1991, 1991, fold) == (female[1], male[1])
 
 
 @pytest.mark.parametrize("table", sorted(SHARED_KEY_TABLES))
@@ -920,13 +939,14 @@ def fold_calls(monkeypatch):
     return calls
 
 
-def _exact_answers_after_a_load(data, path):
-    """Save and load ``data``, then ask the loaded table for stored names only."""
+def _exact_answers_after_a_load(data, path, names=None):
+    """Save and load ``data``, whole or only ``names``, then ask the loaded
+    table for its first stored name only."""
     ds.save_index(data, path)
-    loaded = ds.load_index(path)
+    loaded = ds.load_index(path, names)
     name = data.names[0]
     return (loaded.lookup(name, 1990), loaded.name_counts(name, [1990, 1991]),
-            loaded.totals(name, 1990, 1991))
+            _pooled_counts(loaded, name, 1990, 1991))
 
 
 def test_loading_folds_no_name(fold_calls, tmp_path):
@@ -934,8 +954,9 @@ def test_loading_folds_no_name(fold_calls, tmp_path):
     assert len(fold_calls) == 1  # built: its names are folded once
     assert data._distinct is True
     fold_calls.clear()
-    assert _exact_answers_after_a_load(data, tmp_path / "x.idx") == (
-        (10, 0), ([10, 0], [0, 0]), (10, 0))
+    for names in (None, ["Ann"], ["Renée", "Ann"]):
+        assert _exact_answers_after_a_load(data, tmp_path / "x.idx", names) == (
+            (10, 0), ([10, 0], [0, 0]), (10, 0))
     assert fold_calls == []
 
 
@@ -975,7 +996,7 @@ def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch, t
 
     def answers(data):
         return [(data.lookup(name, year, fold), data.name_counts(name, [1990, 1991], fold),
-                 data.totals(name, 1990, 1991, fold)) for name, year, fold in FOLD_QUERIES]
+                 _pooled_counts(data, name, 1990, 1991, fold)) for name, year, fold in FOLD_QUERIES]
 
     expected = answers(ds.load_dataset(sources))
     # Loaded from an index, so that the fold map waits for the first lookup.
@@ -1006,3 +1027,102 @@ def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch, t
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * racers
+
+
+def test_skipped_rows_survive_an_index_round_trip(tmp_path):
+    path = tmp_path / "skipped.idx"
+    ds.save_index(ds.load_dataset([(1990, "Pat,F,10\nbad row")], strict=False), path)
+    assert ds.load_index(path).skipped == ds.load_index(path, ["Pat"]).skipped == (1,)
+    ds.save_index(ds.load_dataset([(1990, "Pat,F,10"), (1991, "Pat,M,7\n,,")], strict=False),
+                  path)
+    assert ds.load_index(path).skipped == (0, 1)
+    # a table that skipped no row stores none, and loads with none
+    ds.save_index(ds.load_dataset([(1990, "Pat,F,10"), (1991, "Pat,M,7")]), path)
+    assert json.loads(path.read_bytes().split(b"\n")[1])["skipped"] == []
+    assert ds.load_index(path).skipped == ()
+
+
+def _answers_or_errors(data, name, fold):
+    """Every kind of answer about ``name``, each a value or the type and text
+    of the error raised."""
+    def answer(ask, *args, **options):
+        try:
+            return ask(data, name, *args, **options)
+        except errors.TemponymError as exc:
+            return type(exc), str(exc)
+
+    def temporal(data, name):
+        cohort = audit.CohortModel("triangular-window", 35, 10)
+        dist = audit.infer_birth_distribution(years[len(years) // 2] + 35, cohort, data)
+        return audit.temporal_p_female(data, name, dist)
+
+    years = data.years_loaded
+    return [
+        *(answer(model.p_female, year, fold_diacritics=fold)
+          for year in (years[0], years[len(years) // 2], years[-1], ds.MAX_YEAR)),
+        answer(model.p_female_windowed, years[len(years) // 2], 5, fold_diacritics=fold),
+        answer(model.p_female_pooled, (years[0], years[-1]), fold_diacritics=fold),
+        answer(temporal),
+        answer(audit.temporal_p_female, [(years[0], 1), (years[-1], 2)]),
+        answer(lambda data, name: data.name_counts(name, (*years, 1879), fold)),
+    ]
+
+
+def _assert_one_name_loads_answer_as_the_whole_one(path, names):
+    whole = ds.load_index(path)
+    for name in names:
+        one = ds.load_index(path, [name])
+        assert len(one.names) <= 3 and one.years_loaded == whole.years_loaded
+        for fold in (False, True):
+            assert _answers_or_errors(one, name, fold) == _answers_or_errors(whole, name, fold), (
+                name, fold)
+
+
+def test_one_name_loads_of_the_sample_answer_as_the_whole_load(tmp_path, sample_dataset):
+    path = tmp_path / "sample.idx"
+    ds.save_index(sample_dataset, path)
+    _assert_one_name_loads_answer_as_the_whole_one(
+        path, [*sample_dataset.names, "leslie", "LESLIE", "Zzyzx", "", "Les\nlie"])
+
+
+@pytest.mark.parametrize("table", sorted(SHARED_KEY_TABLES))
+def test_one_name_loads_of_a_shared_key_answer_as_the_whole_load(table, tmp_path):
+    path = tmp_path / "shared.idx"
+    ds.save_index(ds.load_dataset(SHARED_KEY_TABLES[table] + [(1993, "Ann,F,8\nRenée,M,6")]),
+                  path)
+    _assert_one_name_loads_answer_as_the_whole_one(
+        path, [*SHARED_KEY_ANSWERS[table], "Ann", "ANN", "Renee", "renée", "Zzyzx"])
+    assert ds.load_index(path, ["Lée"]).names == (("LEE", "Lee", "Lée") if table == "three"
+                                                  else ("LEE", "Lee"))
+    assert ds.load_index(path, ["Lea", "Ann", "ann"]).names == ("Ann",)
+    assert ds.load_index(path, []).names == ()
+
+
+def test_a_one_name_load_inflates_only_its_names_blocks(blocked_index, blocked_table,
+                                                        monkeypatch):
+    path, data = blocked_index, blocked_table
+    inflates = []
+    decompressobj = zlib.decompressobj
+    monkeypatch.setattr(zlib, "decompressobj", lambda: inflates.append(1) or decompressobj())
+    # the name table, starts and lengths, then two planes of the count blocks read
+    wanted = {None: 3 + 2 * 4, ("Name0000",): 3 + 2 * 2, ("Name0599",): 3 + 2 * 2,
+              ("Name0464",): 3 + 2 * 4, ("Name0000", "Name0599"): 3 + 2 * 4, ("Zzyzx",): 3}
+    for names, count in wanted.items():
+        inflates.clear()
+        loaded = ds.load_index(path, names)
+        assert len(inflates) == count, names
+        for name in names or data.names[::50]:
+            assert [loaded.lookup(name, year) for year in data.years_loaded] == [
+                data.lookup(name, year) for year in data.years_loaded]
+
+
+def test_a_corrupt_block_is_refused_when_a_load_reads_it(corrupt_block_index, blocked_table):
+    """Only a load that reads a block finds it corrupt: a load of a name whose
+    cells lie in other blocks answers."""
+    path, data = corrupt_block_index, blocked_table
+    for names in (None, ["Name0599"], ["Name0464"], ["Name0000", "Name0599"]):
+        with pytest.raises(errors.IndexFormatError, match="corrupt female block 1 stream"):
+            ds.load_index(path, names)
+    loaded = ds.load_index(path, ["Name0000"])
+    assert loaded.name_counts("Name0000", data.years_loaded) == data.name_counts(
+        "Name0000", data.years_loaded)

@@ -8,7 +8,10 @@ README behind fails there too.
 import re
 from pathlib import Path
 
-from temponym import audit, dataset, services
+import pytest
+
+from temponym import audit, dataset, errors, services
+from temponym.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,6 +20,71 @@ def test_bundled_data_is_present():
     assert sorted(dataset.bundled_sample_dir().glob("yob*.txt"))
     assert audit.load_corpus_csv()
     assert services.fixture_configs()
+
+
+def _run(*args) -> int:
+    """The exit code of one command line."""
+    with pytest.raises(SystemExit) as caught:
+        main(list(map(str, args)))
+    return caught.value.code
+
+
+def _formats(table) -> list:
+    return [getattr(table, key).format for key in ("starts", "lengths", "female", "male")]
+
+
+@pytest.fixture(scope="module")
+def sample_index(tmp_path_factory):
+    """The bundled sample, ingested."""
+    path = tmp_path_factory.mktemp("index") / "sample.idx"
+    assert _run("ingest", "--dir", dataset.bundled_sample_dir(), "--out", path) == 0
+    return path
+
+
+def test_year_files_and_their_index_give_one_table(sample_index):
+    built = dataset.load_directory(dataset.bundled_sample_dir())
+    loaded = dataset.load_index(sample_index)
+    assert _formats(built) == _formats(loaded), (_formats(built), _formats(loaded))
+    assert built == loaded
+
+
+def test_a_loaded_index_saves_to_the_same_file(sample_index, tmp_path):
+    # A loaded index keeps each column at its stored width; saved again, it
+    # must give the same file, every zlib stream included.
+    dataset.save_index(dataset.load_index(sample_index), tmp_path / "resaved.idx")
+    assert (tmp_path / "resaved.idx").read_bytes() == sample_index.read_bytes()
+
+
+def test_rows_of_three_widths_stack_into_the_table_their_index_loads(tmp_path):
+    """Years whose largest counts need one, two and three bytes give rows of
+    three widths, stacked into one table: it equals the table its index
+    loads, column formats included, and the loaded index saves again to the
+    same file."""
+    years = tmp_path / "widths"
+    years.mkdir()
+    (years / "yob1990.txt").write_bytes(b"Ann,F,200\nBo,M,9\n")
+    (years / "yob1991.txt").write_bytes(b"Ann,F,40000\nBo,M,255\n")
+    (years / "yob1992.txt").write_bytes(b"Ann,F,70000\nCy,M,60\nCy,F,5\n")
+    index = tmp_path / "widths.idx"
+    assert _run("ingest", "--dir", years, "--out", index) == 0
+    built = dataset.load_directory(years)
+    loaded = dataset.load_index(index)
+    assert _formats(built) == _formats(loaded) == ["B", "B", "I", "B"], _formats(loaded)
+    assert built == loaded
+    dataset.save_index(loaded, tmp_path / "widths-resaved.idx")
+    assert (tmp_path / "widths-resaved.idx").read_bytes() == index.read_bytes()
+
+
+def test_an_index_whose_last_year_is_moved_is_refused(sample_index, tmp_path):
+    """The checksum covers the header: an index whose last year is moved from
+    2020 to 2025 is a data error (exit 3), not 2020's counts."""
+    magic, header, payload = sample_index.read_bytes().split(b"\n", 2)
+    assert header.count(b", 2020]") == 1
+    moved = tmp_path / "moved.idx"
+    moved.write_bytes(b"\n".join([magic, header.replace(b", 2020]", b", 2025]"), payload]))
+    with pytest.raises(errors.IndexFormatError, match="checksum mismatch"):
+        dataset.load_index(moved)
+    assert _run("query", "--index", moved, "--name", "Leslie", "--year", "1925") == 3
 
 
 def test_temporal_p_female_gives_one_answer_for_three_input_forms():

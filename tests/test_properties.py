@@ -29,6 +29,13 @@ counts = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(
 )
 
 
+def _pooled_counts(data, name, first_year, last_year, fold_diacritics=False):
+    """``name``'s (female, male) summed over the loaded years in
+    ``first_year..last_year``, as pooled p(F) sums them."""
+    return data.sums(data.resolve(name, fold_diacritics),
+                     *data.year_span(first_year, last_year))[2:]
+
+
 def build_prob(female, male):
     data = ds.load_dataset([(1950, f"Pat,F,{female}\nPat,M,{male}\n")], strict=False)
     return model.p_female(data, "Pat", 1950)
@@ -237,7 +244,7 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
                 assert (data.lookup(name, year) or (0, 0)) == expected
             in_range = [rows.get(name, (0, 0)) for year, rows in per_year.items()
                         if lo <= year <= lo + width]
-            assert data.totals(name, lo, lo + width) == (
+            assert _pooled_counts(data, name, lo, lo + width) == (
                 sum(f for f, _ in in_range), sum(m for _, m in in_range))
             window = [year for year in data.years_loaded if lo <= year <= lo + width]
             for years in (list(per_year), window, list(range(lo, lo + width + 1))):
@@ -755,7 +762,8 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
 # the columns as two streams; inflated and joined, they are the same payload.
 # Format 6 deflates each section as a stream of its own, and its checksum
 # covers the stored streams; the sections, inflated and joined, are still
-# the same payload.
+# the same payload. Format 7 deflates each column's byte planes in blocks;
+# inflated and joined in file order, they are still the same payload.
 SAMPLE_PAYLOAD_SHA256 = "b344f7805039d683d78b4c59ce06a0be355620b63073ede49f3c5b6a63e4dff1"
 SAMPLE_V2_PAYLOAD_SHA256 = "7a0eaa025eeda934f513797abf5701b62cc1d6ec52a87a93e19deed826d63741"
 
@@ -773,11 +781,15 @@ def _v2_payload(data):
 
 
 def _stored_streams(raw):
-    """(header, stored stream by section) of an index file's bytes."""
+    """(header, stored streams by section) of an index file's bytes: the names
+    stream, then the blocks of each column."""
     header_line, payload = raw[len(ds.INDEX_MAGIC):].split(b"\n", 1)
     header, streams, at = json.loads(header_line), {}, 0
-    for key, length in header["stored"].items():
-        streams[key], at = payload[at:at + length], at + length
+    for key, stored in header["stored"].items():
+        streams[key] = []
+        for length in [stored] if key == "names" else stored:
+            streams[key].append(payload[at:at + length])
+            at += length
     return header, streams
 
 
@@ -785,7 +797,7 @@ def test_sample_index_payload_is_pinned(tmp_path, sample_dataset):
     path = tmp_path / "sample.idx"
     ds.save_index(sample_dataset, path)
     header, streams = _stored_streams(path.read_bytes())
-    payload = b"".join(map(zlib.decompress, streams.values()))
+    payload = b"".join(zlib.decompress(block) for blocks in streams.values() for block in blocks)
     assert hashlib.sha256(payload).hexdigest() == SAMPLE_PAYLOAD_SHA256
     assert header["widths"] == {"starts": 1, "lengths": 1, "female": 3, "male": 2}
     loaded = ds.load_index(path)
@@ -833,6 +845,8 @@ def _resigned_header(draw, header):
         header.pop(key, None)
     elif how == "near" and isinstance(value, dict):
         inner = draw(st.sampled_from(list(value)))
+        if isinstance(value[inner], list):  # a column's block lengths
+            value, inner = value[inner], draw(st.integers(0, len(value[inner]) - 1))
         value[inner] = draw(st.integers(-1, 2 * value[inner] + 2))
     elif how == "near" and isinstance(value, list) and value:
         value[draw(st.integers(0, len(value) - 1))] = draw(st.integers(1870, 2110))
@@ -845,7 +859,7 @@ def _answers(table):
     """Ask ``table`` each kind of question, for a few of its names."""
     years = table.years_loaded
     for name in {*table.names[:2], *table.names[-2:], "Leslie", "leslie"}:
-        table.totals(name, ds.MIN_YEAR, ds.MAX_YEAR)
+        _pooled_counts(table, name, ds.MIN_YEAR, ds.MAX_YEAR)
         table.name_counts(name, [*years[:3], *years[-3:]])
         table.name_counts(name, years, fold_diacritics=True)
         for year in {*years[:1], *years[-1:]}:
@@ -864,7 +878,7 @@ def test_a_damaged_index_is_refused_or_loads_a_table_that_answers(
     one stream, stored or inflated, is refused or loads a table that
     answers every kind of question. Nothing else is raised."""
     header, streams, raw = sample_index
-    streams = dict(streams)
+    streams = {key: list(blocks) for key, blocks in streams.items()}
     if where == "file":
         raw = _edited(data.draw, raw)
     else:
@@ -873,25 +887,33 @@ def test_a_damaged_index_is_refused_or_loads_a_table_that_answers(
         else:
             header = json.loads(json.dumps(header))
             key = data.draw(st.sampled_from(ds._SECTIONS))
+            j = data.draw(st.integers(0, len(streams[key]) - 1))
             if data.draw(st.booleans()):  # the stored bytes themselves
-                streams[key] = _edited(data.draw, streams[key])
+                streams[key][j] = _edited(data.draw, streams[key][j])
             else:
-                section = _edited(data.draw, zlib.decompress(streams[key]))
-                streams[key] = zlib.compress(section)
+                section = _edited(data.draw, zlib.decompress(streams[key][j]))
+                streams[key][j] = zlib.compress(section)
                 if data.draw(st.booleans()):
                     header["sections"][key] = len(section)
-            header["stored"][key] = len(streams[key])
-        header["sha256"] = ds._checksum(header, *streams.values())
-        raw = ds.INDEX_MAGIC + json.dumps(header).encode() + b"\n" + b"".join(streams.values())
+            if key == "names":
+                header["stored"][key] = len(streams[key][0])
+            else:
+                header["stored"][key][j] = len(streams[key][j])
+        payload = b"".join(block for blocks in streams.values() for block in blocks)
+        header["sha256"] = ds._checksum(header, payload)
+        raw = ds.INDEX_MAGIC + json.dumps(header).encode() + b"\n" + payload
     path = tmp_path_factory.getbasetemp() / "fuzzed.idx"
     path.write_bytes(raw)
-    try:
-        table = ds.load_index(path)
-    except errors.IndexFormatError:
-        return
-    if where == "file":
-        assert table == sample_dataset
-    _answers(table)
+    # a whole load, and loads of one name, which inflate only the blocks
+    # that hold its cells: each is refused or answers
+    for names in (None, ["Leslie"], ["leslie"], [sample_dataset.names[-1]]):
+        try:
+            table = ds.load_index(path, names)
+        except errors.IndexFormatError:
+            continue
+        if where == "file" and names is None:
+            assert table == sample_dataset
+        _answers(table)
 
 
 # Spellings that share a casefold key (Lee/LEE, Straße/STRASSE), a
@@ -938,7 +960,7 @@ def test_folded_lookups_follow_the_eager_rule(stored, data):
                 assert (dataset.lookup(name, year, fold_diacritics=fold) or (0, 0)) == cell
             assert dataset.name_counts(name, FOLD_YEARS, fold_diacritics=fold) == (
                 [f for f, _ in expected], [m for _, m in expected])
-            assert dataset.totals(name, 1990, 1993, fold_diacritics=fold) == (
+            assert _pooled_counts(dataset, name, 1990, 1993, fold_diacritics=fold) == (
                 sum(f for f, _ in expected), sum(m for _, m in expected))
 
 
