@@ -699,18 +699,23 @@ def bundled_sample_dir() -> Path:
 # own, plane by plane and piece by piece, and ``stored`` gives the list of
 # their lengths. Blocks are deflated as runs only (``zlib.Z_RLE``): count
 # bytes hardly ever repeat at a distance, so searching for matches costs
-# time and saves almost nothing. The checksum (``_checksum``) covers the
-# header, its own field null, and every stored stream in order; each stream
-# checks its own inflated bytes with its Adler-32 trailer. Nothing may
-# follow the last stream. Loading cuts each stream from the file by its
-# stored length and checks the checksum before it inflates anything. It then
-# inflates the name table, ``starts`` and ``lengths``, and, of the count
-# columns, every block or only the blocks that hold the cells of the names
-# asked for, writing each block's plane into a column of the narrowest native
-# unsigned type that holds its width, which the Dataset reads in place: no
-# row parsing. Saving reads a column by its own item size, so a loaded
-# Dataset saves to the same bytes. The Dataset derives its offsets from
-# ``lengths``; stored, they would need three planes and grow the file.
+# time and saves almost nothing. At ``memLevel`` 9 a block holds half as
+# many Huffman code tables as at the default 8. A block that runs do not
+# make smaller than its plane, such as one of random low bytes, is stored
+# (level 0), so it inflates as a copy (``_block``). The checksum
+# (``_checksum``) covers the header, its own field null, and every stored
+# stream in order; each stream checks its own inflated bytes with its
+# Adler-32 trailer. Nothing may follow the last stream. Loading cuts each
+# stream from the file by its stored length and checks the checksum before
+# it inflates anything. It then inflates the name table, ``starts`` and
+# ``lengths``, and, of the count columns, every block or only the blocks
+# that hold the cells of the names asked for, writing each block's plane
+# into a column of the narrowest native unsigned type that holds its width,
+# which the Dataset reads in place: no row parsing. A column grows only as
+# its first plane's blocks inflate, so no buffer is sized from the header.
+# Saving reads a column by its own item size, so a loaded Dataset saves to
+# the same bytes. The Dataset derives its offsets from ``lengths``; stored,
+# they would need three planes and grow the file.
 
 _SECTIONS = ("names", "starts", "lengths", "female", "male")
 _U32_SECTIONS = _SECTIONS[1:]
@@ -789,9 +794,14 @@ def _checksum(header: dict, *streams) -> str:
     return digest.hexdigest()
 
 
-def _deflated(data: bytes, **options) -> bytes:
-    deflate = zlib.compressobj(6, **options)
+def _deflated(data: bytes, level: int = 6, **options) -> bytes:
+    deflate = zlib.compressobj(level, **options)
     return deflate.compress(data) + deflate.flush()
+
+
+def _block(plane: bytes) -> bytes:
+    """A column block: its plane deflated as runs, or stored, if that is smaller."""
+    return min(_deflated(plane, memLevel=9, strategy=zlib.Z_RLE), _deflated(plane, 0), key=len)
 
 
 def save_index(dataset: Dataset, path: Path | str) -> None:
@@ -807,7 +817,7 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
     for key in _U32_SECTIONS:
         column = getattr(dataset, key)
         size, width = column.itemsize, _width(column)
-        blocks = [_deflated(piece[offset::size], strategy=zlib.Z_RLE)
+        blocks = [_block(piece[offset::size])
                   for offset in _plane_offsets(size)[:width] for piece in _pieces(column)]
         streams += blocks
         sizes[key], stored[key], widths[key] = width * len(column), list(map(len, blocks)), width
@@ -924,14 +934,16 @@ def _column(path, key: str, blocks: Sequence, width: int, values: int,
 
     ``blocks`` are the column's stored streams (see the layout above). Only
     those that hold a value asked for are inflated, each once, and each
-    block's plane is written into the column as it is inflated.
+    block's plane is written into the column as it is inflated. The column
+    grows only by the values its first plane's blocks have inflated, so no
+    buffer is sized from the header.
     """
     if spans is None:
         spans = ((0, values),)
     typecode = _TYPECODES[width]
     size = array(typecode).itemsize
     per_plane = _blocks(values, 1)
-    raw = bytearray(size * sum(hi - lo for lo, hi in spans))
+    raw = bytearray()
     for plane, offset in zip(range(width), _plane_offsets(size)):
         at, held = offset, -1
         for lo, hi in spans:
@@ -942,6 +954,8 @@ def _column(path, key: str, blocks: Sequence, width: int, values: int,
                     data = memoryview(_inflate(path, blocks[j], min(_CHUNK, values - base),
                                                f"{key} block {j}"))
                 cut = min(hi, base + _CHUNK)
+                if not plane:
+                    raw += bytes((cut - lo) * size)
                 raw[at:at + (cut - lo) * size:size] = data[lo - base:cut - base]
                 at, lo = at + (cut - lo) * size, cut
     return memoryview(raw).cast(typecode)
@@ -973,6 +987,8 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Datas
     names as the whole one does. The checksum and the name table, ``starts``
     and ``lengths`` are checked in full either way.
     """
+    if isinstance(names, str):  # else each of its letters would be a name asked for
+        raise TypeError("load_index takes an iterable of names, not one str")
     try:
         fh = open(path, "rb", buffering=0)
     except OSError as exc:

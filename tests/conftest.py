@@ -369,12 +369,14 @@ def _count_block_long(path):
         names, starts, lengths, female + b"\0", male), keep_sha256=False)
 
 
-def _count_block_undecodable(path):
-    """A signed index whose female block is not a zlib stream."""
+def _count_block_undecodable(path, block=0):
+    """The index signed again with female block ``block`` overwritten by
+    bytes that are not a zlib stream."""
     header, payload = _index_parts(path)
     stored = header["stored"]
     at = stored["names"] + sum(stored["starts"]) + sum(stored["lengths"])
-    n = stored["female"][0]
+    at += sum(stored["female"][:block])
+    n = stored["female"][block]
     payload = payload[:at] + b"\xff" * n + payload[at + n:]
     _write_index(path, _signed(header, payload), payload)
 
@@ -486,9 +488,5 @@ def blocked_index(tmp_path, blocked_table):
 def corrupt_block_index(blocked_index):
     """``blocked_index``, signed, with the female column's block 1 (plane 0,
     from value 65,536 on) not a zlib stream."""
-    header, payload = _index_parts(blocked_index)
-    stored = header["stored"]
-    at = stored["names"] + sum(stored["starts"]) + sum(stored["lengths"]) + stored["female"][0]
-    payload = payload[:at] + b"\xff" * stored["female"][1] + payload[at + stored["female"][1]:]
-    _write_index(blocked_index, _signed(header, payload), payload)
+    _count_block_undecodable(blocked_index, 1)
     return blocked_index

@@ -577,8 +577,16 @@ def _names_claim_a_terabyte(header, streams):
     return "section lengths give 1099511627776 bytes for the names stream, it holds 7"
 
 
-@pytest.mark.parametrize("damage", [_inflate_bomb, _names_claim_a_terabyte],
-                         ids=["256-MB-of-zeros", "a-terabyte-claimed"])
+def _female_claims_64_mb(header, streams):
+    """2^26 female values, in as many blocks, all but the first empty."""
+    header["sections"]["female"] = 2**26
+    streams["female"] += [b""] * (2**26 // ds._CHUNK - 1)
+    return "section lengths give 65536 bytes for the female block 0 stream, it holds 2"
+
+
+@pytest.mark.parametrize("damage",
+                         [_inflate_bomb, _names_claim_a_terabyte, _female_claims_64_mb],
+                         ids=["256-MB-of-zeros", "a-terabyte-claimed", "a-64-MB-column-claimed"])
 def test_inflating_stops_one_byte_past_the_header_length(tmp_path, damage):
     """A stream is inflated at most one byte past the length the header gives
     its section, and no buffer is sized from that length: a re-signed index
@@ -1096,6 +1104,19 @@ def test_one_name_loads_of_a_shared_key_answer_as_the_whole_load(table, tmp_path
                                                   else ("LEE", "Lee"))
     assert ds.load_index(path, ["Lea", "Ann", "ann"]).names == ("Ann",)
     assert ds.load_index(path, []).names == ()
+    with pytest.raises(TypeError, match="not one str"):
+        ds.load_index(path, "Lee")  # not the names "L", "e" and "e"
+
+
+def test_a_block_that_runs_do_not_shrink_is_stored():
+    """Random bytes are stored, so they inflate as a copy; runs are deflated."""
+    noise = random.Random(7).randbytes(ds._CHUNK)
+    assert ds._block(noise) == ds._deflated(noise, 0)
+    assert len(ds._block(noise)) < len(ds._deflated(noise, memLevel=9, strategy=zlib.Z_RLE))
+    runs = bytes(ds._CHUNK // 2) + noise[:ds._CHUNK // 2]
+    assert len(ds._block(runs)) < len(ds._deflated(runs, 0))
+    for plane in (noise, runs):
+        assert zlib.decompress(ds._block(plane)) == plane
 
 
 def test_a_one_name_load_inflates_only_its_names_blocks(blocked_index, blocked_table,
