@@ -705,14 +705,18 @@ def bundled_sample_dir() -> Path:
 # (level 0), so it inflates as a copy (``_block``). The checksum
 # (``_checksum``) covers the header, its own field null, and every stored
 # stream in order; each stream checks its own inflated bytes with its
-# Adler-32 trailer. Nothing may follow the last stream. Loading cuts each
-# stream from the file by its stored length and checks the checksum before
-# it inflates anything. It then inflates the name table, ``starts`` and
+# Adler-32 trailer. Nothing may follow the last stream. Loading checks the
+# stored lengths against the file's size, then reads the file once, front
+# to back, one stream at a time (``_Streams``), hashing each as it is read
+# and using it at once: it inflates the name table, ``starts`` and
 # ``lengths``, and, of the count columns, every block or only the blocks
-# that hold the cells of the names asked for, writing each block's plane
-# into a column of the narrowest native unsigned type that holds its width,
-# which the Dataset reads in place: no row parsing. A column grows only as
-# its first plane's blocks inflate, so no buffer is sized from the header.
+# that hold the cells of the names asked for (the others are hashed and
+# dropped), writing each block's plane into a column of the narrowest
+# native unsigned type that holds its width, which the Dataset reads in
+# place: no row parsing. The checksum is matched before any table is
+# given, and a mismatch is reported ahead of any error a stream gave. A
+# column grows only as its first plane's blocks inflate, so no buffer is
+# sized from the header.
 # Saving reads a column by its own item size, so a loaded Dataset saves to
 # the same bytes. The Dataset derives its offsets from ``lengths``; stored,
 # they would need three planes and grow the file.
@@ -785,10 +789,15 @@ def _narrowest(values: array) -> array:
     return out
 
 
+def _digest(header: dict):
+    """The SHA-256 of an index's checksum, fed the header as JSON, its
+    ``sha256`` field null; each stored stream is fed to it in turn."""
+    return hashlib.sha256(json.dumps({**header, "sha256": None}).encode())
+
+
 def _checksum(header: dict, *streams) -> str:
-    """SHA-256 of the header as JSON, its ``sha256`` field null, then of each
-    stored stream in turn."""
-    digest = hashlib.sha256(json.dumps({**header, "sha256": None}).encode())
+    """The checksum of ``header`` and the stored ``streams`` (``_digest``)."""
+    digest = _digest(header)
     for stream in streams:
         digest.update(stream)
     return digest.hexdigest()
@@ -925,14 +934,69 @@ def _inflate(path, stream: bytes, size: int, what: str) -> bytes:
     return data
 
 
-def _column(path, key: str, blocks: Sequence, width: int, values: int,
+class _Streams:
+    """The stored streams of an open index, past its header, read in file
+    order, one at a time, each hashed as it is read.
+
+    Their stored lengths are checked against the file's size before any is
+    read, so no read asks for more bytes than the file holds; a pipe is read
+    whole first, to learn its size. Called with a stream's name (``names``
+    or ``<column> block <j>``), it reads on to that stream and gives its
+    bytes; the streams before it are hashed and dropped.
+    """
+
+    def __init__(self, path, fh, header: dict):
+        if not fh.seekable():  # a pipe, whose size is known only once it is read
+            fh = io.BytesIO(fh.read())
+        stored = header["stored"]
+        self.streams = [("names", stored["names"])] + [
+            (f"{key} block {j}", n) for key in _U32_SECTIONS for j, n in enumerate(stored[key])]
+        self.index = {what: i for i, (what, _) in enumerate(self.streams)}
+        self.path, self.fh, self.at, self.short = path, fh, 0, None
+        self.digest = _digest(header)
+        at = fh.tell()
+        end, size = 0, fh.seek(0, io.SEEK_END) - at
+        fh.seek(at)
+        for what, n in self.streams:
+            end += n
+            if end > size:
+                raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
+        if end != size:
+            raise errors.IndexFormatError(f"{path}: {size - end} byte(s) after the last stream")
+
+    def __call__(self, what: str) -> bytes:
+        while self.at <= self.index[what]:
+            data = self._next()
+        return data
+
+    def _next(self) -> bytes:
+        what, n = self.streams[self.at]
+        self.at += 1
+        data = self.fh.read(n)
+        if len(data) < n:  # the file was cut after its size was read
+            self.short = errors.IndexFormatError(f"{self.path}: the {what} stream is truncated")
+            raise self.short
+        self.digest.update(data)
+        return data
+
+    def checksum(self) -> str:
+        """The checksum of the header and every stream, read on to the last;
+        a stream that read short is refused first."""
+        if self.short:
+            raise self.short
+        while self.at < len(self.streams):
+            self._next()
+        return self.digest.hexdigest()
+
+
+def _column(path, key: str, read: _Streams, width: int, values: int,
             spans: Optional[Sequence[tuple[int, int]]] = None) -> memoryview:
     """The ``values`` values of column ``key``, or only those of the value
     ranges ``spans`` (ascending, each a first and past-the-last index), one
     range after another, in the narrowest native unsigned type that holds
     ``width`` bytes.
 
-    ``blocks`` are the column's stored streams (see the layout above). Only
+    ``read`` gives the column's stored blocks (see the layout above). Only
     those that hold a value asked for are inflated, each once, and each
     block's plane is written into the column as it is inflated. The column
     grows only by the values its first plane's blocks have inflated, so no
@@ -950,9 +1014,8 @@ def _column(path, key: str, blocks: Sequence, width: int, values: int,
             while lo < hi:
                 if lo // _CHUNK != held:
                     held = lo // _CHUNK
-                    j, base = plane * per_plane + held, held * _CHUNK
-                    data = memoryview(_inflate(path, blocks[j], min(_CHUNK, values - base),
-                                               f"{key} block {j}"))
+                    base, what = held * _CHUNK, f"{key} block {plane * per_plane + held}"
+                    data = memoryview(_inflate(path, read(what), min(_CHUNK, values - base), what))
                 cut = min(hi, base + _CHUNK)
                 if not plane:
                     raw += bytes((cut - lo) * size)
@@ -977,44 +1040,12 @@ def _selected(table: tuple, wanted: Sequence[str], distinct: bool) -> tuple[list
     return ids, len({keys[i] for i in ids}) == len(ids)
 
 
-def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Dataset:
-    """The Dataset an index file holds; a file that breaks its layout or a
-    table rule is an ``IndexFormatError``.
-
-    Given ``names``, only the stored names that fold to the key of one of
-    them are loaded, over every year, and only the count blocks that hold
-    their cells are inflated: the table answers every question about those
-    names as the whole one does. The checksum and the name table, ``starts``
-    and ``lengths`` are checked in full either way.
-    """
-    if isinstance(names, str):  # else each of its letters would be a name asked for
-        raise TypeError("load_index takes an iterable of names, not one str")
-    try:
-        fh = open(path, "rb", buffering=0)
-    except OSError as exc:
-        raise errors.TemponymError(f"{path}: cannot be read ({exc.strerror or exc})") from None
-    with fh:  # unbuffered: the rest of the file is read into one buffer, with no copy
-        if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
-            raise errors.IndexFormatError(f"{path}: not a temponym index")
-        rest = fh.read()
-    at = rest.find(b"\n") + 1 or len(rest) + 1
-    header = _read_header(path, rest[:at])
-    view, streams, payload = memoryview(rest), {}, at
-    for key, stored in header["stored"].items():
-        streams[key] = []
-        for j, length in enumerate(stored if key in _U32_SECTIONS else [stored]):
-            streams[key].append(view[at:at + length])
-            at += length
-            if len(streams[key][-1]) < length:
-                what = f"{key} block {j}" if key in _U32_SECTIONS else key
-                raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
-    if at != len(rest):
-        raise errors.IndexFormatError(f"{path}: {len(rest) - at} byte(s) after the last stream")
-    if _checksum(header, view[payload:]) != header["sha256"]:
-        raise errors.IndexFormatError(f"{path}: checksum mismatch")
+def _table(path, header: dict, read: _Streams, names: Optional[Iterable[str]]) -> Dataset:
+    """The table of an index, or of the stored names that fold to the key of
+    one of ``names``, built from its streams as ``read`` gives them."""
     sizes, widths = header["sections"], header["widths"]
     values = {key: sizes[key] // widths[key] for key in _U32_SECTIONS}
-    table = _inflate(path, streams["names"][0], sizes["names"], "names")
+    table = _inflate(path, read("names"), sizes["names"], "names")
     try:
         text = str(table, "utf-8")
     except UnicodeDecodeError as exc:
@@ -1022,28 +1053,56 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Datas
     del table
     table = tuple(text.split("\n")) if text else ()
     del text
-    starts, lengths = (_column(path, key, streams[key], widths[key], values[key])
+    starts, lengths = (_column(path, key, read, widths[key], values[key])
                        for key in ("starts", "lengths"))
     distinct, spans = header["distinct_keys"], None
+    if names is not None:
+        cells = values["female"] if values["female"] == values["male"] else -1
+        offsets = _checked_offsets(table, starts, lengths, len(header["years"]), cells)
+        ids, distinct = _selected(table, list(names), distinct)
+        spans = [(offsets[i], offsets[i + 1]) for i in ids]
+        table = tuple(table[i] for i in ids)
+        starts, lengths = (array(column.format, [column[i] for i in ids])
+                           for column in (starts, lengths))
+    female, male = (_column(path, key, read, widths[key], values[key], spans)
+                    for key in ("female", "male"))
+    return Dataset._loaded(distinct, header["years"], table, starts, lengths, female, male,
+                           header["skipped"])
+
+
+def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Dataset:
+    """The Dataset an index file holds; a file that breaks its layout or a
+    table rule is an ``IndexFormatError``.
+
+    The file is read once, front to back, one stored stream at a time, and
+    each stream is hashed and used as it is read. Given ``names``, only the
+    stored names that fold to the key of one of them are loaded, over every
+    year, and only the count blocks that hold their cells are inflated: the
+    table answers every question about those names as the whole one does.
+    The name table, ``starts`` and ``lengths`` are checked in full, and every
+    stream is hashed, either way. A file whose checksum does not match is
+    refused as such, whatever else is wrong with its streams; no table is
+    given before the checksum is matched.
+    """
+    if isinstance(names, str):  # else each of its letters would be a name asked for
+        raise TypeError("load_index takes an iterable of names, not one str")
     try:
-        if names is not None:
-            cells = values["female"] if values["female"] == values["male"] else -1
-            offsets = _checked_offsets(table, starts, lengths, len(header["years"]), cells)
-            ids, distinct = _selected(table, list(names), distinct)
-            spans = [(offsets[i], offsets[i + 1]) for i in ids]
-            table = tuple(table[i] for i in ids)
-            starts, lengths = (array(column.format, [column[i] for i in ids])
-                               for column in (starts, lengths))
-        female, male = (_column(path, key, streams[key], widths[key], values[key], spans)
-                        for key in ("female", "male"))
-        # The file's bytes are freed only now. glibc raises its mmap threshold
-        # to the size of a mapped block when it is freed; freed before the
-        # columns are made, the file would put them on the heap, where they
-        # stay resident once freed: +3 MB on a `shift` of the dense index.
-        del view, streams, rest
-        return Dataset._loaded(distinct, header["years"], table, starts, lengths, female, male,
-                               header["skipped"])
-    except errors.IndexFormatError:
-        raise
-    except errors.TemponymError as exc:
-        raise errors.IndexFormatError(f"{path}: {exc}") from None
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise errors.TemponymError(f"{path}: cannot be read ({exc.strerror or exc})") from None
+    with fh:
+        if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
+            raise errors.IndexFormatError(f"{path}: not a temponym index")
+        header = _read_header(path, fh.readline())
+        read = _Streams(path, fh, header)
+        try:
+            table, failure = _table(path, header, read, names), None
+        except errors.TemponymError as exc:  # reported only once the checksum matches
+            table, failure = None, exc
+        if read.checksum() != header["sha256"]:
+            raise errors.IndexFormatError(f"{path}: checksum mismatch")
+    if isinstance(failure, errors.IndexFormatError):
+        raise failure
+    if failure is not None:
+        raise errors.IndexFormatError(f"{path}: {failure}") from None
+    return table

@@ -9,7 +9,7 @@ weight is the mean of the two years' supports.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import errors
 from .dataset import Dataset
@@ -48,26 +48,25 @@ def gender_shift(dataset: Dataset, name: str, y1: int, y2: int) -> ShiftEntry:
     prob1 = p_female(dataset, name, y1)
     prob2 = p_female(dataset, name, y2)
     cells = (name, prob1.female_count, prob1.male_count, prob2.female_count, prob2.male_count)
-    return ShiftEntry._make(_rows([cells], y1, y2, 0)[0])
+    return ShiftEntry._make(next(_rows([cells], y1, y2, 0)))
 
 
-def _rows(cells: Iterable[tuple], y1: int, y2: int, min_support: int) -> list[tuple]:
+def _rows(cells: Iterable[tuple], y1: int, y2: int, min_support: int) -> Iterator[tuple]:
     """The ``ShiftEntry`` fields, in field order, of each name with enough support.
 
     ``cells`` holds ``(name, f1, m1, f2, m2)``: a name's female and male
     counts in ``y1`` and ``y2``. A name with fewer than ``min_support``
-    births in either year is left out. The rows stay plain tuples, built in
-    this one loop, because a year pair walks every name of the dataset.
+    births in either year is left out. The rows are plain tuples, made one
+    at a time in this one loop, because a year pair walks every name of the
+    dataset.
     """
-    rows = []
     for name, f1, m1, f2, m2 in cells:
         s1, s2 = f1 + m1, f2 + m2
         if s1 >= min_support and s2 >= min_support:
             p1, p2 = f1 / s1, f2 / s2  # the ratio model.p_female computes
             delta = (p2 - p1) * 100
             weight = (s1 + s2) / 2
-            rows.append((name, y1, y2, p1, p2, delta, s1, s2, weight, delta * weight))
-    return rows
+            yield name, y1, y2, p1, p2, delta, s1, s2, weight, delta * weight
 
 
 def rank_shifts(
@@ -83,7 +82,7 @@ def rank_shifts(
     Sorted descending by |shift| (or |weighted shift|); ties broken by
     larger combined support, then by name.
     """
-    return _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted)[0]
+    return _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted, 0)[0]
 
 
 def ranked_and_qualifying(
@@ -96,21 +95,32 @@ def ranked_and_qualifying(
     min_abs_delta: float = DEFAULT_MIN_ABS_DELTA,
 ) -> tuple[list[ShiftEntry], int]:
     """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair."""
-    entries, rows = _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted)
-    return entries, sum(abs(row[5]) >= min_abs_delta for row in rows)
+    return _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted, min_abs_delta)
 
 
-def _ranked(dataset, y1, y2, min_support, top_k, weighted) -> tuple[list[ShiftEntry], list]:
-    """The ``rank_shifts`` entries, and the ``_rows`` of every supported name.
+def _ranked(dataset, y1, y2, min_support, top_k, weighted, min_abs_delta) -> tuple[list, int]:
+    """The ``rank_shifts`` entries, and how many supported names shift by at
+    least ``min_abs_delta``, from one pass over the year pair's rows.
 
-    Only the listed entries are built: the sort key ends in the name, which
-    no two rows share, so ``nsmallest`` gives what a sort cut at ``top_k`` would.
+    Only the top ``top_k`` rows are kept, and only the listed entries are
+    built: the sort key ends in the name, which no two rows share, so
+    ``nsmallest`` gives what a sort cut at ``top_k`` would.
     """
-    rows = _rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support)
+    qualifying = 0
+
+    def counted(rows):
+        nonlocal qualifying
+        for row in rows:
+            qualifying += abs(row[5]) >= min_abs_delta
+            yield row
+
+    rows = counted(_rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support))
     field = 9 if weighted else 5  # weighted_shift or delta_scaled
     top = heapq.nsmallest(max(top_k, 0), rows,
                           key=lambda r: (-abs(r[field]), -(r[6] + r[7]), r[0]))
-    return [ShiftEntry._make(row) for row in top], rows
+    for _ in rows:  # nsmallest of no rows reads none, but every row is counted
+        pass
+    return [ShiftEntry._make(row) for row in top], qualifying
 
 
 def shift_statistics(

@@ -310,9 +310,9 @@ def _payload_byte_changed(path):
         *sections[:-1], sections[-1][:-1] + bytes([sections[-1][-1] ^ 1])))
 
 
-def _names_not_utf8(path):
+def _names_not_utf8(path, keep_sha256=False):
     _rewrite_payload(path, lambda names, *columns: (b"\xff" + names[1:], *columns),
-                     keep_sha256=False)
+                     keep_sha256)
 
 
 def _trailing_bytes(path):
@@ -358,10 +358,10 @@ def _stream_trailer_cut(path):
     _write_index(path, _signed(header, payload), payload)
 
 
-def _count_block_short(path):
+def _count_block_short(path, keep_sha256=False):
     """A female block that inflates to one value, where the header gives two."""
     _rewrite_payload(path, lambda names, starts, lengths, female, male: (
-        names, starts, lengths, female[:1], male), keep_sha256=False)
+        names, starts, lengths, female[:1], male), keep_sha256)
 
 
 def _count_block_long(path):
@@ -369,24 +369,42 @@ def _count_block_long(path):
         names, starts, lengths, female + b"\0", male), keep_sha256=False)
 
 
-def _count_block_undecodable(path, block=0):
-    """The index signed again with female block ``block`` overwritten by
-    bytes that are not a zlib stream."""
+def _count_block_undecodable(path, block=0, keep_sha256=False):
+    """The index, signed again unless ``keep_sha256``, with female block
+    ``block`` overwritten by bytes that are not a zlib stream."""
     header, payload = _index_parts(path)
     stored = header["stored"]
     at = stored["names"] + sum(stored["starts"]) + sum(stored["lengths"])
     at += sum(stored["female"][:block])
     n = stored["female"][block]
     payload = payload[:at] + b"\xff" * n + payload[at + n:]
-    _write_index(path, _signed(header, payload), payload)
+    _write_index(path, header if keep_sha256 else _signed(header, payload), payload)
 
 
-def _spans_outside_columns(path):
+def _spans_outside_columns(path, keep_sha256=False):
     """Sam's span starts at position 1, past 1990, the one year loaded.
 
     Each column holds one byte per name (width 1)."""
     _rewrite_payload(path, lambda names, starts, *columns: (names, b"\0\1", *columns),
-                     keep_sha256=False)
+                     keep_sha256)
+
+
+# Damaged streams whose file is not signed again: the checksum decides, ahead
+# of the error each stream would give if it were.
+def _count_block_undecodable_unsigned(path):
+    _count_block_undecodable(path, keep_sha256=True)
+
+
+def _names_not_utf8_unsigned(path):
+    _names_not_utf8(path, keep_sha256=True)
+
+
+def _spans_outside_columns_unsigned(path):
+    _spans_outside_columns(path, keep_sha256=True)
+
+
+def _count_block_short_unsigned(path):
+    _count_block_short(path, keep_sha256=True)
 
 
 def _names_not_sorted(path):
@@ -447,6 +465,10 @@ BAD_INDEXES = [
     (_spans_outside_columns, "spans point outside"),
     (_names_not_sorted, "not sorted and unique"),
     (_names_not_unique, "not sorted and unique"),
+    (_count_block_undecodable_unsigned, "checksum mismatch"),
+    (_names_not_utf8_unsigned, "checksum mismatch"),
+    (_spans_outside_columns_unsigned, "checksum mismatch"),
+    (_count_block_short_unsigned, "checksum mismatch"),
 ]
 
 

@@ -219,6 +219,14 @@ def test_bad_index_is_data_error(runner, bad_index):
     assert message in result.output
 
 
+def test_bad_index_is_data_error_in_a_whole_load(runner, bad_index):
+    """``shift`` loads every name, where ``query`` loads one: the same error."""
+    path, message = bad_index
+    result = runner.invoke(main, ["shift", "--index", str(path)])
+    assert result.exit_code == 3
+    assert message in result.output
+
+
 def test_a_command_of_named_names_reads_only_their_blocks(runner, corrupt_block_index,
                                                           blocked_table):
     """``query``, ``compare`` and ``plot trajectories --names`` load only the

@@ -3,6 +3,7 @@ import csv
 import datetime
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -543,6 +544,55 @@ def test_index_format_errors(bad_index):
         assert message in str(caught.value)
 
 
+@pytest.mark.parametrize("cut", [1, 200_000])
+def test_a_stream_that_reads_short_is_truncated_not_a_table(tmp_path, monkeypatch, blocked_index,
+                                                            cut):
+    """A file cut after its stored lengths were checked against its size is
+    refused at the stream the cut lands in, by a whole load and a one-name
+    load alike: the stream is truncated, and no table is given."""
+    raw = blocked_index.read_bytes()
+    header = json.loads(raw.split(b"\n")[1])
+    stored = [("names", header["stored"]["names"])] + [
+        (f"{key} block {j}", n) for key in ds._U32_SECTIONS
+        for j, n in enumerate(header["stored"][key])]
+    end, left = len(raw) - sum(n for _, n in stored), len(raw) - cut
+    what = next(what for what, n in stored if (end := end + n) > left)
+    assert what == ("male block 3" if cut == 1 else "female block 2")
+    checked = ds._Streams.__init__
+
+    def cut_after_the_check(self, path, fh, header):
+        checked(self, path, fh, header)
+        with open(path, "r+b") as out:
+            out.truncate(left)
+
+    monkeypatch.setattr(ds._Streams, "__init__", cut_after_the_check)
+    for names in (None, ["Name0000"]):
+        path = tmp_path / "cut.idx"
+        path.write_bytes(raw)
+        with pytest.raises(errors.IndexFormatError, match=f"the {what} stream is truncated$"):
+            ds.load_index(path, names)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("tail, message", [(b"", None), (b"x", "1 byte(s) after the last stream")])
+def test_an_index_read_from_a_pipe_is_checked_as_its_file_is(tmp_path, tail, message):
+    """A pipe, whose size is known only once it is read, loads as its file
+    does, and bytes after its last stream are refused the same way."""
+    data = ds.load_dataset([(1990, "Pat,F,10\nSam,M,9")])
+    ds.save_index(data, tmp_path / "x.idx")
+    read, write = os.pipe()
+    try:
+        os.write(write, (tmp_path / "x.idx").read_bytes() + tail)  # well under a pipe's buffer
+        os.close(write)
+        if message is None:
+            assert ds.load_index(f"/dev/fd/{read}") == data
+        else:
+            with pytest.raises(errors.IndexFormatError, match=re.escape(message)):
+                ds.load_index(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+
+
 def _streams(header, body):
     """The stored zlib streams of each section, cut from ``body`` by the
     header: the names stream, then the blocks of each column."""
@@ -778,10 +828,11 @@ def test_a_year_file_name_utf8_cannot_encode_is_refused_before_any_save():
         ds.load_dataset([(1990, "A\ud800b,F,10")])
 
 
-def test_index_load_peak_stays_under_three_payloads(tmp_path):
-    """One inflate buffer of the payload's size and count columns at their
-    stored 16 bits: tracemalloc's peak over ``load_index`` stays under three
-    times the payload."""
+@pytest.fixture(scope="module")
+def dense16_index(tmp_path_factory):
+    """(table, its index, payload bytes): 1,000 names over 141 years, each
+    count stored 16 bits wide and hardly compressible, so the count columns
+    are most of the payload and of the file."""
     rng = random.Random(0)
     n, years = 1000, tuple(range(1880, 2021))
     cells = n * len(years)
@@ -790,20 +841,45 @@ def test_index_load_peak_stays_under_three_payloads(tmp_path):
         starts=array("I", [0] * n), lengths=array("I", [len(years)] * n),
         female=array("I", [rng.randrange(1, 2**16) for _ in range(cells)]),
         male=array("I", [rng.randrange(1, 2**16) for _ in range(cells)]))
-    path = tmp_path / "dense16.idx"
+    path = tmp_path_factory.mktemp("dense16") / "dense16.idx"
     ds.save_index(data, path)
     header = json.loads(path.read_bytes().split(b"\n")[1])
     assert header["widths"] == {"starts": 1, "lengths": 1, "female": 2, "male": 2}
     payload = sum(header["sections"].values())
     assert header["sections"]["female"] + header["sections"]["male"] > 0.9 * payload
+    assert path.stat().st_size > 0.9 * payload
+    return data, path, payload
+
+
+def _load_peak(path, names=None):
+    """The table ``load_index`` gives, and tracemalloc's peak over the load."""
     tracemalloc.start()
     try:
-        loaded = ds.load_index(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        loaded = ds.load_index(path, names)
+        return loaded, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_index_load_peak_stays_under_two_payloads(dense16_index):
+    """The file is read one stream at a time and the count columns are
+    loaded at their stored 16 bits: tracemalloc's peak over ``load_index``
+    stays under twice the payload, with no buffer of the whole file."""
+    data, path, payload = dense16_index
+    loaded, peak = _load_peak(path)
     assert loaded == data
-    assert peak < 3 * payload, peak / payload
+    assert peak < 2 * payload, peak / payload
+
+
+def test_a_one_name_index_load_peaks_under_one_payload(dense16_index):
+    """A one-name load reads and hashes every count block, one at a time,
+    and keeps only the name's cells: its peak stays under the payload."""
+    data, path, payload = dense16_index
+    loaded, peak = _load_peak(path, ["Name00500"])
+    assert loaded.names == ("Name00500",)
+    assert loaded.name_counts("Name00500", data.years_loaded) == data.name_counts(
+        "Name00500", data.years_loaded)
+    assert peak < payload, peak / payload
 
 
 def test_ingest_peak_stays_under_six_times_its_columns():

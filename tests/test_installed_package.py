@@ -87,6 +87,30 @@ def test_an_index_whose_last_year_is_moved_is_refused(sample_index, tmp_path):
     assert _run("query", "--index", moved, "--name", "Leslie", "--year", "1925") == 3
 
 
+# A command that loads one name from an index, and one that loads every name.
+ONE_NAME_AND_WHOLE_LOADS = pytest.mark.parametrize(
+    "command", [["query", "--name", "Leslie", "--year", "1925"], ["shift"]],
+    ids=["query", "shift"])
+
+
+@ONE_NAME_AND_WHOLE_LOADS
+def test_an_index_with_one_byte_appended_is_refused(sample_index, tmp_path, command):
+    """Nothing may follow the last stream: an index with one byte appended is
+    a data error (exit 3)."""
+    appended = tmp_path / "appended.idx"
+    appended.write_bytes(sample_index.read_bytes() + b"x")
+    assert _run(command[0], "--index", appended, *command[1:]) == 3
+
+
+@ONE_NAME_AND_WHOLE_LOADS
+def test_an_index_cut_short_by_one_byte_is_refused(sample_index, tmp_path, command):
+    """The last stream must be whole: an index cut short by one byte is a
+    data error (exit 3)."""
+    cut = tmp_path / "cut.idx"
+    cut.write_bytes(sample_index.read_bytes()[:-1])
+    assert _run(command[0], "--index", cut, *command[1:]) == 3
+
+
 def test_temporal_p_female_gives_one_answer_for_three_input_forms():
     # temporal_p_female reads infer_birth_distribution's result unchecked
     # and checks any other input: both paths give one answer.

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -237,6 +239,34 @@ def test_ranked_and_qualifying_equal_the_two_walks(weighted):
                         data, y1, y2, min_support, top_k, weighted, min_abs_delta) == (
                         shifts.rank_shifts(data, y1, y2, min_support, top_k, weighted),
                         len(shifts.qualifying_names(data, y1, y2, min_support, min_abs_delta)))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_ranking_holds_no_row_per_name(weighted):
+    """``ranked_and_qualifying`` keeps only its top rows while it walks the
+    year pair: tracemalloc's peak over it stays under 1.25 times the
+    ``year_pair_cells`` list it walks, on 4,000 names that all qualify."""
+    rng = random.Random(6)
+    n, years = 4000, (1925, 2000)
+    counts = [array("I", [rng.randrange(2**8, 2**17) for _ in range(2 * n)]) for _ in "FM"]
+    data = ds.Dataset(years, tuple(f"Name{i:05d}" for i in range(n)), array("I", [0] * n),
+                      array("I", [2] * n), *counts)
+    # A first walk, kept, takes the freed tuples CPython holds for reuse, so
+    # the measured walk and the ranking's own walk both allocate theirs.
+    kept = data.year_pair_cells(*years)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cells = data.year_pair_cells(*years)
+        walked = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        entries, qualifying = shifts.ranked_and_qualifying(data, *years, 50, 50, weighted, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == len(cells) == qualifying == n and len(entries) == 50
+    assert peak < 1.25 * walked, peak / walked
 
 
 def test_qualifying_year_not_loaded(quarter_dataset):
