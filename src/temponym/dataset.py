@@ -22,8 +22,6 @@ year's row, until the columns hold it; no years x keys grid is built.
 """
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import json
 import re
@@ -41,6 +39,13 @@ from unicodedata import combining, normalize
 from . import errors
 from ._pyparse import KeyIds, merge_rows
 
+# The index checksum's hash, from the builtin module, as random.py takes
+# _sha512: importing hashlib maps OpenSSL's libcrypto into the process.
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter without it; hashlib.blake2b is the same hash
+    from hashlib import blake2b
+
 MIN_YEAR = 1880
 # Latest accepted year of birth. A fixed bound, not today's date, so that
 # whether a file parses never depends on the clock: the SSA archive starts
@@ -51,7 +56,7 @@ MAX_YEAR = 2100
 _YOB_RE = re.compile(r"yob([0-9]{4})\.txt")  # the whole file name
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 7
+INDEX_VERSION = 8
 
 _NO_DATA = (0, 0)
 
@@ -431,21 +436,23 @@ class Dataset(Record):
         return self._first_cells(self.resolve(name, fold_diacritics),
                                  [self._positions.get(year, -1) for year in years])
 
-    def year_pair_cells(self, y1: int, y2: int) -> list[tuple[str, int, int, int, int]]:
-        """``(name, f1, m1, f2, m2)`` for every name with data in both years, in name order."""
+    def year_pair_cells(self, y1: int, y2: int) -> Iterator[tuple[str, int, int, int, int]]:
+        """``(name, f1, m1, f2, m2)`` for every name with data in both years, in
+        name order, one row at a time; a year not loaded is refused at the call."""
         p1, p2 = self._position(y1), self._position(y2)
         lo, hi = min(p1, p2), max(p1, p2)
         female, male = self.female, self.male
-        rows = []
-        for name, start, length, offset in zip(
-                self.names, self.starts, self.lengths, self._offsets):
-            if start <= lo and hi < start + length:
-                base = offset - start
-                f1, m1 = female[base + p1], male[base + p1]
-                f2, m2 = female[base + p2], male[base + p2]
-                if (f1 or m1) and (f2 or m2):
-                    rows.append((name, f1, m1, f2, m2))
-        return rows
+
+        def rows():
+            for name, start, length, offset in zip(
+                    self.names, self.starts, self.lengths, self._offsets):
+                if start <= lo and hi < start + length:
+                    base = offset - start
+                    f1, m1 = female[base + p1], male[base + p1]
+                    f2, m2 = female[base + p2], male[base + p2]
+                    if (f1 or m1) and (f2 or m2):
+                        yield name, f1, m1, f2, m2
+        return rows()
 
     def year_cells(self, year: int) -> dict[str, tuple[int, int]]:
         """Every name with data in one year, in name order, with its counts."""
@@ -648,6 +655,8 @@ def read_csv(path: Path | str, columns: Sequence[str], what: str) -> Iterator[tu
     record that stops before one of them, is a ``ConfigError`` naming the
     file as a ``what`` CSV.
     """
+    import csv  # here, not at the top: no ingest, query or shift reads a CSV
+
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, [])
     missing = [c for c in columns if c not in header]
@@ -684,12 +693,12 @@ def bundled_sample_dir() -> Path:
 #   female   the female count column, name-major
 #   male     the male count column
 #
-# The header holds the format version, a SHA-256 checksum, the years, the
-# byte length of each section (``sections``) and of its streams as stored
-# (``stored``), the width, 1 to 4 bytes, of each section after ``names``,
-# whether no two names fold to one key (``distinct_keys``) and the rows
-# skipped per year, or ``[]`` when none was (``skipped``). The sections
-# after ``names`` are unsigned 32-bit little-endian columns, stored
+# The header holds the format version, a BLAKE2b-256 checksum (``digest``),
+# the years, the byte length of each section (``sections``) and of its
+# streams as stored (``stored``), the width, 1 to 4 bytes, of each section
+# after ``names``, whether no two names fold to one key (``distinct_keys``)
+# and the rows skipped per year, or ``[]`` when none was (``skipped``). The
+# sections after ``names`` are unsigned 32-bit little-endian columns, stored
 # byte-plane shuffled (all first bytes, then all second bytes, ...) and cut
 # after the highest plane that holds a non-zero byte: counts below 2^16 keep
 # two planes, so their section holds two bytes per value. The name table is
@@ -790,9 +799,9 @@ def _narrowest(values: array) -> array:
 
 
 def _digest(header: dict):
-    """The SHA-256 of an index's checksum, fed the header as JSON, its
-    ``sha256`` field null; each stored stream is fed to it in turn."""
-    return hashlib.sha256(json.dumps({**header, "sha256": None}).encode())
+    """The BLAKE2b-256 of an index's checksum, fed the header as JSON, its
+    ``digest`` field null; each stored stream is fed to it in turn."""
+    return blake2b(json.dumps({**header, "digest": None}).encode(), digest_size=32)
 
 
 def _checksum(header: dict, *streams) -> str:
@@ -840,7 +849,7 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
         "distinct_keys": dataset._distinct,
         "skipped": list(dataset.skipped) if any(dataset.skipped) else [],
     }
-    header["sha256"] = _checksum(header, *streams)
+    header["digest"] = _checksum(header, *streams)
     try:
         with open(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
@@ -878,9 +887,9 @@ def _read_header(path, line: bytes) -> dict:
         raise bad(f"unsupported index version {version!r}")
     if version != INDEX_VERSION:
         raise bad(f"index format version {version} is no longer read; re-run `temponym ingest`")
-    sha, years = header.get("sha256"), header.get("years")
-    if not isinstance(sha, str):
-        raise bad("header has no sha256")
+    digest, years = header.get("digest"), header.get("years")
+    if not isinstance(digest, str):
+        raise bad("header has no digest")
     if not isinstance(years, list):  # the Dataset checks its items
         raise bad("header years are not a list")
     sections, stored = header.get("sections"), header.get("stored")
@@ -1099,7 +1108,7 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Datas
             table, failure = _table(path, header, read, names), None
         except errors.TemponymError as exc:  # reported only once the checksum matches
             table, failure = None, exc
-        if read.checksum() != header["sha256"]:
+        if read.checksum() != header["digest"]:
             raise errors.IndexFormatError(f"{path}: checksum mismatch")
     if isinstance(failure, errors.IndexFormatError):
         raise failure

@@ -85,12 +85,12 @@ def _write_index(path, header, payload):
 def _signed(header, payload):
     """``header`` with the checksum of itself and the stored streams ``payload``,
     so that a damage to a field the checksum covers reaches the check it is for."""
-    return {**header, "sha256": dataset_mod._checksum(header, payload)}
+    return {**header, "digest": dataset_mod._checksum(header, payload)}
 
 
-def _drop_sha256(path):
+def _drop_digest(path):
     header, payload = _index_parts(path)
-    del header["sha256"]
+    del header["digest"]
     _write_index(path, header, payload)
 
 
@@ -201,12 +201,22 @@ def _header_nested_too_deep(path):
     _write_index(path, b"[" * 100_000, payload)
 
 
-def _version_8(path):
-    _set_header(path, "version", 8)
+def _version_7(path):
+    """Version 7, byte for byte as it was written: the same layout, checked
+    by a SHA-256 in the header's last field, ``sha256``."""
+    header, payload = _index_parts(path)
+    del header["digest"]
+    header["version"] = 7
+    sha256 = hashlib.sha256(json.dumps({**header, "sha256": None}).encode() + payload)
+    _write_index(path, {**header, "sha256": sha256.hexdigest()}, payload)
+
+
+def _version_9(path):
+    _set_header(path, "version", 9)
 
 
 def _version_float(path):
-    _set_header(path, "version", 7.0)  # equal to 7, but not the integer 7
+    _set_header(path, "version", 8.0)  # equal to 8, but not the integer 8
 
 
 def _version_true(path):
@@ -292,7 +302,7 @@ def _fold_fact_not_a_bool(path):
     _set_header(path, "distinct_keys", 1)  # equal to true, but not a bool
 
 
-def _rewrite_payload(path, change, keep_sha256=True):
+def _rewrite_payload(path, change, keep_digest=True):
     """Replace the inflated sections (the name table, then the starts,
     lengths, female and male columns, each one block in the test table) by
     ``change(*sections)``, each recompressed, with their stored lengths; the
@@ -302,7 +312,7 @@ def _rewrite_payload(path, change, keep_sha256=True):
     header["stored"] = {key: n if key == "names" else [n]
                         for key, n in zip(header["stored"], map(len, streams))}
     payload = b"".join(streams)
-    _write_index(path, header if keep_sha256 else _signed(header, payload), payload)
+    _write_index(path, header if keep_digest else _signed(header, payload), payload)
 
 
 def _payload_byte_changed(path):
@@ -310,9 +320,9 @@ def _payload_byte_changed(path):
         *sections[:-1], sections[-1][:-1] + bytes([sections[-1][-1] ^ 1])))
 
 
-def _names_not_utf8(path, keep_sha256=False):
+def _names_not_utf8(path, keep_digest=False):
     _rewrite_payload(path, lambda names, *columns: (b"\xff" + names[1:], *columns),
-                     keep_sha256)
+                     keep_digest)
 
 
 def _trailing_bytes(path):
@@ -336,7 +346,7 @@ def _columns_stream_longer(path):
     Signed, with its stored length: the checksum is checked before any
     stream is inflated."""
     _rewrite_payload(path, lambda names, *columns: (names, bytes(1 << 20), *columns[1:]),
-                     keep_sha256=False)
+                     keep_digest=False)
 
 
 def _stream_with_trailing_bytes(path):
@@ -358,19 +368,19 @@ def _stream_trailer_cut(path):
     _write_index(path, _signed(header, payload), payload)
 
 
-def _count_block_short(path, keep_sha256=False):
+def _count_block_short(path, keep_digest=False):
     """A female block that inflates to one value, where the header gives two."""
     _rewrite_payload(path, lambda names, starts, lengths, female, male: (
-        names, starts, lengths, female[:1], male), keep_sha256)
+        names, starts, lengths, female[:1], male), keep_digest)
 
 
 def _count_block_long(path):
     _rewrite_payload(path, lambda names, starts, lengths, female, male: (
-        names, starts, lengths, female + b"\0", male), keep_sha256=False)
+        names, starts, lengths, female + b"\0", male), keep_digest=False)
 
 
-def _count_block_undecodable(path, block=0, keep_sha256=False):
-    """The index, signed again unless ``keep_sha256``, with female block
+def _count_block_undecodable(path, block=0, keep_digest=False):
+    """The index, signed again unless ``keep_digest``, with female block
     ``block`` overwritten by bytes that are not a zlib stream."""
     header, payload = _index_parts(path)
     stored = header["stored"]
@@ -378,46 +388,46 @@ def _count_block_undecodable(path, block=0, keep_sha256=False):
     at += sum(stored["female"][:block])
     n = stored["female"][block]
     payload = payload[:at] + b"\xff" * n + payload[at + n:]
-    _write_index(path, header if keep_sha256 else _signed(header, payload), payload)
+    _write_index(path, header if keep_digest else _signed(header, payload), payload)
 
 
-def _spans_outside_columns(path, keep_sha256=False):
+def _spans_outside_columns(path, keep_digest=False):
     """Sam's span starts at position 1, past 1990, the one year loaded.
 
     Each column holds one byte per name (width 1)."""
     _rewrite_payload(path, lambda names, starts, *columns: (names, b"\0\1", *columns),
-                     keep_sha256)
+                     keep_digest)
 
 
 # Damaged streams whose file is not signed again: the checksum decides, ahead
 # of the error each stream would give if it were.
 def _count_block_undecodable_unsigned(path):
-    _count_block_undecodable(path, keep_sha256=True)
+    _count_block_undecodable(path, keep_digest=True)
 
 
 def _names_not_utf8_unsigned(path):
-    _names_not_utf8(path, keep_sha256=True)
+    _names_not_utf8(path, keep_digest=True)
 
 
 def _spans_outside_columns_unsigned(path):
-    _spans_outside_columns(path, keep_sha256=True)
+    _spans_outside_columns(path, keep_digest=True)
 
 
 def _count_block_short_unsigned(path):
-    _count_block_short(path, keep_sha256=True)
+    _count_block_short(path, keep_digest=True)
 
 
 def _names_not_sorted(path):
-    _rewrite_payload(path, lambda names, *columns: (b"Sam\nPat", *columns), keep_sha256=False)
+    _rewrite_payload(path, lambda names, *columns: (b"Sam\nPat", *columns), keep_digest=False)
 
 
 def _names_not_unique(path):
-    _rewrite_payload(path, lambda names, *columns: (b"Pat\nPat", *columns), keep_sha256=False)
+    _rewrite_payload(path, lambda names, *columns: (b"Pat\nPat", *columns), keep_digest=False)
 
 
 # Each damage, and a fragment of the error it must be reported with.
 BAD_INDEXES = [
-    (_drop_sha256, "no sha256"),
+    (_drop_digest, "no digest"),
     (_header_not_json, "not JSON"),
     (_version_1, "re-run `temponym ingest`"),
     (_version_2, "version 2 is no longer read; re-run `temponym ingest`"),
@@ -427,8 +437,9 @@ BAD_INDEXES = [
     (_version_4, "version 4 is no longer read; re-run `temponym ingest`"),
     (_version_5, "version 5 is no longer read; re-run `temponym ingest`"),
     (_version_6, "version 6 is no longer read; re-run `temponym ingest`"),
-    (_version_8, "unsupported index version 8"),
-    (_version_float, "unsupported index version 7.0"),
+    (_version_7, "version 7 is no longer read; re-run `temponym ingest`"),
+    (_version_9, "unsupported index version 9"),
+    (_version_float, "unsupported index version 8.0"),
     (_version_true, "unsupported index version True"),
     (_years_not_a_list, "header years are not a list"),
     (_years_not_increasing, "years are not increasing integers"),

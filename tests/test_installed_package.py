@@ -5,11 +5,16 @@ checkout, against the installed package with every warning an error, so a
 package-data glob that misses a bundled file or an API rename that leaves
 README behind fails there too.
 """
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import temponym
 from temponym import audit, dataset, errors, services
 from temponym.cli import main
 
@@ -109,6 +114,104 @@ def test_an_index_cut_short_by_one_byte_is_refused(sample_index, tmp_path, comma
     cut = tmp_path / "cut.idx"
     cut.write_bytes(sample_index.read_bytes()[:-1])
     assert _run(command[0], "--index", cut, *command[1:]) == 3
+
+
+def _fresh_python(script: str, *args, cwd) -> None:
+    """Run ``script`` in a fresh interpreter that imports the package these
+    tests import; it must exit 0."""
+    root = str(Path(temponym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        root, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# Each command as a fresh process runs it, and whether it may load ``csv``.
+FRESH_COMMANDS = {
+    "ingest": (["ingest", "--dir", dataset.bundled_sample_dir(), "--out", "fresh.idx"], False),
+    "query": (["query", "--index", "{index}", "--name", "Leslie", "--year", "1925"], False),
+    "query-pooled": (["query", "--index", "{index}", "--name", "Leslie",
+                      "--pooled", "1880..2020"], False),
+    "shift": (["shift", "--index", "{index}", "--format", "json"], False),
+    "audit": (["audit", "--index", "{index}"], True),
+    "ambiguity": (["ambiguity", "--index", "{index}", "--year", "1925"], True),
+    "plot-trajectories": (["plot", "trajectories", "--index", "{index}",
+                           "--top-shifts", "5"], True),
+    "compare": (["compare", "--index", "{index}", "--names", "Jean,Leslie,Sydney"], True),
+}
+
+# Runs a command line, then writes the exit code and which of these modules
+# the process loaded to the file named first.
+_MODULES_AFTER = """
+import json, sys
+report, sys.argv = sys.argv[1], ["temponym", *sys.argv[2:]]
+from temponym.cli import main
+try:
+    main()
+except SystemExit as exc:
+    code = exc.code
+with open(report, "w") as fh:
+    json.dump([code, sorted({"_hashlib", "ssl", "csv"} & set(sys.modules))], fh)
+"""
+
+
+@pytest.mark.parametrize("command", FRESH_COMMANDS)
+def test_a_command_loads_no_openssl(sample_index, tmp_path, command):
+    """The index checksum's hash comes from the builtin ``_blake2`` module,
+    so no command maps OpenSSL in through ``hashlib`` (``_hashlib``) or
+    ``ssl``; ``ingest``, ``query`` and a JSON ``shift`` load no ``csv``."""
+    args, reads_csv = FRESH_COMMANDS[command]
+    args = [str(arg).format(index=sample_index) for arg in args]
+    _fresh_python(_MODULES_AFTER, tmp_path / "modules.json", *args, cwd=tmp_path)
+    code, loaded = json.loads((tmp_path / "modules.json").read_text())
+    assert code == 0
+    assert set(loaded) <= ({"csv"} if reads_csv else set()), loaded
+
+
+def test_the_hashlib_fallback_writes_the_same_index(sample_index, tmp_path):
+    """Without the builtin ``_blake2`` module, the checksum's hash is
+    ``hashlib.blake2b``: the index it writes is the same file, and it loads.
+    CPython's ``hashlib.blake2b`` comes from ``_blake2``, so ``hashlib`` is
+    imported before that module is blocked."""
+    _fresh_python("""
+import hashlib, sys
+sys.modules["_blake2"] = None
+from temponym import dataset
+assert dataset.blake2b is hashlib.blake2b
+table = dataset.load_directory(dataset.bundled_sample_dir())
+dataset.save_index(table, sys.argv[1])
+assert dataset.load_index(sys.argv[1]) == table
+""", tmp_path / "fallback.idx", cwd=tmp_path)
+    assert (tmp_path / "fallback.idx").read_bytes() == sample_index.read_bytes()
+
+
+def _stdout(capsys, *args) -> str:
+    """What one command line prints, whatever its exit code."""
+    capsys.readouterr()
+    _run(*args)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    "query --name Leslie --year 1925", "ambiguity --year 1925", "shift", "audit",
+    "audit --cohort triangular:35:10", "compare --names Jean,Leslie,Sydney",
+    "plot trajectories --top-shifts 5", "plot bubbles"])
+def test_json_output_holds_no_nan_or_infinity(capsys, command):
+    def refuse(name):
+        raise ValueError(name + " is not JSON")
+    json.loads(_stdout(capsys, *command.split(), "--format", "json"), parse_constant=refuse)
+
+
+def test_an_audit_of_the_corpus_reversed_is_the_same(capsys, tmp_path):
+    """Each decade sum is the fsum of its records' p(F), so the bundled
+    corpus with its records reversed gives the same audit, byte for byte."""
+    corpus = Path(audit.__file__).parent / "data" / "fixtures" / "leslie_corpus.csv"
+    header, *records = corpus.read_bytes().splitlines(keepends=True)
+    reversed_corpus = tmp_path / "reversed.csv"
+    reversed_corpus.write_bytes(header + b"".join(reversed(records)))
+    assert _stdout(capsys, "audit", "--format", "json") == _stdout(
+        capsys, "audit", "--corpus", reversed_corpus, "--format", "json")
 
 
 def test_temporal_p_female_gives_one_answer_for_three_input_forms():

@@ -253,7 +253,7 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
                     [f for f, _ in cells], [m for _, m in cells])
         for y1, rows1 in per_year.items():
             for y2, rows2 in per_year.items():
-                assert data.year_pair_cells(y1, y2) == [
+                assert list(data.year_pair_cells(y1, y2)) == [
                     (name, *rows1[name], *rows2[name]) for name in sorted(POOL)
                     if any(rows1.get(name, ())) and any(rows2.get(name, ()))]
 
@@ -763,7 +763,8 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
 # Format 6 deflates each section as a stream of its own, and its checksum
 # covers the stored streams; the sections, inflated and joined, are still
 # the same payload. Format 7 deflates each column's byte planes in blocks;
-# inflated and joined in file order, they are still the same payload.
+# inflated and joined in file order, they are still the same payload. Format
+# 8 changes only the header's checksum.
 SAMPLE_PAYLOAD_SHA256 = "b344f7805039d683d78b4c59ce06a0be355620b63073ede49f3c5b6a63e4dff1"
 SAMPLE_V2_PAYLOAD_SHA256 = "7a0eaa025eeda934f513797abf5701b62cc1d6ec52a87a93e19deed826d63741"
 
@@ -838,7 +839,7 @@ def _resigned_header(draw, header):
     """A re-signed ``header`` with one field dropped or changed: an inner
     length, width or year near its own, or any JSON value."""
     header = json.loads(json.dumps(header))
-    key = draw(st.sampled_from([key for key in header if key != "sha256"] + ["extra"]))
+    key = draw(st.sampled_from([key for key in header if key != "digest"] + ["extra"]))
     value = header.get(key)
     how = draw(st.sampled_from(["drop", "any", "near"]))
     if how == "drop":
@@ -866,7 +867,7 @@ def _answers(table):
             table.lookup(name, year)
             table.lookup(name, year, fold_diacritics=True)
     if years:
-        table.year_pair_cells(years[0], years[-1])
+        list(table.year_pair_cells(years[0], years[-1]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -900,7 +901,7 @@ def test_a_damaged_index_is_refused_or_loads_a_table_that_answers(
             else:
                 header["stored"][key][j] = len(streams[key][j])
         payload = b"".join(block for blocks in streams.values() for block in blocks)
-        header["sha256"] = ds._checksum(header, payload)
+        header["digest"] = ds._checksum(header, payload)
         raw = ds.INDEX_MAGIC + json.dumps(header).encode() + b"\n" + payload
     path = tmp_path_factory.getbasetemp() / "fuzzed.idx"
     path.write_bytes(raw)

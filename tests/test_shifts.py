@@ -244,8 +244,8 @@ def test_ranked_and_qualifying_equal_the_two_walks(weighted):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_ranking_holds_no_row_per_name(weighted):
     """``ranked_and_qualifying`` keeps only its top rows while it walks the
-    year pair: tracemalloc's peak over it stays under 1.25 times the
-    ``year_pair_cells`` list it walks, on 4,000 names that all qualify."""
+    year pair: tracemalloc's peak over it stays under a quarter of the list
+    of the pair's ``year_pair_cells`` rows, on 4,000 names that all qualify."""
     rng = random.Random(6)
     n, years = 4000, (1925, 2000)
     counts = [array("I", [rng.randrange(2**8, 2**17) for _ in range(2 * n)]) for _ in "FM"]
@@ -253,12 +253,12 @@ def test_ranking_holds_no_row_per_name(weighted):
                       array("I", [2] * n), *counts)
     # A first walk, kept, takes the freed tuples CPython holds for reuse, so
     # the measured walk and the ranking's own walk both allocate theirs.
-    kept = data.year_pair_cells(*years)
+    kept = list(data.year_pair_cells(*years))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cells = data.year_pair_cells(*years)
-        walked = tracemalloc.get_traced_memory()[0] - before
+        cells = list(data.year_pair_cells(*years))
+        listed = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         entries, qualifying = shifts.ranked_and_qualifying(data, *years, 50, 50, weighted, 0)
@@ -266,7 +266,7 @@ def test_ranking_holds_no_row_per_name(weighted):
     finally:
         tracemalloc.stop()
     assert len(kept) == len(cells) == qualifying == n and len(entries) == 50
-    assert peak < 1.25 * walked, peak / walked
+    assert peak < 0.25 * listed, peak / listed
 
 
 def test_qualifying_year_not_loaded(quarter_dataset):
