@@ -39,12 +39,10 @@ from unicodedata import combining, normalize
 from . import errors
 from ._pyparse import KeyIds, merge_rows
 
-# The index checksum's hash, from the builtin module, as random.py takes
-# _sha512: importing hashlib maps OpenSSL's libcrypto into the process.
-try:
-    from _blake2 import blake2b
-except ImportError:  # an interpreter without it; hashlib.blake2b is the same hash
-    from hashlib import blake2b
+# The index checksum's hash, from the builtin module (hashlib.blake2b is this
+# same function), as random.py takes _sha512: importing hashlib maps
+# OpenSSL's libcrypto into the process.
+from _blake2 import blake2b
 
 MIN_YEAR = 1880
 # Latest accepted year of birth. A fixed bound, not today's date, so that

@@ -169,27 +169,10 @@ def test_a_command_loads_no_openssl(sample_index, tmp_path, command):
     assert set(loaded) <= ({"csv"} if reads_csv else set()), loaded
 
 
-def test_the_hashlib_fallback_writes_the_same_index(sample_index, tmp_path):
-    """Without the builtin ``_blake2`` module, the checksum's hash is
-    ``hashlib.blake2b``: the index it writes is the same file, and it loads.
-    CPython's ``hashlib.blake2b`` comes from ``_blake2``, so ``hashlib`` is
-    imported before that module is blocked."""
-    _fresh_python("""
-import hashlib, sys
-sys.modules["_blake2"] = None
-from temponym import dataset
-assert dataset.blake2b is hashlib.blake2b
-table = dataset.load_directory(dataset.bundled_sample_dir())
-dataset.save_index(table, sys.argv[1])
-assert dataset.load_index(sys.argv[1]) == table
-""", tmp_path / "fallback.idx", cwd=tmp_path)
-    assert (tmp_path / "fallback.idx").read_bytes() == sample_index.read_bytes()
-
-
 def _stdout(capsys, *args) -> str:
-    """What one command line prints, whatever its exit code."""
+    """What one command line prints; it must exit 0."""
     capsys.readouterr()
-    _run(*args)
+    assert _run(*args) == 0, args
     return capsys.readouterr().out
 
 
