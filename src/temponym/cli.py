@@ -505,7 +505,7 @@ class _ReadConfig(argparse.Action):
             config = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # drops a BOM
         except OSError as exc:
             raise argparse.ArgumentError(self, f"{path!r}: {exc.strerror or exc}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise argparse.ArgumentError(self, f"not JSON ({exc})") from None
         if not isinstance(config, dict):
             raise argparse.ArgumentError(self, "must hold a JSON object")

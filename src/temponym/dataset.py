@@ -178,7 +178,7 @@ class Dataset(Record):
     text split on ``\n``, need no ``_folded_keys`` check), and reports a
     broken rule as an ``IndexFormatError``.
 
-    ``lookup`` and ``name_counts`` resolve a name once. Whether
+    ``lookup`` and ``resolve`` resolve a name once per call. Whether
     any two names fold to one key is fixed when the dataset is built. If
     none do, a stored name answers alone: its cells are read in place. Any
     other name goes through ``_candidates``, the one resolver of folded
@@ -190,13 +190,12 @@ class Dataset(Record):
     first lookup that needs it; ``__init__`` folds every table it builds,
     keeps the map and reads the fact from it.
 
-    ``resolve`` gives the stored names that answer for a name, and ``cells``
-    their counts in a range of positions: one slice of each column for one
-    name, a ``_first_cell`` per position for several. ``sums`` is the one
-    kernel that sums them, weighted or not: windowed and pooled p(F),
-    ``temporal_p_female`` (a call per run of consecutive loaded years) and
-    each record of the audit read through it. ``name_counts``
-    reads named years, in any order, one ``_first_cell`` each.
+    ``resolve`` gives the stored names that answer for a name, and ``sums``
+    reads and sums their counts in a range of positions, weighted or not:
+    one slice of each column for one name, a ``_first_cell`` per position
+    for several. Windowed and pooled p(F), ``temporal_p_female`` (a call per
+    run of consecutive loaded years) and each record of the audit read
+    through it; ``lookup`` reads one year.
 
     A Dataset compares by its columns but is not hashable.
     """
@@ -345,11 +344,6 @@ class Dataset(Record):
                     return female, male
         return None
 
-    def _first_cells(self, ids: Sequence[int], positions: Iterable[int]) -> tuple[list, list]:
-        """Female and male counts of ``_first_cell`` at each position; 0 for no data."""
-        cells = [self._first_cell(ids, pos) or _NO_DATA for pos in positions]
-        return [f for f, _ in cells], [m for _, m in cells]
-
     def lookup(
         self, name: str, year: int, fold_diacritics: bool = False
     ) -> Optional[tuple[int, int]]:
@@ -379,33 +373,29 @@ class Dataset(Record):
         return (i,) if i is not None and self._distinct else self._candidates(
             name, fold_diacritics)
 
-    def cells(self, ids: Sequence[int], lo: int,
-              hi: int) -> tuple[int, Sequence[int], Sequence[int]]:
-        """``(skip, female, male)``: the counts of the names ``ids`` (``resolve``)
-        at the loaded positions ``lo`` to ``hi - 1``.
-
-        Position ``lo + skip + k`` holds cell k; the names have no data before
-        ``lo + skip`` or past the cells' end. One name's cells are one slice
-        of each column, where its span and the positions overlap. Several
-        names' are read position by position, each from the first name with
-        data there (``_first_cell``).
-        """
-        if len(ids) != 1:
-            hi = min(hi, len(self.years_loaded)) if ids else lo  # no name: no cells
-            return (0, *self._first_cells(ids, range(lo, hi)))
-        i = ids[0]
-        start = self.starts[i]
-        stop, base = start + self.lengths[i], self._offsets[i] - start
-        first = lo if lo > start else start
-        last = hi if hi < stop else stop
-        cut = slice(base + first, base + (last if last > first else first))
-        return first - lo, self.female[cut], self.male[cut]
-
     def sums(self, ids: Sequence[int], lo: int, hi: int,
              weights: Optional[Sequence] = None) -> tuple:
-        """``(Σ w·f, Σ w·(f + m), Σ f, Σ m)`` over ``cells(ids, lo, hi)``, with
-        ``weights[k]`` the weight of position ``lo + k``, or 1 for each."""
-        skip, female, male = self.cells(ids, lo, hi)
+        """``(Σ w·f, Σ w·(f + m), Σ f, Σ m)`` over the counts of the names
+        ``ids`` (``resolve``) at the loaded positions ``lo`` to ``hi - 1``, with
+        ``weights[k]`` the weight of position ``lo + k``, or 1 for each.
+
+        One name's counts are one slice of each column, where its span and the
+        positions overlap, and the weights from the slice's first position on
+        apply. Several names' are read position by position, each from the
+        first name with data there (``_first_cell``).
+        """
+        if len(ids) == 1:
+            i = ids[0]
+            start = self.starts[i]
+            stop, base = start + self.lengths[i], self._offsets[i] - start
+            first = lo if lo > start else start
+            last = hi if hi < stop else stop
+            cut = slice(base + first, base + (last if last > first else first))
+            skip, female, male = first - lo, self.female[cut], self.male[cut]
+        else:
+            hi = min(hi, len(self.years_loaded)) if ids else lo  # no name: no cells
+            cells = [self._first_cell(ids, pos) or _NO_DATA for pos in range(lo, hi)]
+            skip, female, male = 0, [f for f, _ in cells], [m for _, m in cells]
         if weights is None:
             female, male = sum(female), sum(male)
             return female, female + male, female, male
@@ -420,19 +410,6 @@ class Dataset(Record):
             raise errors.TemponymError(f"pooled years {(first_year, last_year)!r} hold no year")
         years = self.years_loaded
         return bisect_left(years, first_year), bisect_right(years, last_year)
-
-    def name_counts(
-        self, name: str, years: Sequence[int], fold_diacritics: bool = False
-    ) -> tuple[list[int], list[int]]:
-        """A name's female and male counts in each of ``years``, resolving the name once.
-
-        Position k holds ``lookup(name, years[k], fold_diacritics)``, with 0
-        for a year without data and for a year that is not loaded. The years
-        may come in any order and repeat.
-        """
-        # -1, the position of a year not loaded, is in no name's span
-        return self._first_cells(self.resolve(name, fold_diacritics),
-                                 [self._positions.get(year, -1) for year in years])
 
     def year_pair_cells(self, y1: int, y2: int) -> Iterator[tuple[str, int, int, int, int]]:
         """``(name, f1, m1, f2, m2)`` for every name with data in both years, in
@@ -651,28 +628,33 @@ def read_csv(path: Path | str, columns: Sequence[str], what: str) -> Iterator[tu
     last column, a field past the end of a short record is None, and a blank
     line holds no record. A header without one of ``columns``, or a
     record that stops before one of them, is a ``ConfigError`` naming the
-    file as a ``what`` CSV.
+    file as a ``what`` CSV. A line the ``csv`` module refuses (a field over
+    its size limit, or a NUL before Python 3.11), the header's too, is a
+    ``ConfigError`` naming the file and the line.
     """
     import csv  # here, not at the top: no ingest, query or shift reads a CSV
 
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, [])
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise errors.ConfigError(f"{path}: {what} CSV has no {', '.join(missing)} column")
-    # a record holds each of ``columns`` when it reaches the last field so named
-    width = max((len(header) - header[::-1].index(c) for c in columns), default=0)
-    for fields in reader:
-        if not fields:  # a blank line
-            continue
-        if len(fields) < width:
-            raise errors.ConfigError(
-                f"{path}: line {reader.line_num} has fewer than {len(columns)} fields"
-            )
-        row = dict(zip(header, fields))
-        if len(fields) < len(header):
-            row.update(dict.fromkeys(header[len(fields):]))
-        yield reader.line_num, row
+    try:
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise errors.ConfigError(f"{path}: {what} CSV has no {', '.join(missing)} column")
+        # a record holds each of ``columns`` when it reaches the last field so named
+        width = max((len(header) - header[::-1].index(c) for c in columns), default=0)
+        for fields in reader:
+            if not fields:  # a blank line
+                continue
+            if len(fields) < width:
+                raise errors.ConfigError(
+                    f"{path}: line {reader.line_num} has fewer than {len(columns)} fields"
+                )
+            row = dict(zip(header, fields))
+            if len(fields) < len(header):
+                row.update(dict.fromkeys(header[len(fields):]))
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise errors.ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def bundled_sample_dir() -> Path:

@@ -35,9 +35,9 @@ def emit_trajectories(
             raise errors.YearNotLoaded(year)
     series = []
     for name in names:
-        female, male = dataset.name_counts(name, ordered_years)
-        points = tuple((year, f / (f + m), None)  # the ratio model.p_female computes
-                       for year, f, m in zip(ordered_years, female, male) if f or m)
+        cells = ((year, dataset.lookup(name, year)) for year in ordered_years)
+        points = tuple((year, cell[0] / (cell[0] + cell[1]), None)  # model.p_female's ratio
+                       for year, cell in cells if cell)
         series.append(PlotSeries(series_id=name, points=points))
     return series
 

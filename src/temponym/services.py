@@ -121,7 +121,8 @@ class PredictionCache:
         try:
             text = self._path(service_id, name, date).read_text(encoding="utf-8")
             hit = ExternalPrediction(**json.loads(text))
-        except (OSError, ValueError, TypeError):  # refetched, and ``put`` overwrites it
+        # refetched, and ``put`` overwrites it; RecursionError: nested too deep
+        except (OSError, ValueError, TypeError, RecursionError):
             return None
         return hit if _is_prediction(hit) else None
 

@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import errors
 from .dataset import Dataset
-from .model import p_female
 
 DEFAULT_MIN_SUPPORT = 50
 DEFAULT_TOP = 50
@@ -41,14 +40,6 @@ class ShiftStatistics(NamedTuple):
     median: float
     mean: float
     net_direction: str  # female | male | neutral
-
-
-def gender_shift(dataset: Dataset, name: str, y1: int, y2: int) -> ShiftEntry:
-    """Shift entry for one name; requires data at both endpoint years."""
-    prob1 = p_female(dataset, name, y1)
-    prob2 = p_female(dataset, name, y2)
-    cells = (name, prob1.female_count, prob1.male_count, prob2.female_count, prob2.male_count)
-    return ShiftEntry._make(next(_rows([cells], y1, y2, 0)))
 
 
 def _rows(cells: Iterable[tuple], y1: int, y2: int, min_support: int) -> Iterator[tuple]:

@@ -58,7 +58,9 @@ def test_criterion_03_ambiguous_child_shares(quarter_dataset):
 def test_criterion_04_shift_rankings(sample_dataset):
     unweighted = shifts.rank_shifts(sample_dataset, 1925, 2000, top_k=10)
     assert {"Shelby", "Leslie", "Aubrey", "Sydney"} <= {e.name for e in unweighted}
-    shelby = shifts.gender_shift(sample_dataset, "Shelby", 1925, 2000)
+    every = shifts.rank_shifts(sample_dataset, 1925, 2000, min_support_each_year=0,
+                               top_k=len(sample_dataset.names))
+    shelby = next(e for e in every if e.name == "Shelby")
     assert shelby.delta_scaled == pytest.approx(90.7, abs=1.5)
 
     weighted = shifts.rank_shifts(sample_dataset, 1925, 2000, top_k=10, weighted=True)
@@ -69,7 +71,9 @@ def test_criterion_04_shift_rankings(sample_dataset):
 
 def test_criterion_05_net_female_shift(sample_dataset):
     names = shifts.qualifying_names(sample_dataset, 1925, 2000)
-    entries = [shifts.gender_shift(sample_dataset, n, 1925, 2000) for n in names]
+    every = shifts.rank_shifts(sample_dataset, 1925, 2000, min_support_each_year=0,
+                               top_k=len(sample_dataset.names))
+    entries = [e for e in every if e.name in names]
     stats = shifts.shift_statistics(entries)
     assert stats.n_positive > stats.n_negative
     assert stats.median > 0

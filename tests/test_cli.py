@@ -816,6 +816,8 @@ CLI_ERRORS = [
     ("index-is-a-directory", ["query", "--index", "{tmp}", "--name", "Pat", "--year", "1990"],
      {}, 3),
     ("config-is-a-directory", ["--config", "{tmp}", "query"], {}, 2),
+    ("config-nested-too-deep", ["--config", "{tmp}/c.json", "query"],
+     {"c.json": b'{"query": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"}, 2),
     ("corpus-is-a-directory", ["audit", "--corpus", "{tmp}"], {}, 3),
     ("ingest-bad-row", ["ingest", "--dir", "{tmp}", "--out", "{tmp}/x.idx"],
      {"yob1925.txt": b"Pat,Q,10\n"}, 3),
@@ -910,6 +912,27 @@ def test_bad_input_ends_in_a_documented_exit(runner, tmp_path, args, files, code
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
+# A field one character over the csv module's default size limit (131,072).
+OVERSIZED_FIELD = b"x" * 131_073
+
+
+@pytest.mark.parametrize("command,header", [
+    (["audit", "--corpus"], CORPUS_HEADER),
+    (["compare", "--names", "Jean", "--fixture-file"], FIXTURE_HEADER),
+], ids=["audit-corpus", "compare-fixture-file"])
+def test_a_csv_field_over_the_size_limit_is_a_data_error(runner, tmp_path, command, header):
+    """In the header or in a record, the error names the file and the line."""
+    path = tmp_path / "t.csv"
+    for text, line in ((OVERSIZED_FIELD + b"," + header, 1),
+                       (header + b"\r\n" + OVERSIZED_FIELD + b",1980\n", 3)):
+        path.write_bytes(text)
+        result = runner.invoke(main, [*command, str(path)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.stderr == (
+            f"error: {path}: line {line}: field larger than field limit (131072)\n")
+
+
 # What a failed lookup prints, word for word: the lookup errors build their
 # message only when it is read, so this pins the text that reading builds.
 LOOKUP_ERRORS = [
@@ -944,12 +967,12 @@ def test_lookup_error_text_is_pinned(runner):
 # No command loads ``dataclasses`` or the ``inspect`` it imports, and ``--help``
 # loads neither ``json`` nor ``csv``.
 HELP_MODULES = ["temponym", "temponym.cli", "temponym.errors"]
-COMMON_MODULES = sorted(HELP_MODULES + ["temponym._pyparse", "temponym.dataset",
-                                        "temponym.model"])
+DATA_MODULES = sorted(HELP_MODULES + ["temponym._pyparse", "temponym.dataset"])
+COMMON_MODULES = sorted(DATA_MODULES + ["temponym.model"])
 COMMAND_MODULES = [
     (["--help"], HELP_MODULES, False),
     (["query", "--name", "Leslie", "--year", "1925"], COMMON_MODULES, False),
-    (["shift", "--top", "3"], sorted(COMMON_MODULES + ["temponym.shifts"]), True),
+    (["shift", "--top", "3"], sorted(DATA_MODULES + ["temponym.shifts"]), True),
     (["audit"], sorted(COMMON_MODULES + ["temponym.audit"]), False),
 ]
 LOADED_MODULES = """

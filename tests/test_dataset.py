@@ -276,10 +276,17 @@ def test_totals_refuses_a_reversed_range():
         _pooled_counts(data, "Lee", 1991, 1990)
 
 
-def _counts_by_lookup(data, name, years, fold):
+def _counts_by_lookup(data, name, years, fold=False):
     """Per-year ``lookup``, with (0, 0) for no data and for a year not loaded."""
     cells = [(data.has_year(year) and data.lookup(name, year, fold_diacritics=fold)) or (0, 0)
              for year in years]
+    return [f for f, _ in cells], [m for _, m in cells]
+
+
+def _cell_list(data, ids):
+    """The female and male counts ``sums`` reads for ``ids`` at each loaded
+    position, one one-position ``sums`` each."""
+    cells = [data.sums(ids, pos, pos + 1)[2:] for pos in range(len(data.years_loaded))]
     return [f for f, _ in cells], [m for _, m in cells]
 
 
@@ -287,82 +294,78 @@ NAME_QUERIES = ("Ann", "ann", "Bo", "BO", "Cy", "Dee", "Lee", "lee", "LEE", "lEe
                 "Renee", "renée", "RENEE", "Zoe", "ZOË", "Zzyzx")
 
 
-def test_name_counts_equal_lookup_per_year(sparse_dataset):
+def test_pooled_sums_equal_lookup_per_year(sparse_dataset):
     data = sparse_dataset
     loaded = data.years_loaded
     assert 1905 not in loaded and 1941 not in loaded
-    windows = [list(loaded[lo:lo + n]) for n in (1, 2, 5, 11, 21) for lo in range(len(loaded))]
-    windows += [
-        [], [1899], [1905], [2000, 1900], [1930, 1910, 1920, 1910],  # not loaded, unordered
-        list(range(1900, 1961)),  # every year, loaded or not
-        list(range(1930, 1951)),  # a cohort window across the 1941-1949 gap
-        [1900, 1902, 1903, 1904, 1906],  # consecutive positions around unloaded years
-        [1902, 1903, 1900], [1900, 1904, 1903], [1902, 1902, 1904],  # not consecutive
+    spans = [(loaded[lo], loaded[min(lo + n, len(loaded)) - 1])
+             for n in (1, 2, 5, 11, 21) for lo in range(len(loaded))]
+    spans += [
+        (1899, 1899), (1905, 1905),  # no year loaded
+        (1900, 1960),  # every year, loaded or not
+        (1930, 1950),  # a cohort window across the 1941-1949 gap
+        (1900, 1906),  # consecutive positions around unloaded years
     ]
     for name in NAME_QUERIES:
         for fold in (False, True):
-            for years in windows:
-                expected = _counts_by_lookup(data, name, years, fold)
-                assert data.name_counts(name, years, fold_diacritics=fold) == expected
-                assert data.name_counts(name, tuple(years), fold_diacritics=fold) == expected
+            for first, last in spans:
+                female, male = _counts_by_lookup(data, name, range(first, last + 1), fold)
+                assert _pooled_counts(data, name, first, last, fold) == (sum(female), sum(male))
 
 
-def test_name_counts_of_shared_keys_and_diacritics():
+def test_lookup_of_shared_keys_and_diacritics():
     data = ds.load_dataset([
         (1990, "Lee,F,10\nRenée,F,100\nAnn,F,7"),
         (1991, "LEE,M,20\nRenee,M,30\nlee,F,5"),
         (1993, "lee,M,6\nAnn,M,8"),
     ])
-    assert data.name_counts("lee", [1990, 1991, 1992, 1993]) == ([10, 5, 0, 0], [0, 0, 0, 6])
-    assert data.name_counts("LeE", [1990, 1991, 1993]) == ([10, 0, 0], [0, 20, 6])
-    assert data.name_counts("Renee", [1990, 1991]) == ([0, 0], [0, 30])
-    assert data.name_counts("Renee", [1990, 1991], fold_diacritics=True) == ([100, 0], [0, 30])
-    assert data.name_counts("Ann", [1990, 1991, 1993]) == ([7, 0, 0], [0, 0, 8])
-    assert data.name_counts("Ann", []) == ([], [])
+    assert _counts_by_lookup(data, "lee", [1990, 1991, 1992, 1993]) == (
+        [10, 5, 0, 0], [0, 0, 0, 6])
+    assert _counts_by_lookup(data, "LeE", [1990, 1991, 1993]) == ([10, 0, 0], [0, 20, 6])
+    assert _counts_by_lookup(data, "Renee", [1990, 1991]) == ([0, 0], [0, 30])
+    assert _counts_by_lookup(data, "Renee", [1990, 1991], fold=True) == ([100, 0], [0, 30])
+    assert _counts_by_lookup(data, "Ann", [1990, 1991, 1993]) == ([7, 0, 0], [0, 0, 8])
+    # the same per-year counts, read by ``sums`` one position at a time
+    assert _cell_list(data, data.resolve("LeE")) == ([10, 0, 0], [0, 20, 6])
+    assert _cell_list(data, data.resolve("Renee", fold_diacritics=True)) == (
+        [100, 0, 0], [0, 30, 0])
 
 
 def test_cells_of_one_stored_name_are_the_cells_lookup_reads(sparse_dataset):
     distinct = ds.load_dataset([(1990, "Ann,F,7\nBo,M,9"), (1991, "Bo,F,6"), (1993, "Ann,M,8")])
     for data in (sparse_dataset, distinct):
-        n = len(data.years_loaded)
         for name in NAME_QUERIES:
             for fold in (False, True):
                 ids = data.resolve(name, fold_diacritics=fold)
                 if len(ids) != 1:
                     continue
-                skip, female, male = data.cells(ids, 0, n)
-                # one slice of each column
-                assert type(female) is type(male) is memoryview
+                female, male = _cell_list(data, ids)
                 for pos, year in enumerate(data.years_loaded):
                     cell = data.lookup(name, year, fold_diacritics=fold)
-                    if skip <= pos < skip + len(female):
-                        assert (female[pos - skip], male[pos - skip]) == (cell or (0, 0))
-                    else:
-                        assert cell is None
-    # Ann's span is positions 0 to 2 from cell 0, Bo's 0 to 1 from cell 3
+                    assert (female[pos], male[pos]) == (cell or (0, 0))
+    # Ann's span is positions 0 to 2 from cell 0, Bo's 0 to 1 from cell 3;
+    # the weights 1, 2, 3 tell each position's count from the others
     ann, bo = distinct.resolve("Ann"), distinct.resolve("Bo")
     assert list(ann) == [0] and list(bo) == [1]
-    assert [(skip, f.tolist(), m.tolist()) for skip, f, m in (
-        distinct.cells(ann, 0, 3), distinct.cells(bo, 0, 3))] == [
-        (0, distinct.female[0:3].tolist(), distinct.male[0:3].tolist()),
-        (0, distinct.female[3:5].tolist(), distinct.male[3:5].tolist())]
 
+    def weighted(female, male):
+        num = sum(w * f for w, f in zip((1, 2, 3), female))
+        return num, num + sum(w * m for w, m in zip((1, 2, 3), male)), sum(female), sum(male)
 
-def _cell_list(data, ids, lo=0, hi=None):
-    """``cells`` of ``ids`` over ``lo..hi - 1``, every loaded position by default, as lists."""
-    skip, female, male = data.cells(ids, lo, len(data.years_loaded) if hi is None else hi)
-    return skip, list(female), list(male)
+    assert [distinct.sums(ids, 0, 3, (1, 2, 3)) for ids in (ann, bo)] == [
+        weighted(distinct.female[0:3], distinct.male[0:3]),
+        weighted(distinct.female[3:5], distinct.male[3:5])]
 
 
 def test_resolve_of_one_stored_name():
     data = ds.load_dataset([(1990, "Ann,F,7\nZoë,F,9"), (1991, "Zoë,M,5"), (1993, "Ann,M,8")])
     assert list(data.resolve("Ann")) == [0]
-    assert _cell_list(data, data.resolve("Ann")) == (0, [7, 0, 0], [0, 0, 8])
+    assert _cell_list(data, data.resolve("Ann")) == ([7, 0, 0], [0, 0, 8])
     assert data.resolve("ANN") == data.resolve("Ann")  # the one name its casefold reaches
     assert not data.resolve("Zoe")
     assert list(data.resolve("Zoe", fold_diacritics=True)) == list(data.resolve("Zoë")) == [1]
     # Zoë's cells start at cell 3 and cover positions 0 and 1
-    assert _cell_list(data, data.resolve("Zoë")) == (0, [9, 0], [0, 5])
+    assert _cell_list(data, data.resolve("Zoë")) == ([9, 0, 0], [0, 5, 0])
     assert data.female[3:5].tolist() == [9, 0]
 
 
@@ -379,7 +382,7 @@ def test_resolve_of_an_unknown_name_is_empty(sparse_dataset):
         for name in ("Zzyzx", ""):
             ids = sparse_dataset.resolve(name, fold_diacritics=fold)
             assert not ids
-            assert _cell_list(sparse_dataset, ids) == (0, [], [])
+            assert sparse_dataset.sums(ids, 0, len(sparse_dataset.years_loaded)) == (0, 0, 0, 0)
 
 
 def test_cells_equal_lookup_in_every_range_of_positions(sparse_dataset):
@@ -394,16 +397,19 @@ def test_cells_equal_lookup_in_every_range_of_positions(sparse_dataset):
                 ids = data.resolve(name, fold_diacritics=fold)
                 for lo in range(n + 2):
                     for hi in range(lo, n + 2):
-                        skip, female, male = data.cells(ids, lo, hi)
                         cells = [data.lookup(name, year, fold_diacritics=fold) or (0, 0)
                                  for year in data.years_loaded[lo:hi]]
-                        assert len(female) == len(male) <= len(cells) - skip or not female
-                        got = ([(0, 0)] * skip + list(zip(female, male)))[:len(cells)]
-                        assert got + [(0, 0)] * (len(cells) - len(got)) == cells, (
-                            name, fold, lo, hi)
+                        female, male = sum(f for f, _ in cells), sum(m for _, m in cells)
+                        assert data.sums(ids, lo, hi) == (female, female + male, female, male)
+                        # weight k + 1 at position lo + k: a misaligned read sums other weights
+                        weights = list(range(1, hi - lo + 1))
+                        num = sum(w * f for w, (f, _) in zip(weights, cells))
+                        assert data.sums(ids, lo, hi, weights) == (
+                            num, num + sum(w * m for w, (_, m) in zip(weights, cells)),
+                            female, male), (name, fold, lo, hi)
 
 
-def test_totals_name_counts_and_temporal_p_female_resolve_a_shared_key_name_once(
+def test_totals_and_temporal_p_female_resolve_a_shared_key_name_once(
         sparse_dataset, monkeypatch):
     calls = []
     candidates = ds.Dataset._candidates
@@ -418,9 +424,7 @@ def test_totals_name_counts_and_temporal_p_female_resolve_a_shared_key_name_once
     reads = [lambda c=chosen: audit.temporal_p_female(sparse_dataset, "lee", [(y, 1) for y in c])
              for chosen in (years[3:9], (1900, 1905, 1910))]
     for fold in (False, True):
-        reads += [lambda f=fold: _pooled_counts(sparse_dataset, "lee", 1900, 1960, f),
-                  lambda f=fold: sparse_dataset.name_counts("lee", years[3:9], f),
-                  lambda f=fold: sparse_dataset.name_counts("lee", (1910, 1905, 1900, 1910), f)]
+        reads.append(lambda f=fold: _pooled_counts(sparse_dataset, "lee", 1900, 1960, f))
     for read in reads:
         calls.clear()
         read()
@@ -688,7 +692,7 @@ def test_a_name_of_one_sex_each_year_keeps_both_columns():
                             (1993, "Pat,M,8")])
     assert [data.lookup("Pat", year) for year in (1990, 1991, 1992, 1993)] == [
         (10, 0), (0, 12), None, (0, 8)]
-    assert data.name_counts("Pat", [1990, 1991, 1992, 1993]) == ([10, 0, 0, 0], [0, 12, 0, 8])
+    assert _cell_list(data, data.resolve("Pat")) == ([10, 0, 0, 0], [0, 12, 0, 8])
 
 
 def test_lenient_zero_count_rows_never_start_or_end_a_span():
@@ -721,8 +725,8 @@ def test_index_loads_columns_at_their_stored_width(tmp_path, count, itemsize):
             assert loaded.lookup(name, year) == built.lookup(name, year)
         assert (_pooled_counts(loaded, name, 1880, 2020)
                 == _pooled_counts(built, name, 1880, 2020))
-        for years in ([1990, 1991], [1991, 1993], [1990, 1991, 1992, 1993]):
-            assert loaded.name_counts(name, years) == built.name_counts(name, years)
+        assert (_cell_list(loaded, loaded.resolve(name))
+                == _cell_list(built, built.resolve(name)))
     for years in ((1990, 1993), (1991, 1991)):
         assert list(loaded.year_pair_cells(*years)) == list(built.year_pair_cells(*years))
     resaved = tmp_path / "resaved.idx"
@@ -890,8 +894,8 @@ def test_a_one_name_index_load_peaks_under_one_payload(dense16_index):
     data, path, payload = dense16_index
     loaded, peak = _load_peak(path, ["Name00500"])
     assert loaded.names == ("Name00500",)
-    assert loaded.name_counts("Name00500", data.years_loaded) == data.name_counts(
-        "Name00500", data.years_loaded)
+    assert (_cell_list(loaded, loaded.resolve("Name00500"))
+            == _cell_list(data, data.resolve("Name00500")))
     assert peak < payload, peak / payload
 
 
@@ -931,7 +935,7 @@ def test_exact_names_resolve_without_fold_maps_until_a_miss(tmp_path):
     assert data.lookup("Ann", 1990) == (10, 0)
     assert data.lookup("Ann", 1991) is None
     assert data.lookup("Renée", 1990, fold_diacritics=True) == (7, 0)
-    assert data.name_counts("Renée", [1990, 1991]) == ([7, 0], [0, 0])
+    assert _cell_list(data, data.resolve("Renée")) == ([7, 0], [0, 0])
     assert _pooled_counts(data, "Bo", 1990, 1991) == (0, 9)
     assert data._groups is None
     assert data.lookup("Zzyzx", 1990) is None  # a miss builds the groups
@@ -980,7 +984,9 @@ def _assert_pinned_answers(table, load):
     for spelling, answers in SHARED_KEY_ANSWERS[table].items():
         for fold, (female, male) in zip((False, True), answers):
             data = load()  # cold: no fold map yet
-            assert data.name_counts(spelling, years, fold) == (female, male), (spelling, fold)
+            assert data.years_loaded == tuple(years)
+            assert _cell_list(data, data.resolve(spelling, fold)) == (female, male), (
+                spelling, fold)
             assert [data.lookup(spelling, year, fold) for year in years] == [
                 (f, m) if f or m else None for f, m in zip(female, male)]
             assert _pooled_counts(data, spelling, 1990, 1992, fold) == (sum(female), sum(male))
@@ -1042,7 +1048,7 @@ def _exact_answers_after_a_load(data, path, names=None):
     ds.save_index(data, path)
     loaded = ds.load_index(path, names)
     name = data.names[0]
-    return (loaded.lookup(name, 1990), loaded.name_counts(name, [1990, 1991]),
+    return (loaded.lookup(name, 1990), _cell_list(loaded, loaded.resolve(name)),
             _pooled_counts(loaded, name, 1990, 1991))
 
 
@@ -1080,7 +1086,7 @@ def test_ascii_names_are_never_stripped_of_diacritics(monkeypatch, fold_calls, t
     calls.clear()
     fold_calls.clear()
     assert _exact_answers_after_a_load(data, tmp_path / "x.idx") == (
-        (10, 0), ([10, 0], [0, 0]), (10, 0))
+        (10, 0), ([10], [0]), (10, 0))
     assert calls == [] and fold_calls == []
 
 
@@ -1092,7 +1098,7 @@ def test_threads_racing_on_the_first_fold_build_get_equal_answers(monkeypatch, t
     sources = [(1990, "Lee,F,10\nLEE,M,40\nRenée,F,100\nAnn,F,7"), (1991, "lee,M,20\nRenee,M,30")]
 
     def answers(data):
-        return [(data.lookup(name, year, fold), data.name_counts(name, [1990, 1991], fold),
+        return [(data.lookup(name, year, fold), _cell_list(data, data.resolve(name, fold)),
                  _pooled_counts(data, name, 1990, 1991, fold)) for name, year, fold in FOLD_QUERIES]
 
     expected = answers(ds.load_dataset(sources))
@@ -1161,7 +1167,7 @@ def _answers_or_errors(data, name, fold):
         answer(model.p_female_pooled, (years[0], years[-1]), fold_diacritics=fold),
         answer(temporal),
         answer(audit.temporal_p_female, [(years[0], 1), (years[-1], 2)]),
-        answer(lambda data, name: data.name_counts(name, (*years, 1879), fold)),
+        answer(lambda data, name: _cell_list(data, data.resolve(name, fold))),
     ]
 
 
@@ -1234,5 +1240,5 @@ def test_a_corrupt_block_is_refused_when_a_load_reads_it(corrupt_block_index, bl
         with pytest.raises(errors.IndexFormatError, match="corrupt female block 1 stream"):
             ds.load_index(path, names)
     loaded = ds.load_index(path, ["Name0000"])
-    assert loaded.name_counts("Name0000", data.years_loaded) == data.name_counts(
-        "Name0000", data.years_loaded)
+    assert (_cell_list(loaded, loaded.resolve("Name0000"))
+            == _cell_list(data, data.resolve("Name0000")))

@@ -127,18 +127,21 @@ def _fresh_python(script: str, *args, cwd) -> None:
     assert done.returncode == 0, done.stderr
 
 
-# Each command as a fresh process runs it, and whether it may load ``csv``.
+# Each command as a fresh process runs it, and which of ``csv`` and
+# ``temponym.model`` it may load.
+CSV, MODEL = "csv", "temponym.model"
 FRESH_COMMANDS = {
-    "ingest": (["ingest", "--dir", dataset.bundled_sample_dir(), "--out", "fresh.idx"], False),
-    "query": (["query", "--index", "{index}", "--name", "Leslie", "--year", "1925"], False),
+    "ingest": (["ingest", "--dir", dataset.bundled_sample_dir(), "--out", "fresh.idx"], set()),
+    "query": (["query", "--index", "{index}", "--name", "Leslie", "--year", "1925"], {MODEL}),
     "query-pooled": (["query", "--index", "{index}", "--name", "Leslie",
-                      "--pooled", "1880..2020"], False),
-    "shift": (["shift", "--index", "{index}", "--format", "json"], False),
-    "audit": (["audit", "--index", "{index}"], True),
-    "ambiguity": (["ambiguity", "--index", "{index}", "--year", "1925"], True),
+                      "--pooled", "1880..2020"], {MODEL}),
+    "shift": (["shift", "--index", "{index}", "--format", "json"], set()),
+    "audit": (["audit", "--index", "{index}"], {CSV, MODEL}),
+    "ambiguity": (["ambiguity", "--index", "{index}", "--year", "1925"], {CSV, MODEL}),
     "plot-trajectories": (["plot", "trajectories", "--index", "{index}",
-                           "--top-shifts", "5"], True),
-    "compare": (["compare", "--index", "{index}", "--names", "Jean,Leslie,Sydney"], True),
+                           "--top-shifts", "5"], {CSV, MODEL}),
+    "compare": (["compare", "--index", "{index}", "--names", "Jean,Leslie,Sydney"],
+                {CSV, MODEL}),
 }
 
 # Runs a command line, then writes the exit code and which of these modules
@@ -152,7 +155,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 with open(report, "w") as fh:
-    json.dump([code, sorted({"_hashlib", "ssl", "csv"} & set(sys.modules))], fh)
+    json.dump([code, sorted({"_hashlib", "ssl", "csv", "temponym.model"} & set(sys.modules))],
+              fh)
 """
 
 
@@ -160,13 +164,14 @@ with open(report, "w") as fh:
 def test_a_command_loads_no_openssl(sample_index, tmp_path, command):
     """The index checksum's hash comes from the builtin ``_blake2`` module,
     so no command maps OpenSSL in through ``hashlib`` (``_hashlib``) or
-    ``ssl``; ``ingest``, ``query`` and a JSON ``shift`` load no ``csv``."""
-    args, reads_csv = FRESH_COMMANDS[command]
+    ``ssl``; ``ingest``, ``query`` and a JSON ``shift`` load no ``csv``, and
+    ``ingest`` and ``shift`` no ``temponym.model``."""
+    args, allowed = FRESH_COMMANDS[command]
     args = [str(arg).format(index=sample_index) for arg in args]
     _fresh_python(_MODULES_AFTER, tmp_path / "modules.json", *args, cwd=tmp_path)
     code, loaded = json.loads((tmp_path / "modules.json").read_text())
     assert code == 0
-    assert set(loaded) <= ({"csv"} if reads_csv else set()), loaded
+    assert set(loaded) <= allowed, loaded
 
 
 def _stdout(capsys, *args) -> str:
@@ -174,6 +179,50 @@ def _stdout(capsys, *args) -> str:
     capsys.readouterr()
     assert _run(*args) == 0, args
     return capsys.readouterr().out
+
+
+def test_an_integer_option_takes_ascii_digits_only():
+    """int() reads "1_925" as 1925; the option refuses it as a usage error (exit 2)."""
+    assert _run("query", "--name", "Leslie", "--year", "1_925") == 2
+
+
+def test_ingest_prints_the_births_of_every_row(capsys, tmp_path):
+    """The births total ingest prints is the sum of every row's count."""
+    sample = dataset.bundled_sample_dir()
+    line = _stdout(capsys, "ingest", "--dir", sample, "--out", tmp_path / "sample.idx")
+    births = sum(int(row.split(",")[2]) for path in sample.glob("yob*.txt")
+                 for row in path.read_text().splitlines() if row)
+    assert f" {births} births, " in line, (births, line)
+
+
+def test_a_query_of_an_ingested_index_answers_a_case_variant(capsys, sample_index):
+    _stdout(capsys, "query", "--index", sample_index, "--name", "leslie", "--year", "1925")
+
+
+def test_a_lone_carriage_return_is_a_data_error_on_line_1(capsys, tmp_path):
+    """A year file is read as stored: a lone \\r between two rows breaks no
+    line, so line 1 is malformed and ingest is a data error (exit 3)."""
+    (tmp_path / "lone-cr").mkdir()
+    (tmp_path / "lone-cr" / "yob1990.txt").write_bytes(b"Ann,F,5\rBo,M,6\n")
+    capsys.readouterr()
+    assert _run("ingest", "--dir", tmp_path / "lone-cr", "--out", tmp_path / "lone-cr.idx") == 3
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_a_config_value_that_is_a_json_list_is_a_usage_error(tmp_path):
+    """A --config value that is a JSON list is a usage error (exit 2), not
+    the names its str() would give."""
+    config = tmp_path / "list.json"
+    config.write_bytes(b'{"compare": {"names": ["Leslie", "Jean"]}}')
+    assert _run("--config", config, "compare") == 2
+
+
+def test_an_ingest_of_a_ten_digit_year_range_indexes_the_sample(capsys, tmp_path):
+    """Ingest only asks a year range whether it holds each year, so a range
+    this wide costs no memory."""
+    out = _stdout(capsys, "ingest", "--dir", dataset.bundled_sample_dir(),
+                  "--years", "1..9999999999", "--out", tmp_path / "wide.idx")
+    assert any(line.startswith("indexed 141 years, ") for line in out.splitlines()), out
 
 
 @pytest.mark.parametrize("command", [

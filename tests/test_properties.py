@@ -36,6 +36,13 @@ def _pooled_counts(data, name, first_year, last_year, fold_diacritics=False):
                      *data.year_span(first_year, last_year))[2:]
 
 
+def _cell_list(data, ids):
+    """The female and male counts ``sums`` reads for ``ids`` at each loaded
+    position, one one-position ``sums`` each."""
+    cells = [data.sums(ids, pos, pos + 1)[2:] for pos in range(len(data.years_loaded))]
+    return [f for f, _ in cells], [m for _, m in cells]
+
+
 def build_prob(female, male):
     data = ds.load_dataset([(1950, f"Pat,F,{female}\nPat,M,{male}\n")], strict=False)
     return model.p_female(data, "Pat", 1950)
@@ -98,8 +105,10 @@ def test_shift_antisymmetry(fm1, fm2):
         (2000, f"Pat,F,{fm2[0]}\nPat,M,{fm2[1]}\n"),
     ]
     data = ds.load_dataset(sources, strict=False)
-    forward = shifts.gender_shift(data, "Pat", 1925, 2000)
-    backward = shifts.gender_shift(data, "Pat", 2000, 1925)
+    [forward] = [e for e in shifts.rank_shifts(data, 1925, 2000, min_support_each_year=0)
+                 if e.name == "Pat"]
+    [backward] = [e for e in shifts.rank_shifts(data, 2000, 1925, min_support_each_year=0)
+                  if e.name == "Pat"]
     assert backward.delta_scaled == -forward.delta_scaled
 
 
@@ -246,11 +255,9 @@ def test_columns_match_per_year_reference(tmp_path_factory, per_year, lo, width)
                         if lo <= year <= lo + width]
             assert _pooled_counts(data, name, lo, lo + width) == (
                 sum(f for f, _ in in_range), sum(m for _, m in in_range))
-            window = [year for year in data.years_loaded if lo <= year <= lo + width]
-            for years in (list(per_year), window, list(range(lo, lo + width + 1))):
-                cells = [per_year.get(year, {}).get(name, (0, 0)) for year in years]
-                assert data.name_counts(name, years) == (
-                    [f for f, _ in cells], [m for _, m in cells])
+            cells = [per_year[year].get(name, (0, 0)) for year in data.years_loaded]
+            assert _cell_list(data, data.resolve(name)) == (
+                [f for f, _ in cells], [m for _, m in cells])
         for y1, rows1 in per_year.items():
             for y2, rows2 in per_year.items():
                 assert list(data.year_pair_cells(y1, y2)) == [
@@ -459,7 +466,7 @@ def test_a_name_whose_keys_fall_in_different_blocks(tmp_path):
     files = source_files(per_year)
     files[0] = (1880, files[0][1] + "\nZed,M,0")  # Zed,M last seen in 1880's file
     data = check_build(tmp_path / "split.idx", per_year, files)
-    assert data.name_counts("Zed", [1880, 1881, 1882]) == ([9, 0, 13], [0, 11, 0])
+    assert _cell_list(data, data.resolve("Zed")) == ([9, 0, 13], [0, 11, 0])
 
 
 def test_years_of_one_two_and_three_byte_counts(tmp_path):
@@ -861,8 +868,8 @@ def _answers(table):
     years = table.years_loaded
     for name in {*table.names[:2], *table.names[-2:], "Leslie", "leslie"}:
         _pooled_counts(table, name, ds.MIN_YEAR, ds.MAX_YEAR)
-        table.name_counts(name, [*years[:3], *years[-3:]])
-        table.name_counts(name, years, fold_diacritics=True)
+        table.sums(table.resolve(name), 0, 3, (1, 2, 3))
+        _cell_list(table, table.resolve(name, fold_diacritics=True))
         for year in {*years[:1], *years[-1:]}:
             table.lookup(name, year)
             table.lookup(name, year, fold_diacritics=True)
@@ -959,7 +966,8 @@ def test_folded_lookups_follow_the_eager_rule(stored, data):
                         for year in FOLD_YEARS]
             for year, cell in zip(FOLD_YEARS, expected):
                 assert (dataset.lookup(name, year, fold_diacritics=fold) or (0, 0)) == cell
-            assert dataset.name_counts(name, FOLD_YEARS, fold_diacritics=fold) == (
+            assert dataset.years_loaded == FOLD_YEARS
+            assert _cell_list(dataset, dataset.resolve(name, fold)) == (
                 [f for f, _ in expected], [m for _, m in expected])
             assert _pooled_counts(dataset, name, 1990, 1993, fold_diacritics=fold) == (
                 sum(f for f, _ in expected), sum(m for _, m in expected))

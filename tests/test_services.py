@@ -195,6 +195,18 @@ def test_cache_round_trip_and_idempotence(tmp_path, monkeypatch):
     assert calls["n"] == 1
 
 
+def test_cache_entry_nested_too_deep_is_a_miss(tmp_path):
+    cache = services.PredictionCache(tmp_path)
+    path = cache._path("genderize", "Leslie", "2024-01-01")
+    path.parent.mkdir(parents=True)
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert cache.get("genderize", "Leslie", "2024-01-01") is None
+    prediction = services.ExternalPrediction("genderize", "Leslie", "F", 0.9, 100, "live",
+                                             "2024-01-01")
+    cache.put(prediction, "2024-01-01")  # the refetched entry overwrites it
+    assert cache.get("genderize", "Leslie", "2024-01-01") == prediction
+
+
 def test_api_key_comes_from_environment(monkeypatch):
     config = services.ServiceConfig(
         service_id="gender-api", endpoint_url="http://example.invalid"

@@ -8,8 +8,15 @@ from temponym import errors, model, shifts
 from temponym import dataset as ds
 
 
+def _shift_entries(data, y1, y2):
+    """Every ``rank_shifts`` entry, with no support floor, by name: the shift
+    of each name with data in both years."""
+    entries = shifts.rank_shifts(data, y1, y2, min_support_each_year=0, top_k=len(data.names))
+    return {entry.name: entry for entry in entries}
+
+
 def test_shelby_shift(sample_dataset):
-    entry = shifts.gender_shift(sample_dataset, "Shelby", 1925, 2000)
+    entry = _shift_entries(sample_dataset, 1925, 2000)["Shelby"]
     assert entry.delta_scaled == pytest.approx(90.68, abs=1.5)
     assert entry.p1 == pytest.approx(0.0657, abs=0.001)
     assert entry.p2 == pytest.approx(0.9725, abs=0.001)
@@ -17,18 +24,20 @@ def test_shelby_shift(sample_dataset):
 
 def test_zero_shift():
     data = ds.load_dataset([(1925, "Pat,F,30\nPat,M,70"), (2000, "Pat,F,60\nPat,M,140")])
-    assert shifts.gender_shift(data, "Pat", 1925, 2000).delta_scaled == 0.0
+    assert _shift_entries(data, 1925, 2000)["Pat"].delta_scaled == 0.0
 
 
 def test_antisymmetry(sample_dataset):
-    forward = shifts.gender_shift(sample_dataset, "Leslie", 1925, 2000)
-    backward = shifts.gender_shift(sample_dataset, "Leslie", 2000, 1925)
+    forward = _shift_entries(sample_dataset, 1925, 2000)["Leslie"]
+    backward = _shift_entries(sample_dataset, 2000, 1925)["Leslie"]
     assert backward.delta_scaled == -forward.delta_scaled
 
 
 def test_missing_endpoint_identified(sample_dataset):
+    assert "Ethan" not in _shift_entries(sample_dataset, 1925, 2000)
+    assert model.p_female(sample_dataset, "Ethan", 2000)
     with pytest.raises(errors.NoData) as exc_info:
-        shifts.gender_shift(sample_dataset, "Ethan", 1925, 2000)
+        model.p_female(sample_dataset, "Ethan", 1925)
     assert "1925" in str(exc_info.value)
 
 
@@ -127,9 +136,8 @@ def test_sign_census_top20(sample_dataset):
 
 def test_net_female_shift(sample_dataset):
     names = shifts.qualifying_names(sample_dataset, 1925, 2000)
-    entries = [
-        shifts.gender_shift(sample_dataset, name, 1925, 2000) for name in names
-    ]
+    shift_of = _shift_entries(sample_dataset, 1925, 2000)
+    entries = [shift_of[name] for name in names]
     stats = shifts.shift_statistics(entries)
     assert stats.n_positive > stats.n_negative
     assert stats.median > 0
@@ -137,8 +145,10 @@ def test_net_female_shift(sample_dataset):
 
 def test_swapping_years_reverses_sign_census(sample_dataset):
     names = sorted(shifts.qualifying_names(sample_dataset, 1925, 2000))[:40]
-    forward = [shifts.gender_shift(sample_dataset, n, 1925, 2000) for n in names]
-    backward = [shifts.gender_shift(sample_dataset, n, 2000, 1925) for n in names]
+    forward_of = _shift_entries(sample_dataset, 1925, 2000)
+    backward_of = _shift_entries(sample_dataset, 2000, 1925)
+    forward = [forward_of[n] for n in names]
+    backward = [backward_of[n] for n in names]
     stats_f = shifts.shift_statistics(forward)
     stats_b = shifts.shift_statistics(backward)
     assert stats_f.n_positive == stats_b.n_negative
@@ -173,14 +183,17 @@ def _shift_dataset():
 
 
 def _reference_entries(data, y1, y2, min_support):
-    """gender_shift for every stored name with data and support in both years."""
+    """The shift of every stored name with data and support in both years,
+    each field checked against ``model.p_female``."""
+    shift_of = _shift_entries(data, y1, y2)
     entries = []
     for name in data.names:
         try:
-            entry = shifts.gender_shift(data, name, y1, y2)
+            prob1, prob2 = model.p_female(data, name, y1), model.p_female(data, name, y2)
         except errors.NoData:
+            assert name not in shift_of
             continue
-        prob1, prob2 = model.p_female(data, name, y1), model.p_female(data, name, y2)
+        entry = shift_of[name]
         p1, p2 = prob1.p_female, prob2.p_female
         assert (entry.p1, entry.p2, entry.delta_scaled) == (p1, p2, (p2 - p1) * 100)
         assert (entry.support_y1, entry.support_y2) == (prob1.support, prob2.support)
