@@ -22,8 +22,10 @@ year's row, until the columns hold it; no years x keys grid is built.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 import re
 import sys
 import zlib
@@ -39,8 +41,8 @@ from unicodedata import combining, normalize
 from . import errors
 from ._pyparse import KeyIds, merge_rows
 
-# The index checksum's hash, from the builtin module (hashlib.blake2b is this
-# same function), as random.py takes _sha512: importing hashlib maps
+# The hash of the index digests, from the builtin module (hashlib.blake2b is
+# this same function), as random.py takes _sha512: importing hashlib maps
 # OpenSSL's libcrypto into the process.
 from _blake2 import blake2b
 
@@ -54,7 +56,7 @@ MAX_YEAR = 2100
 _YOB_RE = re.compile(r"yob([0-9]{4})\.txt")  # the whole file name
 
 INDEX_MAGIC = b"TMPNIDX\n"
-INDEX_VERSION = 8
+INDEX_VERSION = 9
 
 _NO_DATA = (0, 0)
 
@@ -673,11 +675,13 @@ def bundled_sample_dir() -> Path:
 #   female   the female count column, name-major
 #   male     the male count column
 #
-# The header holds the format version, a BLAKE2b-256 checksum (``digest``),
-# the years, the byte length of each section (``sections``) and of its
-# streams as stored (``stored``), the width, 1 to 4 bytes, of each section
-# after ``names``, whether no two names fold to one key (``distinct_keys``)
-# and the rows skipped per year, or ``[]`` when none was (``skipped``). The
+# The header holds the format version, the years, the byte length of each
+# section (``sections``) and of its streams as stored (``stored``), the
+# width, 1 to 4 bytes, of each section after ``names``, whether no two names
+# fold to one key (``distinct_keys``), the rows skipped per year, or ``[]``
+# when none was (``skipped``), the 16-byte BLAKE2b of each stored stream, in
+# file order (``digests``), and last the BLAKE2b-256 of the header itself
+# (``digest``, ``_header_digest``), which so covers the stream digests. The
 # sections after ``names`` are unsigned 32-bit little-endian columns, stored
 # byte-plane shuffled (all first bytes, then all second bytes, ...) and cut
 # after the highest plane that holds a non-zero byte: counts below 2^16 keep
@@ -691,21 +695,17 @@ def bundled_sample_dir() -> Path:
 # time and saves almost nothing. At ``memLevel`` 9 a block holds half as
 # many Huffman code tables as at the default 8. A block that runs do not
 # make smaller than its plane, such as one of random low bytes, is stored
-# (level 0), so it inflates as a copy (``_block``). The checksum
-# (``_checksum``) covers the header, its own field null, and every stored
-# stream in order; each stream checks its own inflated bytes with its
-# Adler-32 trailer. Nothing may follow the last stream. Loading checks the
-# stored lengths against the file's size, then reads the file once, front
-# to back, one stream at a time (``_Streams``), hashing each as it is read
-# and using it at once: it inflates the name table, ``starts`` and
-# ``lengths``, and, of the count columns, every block or only the blocks
-# that hold the cells of the names asked for (the others are hashed and
-# dropped), writing each block's plane into a column of the narrowest
-# native unsigned type that holds its width, which the Dataset reads in
-# place: no row parsing. The checksum is matched before any table is
-# given, and a mismatch is reported ahead of any error a stream gave. A
-# column grows only as its first plane's blocks inflate, so no buffer is
-# sized from the header.
+# (level 0), so it inflates as a copy (``_block``). Each stream also checks
+# its own inflated bytes with its Adler-32 trailer. Nothing may follow the
+# last stream. Loading matches the header's digest, then checks the stored
+# lengths against the file's size, then reads only the streams it uses, each
+# once (``_Streams``), and matches each one's digest before it is inflated:
+# the name table, ``starts`` and ``lengths``, and, of the count columns,
+# every block or only the blocks that hold the cells of the names asked for
+# (the others are not read). Each block's plane is written into a column of
+# the narrowest native unsigned type that holds its width, which the
+# Dataset reads in place: no row parsing. A column grows only as its first
+# plane's blocks inflate, so no buffer is sized from the header.
 # Saving reads a column by its own item size, so a loaded Dataset saves to
 # the same bytes. The Dataset derives its offsets from ``lengths``; stored,
 # they would need three planes and grow the file.
@@ -778,18 +778,16 @@ def _narrowest(values: array) -> array:
     return out
 
 
-def _digest(header: dict):
-    """The BLAKE2b-256 of an index's checksum, fed the header as JSON, its
-    ``digest`` field null; each stored stream is fed to it in turn."""
-    return blake2b(json.dumps({**header, "digest": None}).encode(), digest_size=32)
+def _stream_digest(stream: bytes) -> str:
+    """A stored stream's entry in the header's ``digests``: its 16-byte
+    BLAKE2b, in hex."""
+    return blake2b(stream, digest_size=16).hexdigest()
 
 
-def _checksum(header: dict, *streams) -> str:
-    """The checksum of ``header`` and the stored ``streams`` (``_digest``)."""
-    digest = _digest(header)
-    for stream in streams:
-        digest.update(stream)
-    return digest.hexdigest()
+def _header_digest(header: dict) -> str:
+    """The header's ``digest``: the BLAKE2b-256, in hex, of the header as
+    JSON, its ``digest`` field null."""
+    return blake2b(json.dumps({**header, "digest": None}).encode(), digest_size=32).hexdigest()
 
 
 def _deflated(data: bytes, level: int = 6, **options) -> bytes:
@@ -806,7 +804,9 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
     """Write ``dataset`` to ``path``; a file that cannot be written is a data error.
 
     Each column's byte planes are cut from pieces of it (``_pieces``), one
-    block at a time, so no whole copy of a column is made.
+    block at a time, so no whole copy of a column is made. The index is
+    written to a new file beside ``path`` and renamed over it, so a write
+    that fails leaves what ``path`` held, and no stray file.
     """
     names = "\n".join(dataset.names).encode()
     streams = [_deflated(names)]
@@ -828,15 +828,25 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
         "widths": widths,
         "distinct_keys": dataset._distinct,
         "skipped": list(dataset.skipped) if any(dataset.skipped) else [],
+        "digests": list(map(_stream_digest, streams)),
     }
-    header["digest"] = _checksum(header, *streams)
+    header["digest"] = _header_digest(header)
+    # "x": a name another writer took is refused, never written over
+    temp, stray = Path(path).parent / f".temponym-{os.urandom(8).hex()}.tmp", None
     try:
-        with open(path, "wb") as fh:
+        with open(temp, "xb") as fh:
+            stray = temp
             fh.write(INDEX_MAGIC)
             fh.write(json.dumps(header).encode() + b"\n")
             fh.writelines(streams)
+        os.replace(temp, path)
+        stray = None
     except OSError as exc:
         raise errors.TemponymError(f"{path}: cannot be written ({exc.strerror or exc})") from None
+    finally:
+        if stray is not None:
+            with contextlib.suppress(OSError):
+                os.remove(stray)
 
 
 def _blocks(values: int, width: int) -> int:
@@ -883,6 +893,7 @@ def _read_header(path, line: bytes) -> dict:
     if not (isinstance(widths, dict) and list(widths) == list(_U32_SECTIONS)
             and all(type(w) is int and 1 <= w <= 4 for w in widths.values())):
         raise bad(f"header widths must be byte widths 1 to 4 of {', '.join(_U32_SECTIONS)}")
+    streams = 1
     for key in _U32_SECTIONS:
         if sections[key] % widths[key]:
             raise bad("a column section is not a whole number of values of its width")
@@ -890,12 +901,19 @@ def _read_header(path, line: bytes) -> dict:
         if not (isinstance(stored[key], list) and len(stored[key]) == count
                 and all(map(_is_length, stored[key]))):
             raise bad(f"header stored {key} must list the byte lengths of its {count} blocks")
+        streams += count
     if type(header.get("distinct_keys")) is not bool:
         raise bad("header distinct_keys must be true or false")
     skipped = header.get("skipped")
     if not (isinstance(skipped, list) and len(skipped) in (0, len(years))
             and all(type(n) is int and n >= 0 for n in skipped)):
         raise bad("header skipped must be empty or one row count per year")
+    digests = header.get("digests")
+    if not (isinstance(digests, list) and len(digests) == streams
+            and all(isinstance(d, str) for d in digests)):
+        raise bad(f"header digests must list the digests of its {streams} streams")
+    if _header_digest(header) != digest:
+        raise bad("checksum mismatch in the header")
     return header
 
 
@@ -924,29 +942,25 @@ def _inflate(path, stream: bytes, size: int, what: str) -> bytes:
 
 
 class _Streams:
-    """The stored streams of an open index, past its header, read in file
-    order, one at a time, each hashed as it is read.
+    """The stored streams of an open index, past its header, each read only
+    when asked for and matched against its digest before it is given.
 
     Their stored lengths are checked against the file's size before any is
     read, so no read asks for more bytes than the file holds; a pipe is read
     whole first, to learn its size. Called with a stream's name (``names``
-    or ``<column> block <j>``), it reads on to that stream and gives its
-    bytes; the streams before it are hashed and dropped.
+    or ``<column> block <j>``), it seeks to that stream and gives its bytes.
     """
 
     def __init__(self, path, fh, header: dict):
         if not fh.seekable():  # a pipe, whose size is known only once it is read
             fh = io.BytesIO(fh.read())
         stored = header["stored"]
-        self.streams = [("names", stored["names"])] + [
+        lengths = [("names", stored["names"])] + [
             (f"{key} block {j}", n) for key in _U32_SECTIONS for j, n in enumerate(stored[key])]
-        self.index = {what: i for i, (what, _) in enumerate(self.streams)}
-        self.path, self.fh, self.at, self.short = path, fh, 0, None
-        self.digest = _digest(header)
-        at = fh.tell()
-        end, size = 0, fh.seek(0, io.SEEK_END) - at
-        fh.seek(at)
-        for what, n in self.streams:
+        self.path, self.fh, self.streams = path, fh, {}
+        end, size = fh.tell(), fh.seek(0, io.SEEK_END)
+        for (what, n), digest in zip(lengths, header["digests"]):
+            self.streams[what] = end, n, digest
             end += n
             if end > size:
                 raise errors.IndexFormatError(f"{path}: the {what} stream is truncated")
@@ -954,28 +968,14 @@ class _Streams:
             raise errors.IndexFormatError(f"{path}: {size - end} byte(s) after the last stream")
 
     def __call__(self, what: str) -> bytes:
-        while self.at <= self.index[what]:
-            data = self._next()
-        return data
-
-    def _next(self) -> bytes:
-        what, n = self.streams[self.at]
-        self.at += 1
+        at, n, digest = self.streams[what]
+        self.fh.seek(at)
         data = self.fh.read(n)
         if len(data) < n:  # the file was cut after its size was read
-            self.short = errors.IndexFormatError(f"{self.path}: the {what} stream is truncated")
-            raise self.short
-        self.digest.update(data)
+            raise errors.IndexFormatError(f"{self.path}: the {what} stream is truncated")
+        if _stream_digest(data) != digest:
+            raise errors.IndexFormatError(f"{self.path}: checksum mismatch in the {what} stream")
         return data
-
-    def checksum(self) -> str:
-        """The checksum of the header and every stream, read on to the last;
-        a stream that read short is refused first."""
-        if self.short:
-            raise self.short
-        while self.at < len(self.streams):
-            self._next()
-        return self.digest.hexdigest()
 
 
 def _column(path, key: str, read: _Streams, width: int, values: int,
@@ -1063,15 +1063,14 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Datas
     """The Dataset an index file holds; a file that breaks its layout or a
     table rule is an ``IndexFormatError``.
 
-    The file is read once, front to back, one stored stream at a time, and
-    each stream is hashed and used as it is read. Given ``names``, only the
-    stored names that fold to the key of one of them are loaded, over every
-    year, and only the count blocks that hold their cells are inflated: the
-    table answers every question about those names as the whole one does.
-    The name table, ``starts`` and ``lengths`` are checked in full, and every
-    stream is hashed, either way. A file whose checksum does not match is
-    refused as such, whatever else is wrong with its streams; no table is
-    given before the checksum is matched.
+    The header's digest is matched first. Then each stream the load uses is
+    read once, and its digest matched before it is inflated: a stream whose
+    digest does not match is refused as a "checksum mismatch" naming it,
+    whatever else is wrong with it. Given ``names``, only the stored names
+    that fold to the key of one of them are loaded, over every year, and only
+    the count blocks that hold their cells are read: the table answers every
+    question about those names as the whole one does. The name table,
+    ``starts`` and ``lengths`` are read and checked in full either way.
     """
     if isinstance(names, str):  # else each of its letters would be a name asked for
         raise TypeError("load_index takes an iterable of names, not one str")
@@ -1083,15 +1082,9 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Datas
         if fh.read(len(INDEX_MAGIC)) != INDEX_MAGIC:
             raise errors.IndexFormatError(f"{path}: not a temponym index")
         header = _read_header(path, fh.readline())
-        read = _Streams(path, fh, header)
         try:
-            table, failure = _table(path, header, read, names), None
-        except errors.TemponymError as exc:  # reported only once the checksum matches
-            table, failure = None, exc
-        if read.checksum() != header["digest"]:
-            raise errors.IndexFormatError(f"{path}: checksum mismatch")
-    if isinstance(failure, errors.IndexFormatError):
-        raise failure
-    if failure is not None:
-        raise errors.IndexFormatError(f"{path}: {failure}") from None
-    return table
+            return _table(path, header, _Streams(path, fh, header), names)
+        except errors.IndexFormatError:
+            raise
+        except errors.TemponymError as exc:  # a table rule broken
+            raise errors.IndexFormatError(f"{path}: {exc}") from None

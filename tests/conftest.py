@@ -83,9 +83,15 @@ def _write_index(path, header, payload):
 
 
 def _signed(header, payload):
-    """``header`` with the checksum of itself and the stored streams ``payload``,
-    so that a damage to a field the checksum covers reaches the check it is for."""
-    return {**header, "digest": dataset_mod._checksum(header, payload)}
+    """``header`` with the digest of each stored stream of ``payload``, cut by
+    its ``stored`` lengths, and its own, so that a damage to a field or stream
+    they cover reaches the check it is for."""
+    stored, streams, at = header["stored"], [], 0
+    for n in [stored["names"], *(n for key in dataset_mod._U32_SECTIONS for n in stored[key])]:
+        streams.append(payload[at:at + n])
+        at += n
+    header = {**header, "digests": list(map(dataset_mod._stream_digest, streams))}
+    return {**header, "digest": dataset_mod._header_digest(header)}
 
 
 def _drop_digest(path):
@@ -126,7 +132,7 @@ def _version_4(path):
     header["version"] = 4
     del header["stored"]
     payload = zlib.compress(b"".join(inflated_streams(payload)))
-    _write_index(path, _signed(header, payload), payload)
+    _write_index(path, header, payload)
 
 
 def _version_5(path):
@@ -148,7 +154,7 @@ def _version_6(path):
     del header["skipped"]
     header["stored"] = {key: n if key == "names" else sum(n)
                         for key, n in header["stored"].items()}
-    _write_index(path, _signed(header, payload), payload)
+    _write_index(path, header, payload)
 
 
 def _set_female_width(path, width):
@@ -203,20 +209,32 @@ def _header_nested_too_deep(path):
 
 def _version_7(path):
     """Version 7, byte for byte as it was written: the same layout, checked
-    by a SHA-256 in the header's last field, ``sha256``."""
+    by a SHA-256 of the header and every stored stream in the header's last
+    field, ``sha256``."""
     header, payload = _index_parts(path)
-    del header["digest"]
+    del header["digests"], header["digest"]
     header["version"] = 7
     sha256 = hashlib.sha256(json.dumps({**header, "sha256": None}).encode() + payload)
     _write_index(path, {**header, "sha256": sha256.hexdigest()}, payload)
 
 
-def _version_9(path):
-    _set_header(path, "version", 9)
+def _version_8(path):
+    """Version 8, byte for byte as it was written: no ``digests``, and the
+    BLAKE2b-256 of the header and every stored stream in ``digest``."""
+    header, payload = _index_parts(path)
+    del header["digests"], header["digest"]
+    header["version"] = 8
+    digest = hashlib.blake2b(json.dumps({**header, "digest": None}).encode() + payload,
+                             digest_size=32)
+    _write_index(path, {**header, "digest": digest.hexdigest()}, payload)
+
+
+def _version_10(path):
+    _set_header(path, "version", 10)
 
 
 def _version_float(path):
-    _set_header(path, "version", 8.0)  # equal to 8, but not the integer 8
+    _set_header(path, "version", 9.0)  # equal to 9, but not the integer 9
 
 
 def _version_true(path):
@@ -290,6 +308,22 @@ def _fold_fact_flipped(path):
     """Names that share a folded key, marked as folding apart."""
     dataset_mod.save_index(dataset_mod.load_dataset([(1990, "Lee,F,10\nLEE,M,20")]), path)
     _set_header(path, "distinct_keys", True)
+
+
+def _digests_of_a_wrong_count(path):
+    header, _ = _index_parts(path)
+    _set_header(path, "digests", header["digests"] * 2)
+
+
+def _digest_not_a_string(path):
+    header, _ = _index_parts(path)
+    _set_header(path, "digests", [1, *header["digests"][1:]])
+
+
+def _last_stored_byte_flipped(path):
+    """The last byte of the last stream flipped, the header as it was."""
+    header, payload = _index_parts(path)
+    _write_index(path, header, payload[:-1] + bytes([payload[-1] ^ 1]))
 
 
 def _fold_fact_missing(path):
@@ -399,8 +433,9 @@ def _spans_outside_columns(path, keep_digest=False):
                      keep_digest)
 
 
-# Damaged streams whose file is not signed again: the checksum decides, ahead
-# of the error each stream would give if it were.
+# Damaged streams whose file is not signed again: a digest decides, the
+# header's where the stored lengths changed, else the stream's, ahead of the
+# error each stream would give if it were.
 def _count_block_undecodable_unsigned(path):
     _count_block_undecodable(path, keep_digest=True)
 
@@ -438,8 +473,9 @@ BAD_INDEXES = [
     (_version_5, "version 5 is no longer read; re-run `temponym ingest`"),
     (_version_6, "version 6 is no longer read; re-run `temponym ingest`"),
     (_version_7, "version 7 is no longer read; re-run `temponym ingest`"),
-    (_version_9, "unsupported index version 9"),
-    (_version_float, "unsupported index version 8.0"),
+    (_version_8, "version 8 is no longer read; re-run `temponym ingest`"),
+    (_version_10, "unsupported index version 10"),
+    (_version_float, "unsupported index version 9.0"),
     (_version_true, "unsupported index version True"),
     (_years_not_a_list, "header years are not a list"),
     (_years_not_increasing, "years are not increasing integers"),
@@ -449,8 +485,11 @@ BAD_INDEXES = [
     (_stored_lengths_missing, "header stored must be byte lengths"),
     (_a_length_past_any_buffer, "header sections must be byte lengths"),
     (_payload_byte_changed, "checksum mismatch"),
-    (_year_moved, "checksum mismatch"),
-    (_fold_fact_flipped, "checksum mismatch"),
+    (_year_moved, "checksum mismatch in the header"),
+    (_fold_fact_flipped, "checksum mismatch in the header"),
+    (_digests_of_a_wrong_count, "header digests must list the digests of its 5 streams"),
+    (_digest_not_a_string, "header digests must list the digests of its 5 streams"),
+    (_last_stored_byte_flipped, "checksum mismatch in the male block 0 stream"),
     (_fold_fact_missing, "header distinct_keys must be true or false"),
     (_fold_fact_not_a_bool, "header distinct_keys must be true or false"),
     (_names_not_utf8, "name table is not UTF-8"),
@@ -476,7 +515,7 @@ BAD_INDEXES = [
     (_spans_outside_columns, "spans point outside"),
     (_names_not_sorted, "not sorted and unique"),
     (_names_not_unique, "not sorted and unique"),
-    (_count_block_undecodable_unsigned, "checksum mismatch"),
+    (_count_block_undecodable_unsigned, "checksum mismatch in the female block 0 stream"),
     (_names_not_utf8_unsigned, "checksum mismatch"),
     (_spans_outside_columns_unsigned, "checksum mismatch"),
     (_count_block_short_unsigned, "checksum mismatch"),

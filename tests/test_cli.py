@@ -16,6 +16,8 @@ from temponym import dataset as ds
 from temponym import errors, shifts
 from temponym.cli import main
 
+from test_installed_package import FRESH_COMMANDS
+
 
 class Result(NamedTuple):
     exit_code: int
@@ -960,21 +962,12 @@ def test_lookup_error_text_is_pinned(runner):
     assert "ssa" not in rows[1]["errors"]
 
 
-# Each command imports the modules it uses and no others: these are all the
-# temponym modules a command may load, and whether it loads ``statistics``.
-# Every other module it loads must come with the standard library: no
-# third-party package (no CLI framework, no HTTP client) is paid for at start-up.
-# No command loads ``dataclasses`` or the ``inspect`` it imports, and ``--help``
-# loads neither ``json`` nor ``csv``.
-HELP_MODULES = ["temponym", "temponym.cli", "temponym.errors"]
-DATA_MODULES = sorted(HELP_MODULES + ["temponym._pyparse", "temponym.dataset"])
-COMMON_MODULES = sorted(DATA_MODULES + ["temponym.model"])
-COMMAND_MODULES = [
-    (["--help"], HELP_MODULES, False),
-    (["query", "--name", "Leslie", "--year", "1925"], COMMON_MODULES, False),
-    (["shift", "--top", "3"], sorted(DATA_MODULES + ["temponym.shifts"]), True),
-    (["audit"], sorted(COMMON_MODULES + ["temponym.audit"]), False),
-]
+# Each command imports the modules it uses and no others: every temponym
+# module a fresh command loads is in its row of FRESH_COMMANDS. Every other
+# module it loads must come with the standard library: no third-party package
+# (no CLI framework, no HTTP client) is paid for at start-up. No command loads
+# ``dataclasses`` or the ``inspect`` it imports, and ``--help`` loads neither
+# ``json`` nor ``csv``.
 LOADED_MODULES = """
 import sys
 before = set(sys.modules)
@@ -988,24 +981,25 @@ finally:
     third_party = sorted(m for m in set(sys.modules) - before
                          if m.split(".")[0] not in {"temponym", *sys.stdlib_module_names})
     unwanted = [m for m in ("dataclasses", "inspect") if m in sys.modules]
-    print(json.dumps([temponym, "statistics" in sys.modules, third_party, unwanted,
-                      "json" in before, formats]), file=sys.stderr)
+    print(json.dumps([temponym, third_party, unwanted, "json" in before, formats]),
+          file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("args,modules,statistics", COMMAND_MODULES,
-                         ids=[case[0][0] for case in COMMAND_MODULES])
-def test_a_command_imports_only_what_it_uses(args, modules, statistics):
+@pytest.mark.parametrize("command", FRESH_COMMANDS)
+def test_a_command_imports_only_what_it_uses(command, sample_index, tmp_path):
+    args, modules, _ = FRESH_COMMANDS[command]
+    args = [str(arg).format(index=sample_index) for arg in args]
     src = str(Path(temponym.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stderr.splitlines()[-1])
-    assert loaded[:5] == [modules, statistics, [], [], False]
-    if args == ["--help"]:  # nothing is written as JSON or CSV
-        assert loaded[5] == []
+    assert loaded[:4] == [modules, [], [], False]
+    if command == "--help":  # nothing is written as JSON or CSV
+        assert loaded[4] == []
 
 
 def _no_constant(name):

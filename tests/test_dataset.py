@@ -1,6 +1,7 @@
 import copy
 import csv
 import datetime
+import errno
 import hashlib
 import io
 import json
@@ -540,15 +541,50 @@ def test_index_round_trip_keeps_diacritic_folding(tmp_path):
 
 
 def test_the_checksum_is_the_blake2b_of_the_header_and_its_streams(tmp_path):
-    """The header's ``digest`` is the BLAKE2b-256 of the header as JSON, its
-    ``digest`` null, followed by every stored stream in file order."""
+    """The header's ``digests`` lists the 16-byte BLAKE2b of each stored
+    stream in file order, and its ``digest``, its last field, is the
+    BLAKE2b-256 of the header as JSON, its ``digest`` null."""
     path = tmp_path / "index.idx"
     ds.save_index(ds.load_dataset([(1990, "Pat,F,10\nSam,M,9"), (1991, "Pat,F,12")]), path)
     magic, header_line, payload = path.read_bytes().split(b"\n", 2)
     header = json.loads(header_line)
-    expected = hashlib.blake2b(json.dumps({**header, "digest": None}).encode() + payload,
-                               digest_size=32).hexdigest()
-    assert header["digest"] == ds._checksum(header, payload) == expected
+    assert list(header)[-2:] == ["digests", "digest"]
+    streams = [block for blocks in _streams(header, payload).values() for block in blocks]
+    assert b"".join(streams) == payload and len(streams) == 5
+    assert header["digests"] == [hashlib.blake2b(stream, digest_size=16).hexdigest()
+                                 for stream in streams]
+    assert header["digest"] == hashlib.blake2b(
+        json.dumps({**header, "digest": None}).encode(), digest_size=32).hexdigest()
+
+
+@pytest.mark.parametrize("failure, raised", [
+    (OSError(errno.ENOSPC, "No space left on device"), errors.TemponymError),
+    (KeyboardInterrupt(), KeyboardInterrupt)], ids=["no-space", "interrupted"])
+def test_a_save_that_fails_leaves_the_old_index_and_no_stray_file(tmp_path, monkeypatch,
+                                                                   failure, raised):
+    """An index is written beside its path and renamed over it: a save whose
+    write fails, or is interrupted, leaves the old index whole, and removes
+    what it wrote."""
+    path = tmp_path / "x.idx"
+    old = ds.load_dataset([(1990, "Pat,F,10")])
+    ds.save_index(old, path)
+
+    def fail(streams):
+        raise failure
+
+    def failing_open(*args):
+        fh = open(*args)
+        fh.writelines = fail
+        return fh
+
+    monkeypatch.setattr(ds, "open", failing_open, raising=False)
+    with pytest.raises(raised) as caught:
+        ds.save_index(ds.load_dataset([(1990, "Sam,M,9")]), path)
+    monkeypatch.undo()
+    if raised is errors.TemponymError:
+        assert str(caught.value) == f"{path}: cannot be written (No space left on device)"
+    assert ds.load_index(path) == old
+    assert os.listdir(tmp_path) == ["x.idx"]
 
 
 def test_index_format_errors(bad_index):
@@ -563,10 +599,12 @@ def test_index_format_errors(bad_index):
 
 @pytest.mark.parametrize("cut", [1, 200_000])
 def test_a_stream_that_reads_short_is_truncated_not_a_table(tmp_path, monkeypatch, blocked_index,
-                                                            cut):
+                                                            blocked_table, cut):
     """A file cut after its stored lengths were checked against its size is
-    refused at the stream the cut lands in, by a whole load and a one-name
-    load alike: the stream is truncated, and no table is given."""
+    refused at the stream the cut lands in by every load that reads that
+    stream: the stream is truncated, and no table is given. A one-name load
+    of Name0000 reads the first block of each plane only, so it answers when
+    the cut lands in the last."""
     raw = blocked_index.read_bytes()
     header = json.loads(raw.split(b"\n")[1])
     stored = [("names", header["stored"]["names"])] + [
@@ -583,9 +621,14 @@ def test_a_stream_that_reads_short_is_truncated_not_a_table(tmp_path, monkeypatc
             out.truncate(left)
 
     monkeypatch.setattr(ds._Streams, "__init__", cut_after_the_check)
+    path = tmp_path / "cut.idx"
     for names in (None, ["Name0000"]):
-        path = tmp_path / "cut.idx"
         path.write_bytes(raw)
+        if names and cut == 1:
+            loaded = ds.load_index(path, names)
+            assert (_cell_list(loaded, loaded.resolve("Name0000"))
+                    == _cell_list(blocked_table, blocked_table.resolve("Name0000")))
+            continue
         with pytest.raises(errors.IndexFormatError, match=f"the {what} stream is truncated$"):
             ds.load_index(path, names)
 
@@ -668,8 +711,10 @@ def test_inflating_stops_one_byte_past_the_header_length(tmp_path, damage):
     message = damage(header, streams)
     header["stored"] = {key: len(blocks[0]) if key == "names" else list(map(len, blocks))
                         for key, blocks in streams.items()}
-    payload = b"".join(block for blocks in streams.values() for block in blocks)
-    header["digest"] = ds._checksum(header, payload)  # signed: reaches the inflate
+    blocks = [block for blocks in streams.values() for block in blocks]
+    header["digests"] = list(map(ds._stream_digest, blocks))  # signed: reaches the inflate
+    header["digest"] = ds._header_digest(header)
+    payload = b"".join(blocks)
     path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
 
     def load():
@@ -1232,13 +1277,24 @@ def test_a_one_name_load_inflates_only_its_names_blocks(blocked_index, blocked_t
                 data.lookup(name, year) for year in data.years_loaded]
 
 
-def test_a_corrupt_block_is_refused_when_a_load_reads_it(corrupt_block_index, blocked_table):
-    """Only a load that reads a block finds it corrupt: a load of a name whose
-    cells lie in other blocks answers."""
-    path, data = corrupt_block_index, blocked_table
-    for names in (None, ["Name0599"], ["Name0464"], ["Name0000", "Name0599"]):
-        with pytest.raises(errors.IndexFormatError, match="corrupt female block 1 stream"):
-            ds.load_index(path, names)
-    loaded = ds.load_index(path, ["Name0000"])
-    assert (_cell_list(loaded, loaded.resolve("Name0000"))
-            == _cell_list(data, data.resolve("Name0000")))
+def test_a_corrupt_block_is_refused_when_a_load_reads_it(corrupt_block_index, blocked_table,
+                                                         tmp_path):
+    """Only a load that reads a block finds it corrupt, whether the file was
+    signed again after the damage (the block does not inflate) or not (its
+    digest does not match): a load of a name whose cells lie in other blocks
+    answers."""
+    data = blocked_table
+    # the same damage under the clean file's header, whose digests it breaks
+    ds.save_index(data, tmp_path / "clean.idx")
+    magic, _, payload = corrupt_block_index.read_bytes().split(b"\n", 2)
+    unsigned = tmp_path / "unsigned.idx"
+    unsigned.write_bytes(b"\n".join(
+        [magic, (tmp_path / "clean.idx").read_bytes().split(b"\n", 2)[1], payload]))
+    for path, message in [(corrupt_block_index, "corrupt female block 1 stream"),
+                          (unsigned, "checksum mismatch in the female block 1 stream")]:
+        for names in (None, ["Name0599"], ["Name0464"], ["Name0000", "Name0599"]):
+            with pytest.raises(errors.IndexFormatError, match=message):
+                ds.load_index(path, names)
+        loaded = ds.load_index(path, ["Name0000"])
+        assert (_cell_list(loaded, loaded.resolve("Name0000"))
+                == _cell_list(data, data.resolve("Name0000")))

@@ -127,21 +127,31 @@ def _fresh_python(script: str, *args, cwd) -> None:
     assert done.returncode == 0, done.stderr
 
 
-# Each command as a fresh process runs it, and which of ``csv`` and
-# ``temponym.model`` it may load.
-CSV, MODEL = "csv", "temponym.model"
+# Each command as a fresh process runs it, every temponym module it loads,
+# and which of ``csv`` and ``statistics`` it loads. ``tests/test_cli.py``
+# reads this table too.
+CSV, STATISTICS = "csv", "statistics"
+HELP_MODULES = ["temponym", "temponym.cli", "temponym.errors"]
+DATA_MODULES = sorted(HELP_MODULES + ["temponym._pyparse", "temponym.dataset"])
+COMMON_MODULES = sorted(DATA_MODULES + ["temponym.model"])
 FRESH_COMMANDS = {
-    "ingest": (["ingest", "--dir", dataset.bundled_sample_dir(), "--out", "fresh.idx"], set()),
-    "query": (["query", "--index", "{index}", "--name", "Leslie", "--year", "1925"], {MODEL}),
+    "--help": (["--help"], HELP_MODULES, set()),
+    "ingest": (["ingest", "--dir", dataset.bundled_sample_dir(), "--out", "fresh.idx"],
+               DATA_MODULES, set()),
+    "query": (["query", "--index", "{index}", "--name", "Leslie", "--year", "1925"],
+              COMMON_MODULES, set()),
     "query-pooled": (["query", "--index", "{index}", "--name", "Leslie",
-                      "--pooled", "1880..2020"], {MODEL}),
-    "shift": (["shift", "--index", "{index}", "--format", "json"], set()),
-    "audit": (["audit", "--index", "{index}"], {CSV, MODEL}),
-    "ambiguity": (["ambiguity", "--index", "{index}", "--year", "1925"], {CSV, MODEL}),
-    "plot-trajectories": (["plot", "trajectories", "--index", "{index}",
-                           "--top-shifts", "5"], {CSV, MODEL}),
+                      "--pooled", "1880..2020"], COMMON_MODULES, set()),
+    "shift": (["shift", "--index", "{index}", "--format", "json"],
+              sorted(DATA_MODULES + ["temponym.shifts"]), {STATISTICS}),
+    "audit": (["audit", "--index", "{index}"], sorted(COMMON_MODULES + ["temponym.audit"]),
+              {CSV}),
+    "ambiguity": (["ambiguity", "--index", "{index}", "--year", "1925"], COMMON_MODULES, set()),
+    "plot-trajectories": (["plot", "trajectories", "--index", "{index}", "--top-shifts", "5"],
+                          sorted(COMMON_MODULES + ["temponym.audit", "temponym.report",
+                                                   "temponym.shifts"]), set()),
     "compare": (["compare", "--index", "{index}", "--names", "Jean,Leslie,Sydney"],
-                {CSV, MODEL}),
+                sorted(COMMON_MODULES + ["temponym.services"]), {CSV}),
 }
 
 # Runs a command line, then writes the exit code and which of these modules
@@ -155,23 +165,22 @@ try:
 except SystemExit as exc:
     code = exc.code
 with open(report, "w") as fh:
-    json.dump([code, sorted({"_hashlib", "ssl", "csv", "temponym.model"} & set(sys.modules))],
-              fh)
+    json.dump([code, sorted({"_hashlib", "ssl", "csv", "statistics"} & set(sys.modules))], fh)
 """
 
 
 @pytest.mark.parametrize("command", FRESH_COMMANDS)
 def test_a_command_loads_no_openssl(sample_index, tmp_path, command):
-    """The index checksum's hash comes from the builtin ``_blake2`` module,
+    """The index digests' hash comes from the builtin ``_blake2`` module,
     so no command maps OpenSSL in through ``hashlib`` (``_hashlib``) or
-    ``ssl``; ``ingest``, ``query`` and a JSON ``shift`` load no ``csv``, and
-    ``ingest`` and ``shift`` no ``temponym.model``."""
-    args, allowed = FRESH_COMMANDS[command]
+    ``ssl``; each loads ``csv`` and ``statistics`` only where its row of
+    ``FRESH_COMMANDS`` says."""
+    args, _, optional = FRESH_COMMANDS[command]
     args = [str(arg).format(index=sample_index) for arg in args]
     _fresh_python(_MODULES_AFTER, tmp_path / "modules.json", *args, cwd=tmp_path)
     code, loaded = json.loads((tmp_path / "modules.json").read_text())
     assert code == 0
-    assert set(loaded) <= allowed, loaded
+    assert loaded == sorted(optional)
 
 
 def _stdout(capsys, *args) -> str:

@@ -771,7 +771,8 @@ def test_each_rejection_names_its_line(bad, error, reason, year_file, data):
 # covers the stored streams; the sections, inflated and joined, are still
 # the same payload. Format 7 deflates each column's byte planes in blocks;
 # inflated and joined in file order, they are still the same payload. Format
-# 8 changes only the header's checksum.
+# 8 changes only the header's checksum, and format 9 only the header's
+# digests.
 SAMPLE_PAYLOAD_SHA256 = "b344f7805039d683d78b4c59ce06a0be355620b63073ede49f3c5b6a63e4dff1"
 SAMPLE_V2_PAYLOAD_SHA256 = "7a0eaa025eeda934f513797abf5701b62cc1d6ec52a87a93e19deed826d63741"
 
@@ -843,8 +844,8 @@ def _edited(draw, data: bytes) -> bytes:
 
 
 def _resigned_header(draw, header):
-    """A re-signed ``header`` with one field dropped or changed: an inner
-    length, width or year near its own, or any JSON value."""
+    """``header`` with one field dropped or changed, to be signed again: an
+    inner length, width or year near its own, or any JSON value."""
     header = json.loads(json.dumps(header))
     key = draw(st.sampled_from([key for key in header if key != "digest"] + ["extra"]))
     value = header.get(key)
@@ -882,9 +883,9 @@ def _answers(table):
 def test_a_damaged_index_is_refused_or_loads_a_table_that_answers(
         tmp_path_factory, sample_dataset, sample_index, where, data):
     """Bit flips, cuts and inserted bytes anywhere in the file either are
-    refused or load the sample itself; a re-signed edit of the header or of
-    one stream, stored or inflated, is refused or loads a table that
-    answers every kind of question. Nothing else is raised."""
+    refused or, in a whole load, load the sample itself; a re-signed edit of
+    the header or of one stream, stored or inflated, is refused or loads a
+    table that answers every kind of question. Nothing else is raised."""
     header, streams, raw = sample_index
     streams = {key: list(blocks) for key, blocks in streams.items()}
     if where == "file":
@@ -907,8 +908,10 @@ def test_a_damaged_index_is_refused_or_loads_a_table_that_answers(
                 header["stored"][key] = len(streams[key][0])
             else:
                 header["stored"][key][j] = len(streams[key][j])
+            header["digests"] = [ds._stream_digest(block)
+                                 for blocks in streams.values() for block in blocks]
+        header["digest"] = ds._header_digest(header)
         payload = b"".join(block for blocks in streams.values() for block in blocks)
-        header["digest"] = ds._checksum(header, payload)
         raw = ds.INDEX_MAGIC + json.dumps(header).encode() + b"\n" + payload
     path = tmp_path_factory.getbasetemp() / "fuzzed.idx"
     path.write_bytes(raw)
