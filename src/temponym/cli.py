@@ -157,15 +157,19 @@ def _cohort(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_data(index_path, data_dir, names=None):
-    """The table of ``--index`` or ``--dir``; from an index, given the names a
-    command reads, only theirs (``load_index``)."""
-    from . import dataset as dataset_mod
-
+def _one_source(index_path, data_dir) -> None:
     if index_path and data_dir:
         raise UsageError("'--index' and '--dir' are mutually exclusive")
+
+
+def _load_data(index_path, data_dir, names=None, years=None):
+    """The table of ``--index`` or ``--dir``; from an index, given the names or
+    the years a command reads, only theirs (``load_index``)."""
+    from . import dataset as dataset_mod
+
+    _one_source(index_path, data_dir)
     if index_path:
-        return dataset_mod.load_index(index_path, names)
+        return dataset_mod.load_index(index_path, names, years)
     directory = Path(data_dir) if data_dir else dataset_mod.bundled_sample_dir()
     return dataset_mod.load_directory(directory)
 
@@ -256,7 +260,7 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
     """Rank gender shifts between two years; reports summary statistics."""
     from . import shifts as shifts_mod
 
-    data = _load_data(index_path, data_dir)
+    data = _load_data(index_path, data_dir, years=(y1, y2))
     entries, qualifying = shifts_mod.ranked_and_qualifying(
         data, y1, y2, min_support_each_year=min_support, top_k=top, weighted=weighted,
         min_abs_delta=min_delta)
@@ -288,7 +292,7 @@ def ambiguity(index_path, data_dir, year, fmt):
     """Share of children given a name used for both sexes that year."""
     from . import model as model_mod
 
-    data = _load_data(index_path, data_dir)
+    data = _load_data(index_path, data_dir, years=(year,))
     share = model_mod.ambiguous_name_share(data, year)
     _emit({"year": year, "ambiguous_share": share}, fmt,
           csv_header=["year", "ambiguous_share"],
@@ -299,12 +303,13 @@ def audit_cmd(index_path, data_dir, corpus_path, cohort, atemporal, fmt):
     """Temporal vs atemporal expected-female audit of a corpus."""
     from . import audit as audit_mod
 
-    data = _load_data(index_path, data_dir)
+    _one_source(index_path, data_dir)  # a usage error comes before any file is read
     records = audit_mod.load_corpus_csv(corpus_path)
+    data = _load_data(index_path, data_dir, (record.given_name for record in records))
     rows = audit_mod.audit_corpus(records, data, cohort_model=cohort, atemporal_range=atemporal)
     totals = {"records": sum(row.n_records for row in rows),
               "unresolved": sum(row.n_unresolved for row in rows),
-              "overcount": sum(row.overcount for row in rows)}
+              "overcount": sum((row.overcount for row in rows), 0.0)}
     payload = {
         "config": {"cohort_model": str(cohort),
                    "atemporal_range": f"{atemporal[0]}..{atemporal[1]}"},

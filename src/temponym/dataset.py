@@ -32,8 +32,8 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import accumulate, repeat
-from operator import add, lt, mul, setitem
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter, lt, mul, ne, setitem, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 from unicodedata import combining, normalize
@@ -87,6 +87,17 @@ def _folded_keys(names: Sequence[str]) -> list[str]:
     except UnicodeEncodeError:
         raise errors.TemponymError("a name holds a lone surrogate, not UTF-8 text") from None
     return [key if key.isascii() else strip_diacritics(key) for key in keys]
+
+
+def _checked_years(years: Sequence[int]) -> tuple[int, ...]:
+    """``years`` as a tuple; they must be increasing ints in ``MIN_YEAR..MAX_YEAR``,
+    else the TemponymError of the rule broken."""
+    years = tuple(years)
+    if not (all(type(year) is int for year in years) and all(map(lt, years, years[1:]))):
+        raise errors.TemponymError("years are not increasing integers")
+    if years and not MIN_YEAR <= years[0] <= years[-1] <= MAX_YEAR:
+        raise errors.TemponymError(f"years must lie in {MIN_YEAR}..{MAX_YEAR}")
+    return years
 
 
 def _checked_offsets(names: tuple, starts, lengths, positions: int, cells: int) -> array:
@@ -237,12 +248,7 @@ class Dataset(Record):
 
     def _set_table(self, years_loaded, names, starts, lengths, female, male, skipped=()):
         """Check the rules of a valid table and set its attributes."""
-        years_loaded, names, skipped = tuple(years_loaded), tuple(names), tuple(skipped)
-        if not (all(type(year) is int for year in years_loaded)
-                and all(map(lt, years_loaded, years_loaded[1:]))):
-            raise errors.TemponymError("years are not increasing integers")
-        if years_loaded and not MIN_YEAR <= years_loaded[0] <= years_loaded[-1] <= MAX_YEAR:
-            raise errors.TemponymError(f"years must lie in {MIN_YEAR}..{MAX_YEAR}")
+        years_loaded, names, skipped = _checked_years(years_loaded), tuple(names), tuple(skipped)
         starts, lengths = memoryview(starts).toreadonly(), memoryview(lengths).toreadonly()
         female, male = memoryview(female).toreadonly(), memoryview(male).toreadonly()
         for key, column in zip(_U32_SECTIONS, (starts, lengths, female, male)):
@@ -701,9 +707,10 @@ def bundled_sample_dir() -> Path:
 # lengths against the file's size, then reads only the streams it uses, each
 # once (``_Streams``), and matches each one's digest before it is inflated:
 # the name table, ``starts`` and ``lengths``, and, of the count columns,
-# every block or only the blocks that hold the cells of the names asked for
-# (the others are not read). Each block's plane is written into a column of
-# the narrowest native unsigned type that holds its width, which the
+# every block or only the blocks that hold a cell of the names or years
+# asked for (the others are not read). From each block's plane the cells
+# kept are gathered in C (``_cuts``, ``_gather``) and written into a column
+# of the narrowest native unsigned type that holds its width, which the
 # Dataset reads in place: no row parsing. A column grows only as its first
 # plane's blocks inflate, so no buffer is sized from the header.
 # Saving reads a column by its own item size, so a loaded Dataset saves to
@@ -978,60 +985,170 @@ class _Streams:
         return data
 
 
+def _cuts(los: Sequence[int], his: Optional[Sequence[int]], values: int) -> list[tuple]:
+    """Per block of a column of ``values`` values that holds a value asked
+    for: its index, the first and past-the-last index, in the block, of each
+    range asked for in it (the second None when each is one value), and how
+    many values they take.
+
+    The values asked for are the ascending, non-overlapping ranges ``los[k]``
+    to ``his[k] - 1``, or, when ``his`` is None, each the one value
+    ``los[k]``. Ranges that meet are taken as one, and a range that crosses
+    a block edge is cut there.
+    """
+    if his is not None and len(los) > 1:
+        apart = bytes(map(ne, his[:-1], los[1:]))  # 1 where range k + 1 starts after k's end
+        los = array("Q", compress(los, b"\1" + apart))
+        his = array("Q", compress(his, apart + b"\1"))
+    cuts, (first, end) = [], (los[0], los[-1] + 1 if his is None else his[-1]) if los else (0, 0)
+    for held in range(first // _CHUNK, -(-end // _CHUNK)):
+        base = held * _CHUNK
+        j = bisect_left(los, base) if his is None else bisect_right(his, base)
+        k = bisect_left(los, base + _CHUNK)
+        firsts, lasts = array("q", map(sub, los[j:k], repeat(base))), None
+        if his is not None:
+            lasts = array("q", map(sub, his[j:k], repeat(base)))
+            if firsts:
+                firsts[0], lasts[-1] = max(firsts[0], 0), min(lasts[-1], _CHUNK)
+        n = len(firsts) if lasts is None else sum(lasts) - sum(firsts)
+        if n:
+            cuts.append((held, firsts, lasts, n))
+    return cuts
+
+
+def _gather(firsts: array, lasts: Optional[array], n: int):
+    """The function that takes the ``n`` bytes of ``firsts[k]`` to
+    ``lasts[k] - 1``, or of each ``firsts[k]`` alone, from a plane's bytes,
+    one range after another, in C: one range is a view of the plane, single
+    bytes are picked by one ``itemgetter``, and other ranges are each cut
+    and all joined."""
+    if len(firsts) == 1:
+        cut = slice(firsts[0], firsts[0] + n)
+        return lambda data: memoryview(data)[cut]
+    if lasts is None:
+        pick = itemgetter(*firsts)
+        return lambda data: bytes(pick(data))
+    return lambda data: b"".join(map(data.__getitem__, map(slice, firsts, lasts)))
+
+
 def _column(path, key: str, read: _Streams, width: int, values: int,
-            spans: Optional[Sequence[tuple[int, int]]] = None) -> memoryview:
-    """The ``values`` values of column ``key``, or only those of the value
-    ranges ``spans`` (ascending, each a first and past-the-last index), one
-    range after another, in the narrowest native unsigned type that holds
-    ``width`` bytes.
+            cuts: Optional[list[tuple]] = None) -> memoryview:
+    """The ``values`` values of column ``key``, or only those ``cuts``
+    (``_cuts``) asks for, one range after another, in the narrowest native
+    unsigned type that holds ``width`` bytes.
 
     ``read`` gives the column's stored blocks (see the layout above). Only
-    those that hold a value asked for are inflated, each once, and each
-    block's plane is written into the column as it is inflated. The column
-    grows only by the values its first plane's blocks have inflated, so no
-    buffer is sized from the header.
+    the blocks ``cuts`` names are inflated, each once. From each of a
+    block's planes the values asked for are gathered in C (``_gather``) and
+    written into the column with one strided assignment; a whole load's one
+    range per block is written from the inflated plane with no copy. The
+    column grows only by the values its blocks' first planes have inflated,
+    so no buffer is sized from the header.
     """
-    if spans is None:
-        spans = ((0, values),)
+    if cuts is None:
+        cuts = _cuts((0,), (values,), values)
     typecode = _TYPECODES[width]
     size = array(typecode).itemsize
     per_plane = _blocks(values, 1)
-    raw = bytearray()
-    for plane, offset in zip(range(width), _plane_offsets(size)):
-        at, held = offset, -1
-        for lo, hi in spans:
-            while lo < hi:
-                if lo // _CHUNK != held:
-                    held = lo // _CHUNK
-                    base, what = held * _CHUNK, f"{key} block {plane * per_plane + held}"
-                    data = memoryview(_inflate(path, read(what), min(_CHUNK, values - base), what))
-                cut = min(hi, base + _CHUNK)
-                if not plane:
-                    raw += bytes((cut - lo) * size)
-                raw[at:at + (cut - lo) * size:size] = data[lo - base:cut - base]
-                at, lo = at + (cut - lo) * size, cut
+    raw, at = bytearray(), 0
+    for held, firsts, lasts, n in cuts:
+        gather = _gather(firsts, lasts, n)
+        for plane, offset in zip(range(width), _plane_offsets(size)):
+            what = f"{key} block {plane * per_plane + held}"
+            data = gather(_inflate(path, read(what), min(_CHUNK, values - held * _CHUNK), what))
+            if not plane:
+                raw += bytes(n * size)
+            raw[at + offset:at + n * size:size] = data
+        at += n * size
     return memoryview(raw).cast(typecode)
 
 
-def _selected(table: tuple, wanted: Sequence[str], distinct: bool) -> tuple[list[int], bool]:
+def _selected(table: tuple, wanted: Sequence[str], distinct: bool) -> tuple[Sequence[int], bool]:
     """The indices, ascending, of the names in ``table`` that fold to the key of
     a name in ``wanted``, and whether no two of them share a key.
 
     In a table where no two names fold alike, a name stored exactly as asked
-    folds only to itself: it is found by bisection and no name is folded."""
-    ids = [bisect_left(table, name) for name in wanted]
-    if distinct and all(i < len(table) and table[i] == name for i, name in zip(ids, wanted)):
-        return sorted(set(ids)), True
+    folds only to itself: it is found, and no name is folded, by bisection,
+    or by hashing the table when that costs less than the bisections."""
+    if distinct:
+        asked = set(wanted)
+        if len(asked) * len(table).bit_length() > len(table):
+            ids = array("Q", compress(range(len(table)), map(asked.__contains__, table)))
+        else:
+            ids = sorted(i for i, name in zip(map(bisect_left, repeat(table), asked), asked)
+                         if i < len(table) and table[i] == name)
+        if len(ids) == len(asked):
+            return ids, True
     keys = _folded_keys(table)
     asked = {key if key.isascii() else strip_diacritics(key)
              for key in (name.casefold() for name in wanted)}
-    ids = [i for i, key in enumerate(keys) if key in asked]
+    ids = array("Q", compress(range(len(keys)), map(asked.__contains__, keys)))
     return ids, len({keys[i] for i in ids}) == len(ids)
 
 
-def _table(path, header: dict, read: _Streams, names: Optional[Iterable[str]]) -> Dataset:
+def _between(heads: bytes, ends: bytes, q: int) -> bytes:
+    """Per name, 1 where ``heads[k] <= q < ends[k]``, else 0, in C."""
+    low = heads.translate(bytes([1]) * (q + 1) + bytes(255 - q))
+    high = ends.translate(bytes(q + 1) + bytes([1]) * (255 - q))
+    both = int.from_bytes(low, "little") & int.from_bytes(high, "little")
+    return both.to_bytes(len(heads), "little")
+
+
+# Per byte value: 0 for 0, else 1.
+_NONZERO = bytes(1) + bytes([1]) * 255
+
+
+def _held(female: memoryview, male: memoryview) -> bytes:
+    """Per cell, 1 where ``female`` or ``male`` holds a count, else 0: the
+    byte planes of both columns OR-ed together as ints, in C."""
+    bits = 0
+    for column in (female, male):
+        size, raw = column.itemsize, column.cast("B")
+        for plane in range(size):
+            bits |= int.from_bytes(raw[plane::size], "little")
+    return bits.to_bytes(len(female), "little").translate(_NONZERO)
+
+
+def _recut(heads: bytes, ends: bytes, female: memoryview, male: memoryview) -> tuple:
+    """The names with data in a kept position, and their spans and cells,
+    each span re-cut to start and end at a cell with data.
+
+    Name ``k``'s cells at the kept positions ``heads[k]`` to ``ends[k] - 1``
+    are in ``female`` and ``male``, one name after another. Returned are the
+    indices of the names kept, or None when all are, their ``starts`` and
+    ``lengths`` in kept positions, and the count columns of their cells.
+    """
+    starts, lengths = heads, bytes(map(sub, ends, heads))
+    held = _held(female, male)
+    cell = held.find(0)
+    if cell >= 0:  # a cell without data: cut it off the span it starts or ends
+        bounds = array("Q", accumulate(lengths, initial=0))
+        firsts, lasts = bounds[:-1], bounds[1:]  # each name's cells with data
+        while cell >= 0:
+            k = bisect_right(bounds, cell) - 1
+            first, end = held.find(1, bounds[k], bounds[k + 1]), bounds[k + 1]
+            firsts[k] = lasts[k] = end  # no cell with data: the name is dropped
+            if first >= 0:
+                firsts[k], lasts[k] = first, held.rfind(1, first, end) + 1
+            cell = held.find(0, end)
+        female, male = (memoryview(b"".join(map(column.cast("B").__getitem__, map(
+            slice, map(mul, firsts, repeat(column.itemsize)),
+            map(mul, lasts, repeat(column.itemsize)))))).cast(column.format)
+            for column in (female, male))
+        starts = bytes(map(add, heads, map(sub, firsts, bounds)))
+        lengths = bytes(map(sub, lasts, firsts))
+    has = lengths.translate(_NONZERO)  # 1 where a name has a cell with data
+    if has.find(0) < 0:
+        return None, starts, lengths, female, male
+    return (list(compress(range(len(has)), has)), bytes(compress(starts, has)),
+            bytes(compress(lengths, has)), female, male)
+
+
+def _table(path, header: dict, read: _Streams, names: Optional[Iterable[str]],
+           years: Optional[Iterable[int]]) -> Dataset:
     """The table of an index, or of the stored names that fold to the key of
-    one of ``names``, built from its streams as ``read`` gives them."""
+    one of ``names``, or of its years among ``years``, or both, built from
+    its streams as ``read`` gives them."""
     sizes, widths = header["sections"], header["widths"]
     values = {key: sizes[key] // widths[key] for key in _U32_SECTIONS}
     table = _inflate(path, read("names"), sizes["names"], "names")
@@ -1044,33 +1161,70 @@ def _table(path, header: dict, read: _Streams, names: Optional[Iterable[str]]) -
     del text
     starts, lengths = (_column(path, key, read, widths[key], values[key])
                        for key in ("starts", "lengths"))
-    distinct, spans = header["distinct_keys"], None
-    if names is not None:
+    years_loaded, skipped = header["years"], header["skipped"]
+    distinct, cuts = header["distinct_keys"], None
+    if names is not None or years is not None:
+        # the years first, as a whole load checks them: then a span lies
+        # inside at most 221 positions, so each of its bounds fits a byte
+        years_loaded = _checked_years(years_loaded)
         cells = values["female"] if values["female"] == values["male"] else -1
-        offsets = _checked_offsets(table, starts, lengths, len(header["years"]), cells)
-        ids, distinct = _selected(table, list(names), distinct)
-        spans = [(offsets[i], offsets[i + 1]) for i in ids]
-        table = tuple(table[i] for i in ids)
-        starts, lengths = (array(column.format, [column[i] for i in ids])
-                           for column in (starts, lengths))
-    female, male = (_column(path, key, read, widths[key], values[key], spans)
+        offsets = _checked_offsets(table, starts, lengths, len(years_loaded), cells)
+        los = offsets[:-1]
+        if names is not None:
+            ids, distinct = _selected(table, list(names), distinct)
+            if len(ids) < len(table):  # else every name is kept, as a whole load keeps it
+                table = tuple(map(table.__getitem__, ids))
+                starts, lengths = (array(column.format, map(column.__getitem__, ids))
+                                   for column in (starts, lengths))
+                los = array("Q", map(offsets.__getitem__, ids))
+                if years is None:
+                    cuts = _cuts(los, array("Q", map(add, los, lengths)), values["female"])
+        if years is not None:
+            starts, lengths = bytes(starts.tolist()), bytes(lengths.tolist())
+            positions = dict(zip(years_loaded, range(len(years_loaded))))
+            wanted = sorted({positions[year] for year in years if year in positions})
+            # name k's span holds the kept positions wanted[heads[k]:ends[k]]
+            ranks = bytes(map(bisect_left, repeat(wanted), range(256)))
+            heads = starts.translate(ranks)
+            ends = bytes(map(add, starts, lengths)).translate(ranks)
+            bases = array("q", map(sub, los, starts))  # where name k's position 0 would be
+            # their cells, name by name: each name's cell at each kept
+            # position, and whether its span holds it
+            at = zip(*(map(add, bases, repeat(pos)) for pos in wanted))
+            inside = zip(*(_between(heads, ends, q) for q in range(len(wanted))))
+            los = array("Q", compress(chain.from_iterable(at), chain.from_iterable(inside)))
+            cuts = _cuts(los, None, values["female"])
+    female, male = (_column(path, key, read, widths[key], values[key], cuts)
                     for key in ("female", "male"))
-    return Dataset._loaded(distinct, header["years"], table, starts, lengths, female, male,
-                           header["skipped"])
+    if years is not None:
+        kept, starts, lengths, female, male = _recut(heads, ends, female, male)
+        if kept is not None:
+            table = tuple(map(table.__getitem__, kept))
+            distinct = distinct or len(set(_folded_keys(table))) == len(table)
+        years_loaded = [years_loaded[pos] for pos in wanted]
+        skipped = [skipped[pos] for pos in wanted] if skipped else []
+    return Dataset._loaded(distinct, years_loaded, table, starts, lengths, female, male, skipped)
 
 
-def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Dataset:
+def load_index(path: Path | str, names: Optional[Iterable[str]] = None,
+               years: Optional[Iterable[int]] = None) -> Dataset:
     """The Dataset an index file holds; a file that breaks its layout or a
     table rule is an ``IndexFormatError``.
 
     The header's digest is matched first. Then each stream the load uses is
     read once, and its digest matched before it is inflated: a stream whose
     digest does not match is refused as a "checksum mismatch" naming it,
-    whatever else is wrong with it. Given ``names``, only the stored names
-    that fold to the key of one of them are loaded, over every year, and only
-    the count blocks that hold their cells are read: the table answers every
-    question about those names as the whole one does. The name table,
-    ``starts`` and ``lengths`` are read and checked in full either way.
+    whatever else is wrong with it. The name table, ``starts`` and
+    ``lengths`` are read and checked in full; of the count columns, only the
+    blocks that hold a cell the table keeps are read.
+
+    Given ``names``, only the stored names that fold to the key of one of
+    them are kept. Given ``years``, only the loaded years among them are
+    kept, in order (a year asked for but not loaded stays out of
+    ``years_loaded``), each name's span re-cut to start and end at a kept
+    year with data, and a name with no data in a kept year is dropped.
+    Either way, the table answers every question about the names and years
+    it keeps as the whole one does.
     """
     if isinstance(names, str):  # else each of its letters would be a name asked for
         raise TypeError("load_index takes an iterable of names, not one str")
@@ -1083,7 +1237,7 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Datas
             raise errors.IndexFormatError(f"{path}: not a temponym index")
         header = _read_header(path, fh.readline())
         try:
-            return _table(path, header, _Streams(path, fh, header), names)
+            return _table(path, header, _Streams(path, fh, header), names, years)
         except errors.IndexFormatError:
             raise
         except errors.TemponymError as exc:  # a table rule broken

@@ -222,19 +222,35 @@ def test_bad_index_is_data_error(runner, bad_index):
 
 
 def test_bad_index_is_data_error_in_a_whole_load(runner, bad_index):
-    """``shift`` loads every name, where ``query`` loads one: the same error."""
+    """``plot trajectories --top-shifts`` loads the whole table, and ``shift``
+    every name's cells in its years, where ``query`` loads one name: each
+    reads the index's one year, so each gives the same error."""
     path, message = bad_index
-    result = runner.invoke(main, ["shift", "--index", str(path)])
-    assert result.exit_code == 3
-    assert message in result.output
+    for command in (["plot", "trajectories", "--top-shifts", "1", "--y1", "1990", "--y2", "1990"],
+                    ["shift", "--y1", "1990", "--y2", "1990"]):
+        result = runner.invoke(main, [*command, "--index", str(path)])
+        assert result.exit_code == 3, command
+        assert message in result.output, command
 
 
 def test_a_command_of_named_names_reads_only_their_blocks(runner, corrupt_block_index,
-                                                          blocked_table):
-    """``query``, ``compare`` and ``plot trajectories --names`` load only the
-    named names' blocks from an index, so a corrupt block they do not read
-    leaves their answer as it was; one they read, or a whole load, exits 3."""
+                                                          blocked_table, tmp_path):
+    """``query``, ``compare``, ``plot trajectories --names`` and ``audit`` load
+    only the named names' blocks from an index, so a corrupt block they do
+    not read leaves their answer as it was; one they read, or a load of
+    every name, exits 3."""
     index = ["--index", str(corrupt_block_index)]
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("record_id,given_name,activity_year\nr1,Name0000,1950\nr2,name0001,1960\n")
+    intact = tmp_path / "intact.idx"
+    ds.save_index(blocked_table, intact)
+    audits = [runner.invoke(main, ["audit", "--index", str(path), "--corpus", str(corpus)])
+              for path in (corrupt_block_index, intact)]
+    assert [result.exit_code for result in audits] == [0, 0], audits[0].output
+    assert audits[0].output == audits[1].output
+    corpus.write_text("record_id,given_name,activity_year\nr1,Name0000,1950\nr2,Name0599,1960\n")
+    result = runner.invoke(main, ["audit", *index, "--corpus", str(corpus)])
+    assert result.exit_code == 3 and "corrupt female block 1 stream" in result.output
     result = runner.invoke(main, ["query", *index, "--name", "Name0000", "--year", "1900"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["female_count"] == blocked_table.lookup("Name0000", 1900)[0]
@@ -249,7 +265,7 @@ def test_a_command_of_named_names_reads_only_their_blocks(runner, corrupt_block_
     for args in (["query", "--name", "Name0599", "--year", "1900"],
                  ["query", "--name", "name0599", "--pooled", "1900..1910"],
                  ["compare", "--names", "Name0000,Name0599", "--ssa-year", "1900"],
-                 ["shift"], ["ambiguity", "--year", "1900"], ["audit"],
+                 ["shift"], ["ambiguity", "--year", "1900"],
                  ["plot", "trajectories", "--top-shifts", "1"]):
         result = runner.invoke(main, [*args, *index])
         assert result.exit_code == 3, args
@@ -326,6 +342,35 @@ def test_audit_partial_exit_code(runner, tmp_path):
     )
     result = runner.invoke(main, ["audit", "--corpus", str(corpus)])
     assert result.exit_code == 4
+
+
+def test_an_empty_corpus_audits_to_a_float_overcount(runner, tmp_path):
+    """No record gives no row, and the totals' overcount is the float 0.0 that
+    every other audit prints, not the int 0."""
+    corpus = tmp_path / "empty.csv"
+    corpus.write_bytes(CORPUS_HEADER)
+    result = runner.invoke(main, ["audit", "--corpus", str(corpus), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert '"rows": [],' in result.output and '"overcount": 0.0,' in result.output
+
+
+def test_audit_reads_its_corpus_before_its_index(runner, tmp_path):
+    """``audit`` reads the corpus first, to load only the names it holds: with
+    a bad corpus and a bad index, the corpus's error is the one reported,
+    and both are data errors. Two sources are still a usage error first."""
+    bad_corpus, corpus, index = tmp_path / "bad.csv", tmp_path / "c.csv", tmp_path / "bad.idx"
+    bad_corpus.write_text("a,b\n1,2\n")
+    corpus.write_bytes(CORPUS_HEADER + b"a,Pat,1980,F\n")
+    index.write_bytes(b"not an index\n")
+    result = runner.invoke(main, ["audit", "--index", str(index), "--corpus", str(bad_corpus)])
+    assert result.exit_code == 3
+    assert "corpus CSV has no record_id" in result.output
+    assert "not a temponym index" not in result.output
+    result = runner.invoke(main, ["audit", "--index", str(index), "--corpus", str(corpus)])
+    assert result.exit_code == 3 and "not a temponym index" in result.output
+    result = runner.invoke(main, ["audit", "--index", str(index), "--dir", str(tmp_path),
+                                  "--corpus", str(bad_corpus)])
+    assert result.exit_code == 2 and "mutually exclusive" in result.output
 
 
 def test_compare_fixtures(runner):
