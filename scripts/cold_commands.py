@@ -16,8 +16,9 @@ side that goes first alternating by round, each command a fresh
 For each command it prints each side's median CPU time (user + system) and
 median peak RSS (``ru_maxrss``), both from ``os.wait4``, the rounds the
 change won on each (lower; a tie counts for neither), and whether the two
-sides printed the same standard output with the same exit status. It exits
-1 if a command exits non-zero on either side.
+sides printed the same standard output with the same exit status in every
+round. It exits 1, naming the command on standard error, if a command exits
+non-zero on either side or the two sides' output or exit status differ.
 """
 from __future__ import annotations
 
@@ -176,6 +177,10 @@ def main() -> int:
         codes = {run[2] for run in parent + change}
         if codes != {0}:
             print(f"# {command}: exit statuses {sorted(codes)}", file=sys.stderr)
+            failed = True
+        if not same:
+            print(f"# {command}: the two sides printed different output or exit statuses",
+                  file=sys.stderr)
             failed = True
     return 1 if failed else 0
 

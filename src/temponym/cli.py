@@ -162,14 +162,14 @@ def _one_source(index_path, data_dir) -> None:
         raise UsageError("'--index' and '--dir' are mutually exclusive")
 
 
-def _load_data(index_path, data_dir, names=None, years=None):
-    """The table of ``--index`` or ``--dir``; from an index, given the names or
-    the years a command reads, only theirs (``load_index``)."""
+def _load_data(index_path, data_dir, names=None):
+    """The table of ``--index`` or ``--dir``; from an index, given the names a
+    command reads, only theirs (``load_index``)."""
     from . import dataset as dataset_mod
 
     _one_source(index_path, data_dir)
     if index_path:
-        return dataset_mod.load_index(index_path, names, years)
+        return dataset_mod.load_index(index_path, names)
     directory = Path(data_dir) if data_dir else dataset_mod.bundled_sample_dir()
     return dataset_mod.load_directory(directory)
 
@@ -260,7 +260,7 @@ def shift(index_path, data_dir, y1, y2, weighted, top, min_support, min_delta, f
     """Rank gender shifts between two years; reports summary statistics."""
     from . import shifts as shifts_mod
 
-    data = _load_data(index_path, data_dir, years=(y1, y2))
+    data = _load_data(index_path, data_dir)
     entries, qualifying = shifts_mod.ranked_and_qualifying(
         data, y1, y2, min_support_each_year=min_support, top_k=top, weighted=weighted,
         min_abs_delta=min_delta)
@@ -292,7 +292,7 @@ def ambiguity(index_path, data_dir, year, fmt):
     """Share of children given a name used for both sexes that year."""
     from . import model as model_mod
 
-    data = _load_data(index_path, data_dir, years=(year,))
+    data = _load_data(index_path, data_dir)
     share = model_mod.ambiguous_name_share(data, year)
     _emit({"year": year, "ambiguous_share": share}, fmt,
           csv_header=["year", "ambiguous_share"],

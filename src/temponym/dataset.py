@@ -32,8 +32,8 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import accumulate, chain, compress, repeat
-from operator import add, itemgetter, lt, mul, ne, setitem, sub
+from itertools import accumulate, compress, repeat
+from operator import add, lt, mul, ne, setitem, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 from unicodedata import combining, normalize
@@ -707,12 +707,12 @@ def bundled_sample_dir() -> Path:
 # lengths against the file's size, then reads only the streams it uses, each
 # once (``_Streams``), and matches each one's digest before it is inflated:
 # the name table, ``starts`` and ``lengths``, and, of the count columns,
-# every block or only the blocks that hold a cell of the names or years
-# asked for (the others are not read). From each block's plane the cells
-# kept are gathered in C (``_cuts``, ``_gather``) and written into a column
-# of the narrowest native unsigned type that holds its width, which the
-# Dataset reads in place: no row parsing. A column grows only as its first
-# plane's blocks inflate, so no buffer is sized from the header.
+# every block or only the blocks that hold a cell of the names asked for
+# (the others are not read). From each block's plane the cells kept are
+# gathered in C (``_cuts``, ``_gather``) and written into a column of the
+# narrowest native unsigned type that holds its width, which the Dataset
+# reads in place: no row parsing. A column grows only as its first plane's
+# blocks inflate, so no buffer is sized from the header.
 # Saving reads a column by its own item size, so a loaded Dataset saves to
 # the same bytes. The Dataset derives its offsets from ``lengths``; stored,
 # they would need three planes and grow the file.
@@ -985,49 +985,41 @@ class _Streams:
         return data
 
 
-def _cuts(los: Sequence[int], his: Optional[Sequence[int]], values: int) -> list[tuple]:
-    """Per block of a column of ``values`` values that holds a value asked
-    for: its index, the first and past-the-last index, in the block, of each
-    range asked for in it (the second None when each is one value), and how
-    many values they take.
+def _cuts(los: Sequence[int], his: Sequence[int]) -> list[tuple]:
+    """Per block of a column that holds a value asked for: its index, the
+    first and past-the-last index, in the block, of each range asked for in
+    it, and how many values they take.
 
     The values asked for are the ascending, non-overlapping ranges ``los[k]``
-    to ``his[k] - 1``, or, when ``his`` is None, each the one value
-    ``los[k]``. Ranges that meet are taken as one, and a range that crosses
-    a block edge is cut there.
+    to ``his[k] - 1``. Ranges that meet are taken as one, and a range that
+    crosses a block edge is cut there.
     """
-    if his is not None and len(los) > 1:
+    if len(los) > 1:
         apart = bytes(map(ne, his[:-1], los[1:]))  # 1 where range k + 1 starts after k's end
         los = array("Q", compress(los, b"\1" + apart))
         his = array("Q", compress(his, apart + b"\1"))
-    cuts, (first, end) = [], (los[0], los[-1] + 1 if his is None else his[-1]) if los else (0, 0)
+    cuts, (first, end) = [], (los[0], his[-1]) if los else (0, 0)
     for held in range(first // _CHUNK, -(-end // _CHUNK)):
         base = held * _CHUNK
-        j = bisect_left(los, base) if his is None else bisect_right(his, base)
-        k = bisect_left(los, base + _CHUNK)
-        firsts, lasts = array("q", map(sub, los[j:k], repeat(base))), None
-        if his is not None:
-            lasts = array("q", map(sub, his[j:k], repeat(base)))
-            if firsts:
-                firsts[0], lasts[-1] = max(firsts[0], 0), min(lasts[-1], _CHUNK)
-        n = len(firsts) if lasts is None else sum(lasts) - sum(firsts)
+        j, k = bisect_right(his, base), bisect_left(los, base + _CHUNK)
+        firsts = array("q", map(sub, los[j:k], repeat(base)))
+        lasts = array("q", map(sub, his[j:k], repeat(base)))
+        if firsts:
+            firsts[0], lasts[-1] = max(firsts[0], 0), min(lasts[-1], _CHUNK)
+        n = sum(lasts) - sum(firsts)
         if n:
             cuts.append((held, firsts, lasts, n))
     return cuts
 
 
-def _gather(firsts: array, lasts: Optional[array], n: int):
+def _gather(firsts: array, lasts: array, n: int):
     """The function that takes the ``n`` bytes of ``firsts[k]`` to
-    ``lasts[k] - 1``, or of each ``firsts[k]`` alone, from a plane's bytes,
-    one range after another, in C: one range is a view of the plane, single
-    bytes are picked by one ``itemgetter``, and other ranges are each cut
-    and all joined."""
+    ``lasts[k] - 1`` from a plane's bytes, one range after another, in C:
+    one range is a view of the plane, and more ranges are each cut and all
+    joined."""
     if len(firsts) == 1:
         cut = slice(firsts[0], firsts[0] + n)
         return lambda data: memoryview(data)[cut]
-    if lasts is None:
-        pick = itemgetter(*firsts)
-        return lambda data: bytes(pick(data))
     return lambda data: b"".join(map(data.__getitem__, map(slice, firsts, lasts)))
 
 
@@ -1046,7 +1038,7 @@ def _column(path, key: str, read: _Streams, width: int, values: int,
     so no buffer is sized from the header.
     """
     if cuts is None:
-        cuts = _cuts((0,), (values,), values)
+        cuts = _cuts((0,), (values,))
     typecode = _TYPECODES[width]
     size = array(typecode).itemsize
     per_plane = _blocks(values, 1)
@@ -1086,69 +1078,9 @@ def _selected(table: tuple, wanted: Sequence[str], distinct: bool) -> tuple[Sequ
     return ids, len({keys[i] for i in ids}) == len(ids)
 
 
-def _between(heads: bytes, ends: bytes, q: int) -> bytes:
-    """Per name, 1 where ``heads[k] <= q < ends[k]``, else 0, in C."""
-    low = heads.translate(bytes([1]) * (q + 1) + bytes(255 - q))
-    high = ends.translate(bytes(q + 1) + bytes([1]) * (255 - q))
-    both = int.from_bytes(low, "little") & int.from_bytes(high, "little")
-    return both.to_bytes(len(heads), "little")
-
-
-# Per byte value: 0 for 0, else 1.
-_NONZERO = bytes(1) + bytes([1]) * 255
-
-
-def _held(female: memoryview, male: memoryview) -> bytes:
-    """Per cell, 1 where ``female`` or ``male`` holds a count, else 0: the
-    byte planes of both columns OR-ed together as ints, in C."""
-    bits = 0
-    for column in (female, male):
-        size, raw = column.itemsize, column.cast("B")
-        for plane in range(size):
-            bits |= int.from_bytes(raw[plane::size], "little")
-    return bits.to_bytes(len(female), "little").translate(_NONZERO)
-
-
-def _recut(heads: bytes, ends: bytes, female: memoryview, male: memoryview) -> tuple:
-    """The names with data in a kept position, and their spans and cells,
-    each span re-cut to start and end at a cell with data.
-
-    Name ``k``'s cells at the kept positions ``heads[k]`` to ``ends[k] - 1``
-    are in ``female`` and ``male``, one name after another. Returned are the
-    indices of the names kept, or None when all are, their ``starts`` and
-    ``lengths`` in kept positions, and the count columns of their cells.
-    """
-    starts, lengths = heads, bytes(map(sub, ends, heads))
-    held = _held(female, male)
-    cell = held.find(0)
-    if cell >= 0:  # a cell without data: cut it off the span it starts or ends
-        bounds = array("Q", accumulate(lengths, initial=0))
-        firsts, lasts = bounds[:-1], bounds[1:]  # each name's cells with data
-        while cell >= 0:
-            k = bisect_right(bounds, cell) - 1
-            first, end = held.find(1, bounds[k], bounds[k + 1]), bounds[k + 1]
-            firsts[k] = lasts[k] = end  # no cell with data: the name is dropped
-            if first >= 0:
-                firsts[k], lasts[k] = first, held.rfind(1, first, end) + 1
-            cell = held.find(0, end)
-        female, male = (memoryview(b"".join(map(column.cast("B").__getitem__, map(
-            slice, map(mul, firsts, repeat(column.itemsize)),
-            map(mul, lasts, repeat(column.itemsize)))))).cast(column.format)
-            for column in (female, male))
-        starts = bytes(map(add, heads, map(sub, firsts, bounds)))
-        lengths = bytes(map(sub, lasts, firsts))
-    has = lengths.translate(_NONZERO)  # 1 where a name has a cell with data
-    if has.find(0) < 0:
-        return None, starts, lengths, female, male
-    return (list(compress(range(len(has)), has)), bytes(compress(starts, has)),
-            bytes(compress(lengths, has)), female, male)
-
-
-def _table(path, header: dict, read: _Streams, names: Optional[Iterable[str]],
-           years: Optional[Iterable[int]]) -> Dataset:
+def _table(path, header: dict, read: _Streams, names: Optional[Iterable[str]]) -> Dataset:
     """The table of an index, or of the stored names that fold to the key of
-    one of ``names``, or of its years among ``years``, or both, built from
-    its streams as ``read`` gives them."""
+    one of ``names``, built from its streams as ``read`` gives them."""
     sizes, widths = header["sections"], header["widths"]
     values = {key: sizes[key] // widths[key] for key in _U32_SECTIONS}
     table = _inflate(path, read("names"), sizes["names"], "names")
@@ -1161,53 +1093,25 @@ def _table(path, header: dict, read: _Streams, names: Optional[Iterable[str]],
     del text
     starts, lengths = (_column(path, key, read, widths[key], values[key])
                        for key in ("starts", "lengths"))
-    years_loaded, skipped = header["years"], header["skipped"]
-    distinct, cuts = header["distinct_keys"], None
-    if names is not None or years is not None:
-        # the years first, as a whole load checks them: then a span lies
-        # inside at most 221 positions, so each of its bounds fits a byte
-        years_loaded = _checked_years(years_loaded)
+    years_loaded, distinct, cuts = header["years"], header["distinct_keys"], None
+    if names is not None:
+        years_loaded = _checked_years(years_loaded)  # the years first, as a whole load checks them
         cells = values["female"] if values["female"] == values["male"] else -1
         offsets = _checked_offsets(table, starts, lengths, len(years_loaded), cells)
-        los = offsets[:-1]
-        if names is not None:
-            ids, distinct = _selected(table, list(names), distinct)
-            if len(ids) < len(table):  # else every name is kept, as a whole load keeps it
-                table = tuple(map(table.__getitem__, ids))
-                starts, lengths = (array(column.format, map(column.__getitem__, ids))
-                                   for column in (starts, lengths))
-                los = array("Q", map(offsets.__getitem__, ids))
-                if years is None:
-                    cuts = _cuts(los, array("Q", map(add, los, lengths)), values["female"])
-        if years is not None:
-            starts, lengths = bytes(starts.tolist()), bytes(lengths.tolist())
-            positions = dict(zip(years_loaded, range(len(years_loaded))))
-            wanted = sorted({positions[year] for year in years if year in positions})
-            # name k's span holds the kept positions wanted[heads[k]:ends[k]]
-            ranks = bytes(map(bisect_left, repeat(wanted), range(256)))
-            heads = starts.translate(ranks)
-            ends = bytes(map(add, starts, lengths)).translate(ranks)
-            bases = array("q", map(sub, los, starts))  # where name k's position 0 would be
-            # their cells, name by name: each name's cell at each kept
-            # position, and whether its span holds it
-            at = zip(*(map(add, bases, repeat(pos)) for pos in wanted))
-            inside = zip(*(_between(heads, ends, q) for q in range(len(wanted))))
-            los = array("Q", compress(chain.from_iterable(at), chain.from_iterable(inside)))
-            cuts = _cuts(los, None, values["female"])
+        ids, distinct = _selected(table, list(names), distinct)
+        if len(ids) < len(table):  # else every name is kept, as a whole load keeps it
+            table = tuple(map(table.__getitem__, ids))
+            starts, lengths = (array(column.format, map(column.__getitem__, ids))
+                               for column in (starts, lengths))
+            los = array("Q", map(offsets.__getitem__, ids))
+            cuts = _cuts(los, array("Q", map(add, los, lengths)))
     female, male = (_column(path, key, read, widths[key], values[key], cuts)
                     for key in ("female", "male"))
-    if years is not None:
-        kept, starts, lengths, female, male = _recut(heads, ends, female, male)
-        if kept is not None:
-            table = tuple(map(table.__getitem__, kept))
-            distinct = distinct or len(set(_folded_keys(table))) == len(table)
-        years_loaded = [years_loaded[pos] for pos in wanted]
-        skipped = [skipped[pos] for pos in wanted] if skipped else []
-    return Dataset._loaded(distinct, years_loaded, table, starts, lengths, female, male, skipped)
+    return Dataset._loaded(distinct, years_loaded, table, starts, lengths, female, male,
+                           header["skipped"])
 
 
-def load_index(path: Path | str, names: Optional[Iterable[str]] = None,
-               years: Optional[Iterable[int]] = None) -> Dataset:
+def load_index(path: Path | str, names: Optional[Iterable[str]] = None) -> Dataset:
     """The Dataset an index file holds; a file that breaks its layout or a
     table rule is an ``IndexFormatError``.
 
@@ -1219,12 +1123,8 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None,
     blocks that hold a cell the table keeps are read.
 
     Given ``names``, only the stored names that fold to the key of one of
-    them are kept. Given ``years``, only the loaded years among them are
-    kept, in order (a year asked for but not loaded stays out of
-    ``years_loaded``), each name's span re-cut to start and end at a kept
-    year with data, and a name with no data in a kept year is dropped.
-    Either way, the table answers every question about the names and years
-    it keeps as the whole one does.
+    them are kept, and the table answers every question about them as the
+    whole one does.
     """
     if isinstance(names, str):  # else each of its letters would be a name asked for
         raise TypeError("load_index takes an iterable of names, not one str")
@@ -1237,7 +1137,7 @@ def load_index(path: Path | str, names: Optional[Iterable[str]] = None,
             raise errors.IndexFormatError(f"{path}: not a temponym index")
         header = _read_header(path, fh.readline())
         try:
-            return _table(path, header, _Streams(path, fh, header), names, years)
+            return _table(path, header, _Streams(path, fh, header), names)
         except errors.IndexFormatError:
             raise
         except errors.TemponymError as exc:  # a table rule broken

@@ -181,6 +181,27 @@ def test_ambiguity(runner):
     assert json.loads(result.output)["ambiguous_share"] == pytest.approx(0.55, abs=0.02)
 
 
+@pytest.mark.parametrize("args", [
+    [*command, *years, *weighted, "--format", fmt]
+    for command, years in [*((["shift"], pair) for pair in (
+        ["--y1", "1925", "--y2", "2000"], ["--y1", "2000", "--y2", "1925"],
+        ["--y1", "1925", "--y2", "1925"], ["--y1", "2000", "--y2", "2021"])),
+        *((["ambiguity"], ["--year", year]) for year in ("1900", "2000", "2021"))]
+    for weighted in ([[], ["--weighted"]] if command == ["shift"] else [[]])
+    for fmt in ("csv", "json")
+], ids=" ".join)
+def test_shift_and_ambiguity_answer_alike_from_an_index_and_a_directory(runner, sample_index,
+                                                                        args):
+    """``shift`` and ``ambiguity`` print the same stdout and stderr, and exit
+    with the same status, from the bundled sample's index as from its files:
+    with ``--y1`` after, before or equal to ``--y2``, and a year not loaded."""
+    from_index = runner.invoke(main, [*args, "--index", str(sample_index)])
+    from_dir = runner.invoke(main, [*args, "--dir", str(ds.bundled_sample_dir())])
+    assert from_index.exit_code in (0, 3), from_index.output
+    assert ((from_index.exit_code, from_index.output, from_index.stderr)
+            == (from_dir.exit_code, from_dir.output, from_dir.stderr))
+
+
 def test_ingest_then_query_via_index(runner, tmp_path):
     out = tmp_path / "sample.idx"
     result = runner.invoke(main, [
@@ -222,9 +243,8 @@ def test_bad_index_is_data_error(runner, bad_index):
 
 
 def test_bad_index_is_data_error_in_a_whole_load(runner, bad_index):
-    """``plot trajectories --top-shifts`` loads the whole table, and ``shift``
-    every name's cells in its years, where ``query`` loads one name: each
-    reads the index's one year, so each gives the same error."""
+    """``plot trajectories --top-shifts`` and ``shift`` load the whole table,
+    where ``query`` loads one name: each gives the same error."""
     path, message = bad_index
     for command in (["plot", "trajectories", "--top-shifts", "1", "--y1", "1990", "--y2", "1990"],
                     ["shift", "--y1", "1990", "--y2", "1990"]):

@@ -913,11 +913,11 @@ def dense16_index(tmp_path_factory):
     return data, path, payload
 
 
-def _load_peak(path, names=None, years=None):
+def _load_peak(path, names=None):
     """The table ``load_index`` gives, and tracemalloc's peak over the load."""
     tracemalloc.start()
     try:
-        loaded = ds.load_index(path, names, years)
+        loaded = ds.load_index(path, names)
         return loaded, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -941,18 +941,6 @@ def test_a_one_name_index_load_peaks_under_one_payload(dense16_index):
     assert loaded.names == ("Name00500",)
     assert (_cell_list(loaded, loaded.resolve("Name00500"))
             == _cell_list(data, data.resolve("Name00500")))
-    assert peak < payload, peak / payload
-
-
-def test_a_two_year_index_load_peaks_under_one_payload(dense16_index):
-    """A load of two years reads and hashes every count block, as a one-name
-    load does, and keeps two of each name's 141 cells: its peak stays under
-    the payload, as a one-name load's does (a whole load's is about 1.7
-    payloads)."""
-    data, path, payload = dense16_index
-    loaded, peak = _load_peak(path, years=(2000, 1925))
-    assert (loaded.names, loaded.years_loaded) == (data.names, (1925, 2000))
-    assert list(loaded.year_pair_cells(1925, 2000)) == list(data.year_pair_cells(1925, 2000))
     assert peak < payload, peak / payload
 
 

@@ -915,16 +915,14 @@ def test_a_damaged_index_is_refused_or_loads_a_table_that_answers(
         raw = ds.INDEX_MAGIC + json.dumps(header).encode() + b"\n" + payload
     path = tmp_path_factory.getbasetemp() / "fuzzed.idx"
     path.write_bytes(raw)
-    # a whole load, and loads of one name or of some years, which inflate
-    # only the blocks that hold their cells: each is refused or answers
-    for names, years in ((None, None), (["Leslie"], None), (["leslie"], None),
-                         ([sample_dataset.names[-1]], None), (None, (2000, 1925)),
-                         (["Leslie"], (1990,))):
+    # a whole load, and loads of one name, which inflate only the blocks
+    # that hold its cells: each is refused or answers
+    for names in (None, ["Leslie"], ["leslie"], [sample_dataset.names[-1]]):
         try:
-            table = ds.load_index(path, names, years)
+            table = ds.load_index(path, names)
         except errors.IndexFormatError:
             continue
-        if where == "file" and names is None and years is None:
+        if where == "file" and names is None:
             assert table == sample_dataset
         _answers(table)
 
@@ -1081,7 +1079,7 @@ def test_model_entry_points_follow_the_eager_rule(stored, data):
             check(_eager_mixture(cells, names, name, dist), audit.temporal_p_female, name, dist)
 
 
-# --- loads of some names or some years --------------------------------------
+# --- loads of some names ---------------------------------------------------
 
 @pytest.fixture(scope="module")
 def subset_index(tmp_path_factory):
@@ -1120,56 +1118,44 @@ def _counts(table, name, year):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_a_load_of_some_names_or_years_answers_as_the_whole_table(subset_index, data):
+def test_a_load_of_some_names_answers_as_the_whole_table(subset_index, data):
     """Every ``lookup``, ``sums`` and ``year_pair_cells`` answer of a load of
-    some names, some years or both, for the names and years it keeps, is the
-    whole table's. A year asked for but not loaded is refused as the whole
-    table refuses it, and each kept span starts and ends at a cell with data."""
+    some names, for the names it keeps, is the whole table's, in every
+    loaded year, and a year not loaded is refused as the whole table
+    refuses it."""
     whole, path, edge = subset_index
     pool = (st.sampled_from(SPELLINGS + edge + ("n001", "RENEE", "zoe", "Zzyzx"))
             | st.sampled_from(whole.names))
-    names = data.draw(st.none() | st.lists(pool, max_size=6))
-    years = data.draw(st.none() | st.lists(
-        st.sampled_from(whole.years_loaded) | st.integers(1870, 2110), max_size=4))
-    assume(names is not None or years is not None)
-    table = ds.load_index(path, names, years)
-    kept = tuple(y for y in whole.years_loaded if years is None or y in years)
-    assert table.years_loaded == kept
-    keys = set(ds._folded_keys(names)) if names is not None else None
+    names = data.draw(st.lists(pool, max_size=6))
+    table = ds.load_index(path, names)
+    years = whole.years_loaded
+    assert table.years_loaded == years
+    unloaded = data.draw(st.lists(st.integers(1870, 2110).filter(lambda y: y not in years),
+                                  max_size=2))
+    keys = set(ds._folded_keys(names))
     stored = [name for name, key in zip(whole.names, ds._folded_keys(whole.names))
-              if keys is None or key in keys]
-    if years is None:
-        assert table.names == tuple(stored)
-    else:
-        assert table.names == tuple(
-            name for name in stored if any(any(_counts(whole, name, y)) for y in kept))
-        for name, start, length in zip(table.names, table.starts, table.lengths):
-            for pos in (start, start + length - 1):
-                assert any(_counts(table, name, kept[pos]))
-    asked = data.draw(st.lists(pool, min_size=1, max_size=4)) if names is None else names
-    unloaded = [y for y in years or () if y not in whole.years_loaded]
-    for name in asked:
+              if key in keys]
+    assert table.names == tuple(stored)
+    for name in names:
         for fold in (False, True):
-            for year in kept:
+            for year in years:
                 assert table.lookup(name, year, fold) == whole.lookup(name, year, fold)
             for year in unloaded:
                 with pytest.raises(errors.YearNotLoaded, match=f"year {year} "):
                     table.lookup(name, year, fold)
             ids, whole_ids = table.resolve(name, fold), whole.resolve(name, fold)
-            weights = data.draw(st.lists(st.integers(0, 9), min_size=len(kept),
-                                         max_size=len(kept)))
+            weights = data.draw(st.lists(st.integers(0, 9), min_size=len(years),
+                                         max_size=len(years)))
             expected = [0, 0, 0, 0]
-            for pos, (year, weight) in enumerate(zip(kept, weights)):
-                at = whole.years_loaded.index(year)
-                one = whole.sums(whole_ids, at, at + 1)
+            for pos, weight in enumerate(weights):
+                one = whole.sums(whole_ids, pos, pos + 1)
                 assert table.sums(ids, pos, pos + 1) == one
                 f, m = one[2:]
                 expected = [a + b for a, b in zip(expected, (weight * f, weight * (f + m), f, m))]
-            assert list(table.sums(ids, 0, len(kept), weights)) == expected
+            assert list(table.sums(ids, 0, len(years), weights)) == expected
     # y1 == y2 and y1 > y2 among them, and a year not loaded on either side
-    pairs = [(y1, y2) for y1 in kept[:3] for y2 in kept[:3]]
-    pairs += [(y, y) for y in unloaded]
-    pairs += [pair for y in unloaded if kept for pair in ((y, kept[0]), (kept[-1], y))]
+    pairs = [(y1, y2) for y1 in years[:3] for y2 in years[:3]]
+    pairs += [pair for y in unloaded for pair in ((y, y), (y, years[0]), (years[-1], y))]
     for y1, y2 in pairs:
         try:
             expected = [row for row in whole.year_pair_cells(y1, y2) if row[0] in stored]
@@ -1180,16 +1166,14 @@ def test_a_load_of_some_names_or_years_answers_as_the_whole_table(subset_index, 
         assert list(table.year_pair_cells(y1, y2)) == expected
 
 
-def test_a_load_of_every_name_no_name_or_no_loaded_year(subset_index):
+def test_a_load_of_every_name_or_no_name(subset_index):
     whole, path, _ = subset_index
     assert ds.load_index(path, whole.names) == whole  # every name: as a whole load
-    none = ds.load_index(path, [], (whole.years_loaded[5], 1879))
-    assert (none.names, none.years_loaded, len(none.female)) == ((), (whole.years_loaded[5],), 0)
-    assert none.lookup("Lee", whole.years_loaded[5]) is None
-    unloaded = ds.load_index(path, ["Lee", "LEE"], (1879,))
-    assert (unloaded.names, unloaded.years_loaded, len(unloaded.male)) == ((), (), 0)
-    with pytest.raises(errors.YearNotLoaded, match="year 1879 is not loaded"):
-        list(unloaded.year_pair_cells(1879, 1879))
+    year = whole.years_loaded[5]
+    none = ds.load_index(path, [])
+    assert (none.names, none.years_loaded, len(none.female)) == ((), whole.years_loaded, 0)
+    assert none.lookup("Lee", year) is None
+    assert list(none.year_pair_cells(year, year)) == []
 
 
 # Corpus names: stored spellings, case variants, names reachable only by
