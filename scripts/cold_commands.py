@@ -16,9 +16,10 @@ side that goes first alternating by round, each command a fresh
 For each command it prints each side's median CPU time (user + system) and
 median peak RSS (``ru_maxrss``), both from ``os.wait4``, the rounds the
 change won on each (lower; a tie counts for neither), and whether the two
-sides printed the same standard output with the same exit status in every
-round. It exits 1, naming the command on standard error, if a command exits
-non-zero on either side or the two sides' output or exit status differ.
+sides printed the same standard output and standard error with the same
+exit status in every round. It exits 1, naming the command on standard
+error, if a command exits non-zero on either side or the two sides' output,
+error output or exit status differ.
 """
 from __future__ import annotations
 
@@ -75,15 +76,18 @@ def write_inputs(work: Path) -> None:
 # Starts each command and reports on it, in a process of its own that imports
 # next to nothing: Linux carries a parent's peak RSS into the ru_maxrss of a
 # child that execs, so the commands' parent must stay smaller than they are.
-# Reads one JSON [argv, env, stdout path] per line; answers with one JSON
-# [CPU seconds, peak RSS in kB, exit status] per line.
+# perfbench/spawner.py is not small enough: a ``python -S -c pass`` child
+# reads about 18.6 MB peak from it and about 8.4 MB from this one, so a cold
+# ``query`` (about 17 MB) would show that spawner's peak, not its own.
+# Reads one JSON [argv, env, stdout path, stderr path] per line; answers with
+# one JSON [CPU seconds, peak RSS in kB, exit status] per line.
 SPAWNER = """
 import json, os, sys
 for line in sys.stdin:
-    argv, env, out = json.loads(line)
+    argv, env, out, err = json.loads(line)
     pid = os.posix_spawn(argv[0], argv, env, file_actions=[
-        (os.POSIX_SPAWN_OPEN, 1, out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600),
-        (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+        (os.POSIX_SPAWN_OPEN, fd, path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        for fd, path in ((1, out), (2, err))])
     _, status, usage = os.wait4(pid, 0)
     print(json.dumps([usage.ru_utime + usage.ru_stime, usage.ru_maxrss,
                       os.waitstatus_to_exitcode(status)]), flush=True)
@@ -92,20 +96,20 @@ for line in sys.stdin:
 
 class Spawner:
     """The ``SPAWNER`` process: ``run`` gives one command's CPU seconds, peak
-    RSS in MB, exit status and stdout."""
+    RSS in MB, exit status, stdout and stderr."""
 
     def __init__(self, work: Path):
-        self.out = work / "stdout"
+        self.out, self.err = work / "stdout", work / "stderr"
         self.proc = subprocess.Popen([sys.executable, "-c", SPAWNER], stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
 
-    def run(self, tree: Path, args: list) -> tuple[float, float, int, bytes]:
+    def run(self, tree: Path, args: list) -> tuple[float, float, int, bytes, bytes]:
         argv = [sys.executable, "-m", "temponym.cli", *map(str, args)]
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-        self.proc.stdin.write(json.dumps([argv, env, str(self.out)]) + "\n")
+        self.proc.stdin.write(json.dumps([argv, env, str(self.out), str(self.err)]) + "\n")
         self.proc.stdin.flush()
         cpu, rss_kb, status = json.loads(self.proc.stdout.readline())
-        return cpu, rss_kb / 1024, status, self.out.read_bytes()
+        return cpu, rss_kb / 1024, status, self.out.read_bytes(), self.err.read_bytes()
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -179,8 +183,8 @@ def main() -> int:
             print(f"# {command}: exit statuses {sorted(codes)}", file=sys.stderr)
             failed = True
         if not same:
-            print(f"# {command}: the two sides printed different output or exit statuses",
-                  file=sys.stderr)
+            print(f"# {command}: the two sides printed different output, error output "
+                  "or exit statuses", file=sys.stderr)
             failed = True
     return 1 if failed else 0
 

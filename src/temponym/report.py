@@ -9,7 +9,6 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import errors
-from .audit import KNOWN_P_FEMALE, CorpusRecord
 from .dataset import Dataset
 
 
@@ -52,6 +51,8 @@ def emit_bubble_series(
     0.5, female 0.95); bubble size is the paper count that year. An
     optional constant reference series spans the same year range.
     """
+    from .audit import KNOWN_P_FEMALE  # here, not at the top: plot trajectories needs no audit
+
     counts = Counter((r.known_gender, r.activity_year) for r in records
                      if r.known_gender is not None)
     if not counts:

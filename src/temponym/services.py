@@ -232,26 +232,38 @@ def fetch_prediction(
 
 
 def _fetch_live(config: ServiceConfig, name: str, today: str) -> ExternalPrediction:
-    import requests
+    # here, not at the top: http.client imports ssl, which only a live call needs
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
 
     params = {"name": name}
     if config.api_key:
         params["apikey"] = config.api_key
     try:
-        response = requests.get(config.endpoint_url, params=params, timeout=30)
-    except requests.RequestException as exc:
+        url = urllib.parse.urlsplit(config.endpoint_url)
+        if url.scheme not in ("http", "https"):  # urlopen would read file: and data: too
+            raise ValueError(f"{config.endpoint_url!r} is not an http or https URL")
+        query = "&".join(filter(None, [url.query, urllib.parse.urlencode(params)]))
+        with urllib.request.urlopen(url._replace(query=query).geturl(), timeout=30) as response:
+            status, headers, content = response.status, response.headers, response.read()
+    except urllib.error.HTTPError as exc:  # raised for every status outside 2xx
+        status, headers, content = exc.code, exc.headers, b""
+        exc.close()
+    except urllib.error.URLError as exc:
+        raise errors.NetworkError(str(exc.reason)) from exc
+    except (OSError, http.client.HTTPException, ValueError) as exc:  # OSError: timeouts too
         raise errors.NetworkError(str(exc)) from exc
-    if response.status_code == 401:
+    if status == 401:
         raise errors.AuthError(f"{config.service_id}: authentication failed")
-    if response.status_code == 429:
-        raise errors.RateLimited(_retry_after(response.headers.get("Retry-After")))
-    if response.status_code != 200:
-        raise errors.NetworkError(
-            f"{config.service_id}: HTTP {response.status_code}"
-        )
+    if status == 429:
+        raise errors.RateLimited(_retry_after(headers.get("Retry-After")))
+    if status != 200:
+        raise errors.NetworkError(f"{config.service_id}: HTTP {status}")
 
     try:
-        body = response.json()
+        body = json.loads(content)  # bytes: UTF-8, -16 or -32, told apart by json
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise errors.NetworkError(f"{config.service_id}: response is not JSON ({exc})") from None
     if not isinstance(body, dict):

@@ -2,10 +2,13 @@ import contextlib
 import datetime
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -17,6 +20,7 @@ from temponym import errors, shifts
 from temponym.cli import main
 
 from test_installed_package import FRESH_COMMANDS
+from test_services import fake_urlopen
 
 
 class Result(NamedTuple):
@@ -418,28 +422,11 @@ def test_compare_divergence_without_both_sides_is_empty(runner, tmp_path, fmt):
 
 
 def _stub_get(monkeypatch, answer):
-    """``requests.get`` records its params and returns or raises ``answer``."""
-    import requests
-
-    sent = []
-
-    def get(url, params, timeout):
-        sent.append(params)
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
-
-    monkeypatch.setattr(requests, "get", get)
-    return sent
-
-
-def _response(status, body):
-    import requests
-
-    response = requests.Response()
-    response.status_code = status
-    response._content = body
-    return response
+    """``urlopen`` records each query and answers every call with ``answer``,
+    an exception or a ``(status, body)``."""
+    urlopen = fake_urlopen(itertools.repeat(answer))
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return urlopen.sent
 
 
 LIVE_LESLIE = ["compare", "--names", "Leslie", "--services",
@@ -447,7 +434,7 @@ LIVE_LESLIE = ["compare", "--names", "Leslie", "--services",
 
 
 def test_compare_live_probability_not_a_number_is_partial(runner, monkeypatch):
-    _stub_get(monkeypatch, _response(200, b'{"gender": "female", "probability": "high"}'))
+    _stub_get(monkeypatch, (200, b'{"gender": "female", "probability": "high"}'))
     result = runner.invoke(main, LIVE_LESLIE)
     assert result.exit_code == 4, result.output
     [row] = json.loads(result.output)["rows"]
@@ -471,12 +458,10 @@ LIVE_FAILURES = [
                          ids=[case[0] for case in LIVE_FAILURES])
 def test_compare_live_failure_is_a_cell_error(runner, monkeypatch, status, body, error,
                                               message):
-    import requests
-
     from temponym import errors, services
 
-    refused = requests.ConnectionError(message)
-    _stub_get(monkeypatch, refused if status is None else _response(status, body))
+    refused = urllib.error.URLError(message)
+    _stub_get(monkeypatch, refused if status is None else (status, body))
     result = runner.invoke(main, LIVE_LESLIE)
     assert result.exit_code == 4, result.output
     [row] = json.loads(result.output)["rows"]
@@ -488,7 +473,7 @@ def test_compare_live_failure_is_a_cell_error(runner, monkeypatch, status, body,
 
 def test_compare_live_sends_the_api_key_from_the_environment(runner, monkeypatch):
     monkeypatch.setenv("TEMPONYM_GENDERIZE_KEY", "sekrit")
-    sent = _stub_get(monkeypatch, _response(200, b'{"gender": "male", "probability": 0.9}'))
+    sent = _stub_get(monkeypatch, (200, b'{"gender": "male", "probability": 0.9}'))
     result = runner.invoke(main, LIVE_LESLIE)
     assert result.exit_code == 0, result.output
     assert sent == [{"name": "Leslie", "apikey": "sekrit"}]
@@ -510,7 +495,7 @@ def _stub_live_compare(monkeypatch, tmp_path):
     """Stub genderize to answer p(F) 0.75; return the path of Leslie's cache entry."""
     from temponym import services
 
-    _stub_get(monkeypatch, _response(200, b'{"gender": "female", "probability": 0.75}'))
+    _stub_get(monkeypatch, (200, b'{"gender": "female", "probability": 0.75}'))
     today = datetime.date.today().isoformat()
     return services.PredictionCache(tmp_path)._path("genderize", "Leslie", today)
 

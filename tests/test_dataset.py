@@ -934,8 +934,9 @@ def test_index_load_peak_stays_under_two_payloads(dense16_index):
 
 
 def test_a_one_name_index_load_peaks_under_one_payload(dense16_index):
-    """A one-name load reads and hashes every count block, one at a time,
-    and keeps only the name's cells: its peak stays under the payload."""
+    """A one-name load reads and hashes only the count blocks that hold its
+    cells, one at a time, and keeps only the name's cells: its peak stays
+    under the payload."""
     data, path, payload = dense16_index
     loaded, peak = _load_peak(path, ["Name00500"])
     assert loaded.names == ("Name00500",)

@@ -148,8 +148,7 @@ FRESH_COMMANDS = {
               {CSV}),
     "ambiguity": (["ambiguity", "--index", "{index}", "--year", "1925"], COMMON_MODULES, set()),
     "plot-trajectories": (["plot", "trajectories", "--index", "{index}", "--top-shifts", "5"],
-                          sorted(COMMON_MODULES + ["temponym.audit", "temponym.report",
-                                                   "temponym.shifts"]), set()),
+                          sorted(DATA_MODULES + ["temponym.report", "temponym.shifts"]), set()),
     "compare": (["compare", "--index", "{index}", "--names", "Jean,Leslie,Sydney"],
                 sorted(COMMON_MODULES + ["temponym.services"]), {CSV}),
 }
@@ -274,3 +273,85 @@ def test_readme_library_block_gives_the_results_its_comments_state():
     model, prob = example["model"], example["prob"]
     assert round(prob.p_female, 4) == 0.0839, prob
     assert model.classify(prob, model.MAJORITY) is model.GenderLabel.MALE
+
+
+# Serves genderize answers on 127.0.0.1 and fetches each through the live
+# path, with ``requests`` unimportable. Every warning is an error, and the
+# unraisable hook records the ResourceWarning of a socket left open.
+_LOOPBACK = r"""
+import gc, http.server, os, socket, sys, threading, warnings
+sys.modules["requests"] = None
+os.environ["no_proxy"] = "*"  # no proxy of the environment may take 127.0.0.1
+warnings.simplefilter("error")
+unraisable = []
+sys.unraisablehook = unraisable.append
+from temponym import errors, services
+
+ANSWERS = {  # path: (status, headers, body)
+    "/ok": (200, {}, b'{"gender": "male", "probability": 0.75, "count": 12}'),
+    "/unauthorized": (401, {}, b'{"error": "Invalid API key"}'),
+    "/limited": (429, {"Retry-After": "7"}, b'{"error": "Request limit reached"}'),
+    "/unavailable": (503, {}, b"<html>down</html>"),
+    "/not-json": (200, {}, b"<html>busy</html>"),
+}
+asked = []
+
+
+class Handler(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        asked.append(self.path)
+        status, headers, body = ANSWERS[self.path.partition("?")[0]]
+        self.send_response(status)
+        for key, value in {**headers, "Content-Length": str(len(body))}.items():
+            self.send_header(key, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def fetch(url):
+    try:
+        return services.fetch_prediction(services.ServiceConfig("genderize", url), "Leslie")
+    except errors.TemponymError as exc:
+        return exc
+
+
+with http.server.HTTPServer(("127.0.0.1", 0), Handler) as server:
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_port}"
+    try:
+        ok = fetch(base + "/ok?k=v")
+        got = {path: fetch(base + path) for path in ANSWERS if path != "/ok"}
+    finally:
+        server.shutdown()
+        thread.join()
+with socket.socket() as closed:
+    closed.bind(("127.0.0.1", 0))
+    refused = fetch(f"http://127.0.0.1:{closed.getsockname()[1]}/")
+
+assert asked[0] == "/ok?k=v&name=Leslie", asked
+assert (ok.predicted_label, ok.p_female, ok.sample_count) == ("M", 0.25, 12), ok
+assert type(got["/unauthorized"]) is errors.AuthError, got
+assert str(got["/unauthorized"]) == "genderize: authentication failed", got
+assert type(got["/limited"]) is errors.RateLimited and got["/limited"].retry_after == 7, got
+assert type(got["/unavailable"]) is errors.NetworkError, got
+assert str(got["/unavailable"]) == "genderize: HTTP 503", got
+assert type(got["/not-json"]) is errors.NetworkError, got
+assert str(got["/not-json"]).startswith("genderize: response is not JSON ("), got
+assert type(refused) is errors.NetworkError, refused
+assert "connection refused" in str(refused).casefold(), refused
+del ok, got, refused
+gc.collect()
+assert not unraisable, [hook.exc_value for hook in unraisable]
+"""
+
+
+def test_a_live_call_over_loopback_runs_on_the_standard_library(tmp_path):
+    """The live path against a real HTTP server on 127.0.0.1, in a fresh
+    interpreter that cannot import ``requests``: a 200 answer to an endpoint
+    whose own query is kept, 401, 429 with its Retry-After, 503, a body that
+    is not JSON and a closed port each end as the stubbed tests expect."""
+    _fresh_python(_LOOPBACK, cwd=tmp_path)

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import sys
+import urllib.request
 import zlib
 from array import array
 from fractions import Fraction
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from temponym import _pyparse, audit, errors, model, services, shifts
 from temponym import dataset as ds
 from temponym.cli import main
+
+from test_services import fake_urlopen
 
 THOROUGH = settings(max_examples=1000, deadline=None)
 
@@ -1391,34 +1394,27 @@ live_responses = st.tuples(st.sampled_from([200, 200, 401, 404, 429, 429, 500])
                            | st.integers(100, 599), retry_afters, live_bodies)
 
 
-class FakeResponse:
-    def __init__(self, status, retry_after, body):
-        self.status_code = status
-        self.headers = {} if retry_after is None else {"Retry-After": retry_after}
-        self._body = body
-
-    def json(self):
-        if self._body is ValueError:
-            raise ValueError("Expecting value: line 1 column 1 (char 0)")
-        return self._body
+def _http_answer(status, retry_after, body):
+    """The ``http_answer`` arguments of a drawn response; a ``ValueError``
+    body is one that is not JSON."""
+    return (status, b"" if body is ValueError else json.dumps(body).encode(),
+            {} if retry_after is None else {"Retry-After": retry_after})
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(live_responses, min_size=2, max_size=2), st.booleans(), st.booleans())
 def test_any_live_response_ends_as_a_prediction_or_a_temponym_error(
         tmp_path_factory, responses, cached, limited):
-    """A live ``fetch_prediction`` with ``requests.get`` faked: any status,
+    """A live ``fetch_prediction`` with ``urllib.request.urlopen`` faked: any status,
     Retry-After header and body, with and without a cache and a limiter whose
     sleeps are only recorded. 300 cases."""
-    import requests
-
-    replies = iter([FakeResponse(*response) for response in responses])
+    replies = fake_urlopen([_http_answer(*response) for response in responses])
     sleeps = []
     limiter = None
     if limited:
         limiter = services.RateLimiter(1.0, clock=lambda: 0.0, sleep=sleeps.append)
     cache = services.PredictionCache(tmp_path_factory.mktemp("cache")) if cached else None
-    with mock.patch.object(requests, "get", lambda url, params, timeout: next(replies)):
+    with mock.patch.object(urllib.request, "urlopen", replies):
         try:
             prediction = services.fetch_prediction(LIVE, "Leslie", cache, limiter)
         except errors.TemponymError:

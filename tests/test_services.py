@@ -1,6 +1,11 @@
 import datetime
 import email.utils
+import io
 import re
+import urllib.error
+import urllib.parse
+import urllib.request
+import urllib.response
 
 import pytest
 
@@ -232,21 +237,56 @@ def test_cache_files_stay_in_the_cache_directory(tmp_path, monkeypatch):
     assert len(list(cache_dir.rglob("*.json"))) == 4
 
 
-# --- live responses, with requests.get stubbed -------------------------------
+# --- live responses, with urllib.request.urlopen stubbed ----------------------
 
 LIVE = services.ServiceConfig(
     service_id="genderize", endpoint_url="http://example.invalid"
 )
 
 
-def _stub_response(monkeypatch, status, body, headers=None):
-    import requests
+def http_answer(status, body=b"", headers=None):
+    """What ``urllib.request.urlopen`` gives for an HTTP ``status``: a
+    response for 2xx, else the ``HTTPError`` it raises."""
+    if 200 <= status < 300:
+        return urllib.response.addinfourl(io.BytesIO(body), headers or {}, LIVE.endpoint_url,
+                                          status)
+    return urllib.error.HTTPError(LIVE.endpoint_url, status, "", headers or {}, io.BytesIO(body))
 
-    response = requests.Response()
-    response.status_code = status
-    response._content = body
-    response.headers.update(headers or {})
-    monkeypatch.setattr(requests, "get", lambda url, params, timeout: response)
+
+def fake_urlopen(answers):
+    """A ``urllib.request.urlopen`` that answers each call with the next of
+    ``answers``: an exception to raise, or the ``http_answer`` arguments of
+    a response. Its ``sent`` lists the query of each call as a dict."""
+    answers = iter(answers)
+
+    def urlopen(url, timeout):
+        urlopen.sent.append(dict(urllib.parse.parse_qsl(urllib.parse.urlsplit(url).query)))
+        answer = next(answers)
+        if isinstance(answer, tuple):
+            answer = http_answer(*answer)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    urlopen.sent = []
+    return urlopen
+
+
+def _stub_response(monkeypatch, status, body, headers=None):
+    _stub_responses(monkeypatch, (status, body, headers))
+
+
+@pytest.mark.parametrize("url, message", [
+    ("file:///etc/hostname", "'file:///etc/hostname' is not an http or https URL"),
+    ("data:,{}", "'data:,{}' is not an http or https URL"),
+    ("example.invalid", "'example.invalid' is not an http or https URL"),
+    ("http://[::1", "Invalid IPv6 URL"),
+    ("http://127.0.0.1:port/", "nonnumeric port"),
+], ids=["file", "data", "no-scheme", "bad-ipv6", "bad-port"])
+def test_live_endpoint_that_is_not_an_http_url_is_network_error(url, message):
+    """Refused before any connection is made: no local file is read."""
+    with pytest.raises(errors.NetworkError, match=re.escape(message)):
+        services.fetch_prediction(services.ServiceConfig("genderize", url), "Leslie")
 
 
 @pytest.mark.parametrize("body", [b"<html>busy</html>", b"", b'["female", 0.9]'])
@@ -317,24 +357,11 @@ def test_retry_after_forms(monkeypatch, header, seconds):
 
 
 def _stub_responses(monkeypatch, *responses):
-    """``requests.get`` answers with each ``(status, body, headers)`` in turn."""
-    import requests
-
-    replies = []
-    for status, body, headers in responses:
-        response = requests.Response()
-        response.status_code = status
-        response._content = body
-        response.headers.update(headers)
-        replies.append(response)
-    calls = []
-
-    def get(url, params, timeout):
-        calls.append(params["name"])
-        return replies[len(calls) - 1]
-
-    monkeypatch.setattr(requests, "get", get)
-    return calls
+    """``urlopen`` answers with each ``(status, body, headers)`` in turn; the
+    query of each call is recorded in the list returned."""
+    urlopen = fake_urlopen(responses)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return urlopen.sent
 
 
 def _virtual_limiter(sleeps):
@@ -357,7 +384,7 @@ def test_rate_limited_call_is_retried_once_after_retry_after(monkeypatch):
     sleeps = []
     prediction = services.fetch_prediction(LIVE, "Leslie", limiter=_virtual_limiter(sleeps))
     assert prediction.p_female == 0.75
-    assert calls == ["Leslie", "Leslie"]
+    assert calls == [{"name": "Leslie"}] * 2
     assert sleeps == [3.0]  # 3 s is past the limiter's 1 s spacing: no second wait
 
 
@@ -368,7 +395,7 @@ def test_retry_after_above_the_cap_is_not_waited_for(monkeypatch):
     with pytest.raises(errors.RateLimited) as exc_info:
         services.fetch_prediction(LIVE, "Leslie", limiter=_virtual_limiter(sleeps))
     assert exc_info.value.retry_after == float(over)
-    assert calls == ["Leslie"] and sleeps == []
+    assert calls == [{"name": "Leslie"}] and sleeps == []
 
 
 def test_second_rate_limit_is_a_cell_error(monkeypatch, sample_dataset):
@@ -379,7 +406,7 @@ def test_second_rate_limit_is_a_cell_error(monkeypatch, sample_dataset):
     [row] = services.comparison_table(["Leslie"], sample_dataset, 1925, [LIVE])
     assert row.predictions == {}
     assert row.cell_errors == {"genderize": "rate limited; retry after 3.00s"}
-    assert calls == ["Leslie", "Leslie"] and sleeps == [3.0]
+    assert calls == [{"name": "Leslie"}] * 2 and sleeps == [3.0]
 
 
 # --- rate limiting in comparison_table ----------------------------------------
