@@ -46,6 +46,9 @@ INDEX, CORPUS = "{index}", "{corpus}"  # filled in per side
 COMMANDS = {
     "query --year": ["query", "--index", INDEX, "--name", "Name03750", "--year", "1990",
                      "--format", "json"],
+    # another case of a stored name: found by folding the table's keys
+    "query --year, folded": ["query", "--index", INDEX, "--name", "name03750", "--year", "1990",
+                             "--format", "json"],
     "query --pooled": ["query", "--index", INDEX, "--name", "Name03750",
                        "--pooled", "1880..2020", "--format", "json"],
     "shift --weighted --top 20": ["shift", "--index", INDEX, "--y1", "1925", "--y2", "2000",
@@ -54,6 +57,9 @@ COMMANDS = {
                          f"triangular:{archives.COHORT_OFFSET}:{archives.COHORT_HALF}",
                          "--format", "json"],
     "ambiguity": ["ambiguity", "--index", INDEX, "--year", "1990", "--format", "json"],
+    # names whose cells lie in different count blocks
+    "plot trajectories": ["plot", "trajectories", "--index", INDEX, "--names",
+                          "Name00010,Name03750,Name07400", "--years", "1925..2000"],
 }
 
 

@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import accumulate, compress, repeat
-from operator import add, lt, mul, ne, setitem, sub
+from operator import add, lt, mul, setitem, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 from unicodedata import combining, normalize
@@ -709,7 +709,7 @@ def bundled_sample_dir() -> Path:
 # the name table, ``starts`` and ``lengths``, and, of the count columns,
 # every block or only the blocks that hold a cell of the names asked for
 # (the others are not read). From each block's plane the cells kept are
-# gathered in C (``_cuts``, ``_gather``) and written into a column of the
+# gathered in C (``_cuts``, ``_column``) and written into a column of the
 # narrowest native unsigned type that holds its width, which the Dataset
 # reads in place: no row parsing. A column grows only as its first plane's
 # blocks inflate, so no buffer is sized from the header.
@@ -812,8 +812,7 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
 
     Each column's byte planes are cut from pieces of it (``_pieces``), one
     block at a time, so no whole copy of a column is made. The index is
-    written to a new file beside ``path`` and renamed over it, so a write
-    that fails leaves what ``path`` held, and no stray file.
+    written by ``write_file``: a write that fails leaves what ``path`` held.
     """
     names = "\n".join(dataset.names).encode()
     streams = [_deflated(names)]
@@ -838,14 +837,22 @@ def save_index(dataset: Dataset, path: Path | str) -> None:
         "digests": list(map(_stream_digest, streams)),
     }
     header["digest"] = _header_digest(header)
+    write_file(path, (INDEX_MAGIC, json.dumps(header).encode() + b"\n", *streams))
+
+
+def write_file(path: Path | str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path``; a file that cannot be written is a data error.
+
+    They go to a new file beside ``path``, ``.temponym-<hex>.tmp``, which is
+    then renamed over it, so a write that fails, or is interrupted, leaves
+    what ``path`` held, and no stray file.
+    """
     # "x": a name another writer took is refused, never written over
     temp, stray = Path(path).parent / f".temponym-{os.urandom(8).hex()}.tmp", None
     try:
         with open(temp, "xb") as fh:
             stray = temp
-            fh.write(INDEX_MAGIC)
-            fh.write(json.dumps(header).encode() + b"\n")
-            fh.writelines(streams)
+            fh.writelines(chunks)
         os.replace(temp, path)
         stray = None
     except OSError as exc:
@@ -991,13 +998,8 @@ def _cuts(los: Sequence[int], his: Sequence[int]) -> list[tuple]:
     it, and how many values they take.
 
     The values asked for are the ascending, non-overlapping ranges ``los[k]``
-    to ``his[k] - 1``. Ranges that meet are taken as one, and a range that
-    crosses a block edge is cut there.
+    to ``his[k] - 1``; a range that crosses a block edge is cut there.
     """
-    if len(los) > 1:
-        apart = bytes(map(ne, his[:-1], los[1:]))  # 1 where range k + 1 starts after k's end
-        los = array("Q", compress(los, b"\1" + apart))
-        his = array("Q", compress(his, apart + b"\1"))
     cuts, (first, end) = [], (los[0], his[-1]) if los else (0, 0)
     for held in range(first // _CHUNK, -(-end // _CHUNK)):
         base = held * _CHUNK
@@ -1012,17 +1014,6 @@ def _cuts(los: Sequence[int], his: Sequence[int]) -> list[tuple]:
     return cuts
 
 
-def _gather(firsts: array, lasts: array, n: int):
-    """The function that takes the ``n`` bytes of ``firsts[k]`` to
-    ``lasts[k] - 1`` from a plane's bytes, one range after another, in C:
-    one range is a view of the plane, and more ranges are each cut and all
-    joined."""
-    if len(firsts) == 1:
-        cut = slice(firsts[0], firsts[0] + n)
-        return lambda data: memoryview(data)[cut]
-    return lambda data: b"".join(map(data.__getitem__, map(slice, firsts, lasts)))
-
-
 def _column(path, key: str, read: _Streams, width: int, values: int,
             cuts: Optional[list[tuple]] = None) -> memoryview:
     """The ``values`` values of column ``key``, or only those ``cuts``
@@ -1031,11 +1022,10 @@ def _column(path, key: str, read: _Streams, width: int, values: int,
 
     ``read`` gives the column's stored blocks (see the layout above). Only
     the blocks ``cuts`` names are inflated, each once. From each of a
-    block's planes the values asked for are gathered in C (``_gather``) and
-    written into the column with one strided assignment; a whole load's one
-    range per block is written from the inflated plane with no copy. The
-    column grows only by the values its blocks' first planes have inflated,
-    so no buffer is sized from the header.
+    block's planes the ranges asked for are cut and joined in C and written
+    into the column with one strided assignment. The column grows only by
+    the values its blocks' first planes have inflated, so no buffer is sized
+    from the header.
     """
     if cuts is None:
         cuts = _cuts((0,), (values,))
@@ -1044,13 +1034,16 @@ def _column(path, key: str, read: _Streams, width: int, values: int,
     per_plane = _blocks(values, 1)
     raw, at = bytearray(), 0
     for held, firsts, lasts, n in cuts:
-        gather = _gather(firsts, lasts, n)
         for plane, offset in zip(range(width), _plane_offsets(size)):
             what = f"{key} block {plane * per_plane + held}"
-            data = gather(_inflate(path, read(what), min(_CHUNK, values - held * _CHUNK), what))
+            data = _inflate(path, read(what), min(_CHUNK, values - held * _CHUNK), what)
             if not plane:
                 raw += bytes(n * size)
-            raw[at + offset:at + n * size:size] = data
+            # A whole load's one range per block is the whole plane: its slice
+            # and a join of that one slice are the inflated bytes themselves,
+            # so no block is copied.
+            raw[at + offset:at + n * size:size] = b"".join(
+                map(data.__getitem__, map(slice, firsts, lasts)))
         at += n * size
     return memoryview(raw).cast(typecode)
 

@@ -151,9 +151,9 @@ def classify(prob: GenderProbability, policy: ClassificationPolicy = MAJORITY) -
 
 def ambiguous_name_share(dataset: Dataset, year: int) -> float:
     """Share of children (not names) given a name used for both sexes."""
-    cells = dataset.year_cells(year).values()
-    total = sum(map(sum, cells))
-    if total == 0:
-        return 0.0
-    ambiguous = sum(female + male for female, male in cells if female and male)
-    return ambiguous / total
+    total = ambiguous = 0
+    for _, female, male, _, _ in dataset.year_pair_cells(year, year):
+        total += female + male
+        if female and male:
+            ambiguous += female + male
+    return ambiguous / total if total else 0.0

@@ -9,19 +9,17 @@ but never treated as ground truth.
 """
 from __future__ import annotations
 
-import contextlib
 import datetime
 import json
 import os
 import re
-import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import errors
 from ._pyparse import DECIMAL, NUMBER
-from .dataset import Dataset, Record, read_csv
+from .dataset import Dataset, Record, read_csv, write_file
 from .model import p_female
 
 CACHE_VERSION = "v2"
@@ -129,21 +127,13 @@ class PredictionCache:
     def put(self, prediction: ExternalPrediction, date: str) -> None:
         """Store ``prediction``; an entry that cannot be written is a data error."""
         path = self._path(prediction.service_id, prediction.name, date)
-        tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)  # one per writer
-            with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(prediction._asdict()))
-            os.replace(tmp, path)  # atomic: concurrent readers never see partial writes
-            tmp = None
         except OSError as exc:
             raise errors.TemponymError(
                 f"{path}: cannot be written ({exc.strerror or exc})") from None
-        finally:
-            if tmp is not None:
-                with contextlib.suppress(OSError):
-                    os.remove(tmp)
+        # renamed over the entry: concurrent readers never see a partial write
+        write_file(path, [json.dumps(prediction._asdict()).encode()])
 
 
 FIXTURE_COLUMNS = ("service_id", "name", "label")

@@ -73,7 +73,7 @@ def rank_shifts(
     Sorted descending by |shift| (or |weighted shift|); ties broken by
     larger combined support, then by name.
     """
-    return _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted, 0)[0]
+    return ranked_and_qualifying(dataset, y1, y2, min_support_each_year, top_k, weighted, 0)[0]
 
 
 def ranked_and_qualifying(
@@ -85,13 +85,7 @@ def ranked_and_qualifying(
     weighted: bool = False,
     min_abs_delta: float = DEFAULT_MIN_ABS_DELTA,
 ) -> tuple[list[ShiftEntry], int]:
-    """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair."""
-    return _ranked(dataset, y1, y2, min_support_each_year, top_k, weighted, min_abs_delta)
-
-
-def _ranked(dataset, y1, y2, min_support, top_k, weighted, min_abs_delta) -> tuple[list, int]:
-    """The ``rank_shifts`` entries, and how many supported names shift by at
-    least ``min_abs_delta``, from one pass over the year pair's rows.
+    """``rank_shifts``, and the number of ``qualifying_names``, from one walk of the year pair.
 
     Only the top ``top_k`` rows are kept, and only the listed entries are
     built: the sort key ends in the name, which no two rows share, so
@@ -105,7 +99,7 @@ def _ranked(dataset, y1, y2, min_support, top_k, weighted, min_abs_delta) -> tup
             qualifying += abs(row[5]) >= min_abs_delta
             yield row
 
-    rows = counted(_rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support))
+    rows = counted(_rows(dataset.year_pair_cells(y1, y2), y1, y2, min_support_each_year))
     field = 9 if weighted else 5  # weighted_shift or delta_scaled
     top = heapq.nsmallest(max(top_k, 0), rows,
                           key=lambda r: (-abs(r[field]), -(r[6] + r[7]), r[0]))

@@ -1,6 +1,8 @@
 import datetime
 import email.utils
+import errno
 import io
+import os
 import re
 import urllib.error
 import urllib.parse
@@ -9,6 +11,7 @@ import urllib.response
 
 import pytest
 
+from temponym import dataset as ds
 from temponym import errors, services
 
 
@@ -210,6 +213,37 @@ def test_cache_entry_nested_too_deep_is_a_miss(tmp_path):
                                              "2024-01-01")
     cache.put(prediction, "2024-01-01")  # the refetched entry overwrites it
     assert cache.get("genderize", "Leslie", "2024-01-01") == prediction
+
+
+@pytest.mark.parametrize("failure, raised", [
+    (OSError(errno.ENOSPC, "No space left on device"), errors.TemponymError),
+    (KeyboardInterrupt(), KeyboardInterrupt)], ids=["no-space", "interrupted"])
+def test_a_cache_write_that_fails_leaves_the_old_entry_and_no_stray_file(tmp_path, monkeypatch,
+                                                                         failure, raised):
+    """An entry is written beside its path and renamed over it, as an index
+    is: a write that fails, or is interrupted, leaves the old entry readable,
+    and removes what it wrote."""
+    cache = services.PredictionCache(tmp_path)
+    old = services.ExternalPrediction("genderize", "Leslie", "F", 0.9, 100, "live", "2024-01-01")
+    cache.put(old, "2024-01-01")
+    path = cache._path("genderize", "Leslie", "2024-01-01")
+
+    def fail(chunks):
+        raise failure
+
+    def failing_open(*args):
+        fh = open(*args)
+        fh.writelines = fail
+        return fh
+
+    monkeypatch.setattr(ds, "open", failing_open, raising=False)
+    with pytest.raises(raised) as caught:
+        cache.put(old._replace(predicted_label="M", p_female=0.1), "2024-01-01")
+    monkeypatch.undo()
+    if raised is errors.TemponymError:
+        assert str(caught.value) == f"{path}: cannot be written (No space left on device)"
+    assert cache.get("genderize", "Leslie", "2024-01-01") == old
+    assert os.listdir(path.parent) == [path.name]
 
 
 def test_api_key_comes_from_environment(monkeypatch):
